@@ -19,6 +19,7 @@ from .estimators import (
     f1_value,
     invariance_profile,
     is_error_detecting,
+    joint_counts,
     metric_bundle,
 )
 from .learning import (
@@ -88,7 +89,6 @@ from .theorems import (
     check_reclassification_limit,
     check_residual,
     check_support_bound,
-    joint_counts,
     sweep,
 )
 

@@ -240,7 +240,6 @@ def _cmd_learn_detection(args) -> int:
 
 def _cmd_learn_correction(args) -> int:
     log = load_log_file(args.log)
-    cfg = _learn_config(args)
     conditions = args.condition or []
     triggers = args.trigger_class or []
     if len(conditions) != len(triggers) or not conditions:
@@ -248,7 +247,7 @@ def _cmd_learn_correction(args) -> int:
             "learn-correction needs matching --condition/--trigger-class pairs"
         )
     pairs = list(zip(conditions, triggers))
-    rule, report = learn_correction(log, args.model, args.target_class, pairs, cfg)
+    rule, report = learn_correction(log, args.model, args.target_class, pairs)
     rules = RuleSet(corrections=(rule,) if rule else ())
     run = _Run(
         "learn-correction",
@@ -259,8 +258,6 @@ def _cmd_learn_correction(args) -> int:
             "model": args.model,
             "target_class": args.target_class,
             "candidate_pairs": [list(p) for p in sorted(set(pairs))],
-            "objective": cfg.objective.value,
-            "epsilon": format_rational(cfg.epsilon),
         },
     )
     run.write("rules.json", dumps_rules(rules))
@@ -426,8 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trigger-class", action="append", required=True,
         help="pair trigger class (repeatable, zipped with --condition)",
     )
-    p.add_argument("--objective", choices=sorted(_OBJECTIVES), default="precision-gain")
-    p.add_argument("--epsilon", help='unused for corrections; accepted for symmetry')
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_learn_correction)
 

@@ -3,7 +3,8 @@
 All estimates are plain empirical frequencies: count(event ∧ given) over
 count(given), kept as integer count pairs. A zero conditioning count makes
 the estimate UNDEFINED — a value, not an error — and undefinedness
-propagates through derived quantities.
+propagates through derived quantities. Every count comes from
+``joint_counts``, which reads the log's bitset index.
 """
 
 from __future__ import annotations
@@ -11,14 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Iterable
 
-from .logs import (
-    EventQuery,
-    PredictionLog,
-    PredictionRecord,
-    condition_absent,
-    condition_holds,
-)
+from .logs import EventQuery, PredictionLog, PredictionRecord, condition_holds
 from .rational import format_rational
 
 
@@ -105,10 +101,6 @@ class ConditionBody:
             q = q.or_(EventQuery.conjunction(condition_holds(cid)))
         return q
 
-    def negated_query(self) -> EventQuery:
-        """Event "no body condition holds": a conjunction of absences."""
-        return EventQuery.conjunction(*(condition_absent(c) for c in self.condition_ids))
-
 
 @dataclass(frozen=True, slots=True)
 class MetricBundle:
@@ -143,41 +135,60 @@ class MetricBundle:
 
 
 @dataclass(frozen=True, slots=True)
-class ClassBodyCounts:
-    """Raw event counts for one class/body over an already-sliced log."""
+class JointCounts:
+    """Event counts for (class α, body[, correction class β]) over one scope."""
 
     total: int
-    gt: int            # class in ground truth
-    pred: int          # class predicted
-    pred_gt: int       # class predicted and in ground truth
-    pred_body: int     # class predicted and some body condition holds
-    pred_body_gt: int  # ... and in ground truth
+    gt: int              # α ∈ gt
+    pred: int            # α predicted
+    pred_gt: int         # α predicted ∧ α ∈ gt
+    pred_body: int       # α predicted ∧ body holds
+    pred_body_gt: int    # ... ∧ α ∈ gt
+    beta_pred: int = 0           # β predicted
+    beta_pred_beta_gt: int = 0   # β predicted ∧ β ∈ gt
+    pred_body_beta_gt: int = 0   # α predicted ∧ body ∧ β ∈ gt
+    union: int = 0               # β predicted ∨ (α predicted ∧ body)
+    union_beta_gt: int = 0       # ... ∧ β ∈ gt
 
 
-def class_body_counts(
+def joint_counts(
     log: PredictionLog,
     alpha: str,
-    body: ConditionBody | frozenset[str] | None,
-) -> ClassBodyCounts:
-    """Single-pass counts; ``body`` may be empty/None for the vacuous body."""
-    ids = body.condition_ids if isinstance(body, ConditionBody) else frozenset(body or ())
-    gt = pred = pred_gt = pred_body = pred_body_gt = 0
-    for rec in log.records:
-        in_gt = alpha in rec.ground_truth
-        if in_gt:
-            gt += 1
-        if alpha in rec.predicted:
-            pred += 1
-            if in_gt:
-                pred_gt += 1
-            if ids and not ids.isdisjoint(rec.conditions):
-                pred_body += 1
-                if in_gt:
-                    pred_body_gt += 1
-    return ClassBodyCounts(len(log.records), gt, pred, pred_gt, pred_body, pred_body_gt)
+    body: ConditionBody | Iterable[str] | None = None,
+    beta: str | None = None,
+    *,
+    model_id: str | None = None,
+    distribution: str | None = None,
+) -> JointCounts:
+    """Counts over the records of ``model_id`` (every model for None),
+    narrowed to one distribution tag when one is given.
+
+    The body holds where any of its condition ids does; an empty or None
+    body never holds. The β fields stay 0 unless ``beta`` is given.
+    """
+    ids = body.condition_ids if isinstance(body, ConditionBody) else body or ()
+    ix = log.index
+    scope = ix.scope(model_id, distribution)
+    gt = ix.ground_truth.get(alpha, 0) & scope
+    pred = ix.predicted.get(alpha, 0) & scope
+    body_mask = 0
+    for cid in ids:
+        body_mask |= ix.conditions.get(cid, 0)
+    pred_body = pred & body_mask
+    masks = [scope, gt, pred, pred & gt, pred_body, pred_body & gt]
+    if beta is not None:
+        beta_gt = ix.ground_truth.get(beta, 0)
+        beta_pred = ix.predicted.get(beta, 0) & scope
+        union = beta_pred | pred_body
+        masks += [beta_pred, beta_pred & beta_gt, pred_body & beta_gt, union, union & beta_gt]
+    return JointCounts(*(mask.bit_count() for mask in masks))
 
 
-def bundle_from_counts(c: ClassBodyCounts) -> MetricBundle:
+# Older name, kept for callers that count one class and body.
+class_body_counts = joint_counts
+
+
+def bundle_from_counts(c: JointCounts) -> MetricBundle:
     precision = Probability(c.pred_gt, c.pred)
     recall = Probability(c.pred_gt, c.gt)
     support = Probability(c.pred_body, c.pred)
@@ -210,8 +221,8 @@ def cond_prob(log: PredictionLog, event: EventQuery, given: EventQuery) -> Proba
 def metric_bundle(
     log: PredictionLog, model_id: str, alpha: str, body: ConditionBody
 ) -> MetricBundle:
-    """All eight statistics for one class and body on the model's sub-log."""
-    return bundle_from_counts(class_body_counts(log.slice(model_id), alpha, body))
+    """All eight statistics for one class and body on the model's records."""
+    return bundle_from_counts(joint_counts(log, alpha, body, model_id=model_id))
 
 
 def f1_value(precision: Probability, recall: Probability) -> Fraction | None:
@@ -222,7 +233,7 @@ def f1_value(precision: Probability, recall: Probability) -> Fraction | None:
     return 2 * p * r / (p + r)
 
 
-def error_detecting_from_counts(c: ClassBodyCounts) -> Verdict:
+def error_detecting_from_counts(c: JointCounts) -> Verdict:
     if c.pred == 0 or c.pred_body == 0:
         return Verdict.UNDEFINED
     # Non-strict by definition: equality still counts as error detecting.
@@ -244,8 +255,8 @@ def is_error_detecting(
     predicted) on the (model, distribution) slice; UNDEFINED when either
     side has a zero conditioning count.
     """
-    sub = log.slice(model_id, distribution)
-    return error_detecting_from_counts(class_body_counts(sub, alpha, body))
+    c = joint_counts(log, alpha, body, model_id=model_id, distribution=distribution)
+    return error_detecting_from_counts(c)
 
 
 @dataclass(frozen=True, slots=True)
@@ -294,14 +305,12 @@ class InvarianceProfile:
 def invariance_profile(
     log: PredictionLog, model_id: str, alpha: str, body: ConditionBody
 ) -> InvarianceProfile:
-    pooled_counts = class_body_counts(log.slice(model_id), alpha, body)
-    pooled_conf = Probability(
-        pooled_counts.pred_body - pooled_counts.pred_body_gt, pooled_counts.pred_body
-    )
+    pooled = joint_counts(log, alpha, body, model_id=model_id)
+    pooled_conf = bundle_from_counts(pooled).confidence
     rows = []
     for tag in sorted(log.distribution_universe):
-        c = class_body_counts(log.slice(model_id, tag), alpha, body)
-        conf = Probability(c.pred_body - c.pred_body_gt, c.pred_body)
+        c = joint_counts(log, alpha, body, model_id=model_id, distribution=tag)
+        conf = bundle_from_counts(c).confidence
         gap = None
         if conf.value is not None and pooled_conf.value is not None:
             gap = abs(conf.value - pooled_conf.value)

@@ -21,10 +21,11 @@ from .estimators import (
     ConditionBody,
     MetricBundle,
     Probability,
+    joint_counts,
     metric_bundle,
 )
 from .logs import PredictionLog
-from .rational import format_rational
+from .rational import as_fraction, format_rational
 from .rules import CorrectionRule, DetectionRule
 
 
@@ -43,7 +44,8 @@ NO_ADMISSIBLE_PAIR = "NO_ADMISSIBLE_PAIR"
 
 @dataclass(frozen=True)
 class LearnConfig:
-    """Learner settings; epsilon bounds the allowed recall reduction."""
+    """Learner settings; epsilon bounds the allowed recall reduction and is
+    read exactly (the float 0.1 is 1/10)."""
 
     objective: Objective = Objective.PRECISION_GAIN
     epsilon: Fraction = Fraction(1, 20)
@@ -52,8 +54,7 @@ class LearnConfig:
     def __post_init__(self):
         if not isinstance(self.objective, Objective):
             object.__setattr__(self, "objective", Objective(self.objective))
-        if not isinstance(self.epsilon, Fraction):
-            object.__setattr__(self, "epsilon", Fraction(self.epsilon))
+        object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
         if self.max_body_size is not None and self.max_body_size < 1:
@@ -192,46 +193,6 @@ def _objective_value(
     return 2 * post_precision * post_recall / (post_precision + post_recall)
 
 
-class _DetectionScorer:
-    """Incremental counts for growing one detection body on a model slice."""
-
-    def __init__(self, log: PredictionLog, alpha: str):
-        self.conds: list[frozenset[str]] = []
-        self.correct: list[bool] = []
-        n_gt = 0
-        for rec in log.records:
-            in_gt = alpha in rec.ground_truth
-            if in_gt:
-                n_gt += 1
-            if alpha in rec.predicted:
-                self.conds.append(rec.conditions)
-                self.correct.append(in_gt)
-        self.n_gt = n_gt
-        self.n_pred = len(self.conds)
-        self.n_pred_gt = sum(self.correct)
-        self.holds = [False] * self.n_pred
-        self.pred_body = 0
-        self.pred_body_gt = 0
-
-    def extension_counts(self, condition_id: str) -> tuple[int, int]:
-        """(pred_body, pred_body_gt) for current body plus one condition."""
-        pb, pbg = self.pred_body, self.pred_body_gt
-        for i, conds in enumerate(self.conds):
-            if not self.holds[i] and condition_id in conds:
-                pb += 1
-                if self.correct[i]:
-                    pbg += 1
-        return pb, pbg
-
-    def commit(self, condition_id: str) -> None:
-        for i, conds in enumerate(self.conds):
-            if not self.holds[i] and condition_id in conds:
-                self.holds[i] = True
-                self.pred_body += 1
-                if self.correct[i]:
-                    self.pred_body_gt += 1
-
-
 def learn_detection(
     log: PredictionLog,
     model_id: str,
@@ -249,9 +210,8 @@ def learn_detection(
     """
     cfg = cfg or LearnConfig()
     candidate_ids = sorted(set(candidates))
-    scorer = _DetectionScorer(log.slice(model_id), alpha)
-
-    if scorer.n_pred == 0:
+    base = joint_counts(log, alpha, model_id=model_id)
+    if base.pred == 0:
         report = LearnReport(
             objective=cfg.objective,
             epsilon=cfg.epsilon,
@@ -261,48 +221,44 @@ def learn_detection(
         )
         return None, report
 
-    base_precision = Fraction(scorer.n_pred_gt, scorer.n_pred)
-    residual = 1 - base_precision
+    residual = 1 - Fraction(base.pred_gt, base.pred)
     guards = []
     for cid in candidate_ids:
-        pb, pbg = scorer.extension_counts(cid)
-        confidence = Probability(pb - pbg, pb)
+        c = joint_counts(log, alpha, (cid,), model_id=model_id)
+        confidence = Probability(c.pred_body - c.pred_body_gt, c.pred_body)
         improves = None if confidence.value is None else confidence.value > residual
         guards.append(GuardCheck(cid, confidence, residual, improves))
 
-    baseline = _objective_value(
-        cfg.objective, scorer.n_pred, scorer.n_pred_gt, scorer.n_gt, 0, 0
-    )
+    baseline = _objective_value(cfg.objective, base.pred, base.pred_gt, base.gt, 0, 0)
 
     body: list[str] = []
     current = baseline
     steps: list[LearnStep] = []
     first_step_had_feasible = False
     while cfg.max_body_size is None or len(body) < cfg.max_body_size:
-        best: tuple[Fraction, str, int, int, Fraction | None] | None = None
+        best: tuple[Fraction, str, Fraction | None] | None = None
         for cid in candidate_ids:
             if cid in body:
                 continue
-            pb, pbg = scorer.extension_counts(cid)
-            reduction = Fraction(pbg, scorer.n_gt) if scorer.n_gt else None
+            c = joint_counts(log, alpha, (*body, cid), model_id=model_id)
+            reduction = Fraction(c.pred_body_gt, c.gt) if c.gt else None
             if reduction is not None and reduction > cfg.epsilon:
                 continue
             if not body:
                 first_step_had_feasible = True
             value = _objective_value(
-                cfg.objective, scorer.n_pred, scorer.n_pred_gt, scorer.n_gt, pb, pbg
+                cfg.objective, c.pred, c.pred_gt, c.gt, c.pred_body, c.pred_body_gt
             )
             if value is None:
                 continue
             if current is not None and value <= current:
                 continue
             if best is None or value > best[0]:
-                best = (value, cid, pb, pbg, reduction)
+                best = (value, cid, reduction)
         if best is None:
             break
-        value, cid, _, _, reduction = best
+        value, cid, reduction = best
         steps.append(LearnStep(cid, current, value, reduction))
-        scorer.commit(cid)
         body.append(cid)
         current = value
 
@@ -355,22 +311,21 @@ def learn_correction(
     """
     cfg = cfg or LearnConfig()
     pairs = sorted(set(candidate_pairs))
-    sub = log.slice(model_id)
-    records = [(rec.predicted, rec.conditions, beta in rec.ground_truth) for rec in sub.records]
+    ix = log.index
+    scope = ix.scope(model_id)
+    beta_gt = ix.ground_truth.get(beta, 0)
 
-    n_bpred = sum(1 for predicted, _, _ in records if beta in predicted)
-    n_bpred_gt = sum(1 for predicted, _, in_gt in records if beta in predicted and in_gt)
-    base = Probability(n_bpred_gt, n_bpred)
+    def precision(records: int) -> Probability:
+        """Precision of beta over a mask of (relabeled) records."""
+        return Probability((records & beta_gt).bit_count(), records.bit_count())
 
-    fires: dict[tuple[str, str], list[bool]] = {}
+    base = precision(scope & ix.predicted.get(beta, 0))
+    fires: dict[tuple[str, str], int] = {}
     pair_guards = []
     admissible: list[tuple[str, str]] = []
     for cond, trig in pairs:
-        hit = [trig in predicted and cond in conditions for predicted, conditions, _ in records]
-        fires[(cond, trig)] = hit
-        covered = sum(hit)
-        covered_gt = sum(1 for h, (_, _, in_gt) in zip(hit, records) if h and in_gt)
-        pair_prec = Probability(covered_gt, covered)
+        fires[(cond, trig)] = scope & ix.predicted.get(trig, 0) & ix.conditions.get(cond, 0)
+        pair_prec = precision(fires[(cond, trig)])
         if base.value is not None:
             ok = pair_prec.value is not None and pair_prec.value > base.value
         else:
@@ -380,8 +335,7 @@ def learn_correction(
             admissible.append((cond, trig))
 
     chosen: list[tuple[str, str]] = []
-    holds = [False] * len(records)
-    covered = covered_gt = 0
+    covered = 0  # records where some chosen pair fires
     current: Fraction | None = None
     steps: list[LearnStep] = []
     while cfg.max_body_size is None or len(chosen) < cfg.max_body_size:
@@ -389,15 +343,9 @@ def learn_correction(
         for pair in admissible:
             if pair in chosen:
                 continue
-            cov, cov_gt = covered, covered_gt
-            for i, h in enumerate(fires[pair]):
-                if h and not holds[i]:
-                    cov += 1
-                    if records[i][2]:
-                        cov_gt += 1
-            if cov == 0:
+            value = precision(covered | fires[pair]).value
+            if value is None:
                 continue
-            value = Fraction(cov_gt, cov)
             if current is not None and value <= current:
                 continue
             if best is None or value > best[0]:
@@ -406,12 +354,7 @@ def learn_correction(
             break
         value, pair = best
         steps.append(LearnStep(pair, current, value, None))
-        for i, h in enumerate(fires[pair]):
-            if h and not holds[i]:
-                holds[i] = True
-                covered += 1
-                if records[i][2]:
-                    covered_gt += 1
+        covered |= fires[pair]
         chosen.append(pair)
         current = value
 
@@ -437,7 +380,7 @@ def learn_correction(
         steps=tuple(steps),
         pair_guards=tuple(pair_guards),
         base_precision=base,
-        final_precision=Probability(covered_gt, covered),
+        final_precision=precision(covered),
     )
     return rule, report
 
@@ -465,39 +408,27 @@ def exhaustive_oracle(
     if len(ids) > 20:
         raise ValueError(f"candidate set too large for enumeration ({len(ids)} > 20)")
 
-    sub = log.slice(model_id)
-    alpha_recs = [
-        (alpha in rec.ground_truth, rec.conditions)
-        for rec in sub.records
-        if alpha in rec.predicted
-    ]
-    n_pred = len(alpha_recs)
-    n_pred_gt = sum(1 for in_gt, _ in alpha_recs if in_gt)
-    n_gt = sum(1 for rec in sub.records if alpha in rec.ground_truth)
-    if n_pred == 0:
+    base = joint_counts(log, alpha, model_id=model_id)
+    if base.pred == 0:
         return None, None
 
-    baseline = _objective_value(cfg.objective, n_pred, n_pred_gt, n_gt, 0, 0)
+    baseline = _objective_value(cfg.objective, base.pred, base.pred_gt, base.gt, 0, 0)
     best_body: frozenset[str] | None = None
     best_value: Fraction | None = None
     for size in range(1, len(ids) + 1):
         if cfg.max_body_size is not None and size > cfg.max_body_size:
             break
         for subset in combinations(ids, size):
-            body = frozenset(subset)
-            pb = pbg = 0
-            for in_gt, conditions in alpha_recs:
-                if not body.isdisjoint(conditions):
-                    pb += 1
-                    if in_gt:
-                        pbg += 1
-            if n_gt and Fraction(pbg, n_gt) > cfg.epsilon:
+            c = joint_counts(log, alpha, subset, model_id=model_id)
+            if c.gt and Fraction(c.pred_body_gt, c.gt) > cfg.epsilon:
                 continue
-            value = _objective_value(cfg.objective, n_pred, n_pred_gt, n_gt, pb, pbg)
+            value = _objective_value(
+                cfg.objective, c.pred, c.pred_gt, c.gt, c.pred_body, c.pred_body_gt
+            )
             if value is None:
                 continue
             if baseline is not None and value <= baseline:
                 continue
             if best_value is None or value > best_value:
-                best_body, best_value = body, value
+                best_body, best_value = frozenset(subset), value
     return best_body, best_value

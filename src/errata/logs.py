@@ -4,8 +4,12 @@ A log is an immutable, order-preserving sequence of per-sample classifier
 outcomes: the label set a model produced, the ground-truth label set, the
 boolean side-conditions observed for the sample, and a distribution tag.
 Every probability this package reports is an exact ratio of record counts
-over such a log, so this module also defines the event-query primitive
-those counts are taken over.
+over such a log. The counts come from the log's ``index``, built once per
+log on first use: one bitset per model id, distribution tag, predicted
+label, ground-truth label and condition id, so that a count is ``&``,
+``|`` and ``int.bit_count()``. ``EventQuery`` and ``PredictionLog.count``
+walk the records instead; they are the reference semantics the index is
+tested against.
 
 JSONL schema (one object per line, strict — unknown fields are rejected):
 
@@ -25,8 +29,10 @@ deterministic and ``load_log(serialize_log(log)) == log``.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 DEFAULT_DISTRIBUTION = "default"
 
@@ -64,6 +70,48 @@ class PredictionRecord:
     @property
     def key(self) -> tuple[str, str]:
         return (self.sample_id, self.model_id)
+
+
+def _bitset(n: int, positions: list[int]) -> int:
+    """Int with bit i set for each i in positions, built in O(n)."""
+    buf = bytearray((n + 7) >> 3)
+    for i in positions:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
+class LogIndex:
+    """Bitsets over a record sequence: bit i of a key's mask is set iff
+    record i carries the key. Keys the records never carry have no entry;
+    read them as the empty mask 0."""
+
+    __slots__ = ("all", "models", "distributions", "predicted", "ground_truth", "conditions")
+
+    def __init__(self, records: Sequence[PredictionRecord]):
+        keyed = tuple(defaultdict(list) for _ in range(5))
+        models, distributions, predicted, ground_truth, conditions = keyed
+        for i, rec in enumerate(records):
+            models[rec.model_id].append(i)
+            distributions[rec.distribution].append(i)
+            for label in rec.predicted:
+                predicted[label].append(i)
+            for label in rec.ground_truth:
+                ground_truth[label].append(i)
+            for cid in rec.conditions:
+                conditions[cid].append(i)
+        n = len(records)
+        self.all = (1 << n) - 1
+        bitsets = [{key: _bitset(n, pos) for key, pos in by_key.items()} for by_key in keyed]
+        (self.models, self.distributions, self.predicted, self.ground_truth,
+         self.conditions) = bitsets
+
+    def scope(self, model_id: str | None = None, distribution: str | None = None) -> int:
+        """Records of one model (every model for None), narrowed to one
+        distribution tag when one is given."""
+        mask = self.all if model_id is None else self.models.get(model_id, 0)
+        if distribution is not None:
+            mask &= self.distributions.get(distribution, 0)
+        return mask
 
 
 @dataclass(frozen=True)
@@ -121,8 +169,14 @@ class PredictionLog:
         )
         return PredictionLog(keep)
 
+    @cached_property
+    def index(self) -> LogIndex:
+        """Bitset index of the records, built on first use and kept for the
+        life of the log; equality and hashing ignore it."""
+        return LogIndex(self.records)
+
     def count(self, query: "EventQuery") -> int:
-        """Number of records satisfying the query."""
+        """Number of records satisfying the query, by walking the records."""
         return sum(1 for r in self.records if query.matches(r))
 
     def by_key(self) -> dict[tuple[str, str], PredictionRecord]:

@@ -13,7 +13,13 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .estimators import ConditionBody, Probability, f1_value
+from .estimators import (
+    ConditionBody,
+    Probability,
+    bundle_from_counts,
+    f1_value,
+    joint_counts,
+)
 from .logs import PredictionLog
 from .rational import format_rational, sub
 
@@ -116,20 +122,66 @@ def dumps_rules(rules: RuleSet) -> str:
     return json.dumps(rules.to_dict(), indent=2) + "\n"
 
 
+_RULE_KEYS = {
+    "detections": ("model_id", "target_class", "conditions"),
+    "corrections": ("model_id", "target_class", "pairs"),
+}
+_PAIR_KEYS = ("condition", "trigger_class")
+
+
+def _require_object(obj, keys: tuple[str, ...], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected a JSON object")
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ValueError(f"{where}: unknown key(s) {unknown}")
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ValueError(f"{where}: missing key(s) {missing}")
+
+
+def _require_list(value, where: str) -> None:
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"{where}: expected a nonempty array")
+
+
+def _require_id(value, where: str) -> None:
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{where}: expected a nonempty string")
+
+
 def loads_rules(text: str) -> RuleSet:
+    """Parse a rule file strictly: unknown keys, wrong types and empty ids
+    are rejected with an error naming the rule list, index and key."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed rule file: {exc.msg}") from exc
     if not isinstance(obj, dict):
         raise ValueError("rule file must contain a JSON object")
-    unknown = sorted(set(obj) - {"detections", "corrections"})
+    unknown = sorted(set(obj) - set(_RULE_KEYS))
     if unknown:
         raise ValueError(f"rule file has unknown key(s) {unknown}")
-    try:
-        return RuleSet.from_dict(obj)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed rule entry: {exc}") from exc
+    for kind, keys in _RULE_KEYS.items():
+        entries = obj.get(kind, [])
+        if not isinstance(entries, list):
+            raise ValueError(f"{kind}: expected an array")
+        for i, entry in enumerate(entries):
+            where = f"{kind}[{i}]"
+            _require_object(entry, keys, where)
+            _require_id(entry["model_id"], f"{where}.model_id")
+            _require_id(entry["target_class"], f"{where}.target_class")
+            body_key = keys[2]
+            _require_list(entry[body_key], f"{where}.{body_key}")
+            for j, item in enumerate(entry[body_key]):
+                item_where = f"{where}.{body_key}[{j}]"
+                if kind == "detections":
+                    _require_id(item, item_where)
+                    continue
+                _require_object(item, _PAIR_KEYS, item_where)
+                for key in _PAIR_KEYS:
+                    _require_id(item[key], f"{item_where}.{key}")
+    return RuleSet.from_dict(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -346,19 +398,6 @@ class DeltaRow:
         }
 
 
-def _class_metrics(log: PredictionLog, label: str) -> tuple[Probability, Probability]:
-    pred = pred_gt = gt = 0
-    for rec in log.records:
-        in_gt = label in rec.ground_truth
-        if in_gt:
-            gt += 1
-        if label in rec.predicted:
-            pred += 1
-            if in_gt:
-                pred_gt += 1
-    return Probability(pred_gt, pred), Probability(pred_gt, gt)
-
-
 def evaluate_delta(before: PredictionLog, after: PredictionLog) -> tuple[DeltaRow, ...]:
     """Exact per-(model, label) precision/recall/F1 deltas.
 
@@ -374,34 +413,27 @@ def evaluate_delta(before: PredictionLog, after: PredictionLog) -> tuple[DeltaRo
         if rec.ground_truth != after_keys[key].ground_truth:
             raise LogMismatchError(f"ground truth differs for {key!r}")
 
-    models = sorted({r.model_id for r in before.records})
-    labels_by_model: dict[str, set[str]] = {m: set() for m in models}
-    for log in (before, after):
-        for rec in log.records:
-            labels_by_model[rec.model_id].update(rec.predicted)
-            labels_by_model[rec.model_id].update(rec.ground_truth)
-
     rows = []
-    for model_id in models:
-        sub_before = before.slice(model_id)
-        sub_after = after.slice(model_id)
-        for label in sorted(labels_by_model[model_id]):
-            p_b, r_b = _class_metrics(sub_before, label)
-            p_a, r_a = _class_metrics(sub_after, label)
-            f_b = f1_value(p_b, r_b)
-            f_a = f1_value(p_a, r_a)
+    for model_id in sorted(before.index.models):
+        for label in sorted(before.label_universe | after.label_universe):
+            counts = [joint_counts(log, label, model_id=model_id) for log in (before, after)]
+            if not any(c.pred or c.gt for c in counts):
+                continue  # the label never occurs on this model's records
+            b, a = (bundle_from_counts(c) for c in counts)
+            f_b = f1_value(b.precision, b.recall)
+            f_a = f1_value(a.precision, a.recall)
             rows.append(
                 DeltaRow(
                     model_id=model_id,
                     label=label,
-                    precision_before=p_b,
-                    precision_after=p_a,
-                    recall_before=r_b,
-                    recall_after=r_a,
+                    precision_before=b.precision,
+                    precision_after=a.precision,
+                    recall_before=b.recall,
+                    recall_after=a.recall,
                     f1_before=f_b,
                     f1_after=f_a,
-                    precision_delta=sub(p_a.value, p_b.value),
-                    recall_delta=sub(r_a.value, r_b.value),
+                    precision_delta=sub(a.precision.value, b.precision.value),
+                    recall_delta=sub(a.recall.value, b.recall.value),
                     f1_delta=sub(f_a, f_b),
                 )
             )

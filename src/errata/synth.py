@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .estimators import Probability, class_body_counts
+from .estimators import Probability, bundle_from_counts, joint_counts
 from .logs import DEFAULT_DISTRIBUTION, PredictionLog, PredictionRecord
 from .rational import as_fraction, format_rational
 
@@ -438,21 +438,22 @@ def generate(cfg: SynthConfig) -> tuple[PredictionLog, SynthBookkeeping]:
 
 def _bookkeeping(cfg: SynthConfig, log: PredictionLog, tags: Sequence[str]) -> SynthBookkeeping:
     rows = []
-    model_slice = log.slice(cfg.model_id)
+    scopes = [None, *tags] if cfg.distributions else [None]
     for pc in cfg.planted_conditions:
-        ids = frozenset((pc.condition_id,))
-        scopes: list[tuple[str | None, PredictionLog]] = [(None, model_slice)]
-        if cfg.distributions:
-            scopes += [(tag, log.slice(cfg.model_id, tag)) for tag in tags]
-        for tag, scope in scopes:
-            c = class_body_counts(scope, pc.target_class, ids)
+        for tag in scopes:
+            bundle = bundle_from_counts(
+                joint_counts(
+                    log, pc.target_class, (pc.condition_id,),
+                    model_id=cfg.model_id, distribution=tag,
+                )
+            )
             rows.append(
                 BookkeepingRow(
                     condition_id=pc.condition_id,
                     target_class=pc.target_class,
                     distribution=tag,
-                    support=Probability(c.pred_body, c.pred),
-                    confidence=Probability(c.pred_body - c.pred_body_gt, c.pred_body),
+                    support=bundle.support,
+                    confidence=bundle.confidence,
                 )
             )
     return SynthBookkeeping(tuple(rows))

@@ -17,8 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .estimators import ConditionBody
-from .logs import PredictionLog, serialize_log
+from .estimators import ConditionBody, JointCounts, joint_counts
+from .logs import serialize_log
 from .rational import format_rational, parse_rational
 
 
@@ -85,77 +85,6 @@ class TheoremReport:
             skip_reason=obj.get("skip_reason"),
             note=obj.get("note"),
         )
-
-
-# ---------------------------------------------------------------------------
-# Counting
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, slots=True)
-class JointCounts:
-    """One-pass event counts for (class, body[, correction class])."""
-
-    total: int
-    gt: int              # α ∈ gt
-    pred: int            # α predicted
-    pred_gt: int         # α predicted ∧ α ∈ gt
-    pred_body: int       # α predicted ∧ body holds
-    pred_body_gt: int    # ... ∧ α ∈ gt
-    beta_pred: int = 0           # β predicted
-    beta_pred_beta_gt: int = 0   # β predicted ∧ β ∈ gt
-    pred_body_beta_gt: int = 0   # α predicted ∧ body ∧ β ∈ gt
-    union: int = 0               # β predicted ∨ (α predicted ∧ body)
-    union_beta_gt: int = 0       # ... ∧ β ∈ gt
-
-
-def joint_counts(
-    log: PredictionLog,
-    alpha: str,
-    body_ids: frozenset[str],
-    beta: str | None = None,
-) -> JointCounts:
-    gt = pred = pred_gt = pred_body = pred_body_gt = 0
-    beta_pred = beta_pred_beta_gt = pred_body_beta_gt = union = union_beta_gt = 0
-    for rec in log.records:
-        in_gt = alpha in rec.ground_truth
-        if in_gt:
-            gt += 1
-        covered = False
-        if alpha in rec.predicted:
-            pred += 1
-            if in_gt:
-                pred_gt += 1
-            if body_ids and not body_ids.isdisjoint(rec.conditions):
-                covered = True
-                pred_body += 1
-                if in_gt:
-                    pred_body_gt += 1
-        if beta is not None:
-            beta_in_gt = beta in rec.ground_truth
-            beta_in_pred = beta in rec.predicted
-            if beta_in_pred:
-                beta_pred += 1
-                if beta_in_gt:
-                    beta_pred_beta_gt += 1
-            if covered and beta_in_gt:
-                pred_body_beta_gt += 1
-            if beta_in_pred or covered:
-                union += 1
-                if beta_in_gt:
-                    union_beta_gt += 1
-    return JointCounts(
-        len(log.records),
-        gt,
-        pred,
-        pred_gt,
-        pred_body,
-        pred_body_gt,
-        beta_pred,
-        beta_pred_beta_gt,
-        pred_body_beta_gt,
-        union,
-        union_beta_gt,
-    )
 
 
 def _body_ids(body) -> frozenset[str]:
@@ -443,28 +372,28 @@ def _check_eq7(c: JointCounts, model_id: str, alpha: str, ids) -> TheoremReport:
 def check_precision_change(log, model_id, alpha, body) -> TheoremReport:
     """Identity: post-rule precision change equals K × (confidence − residual)."""
     ids = _body_ids(body)
-    c = joint_counts(log.slice(model_id), alpha, ids)
+    c = joint_counts(log, alpha, ids, model_id=model_id)
     return _check_t1(c, model_id, alpha, ids)
 
 
 def check_claim1(log, model_id, alpha, body) -> TheoremReport:
     """Closed form of post-rule precision from precision, support, confidence."""
     ids = _body_ids(body)
-    c = joint_counts(log.slice(model_id), alpha, ids)
+    c = joint_counts(log, alpha, ids, model_id=model_id)
     return _check_claim1(c, model_id, alpha, ids)
 
 
 def check_edns(log, model_id, alpha, body) -> TheoremReport:
     """Biconditional: error detecting ⟺ post-rule precision ≥ precision."""
     ids = _body_ids(body)
-    c = joint_counts(log.slice(model_id), alpha, ids)
+    c = joint_counts(log, alpha, ids, model_id=model_id)
     return _check_t2(c, model_id, alpha, ids)
 
 
 def check_recall_reduction(log, model_id, alpha, body) -> TheoremReport:
     """Identity: recall loss equals the four-factor product form."""
     ids = _body_ids(body)
-    c = joint_counts(log.slice(model_id), alpha, ids)
+    c = joint_counts(log, alpha, ids, model_id=model_id)
     return _check_t3(c, model_id, alpha, ids)
 
 
@@ -472,7 +401,7 @@ def check_reclassification_limit(log, model_id, alpha, beta, body) -> TheoremRep
     """Implication: a pair no more precise than the base class cannot raise
     the base class's pooled precision by relabeling."""
     ids = _body_ids(body)
-    c = joint_counts(log.slice(model_id), alpha, ids, beta=beta)
+    c = joint_counts(log, alpha, ids, beta, model_id=model_id)
     return _check_t4(c, model_id, alpha, beta, ids)
 
 
@@ -480,25 +409,16 @@ def check_support_bound(log, model_id, alpha, body) -> TheoremReport:
     """Bound: for an error-detecting condition, support is at most the
     condition's rate among erroneous predictions."""
     ids = _body_ids(body)
-    c = joint_counts(log.slice(model_id), alpha, ids)
+    c = joint_counts(log, alpha, ids, model_id=model_id)
     return _check_corollary(c, model_id, alpha, ids)
 
 
 def check_residual(log, model_id, alpha, body) -> TheoremReport:
     """Biconditional: confidence exceeds residual ⟺ precision strictly improves."""
     ids = _body_ids(body)
-    c = joint_counts(log.slice(model_id), alpha, ids)
+    c = joint_counts(log, alpha, ids, model_id=model_id)
     return _check_eq7(c, model_id, alpha, ids)
 
-
-ALL_CHECKS = (
-    check_precision_change,
-    check_claim1,
-    check_edns,
-    check_recall_reduction,
-    check_support_bound,
-    check_residual,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -592,12 +512,11 @@ def sweep(
             max_labels=max_labels,
             max_conditions=max_conditions,
         )
-        sub = log.slice("m")
         for i, alpha in enumerate(labels):
             beta = labels[(i + 1) % len(labels)]
             for cid in conditions:
                 ids = frozenset((cid,))
-                c = joint_counts(sub, alpha, ids, beta=beta)
+                c = joint_counts(log, alpha, ids, beta, model_id="m")
                 reports = (
                     _check_t1(c, "m", alpha, ids),
                     _check_claim1(c, "m", alpha, ids),

@@ -198,6 +198,16 @@ def test_learn_correction_cli(tmp_path):
     assert rules["corrections"][0]["pairs"] == [{"condition": "c1", "trigger_class": "a"}]
 
 
+@pytest.mark.parametrize("flag", [["--epsilon", "1/10"], ["--objective", "f1"]])
+def test_learn_correction_rejects_detection_flags(tmp_path, log_file, flag):
+    # learn-correction has no recall budget or objective to set.
+    code = main(
+        ["learn-correction", "--log", str(log_file), "--model", "m", "--target-class", "b",
+         "--condition", "c1", "--trigger-class", "a", *flag, "--out", str(tmp_path / "out")]
+    )
+    assert code == 2
+
+
 def test_learn_correction_pair_mismatch_exit_2(tmp_path, log_file):
     code = main(
         ["learn-correction", "--log", str(log_file), "--model", "m", "--target-class", "b",

@@ -1,21 +1,28 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import conjunctions_st, labels_st, logs_st, make_log, rec
+from conftest import CONDITIONS, TAGS, conjunctions_st, labels_st, logs_st, make_log, rec
 from errata import (
     ConditionBody,
     EventQuery,
     PredictionLog,
     Probability,
     Verdict,
+    check_precision_change,
     cond_prob,
     condition_absent,
+    condition_holds,
+    exhaustive_oracle,
     f1_value,
     invariance_profile,
     is_error_detecting,
+    joint_counts,
+    learn_correction,
+    learn_detection,
     metric_bundle,
     predicted_has,
     truth_has,
@@ -292,3 +299,80 @@ def test_duplication_scale_invariance(log, alpha):
 def test_condition_body_requires_ids():
     with pytest.raises(ValueError):
         ConditionBody(frozenset())
+
+
+# ---------------------------------------------------------------------------
+# Counting index vs the event-query reference
+# ---------------------------------------------------------------------------
+
+def _union(*queries):
+    """Disjunction of queries; no operands is the empty (match-nothing) event."""
+    return EventQuery(tuple(clause for q in queries for clause in q.clauses))
+
+
+@given(
+    logs_st(models=("m", "n")),
+    st.sampled_from(("m", "n")),
+    st.sampled_from((None,) + TAGS),
+    labels_st,
+    st.sets(st.sampled_from(CONDITIONS)),
+    labels_st,
+)
+def test_joint_counts_match_event_queries(log, model, tag, alpha, body, beta):
+    c = joint_counts(log, alpha, body, beta, model_id=model, distribution=tag)
+    sub = log.slice(model, tag)
+    pred = EventQuery.conjunction(predicted_has(alpha))
+    gt = EventQuery.conjunction(truth_has(alpha))
+    pred_body = pred.and_(_union(*(EventQuery.conjunction(condition_holds(x)) for x in body)))
+    beta_pred = EventQuery.conjunction(predicted_has(beta))
+    beta_gt = EventQuery.conjunction(truth_has(beta))
+    union = _union(beta_pred, pred_body)
+    expected = {
+        "total": EventQuery.match_all(),
+        "gt": gt,
+        "pred": pred,
+        "pred_gt": pred.and_(gt),
+        "pred_body": pred_body,
+        "pred_body_gt": pred_body.and_(gt),
+        "beta_pred": beta_pred,
+        "beta_pred_beta_gt": beta_pred.and_(beta_gt),
+        "pred_body_beta_gt": pred_body.and_(beta_gt),
+        "union": union,
+        "union_beta_gt": union.and_(beta_gt),
+    }
+    assert dataclasses.asdict(c) == {name: sub.count(q) for name, q in expected.items()}
+    # Without beta the beta fields stay zero and the rest is unchanged.
+    alone = joint_counts(log, alpha, body, model_id=model, distribution=tag)
+    assert dataclasses.astuple(alone)[:6] == dataclasses.astuple(c)[:6]
+    assert not any(dataclasses.astuple(alone)[6:])
+
+
+def test_index_built_once_per_log(monkeypatch, log_a):
+    import errata.logs
+
+    builds = []
+
+    class CountingIndex(errata.logs.LogIndex):
+        __slots__ = ()
+
+        def __init__(self, records):
+            builds.append(len(records))
+            super().__init__(records)
+
+    monkeypatch.setattr(errata.logs, "LogIndex", CountingIndex)
+    metric_bundle(log_a, "m", "a", BODY_C1)
+    invariance_profile(log_a, "m", "a", BODY_C1)
+    is_error_detecting(log_a, "m", "a", BODY_C1, "default")
+    learn_detection(log_a, "m", "a", ["c1"])
+    exhaustive_oracle(log_a, "m", "a", ["c1"])
+    learn_correction(log_a, "m", "b", [("c1", "a")])
+    check_precision_change(log_a, "m", "a", BODY_C1)
+    assert builds == [5]
+
+
+def test_log_equality_ignores_index(log_a):
+    twin = PredictionLog(log_a.records)
+    index = log_a.index
+    assert twin == log_a and hash(twin) == hash(log_a)
+    assert "index" not in vars(twin)
+    assert log_a.index is index

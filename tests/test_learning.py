@@ -138,6 +138,14 @@ def test_learn_config_validation():
     assert LearnConfig(objective="F1").objective is Objective.F1
 
 
+def test_learn_config_epsilon_is_exact():
+    # A float budget is read through its decimal repr, not its binary expansion.
+    assert LearnConfig(epsilon=0.1).epsilon == Fraction(1, 10)
+    assert LearnConfig(epsilon="3/20").epsilon == Fraction(3, 20)
+    with pytest.raises(TypeError):
+        LearnConfig(epsilon=True)
+
+
 def test_vacuously_feasible_when_class_never_in_truth():
     # No ground-truth occurrences: there is no recall to lose, so even a
     # zero budget admits the rule (precision gain is stuck at zero for such

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -279,6 +280,77 @@ def test_rule_file_unknown_key_rejected():
 def test_rule_file_malformed_rejected():
     with pytest.raises(ValueError):
         loads_rules("{nope")
+
+
+def _detection_entry(**changes):
+    entry = {"model_id": "m", "target_class": "a", "conditions": ["c1"]}
+    entry.update(changes)
+    return json.dumps({"detections": [entry]})
+
+
+def _correction_entry(**changes):
+    entry = {"model_id": "m", "target_class": "b",
+             "pairs": [{"condition": "c1", "trigger_class": "a"}]}
+    entry.update(changes)
+    return json.dumps({"corrections": [entry]})
+
+
+def test_rule_file_string_conditions_rejected():
+    # A bare string used to be split into characters: the body {"c", "1"}.
+    with pytest.raises(ValueError, match=r"detections\[0\]\.conditions"):
+        loads_rules(_detection_entry(conditions="c1"))
+
+
+def test_rule_file_non_list_pairs_rejected():
+    with pytest.raises(ValueError, match=r"corrections\[0\]\.pairs"):
+        loads_rules(_correction_entry(pairs={"condition": "c1", "trigger_class": "a"}))
+
+
+def test_rule_file_non_string_ids_rejected():
+    with pytest.raises(ValueError, match=r"detections\[0\]\.model_id"):
+        loads_rules(_detection_entry(model_id=7))
+    with pytest.raises(ValueError, match=r"detections\[0\]\.conditions\[1\]"):
+        loads_rules(_detection_entry(conditions=["c1", 2]))
+    with pytest.raises(ValueError, match=r"corrections\[0\]\.pairs\[0\]\.trigger_class"):
+        loads_rules(_correction_entry(pairs=[{"condition": "c1", "trigger_class": None}]))
+
+
+def test_rule_file_unknown_entry_key_rejected():
+    with pytest.raises(ValueError, match=r"detections\[0\]: unknown key\(s\) \['note'\]"):
+        loads_rules(_detection_entry(note="x"))
+    with pytest.raises(ValueError, match=r"corrections\[0\]\.pairs\[0\]: unknown key"):
+        loads_rules(_correction_entry(pairs=[{"condition": "c1", "trigger_class": "a", "w": 1}]))
+
+
+rule_ids_st = st.text(min_size=1, max_size=4)
+rule_sets_st = st.builds(
+    RuleSet,
+    st.lists(
+        st.builds(
+            DetectionRule,
+            rule_ids_st,
+            rule_ids_st,
+            st.builds(ConditionBody, st.frozensets(rule_ids_st, min_size=1, max_size=3)),
+        ),
+        max_size=3,
+    ).map(tuple),
+    st.lists(
+        st.builds(
+            CorrectionRule,
+            rule_ids_st,
+            rule_ids_st,
+            st.frozensets(st.tuples(rule_ids_st, rule_ids_st), min_size=1, max_size=3),
+        ),
+        max_size=3,
+    ).map(tuple),
+)
+
+
+@given(rule_sets_st)
+def test_rule_file_roundtrip_property(rules):
+    text = dumps_rules(rules)
+    assert loads_rules(text) == rules
+    assert dumps_rules(loads_rules(text)) == text
 
 
 # ---------------------------------------------------------------------------
