@@ -260,8 +260,10 @@ def _cmd_learn_correction(args) -> int:
             "candidate_pairs": [list(p) for p in sorted(set(pairs))],
         },
     )
+    learn_report = report.to_dict()
+    del learn_report["objective"], learn_report["epsilon"]  # the correction learner reads neither
     run.write("rules.json", dumps_rules(rules))
-    run.write_json("learn_report.json", report.to_dict())
+    run.write_json("learn_report.json", learn_report)
     run.finish()
     print(f"learn-correction: {report.outcome}" + (f" ({report.reason})" if report.reason else ""))
     return EXIT_OK

@@ -20,10 +20,11 @@ JSONL schema (one object per line, strict — unknown fields are rejected):
     conditions    array of strings, required; treated as a set
     distribution  string, optional; absent means the "default" distribution
 
-Duplicate entries inside an array and duplicate (sample_id, model_id)
-pairs across lines are both rejected. ``serialize_log`` emits a canonical
-form (sorted set fields, default tag omitted) so that serialization is
-deterministic and ``load_log(serialize_log(log)) == log``.
+Duplicate keys inside a JSON object, duplicate entries inside an array
+and duplicate (sample_id, model_id) pairs across lines are all rejected.
+``serialize_log`` emits a canonical form (sorted set fields, default tag
+omitted) so that serialization is deterministic and
+``load_log(serialize_log(log)) == log``.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ DISTRIBUTION = "distribution"
 _SET_FIELDS = (PREDICTED, GROUND_TRUTH, CONDITIONS)
 _REQUIRED_FIELDS = ("sample_id", "model_id") + _SET_FIELDS
 _SCHEMA_FIELDS = _REQUIRED_FIELDS + (DISTRIBUTION,)
+_REQUIRED_SET = frozenset(_REQUIRED_FIELDS)
+_SCHEMA_SET = frozenset(_SCHEMA_FIELDS)
 
 
 class LogFormatError(ValueError):
@@ -62,6 +65,12 @@ class PredictionRecord:
     distribution: str = DEFAULT_DISTRIBUTION
 
     def __post_init__(self):
+        if (
+            isinstance(self.predicted, frozenset)
+            and isinstance(self.ground_truth, frozenset)
+            and isinstance(self.conditions, frozenset)
+        ):
+            return
         for name in _SET_FIELDS:
             value = getattr(self, name)
             if not isinstance(value, frozenset):
@@ -287,6 +296,15 @@ class EventQuery:
 # ---------------------------------------------------------------------------
 
 def _parse_set_field(value, name: str, lineno: int) -> frozenset[str]:
+    if isinstance(value, list):
+        try:
+            "".join(value)  # TypeError unless every entry is a str
+        except TypeError:
+            pass
+        else:
+            unique = frozenset(value)
+            if len(unique) == len(value) and "" not in unique:
+                return unique
     if not isinstance(value, list):
         raise LogFormatError(f"line {lineno}: field {name!r} must be an array of strings")
     items: set[str] = set()
@@ -304,11 +322,12 @@ def _parse_set_field(value, name: str, lineno: int) -> frozenset[str]:
 
 
 def _parse_record(obj: dict, lineno: int) -> PredictionRecord:
-    unknown = sorted(set(obj) - set(_SCHEMA_FIELDS))
-    if unknown:
+    keys = obj.keys()
+    if not keys <= _SCHEMA_SET:
+        unknown = sorted(set(obj) - _SCHEMA_SET)
         raise LogFormatError(f"line {lineno}: unknown field(s) {unknown}")
-    missing = [name for name in _REQUIRED_FIELDS if name not in obj]
-    if missing:
+    if not keys >= _REQUIRED_SET:
+        missing = [name for name in _REQUIRED_FIELDS if name not in obj]
         raise LogFormatError(f"line {lineno}: missing field(s) {missing}")
     for name in ("sample_id", "model_id"):
         if not isinstance(obj[name], str) or not obj[name]:
@@ -317,13 +336,28 @@ def _parse_record(obj: dict, lineno: int) -> PredictionRecord:
     if not isinstance(distribution, str) or not distribution:
         raise LogFormatError(f"line {lineno}: field 'distribution' must be a nonempty string")
     return PredictionRecord(
-        sample_id=obj["sample_id"],
-        model_id=obj["model_id"],
-        predicted=_parse_set_field(obj[PREDICTED], PREDICTED, lineno),
-        ground_truth=_parse_set_field(obj[GROUND_TRUTH], GROUND_TRUTH, lineno),
-        conditions=_parse_set_field(obj[CONDITIONS], CONDITIONS, lineno),
-        distribution=distribution,
+        obj["sample_id"],
+        obj["model_id"],
+        _parse_set_field(obj[PREDICTED], PREDICTED, lineno),
+        _parse_set_field(obj[GROUND_TRUTH], GROUND_TRUTH, lineno),
+        _parse_set_field(obj[CONDITIONS], CONDITIONS, lineno),
+        distribution,
     )
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """Object hook of the line decoder: a key may appear once per object."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise LogFormatError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
 def load_log(source: str | Iterable[str]) -> PredictionLog:
@@ -340,18 +374,28 @@ def load_log(source: str | Iterable[str]) -> PredictionLog:
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            # raw_decode skips decode's two whitespace scans: the line is
+            # stripped, so anything after the value is extra data.
+            obj, end = _DECODER.raw_decode(line)
+            if end != len(line):
+                raise json.JSONDecodeError("Extra data", line, end)
         except json.JSONDecodeError as exc:
-            raise LogFormatError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
+            msg = exc.msg
+            if line.startswith("\ufeff"):  # json.loads names the BOM; raw_decode does not
+                msg = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+            raise LogFormatError(f"line {lineno}: malformed JSON ({msg})") from exc
+        except LogFormatError as exc:
+            raise LogFormatError(f"line {lineno}: {exc}") from None
         if not isinstance(obj, dict):
             raise LogFormatError(f"line {lineno}: expected a JSON object")
         record = _parse_record(obj, lineno)
-        if record.key in seen:
+        key = (record.sample_id, record.model_id)
+        if key in seen:
             raise LogFormatError(
-                f"line {lineno}: duplicate (sample_id, model_id) {record.key!r}"
-                f" first seen on line {seen[record.key]}"
+                f"line {lineno}: duplicate (sample_id, model_id) {key!r}"
+                f" first seen on line {seen[key]}"
             )
-        seen[record.key] = lineno
+        seen[key] = lineno
         records.append(record)
     return PredictionLog(tuple(records))
 
@@ -359,6 +403,9 @@ def load_log(source: str | Iterable[str]) -> PredictionLog:
 def load_log_file(path) -> PredictionLog:
     with open(path, "r", encoding="utf-8") as handle:
         return load_log(handle)
+
+
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def serialize_log(log: PredictionLog) -> str:
@@ -374,5 +421,5 @@ def serialize_log(log: PredictionLog) -> str:
         }
         if rec.distribution != DEFAULT_DISTRIBUTION:
             obj["distribution"] = rec.distribution
-        lines.append(json.dumps(obj, separators=(",", ":")))
+        lines.append(_ENCODE(obj))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -151,8 +151,9 @@ def _require_id(value, where: str) -> None:
 
 
 def loads_rules(text: str) -> RuleSet:
-    """Parse a rule file strictly: unknown keys, wrong types and empty ids
-    are rejected with an error naming the rule list, index and key."""
+    """Parse a rule file strictly: unknown keys, wrong types, empty ids and
+    repeated condition ids or pairs within a rule are rejected with an
+    error naming the rule list, index and key."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -173,14 +174,20 @@ def loads_rules(text: str) -> RuleSet:
             _require_id(entry["target_class"], f"{where}.target_class")
             body_key = keys[2]
             _require_list(entry[body_key], f"{where}.{body_key}")
+            seen = set()
             for j, item in enumerate(entry[body_key]):
                 item_where = f"{where}.{body_key}[{j}]"
                 if kind == "detections":
                     _require_id(item, item_where)
-                    continue
-                _require_object(item, _PAIR_KEYS, item_where)
-                for key in _PAIR_KEYS:
-                    _require_id(item[key], f"{item_where}.{key}")
+                    what, ident = "id", item
+                else:
+                    _require_object(item, _PAIR_KEYS, item_where)
+                    for key in _PAIR_KEYS:
+                        _require_id(item[key], f"{item_where}.{key}")
+                    what, ident = "pair", (item["condition"], item["trigger_class"])
+                if ident in seen:
+                    raise ValueError(f"{item_where}: duplicate {what} {ident!r}")
+                seen.add(ident)
     return RuleSet.from_dict(obj)
 
 

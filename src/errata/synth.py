@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .estimators import Probability, bundle_from_counts, joint_counts
 from .logs import DEFAULT_DISTRIBUTION, PredictionLog, PredictionRecord
 from .rational import as_fraction, format_rational
@@ -375,6 +373,8 @@ def _cumulative(weights: Sequence[Fraction]) -> list[float]:
 
 def generate(cfg: SynthConfig) -> tuple[PredictionLog, SynthBookkeeping]:
     """Draw the configured log; deterministic for a fixed config."""
+    import numpy as np  # deferred: importing errata must not load numpy
+
     marks = _mark_probabilities(cfg)  # validates satisfiability
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     n = cfg.n_records
@@ -473,6 +473,8 @@ def random_log(
     """
     if max_records < 1 or max_labels < 1 or max_conditions < 0:
         raise ValueError("bounds must be positive (conditions may be 0)")
+    import numpy as np  # deferred: importing errata must not load numpy
+
     rng = np.random.Generator(np.random.PCG64(seed))
     n = int(rng.integers(1, max_records + 1))
     labels = label_alphabet(int(rng.integers(1, max_labels + 1)))

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-import numpy as np
-
 from .estimators import ConditionBody, JointCounts, joint_counts
 from .logs import serialize_log
 from .rational import format_rational, parse_rational
@@ -493,6 +491,8 @@ def sweep(
     pair per trial. Per-trial seeds derive from the master seed via
     numpy's SeedSequence, making the aggregate table reproducible.
     """
+    import numpy as np  # deferred: importing errata must not load numpy
+
     from .synth import condition_alphabet, label_alphabet, random_log
 
     if trials < 1:

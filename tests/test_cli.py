@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -196,6 +198,8 @@ def test_learn_correction_cli(tmp_path):
     assert code == 0
     rules = read_json(out / "rules.json")
     assert rules["corrections"][0]["pairs"] == [{"condition": "c1", "trigger_class": "a"}]
+    # The correction learner has no objective or recall budget to report.
+    assert {"objective", "epsilon"}.isdisjoint(read_json(out / "learn_report.json"))
 
 
 @pytest.mark.parametrize("flag", [["--epsilon", "1/10"], ["--objective", "f1"]])
@@ -291,6 +295,27 @@ def test_module_entrypoint_smoke(tmp_path, log_file):
     )
     assert result.returncode == 0
     assert "T1_PRECISION_CHANGE" in result.stdout
+
+
+def test_numpy_is_imported_only_to_draw():
+    # Only synth/generate, random_log and sweep draw random numbers; every
+    # other subcommand must start without paying for the numpy import.
+    code = """
+import json, sys
+import errata, errata.cli
+at_import = "numpy" in sys.modules
+errata.generate(errata.SynthConfig.from_dict({
+    "seed": 1, "n_records": 1, "model_id": "m", "labels": ["a"],
+    "class_priors": {"a": 1}, "confusion": {"a": [{"predicted": ["a"], "weight": 1}]},
+}))
+print(json.dumps([at_import, "numpy" in sys.modules]))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert json.loads(result.stdout) == [False, True]
 
 
 def test_usage_error_returns_2():

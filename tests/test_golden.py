@@ -281,7 +281,7 @@ GOLDEN_CLI = {
     "detect/rules.json": "a5db875235d3595e741d85e4d915dc3f964d8742b0fe649e1be4f6582f2d831c",
     "detect/learn_report.json": "829a3993aa8189cb9b0b76c71be07d06930f1d719416ccd38450e9d51486583f",
     "correct/rules.json": "241351e32586cc587a7a213e36623c7f4d7752b097f3436cdb55cc0a9e23765c",
-    "correct/learn_report.json": "545bce2ff2eec3063a8fe3963b4ba14214b8d0ea61ecfbd408efe46342fbf763",
+    "correct/learn_report.json": "32076425a8701d3f37a536b48ef1f6467ab77aed2115e5c9833119b67f601368",
     "rules.json": "3ce03ce088f56f4942b99515ddf2eee5dd7dfc8a8c782266a1e923ade9e95a72",
     "apply/applied.jsonl": "a3693a9f0a4abf18af5c20090a54738fe9c4c2d1250d0369d05b0d47a83518ca",
     "apply/trace.json": "0b122d255df43b052aa36286db8d2bfc493f40d0f80c125a9975ed355fec93d4",

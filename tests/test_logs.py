@@ -74,6 +74,43 @@ def test_duplicate_array_entry_rejected():
         load_log(line(predicted=["a", "a"]))
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("a", "field 'ground_truth' must be an array of strings"),
+        (["a", 1], "field 'ground_truth' entries must be nonempty strings"),
+        (["a", ["b"]], "field 'ground_truth' entries must be nonempty strings"),
+        (["a", ""], "field 'ground_truth' entries must be nonempty strings"),
+        (["a", "b", "a"], "duplicate entry 'a' in field 'ground_truth'"),
+    ],
+)
+def test_set_field_error_messages(value, message):
+    with pytest.raises(LogFormatError) as err:
+        load_log(line(ground_truth=value))
+    assert str(err.value) == f"line 1: {message}"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"sample_id": "s1"} x', "Extra data"),
+        ("\ufeff" + line(), "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        ("{nope", "Expecting property name enclosed in double quotes"),
+    ],
+)
+def test_malformed_json_messages(text, message):
+    with pytest.raises(LogFormatError) as err:
+        load_log(text)
+    assert str(err.value) == f"line 1: malformed JSON ({message})"
+
+
+def test_duplicate_json_key_rejected():
+    # The last key used to win: this line loaded as sample r9.
+    text = line() + "\n" + line(sample_id="r1")[:-1] + ', "sample_id": "r9"}'
+    with pytest.raises(LogFormatError, match="line 2: duplicate key 'sample_id'"):
+        load_log(text)
+
+
 def test_non_object_line_rejected():
     with pytest.raises(LogFormatError, match="line 1"):
         load_log("[1, 2]")

@@ -322,6 +322,21 @@ def test_rule_file_unknown_entry_key_rejected():
         loads_rules(_correction_entry(pairs=[{"condition": "c1", "trigger_class": "a", "w": 1}]))
 
 
+def test_rule_file_duplicate_condition_ids_rejected():
+    # ["c1", "c1"] used to collapse to the body {c1}, so dumps_rules no
+    # longer returned the input text.
+    with pytest.raises(ValueError, match=r"detections\[0\]\.conditions\[1\]: duplicate id 'c1'"):
+        loads_rules(_detection_entry(conditions=["c1", "c1"]))
+
+
+def test_rule_file_duplicate_pairs_rejected():
+    pair = {"condition": "c1", "trigger_class": "a"}
+    with pytest.raises(
+        ValueError, match=r"corrections\[0\]\.pairs\[2\]: duplicate pair \('c1', 'a'\)"
+    ):
+        loads_rules(_correction_entry(pairs=[pair, {"condition": "c2", "trigger_class": "a"}, pair]))
+
+
 rule_ids_st = st.text(min_size=1, max_size=4)
 rule_sets_st = st.builds(
     RuleSet,
