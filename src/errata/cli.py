@@ -30,18 +30,7 @@ from .rules import (
     loads_rules,
 )
 from .synth import SynthConfig, SynthConfigError, generate
-from .theorems import (
-    TheoremReport,
-    TheoremVerdict,
-    check_claim1,
-    check_edns,
-    check_precision_change,
-    check_recall_reduction,
-    check_reclassification_limit,
-    check_residual,
-    check_support_bound,
-    sweep,
-)
+from .theorems import TheoremVerdict, check_all, sweep
 
 _OBJECTIVES = {
     "precision-gain": Objective.PRECISION_GAIN,
@@ -260,10 +249,8 @@ def _cmd_learn_correction(args) -> int:
             "candidate_pairs": [list(p) for p in sorted(set(pairs))],
         },
     )
-    learn_report = report.to_dict()
-    del learn_report["objective"], learn_report["epsilon"]  # the correction learner reads neither
     run.write("rules.json", dumps_rules(rules))
-    run.write_json("learn_report.json", learn_report)
+    run.write_json("learn_report.json", report.to_dict())
     run.finish()
     print(f"learn-correction: {report.outcome}" + (f" ({report.reason})" if report.reason else ""))
     return EXIT_OK
@@ -303,18 +290,7 @@ def _cmd_verify(args) -> int:
     log = load_log_file(args.log)
     body = ConditionBody.of(*args.condition)
     model, alpha = args.model, args.class_label
-    reports: list[TheoremReport] = [
-        check_precision_change(log, model, alpha, body),
-        check_claim1(log, model, alpha, body),
-        check_edns(log, model, alpha, body),
-        check_recall_reduction(log, model, alpha, body),
-        check_support_bound(log, model, alpha, body),
-        check_residual(log, model, alpha, body),
-    ]
-    if args.target_class:
-        reports.append(
-            check_reclassification_limit(log, model, alpha, args.target_class, body)
-        )
+    reports = check_all(log, model, alpha, body, args.target_class or None)
     run = _Run(
         "verify",
         args.out,

@@ -127,11 +127,13 @@ class PairGuard:
 
 @dataclass(frozen=True)
 class LearnReport:
-    objective: Objective
-    epsilon: Fraction
     outcome: str                        # "RULE" or "NONE"
     reason: str | None
     baseline_objective: Fraction | None
+    # Detection settings; None (and absent from to_dict) for correction
+    # reports, whose learner reads neither.
+    objective: Objective | None = None
+    epsilon: Fraction | None = None
     steps: tuple[LearnStep, ...] = ()
     guards: tuple[GuardCheck, ...] = ()
     pair_guards: tuple[PairGuard, ...] = ()
@@ -140,9 +142,11 @@ class LearnReport:
     final_precision: Probability | None = None
 
     def to_dict(self) -> dict:
-        out = {
+        out = {} if self.objective is None else {
             "objective": self.objective.value,
             "epsilon": format_rational(self.epsilon),
+        }
+        out.update({
             "outcome": self.outcome,
             "reason": self.reason,
             "baseline_objective": format_rational(self.baseline_objective),
@@ -152,7 +156,7 @@ class LearnReport:
             "final_metrics": None if self.final_metrics is None else self.final_metrics.to_dict(),
             "base_precision": None if self.base_precision is None else self.base_precision.to_dict(),
             "final_precision": None if self.final_precision is None else self.final_precision.to_dict(),
-        }
+        })
         if self.objective is Objective.F1:
             out["objective_note"] = (
                 "F1 objective scores the post-rule F1 of the target class; it is a "
@@ -360,8 +364,6 @@ def learn_correction(
 
     if not chosen:
         report = LearnReport(
-            objective=cfg.objective,
-            epsilon=cfg.epsilon,
             outcome="NONE",
             reason=NO_ADMISSIBLE_PAIR,
             baseline_objective=base.value,
@@ -372,8 +374,6 @@ def learn_correction(
 
     rule = CorrectionRule(model_id, beta, frozenset(chosen))
     report = LearnReport(
-        objective=cfg.objective,
-        epsilon=cfg.epsilon,
         outcome="RULE",
         reason=None,
         baseline_objective=base.value,

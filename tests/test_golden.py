@@ -186,7 +186,7 @@ GOLDEN_LIBRARY = {
     "is_error_detecting": "5a4cc879f7cd4a54b70642779ee9cfa15cfb0bf62b299145ade6ca255a12b3d6",
     "learn_detection": "24c734dd4284d5c0be4187c7b3e802da582336289a1524301173265864ba3a50",
     "exhaustive_oracle": "4a5d8b4d874850a68bfc16d791dfd96a28b429ded8afac8a9d9ad0aebe6c8648",
-    "learn_correction": "f5969b310e8851ad24761371c8cb4f1c33d613c5293c34d7e86567e4b4c30c99",
+    "learn_correction": "0a6ddbda3b348130704d4fddab0160ce791ecde276d01ffbea8f10ec61b358e2",
     "checks": "3c053017817484d700e52bec11f2aa54da1adb98313ee4f264323caa1e851be9",
     "evaluate_delta": "9f2e8595c8efab3ebc4ec099707b11329cf319e08fb78c83bc12cb013b6c7b43",
 }

@@ -186,6 +186,17 @@ def test_learn_correction_admits_three_quarters_vs_half():
     assert report.final_precision.value == Fraction(3, 4)
 
 
+def test_correction_report_omits_detection_settings():
+    # The correction learner reads neither the objective nor epsilon, even
+    # when a config carries them.
+    cfg = LearnConfig(objective="F1", epsilon="1/3")
+    log = make_log(*_base_half(), rec("p1", predicted={"a"}, ground_truth={"b"}, conditions={"c1"}))
+    for _, report in (learn_correction(log, "m", "b", {("c1", "a")}, cfg),
+                      learn_correction(log, "m", "zz", {("c1", "a")}, cfg)):
+        assert report.objective is None and report.epsilon is None
+        assert {"objective", "epsilon", "objective_note"}.isdisjoint(report.to_dict())
+
+
 def test_learn_correction_rejects_pair_at_or_below_base():
     # The best relabel candidate still fails the guard: pair precision ≤ base.
     records = [

@@ -1,11 +1,12 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import labels_st, logs_st, make_log, rec
+from conftest import LOG_A_TEXT, labels_st, logs_st, make_log, rec
 from errata import (
     ConditionBody,
     TheoremId,
@@ -18,8 +19,16 @@ from errata import (
     check_reclassification_limit,
     check_residual,
     check_support_bound,
+    joint_counts,
+    load_log,
+    random_log,
     sweep,
 )
+from errata import theorems
+from errata.cli import main
+from errata.estimators import JointCounts
+from errata.theorems import CHECKS, SweepViolationError
+from theorem_oracle import oracle
 
 BODY_C1 = ConditionBody.of("c1")
 HOLDS = TheoremVerdict.HOLDS
@@ -332,3 +341,159 @@ def test_sweep_zero_violations():
     result = sweep(5, 300, raise_on_violation=True)
     assert not result.violations
     assert result.count(TheoremId.T1_PRECISION_CHANGE, VIOLATED) == 0
+
+
+# ---------------------------------------------------------------------------
+# Check registry: exhaustive bounded verification and the Fraction oracle
+# ---------------------------------------------------------------------------
+
+T4 = TheoremId.T4_RECLASS_LIMIT
+ALPHA_CHECKS = [tid for tid in CHECKS if tid is not T4]
+PUBLIC_CHECKS = {
+    TheoremId.T1_PRECISION_CHANGE: check_precision_change,
+    TheoremId.CLAIM1_APPENDIX: check_claim1,
+    TheoremId.T2_EDNS: check_edns,
+    TheoremId.T3_RECALL_REDUCTION: check_recall_reduction,
+    TheoremId.COROLLARY_SUPPORT_BOUND: check_support_bound,
+    TheoremId.EQ7_RESIDUAL: check_residual,
+}
+
+
+def _run(tid, c):
+    return CHECKS[tid](c, theorems._base(c))
+
+
+def _cells(k, bound):
+    """Every k-tuple of nonnegative counts whose total is at most ``bound``."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(bound + 1):
+        for rest in _cells(k - 1, bound - first):
+            yield (first, *rest)
+
+
+def alpha_counts(bound):
+    """Counts of every 6-cell contingency with total <= bound: α predicted ×
+    α in truth × body holds, plus not predicted × in truth / not in truth."""
+    for tp_body, tp_rest, fp_body, fp_rest, fn, tn in _cells(6, bound):
+        tp = tp_body + tp_rest
+        yield JointCounts(
+            total=tp + fp_body + fp_rest + fn + tn,
+            gt=tp + fn,
+            pred=tp + fp_body + fp_rest,
+            pred_gt=tp,
+            pred_body=tp_body + fp_body,
+            pred_body_gt=tp_body,
+        )
+
+
+def beta_counts(beta_gt, beta_wrong, pair_gt, pair_wrong, both_gt=0, both_wrong=0):
+    """T4 counts from records predicted β only, firing the pair only, or
+    both (multi-label overlap), each split by β ∈ ground truth."""
+    pair = pair_gt + pair_wrong + both_gt + both_wrong
+    return JointCounts(
+        total=beta_gt + beta_wrong + pair,
+        gt=0,
+        pred=pair,
+        pred_gt=0,
+        pred_body=pair,
+        pred_body_gt=0,
+        beta_pred=beta_gt + beta_wrong + both_gt + both_wrong,
+        beta_pred_beta_gt=beta_gt + both_gt,
+        pred_body_beta_gt=pair_gt + both_gt,
+        union=beta_gt + beta_wrong + pair,
+        union_beta_gt=beta_gt + pair_gt + both_gt,
+    )
+
+
+def test_registry_exhaustive_bounded_verification():
+    """Small-scope proof: no count tuple up to the bound violates a statement."""
+    tuples = list(alpha_counts(16))
+    assert len(tuples) == 74_613  # C(16 + 6, 6)
+    seen = {tid: {v: 0 for v in TheoremVerdict} for tid in CHECKS}
+    for c in tuples:
+        q = theorems._base(c)
+        for tid in ALPHA_CHECKS:
+            seen[tid][CHECKS[tid](c, q)[0]] += 1
+    check_t4 = CHECKS[T4]
+    t4_tuples = [beta_counts(*cells) for cells in _cells(4, 20)]
+    assert len(t4_tuples) == 10_626  # C(20 + 4, 4)
+    for c in t4_tuples:
+        seen[T4][check_t4(c, theorems._base(c))[0]] += 1
+    assert all(counts[VIOLATED] == 0 for counts in seen.values()), seen
+    assert all(counts[HOLDS] > 0 for counts in seen.values()), seen
+
+
+def test_registry_matches_fraction_oracle():
+    for c in alpha_counts(8):
+        for tid in ALPHA_CHECKS:
+            assert _run(tid, c)[:3] == oracle(tid, c)[:3], (tid, c)
+    for cells in _cells(6, 8):
+        c = beta_counts(*cells)
+        assert _run(T4, c)[:3] == oracle(T4, c)[:3], c
+
+
+def test_public_reports_carry_oracle_intermediates():
+    for seed in range(60):
+        log = random_log(seed, max_records=12, max_labels=3, max_conditions=2)
+        for alpha in ("a", "b", "c"):
+            for body in (ConditionBody.of("c1"), ConditionBody.of("c1", "c2")):
+                c = joint_counts(log, alpha, body, model_id="m")
+                for tid, check in PUBLIC_CHECKS.items():
+                    rep = check(log, "m", alpha, body)
+                    verdict, reason, note, inter = oracle(tid, c)
+                    assert (rep.verdict, rep.skip_reason, rep.note) == (verdict, reason, note)
+                    assert list(rep.intermediates.items()) == list(inter.items())
+                    assert all(type(v) is Fraction for v in rep.intermediates.values() if v is not None)
+                for beta in ("a", "b", "c"):
+                    rep = check_reclassification_limit(log, "m", alpha, beta, body)
+                    verdict, reason, note, inter = oracle(
+                        T4, joint_counts(log, alpha, body, beta, model_id="m")
+                    )
+                    assert (rep.verdict, rep.skip_reason, rep.note) == (verdict, reason, note)
+                    assert list(rep.intermediates.items()) == list(inter.items())
+                    assert rep.correction_class == beta
+
+
+def test_sweep_captures_violation_with_full_report(monkeypatch):
+    honest = CHECKS[T4]
+    seen = []
+    monkeypatch.setitem(CHECKS, T4, lambda c, q: seen.append(c) or honest(c, q))
+    clean = sweep(7, 5)
+    chosen = next(c for c in seen if honest(c, theorems._base(c))[:3] == (HOLDS, None, None))
+
+    def rigged(c, q):
+        outcome = honest(c, q)
+        return (VIOLATED, *outcome[1:]) if c == chosen else outcome
+
+    monkeypatch.setitem(CHECKS, T4, rigged)
+    result = sweep(7, 5)
+    occurrences = seen.count(chosen)
+    assert len(result.violations) == occurrences == result.count(T4, VIOLATED)
+    assert result.count(T4, HOLDS) == clean.count(T4, HOLDS) - occurrences
+    for violation in result.violations:
+        assert violation.theorem_id is T4
+        log = load_log(violation.log_text)
+        body = ConditionBody.of(violation.condition_id)
+        beta = violation.correction_class
+        assert beta is not None and violation.report.correction_class == beta
+        assert joint_counts(log, violation.alpha, body, beta, model_id="m") == chosen
+        expected = check_reclassification_limit(log, "m", violation.alpha, beta, body)
+        assert violation.report == replace(expected, verdict=VIOLATED)
+        assert None not in violation.report.intermediates.values()
+    with pytest.raises(SweepViolationError):
+        sweep(7, 5, raise_on_violation=True)
+
+
+def test_verify_and_sweep_share_the_registry(tmp_path):
+    log = tmp_path / "log.jsonl"
+    log.write_text(LOG_A_TEXT, encoding="utf-8")
+    out = tmp_path / "verify"
+    main(["verify", "--log", str(log), "--model", "m", "--class", "a",
+          "--condition", "c1", "--target-class", "b", "--out", str(out)])
+    reports = json.loads((out / "reports.json").read_text(encoding="utf-8"))
+    ids = [r["theorem_id"] for r in reports]
+    assert ids == [tid.value for tid in CHECKS]
+    assert set(ids) == {tid.value for tid in TheoremId}
+    assert set(sweep(1, 2).verdict_counts) == set(CHECKS) == set(TheoremId)
