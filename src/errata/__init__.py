@@ -15,7 +15,6 @@ from .estimators import (
     MetricBundle,
     Probability,
     Verdict,
-    cond_prob,
     f1_value,
     invariance_profile,
     is_error_detecting,
@@ -35,21 +34,13 @@ from .learning import (
 )
 from .logs import (
     DEFAULT_DISTRIBUTION,
-    Atom,
-    EventQuery,
+    InputError,
     LogFormatError,
     PredictionLog,
     PredictionRecord,
-    condition_absent,
-    condition_holds,
-    distribution_is,
     load_log,
     load_log_file,
-    predicted_has,
-    predicted_lacks,
     serialize_log,
-    truth_has,
-    truth_lacks,
 )
 from .rules import (
     ApplicationTrace,
@@ -59,10 +50,7 @@ from .rules import (
     LogMismatchError,
     RecordTrace,
     RuleSet,
-    TraceMismatchError,
     UnknownConditionError,
-    apply_correction,
-    apply_detection,
     apply_rules,
     dumps_rules,
     evaluate_delta,

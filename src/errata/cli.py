@@ -4,8 +4,9 @@ Every run reads file inputs, writes its outputs plus a single
 ``manifest.json`` (command, input digests, seeds, config echo, output
 list) into ``--out``, and is byte-deterministic: rerunning with an
 identical manifest reproduces identical outputs. Exit codes: 0 success,
-1 violated check or failed assertion (replay data written), 2 input or
-validation error, 3 every requested check was SKIPPED.
+1 violated check or failed assertion (replay data written), 2 bad input
+(an ``InputError``, or a file that cannot be read or decoded), 3 every
+requested check was SKIPPED.
 """
 
 from __future__ import annotations
@@ -18,17 +19,9 @@ from pathlib import Path
 
 from .estimators import ConditionBody
 from .learning import LearnConfig, Objective, learn_correction, learn_detection
-from .logs import LogFormatError, load_log_file, serialize_log
+from .logs import InputError, load_log_file, serialize_log
 from .rational import decimal_str, format_rational, parse_rational
-from .rules import (
-    LogMismatchError,
-    RuleSet,
-    UnknownConditionError,
-    apply_rules,
-    dumps_rules,
-    evaluate_delta,
-    loads_rules,
-)
+from .rules import RuleSet, apply_rules, dumps_rules, evaluate_delta, loads_rules
 from .synth import SynthConfig, SynthConfigError, generate
 from .theorems import TheoremVerdict, check_all, sweep
 
@@ -193,7 +186,11 @@ def _learn_config(args) -> LearnConfig:
 
 def _cmd_synth(args) -> int:
     with open(args.config, "r", encoding="utf-8") as handle:
-        cfg = SynthConfig.from_dict(json.load(handle))
+        try:
+            obj = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise SynthConfigError(f"malformed synth config: {exc}") from exc
+    cfg = SynthConfig.from_dict(obj)
     log, bookkeeping = generate(cfg)
     run = _Run("synth", args.out, [args.config], [cfg.seed], cfg.to_dict())
     run.write("log.jsonl", serialize_log(log))
@@ -232,9 +229,7 @@ def _cmd_learn_correction(args) -> int:
     conditions = args.condition or []
     triggers = args.trigger_class or []
     if len(conditions) != len(triggers) or not conditions:
-        raise ValueError(
-            "learn-correction needs matching --condition/--trigger-class pairs"
-        )
+        raise InputError("learn-correction needs matching --condition/--trigger-class pairs")
     pairs = list(zip(conditions, triggers))
     rule, report = learn_correction(log, args.model, args.target_class, pairs)
     rules = RuleSet(corrections=(rule,) if rule else ())
@@ -446,16 +441,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if "" in getattr(args, "condition", ()):
+            raise InputError("--condition: expected a nonempty condition id")
         return args.func(args)
-    except (
-        LogFormatError,
-        SynthConfigError,
-        UnknownConditionError,
-        LogMismatchError,
-        ValueError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
+        # Bad input only (an undecodable file is bad input too): any other
+        # exception, a bare ValueError included, is a bug and propagates.
         print(f"errata {args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

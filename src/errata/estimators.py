@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .logs import EventQuery, PredictionLog, PredictionRecord, condition_holds
+from .logs import PredictionLog, PredictionRecord
 from .rational import format_rational
 
 
@@ -60,10 +60,6 @@ class Probability:
             "value": format_rational(self.value),
         }
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "Probability":
-        return cls(obj["numerator"], obj["denominator"])
-
 
 @dataclass(frozen=True, slots=True)
 class ConditionBody:
@@ -93,13 +89,6 @@ class ConditionBody:
 
     def holds_for(self, record: PredictionRecord) -> bool:
         return not self.condition_ids.isdisjoint(record.conditions)
-
-    def query(self) -> EventQuery:
-        """Event "some body condition holds": a disjunction of condition atoms."""
-        q = EventQuery.conjunction(condition_holds(self.sorted_ids()[0]))
-        for cid in self.sorted_ids()[1:]:
-            q = q.or_(EventQuery.conjunction(condition_holds(cid)))
-        return q
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,10 +173,6 @@ def joint_counts(
     return JointCounts(*(mask.bit_count() for mask in masks))
 
 
-# Older name, kept for callers that count one class and body.
-class_body_counts = joint_counts
-
-
 def bundle_from_counts(c: JointCounts) -> MetricBundle:
     precision = Probability(c.pred_gt, c.pred)
     recall = Probability(c.pred_gt, c.gt)
@@ -209,13 +194,6 @@ def bundle_from_counts(c: JointCounts) -> MetricBundle:
         k_factor=k_factor,
         residual=residual,
     )
-
-
-def cond_prob(log: PredictionLog, event: EventQuery, given: EventQuery) -> Probability:
-    """count(event ∧ given) / count(given); UNDEFINED when count(given) = 0."""
-    denominator = log.count(given)
-    numerator = log.count(given.and_(event))
-    return Probability(numerator, denominator)
 
 
 def metric_bundle(

@@ -24,7 +24,7 @@ from .estimators import (
     joint_counts,
     metric_bundle,
 )
-from .logs import PredictionLog
+from .logs import InputError, PredictionLog
 from .rational import as_fraction, format_rational
 from .rules import CorrectionRule, DetectionRule
 
@@ -56,7 +56,7 @@ class LearnConfig:
             object.__setattr__(self, "objective", Objective(self.objective))
         object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
         if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+            raise InputError("epsilon must be nonnegative")
         if self.max_body_size is not None and self.max_body_size < 1:
             raise ValueError("max_body_size must be positive")
 

@@ -7,9 +7,8 @@ Every probability this package reports is an exact ratio of record counts
 over such a log. The counts come from the log's ``index``, built once per
 log on first use: one bitset per model id, distribution tag, predicted
 label, ground-truth label and condition id, so that a count is ``&``,
-``|`` and ``int.bit_count()``. ``EventQuery`` and ``PredictionLog.count``
-walk the records instead; they are the reference semantics the index is
-tested against.
+``|`` and ``int.bit_count()``. The tests check the index against a
+record-walking reference, ``tests/event_oracle.py``.
 
 JSONL schema (one object per line, strict — unknown fields are rejected):
 
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -49,7 +48,13 @@ _REQUIRED_SET = frozenset(_REQUIRED_FIELDS)
 _SCHEMA_SET = frozenset(_SCHEMA_FIELDS)
 
 
-class LogFormatError(ValueError):
+class InputError(ValueError):
+    """Input from outside the program is malformed: a log, a rule file, a
+    synth config or a command-line value. The CLI reports these, and only
+    these, as input errors (exit 2)."""
+
+
+class LogFormatError(InputError):
     """A log line or record violates the schema."""
 
 
@@ -184,111 +189,8 @@ class PredictionLog:
         life of the log; equality and hashing ignore it."""
         return LogIndex(self.records)
 
-    def count(self, query: "EventQuery") -> int:
-        """Number of records satisfying the query, by walking the records."""
-        return sum(1 for r in self.records if query.matches(r))
-
     def by_key(self) -> dict[tuple[str, str], PredictionRecord]:
         return {r.key: r for r in self.records}
-
-
-# ---------------------------------------------------------------------------
-# Event queries
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, slots=True)
-class Atom:
-    """One literal: membership in a set field, or a distribution tag test."""
-
-    field: str
-    value: str
-    negated: bool = False
-
-    def __post_init__(self):
-        if self.field not in (PREDICTED, GROUND_TRUTH, CONDITIONS, DISTRIBUTION):
-            raise ValueError(f"unknown atom field {self.field!r}")
-
-    def matches(self, record: PredictionRecord) -> bool:
-        if self.field == DISTRIBUTION:
-            hit = record.distribution == self.value
-        elif self.field == PREDICTED:
-            hit = self.value in record.predicted
-        elif self.field == GROUND_TRUTH:
-            hit = self.value in record.ground_truth
-        else:
-            hit = self.value in record.conditions
-        return hit is not self.negated
-
-    def negate(self) -> "Atom":
-        return replace(self, negated=not self.negated)
-
-
-def predicted_has(label: str) -> Atom:
-    return Atom(PREDICTED, label)
-
-
-def predicted_lacks(label: str) -> Atom:
-    return Atom(PREDICTED, label, negated=True)
-
-
-def truth_has(label: str) -> Atom:
-    return Atom(GROUND_TRUTH, label)
-
-
-def truth_lacks(label: str) -> Atom:
-    return Atom(GROUND_TRUTH, label, negated=True)
-
-
-def condition_holds(condition_id: str) -> Atom:
-    return Atom(CONDITIONS, condition_id)
-
-
-def condition_absent(condition_id: str) -> Atom:
-    return Atom(CONDITIONS, condition_id, negated=True)
-
-
-def distribution_is(tag: str) -> Atom:
-    return Atom(DISTRIBUTION, tag)
-
-
-@dataclass(frozen=True)
-class EventQuery:
-    """Disjunction of conjunctions of atoms.
-
-    The default query — a single empty conjunction — matches every record.
-    A query with no clauses matches none (the empty disjunction), which is
-    what negating a match-all query yields.
-    """
-
-    clauses: tuple[frozenset[Atom], ...] = (frozenset(),)
-
-    @classmethod
-    def conjunction(cls, *atoms: Atom) -> "EventQuery":
-        return cls((frozenset(atoms),))
-
-    @classmethod
-    def match_all(cls) -> "EventQuery":
-        return cls()
-
-    def matches(self, record: PredictionRecord) -> bool:
-        return any(
-            all(atom.matches(record) for atom in clause) for clause in self.clauses
-        )
-
-    def and_(self, other: "EventQuery") -> "EventQuery":
-        return EventQuery(
-            tuple(c1 | c2 for c1 in self.clauses for c2 in other.clauses)
-        )
-
-    def or_(self, other: "EventQuery") -> "EventQuery":
-        return EventQuery(self.clauses + other.clauses)
-
-    def negated(self) -> "EventQuery":
-        """Atom-wise De Morgan negation of a single-conjunction query."""
-        if len(self.clauses) != 1:
-            raise ValueError("negation is defined for single-conjunction queries only")
-        (clause,) = self.clauses
-        return EventQuery(tuple(frozenset((atom.negate(),)) for atom in clause))
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,14 @@
 Every statistic in this package is a ratio of event counts and is kept as
 a ``fractions.Fraction`` end to end; floats appear only when a report is
 rendered for humans. ``None`` stands for an undefined value (a zero
-denominator somewhere upstream) and propagates through the arithmetic
-helpers below.
+denominator somewhere upstream) and propagates through ``sub``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .logs import InputError
 
 UNDEFINED_TEXT = "UNDEFINED"
 
@@ -38,7 +39,7 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
+        raise InputError(f"not a rational number: {text!r}") from exc
 
 
 def format_rational(value: Fraction | None) -> str:
@@ -55,22 +56,7 @@ def decimal_str(value: Fraction | None, sig: int = 12) -> str:
     return f"{value.numerator / value.denominator:.{sig}g}"
 
 
-# None-propagating arithmetic: combining an undefined operand is undefined,
-# and division by zero is undefined rather than an error.
-
-def add(a: Fraction | None, b: Fraction | None) -> Fraction | None:
-    return None if a is None or b is None else a + b
-
-
 def sub(a: Fraction | None, b: Fraction | None) -> Fraction | None:
+    """a − b, or None (undefined) when either operand is undefined."""
     return None if a is None or b is None else a - b
 
-
-def mul(a: Fraction | None, b: Fraction | None) -> Fraction | None:
-    return None if a is None or b is None else a * b
-
-
-def div(a: Fraction | None, b: Fraction | None) -> Fraction | None:
-    if a is None or b is None or b == 0:
-        return None
-    return a / b

@@ -1,10 +1,11 @@
 """Executable detection and correction rules with per-record traces.
 
 Detection rules erase a predicted label when any of their body conditions
-holds; correction rules then relabel records that lost a label. The two
-stages always run in that order. Application is record-local: every rule
-is evaluated against the input records, so results do not depend on rule
-order, and rule indices in traces refer to positions in the RuleSet.
+holds; correction rules then relabel records that lost a label.
+``apply_rules`` runs both in one pass over the records, detection first
+within each record. Application is record-local: every rule is evaluated
+against the input record, so results do not depend on rule order, and
+rule indices in traces refer to positions in the RuleSet.
 """
 
 from __future__ import annotations
@@ -20,20 +21,16 @@ from .estimators import (
     f1_value,
     joint_counts,
 )
-from .logs import PredictionLog
+from .logs import InputError, PredictionLog
 from .rational import format_rational, sub
 
 
-class UnknownConditionError(ValueError):
+class UnknownConditionError(InputError):
     """A rule references a condition id the log has never observed."""
 
 
-class LogMismatchError(ValueError):
+class LogMismatchError(InputError):
     """Two logs that must share sample keys and ground truths do not."""
-
-
-class TraceMismatchError(ValueError):
-    """A trace does not line up with the log it is applied against."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,23 +128,23 @@ _PAIR_KEYS = ("condition", "trigger_class")
 
 def _require_object(obj, keys: tuple[str, ...], where: str) -> None:
     if not isinstance(obj, dict):
-        raise ValueError(f"{where}: expected a JSON object")
+        raise InputError(f"{where}: expected a JSON object")
     unknown = sorted(set(obj) - set(keys))
     if unknown:
-        raise ValueError(f"{where}: unknown key(s) {unknown}")
+        raise InputError(f"{where}: unknown key(s) {unknown}")
     missing = [key for key in keys if key not in obj]
     if missing:
-        raise ValueError(f"{where}: missing key(s) {missing}")
+        raise InputError(f"{where}: missing key(s) {missing}")
 
 
 def _require_list(value, where: str) -> None:
     if not isinstance(value, list) or not value:
-        raise ValueError(f"{where}: expected a nonempty array")
+        raise InputError(f"{where}: expected a nonempty array")
 
 
 def _require_id(value, where: str) -> None:
     if not isinstance(value, str) or not value:
-        raise ValueError(f"{where}: expected a nonempty string")
+        raise InputError(f"{where}: expected a nonempty string")
 
 
 def loads_rules(text: str) -> RuleSet:
@@ -157,16 +154,16 @@ def loads_rules(text: str) -> RuleSet:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed rule file: {exc.msg}") from exc
+        raise InputError(f"malformed rule file: {exc.msg}") from exc
     if not isinstance(obj, dict):
-        raise ValueError("rule file must contain a JSON object")
+        raise InputError("rule file must contain a JSON object")
     unknown = sorted(set(obj) - set(_RULE_KEYS))
     if unknown:
-        raise ValueError(f"rule file has unknown key(s) {unknown}")
+        raise InputError(f"rule file has unknown key(s) {unknown}")
     for kind, keys in _RULE_KEYS.items():
         entries = obj.get(kind, [])
         if not isinstance(entries, list):
-            raise ValueError(f"{kind}: expected an array")
+            raise InputError(f"{kind}: expected an array")
         for i, entry in enumerate(entries):
             where = f"{kind}[{i}]"
             _require_object(entry, keys, where)
@@ -186,7 +183,7 @@ def loads_rules(text: str) -> RuleSet:
                         _require_id(item[key], f"{item_where}.{key}")
                     what, ident = "pair", (item["condition"], item["trigger_class"])
                 if ident in seen:
-                    raise ValueError(f"{item_where}: duplicate {what} {ident!r}")
+                    raise InputError(f"{item_where}: duplicate {what} {ident!r}")
                 seen.add(ident)
     return RuleSet.from_dict(obj)
 
@@ -253,110 +250,64 @@ def _require_known_conditions(condition_ids, log: PredictionLog, kind: str) -> N
         )
 
 
-def apply_detection(
-    log: PredictionLog, rules: RuleSet
-) -> tuple[PredictionLog, ApplicationTrace]:
-    """Erase every prediction a matching detection rule flags.
+def apply_rules(log: PredictionLog, rules: RuleSet) -> tuple[PredictionLog, ApplicationTrace]:
+    """Apply detection, then correction, in one pass over the records.
 
-    Rules for the same (model, class) combine disjunctively. The input log
-    is unchanged; the trace records each erasure with its rule index.
+    A detection rule erases its target class from a record of its model
+    when the class was predicted and the body holds; rules for the same
+    (model, class) combine disjunctively. Only a record that lost a label
+    is offered to the correction rules. A correction pair fires when its
+    condition holds and its trigger class is among the record's original
+    predictions (erasure is an overlay, not a change to what the model
+    said), so a correction may reinstate an erased label; the trace then
+    records both events. When distinct rules propose different classes for
+    one record, none is applied and the competing classes are recorded as a
+    conflict; a proposed class the record still predicts is a no-op. The
+    input log is unchanged; the trace has one entry per record, in log
+    order.
     """
     _require_known_conditions(
         (cid for rule in rules.detections for cid in rule.body.condition_ids),
         log,
         "detection",
     )
+    _require_known_conditions(
+        (c for rule in rules.corrections for c, _ in rule.pairs), log, "correction"
+    )
     new_records = []
     entries = []
     for rec in log.records:
-        erased = [
+        erased = sorted(
             (rule.target_class, idx)
             for idx, rule in enumerate(rules.detections)
             if rule.model_id == rec.model_id
             and rule.target_class in rec.predicted
             and rule.body.holds_for(rec)
-        ]
-        if erased:
-            gone = frozenset(label for label, _ in erased)
-            new_records.append(replace(rec, predicted=rec.predicted - gone))
-        else:
+        )
+        if not erased:
             new_records.append(rec)
-        entries.append(RecordTrace(rec.sample_id, rec.model_id, tuple(sorted(erased))))
-    return PredictionLog(tuple(new_records)), ApplicationTrace(tuple(entries))
-
-
-def apply_correction(
-    detected_log: PredictionLog,
-    trace: ApplicationTrace,
-    original_log: PredictionLog,
-    rules: RuleSet,
-    *,
-    only_erased: bool = True,
-) -> tuple[PredictionLog, ApplicationTrace]:
-    """Relabel records the detection stage touched.
-
-    Pairs test their trigger class against the *original* predictions
-    (erasure is an overlay, not a change to what the model said). When
-    distinct rules propose different classes for one record, none is
-    applied and the competing classes are recorded as a conflict. With
-    ``only_erased`` (the default, matching the standard pipeline) records
-    without erasures are never modified.
-    """
-    _require_known_conditions(
-        (c for rule in rules.corrections for c, _ in rule.pairs),
-        detected_log,
-        "correction",
-    )
-    if len(detected_log.records) != len(original_log.records) or len(
-        trace.entries
-    ) != len(detected_log.records):
-        raise TraceMismatchError("trace/log lengths differ")
-    new_records = []
-    entries = []
-    for rec_orig, rec_det, entry in zip(
-        original_log.records, detected_log.records, trace.entries
-    ):
-        if rec_orig.key != rec_det.key or rec_orig.key != (entry.sample_id, entry.model_id):
-            raise TraceMismatchError(
-                f"record keys out of alignment at {rec_orig.key!r}"
+            entries.append(RecordTrace(rec.sample_id, rec.model_id))
+            continue
+        predicted = rec.predicted - {label for label, _ in erased}
+        firing = [
+            (rule.target_class, idx)
+            for idx, rule in enumerate(rules.corrections)
+            if rule.model_id == rec.model_id
+            and any(
+                cond in rec.conditions and trig in rec.predicted for cond, trig in rule.pairs
             )
-        eligible = bool(entry.erased) or not only_erased
-        firing: list[tuple[int, str]] = []
-        if eligible:
-            for idx, rule in enumerate(rules.corrections):
-                if rule.model_id != rec_det.model_id:
-                    continue
-                if any(
-                    cond in rec_det.conditions and trig in rec_orig.predicted
-                    for cond, trig in rule.pairs
-                ):
-                    firing.append((idx, rule.target_class))
-        targets = {target for _, target in firing}
+        ]
+        targets = frozenset(target for target, _ in firing)
+        added: tuple[tuple[str, int], ...] = ()
+        conflict: frozenset[str] = frozenset()
         if len(targets) > 1:
-            entries.append(replace(entry, conflict=frozenset(targets)))
-            new_records.append(rec_det)
-        elif len(targets) == 1:
-            beta = next(iter(targets))
-            if beta not in rec_det.predicted:
-                added = tuple(sorted((beta, idx) for idx, _ in firing))
-                entries.append(replace(entry, added=added))
-                new_records.append(replace(rec_det, predicted=rec_det.predicted | {beta}))
-            else:
-                # Already predicted and not erased: the rule is a no-op.
-                entries.append(entry)
-                new_records.append(rec_det)
-        else:
-            entries.append(entry)
-            new_records.append(rec_det)
+            conflict = targets
+        elif targets and not targets <= predicted:
+            added = tuple(sorted(firing))
+            predicted |= targets
+        new_records.append(replace(rec, predicted=predicted))
+        entries.append(RecordTrace(rec.sample_id, rec.model_id, tuple(erased), added, conflict))
     return PredictionLog(tuple(new_records)), ApplicationTrace(tuple(entries))
-
-
-def apply_rules(
-    log: PredictionLog, rules: RuleSet, *, only_erased: bool = True
-) -> tuple[PredictionLog, ApplicationTrace]:
-    """Full pipeline: detection first, then correction."""
-    detected, trace = apply_detection(log, rules)
-    return apply_correction(detected, trace, log, rules, only_erased=only_erased)
 
 
 # ---------------------------------------------------------------------------

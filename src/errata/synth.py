@@ -23,11 +23,11 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .estimators import Probability, bundle_from_counts, joint_counts
-from .logs import DEFAULT_DISTRIBUTION, PredictionLog, PredictionRecord
+from .logs import DEFAULT_DISTRIBUTION, InputError, PredictionLog, PredictionRecord
 from .rational import as_fraction, format_rational
 
 
-class SynthConfigError(ValueError):
+class SynthConfigError(InputError):
     """A synthetic-log config is malformed or its targets are unsatisfiable."""
 
 
@@ -72,6 +72,8 @@ class SynthConfig:
     distributions: tuple[DistributionSpec, ...] = ()
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise SynthConfigError("seed must be nonnegative")
         if self.n_records < 1:
             raise SynthConfigError("n_records must be at least 1")
         if not self.model_id:
@@ -198,7 +200,7 @@ class SynthConfig:
                     for d in obj.get("distributions", ())
                 ),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, SynthConfigError):
                 raise
             raise SynthConfigError(f"malformed synth config: {exc}") from exc

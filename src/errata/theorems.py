@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .estimators import ConditionBody, JointCounts, joint_counts
-from .logs import serialize_log
+from .logs import InputError, serialize_log
 from .rational import format_rational, parse_rational
 
 
@@ -484,7 +484,9 @@ def sweep(
     from .synth import condition_alphabet, label_alphabet, random_log
 
     if trials < 1:
-        raise ValueError("trial count must be at least 1")
+        raise InputError("trial count must be at least 1")
+    if seed < 0:
+        raise InputError("seed must be nonnegative")
     labels = label_alphabet(max_labels)
     conditions = condition_alphabet(max_conditions)
     counts: dict[TheoremId, dict[TheoremVerdict, int]] = {

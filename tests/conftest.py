@@ -1,15 +1,12 @@
 import hypothesis.strategies as st
 import pytest
 
-from errata import (
-    DEFAULT_DISTRIBUTION,
+from errata import DEFAULT_DISTRIBUTION, PredictionLog, PredictionRecord, load_log
+from event_oracle import (
     EventQuery,
-    PredictionLog,
-    PredictionRecord,
     condition_absent,
     condition_holds,
     distribution_is,
-    load_log,
     predicted_has,
     predicted_lacks,
     truth_has,

@@ -26,6 +26,7 @@ from errata import (
     exhaustive_oracle,
     generate,
     invariance_profile,
+    joint_counts,
     learn_correction,
     learn_detection,
     load_log,
@@ -36,7 +37,6 @@ from errata import (
     sweep,
 )
 from errata.cli import main
-from errata.estimators import class_body_counts
 from errata.learning import _objective_value
 from errata.synth import condition_alphabet
 
@@ -220,7 +220,7 @@ def test_acceptance_5_oracle_agreement():
 
             sub = log.slice("m")
             if rule is not None:
-                counts = class_body_counts(sub, "a", rule.body)
+                counts = joint_counts(sub, "a", rule.body)
                 # Never infeasible: exact budget satisfaction.
                 if counts.gt:
                     assert Fraction(counts.pred_body_gt, counts.gt) <= cfg.epsilon
@@ -229,7 +229,7 @@ def test_acceptance_5_oracle_agreement():
                 for extra in candidates:
                     if extra in rule.body.condition_ids:
                         continue
-                    ext = class_body_counts(sub, "a", rule.body.condition_ids | {extra})
+                    ext = joint_counts(sub, "a", rule.body.condition_ids | {extra})
                     if ext.gt and Fraction(ext.pred_body_gt, ext.gt) > cfg.epsilon:
                         continue
                     value = _objective_value(

@@ -285,6 +285,12 @@ def test_report_render_mixed_verdicts(log_a):
     assert "2/3" in text and "0.666666666667" in text
 
 
+def _src_env():
+    """Environment for a child interpreter that imports errata from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_module_entrypoint_smoke(tmp_path, log_file):
     result = subprocess.run(
         [sys.executable, "-m", "errata", "verify", "--log", str(log_file),
@@ -292,6 +298,7 @@ def test_module_entrypoint_smoke(tmp_path, log_file):
          "--out", str(tmp_path / "out")],
         capture_output=True,
         text=True,
+        env=_src_env(),
     )
     assert result.returncode == 0
     assert "T1_PRECISION_CHANGE" in result.stdout
@@ -310,10 +317,8 @@ errata.generate(errata.SynthConfig.from_dict({
 }))
 print(json.dumps([at_import, "numpy" in sys.modules]))
 """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), check=True
     )
     assert json.loads(result.stdout) == [False, True]
 
@@ -321,3 +326,82 @@ print(json.dumps([at_import, "numpy" in sys.modules]))
 def test_usage_error_returns_2():
     assert main(["verify", "--log"]) == 2
     assert main(["no-such-command"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# Exit 2 means bad input only
+# ---------------------------------------------------------------------------
+
+def _synth_file(tmp_path, text):
+    path = tmp_path / "synth.json"
+    path.write_text(text, encoding="utf-8")
+    return ["synth", "--config", str(path)]
+
+
+def _rules_text(tmp_path, text):
+    path = tmp_path / "rules.json"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _bytes_file(tmp_path, data):
+    path = tmp_path / "raw.jsonl"
+    path.write_bytes(data)
+    return path
+
+
+BAD_INPUTS = {
+    "malformed rule file": lambda tmp, log: [
+        "apply", "--log", log, "--rules", str(_rules_text(tmp, "{nope"))],
+    "rule file with a string body": lambda tmp, log: [
+        "apply", "--log", log, "--rules",
+        str(_rules_text(tmp, '{"detections": [{"model_id": "m", "target_class": "a", "conditions": "c1"}]}'))],
+    "epsilon not a rational": lambda tmp, log: [
+        "learn-detection", "--log", log, "--model", "m", "--class", "a",
+        "--condition", "c1", "--epsilon", "x"],
+    "epsilon over zero": lambda tmp, log: [
+        "learn-detection", "--log", log, "--model", "m", "--class", "a",
+        "--condition", "c1", "--epsilon", "1/0"],
+    "negative epsilon": lambda tmp, log: [
+        "learn-detection", "--log", log, "--model", "m", "--class", "a",
+        "--condition", "c1", "--epsilon=-1/2"],
+    "empty condition (verify)": lambda tmp, log: [
+        "verify", "--log", log, "--model", "m", "--class", "a", "--condition", ""],
+    "empty condition (learn-detection)": lambda tmp, log: [
+        "learn-detection", "--log", log, "--model", "m", "--class", "a",
+        "--condition", "c1", "--condition", ""],
+    "empty condition (learn-correction)": lambda tmp, log: [
+        "learn-correction", "--log", log, "--model", "m", "--target-class", "b",
+        "--condition", "", "--trigger-class", "a"],
+    "unpaired trigger class": lambda tmp, log: [
+        "learn-correction", "--log", log, "--model", "m", "--target-class", "b",
+        "--condition", "c1", "--trigger-class", "a", "--trigger-class", "b"],
+    "zero sweep trials": lambda tmp, log: ["sweep", "--seed", "1", "--trials", "0"],
+    "negative sweep seed": lambda tmp, log: ["sweep", "--seed", "-1", "--trials", "1"],
+    "malformed synth config JSON": lambda tmp, log: _synth_file(tmp, "{nope"),
+    "synth config with a list for a table": lambda tmp, log: _synth_file(
+        tmp, json.dumps(dict(SYNTH_CONFIG, confusion=[1]))),
+    "negative synth seed": lambda tmp, log: _synth_file(tmp, json.dumps(dict(SYNTH_CONFIG, seed=-1))),
+    "log not UTF-8": lambda tmp, log: [
+        "verify", "--log", str(_bytes_file(tmp, b"\xff\xfe{}\n")), "--model", "m",
+        "--class", "a", "--condition", "c1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2(tmp_path, log_file, capsys, case):
+    argv = BAD_INPUTS[case](tmp_path, str(log_file)) + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"errata {argv[0]}: ")
+
+
+def test_internal_value_error_is_not_an_input_error(tmp_path, log_file, monkeypatch):
+    # A bug that raises ValueError deep inside a command must surface, not
+    # be reported as bad input.
+    def broken(*args, **kwargs):
+        raise ValueError("numerator count exceeds denominator count")
+
+    monkeypatch.setattr("errata.cli.check_all", broken)
+    with pytest.raises(ValueError, match="numerator count"):
+        main(["verify", "--log", str(log_file), "--model", "m", "--class", "a",
+              "--condition", "c1", "--out", str(tmp_path / "out")])

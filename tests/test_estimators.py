@@ -8,14 +8,10 @@ from hypothesis import strategies as st
 from conftest import CONDITIONS, TAGS, conjunctions_st, labels_st, logs_st, make_log, rec
 from errata import (
     ConditionBody,
-    EventQuery,
     PredictionLog,
     Probability,
     Verdict,
     check_precision_change,
-    cond_prob,
-    condition_absent,
-    condition_holds,
     exhaustive_oracle,
     f1_value,
     invariance_profile,
@@ -24,6 +20,14 @@ from errata import (
     learn_correction,
     learn_detection,
     metric_bundle,
+)
+from event_oracle import (
+    EventQuery,
+    body_query,
+    cond_prob,
+    condition_absent,
+    condition_holds,
+    count,
     predicted_has,
     truth_has,
 )
@@ -258,7 +262,7 @@ def test_bundle_matches_explicit_queries(log, alpha, body_ids):
     expected_rule_recall = cond_prob(sub, no_body, EventQuery.conjunction(truth_has(alpha)))
     assert b.rule_precision == expected_rule_precision
     assert b.rule_recall == expected_rule_recall
-    assert b.support == cond_prob(sub, body.query(), alpha_pred)
+    assert b.support == cond_prob(sub, body_query(body), alpha_pred)
     assert b.precision == cond_prob(sub, EventQuery.conjunction(truth_has(alpha)), alpha_pred)
 
 
@@ -340,7 +344,7 @@ def test_joint_counts_match_event_queries(log, model, tag, alpha, body, beta):
         "union": union,
         "union_beta_gt": union.and_(beta_gt),
     }
-    assert dataclasses.asdict(c) == {name: sub.count(q) for name, q in expected.items()}
+    assert dataclasses.asdict(c) == {name: count(sub, q) for name, q in expected.items()}
     # Without beta the beta fields stay zero and the rest is unchanged.
     alone = joint_counts(log, alpha, body, model_id=model, distribution=tag)
     assert dataclasses.astuple(alone)[:6] == dataclasses.astuple(c)[:6]

@@ -6,20 +6,15 @@ from hypothesis import strategies as st
 
 from conftest import labels_st, logs_st, make_log, rec
 from errata import (
-    EventQuery,
     LearnConfig,
     Objective,
     PredictionLog,
-    cond_prob,
-    condition_holds,
     exhaustive_oracle,
+    joint_counts,
     learn_correction,
     learn_detection,
     metric_bundle,
-    predicted_has,
-    truth_has,
 )
-from errata.estimators import class_body_counts
 from errata.learning import (
     INFEASIBLE,
     NO_ADMISSIBLE_PAIR,
@@ -27,6 +22,7 @@ from errata.learning import (
     UNDEFINED_BASE,
     _objective_value,
 )
+from event_oracle import EventQuery, cond_prob, condition_holds, predicted_has, truth_has
 
 GAIN = Objective.PRECISION_GAIN
 
@@ -396,7 +392,7 @@ def test_greedy_contracts_and_oracle_dominance(log, alpha, epsilon, objective):
         values = [s.objective_after for s in report.steps]
         assert all(x <= y for x, y in zip(values, values[1:]))
         # Local optimality: no single feasible improving extension.
-        counts = class_body_counts(sub, alpha, rule.body)
+        counts = joint_counts(sub, alpha, rule.body)
         current = _objective_value(
             objective, counts.pred, counts.pred_gt, counts.gt,
             counts.pred_body, counts.pred_body_gt,
@@ -404,7 +400,7 @@ def test_greedy_contracts_and_oracle_dominance(log, alpha, epsilon, objective):
         for extra in CAND:
             if extra in rule.body.condition_ids:
                 continue
-            ext = class_body_counts(sub, alpha, rule.body.condition_ids | {extra})
+            ext = joint_counts(sub, alpha, rule.body.condition_ids | {extra})
             if ext.gt and Fraction(ext.pred_body_gt, ext.gt) > epsilon:
                 continue
             value = _objective_value(

@@ -1,8 +1,9 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import labels_st, logs_st, make_log, rec
@@ -14,8 +15,6 @@ from errata import (
     RuleSet,
     TheoremVerdict,
     UnknownConditionError,
-    apply_correction,
-    apply_detection,
     apply_rules,
     check_precision_change,
     dumps_rules,
@@ -47,16 +46,17 @@ def test_detection_erases_on_condition():
         detections=(DetectionRule("car", "toyota", ConditionBody.of("cond_us")),),
         corrections=(CorrectionRule("car", "dodge", frozenset({("cond_us", "toyota")})),),
     )
-    detected, trace = apply_detection(log, rules)
+    detected, trace = apply_rules(log, RuleSet(detections=rules.detections))
     assert detected.records[0].predicted == {"us"}
     assert trace.entries[0].erased == (("toyota", 0),)
-    corrected, trace2 = apply_correction(detected, trace, log, rules)
+    corrected, trace2 = apply_rules(log, rules)
     assert corrected.records[0].predicted == {"us", "dodge"}
+    assert trace2.entries[0].erased == (("toyota", 0),)
     assert trace2.entries[0].added == (("dodge", 0),)
 
 
 def test_detection_on_log_a(log_a):
-    after, trace = apply_detection(log_a, RuleSet(detections=(RULE_A_C1,)))
+    after, trace = apply_rules(log_a, RuleSet(detections=(RULE_A_C1,)))
     erased = {e.sample_id for e in trace.entries if e.erased}
     assert erased == {"r2", "r3"}
     rows = evaluate_delta(log_a, after)
@@ -71,7 +71,7 @@ def test_detection_on_log_a(log_a):
 def test_vacuous_detection_rule_changes_nothing(log_a):
     rule = DetectionRule("m", "a", ConditionBody.of("c1", "c_missing"))
     with pytest.raises(UnknownConditionError, match="c_missing"):
-        apply_detection(log_a, RuleSet(detections=(rule,)))
+        apply_rules(log_a, RuleSet(detections=(rule,)))
 
 
 def test_condition_never_true_yields_identity():
@@ -80,7 +80,7 @@ def test_condition_never_true_yields_identity():
         rec("s2", predicted={"b"}, ground_truth={"b"}, conditions={"c1"}),
     )
     # c1 exists in the universe but never co-occurs with an "a" prediction.
-    after, trace = apply_detection(log, RuleSet(detections=(RULE_A_C1,)))
+    after, trace = apply_rules(log, RuleSet(detections=(RULE_A_C1,)))
     assert after == log
     assert all(not e.erased for e in trace.entries)
 
@@ -98,7 +98,7 @@ def test_detection_multiple_rules_disjunctive():
         rec("s1", predicted={"a"}, ground_truth={"b"}, conditions={"c2"}),
         rec("s2", predicted={"a"}, ground_truth={"b"}, conditions={"c1"}),
     )
-    after, trace = apply_detection(log, rules)
+    after, trace = apply_rules(log, rules)
     assert all("a" not in r.predicted for r in after)
     assert trace.entries[0].erased == (("a", 1),)
     assert trace.entries[1].erased == (("a", 0),)
@@ -126,15 +126,6 @@ def test_correction_requires_erasure():
     # s3 fires the pair (c1 holds, b predicted) but had no erasure: untouched.
     assert corrected.records[2] == log.records[2]
     assert not trace.entries[2].added
-
-
-def test_correction_only_erased_flag_can_be_lifted():
-    log, detection = _correction_fixture()
-    correction = CorrectionRule("m", "x", frozenset({("c1", "b")}))
-    rules = RuleSet(detections=(detection,), corrections=(correction,))
-    detected, trace = apply_detection(log, rules)
-    corrected, _ = apply_correction(detected, trace, log, rules, only_erased=False)
-    assert "x" in corrected.records[2].predicted
 
 
 def test_correction_no_matching_pair_unchanged():
@@ -198,20 +189,8 @@ def test_correction_unknown_condition_rejected():
     log, detection = _correction_fixture()
     correction = CorrectionRule("m", "b", frozenset({("c9", "a")}))
     rules = RuleSet(detections=(detection,), corrections=(correction,))
-    detected, trace = apply_detection(log, rules)
     with pytest.raises(UnknownConditionError, match="c9"):
-        apply_correction(detected, trace, log, rules)
-
-
-def test_correction_rejects_misaligned_trace():
-    from errata import TraceMismatchError
-
-    log, detection = _correction_fixture()
-    rules = RuleSet(detections=(detection,))
-    detected, trace = apply_detection(log, rules)
-    other = make_log(rec("zz", predicted={"a"}, ground_truth={"a"}, conditions={"c1"}))
-    with pytest.raises(TraceMismatchError):
-        apply_correction(detected, trace, other, rules)
+        apply_rules(log, rules)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +198,7 @@ def test_correction_rejects_misaligned_trace():
 # ---------------------------------------------------------------------------
 
 def test_delta_log_a(log_a):
-    after, _ = apply_detection(log_a, RuleSet(detections=(RULE_A_C1,)))
+    after, _ = apply_rules(log_a, RuleSet(detections=(RULE_A_C1,)))
     row = delta_for(evaluate_delta(log_a, after), "m", "a")
     assert row.precision_delta == Fraction(1, 3)
     assert row.recall_delta == Fraction(-1, 3)
@@ -395,7 +374,7 @@ def _recall(log, label):
 def test_detection_monotonicity(log, rule):
     if not _known(log, rule):
         return
-    after, _ = apply_detection(log, RuleSet(detections=(rule,)))
+    after, _ = apply_rules(log, RuleSet(detections=(rule,)))
     for label in sorted(log.label_universe):
         before_r = _recall(log, label)
         after_r = _recall(after, label)
@@ -409,8 +388,8 @@ def test_detection_idempotent(log, rule):
     if not _known(log, rule):
         return
     rules = RuleSet(detections=(rule,))
-    once, _ = apply_detection(log, rules)
-    twice, trace = apply_detection(once, rules)
+    once, _ = apply_rules(log, rules)
+    twice, trace = apply_rules(once, rules)
     assert twice == once
     assert all(not e.erased for e in trace.entries)
 
@@ -421,7 +400,7 @@ def test_exchange_identity_with_precision_change(log, rule):
     """Measured precision delta equals the identity's right-hand side."""
     if not _known(log, rule):
         return
-    after, _ = apply_detection(log, RuleSet(detections=(rule,)))
+    after, _ = apply_rules(log, RuleSet(detections=(rule,)))
     report = check_precision_change(log, rule.model_id, rule.target_class, rule.body)
     if report.verdict is not TheoremVerdict.HOLDS:
         return
@@ -462,3 +441,98 @@ def test_trace_completeness(log, detection, corrections):
                 len(before.predicted) - len(after.predicted) + len(entry.added_labels)
                 == len(entry.erased_labels)
             )
+
+
+# ---------------------------------------------------------------------------
+# One-pass application vs a two-stage reference
+# ---------------------------------------------------------------------------
+
+def _two_stage(log, rules):
+    """Reference semantics, stage by stage: erase on every record, then
+    offer each record that lost a label to the correction rules, with
+    triggers read from the original predictions. Returns per record the
+    final predicted set and the (erased, added, conflict) trace fields."""
+    detected = []
+    for r in log:
+        erased = tuple(sorted(
+            (d.target_class, i)
+            for i, d in enumerate(rules.detections)
+            if d.model_id == r.model_id
+            and d.target_class in r.predicted
+            and r.conditions & d.body.condition_ids
+        ))
+        detected.append((r.predicted - {label for label, _ in erased}, erased))
+    out = []
+    for r, (predicted, erased) in zip(log, detected):
+        added, conflict = (), frozenset()
+        if erased:
+            firing = [
+                (c.target_class, i)
+                for i, c in enumerate(rules.corrections)
+                if c.model_id == r.model_id
+                and any(cond in r.conditions and trig in r.predicted for cond, trig in c.pairs)
+            ]
+            targets = {target for target, _ in firing}
+            if len(targets) > 1:
+                conflict = frozenset(targets)
+            elif targets and not targets <= predicted:
+                added = tuple(sorted(firing))
+                predicted = predicted | targets
+        out.append((predicted, erased, added, conflict))
+    return out
+
+
+def _fixture_log(*predicted_and_conditions):
+    return make_log(*(
+        rec(f"s{i}", predicted=p, ground_truth={"b"}, conditions=c)
+        for i, (p, c) in enumerate(predicted_and_conditions)
+    ))
+
+
+models_st = st.sampled_from(("m", "n"))
+pair_sets_st = st.sets(
+    st.tuples(st.sampled_from(("c1", "c2", "c3")), labels_st), min_size=1, max_size=2
+).map(frozenset)
+detection_lists_st = st.lists(
+    st.builds(
+        DetectionRule,
+        models_st,
+        labels_st,
+        st.sets(st.sampled_from(("c1", "c2", "c3")), min_size=1, max_size=2).map(ConditionBody),
+    ),
+    max_size=3,
+)
+correction_lists_st = st.lists(
+    st.builds(CorrectionRule, models_st, labels_st, pair_sets_st), max_size=3
+)
+
+
+@given(logs_st(models=("m", "n")), detection_lists_st, correction_lists_st)
+@example(  # conflict: two rules propose b and c for s0
+    _fixture_log(({"a"}, {"c1"}), ({"b"}, {"c2"}), ({"c"}, {"c3"})),
+    [DetectionRule("m", "a", ConditionBody.of("c1"))],
+    [CorrectionRule("m", "b", {("c1", "a")}), CorrectionRule("m", "c", {("c1", "a")})],
+)
+@example(  # reinstatement: the correction re-adds the erased label
+    _fixture_log(({"a"}, {"c1"}), ({"b"}, {"c2"}), ({"c"}, {"c3"})),
+    [DetectionRule("m", "a", ConditionBody.of("c1"))],
+    [CorrectionRule("m", "a", {("c1", "a")})],
+)
+@settings(max_examples=200)
+def test_apply_rules_matches_two_stage_reference(log, detections, corrections):
+    rules = RuleSet(tuple(detections), tuple(corrections))
+    needed = {c for d in detections for c in d.body.condition_ids}
+    needed |= {c for r in corrections for c, _ in r.pairs}
+    if not needed <= log.condition_universe:
+        with pytest.raises(UnknownConditionError):
+            apply_rules(log, rules)
+        return
+    after, trace = apply_rules(log, rules)
+    expected = _two_stage(log, rules)
+    assert len(after) == len(trace.entries) == len(expected)
+    for before, got, entry, (predicted, erased, added, conflict) in zip(
+        log, after, trace.entries, expected
+    ):
+        assert got == replace(before, predicted=predicted)
+        assert (entry.sample_id, entry.model_id) == before.key
+        assert (entry.erased, entry.added, entry.conflict) == (erased, added, conflict)
