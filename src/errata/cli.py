@@ -12,23 +12,21 @@ requested check was SKIPPED.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from pathlib import Path
 
+# learning, synth and theorems are imported by the commands that run them,
+# so that apply and eval start without loading them.
 from .estimators import ConditionBody
-from .learning import LearnConfig, Objective, learn_correction, learn_detection
 from .logs import InputError, load_log_file, serialize_log
 from .rational import decimal_str, format_rational, parse_rational
 from .rules import RuleSet, apply_rules, dumps_rules, evaluate_delta, loads_rules
-from .synth import SynthConfig, SynthConfigError, generate
-from .theorems import TheoremVerdict, check_all, sweep
 
-_OBJECTIVES = {
-    "precision-gain": Objective.PRECISION_GAIN,
-    "support-confidence": Objective.SUPPORT_TIMES_CONFIDENCE,
-    "f1": Objective.F1,
+_OBJECTIVES = {  # --objective value → learning.Objective member
+    "precision-gain": "PRECISION_GAIN",
+    "support-confidence": "SUPPORT_TIMES_CONFIDENCE",
+    "f1": "F1",
 }
 
 EXIT_OK = 0
@@ -121,6 +119,7 @@ def deltas_csv(rows) -> str:
 
 
 def render_sweep(result) -> str:
+    from .theorems import TheoremVerdict
     lines = [
         f"sweep seed={result.seed} trials={result.trials} "
         f"bounds=({result.max_records} records, {result.max_labels} labels, "
@@ -160,6 +159,7 @@ class _Run:
         self.write(name, json.dumps(obj, indent=2) + "\n")
 
     def finish(self) -> None:
+        import hashlib
         digests = {}
         for path in sorted(self.inputs):
             digests[path] = "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
@@ -177,14 +177,16 @@ class _Run:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _learn_config(args) -> LearnConfig:
-    kwargs = {"objective": _OBJECTIVES[args.objective]}
+def _learn_config(args):
+    from .learning import LearnConfig, Objective
+    kwargs = {"objective": Objective[_OBJECTIVES[args.objective]]}
     if args.epsilon is not None:
         kwargs["epsilon"] = parse_rational(args.epsilon)
     return LearnConfig(**kwargs)
 
 
 def _cmd_synth(args) -> int:
+    from .synth import SynthConfig, SynthConfigError, generate
     with open(args.config, "r", encoding="utf-8") as handle:
         try:
             obj = json.load(handle)
@@ -200,6 +202,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_learn_detection(args) -> int:
+    from .learning import learn_detection
     log = load_log_file(args.log)
     cfg = _learn_config(args)
     rule, report = learn_detection(log, args.model, args.class_label, args.condition, cfg)
@@ -225,6 +228,7 @@ def _cmd_learn_detection(args) -> int:
 
 
 def _cmd_learn_correction(args) -> int:
+    from .learning import learn_correction
     log = load_log_file(args.log)
     conditions = args.condition or []
     triggers = args.trigger_class or []
@@ -260,11 +264,12 @@ def _cmd_apply(args) -> int:
     run.write("applied.jsonl", serialize_log(applied))
     run.write_json("trace.json", trace.to_dict())
     run.finish()
-    reinstated = sum(len(e.reinstated) for e in trace.entries)
-    conflicts = sum(1 for e in trace.entries if e.conflict)
+    touched = trace.nonempty()
+    reinstated = sum(len(e.reinstated) for e in touched)
+    conflicts = sum(1 for e in touched if e.conflict)
     print(
-        f"apply: {sum(len(e.erased) for e in trace.entries)} erasures, "
-        f"{sum(len(e.added) for e in trace.entries)} additions, "
+        f"apply: {sum(len(e.erased) for e in touched)} erasures, "
+        f"{sum(len(e.added) for e in touched)} additions, "
         f"{conflicts} conflicts, {reinstated} mutually-canceling relabel(s)"
     )
     return EXIT_OK
@@ -282,6 +287,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .theorems import TheoremVerdict, check_all
     log = load_log_file(args.log)
     body = ConditionBody.of(*args.condition)
     model, alpha = args.model, args.class_label
@@ -320,6 +326,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .theorems import sweep
     result = sweep(args.seed, args.trials)
     run = _Run(
         "sweep",

@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .logs import PredictionLog, PredictionRecord
+from .logs import PredictionLog
 from .rational import format_rational
 
 
@@ -86,9 +86,6 @@ class ConditionBody:
 
     def sorted_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.condition_ids))
-
-    def holds_for(self, record: PredictionRecord) -> bool:
-        return not self.condition_ids.isdisjoint(record.conditions)
 
 
 @dataclass(frozen=True, slots=True)

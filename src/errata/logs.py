@@ -7,8 +7,13 @@ Every probability this package reports is an exact ratio of record counts
 over such a log. The counts come from the log's ``index``, built once per
 log on first use: one bitset per model id, distribution tag, predicted
 label, ground-truth label and condition id, so that a count is ``&``,
-``|`` and ``int.bit_count()``. The tests check the index against a
+``|`` and ``int.bit_count()``. The label, condition and distribution
+universes are the index's keys. The tests check the index against a
 record-walking reference, ``tests/event_oracle.py``.
+
+``load_log`` interns set fields: equal arrays within one load share one
+frozenset, and only arrays that passed validation are reused, so every
+line is still checked and its errors still carry its line number.
 
 JSONL schema (one object per line, strict — unknown fields are rejected):
 
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -132,36 +137,30 @@ class LogIndex:
 class PredictionLog:
     """Immutable collection of prediction records.
 
-    Universes are recomputed from the records at construction, and a
-    duplicate (sample_id, model_id) pair is rejected, so a constructed log
-    is always internally consistent. All operations are pure: slicing and
+    A duplicate (sample_id, model_id) pair is rejected at construction, so
+    a constructed log is always internally consistent. The universes are
+    read from the keys of the index. All operations are pure: slicing and
     rule application produce new logs.
     """
 
     records: tuple[PredictionRecord, ...] = ()
-    label_universe: frozenset[str] = field(init=False, compare=False)
-    condition_universe: frozenset[str] = field(init=False, compare=False)
-    distribution_universe: frozenset[str] = field(init=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.records, tuple):
             object.__setattr__(self, "records", tuple(self.records))
-        labels: set[str] = set()
-        conditions: set[str] = set()
-        distributions: set[str] = set()
         seen: set[tuple[str, str]] = set()
         for rec in self.records:
             key = (rec.sample_id, rec.model_id)
             if key in seen:
                 raise LogFormatError(f"duplicate (sample_id, model_id) pair {key!r}")
             seen.add(key)
-            labels.update(rec.predicted)
-            labels.update(rec.ground_truth)
-            conditions.update(rec.conditions)
-            distributions.add(rec.distribution)
-        object.__setattr__(self, "label_universe", frozenset(labels))
-        object.__setattr__(self, "condition_universe", frozenset(conditions))
-        object.__setattr__(self, "distribution_universe", frozenset(distributions))
+
+    @classmethod
+    def _unchecked(cls, records: tuple[PredictionRecord, ...]) -> "PredictionLog":
+        """A log over records whose keys the caller already knows are unique."""
+        log = object.__new__(cls)
+        object.__setattr__(log, "records", records)
+        return log
 
     def __len__(self) -> int:
         return len(self.records)
@@ -181,7 +180,7 @@ class PredictionLog:
             if r.model_id == model_id
             and (distribution is None or r.distribution == distribution)
         )
-        return PredictionLog(keep)
+        return PredictionLog._unchecked(keep)
 
     @cached_property
     def index(self) -> LogIndex:
@@ -189,26 +188,28 @@ class PredictionLog:
         life of the log; equality and hashing ignore it."""
         return LogIndex(self.records)
 
-    def by_key(self) -> dict[tuple[str, str], PredictionRecord]:
-        return {r.key: r for r in self.records}
+    # Every label, condition id and tag the records carry: the index's keys.
+    label_universe = cached_property(
+        lambda self: frozenset(self.index.predicted).union(self.index.ground_truth)
+    )
+    condition_universe = cached_property(lambda self: frozenset(self.index.conditions))
+    distribution_universe = cached_property(lambda self: frozenset(self.index.distributions))
 
 
 # ---------------------------------------------------------------------------
 # JSONL ingestion / serialization
 # ---------------------------------------------------------------------------
 
-def _parse_set_field(value, name: str, lineno: int) -> frozenset[str]:
-    if isinstance(value, list):
-        try:
-            "".join(value)  # TypeError unless every entry is a str
-        except TypeError:
-            pass
-        else:
-            unique = frozenset(value)
-            if len(unique) == len(value) and "" not in unique:
-                return unique
+def _parse_set_field(value, name: str, lineno: int, interned: dict) -> frozenset[str]:
+    """The set a JSON array stands for, shared by equal arrays of one load.
+    Only arrays that passed validation enter ``interned``."""
     if not isinstance(value, list):
         raise LogFormatError(f"line {lineno}: field {name!r} must be an array of strings")
+    key = tuple(value)
+    try:
+        return interned[key]
+    except (KeyError, TypeError):  # not seen yet, or an unhashable entry
+        pass
     items: set[str] = set()
     for item in value:
         if not isinstance(item, str) or not item:
@@ -220,10 +221,11 @@ def _parse_set_field(value, name: str, lineno: int) -> frozenset[str]:
                 f"line {lineno}: duplicate entry {item!r} in field {name!r}"
             )
         items.add(item)
-    return frozenset(items)
+    unique = interned[key] = frozenset(items)
+    return unique
 
 
-def _parse_record(obj: dict, lineno: int) -> PredictionRecord:
+def _parse_record(obj: dict, lineno: int, interned: dict) -> PredictionRecord:
     keys = obj.keys()
     if not keys <= _SCHEMA_SET:
         unknown = sorted(set(obj) - _SCHEMA_SET)
@@ -240,9 +242,9 @@ def _parse_record(obj: dict, lineno: int) -> PredictionRecord:
     return PredictionRecord(
         obj["sample_id"],
         obj["model_id"],
-        _parse_set_field(obj[PREDICTED], PREDICTED, lineno),
-        _parse_set_field(obj[GROUND_TRUTH], GROUND_TRUTH, lineno),
-        _parse_set_field(obj[CONDITIONS], CONDITIONS, lineno),
+        _parse_set_field(obj[PREDICTED], PREDICTED, lineno, interned),
+        _parse_set_field(obj[GROUND_TRUTH], GROUND_TRUTH, lineno, interned),
+        _parse_set_field(obj[CONDITIONS], CONDITIONS, lineno, interned),
         distribution,
     )
 
@@ -271,6 +273,7 @@ def load_log(source: str | Iterable[str]) -> PredictionLog:
     lines = source.splitlines() if isinstance(source, str) else source
     records: list[PredictionRecord] = []
     seen: dict[tuple[str, str], int] = {}
+    interned: dict[tuple[str, ...], frozenset[str]] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -290,7 +293,7 @@ def load_log(source: str | Iterable[str]) -> PredictionLog:
             raise LogFormatError(f"line {lineno}: {exc}") from None
         if not isinstance(obj, dict):
             raise LogFormatError(f"line {lineno}: expected a JSON object")
-        record = _parse_record(obj, lineno)
+        record = _parse_record(obj, lineno, interned)
         key = (record.sample_id, record.model_id)
         if key in seen:
             raise LogFormatError(
@@ -299,7 +302,7 @@ def load_log(source: str | Iterable[str]) -> PredictionLog:
             )
         seen[key] = lineno
         records.append(record)
-    return PredictionLog(tuple(records))
+    return PredictionLog._unchecked(tuple(records))
 
 
 def load_log_file(path) -> PredictionLog:
@@ -307,21 +310,30 @@ def load_log_file(path) -> PredictionLog:
         return load_log(handle)
 
 
-_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+_ENCODE_STR = json.encoder.encode_basestring_ascii
+
+
+class _ArrayText(dict):
+    """Set → its canonical JSON array text, encoded on first lookup."""
+
+    def __missing__(self, value: frozenset[str]) -> str:
+        text = self[value] = "[" + ",".join(map(_ENCODE_STR, sorted(value))) + "]"
+        return text
 
 
 def serialize_log(log: PredictionLog) -> str:
-    """Canonical JSONL for a log; record order is preserved."""
+    """Canonical JSONL for a log; record order is preserved. Each line has
+    the bytes ``JSONEncoder(separators=(",", ":"))`` gives for the record's
+    dict; each distinct set is encoded once per call."""
+    arrays = _ArrayText()
     lines = []
     for rec in log.records:
-        obj = {
-            "sample_id": rec.sample_id,
-            "model_id": rec.model_id,
-            "predicted": sorted(rec.predicted),
-            "ground_truth": sorted(rec.ground_truth),
-            "conditions": sorted(rec.conditions),
-        }
+        tail = "}"
         if rec.distribution != DEFAULT_DISTRIBUTION:
-            obj["distribution"] = rec.distribution
-        lines.append(_ENCODE(obj))
+            tail = f',"distribution":{_ENCODE_STR(rec.distribution)}}}'
+        lines.append(
+            f'{{"sample_id":{_ENCODE_STR(rec.sample_id)},"model_id":{_ENCODE_STR(rec.model_id)},'
+            f'"predicted":{arrays[rec.predicted]},"ground_truth":{arrays[rec.ground_truth]},'
+            f'"conditions":{arrays[rec.conditions]}{tail}'
+        )
     return "\n".join(lines) + ("\n" if lines else "")

@@ -2,7 +2,8 @@
 
 Detection rules erase a predicted label when any of their body conditions
 holds; correction rules then relabel records that lost a label.
-``apply_rules`` runs both in one pass over the records, detection first
+``apply_rules`` reads which records each rule fires on from the log's
+index and visits only records a detection rule touches, detection first
 within each record. Application is record-local: every rule is evaluated
 against the input record, so results do not depend on rule order, and
 rule indices in traces refer to positions in the RuleSet.
@@ -11,8 +12,10 @@ rule indices in traces refer to positions in the RuleSet.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from .estimators import (
     ConditionBody,
@@ -21,7 +24,7 @@ from .estimators import (
     f1_value,
     joint_counts,
 )
-from .logs import InputError, PredictionLog
+from .logs import InputError, PredictionLog, PredictionRecord
 from .rational import format_rational, sub
 
 
@@ -231,27 +234,49 @@ class RecordTrace:
 
 @dataclass(frozen=True)
 class ApplicationTrace:
-    """One entry per log record, in log order."""
+    """What ``apply_rules`` did to a log: a RecordTrace for each record a
+    detection rule touched, in log order, plus the input log."""
 
-    entries: tuple[RecordTrace, ...]
+    log: PredictionLog = field(repr=False)
+    touched: tuple[RecordTrace, ...]
+
+    @property
+    def entries(self) -> tuple[RecordTrace, ...]:
+        """One entry per record of the log, in log order; built on demand."""
+        by_key = {(e.sample_id, e.model_id): e for e in self.touched}
+        return tuple(by_key.get(r.key) or RecordTrace(*r.key) for r in self.log.records)
 
     def nonempty(self) -> tuple[RecordTrace, ...]:
-        return tuple(e for e in self.entries if e.erased or e.added or e.conflict)
+        return tuple(e for e in self.touched if e.erased or e.added or e.conflict)
 
     def to_dict(self) -> dict:
         return {"entries": [e.to_dict() for e in self.nonempty()]}
 
 
 def _require_known_conditions(condition_ids, log: PredictionLog, kind: str) -> None:
-    unknown = sorted(set(condition_ids) - set(log.condition_universe))
+    unknown = sorted(set(condition_ids) - log.condition_universe)
     if unknown:
         raise UnknownConditionError(
             f"{kind} rule references condition id(s) absent from the log: {unknown}"
         )
 
 
+def _fired(masks, rules) -> dict[int, list[tuple[str, int]]]:
+    """Record position → (target class, rule index) of each rule whose mask
+    has the record's bit, in rule order. Set bits are found by scanning the
+    mask's binary text, not by shifting a long int once per record."""
+    by_record: dict[int, list[tuple[str, int]]] = {}
+    for idx, (mask, rule) in enumerate(zip(masks, rules)):
+        bits = bin(mask)[:1:-1]  # least significant bit first
+        i = bits.find("1")
+        while i >= 0:
+            by_record.setdefault(i, []).append((rule.target_class, idx))
+            i = bits.find("1", i + 1)
+    return by_record
+
+
 def apply_rules(log: PredictionLog, rules: RuleSet) -> tuple[PredictionLog, ApplicationTrace]:
-    """Apply detection, then correction, in one pass over the records.
+    """Apply detection, then correction, to the records the rules touch.
 
     A detection rule erases its target class from a record of its model
     when the class was predicted and the body holds; rules for the same
@@ -262,9 +287,11 @@ def apply_rules(log: PredictionLog, rules: RuleSet) -> tuple[PredictionLog, Appl
     said), so a correction may reinstate an erased label; the trace then
     records both events. When distinct rules propose different classes for
     one record, none is applied and the competing classes are recorded as a
-    conflict; a proposed class the record still predicts is a no-op. The
-    input log is unchanged; the trace has one entry per record, in log
-    order.
+    conflict; a proposed class the record still predicts is a no-op.
+
+    Each rule's firing records are one mask over the log's index, so only
+    records a detection rule touches are visited and the rest are reused
+    as they are. The input log is unchanged.
     """
     _require_known_conditions(
         (cid for rule in rules.detections for cid in rule.body.condition_ids),
@@ -274,29 +301,30 @@ def apply_rules(log: PredictionLog, rules: RuleSet) -> tuple[PredictionLog, Appl
     _require_known_conditions(
         (c for rule in rules.corrections for c, _ in rule.pairs), log, "correction"
     )
-    new_records = []
-    entries = []
-    for rec in log.records:
-        erased = sorted(
-            (rule.target_class, idx)
-            for idx, rule in enumerate(rules.detections)
-            if rule.model_id == rec.model_id
-            and rule.target_class in rec.predicted
-            and rule.body.holds_for(rec)
-        )
-        if not erased:
-            new_records.append(rec)
-            entries.append(RecordTrace(rec.sample_id, rec.model_id))
-            continue
+    index = log.index
+    detect = [
+        index.models.get(rule.model_id, 0)
+        & index.predicted.get(rule.target_class, 0)
+        & reduce(or_, (index.conditions[cid] for cid in rule.body.condition_ids))
+        for rule in rules.detections
+    ]
+    erased_any = reduce(or_, detect, 0)
+    correct = [
+        erased_any
+        & index.models.get(rule.model_id, 0)
+        & reduce(or_, (index.conditions[c] & index.predicted.get(t, 0) for c, t in rule.pairs))
+        for rule in rules.corrections
+    ]
+    erasures = _fired(detect, rules.detections)
+    firings = _fired(correct, rules.corrections)
+    records = list(log.records)
+    touched = []
+    interned: dict[frozenset[str], frozenset[str]] = {}
+    for i in sorted(erasures):
+        rec = records[i]
+        erased = tuple(sorted(erasures[i]))
         predicted = rec.predicted - {label for label, _ in erased}
-        firing = [
-            (rule.target_class, idx)
-            for idx, rule in enumerate(rules.corrections)
-            if rule.model_id == rec.model_id
-            and any(
-                cond in rec.conditions and trig in rec.predicted for cond, trig in rule.pairs
-            )
-        ]
+        firing = firings.get(i, ())
         targets = frozenset(target for target, _ in firing)
         added: tuple[tuple[str, int], ...] = ()
         conflict: frozenset[str] = frozenset()
@@ -305,9 +333,11 @@ def apply_rules(log: PredictionLog, rules: RuleSet) -> tuple[PredictionLog, Appl
         elif targets and not targets <= predicted:
             added = tuple(sorted(firing))
             predicted |= targets
-        new_records.append(replace(rec, predicted=predicted))
-        entries.append(RecordTrace(rec.sample_id, rec.model_id, tuple(erased), added, conflict))
-    return PredictionLog(tuple(new_records)), ApplicationTrace(tuple(entries))
+        predicted = interned.setdefault(predicted, predicted)
+        records[i] = PredictionRecord(rec.sample_id, rec.model_id, predicted,
+                                      rec.ground_truth, rec.conditions, rec.distribution)
+        touched.append(RecordTrace(rec.sample_id, rec.model_id, erased, added, conflict))
+    return PredictionLog._unchecked(tuple(records)), ApplicationTrace(log, tuple(touched))
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +392,14 @@ def evaluate_delta(before: PredictionLog, after: PredictionLog) -> tuple[DeltaRo
     The two logs must share (sample_id, model_id) key sets and ground
     truths; otherwise the comparison is meaningless and is rejected.
     """
-    before_keys = before.by_key()
-    after_keys = after.by_key()
-    if set(before_keys) != set(after_keys):
-        missing = sorted(set(before_keys) ^ set(after_keys))[:3]
-        raise LogMismatchError(f"sample keys differ between logs (e.g. {missing})")
-    for key, rec in before_keys.items():
-        if rec.ground_truth != after_keys[key].ground_truth:
-            raise LogMismatchError(f"ground truth differs for {key!r}")
+    before_gt = {(r.sample_id, r.model_id): r.ground_truth for r in before.records}
+    after_gt = {(r.sample_id, r.model_id): r.ground_truth for r in after.records}
+    if before_gt != after_gt:
+        if before_gt.keys() != after_gt.keys():
+            missing = sorted(before_gt.keys() ^ after_gt.keys())[:3]
+            raise LogMismatchError(f"sample keys differ between logs (e.g. {missing})")
+        key = next(k for k, gt in before_gt.items() if gt != after_gt[k])
+        raise LogMismatchError(f"ground truth differs for {key!r}")
 
     rows = []
     for model_id in sorted(before.index.models):

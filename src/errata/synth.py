@@ -31,6 +31,11 @@ class SynthConfigError(InputError):
     """A synthetic-log config is malformed or its targets are unsatisfiable."""
 
 
+# Largest n_records a config may ask for; checked before anything is drawn,
+# since a Python log costs several hundred bytes per record.
+MAX_RECORDS = 10_000_000
+
+
 _LABELS = ("a", "b", "c", "d", "e", "f", "g", "h")
 
 
@@ -72,10 +77,16 @@ class SynthConfig:
     distributions: tuple[DistributionSpec, ...] = ()
 
     def __post_init__(self):
+        for name in ("seed", "n_records"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise SynthConfigError(f"{name}: expected an integer, got {value!r}")
         if self.seed < 0:
             raise SynthConfigError("seed must be nonnegative")
         if self.n_records < 1:
             raise SynthConfigError("n_records must be at least 1")
+        if self.n_records > MAX_RECORDS:
+            raise SynthConfigError(f"n_records must be at most {MAX_RECORDS}")
         if not self.model_id:
             raise SynthConfigError("model_id must be a nonempty string")
         if not self.labels or len(set(self.labels)) != len(self.labels):
@@ -146,7 +157,8 @@ class SynthConfig:
     def from_dict(cls, obj: dict) -> "SynthConfig":
         """Parse the JSON config shape.
 
-        Rationals may be written as numbers or "num/den" strings::
+        ``seed`` and ``n_records`` are JSON integers, ``n_records`` at most
+        ``MAX_RECORDS``. Rationals may be numbers or "num/den" strings::
 
             {"seed": 1, "n_records": 100, "model_id": "m",
              "labels": ["a", "b"],
@@ -171,8 +183,8 @@ class SynthConfig:
                 for label, rows in obj["confusion"].items()
             }
             return cls(
-                seed=int(obj["seed"]),
-                n_records=int(obj["n_records"]),
+                seed=obj["seed"],
+                n_records=obj["n_records"],
                 model_id=obj["model_id"],
                 labels=tuple(obj["labels"]),
                 class_priors={
@@ -404,37 +416,37 @@ def generate(cfg: SynthConfig) -> tuple[PredictionLog, SynthBookkeeping]:
         )
         for label, rows in cfg.confusion.items()
     }
-    u_pred = rng.random(n)
-    cond_u = rng.random((n, len(cfg.planted_conditions))) if cfg.planted_conditions else None
+    planted = cfg.planted_conditions
+    u_pred = rng.random(n).tolist()
+    cond_u = rng.random((n, len(planted))).tolist() if planted else None
 
     mark_floats = {key: (float(qe), float(qo)) for key, (qe, qo) in marks.items()}
     truth_sets = {label: frozenset((label,)) for label in prior_labels}
-    planted = cfg.planted_conditions
+    condition_sets: dict[tuple[str, ...], frozenset[str]] = {}
 
     records = []
-    for i in range(n):
-        tag = tags[tag_idx[i]]
-        truth = prior_labels[truth_idx[i]]
+    for i, (t, r, u) in enumerate(zip(tag_idx.tolist(), truth_idx.tolist(), u_pred)):
+        tag = tags[t]
+        truth = prior_labels[r]
         sets, cum = confusion_tables[truth]
-        predicted = sets[min(bisect_right(cum, u_pred[i]), len(sets) - 1)]
+        predicted = sets[min(bisect_right(cum, u), len(sets) - 1)]
         conditions: list[str] = []
         for j, pc in enumerate(planted):
             if pc.target_class in predicted:
                 q_err, q_ok = mark_floats[(pc.condition_id, tag)]
                 threshold = q_ok if pc.target_class == truth else q_err
-                if cond_u[i, j] < threshold:
+                if cond_u[i][j] < threshold:
                     conditions.append(pc.condition_id)
+        key = tuple(conditions)
+        condition_set = condition_sets.get(key)
+        if condition_set is None:
+            condition_set = condition_sets[key] = frozenset(key)
         records.append(
             PredictionRecord(
-                sample_id=f"s{i + 1}",
-                model_id=cfg.model_id,
-                predicted=predicted,
-                ground_truth=truth_sets[truth],
-                conditions=frozenset(conditions),
-                distribution=tag,
+                f"s{i + 1}", cfg.model_id, predicted, truth_sets[truth], condition_set, tag
             )
         )
-    log = PredictionLog(tuple(records))
+    log = PredictionLog._unchecked(tuple(records))  # sample ids are distinct
     return log, _bookkeeping(cfg, log, tags)
 
 

@@ -238,7 +238,7 @@ def test_sweep_cli(tmp_path):
 def test_sweep_cli_violation_writes_replay_and_exits_1(tmp_path, monkeypatch):
     # No honest input can produce a VIOLATED verdict, so fabricate one to
     # exercise the replay path.
-    import errata.cli as cli
+    import errata.theorems
     from errata import TheoremId, TheoremReport, TheoremVerdict
     from errata.theorems import SweepResult, SweepViolation
 
@@ -254,7 +254,7 @@ def test_sweep_cli_violation_writes_replay_and_exits_1(tmp_path, monkeypatch):
     counts = {tid: {v: 0 for v in TheoremVerdict} for tid in TheoremId}
     counts[TheoremId.T2_EDNS][TheoremVerdict.VIOLATED] = 1
     fake = SweepResult(5, 30, 30, 4, 3, counts, (violation,))
-    monkeypatch.setattr(cli, "sweep", lambda seed, trials: fake)
+    monkeypatch.setattr(errata.theorems, "sweep", lambda seed, trials: fake)
 
     out = tmp_path / "sweep"
     code = main(["sweep", "--seed", "5", "--trials", "30", "--out", str(out)])
@@ -323,6 +323,34 @@ print(json.dumps([at_import, "numpy" in sys.modules]))
     assert json.loads(result.stdout) == [False, True]
 
 
+def test_apply_and_eval_load_only_what_they_run(tmp_path, log_file):
+    # apply and eval read logs and rules only: learning, synth, theorems
+    # and numpy stay unloaded in their process.
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"detections": [
+        {"model_id": "m", "target_class": "a", "conditions": ["c1"]}
+    ]}), encoding="utf-8")
+    code = f"""
+import json, sys
+from errata.cli import main
+codes = [
+    main(["apply", "--log", {str(log_file)!r}, "--rules", {str(rules)!r},
+          "--out", {str(tmp_path / "applied")!r}]),
+    main(["eval", "--before", {str(log_file)!r},
+          "--after", {str(tmp_path / "applied" / "applied.jsonl")!r},
+          "--out", {str(tmp_path / "eval")!r}]),
+]
+print(json.dumps([codes, sorted(
+    name for name in ("errata.learning", "errata.synth", "errata.theorems", "numpy")
+    if name in sys.modules
+)]))
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), check=True
+    )
+    assert json.loads(result.stdout.splitlines()[-1]) == [[0, 0], []]
+
+
 def test_usage_error_returns_2():
     assert main(["verify", "--log"]) == 2
     assert main(["no-such-command"]) == 2
@@ -382,6 +410,12 @@ BAD_INPUTS = {
     "synth config with a list for a table": lambda tmp, log: _synth_file(
         tmp, json.dumps(dict(SYNTH_CONFIG, confusion=[1]))),
     "negative synth seed": lambda tmp, log: _synth_file(tmp, json.dumps(dict(SYNTH_CONFIG, seed=-1))),
+    "fractional synth seed": lambda tmp, log: _synth_file(tmp, json.dumps(dict(SYNTH_CONFIG, seed=1.5))),
+    "boolean synth seed": lambda tmp, log: _synth_file(tmp, json.dumps(dict(SYNTH_CONFIG, seed=True))),
+    "string n_records": lambda tmp, log: _synth_file(
+        tmp, json.dumps(dict(SYNTH_CONFIG, n_records="5"))),
+    "n_records over the cap": lambda tmp, log: _synth_file(
+        tmp, json.dumps(dict(SYNTH_CONFIG, n_records=1_000_000_000_000))),
     "log not UTF-8": lambda tmp, log: [
         "verify", "--log", str(_bytes_file(tmp, b"\xff\xfe{}\n")), "--model", "m",
         "--class", "a", "--condition", "c1"],
@@ -401,7 +435,7 @@ def test_internal_value_error_is_not_an_input_error(tmp_path, log_file, monkeypa
     def broken(*args, **kwargs):
         raise ValueError("numerator count exceeds denominator count")
 
-    monkeypatch.setattr("errata.cli.check_all", broken)
+    monkeypatch.setattr("errata.theorems.check_all", broken)
     with pytest.raises(ValueError, match="numerator count"):
         main(["verify", "--log", str(log_file), "--model", "m", "--class", "a",
               "--condition", "c1", "--out", str(tmp_path / "out")])

@@ -3,9 +3,17 @@ import json
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import LOG_A_TEXT, conjunctions_st, logs_st, make_log, queries_st, rec
-from errata import DEFAULT_DISTRIBUTION, LogFormatError, load_log, serialize_log
+from errata import (
+    DEFAULT_DISTRIBUTION,
+    LogFormatError,
+    PredictionLog,
+    PredictionRecord,
+    load_log,
+    serialize_log,
+)
 from event_oracle import Atom, EventQuery, count, predicted_has, truth_has
 
 
@@ -80,6 +88,34 @@ def test_set_field_error_messages(value, message):
     with pytest.raises(LogFormatError) as err:
         load_log(line(ground_truth=value))
     assert str(err.value) == f"line 1: {message}"
+
+
+@pytest.mark.parametrize(
+    "cached, value, message",
+    [
+        (["a"], ["a", "a"], "duplicate entry 'a' in field 'ground_truth'"),
+        (["a"], ["a", ""], "field 'ground_truth' entries must be nonempty strings"),
+        (["a"], [1], "field 'ground_truth' entries must be nonempty strings"),
+        (["x"], [["x"]], "field 'ground_truth' entries must be nonempty strings"),
+        (["a"], "a", "field 'ground_truth' must be an array of strings"),
+    ],
+)
+def test_interned_values_do_not_hide_a_bad_line(cached, value, message):
+    # Equal valid arrays share one set within a load; a later bad value
+    # that looks like a cached one must still be rejected with its own line.
+    text = "\n".join([
+        line(sample_id="s1", predicted=cached, ground_truth=cached),
+        line(sample_id="s2", ground_truth=cached, conditions=cached),
+        line(sample_id="s3", ground_truth=value),
+    ])
+    with pytest.raises(LogFormatError) as err:
+        load_log(text)
+    assert str(err.value) == f"line 3: {message}"
+
+
+def test_equal_set_values_are_shared_within_a_load():
+    log = load_log(line(sample_id="s1", predicted=["a"]) + "\n" + line(sample_id="s2", ground_truth=["a"]))
+    assert log.records[0].predicted is log.records[1].ground_truth
 
 
 @pytest.mark.parametrize(
@@ -216,6 +252,52 @@ def test_roundtrip_bit_exact(log):
     assert again == log
     assert all(dataclasses.asdict(a) == dataclasses.asdict(b) for a, b in zip(again, log))
     assert serialize_log(again) == text
+
+
+def _serialize_oracle(log):
+    """serialize_log as first written: one dict per record through
+    ``JSONEncoder(separators=(",", ":"))``."""
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    lines = []
+    for r in log:
+        obj = {
+            "sample_id": r.sample_id,
+            "model_id": r.model_id,
+            "predicted": sorted(r.predicted),
+            "ground_truth": sorted(r.ground_truth),
+            "conditions": sorted(r.conditions),
+        }
+        if r.distribution != DEFAULT_DISTRIBUTION:
+            obj["distribution"] = r.distribution
+        lines.append(encode(obj))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+# Quotes, backslashes, control characters and non-ASCII text, which the
+# encoder escapes.
+awkward_text_st = st.text(
+    st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\U0001f600'), st.characters()),
+    min_size=1,
+    max_size=6,
+)
+awkward_sets_st = st.frozensets(awkward_text_st, max_size=3)
+awkward_records_st = st.builds(
+    PredictionRecord,
+    awkward_text_st,
+    st.sampled_from(("m", "n\u00e9", 'q"\\')),
+    awkward_sets_st,
+    awkward_sets_st,
+    awkward_sets_st,
+    st.one_of(st.just(DEFAULT_DISTRIBUTION), awkward_text_st),
+)
+
+
+@given(st.lists(awkward_records_st, max_size=8, unique_by=lambda r: r.key))
+def test_serialize_log_matches_encoder_oracle(records):
+    log = PredictionLog(tuple(records))
+    text = serialize_log(log)
+    assert text == _serialize_oracle(log)
+    assert load_log(text) == log
 
 
 @given(logs_st(), queries_st(), queries_st())

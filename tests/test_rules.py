@@ -12,6 +12,7 @@ from errata import (
     CorrectionRule,
     DetectionRule,
     LogMismatchError,
+    RecordTrace,
     RuleSet,
     TheoremVerdict,
     UnknownConditionError,
@@ -536,3 +537,40 @@ def test_apply_rules_matches_two_stage_reference(log, detections, corrections):
         assert got == replace(before, predicted=predicted)
         assert (entry.sample_id, entry.model_id) == before.key
         assert (entry.erased, entry.added, entry.conflict) == (erased, added, conflict)
+
+
+def _assert_matches_reference(log, rules, after, trace):
+    expected = _two_stage(log, rules)
+    for before, got, entry, (predicted, erased, added, conflict) in zip(
+        log, after, trace.entries, expected
+    ):
+        assert got == replace(before, predicted=predicted)
+        assert (entry.sample_id, entry.model_id) == before.key
+        assert (entry.erased, entry.added, entry.conflict) == (erased, added, conflict)
+
+
+def test_apply_rules_touching_no_record():
+    log = _fixture_log(({"a"}, {"c1"}), ({"b"}, {"c2"}), ({"c"}, {"c3"}))
+    rules = RuleSet(
+        (DetectionRule("m", "a", ConditionBody.of("c2")), DetectionRule("n", "b", ConditionBody.of("c2"))),
+        (CorrectionRule("m", "b", {("c1", "a")}),),
+    )
+    after, trace = apply_rules(log, rules)
+    assert all(got is before for got, before in zip(after, log))
+    assert trace.touched == () and trace.nonempty() == ()
+    assert trace.to_dict() == {"entries": []}
+    assert trace.entries == tuple(RecordTrace(*r.key) for r in log)
+    _assert_matches_reference(log, rules, after, trace)
+
+
+def test_apply_rules_touching_every_record():
+    log = _fixture_log(({"a"}, {"c1"}), ({"a", "b"}, {"c1", "c2"}), ({"a", "c"}, {"c1", "c3"}))
+    rules = RuleSet(
+        (DetectionRule("m", "a", ConditionBody.of("c1")),),
+        (CorrectionRule("m", "b", {("c2", "a")}), CorrectionRule("m", "d", {("c3", "c")})),
+    )
+    after, trace = apply_rules(log, rules)
+    assert trace.touched == trace.nonempty() == trace.entries
+    assert [e.sample_id for e in trace.touched] == [r.sample_id for r in log]
+    assert [r.predicted for r in after] == [frozenset(), {"b"}, {"c", "d"}]
+    _assert_matches_reference(log, rules, after, trace)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from errata.synth import MAX_RECORDS
 from errata import (
     ConditionBody,
     SynthConfig,
@@ -93,6 +94,22 @@ def test_config_rejects_override_for_unknown_condition():
 def test_config_rejects_nonpositive_records():
     with pytest.raises(SynthConfigError):
         SynthConfig.from_dict(base_config(n_records=0))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("seed", 1.5), ("seed", True), ("n_records", "5"), ("n_records", 5.0), ("n_records", False)],
+)
+def test_config_integer_fields_are_strict(key, value):
+    with pytest.raises(SynthConfigError) as err:
+        SynthConfig.from_dict(base_config(**{key: value}))
+    assert str(err.value) == f"{key}: expected an integer, got {value!r}"
+
+
+def test_config_caps_n_records_before_drawing():
+    with pytest.raises(SynthConfigError, match=f"n_records must be at most {MAX_RECORDS}"):
+        SynthConfig.from_dict(base_config(n_records=1_000_000_000_000))
+    assert SynthConfig.from_dict(base_config(n_records=MAX_RECORDS)).n_records == MAX_RECORDS
 
 
 # ---------------------------------------------------------------------------
