@@ -15,6 +15,20 @@ record-walking reference, ``tests/event_oracle.py``.
 frozenset, and only arrays that passed validation are reused, so every
 line is still checked and its errors still carry its line number.
 
+It also parses each distinct line *tail* once per load. A canonical line
+(as ``serialize_log`` writes it) starts ``{"sample_id":"``, and its tail
+is the text after the id string. A tail is remembered only after a whole
+line ending in it has passed the full parse and validation; a later
+canonical line with a nonempty id and a remembered tail takes that line's
+validated fields and keeps its own id. This is sound because what the
+decoder does after the id string does not depend on the id: the later
+line parses to the same keys and values apart from ``sample_id``, so it
+passes every check the earlier line passed. A tail that repeats the
+``"sample_id"`` key fails its first line and is never remembered. Any
+other line takes the full parse, so its errors are unchanged, and the
+(sample_id, model_id) duplicate check runs on every line. A load whose
+tails do not repeat stops looking them up.
+
 JSONL schema (one object per line, strict — unknown fields are rejected):
 
     sample_id     string, required
@@ -200,6 +214,25 @@ class PredictionLog:
 # JSONL ingestion / serialization
 # ---------------------------------------------------------------------------
 
+_new_object = object.__new__
+(_set_sample_id, _set_model_id, _set_predicted, _set_ground_truth, _set_conditions,
+ _set_distribution) = (PredictionRecord.__dict__[name].__set__ for name in _SCHEMA_FIELDS)
+
+
+def _record(sample_id, model_id, predicted, ground_truth, conditions, distribution):
+    """A ``PredictionRecord`` over validated fields, filled through its slot
+    descriptors: the frozen ``__init__`` and ``__post_init__`` would only
+    redo checks these fields passed."""
+    record = _new_object(PredictionRecord)
+    _set_sample_id(record, sample_id)
+    _set_model_id(record, model_id)
+    _set_predicted(record, predicted)
+    _set_ground_truth(record, ground_truth)
+    _set_conditions(record, conditions)
+    _set_distribution(record, distribution)
+    return record
+
+
 def _parse_set_field(value, name: str, lineno: int, interned: dict) -> frozenset[str]:
     """The set a JSON array stands for, shared by equal arrays of one load.
     Only arrays that passed validation enter ``interned``."""
@@ -239,7 +272,7 @@ def _parse_record(obj: dict, lineno: int, interned: dict) -> PredictionRecord:
     distribution = obj.get(DISTRIBUTION, DEFAULT_DISTRIBUTION)
     if not isinstance(distribution, str) or not distribution:
         raise LogFormatError(f"line {lineno}: field 'distribution' must be a nonempty string")
-    return PredictionRecord(
+    return _record(
         obj["sample_id"],
         obj["model_id"],
         _parse_set_field(obj[PREDICTED], PREDICTED, lineno, interned),
@@ -262,38 +295,75 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+_scanstring = json.decoder.scanstring  # the decoder's own string scanner
+_CANONICAL_HEAD = '{"sample_id":"'  # how every serialize_log line starts
+_ID_START = len(_CANONICAL_HEAD)
+# A load stops looking up tails if its first this-many distinct tails came
+# from fewer than twice as many lines: a lookup that always misses costs
+# about a tenth of the parse it would save.
+_TAIL_TRIAL = 1024
+
+
+def _decode_line(line: str, lineno: int) -> dict:
+    """The JSON object on one stripped, nonblank line."""
+    try:
+        # raw_decode skips decode's two whitespace scans: the line is
+        # stripped, so anything after the value is extra data.
+        obj, end = _DECODER.raw_decode(line)
+        if end != len(line):
+            raise json.JSONDecodeError("Extra data", line, end)
+    except json.JSONDecodeError as exc:
+        msg = exc.msg
+        if line.startswith("\ufeff"):  # json.loads names the BOM; raw_decode does not
+            msg = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+        raise LogFormatError(f"line {lineno}: malformed JSON ({msg})") from exc
+    except LogFormatError as exc:
+        raise LogFormatError(f"line {lineno}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise LogFormatError(f"line {lineno}: expected a JSON object")
+    return obj
 
 
 def load_log(source: str | Iterable[str]) -> PredictionLog:
     """Parse line-delimited JSON into a validated log.
 
     Rejection errors carry the 1-based line number of the offending line.
-    Blank lines are skipped; an empty source yields an empty log.
+    Blank lines are skipped; an empty source yields an empty log. A
+    canonical line whose tail an earlier line already validated is not
+    parsed again (see the module docstring).
     """
     lines = source.splitlines() if isinstance(source, str) else source
     records: list[PredictionRecord] = []
     seen: dict[tuple[str, str], int] = {}
     interned: dict[tuple[str, ...], frozenset[str]] = {}
+    # Tail text -> the first record whose line ended in it. The record holds
+    # the validated fields and is kept anyway, so the cache adds no object
+    # for the garbage collector to trace.
+    tails: dict[str, PredictionRecord] = {}
+    reuse = True
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
-        try:
-            # raw_decode skips decode's two whitespace scans: the line is
-            # stripped, so anything after the value is extra data.
-            obj, end = _DECODER.raw_decode(line)
-            if end != len(line):
-                raise json.JSONDecodeError("Extra data", line, end)
-        except json.JSONDecodeError as exc:
-            msg = exc.msg
-            if line.startswith("\ufeff"):  # json.loads names the BOM; raw_decode does not
-                msg = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
-            raise LogFormatError(f"line {lineno}: malformed JSON ({msg})") from exc
-        except LogFormatError as exc:
-            raise LogFormatError(f"line {lineno}: {exc}") from None
-        if not isinstance(obj, dict):
-            raise LogFormatError(f"line {lineno}: expected a JSON object")
-        record = _parse_record(obj, lineno, interned)
+        tail = like = None
+        if reuse and line.startswith(_CANONICAL_HEAD):
+            try:
+                sample_id, end = _scanstring(line, _ID_START)
+            except json.JSONDecodeError:
+                pass  # the full parse reports it
+            else:
+                tail = line[end:]
+                if sample_id:
+                    like = tails.get(tail)
+        if like is None:
+            record = _parse_record(_decode_line(line, lineno), lineno, interned)
+            if tail is not None:
+                tails[tail] = record
+                if len(tails) == _TAIL_TRIAL and len(records) < 2 * _TAIL_TRIAL:
+                    reuse = False  # most tails so far were new: they do not repeat
+        else:
+            record = _record(sample_id, like.model_id, like.predicted, like.ground_truth,
+                             like.conditions, like.distribution)
         key = (record.sample_id, record.model_id)
         if key in seen:
             raise LogFormatError(

@@ -63,6 +63,22 @@ class DistributionSpec:
     confidence_override: Mapping[str, Fraction] = field(default_factory=dict)
 
 
+_CONFIG_KEYS = frozenset({"seed", "n_records", "model_id", "labels", "class_priors", "confusion",
+                          "planted_conditions", "distributions"})
+_CONFUSION_KEYS = frozenset({"predicted", "weight"})
+_PLANTED_KEYS = frozenset({"condition_id", "target_class", "target_support", "target_confidence"})
+_DISTRIBUTION_KEYS = frozenset({"tag", "record_fraction", "confidence_override"})
+
+
+def _reject_unknown_keys(obj, allowed: frozenset, where: str) -> None:
+    """Name the first unknown key of a config object, after its path. A
+    value that is not an object is left to the reader of its fields."""
+    if isinstance(obj, dict) and not obj.keys() <= allowed:
+        unknown = min(set(obj) - allowed, key=str)
+        prefix = f"{where}: " if where else ""
+        raise SynthConfigError(f"{prefix}unknown key {unknown!r}")
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Generator settings; see from_dict for the file shape."""
@@ -158,7 +174,9 @@ class SynthConfig:
         """Parse the JSON config shape.
 
         ``seed`` and ``n_records`` are JSON integers, ``n_records`` at most
-        ``MAX_RECORDS``. Rationals may be numbers or "num/den" strings::
+        ``MAX_RECORDS``. A key not shown below is rejected, with its path
+        (``confusion.a[0]: unknown key 'typo'``). Rationals may be numbers
+        or "num/den" strings::
 
             {"seed": 1, "n_records": 100, "model_id": "m",
              "labels": ["a", "b"],
@@ -175,6 +193,14 @@ class SynthConfig:
                                  "confidence_override": {"c1": 0}}]}
         """
         try:
+            _reject_unknown_keys(obj, _CONFIG_KEYS, "")
+            for label, rows in obj["confusion"].items():
+                for i, entry in enumerate(rows):
+                    _reject_unknown_keys(entry, _CONFUSION_KEYS, f"confusion.{label}[{i}]")
+            for name, keys in (("planted_conditions", _PLANTED_KEYS),
+                               ("distributions", _DISTRIBUTION_KEYS)):
+                for i, entry in enumerate(obj.get(name, ())):
+                    _reject_unknown_keys(entry, keys, f"{name}[{i}]")
             confusion = {
                 label: tuple(
                     (frozenset(entry["predicted"]), as_fraction(entry["weight"]))

@@ -14,6 +14,7 @@ from errata import (
     load_log,
     serialize_log,
 )
+from errata import logs as logs_module
 from event_oracle import Atom, EventQuery, count, predicted_has, truth_has
 
 
@@ -169,6 +170,86 @@ def test_record_order_preserved():
 
 
 # ---------------------------------------------------------------------------
+# Canonical lines: a tail that an earlier line validated is not parsed again.
+# Build these with serialize_log; line() writes ": " separators, which never
+# take that path.
+# ---------------------------------------------------------------------------
+
+TAILS = [
+    dict(predicted={"a"}, ground_truth={"a"}, conditions=set()),
+    dict(predicted={"a"}, ground_truth={"b"}, conditions={"c1"}),
+    dict(predicted=set(), ground_truth={"b"}, conditions={"c1", "c2"}, distribution="d1"),
+]
+
+
+def canonical_lines(n, tails=TAILS):
+    log = make_log(*(rec(f"s{i}", **tails[i % len(tails)]) for i in range(n)))
+    return log, serialize_log(log).splitlines()
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    calls = []
+    parse = logs_module._parse_record
+
+    def counted(obj, lineno, interned):
+        calls.append(lineno)
+        return parse(obj, lineno, interned)
+
+    monkeypatch.setattr(logs_module, "_parse_record", counted)
+    return calls
+
+
+def test_repeated_tails_are_parsed_once(parse_calls):
+    log, lines = canonical_lines(100)
+    assert load_log("\n".join(lines)) == log
+    assert parse_calls == [1, 2, 3]
+
+
+def test_empty_id_on_a_cached_tail_rejected():
+    _, lines = canonical_lines(2, TAILS[:1])
+    lines[1] = lines[1].replace('"sample_id":"s1"', '"sample_id":""')
+    with pytest.raises(LogFormatError) as err:
+        load_log("\n".join(lines))
+    assert str(err.value) == "line 2: field 'sample_id' must be a nonempty string"
+
+
+def test_tail_with_a_second_sample_id_is_never_cached(parse_calls):
+    _, lines = canonical_lines(4, TAILS[:1])
+    lines[2] = lines[2][:-1] + ',"sample_id":"r9"}'
+    lines[3] = lines[3][:-1] + ',"sample_id":"r9"}'
+    with pytest.raises(LogFormatError) as err:
+        load_log("\n".join(lines))
+    assert str(err.value) == "line 3: duplicate key 'sample_id'"
+    assert parse_calls == [1]
+
+
+@pytest.mark.parametrize("id_text", ['a\\"b', "\u00e9", "\\u00e9", "\\\\", "a\x01b", "\\ud800", "a\\x"])
+def test_cached_tail_decodes_ids_like_json_loads(id_text):
+    # Line 1 caches the tail; line 2 reuses it with an awkward id.
+    _, lines = canonical_lines(1, TAILS[1:2])
+    second = lines[0].replace('"s0"', f'"{id_text}"', 1)
+    try:
+        expected = json.loads(second)["sample_id"]
+    except json.JSONDecodeError as exc:
+        with pytest.raises(LogFormatError) as err:
+            load_log(lines[0] + "\n" + second)
+        assert str(err.value) == f"line 2: malformed JSON ({exc.msg})"
+    else:
+        assert load_log(lines[0] + "\n" + second).records[1].sample_id == expected
+
+
+def test_tails_that_do_not_repeat_stop_the_lookup(parse_calls):
+    # Every early tail is new, so the load parses every line in full; the
+    # log is the same either way.
+    n = 2 * logs_module._TAIL_TRIAL + 50
+    conditions = [{f"k{i}"} for i in range(n - 50)] + [{"c1"}] * 50
+    log = make_log(*(rec(f"s{i}", conditions=c) for i, c in enumerate(conditions)))
+    assert load_log(serialize_log(log)) == log
+    assert len(parse_calls) == n
+
+
+# ---------------------------------------------------------------------------
 # Slicing and counting (LOG-A hand counts)
 # ---------------------------------------------------------------------------
 
@@ -254,10 +335,10 @@ def test_roundtrip_bit_exact(log):
     assert serialize_log(again) == text
 
 
-def _serialize_oracle(log):
+def _serialize_oracle(log, separators=(",", ":")):
     """serialize_log as first written: one dict per record through
     ``JSONEncoder(separators=(",", ":"))``."""
-    encode = json.JSONEncoder(separators=(",", ":")).encode
+    encode = json.JSONEncoder(separators=separators).encode
     lines = []
     for r in log:
         obj = {
@@ -271,6 +352,13 @@ def _serialize_oracle(log):
             obj["distribution"] = r.distribution
         lines.append(encode(obj))
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+@given(logs_st())
+def test_canonical_and_full_parse_load_the_same_log(log):
+    # json.dumps's default ", "/": " separators never take the tail path.
+    assert load_log(serialize_log(log)) == log
+    assert load_log(_serialize_oracle(log, separators=(", ", ": "))) == log
 
 
 # Quotes, backslashes, control characters and non-ASCII text, which the

@@ -106,6 +106,40 @@ def test_config_integer_fields_are_strict(key, value):
     assert str(err.value) == f"{key}: expected an integer, got {value!r}"
 
 
+def _with_typo(path, key="typo"):
+    cfg = base_config(distributions=[{"tag": "d1", "record_fraction": 1, "confidence_override": {}}])
+    target = cfg
+    for step in path:
+        target = target[step]
+    target[key] = 1
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "path, key, message",
+    [
+        ((), "extra", "unknown key 'extra'"),
+        ((), "planted_conditons", "unknown key 'planted_conditons'"),
+        (("confusion", "a", 0), "typo", "confusion.a[0]: unknown key 'typo'"),
+        (("confusion", "b", 1), "typo", "confusion.b[1]: unknown key 'typo'"),
+        (("planted_conditions", 0), "target_suport", "planted_conditions[0]: unknown key 'target_suport'"),
+        (("distributions", 0), "fraction", "distributions[0]: unknown key 'fraction'"),
+    ],
+)
+def test_config_rejects_unknown_keys(path, key, message):
+    # Each of these used to be ignored: a misspelled "planted_conditons"
+    # silently gave a log with no planted conditions.
+    with pytest.raises(SynthConfigError) as err:
+        SynthConfig.from_dict(_with_typo(path, key))
+    assert str(err.value) == message
+
+
+def test_config_names_the_first_unknown_key():
+    with pytest.raises(SynthConfigError) as err:
+        SynthConfig.from_dict(base_config(zeta=1, extra=2))
+    assert str(err.value) == "unknown key 'extra'"
+
+
 def test_config_caps_n_records_before_drawing():
     with pytest.raises(SynthConfigError, match=f"n_records must be at most {MAX_RECORDS}"):
         SynthConfig.from_dict(base_config(n_records=1_000_000_000_000))
