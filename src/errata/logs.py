@@ -26,8 +26,7 @@ line parses to the same keys and values apart from ``sample_id``, so it
 passes every check the earlier line passed. A tail that repeats the
 ``"sample_id"`` key fails its first line and is never remembered. Any
 other line takes the full parse, so its errors are unchanged, and the
-(sample_id, model_id) duplicate check runs on every line. A load whose
-tails do not repeat stops looking them up.
+(sample_id, model_id) duplicate check runs on every line.
 
 JSONL schema (one object per line, strict — unknown fields are rejected):
 
@@ -298,10 +297,6 @@ _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 _scanstring = json.decoder.scanstring  # the decoder's own string scanner
 _CANONICAL_HEAD = '{"sample_id":"'  # how every serialize_log line starts
 _ID_START = len(_CANONICAL_HEAD)
-# A load stops looking up tails if its first this-many distinct tails came
-# from fewer than twice as many lines: a lookup that always misses costs
-# about a tenth of the parse it would save.
-_TAIL_TRIAL = 1024
 
 
 def _decode_line(line: str, lineno: int) -> dict:
@@ -340,13 +335,12 @@ def load_log(source: str | Iterable[str]) -> PredictionLog:
     # the validated fields and is kept anyway, so the cache adds no object
     # for the garbage collector to trace.
     tails: dict[str, PredictionRecord] = {}
-    reuse = True
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
         tail = like = None
-        if reuse and line.startswith(_CANONICAL_HEAD):
+        if line.startswith(_CANONICAL_HEAD):
             try:
                 sample_id, end = _scanstring(line, _ID_START)
             except json.JSONDecodeError:
@@ -359,8 +353,6 @@ def load_log(source: str | Iterable[str]) -> PredictionLog:
             record = _parse_record(_decode_line(line, lineno), lineno, interned)
             if tail is not None:
                 tails[tail] = record
-                if len(tails) == _TAIL_TRIAL and len(records) < 2 * _TAIL_TRIAL:
-                    reuse = False  # most tails so far were new: they do not repeat
         else:
             record = _record(sample_id, like.model_id, like.predicted, like.ground_truth,
                              like.conditions, like.distribution)

@@ -70,13 +70,22 @@ _PLANTED_KEYS = frozenset({"condition_id", "target_class", "target_support", "ta
 _DISTRIBUTION_KEYS = frozenset({"tag", "record_fraction", "confidence_override"})
 
 
-def _reject_unknown_keys(obj, allowed: frozenset, where: str) -> None:
-    """Name the first unknown key of a config object, after its path. A
-    value that is not an object is left to the reader of its fields."""
+def _known_keys(obj, allowed: frozenset, where: str):
+    """``obj``, once no key of it is unknown; the error names the first
+    unknown key after its path. A value that is not an object is left to
+    the reader of its fields."""
     if isinstance(obj, dict) and not obj.keys() <= allowed:
         unknown = min(set(obj) - allowed, key=str)
         prefix = f"{where}: " if where else ""
         raise SynthConfigError(f"{prefix}unknown key {unknown!r}")
+    return obj
+
+
+def _entries(rows, allowed: frozenset, where: str):
+    """The objects of a config list, each checked by ``_known_keys`` as it
+    is read."""
+    for i, entry in enumerate(rows):
+        yield _known_keys(entry, allowed, f"{where}[{i}]")
 
 
 @dataclass(frozen=True)
@@ -193,18 +202,11 @@ class SynthConfig:
                                  "confidence_override": {"c1": 0}}]}
         """
         try:
-            _reject_unknown_keys(obj, _CONFIG_KEYS, "")
-            for label, rows in obj["confusion"].items():
-                for i, entry in enumerate(rows):
-                    _reject_unknown_keys(entry, _CONFUSION_KEYS, f"confusion.{label}[{i}]")
-            for name, keys in (("planted_conditions", _PLANTED_KEYS),
-                               ("distributions", _DISTRIBUTION_KEYS)):
-                for i, entry in enumerate(obj.get(name, ())):
-                    _reject_unknown_keys(entry, keys, f"{name}[{i}]")
+            _known_keys(obj, _CONFIG_KEYS, "")
             confusion = {
                 label: tuple(
                     (frozenset(entry["predicted"]), as_fraction(entry["weight"]))
-                    for entry in rows
+                    for entry in _entries(rows, _CONFUSION_KEYS, f"confusion.{label}")
                 )
                 for label, rows in obj["confusion"].items()
             }
@@ -224,7 +226,8 @@ class SynthConfig:
                         as_fraction(pc["target_support"]),
                         as_fraction(pc["target_confidence"]),
                     )
-                    for pc in obj.get("planted_conditions", ())
+                    for pc in _entries(obj.get("planted_conditions", ()), _PLANTED_KEYS,
+                                       "planted_conditions")
                 ),
                 distributions=tuple(
                     DistributionSpec(
@@ -235,7 +238,8 @@ class SynthConfig:
                             for cid, v in d.get("confidence_override", {}).items()
                         },
                     )
-                    for d in obj.get("distributions", ())
+                    for d in _entries(obj.get("distributions", ()), _DISTRIBUTION_KEYS,
+                                      "distributions")
                 ),
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -239,16 +239,6 @@ def test_cached_tail_decodes_ids_like_json_loads(id_text):
         assert load_log(lines[0] + "\n" + second).records[1].sample_id == expected
 
 
-def test_tails_that_do_not_repeat_stop_the_lookup(parse_calls):
-    # Every early tail is new, so the load parses every line in full; the
-    # log is the same either way.
-    n = 2 * logs_module._TAIL_TRIAL + 50
-    conditions = [{f"k{i}"} for i in range(n - 50)] + [{"c1"}] * 50
-    log = make_log(*(rec(f"s{i}", conditions=c) for i, c in enumerate(conditions)))
-    assert load_log(serialize_log(log)) == log
-    assert len(parse_calls) == n
-
-
 # ---------------------------------------------------------------------------
 # Slicing and counting (LOG-A hand counts)
 # ---------------------------------------------------------------------------
