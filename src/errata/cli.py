@@ -262,7 +262,7 @@ def _cmd_apply(args) -> int:
     applied, trace = apply_rules(log, rules)
     run = _Run("apply", args.out, [args.log, args.rules], None, None)
     run.write("applied.jsonl", serialize_log(applied))
-    run.write_json("trace.json", trace.to_dict())
+    run.write("trace.json", trace.to_json() + "\n")
     run.finish()
     touched = trace.nonempty()
     reinstated = sum(len(e.reinstated) for e in touched)

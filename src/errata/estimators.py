@@ -3,8 +3,13 @@
 All estimates are plain empirical frequencies: count(event ∧ given) over
 count(given), kept as integer count pairs. A zero conditioning count makes
 the estimate UNDEFINED — a value, not an error — and undefinedness
-propagates through derived quantities. Every count comes from
-``joint_counts``, which reads the log's bitset index.
+propagates through derived quantities. Every count comes from the log's
+bitset index, through ``joint_counts`` or a mask read from it.
+
+A decision (is a body error detecting, does it raise precision, which
+candidate scores higher) compares unreduced integer ``(num, den)`` ratios
+by cross-multiplication; ``Fraction`` and ``Probability`` are built only
+for values a report carries.
 """
 
 from __future__ import annotations
@@ -16,6 +21,45 @@ from typing import Iterable
 
 from .logs import PredictionLog
 from .rational import format_rational
+
+
+# ---------------------------------------------------------------------------
+# Integer ratios: (num, den) pairs, den > 0, never reduced
+# ---------------------------------------------------------------------------
+
+Ratio = tuple[int, int]
+_ZERO: Ratio = (0, 1)
+_ONE: Ratio = (1, 1)
+
+
+def _sub(x: Ratio, y: Ratio) -> Ratio:
+    return (x[0] * y[1] - y[0] * x[1], x[1] * y[1])
+
+
+def _mul(x: Ratio, y: Ratio) -> Ratio:
+    return (x[0] * y[0], x[1] * y[1])
+
+
+def _div(x: Ratio, y: Ratio) -> Ratio:
+    # Callers divide only by a positive ratio, so the denominator stays
+    # positive.
+    return (x[0] * y[1], x[1] * y[0])
+
+
+def _eq(x: Ratio, y: Ratio) -> bool:
+    return x[0] * y[1] == y[0] * x[1]
+
+
+def _le(x: Ratio, y: Ratio) -> bool:
+    return x[0] * y[1] <= y[0] * x[1]
+
+
+def _lt(x: Ratio, y: Ratio) -> bool:
+    return x[0] * y[1] < y[0] * x[1]
+
+
+def _fraction(r: Ratio | None) -> Fraction | None:
+    return None if r is None else Fraction(*r)
 
 
 class Verdict(str, Enum):
@@ -137,6 +181,16 @@ class JointCounts:
     union_beta_gt: int = 0       # ... ∧ β ∈ gt
 
 
+def body_mask(log: PredictionLog, ids: Iterable[str]) -> int:
+    """Records where any of the condition ids holds; ids the log never
+    observed hold nowhere."""
+    conditions = log.index.conditions
+    mask = 0
+    for cid in ids:
+        mask |= conditions.get(cid, 0)
+    return mask
+
+
 def joint_counts(
     log: PredictionLog,
     alpha: str,
@@ -157,10 +211,7 @@ def joint_counts(
     scope = ix.scope(model_id, distribution)
     gt = ix.ground_truth.get(alpha, 0) & scope
     pred = ix.predicted.get(alpha, 0) & scope
-    body_mask = 0
-    for cid in ids:
-        body_mask |= ix.conditions.get(cid, 0)
-    pred_body = pred & body_mask
+    pred_body = pred & body_mask(log, ids)
     masks = [scope, gt, pred, pred & gt, pred_body, pred_body & gt]
     if beta is not None:
         beta_gt = ix.ground_truth.get(beta, 0)
@@ -208,13 +259,12 @@ def f1_value(precision: Probability, recall: Probability) -> Fraction | None:
     return 2 * p * r / (p + r)
 
 
-def error_detecting_from_counts(c: JointCounts) -> Verdict:
-    if c.pred == 0 or c.pred_body == 0:
+def _error_detecting(pred: int, pred_gt: int, pred_body: int, pred_body_gt: int) -> Verdict:
+    if pred == 0 or pred_body == 0:
         return Verdict.UNDEFINED
     # Non-strict by definition: equality still counts as error detecting.
-    conditioned = Fraction(c.pred_body_gt, c.pred_body)
-    base = Fraction(c.pred_gt, c.pred)
-    return Verdict.YES if conditioned <= base else Verdict.NO
+    conditioned_le_base = pred_body_gt * pred <= pred_gt * pred_body
+    return Verdict.YES if conditioned_le_base else Verdict.NO
 
 
 def is_error_detecting(
@@ -231,7 +281,7 @@ def is_error_detecting(
     side has a zero conditioning count.
     """
     c = joint_counts(log, alpha, body, model_id=model_id, distribution=distribution)
-    return error_detecting_from_counts(c)
+    return _error_detecting(c.pred, c.pred_gt, c.pred_body, c.pred_body_gt)
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,15 +330,22 @@ class InvarianceProfile:
 def invariance_profile(
     log: PredictionLog, model_id: str, alpha: str, body: ConditionBody
 ) -> InvarianceProfile:
-    pooled = joint_counts(log, alpha, body, model_id=model_id)
-    pooled_conf = bundle_from_counts(pooled).confidence
+    """Each tag's counts are the pooled masks narrowed by the tag's mask."""
+    ix = log.index
+    pred = ix.predicted.get(alpha, 0) & ix.scope(model_id)
+    pred_gt = pred & ix.ground_truth.get(alpha, 0)
+    pred_body = pred & body_mask(log, body.condition_ids)
+    pred_body_gt = pred_body & pred_gt
+    pb, pbg = pred_body.bit_count(), pred_body_gt.bit_count()
+    pooled_conf = Probability(pb - pbg, pb)
     rows = []
-    for tag in sorted(log.distribution_universe):
-        c = joint_counts(log, alpha, body, model_id=model_id, distribution=tag)
-        conf = bundle_from_counts(c).confidence
-        gap = None
-        if conf.value is not None and pooled_conf.value is not None:
-            gap = abs(conf.value - pooled_conf.value)
-        rows.append(InvarianceRow(tag, error_detecting_from_counts(c), conf, gap))
+    for tag in sorted(ix.distributions):
+        d = ix.distributions[tag]
+        b, bg = (pred_body & d).bit_count(), (pred_body_gt & d).bit_count()
+        conf = Probability(b - bg, b)
+        # |(b - bg)/b - (pb - pbg)/pb|, cross-multiplied
+        gap = Fraction(abs((b - bg) * pb - (pb - pbg) * b), b * pb) if b and pb else None
+        verdict = _error_detecting((pred & d).bit_count(), (pred_gt & d).bit_count(), b, bg)
+        rows.append(InvarianceRow(tag, verdict, conf, gap))
     invariant = all(row.verdict is not Verdict.NO for row in rows)
     return InvarianceProfile(tuple(rows), pooled_conf, invariant)

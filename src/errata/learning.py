@@ -6,8 +6,14 @@ candidates that keep the class's recall reduction within the epsilon
 budget, and stops when no feasible candidate strictly improves. Ties
 always break toward the lexicographically smallest condition id (then
 trigger class), so learning is deterministic regardless of candidate
-iteration order. An exhaustive subset oracle is provided for small
-candidate sets to audit greedy quality.
+iteration order.
+
+Every decision is made on integer counts read from the log's index: a
+body's mask is the OR of its conditions' masks, pre-ANDed with the
+class's predictions, and feasibility and every objective comparison are
+cross-multiplications of unreduced ``(num, den)`` ratios. ``Fraction``
+values are built only for the report. A subset oracle, exact by branch
+and bound, audits greedy quality on candidate sets of up to 20 ids.
 """
 
 from __future__ import annotations
@@ -15,13 +21,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 
 from .estimators import (
+    _ZERO,
     ConditionBody,
     MetricBundle,
     Probability,
-    joint_counts,
+    Ratio,
+    _eq,
+    _fraction,
+    _le,
+    _lt,
+    _sub,
     metric_bundle,
 )
 from .logs import InputError, PredictionLog
@@ -169,6 +180,36 @@ class LearnReport:
 # Detection learning
 # ---------------------------------------------------------------------------
 
+def _objective_ratio(
+    objective: Objective,
+    n_pred: int,
+    n_pred_gt: int,
+    n_gt: int,
+    pred_body: int,
+    pred_body_gt: int,
+) -> Ratio | None:
+    """Objective of a body from its counts, as an unreduced ratio with a
+    positive denominator (given n_pred > 0); None when undefined.
+
+    SUPPORT_TIMES_CONFIDENCE collapses to (body-covered errors)/predictions,
+    which makes the zero-support case an exact 0 rather than undefined.
+    With kept = n_pred − pred_body predictions left and kept_gt =
+    n_pred_gt − pred_body_gt of them correct, the precision gain is
+    kept_gt/kept − n_pred_gt/n_pred and F1 is 2·kept_gt/(kept + n_gt).
+    """
+    if objective is Objective.SUPPORT_TIMES_CONFIDENCE:
+        return (pred_body - pred_body_gt, n_pred)
+    kept = n_pred - pred_body
+    if kept == 0:
+        return None  # every prediction erased: post-rule precision undefined
+    if objective is Objective.PRECISION_GAIN:
+        return (n_pred_gt * pred_body - pred_body_gt * n_pred, n_pred * kept)
+    kept_gt = n_pred_gt - pred_body_gt
+    if n_gt == 0 or kept_gt == 0:
+        return None  # recall undefined, or precision + recall = 0
+    return (2 * kept_gt, kept + n_gt)
+
+
 def _objective_value(
     objective: Objective,
     n_pred: int,
@@ -177,24 +218,92 @@ def _objective_value(
     pred_body: int,
     pred_body_gt: int,
 ) -> Fraction | None:
-    """Objective of a body from its counts; None when undefined.
+    """Objective of a body from its counts; None when undefined."""
+    return _fraction(_objective_ratio(objective, n_pred, n_pred_gt, n_gt, pred_body, pred_body_gt))
 
-    SUPPORT_TIMES_CONFIDENCE collapses to (body-covered errors)/predictions,
-    which makes the zero-support case an exact 0 rather than undefined.
+
+class _Kernel:
+    """Scoring of condition bodies for one (log, model, class α).
+
+    Reads the scope's α predictions, their correct part and the counts once
+    from the index; ``mask`` gives a condition's records pre-ANDed with the
+    predictions, so a body's mask is the OR of its conditions' masks and
+    its counts are two ``bit_count`` calls.
     """
-    if objective is Objective.SUPPORT_TIMES_CONFIDENCE:
-        return Fraction(pred_body - pred_body_gt, n_pred)
-    if pred_body == n_pred:
-        return None  # every prediction erased: post-rule precision undefined
-    post_precision = Fraction(n_pred_gt - pred_body_gt, n_pred - pred_body)
-    if objective is Objective.PRECISION_GAIN:
-        return post_precision - Fraction(n_pred_gt, n_pred)
-    if n_gt == 0:
-        return None
-    post_recall = Fraction(n_pred_gt - pred_body_gt, n_gt)
-    if post_precision + post_recall == 0:
-        return None
-    return 2 * post_precision * post_recall / (post_precision + post_recall)
+
+    __slots__ = ("objective", "epsilon", "conditions", "pred", "pred_gt",
+                 "n_pred", "n_pred_gt", "n_gt")
+
+    def __init__(self, log: PredictionLog, model_id: str, alpha: str, cfg: LearnConfig):
+        ix = log.index
+        scope = ix.scope(model_id)
+        self.objective = cfg.objective
+        self.epsilon = (cfg.epsilon.numerator, cfg.epsilon.denominator)
+        self.conditions = ix.conditions
+        self.pred = ix.predicted.get(alpha, 0) & scope
+        self.pred_gt = self.pred & ix.ground_truth.get(alpha, 0)
+        self.n_pred = self.pred.bit_count()
+        self.n_pred_gt = self.pred_gt.bit_count()
+        self.n_gt = (ix.ground_truth.get(alpha, 0) & scope).bit_count()
+
+    def mask(self, cid: str) -> int:
+        return self.pred & self.conditions.get(cid, 0)
+
+    def counts(self, mask: int) -> tuple[int, int]:
+        """(pred_body, pred_body_gt) of a body mask."""
+        return mask.bit_count(), (mask & self.pred_gt).bit_count()
+
+    def feasible(self, pred_body_gt: int) -> bool:
+        """Recall reduction pred_body_gt/gt within epsilon; a class absent
+        from the ground truth has no recall to lose."""
+        num, den = self.epsilon
+        return pred_body_gt * den <= num * self.n_gt
+
+    def value(self, pred_body: int, pred_body_gt: int) -> Ratio | None:
+        return _objective_ratio(
+            self.objective, self.n_pred, self.n_pred_gt, self.n_gt, pred_body, pred_body_gt
+        )
+
+
+def _greedy(k: _Kernel, ids: list[str], max_body_size: int | None):
+    """Grow a body one condition at a time; see ``learn_detection``.
+
+    Returns (body, steps, first_step_had_feasible), where each step is
+    (added id, value before, value after, pred_body_gt after) with ratio
+    values. Ties break toward the smallest id: candidates are visited in
+    sorted order and only a strictly higher value replaces the best.
+    """
+    masks = {cid: k.mask(cid) for cid in ids}
+    body: list[str] = []
+    covered = 0
+    current = k.value(0, 0)
+    steps = []
+    first_step_had_feasible = False
+    while max_body_size is None or len(body) < max_body_size:
+        best = None
+        for cid in ids:
+            if cid in body:
+                continue
+            mask = covered | masks[cid]
+            pb, pbg = k.counts(mask)
+            if not k.feasible(pbg):
+                continue
+            if not body:
+                first_step_had_feasible = True
+            value = k.value(pb, pbg)
+            if value is None:
+                continue
+            if current is not None and _le(value, current):
+                continue
+            if best is None or _lt(best[0], value):
+                best = (value, cid, mask, pbg)
+        if best is None:
+            break
+        value, cid, covered, pbg = best
+        steps.append((cid, current, value, pbg))
+        body.append(cid)
+        current = value
+    return body, steps, first_step_had_feasible
 
 
 def learn_detection(
@@ -214,8 +323,8 @@ def learn_detection(
     """
     cfg = cfg or LearnConfig()
     candidate_ids = sorted(set(candidates))
-    base = joint_counts(log, alpha, model_id=model_id)
-    if base.pred == 0:
+    k = _Kernel(log, model_id, alpha, cfg)
+    if k.n_pred == 0:
         report = LearnReport(
             objective=cfg.objective,
             epsilon=cfg.epsilon,
@@ -225,46 +334,18 @@ def learn_detection(
         )
         return None, report
 
-    residual = 1 - Fraction(base.pred_gt, base.pred)
+    # Erasing on a condition raises precision iff its confidence
+    # (pb − pbg)/pb exceeds the residual (n_pred − n_pred_gt)/n_pred.
+    residual_num = k.n_pred - k.n_pred_gt
+    residual = Fraction(residual_num, k.n_pred)
     guards = []
     for cid in candidate_ids:
-        c = joint_counts(log, alpha, (cid,), model_id=model_id)
-        confidence = Probability(c.pred_body - c.pred_body_gt, c.pred_body)
-        improves = None if confidence.value is None else confidence.value > residual
-        guards.append(GuardCheck(cid, confidence, residual, improves))
+        pb, pbg = k.counts(k.mask(cid))
+        improves = None if pb == 0 else (pb - pbg) * k.n_pred > residual_num * pb
+        guards.append(GuardCheck(cid, Probability(pb - pbg, pb), residual, improves))
 
-    baseline = _objective_value(cfg.objective, base.pred, base.pred_gt, base.gt, 0, 0)
-
-    body: list[str] = []
-    current = baseline
-    steps: list[LearnStep] = []
-    first_step_had_feasible = False
-    while cfg.max_body_size is None or len(body) < cfg.max_body_size:
-        best: tuple[Fraction, str, Fraction | None] | None = None
-        for cid in candidate_ids:
-            if cid in body:
-                continue
-            c = joint_counts(log, alpha, (*body, cid), model_id=model_id)
-            reduction = Fraction(c.pred_body_gt, c.gt) if c.gt else None
-            if reduction is not None and reduction > cfg.epsilon:
-                continue
-            if not body:
-                first_step_had_feasible = True
-            value = _objective_value(
-                cfg.objective, c.pred, c.pred_gt, c.gt, c.pred_body, c.pred_body_gt
-            )
-            if value is None:
-                continue
-            if current is not None and value <= current:
-                continue
-            if best is None or value > best[0]:
-                best = (value, cid, reduction)
-        if best is None:
-            break
-        value, cid, reduction = best
-        steps.append(LearnStep(cid, current, value, reduction))
-        body.append(cid)
-        current = value
+    baseline = _fraction(k.value(0, 0))
+    body, ratio_steps, first_step_had_feasible = _greedy(k, candidate_ids, cfg.max_body_size)
 
     if not body:
         reason = NO_IMPROVEMENT if first_step_had_feasible or not candidate_ids else INFEASIBLE
@@ -278,6 +359,11 @@ def learn_detection(
         )
         return None, report
 
+    steps = tuple(
+        LearnStep(cid, _fraction(before), _fraction(after),
+                  Fraction(pbg, k.n_gt) if k.n_gt else None)
+        for cid, before, after, pbg in ratio_steps
+    )
     rule = DetectionRule(model_id, alpha, ConditionBody(frozenset(body)))
     report = LearnReport(
         objective=cfg.objective,
@@ -285,7 +371,7 @@ def learn_detection(
         outcome="RULE",
         reason=None,
         baseline_objective=baseline,
-        steps=tuple(steps),
+        steps=steps,
         guards=tuple(guards),
         final_metrics=metric_bundle(log, model_id, alpha, rule.body),
     )
@@ -319,45 +405,46 @@ def learn_correction(
     scope = ix.scope(model_id)
     beta_gt = ix.ground_truth.get(beta, 0)
 
-    def precision(records: int) -> Probability:
-        """Precision of beta over a mask of (relabeled) records."""
-        return Probability((records & beta_gt).bit_count(), records.bit_count())
+    def precision(records: int) -> Ratio:
+        """Precision of beta over a mask of (relabeled) records, as
+        (correct, records); undefined when records is 0."""
+        return (records & beta_gt).bit_count(), records.bit_count()
 
-    base = precision(scope & ix.predicted.get(beta, 0))
+    base_ratio = precision(scope & ix.predicted.get(beta, 0))
+    base = Probability(*base_ratio)
+    # With an undefined base, any pair of positive precision is admissible.
+    bar = base_ratio if base_ratio[1] else _ZERO
     fires: dict[tuple[str, str], int] = {}
     pair_guards = []
     admissible: list[tuple[str, str]] = []
     for cond, trig in pairs:
         fires[(cond, trig)] = scope & ix.predicted.get(trig, 0) & ix.conditions.get(cond, 0)
         pair_prec = precision(fires[(cond, trig)])
-        if base.value is not None:
-            ok = pair_prec.value is not None and pair_prec.value > base.value
-        else:
-            ok = pair_prec.value is not None and pair_prec.value > 0
-        pair_guards.append(PairGuard(cond, trig, pair_prec, base, ok))
+        ok = pair_prec[1] > 0 and _lt(bar, pair_prec)
+        pair_guards.append(PairGuard(cond, trig, Probability(*pair_prec), base, ok))
         if ok:
             admissible.append((cond, trig))
 
     chosen: list[tuple[str, str]] = []
     covered = 0  # records where some chosen pair fires
-    current: Fraction | None = None
+    current: Ratio | None = None
     steps: list[LearnStep] = []
     while cfg.max_body_size is None or len(chosen) < cfg.max_body_size:
         best = None
         for pair in admissible:
             if pair in chosen:
                 continue
-            value = precision(covered | fires[pair]).value
-            if value is None:
+            value = precision(covered | fires[pair])
+            if value[1] == 0:
                 continue
-            if current is not None and value <= current:
+            if current is not None and _le(value, current):
                 continue
-            if best is None or value > best[0]:
+            if best is None or _lt(best[0], value):
                 best = (value, pair)
         if best is None:
             break
         value, pair = best
-        steps.append(LearnStep(pair, current, value, None))
+        steps.append(LearnStep(pair, _fraction(current), Fraction(*value), None))
         covered |= fires[pair]
         chosen.append(pair)
         current = value
@@ -380,14 +467,36 @@ def learn_correction(
         steps=tuple(steps),
         pair_guards=tuple(pair_guards),
         base_precision=base,
-        final_precision=precision(covered),
+        final_precision=Probability(*precision(covered)),
     )
     return rule, report
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive oracle
+# Subset oracle
 # ---------------------------------------------------------------------------
+
+def _upper_bound(k: _Kernel, pred_body_gt: int, errors_reachable: int) -> Ratio:
+    """Bound on the objective of every body between S and U = S ∪ R.
+
+    Adding a condition never un-erases a prediction, so such a body erases
+    at least the x_S = ``pred_body_gt`` correct predictions S erases and
+    at most the e_U = ``errors_reachable`` errors U covers. Precision
+    after the rule is at most (n_pred_gt − x_S)/(n_pred_gt − x_S + errors
+    − e_U), support × confidence at most e_U/n_pred, and F1 at most
+    2(n_pred_gt − x_S)/(n_pred − x_S − e_U + n_gt). A zero denominator
+    leaves no correct prediction, so the bound on precision and F1 is 0.
+    """
+    n_pred = k.n_pred
+    if k.objective is Objective.SUPPORT_TIMES_CONFIDENCE:
+        return (errors_reachable, n_pred)
+    kept_gt = k.n_pred_gt - pred_body_gt
+    kept = n_pred - pred_body_gt - errors_reachable
+    if k.objective is Objective.PRECISION_GAIN:
+        post = (kept_gt, kept) if kept else _ZERO
+        return _sub(post, (k.n_pred_gt, n_pred))
+    return (2 * kept_gt, kept + k.n_gt) if kept + k.n_gt else _ZERO
+
 
 def exhaustive_oracle(
     log: PredictionLog,
@@ -396,39 +505,82 @@ def exhaustive_oracle(
     candidates,
     cfg: LearnConfig | None = None,
 ) -> tuple[frozenset[str] | None, Fraction | None]:
-    """Best feasible body by brute force over every nonempty subset.
+    """Best feasible body over every nonempty subset, by branch and bound.
 
     Returns (None, None) when no feasible subset strictly beats the
     empty-body objective. Ties break toward the smaller body, then the
-    lexicographically smaller id tuple; subsets are visited in that order,
-    so the first maximum wins. Candidate sets above 20 ids are rejected.
+    lexicographically smaller id tuple. Candidate sets above 20 ids are
+    rejected.
+
+    The search is depth-first, seeded with the greedy body, and visits
+    each subset once. Feasibility is anti-monotone (a superset erases at
+    least as many correct predictions), so an infeasible subset ends its
+    subtree, and an extension infeasible beside a body is dropped from the
+    body's whole subtree. A subtree is skipped when its upper bound
+    (``_upper_bound``) is at most the empty-body objective, or strictly
+    below the best body found, or equal to it while every body in the
+    subtree is larger. These cuts drop only bodies that would lose, and
+    ties are decided by explicit comparison, so the visiting order (the
+    extensions covering the most errors first) does not change the result.
     """
     cfg = cfg or LearnConfig()
     ids = sorted(set(candidates))
     if len(ids) > 20:
         raise ValueError(f"candidate set too large for enumeration ({len(ids)} > 20)")
 
-    base = joint_counts(log, alpha, model_id=model_id)
-    if base.pred == 0:
+    k = _Kernel(log, model_id, alpha, cfg)
+    if k.n_pred == 0:
         return None, None
 
-    baseline = _objective_value(cfg.objective, base.pred, base.pred_gt, base.gt, 0, 0)
-    best_body: frozenset[str] | None = None
-    best_value: Fraction | None = None
-    for size in range(1, len(ids) + 1):
-        if cfg.max_body_size is not None and size > cfg.max_body_size:
-            break
-        for subset in combinations(ids, size):
-            c = joint_counts(log, alpha, subset, model_id=model_id)
-            if c.gt and Fraction(c.pred_body_gt, c.gt) > cfg.epsilon:
+    baseline = k.value(0, 0)
+    errors = k.pred & ~k.pred_gt
+
+    body, steps, _ = _greedy(k, ids, cfg.max_body_size)
+    best_value = steps[-1][2] if steps else None
+    best_body = tuple(sorted(body))
+
+    def beats(value: Ratio, subset: tuple[str, ...]) -> bool:
+        """(value, smaller body, smaller ids) order against the best."""
+        if best_value is None or _lt(best_value, value):
+            return True
+        if not _eq(value, best_value):
+            return False
+        subset = tuple(sorted(subset))
+        return (len(subset), subset) < (len(best_body), best_body)
+
+    def search(extensions: list[tuple[str, int]], covered: int, subset: tuple[str, ...]) -> None:
+        """Visit subset ∪ {c} for each (c, mask of c) of ``extensions``, and
+        under it the subsets that add extensions visited after c."""
+        nonlocal best_value, best_body
+        children = []
+        for cid, cmask in extensions:
+            mask = covered | cmask
+            pb, pbg = k.counts(mask)
+            if k.feasible(pbg):  # no superset of an infeasible body is feasible
+                children.append((pbg - pb, cid, cmask, mask, pb, pbg))
+        children.sort()  # most errors covered first: later subtrees reach fewer
+        reachable = [0] * (len(children) + 1)  # reachable[i]: OR of children[i:]
+        for i in range(len(children) - 1, -1, -1):
+            reachable[i] = reachable[i + 1] | children[i][3]
+        for i, (_, cid, _, mask, pb, pbg) in enumerate(children):
+            node = subset + (cid,)
+            value = k.value(pb, pbg)
+            if value is not None and (baseline is None or _lt(baseline, value)) and beats(value, node):
+                best_value, best_body = value, tuple(sorted(node))
+            if len(node) == cfg.max_body_size or i + 1 == len(children):
                 continue
-            value = _objective_value(
-                cfg.objective, c.pred, c.pred_gt, c.gt, c.pred_body, c.pred_body_gt
-            )
-            if value is None:
+            bound = _upper_bound(k, pbg, ((reachable[i + 1] | mask) & errors).bit_count())
+            # A body under node has more ids than node, so it loses a tie
+            # with a best body no larger than node.
+            if best_value is not None and (
+                _lt(bound, best_value) or _eq(bound, best_value) and len(node) >= len(best_body)
+            ):
                 continue
-            if baseline is not None and value <= baseline:
+            if baseline is not None and _le(bound, baseline):
                 continue
-            if best_value is None or value > best_value:
-                best_body, best_value = frozenset(subset), value
-    return best_body, best_value
+            search([(c[1], c[2]) for c in children[i + 1:]], mask, node)
+
+    search([(cid, k.mask(cid)) for cid in ids], 0, ())
+    if best_value is None:
+        return None, None
+    return frozenset(best_body), Fraction(*best_value)

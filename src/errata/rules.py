@@ -24,7 +24,7 @@ from .estimators import (
     f1_value,
     joint_counts,
 )
-from .logs import InputError, PredictionLog, PredictionRecord
+from .logs import InputError, PredictionLog, _record
 from .rational import format_rational, sub
 
 
@@ -232,6 +232,10 @@ class RecordTrace:
         return out
 
 
+_ENTRY_HEAD = '{\n      "sample_id": '
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 @dataclass(frozen=True)
 class ApplicationTrace:
     """What ``apply_rules`` did to a log: a RecordTrace for each record a
@@ -251,6 +255,29 @@ class ApplicationTrace:
 
     def to_dict(self) -> dict:
         return {"entries": [e.to_dict() for e in self.nonempty()]}
+
+    def to_json(self) -> str:
+        """The text ``json.dumps(self.to_dict(), indent=2)`` gives.
+
+        That encoder is pure Python once it indents. Entries that differ
+        only in ``sample_id`` share one encoding of the rest, into which
+        each entry's id is spliced by the C string encoder the indenting
+        encoder itself uses for strings.
+        """
+        shapes: dict[tuple, str] = {}
+        parts = []
+        for e in self.nonempty():
+            shape = (e.model_id, e.erased, e.added, e.conflict)
+            rest = shapes.get(shape)
+            if rest is None:
+                # The entry with an empty id, indented two levels deep (a
+                # raw newline in the encoding is always an indent).
+                text = json.dumps(RecordTrace("", *shape).to_dict(), indent=2)
+                rest = shapes[shape] = text.replace("\n", "\n    ")[len(_ENTRY_HEAD) + 2:]
+            parts.append(_ENTRY_HEAD + _encode_str(e.sample_id) + rest)
+        if not parts:
+            return '{\n  "entries": []\n}'
+        return '{\n  "entries": [\n    ' + ",\n    ".join(parts) + "\n  ]\n}"
 
 
 def _require_known_conditions(condition_ids, log: PredictionLog, kind: str) -> None:
@@ -334,8 +361,8 @@ def apply_rules(log: PredictionLog, rules: RuleSet) -> tuple[PredictionLog, Appl
             added = tuple(sorted(firing))
             predicted |= targets
         predicted = interned.setdefault(predicted, predicted)
-        records[i] = PredictionRecord(rec.sample_id, rec.model_id, predicted,
-                                      rec.ground_truth, rec.conditions, rec.distribution)
+        records[i] = _record(rec.sample_id, rec.model_id, predicted,
+                             rec.ground_truth, rec.conditions, rec.distribution)
         touched.append(RecordTrace(rec.sample_id, rec.model_id, erased, added, conflict))
     return PredictionLog._unchecked(tuple(records)), ApplicationTrace(log, tuple(touched))
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .estimators import Probability, bundle_from_counts, joint_counts
-from .logs import DEFAULT_DISTRIBUTION, InputError, PredictionLog, PredictionRecord
+from .logs import DEFAULT_DISTRIBUTION, InputError, PredictionLog, PredictionRecord, _record
 from .rational import as_fraction, format_rational
 
 
@@ -82,10 +82,25 @@ def _known_keys(obj, allowed: frozenset, where: str):
 
 
 def _entries(rows, allowed: frozenset, where: str):
-    """The objects of a config list, each checked by ``_known_keys`` as it
-    is read."""
+    """(path, object) for each object of a config list, each checked by
+    ``_known_keys`` as it is read."""
     for i, entry in enumerate(rows):
-        yield _known_keys(entry, allowed, f"{where}[{i}]")
+        path = f"{where}[{i}]"
+        yield path, _known_keys(entry, allowed, path)
+
+
+def _string(value, where: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise SynthConfigError(f"{where}: expected a nonempty string, got {value!r}")
+    return value
+
+
+def _strings(value, where: str) -> tuple[str, ...]:
+    """A JSON array of nonempty strings; a string is not split into its
+    characters."""
+    if not isinstance(value, list) or not all(isinstance(v, str) and v for v in value):
+        raise SynthConfigError(f"{where}: expected an array of nonempty strings, got {value!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -183,7 +198,10 @@ class SynthConfig:
         """Parse the JSON config shape.
 
         ``seed`` and ``n_records`` are JSON integers, ``n_records`` at most
-        ``MAX_RECORDS``. A key not shown below is rejected, with its path
+        ``MAX_RECORDS``. ``model_id``, ``condition_id``, ``target_class``
+        and ``tag`` are nonempty strings, and ``labels`` and ``predicted``
+        arrays of them. A key not shown below, or a value of the wrong
+        type among those, is rejected with its path
         (``confusion.a[0]: unknown key 'typo'``). Rationals may be numbers
         or "num/den" strings::
 
@@ -205,41 +223,44 @@ class SynthConfig:
             _known_keys(obj, _CONFIG_KEYS, "")
             confusion = {
                 label: tuple(
-                    (frozenset(entry["predicted"]), as_fraction(entry["weight"]))
-                    for entry in _entries(rows, _CONFUSION_KEYS, f"confusion.{label}")
+                    (
+                        frozenset(_strings(entry["predicted"], f"{where}.predicted")),
+                        as_fraction(entry["weight"]),
+                    )
+                    for where, entry in _entries(rows, _CONFUSION_KEYS, f"confusion.{label}")
                 )
                 for label, rows in obj["confusion"].items()
             }
             return cls(
                 seed=obj["seed"],
                 n_records=obj["n_records"],
-                model_id=obj["model_id"],
-                labels=tuple(obj["labels"]),
+                model_id=_string(obj["model_id"], "model_id"),
+                labels=_strings(obj["labels"], "labels"),
                 class_priors={
                     label: as_fraction(w) for label, w in obj["class_priors"].items()
                 },
                 confusion=confusion,
                 planted_conditions=tuple(
                     PlantedCondition(
-                        pc["condition_id"],
-                        pc["target_class"],
+                        _string(pc["condition_id"], f"{where}.condition_id"),
+                        _string(pc["target_class"], f"{where}.target_class"),
                         as_fraction(pc["target_support"]),
                         as_fraction(pc["target_confidence"]),
                     )
-                    for pc in _entries(obj.get("planted_conditions", ()), _PLANTED_KEYS,
-                                       "planted_conditions")
+                    for where, pc in _entries(obj.get("planted_conditions", ()), _PLANTED_KEYS,
+                                              "planted_conditions")
                 ),
                 distributions=tuple(
                     DistributionSpec(
-                        d["tag"],
+                        _string(d["tag"], f"{where}.tag"),
                         as_fraction(d["record_fraction"]),
                         {
                             cid: as_fraction(v)
                             for cid, v in d.get("confidence_override", {}).items()
                         },
                     )
-                    for d in _entries(obj.get("distributions", ()), _DISTRIBUTION_KEYS,
-                                      "distributions")
+                    for where, d in _entries(obj.get("distributions", ()), _DISTRIBUTION_KEYS,
+                                             "distributions")
                 ),
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -439,9 +460,11 @@ def generate(cfg: SynthConfig) -> tuple[PredictionLog, SynthBookkeeping]:
         np.searchsorted(prior_cum, rng.random(n), side="right"), len(prior_labels) - 1
     )
 
+    # _record stores the sets it is given; a config built in code may hold
+    # plain sets.
     confusion_tables = {
         label: (
-            [predicted for predicted, _ in rows],
+            [frozenset(predicted) for predicted, _ in rows],
             _cumulative([w for _, w in rows]),
         )
         for label, rows in cfg.confusion.items()
@@ -472,9 +495,7 @@ def generate(cfg: SynthConfig) -> tuple[PredictionLog, SynthBookkeeping]:
         if condition_set is None:
             condition_set = condition_sets[key] = frozenset(key)
         records.append(
-            PredictionRecord(
-                f"s{i + 1}", cfg.model_id, predicted, truth_sets[truth], condition_set, tag
-            )
+            _record(f"s{i + 1}", cfg.model_id, predicted, truth_sets[truth], condition_set, tag)
         )
     log = PredictionLog._unchecked(tuple(records))  # sample ids are distinct
     return log, _bookkeeping(cfg, log, tags)

@@ -23,7 +23,21 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .estimators import ConditionBody, JointCounts, joint_counts
+from .estimators import (
+    _ONE,
+    _ZERO,
+    ConditionBody,
+    JointCounts,
+    Ratio,
+    _div,
+    _eq,
+    _fraction,
+    _le,
+    _lt,
+    _mul,
+    _sub,
+    joint_counts,
+)
 from .logs import InputError, serialize_log
 from .rational import format_rational, parse_rational
 
@@ -97,41 +111,6 @@ def _body_ids(body) -> frozenset[str]:
     if isinstance(body, ConditionBody):
         return body.condition_ids
     return frozenset(body)
-
-
-# ---------------------------------------------------------------------------
-# Integer ratios: (num, den) pairs, den > 0, never reduced
-# ---------------------------------------------------------------------------
-
-Ratio = tuple[int, int]
-_ZERO: Ratio = (0, 1)
-_ONE: Ratio = (1, 1)
-
-
-def _sub(x: Ratio, y: Ratio) -> Ratio:
-    return (x[0] * y[1] - y[0] * x[1], x[1] * y[1])
-
-
-def _mul(x: Ratio, y: Ratio) -> Ratio:
-    return (x[0] * y[0], x[1] * y[1])
-
-
-def _div(x: Ratio, y: Ratio) -> Ratio:
-    # Every divisor below is positive (1 − support with support < 1, or a
-    # nonzero precision), so the denominator stays positive.
-    return (x[0] * y[1], x[1] * y[0])
-
-
-def _eq(x: Ratio, y: Ratio) -> bool:
-    return x[0] * y[1] == y[0] * x[1]
-
-
-def _le(x: Ratio, y: Ratio) -> bool:
-    return x[0] * y[1] <= y[0] * x[1]
-
-
-def _lt(x: Ratio, y: Ratio) -> bool:
-    return x[0] * y[1] < y[0] * x[1]
 
 
 class _Base(NamedTuple):
@@ -320,10 +299,6 @@ CHECKS: dict[TheoremId, Check] = {
     TheoremId.T4_RECLASS_LIMIT: _t4,
 }
 _T4 = TheoremId.T4_RECLASS_LIMIT
-
-
-def _fraction(r: Ratio | None) -> Fraction | None:
-    return None if r is None else Fraction(*r)
 
 
 def _report(

@@ -414,6 +414,16 @@ BAD_INPUTS = {
     "boolean synth seed": lambda tmp, log: _synth_file(tmp, json.dumps(dict(SYNTH_CONFIG, seed=True))),
     "string n_records": lambda tmp, log: _synth_file(
         tmp, json.dumps(dict(SYNTH_CONFIG, n_records="5"))),
+    "synth labels as a string": lambda tmp, log: _synth_file(
+        tmp, json.dumps(dict(SYNTH_CONFIG, labels="ab"))),
+    "synth predicted as a string": lambda tmp, log: _synth_file(
+        tmp, json.dumps(dict(SYNTH_CONFIG, confusion=dict(
+            SYNTH_CONFIG["confusion"], a=[{"predicted": "ab", "weight": 1}])))),
+    "numeric synth model_id": lambda tmp, log: _synth_file(
+        tmp, json.dumps(dict(SYNTH_CONFIG, model_id=5))),
+    "numeric synth tag": lambda tmp, log: _synth_file(
+        tmp, json.dumps(dict(SYNTH_CONFIG, distributions=[
+            {"tag": 3, "record_fraction": 1, "confidence_override": {}}]))),
     "n_records over the cap": lambda tmp, log: _synth_file(
         tmp, json.dumps(dict(SYNTH_CONFIG, n_records=1_000_000_000_000))),
     "log not UTF-8": lambda tmp, log: [

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import labels_st, logs_st, make_log, rec
@@ -22,7 +22,9 @@ from errata.learning import (
     UNDEFINED_BASE,
     _objective_value,
 )
+from errata.synth import condition_alphabet, random_log
 from event_oracle import EventQuery, cond_prob, condition_holds, predicted_has, truth_has
+import learner_oracle
 
 GAIN = Objective.PRECISION_GAIN
 
@@ -354,9 +356,51 @@ def test_oracle_tie_break_prefers_smaller_body(log_a):
     assert value == Fraction(1, 3)
 
 
+def test_oracle_at_the_cap_with_ids_the_log_lacks(log_a):
+    # Absent ids tie with every body they join; the search must not walk
+    # the 2**19 subsets they span.
+    absent = {f"k{i}" for i in range(19)}
+    assert exhaustive_oracle(log_a, "m", "a", absent | {"c1"}, cfg("1/2")) == ({"c1"}, Fraction(1, 3))
+
+
 def test_oracle_rejects_oversized_candidate_sets(log_a):
     with pytest.raises(ValueError, match="20"):
         exhaustive_oracle(log_a, "m", "a", {f"k{i}" for i in range(21)}, cfg())
+
+
+# Nine conditions random_log may draw, and three no log carries. The oracle
+# prunes most where many candidates fit a loose budget, so the candidate
+# count is drawn uniformly rather than left to shrink toward few.
+CANDIDATE_POOL = condition_alphabet(9) + ("x1", "x2", "x3")
+candidates_st = st.integers(0, len(CANDIDATE_POOL)).flatmap(
+    lambda n: st.permutations(CANDIDATE_POOL).map(lambda ids: ids[:n])
+)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(("a", "b", "c")),
+    candidates_st,
+    st.fractions(0, 1, max_denominator=20),
+    st.sampled_from(tuple(Objective)),
+    st.sampled_from((None, 1, 2, 3)),
+)
+# Cases on which a bound or a tie cut made slightly too eager gave a wrong
+# body.
+@example(16, "a", ("c1", "c3", "c4", "c5", "c7", "c8", "c9"), Fraction(11, 20), GAIN, 3)
+@example(51, "a", CANDIDATE_POOL[:11], Fraction(17, 20), Objective.SUPPORT_TIMES_CONFIDENCE, 3)
+@example(616, "b", CANDIDATE_POOL[:11], Fraction(9, 20), Objective.F1, 2)
+@settings(max_examples=150, deadline=None)
+def test_learners_match_the_fraction_references(seed, alpha, candidates, epsilon, objective, max_size):
+    log = random_log(seed, max_records=80, max_labels=3, max_conditions=9)
+    c = cfg(epsilon, objective, max_size)
+    assert exhaustive_oracle(log, "m", alpha, candidates, c) == learner_oracle.exhaustive_oracle(
+        log, "m", alpha, candidates, c
+    )
+    rule, report = learn_detection(log, "m", alpha, candidates, c)
+    want_rule, want_report = learner_oracle.learn_detection(log, "m", alpha, candidates, c)
+    assert rule == want_rule
+    assert report.to_dict() == want_report.to_dict()
 
 
 # ---------------------------------------------------------------------------

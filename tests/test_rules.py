@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from conftest import labels_st, logs_st, make_log, rec
 from errata import (
+    ApplicationTrace,
     ConditionBody,
     CorrectionRule,
     DetectionRule,
     LogMismatchError,
+    PredictionLog,
     RecordTrace,
     RuleSet,
     TheoremVerdict,
@@ -574,3 +576,26 @@ def test_apply_rules_touching_every_record():
     assert [e.sample_id for e in trace.touched] == [r.sample_id for r in log]
     assert [r.predicted for r in after] == [frozenset(), {"b"}, {"c", "d"}]
     _assert_matches_reference(log, rules, after, trace)
+
+
+# Ids with a quote, a backslash, control and non-ASCII characters; labels
+# from a two-letter alphabet, so that an added label often equals an erased
+# one (mutually canceling).
+id_st = st.text(st.sampled_from('a"\\\x00\x1f\né \U0001f600') | st.characters(), max_size=6)
+events_st = st.lists(st.tuples(st.sampled_from("ab"), st.integers(0, 2)), max_size=2).map(tuple)
+record_trace_st = st.builds(
+    RecordTrace,
+    sample_id=id_st,
+    model_id=st.sampled_from(("m", 'n"é')),
+    erased=events_st,
+    added=events_st,
+    conflict=st.frozensets(st.sampled_from("abc"), max_size=2),
+)
+
+
+@given(st.lists(record_trace_st, max_size=8))
+@example([RecordTrace('q"\\\x01é', "m", (("a", 0),), (("a", 1),), frozenset({"b", "c"}))])
+@example([])
+def test_trace_json_is_the_indented_dump(entries):
+    trace = ApplicationTrace(PredictionLog(), tuple(entries))
+    assert trace.to_json() == json.dumps(trace.to_dict(), indent=2)

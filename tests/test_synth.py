@@ -106,6 +106,40 @@ def test_config_integer_fields_are_strict(key, value):
     assert str(err.value) == f"{key}: expected an integer, got {value!r}"
 
 
+def _with_value(path, value):
+    cfg = base_config(distributions=[{"tag": "d1", "record_fraction": 1, "confidence_override": {}}])
+    target = cfg
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        # A string used to be split into one-letter labels, and the run went on.
+        (("labels",), "ab", "labels: expected an array of nonempty strings, got 'ab'"),
+        (("labels",), ["a", 2], "labels: expected an array of nonempty strings, got ['a', 2]"),
+        (("confusion", "a", 0, "predicted"), "ab",
+         "confusion.a[0].predicted: expected an array of nonempty strings, got 'ab'"),
+        (("confusion", "b", 1, "predicted"), [""],
+         "confusion.b[1].predicted: expected an array of nonempty strings, got ['']"),
+        # A number used to end in a TypeError traceback.
+        (("model_id",), 5, "model_id: expected a nonempty string, got 5"),
+        (("distributions", 0, "tag"), 3, "distributions[0].tag: expected a nonempty string, got 3"),
+        (("planted_conditions", 0, "condition_id"), ["c1"],
+         "planted_conditions[0].condition_id: expected a nonempty string, got ['c1']"),
+        (("planted_conditions", 0, "target_class"), None,
+         "planted_conditions[0].target_class: expected a nonempty string, got None"),
+    ],
+)
+def test_config_string_fields_are_strict(path, value, message):
+    with pytest.raises(SynthConfigError) as err:
+        SynthConfig.from_dict(_with_value(path, value))
+    assert str(err.value) == message
+
+
 def _with_typo(path, key="typo"):
     cfg = base_config(distributions=[{"tag": "d1", "record_fraction": 1, "confidence_override": {}}])
     target = cfg
