@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -185,7 +186,15 @@ def _learn_config(args):
     return LearnConfig(**kwargs)
 
 
+def _one_blas_thread() -> None:
+    """Call before the first numpy import. errata never calls BLAS, but
+    importing numpy starts OpenBLAS's thread pool, which costs a CLI child
+    start-up time; a value the user set is kept."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+
 def _cmd_synth(args) -> int:
+    _one_blas_thread()
     from .synth import SynthConfig, SynthConfigError, generate
     with open(args.config, "r", encoding="utf-8") as handle:
         try:
@@ -326,6 +335,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _one_blas_thread()
     from .theorems import sweep
     result = sweep(args.seed, args.trials)
     run = _Run(

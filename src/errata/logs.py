@@ -398,4 +398,6 @@ def serialize_log(log: PredictionLog) -> str:
             f'"predicted":{arrays[rec.predicted]},"ground_truth":{arrays[rec.ground_truth]},'
             f'"conditions":{arrays[rec.conditions]}{tail}'
         )
-    return "\n".join(lines) + ("\n" if lines else "")
+    if lines:
+        lines.append("")  # a final newline, without copying the joined text again
+    return "\n".join(lines)

@@ -10,14 +10,14 @@ the realized statistics measured on the emitted log so tests can assert
 against what actually happened.
 
 Randomness comes from numpy's PCG64 generator seeded with the config
-seed; the draw order is fixed (tags, truths, predicted sets, then one
-array per planted condition in config order), so a config reproduces its
-log bit for bit across runs and platforms.
+seed; the draw order is fixed (one array each of tags, truths and
+predicted sets, then one record-major n × P block for the P planted
+conditions, a row per record and a column per condition in config order),
+so a config reproduces its log bit for bit across runs and platforms.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -63,30 +63,56 @@ class DistributionSpec:
     confidence_override: Mapping[str, Fraction] = field(default_factory=dict)
 
 
-_CONFIG_KEYS = frozenset({"seed", "n_records", "model_id", "labels", "class_priors", "confusion",
-                          "planted_conditions", "distributions"})
+_CONFIG_KEYS = frozenset({"seed", "n_records", "model_id", "labels", "class_priors", "confusion"})
+_CONFIG_OPTIONAL = frozenset({"planted_conditions", "distributions"})
 _CONFUSION_KEYS = frozenset({"predicted", "weight"})
 _PLANTED_KEYS = frozenset({"condition_id", "target_class", "target_support", "target_confidence"})
-_DISTRIBUTION_KEYS = frozenset({"tag", "record_fraction", "confidence_override"})
+_DISTRIBUTION_KEYS = frozenset({"tag", "record_fraction"})
+_DISTRIBUTION_OPTIONAL = frozenset({"confidence_override"})
 
 
-def _known_keys(obj, allowed: frozenset, where: str):
-    """``obj``, once no key of it is unknown; the error names the first
-    unknown key after its path. A value that is not an object is left to
-    the reader of its fields."""
-    if isinstance(obj, dict) and not obj.keys() <= allowed:
-        unknown = min(set(obj) - allowed, key=str)
-        prefix = f"{where}: " if where else ""
-        raise SynthConfigError(f"{prefix}unknown key {unknown!r}")
-    return obj
+def _object(value, where: str, required: frozenset, optional: frozenset = frozenset()) -> dict:
+    """``value``, once it is a JSON object with every ``required`` key and
+    no key outside ``required | optional``. The error names the path and
+    the first unknown key, or else the first missing one."""
+    prefix = f"{where}: " if where else ""
+    if not isinstance(value, dict):
+        raise SynthConfigError(f"{prefix}expected an object, got {value!r}")
+    if not value.keys() <= required | optional:
+        raise SynthConfigError(f"{prefix}unknown key {min(value.keys() - required - optional, key=str)!r}")
+    if not required <= value.keys():
+        raise SynthConfigError(f"{prefix}missing key {min(required - value.keys())!r}")
+    return value
 
 
-def _entries(rows, allowed: frozenset, where: str):
-    """(path, object) for each object of a config list, each checked by
-    ``_known_keys`` as it is read."""
+def _entries(rows, where: str, required: frozenset, optional: frozenset = frozenset()):
+    """(path, object) for each object of a config array, each checked by
+    ``_object`` as it is read."""
+    if not isinstance(rows, list):
+        raise SynthConfigError(f"{where}: expected an array, got {rows!r}")
     for i, entry in enumerate(rows):
         path = f"{where}[{i}]"
-        yield path, _known_keys(entry, allowed, path)
+        yield path, _object(entry, path, required, optional)
+
+
+def _rational(value, where: str) -> Fraction:
+    try:
+        return as_fraction(value)
+    except (InputError, TypeError, ValueError):  # ValueError: a NaN or infinite float
+        raise SynthConfigError(
+            f'{where}: expected a rational (a number or "num/den" text), got {value!r}'
+        ) from None
+
+
+def _mapping(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise SynthConfigError(f"{where}: expected an object, got {value!r}")
+    return value
+
+
+def _rationals(value, where: str) -> dict[str, Fraction]:
+    """A JSON object whose values are rationals, such as ``class_priors``."""
+    return {key: _rational(v, f"{where}.{key}") for key, v in _mapping(value, where).items()}
 
 
 def _string(value, where: str) -> str:
@@ -200,9 +226,12 @@ class SynthConfig:
         ``seed`` and ``n_records`` are JSON integers, ``n_records`` at most
         ``MAX_RECORDS``. ``model_id``, ``condition_id``, ``target_class``
         and ``tag`` are nonempty strings, and ``labels`` and ``predicted``
-        arrays of them. A key not shown below, or a value of the wrong
-        type among those, is rejected with its path
-        (``confusion.a[0]: unknown key 'typo'``). Rationals may be numbers
+        arrays of them. ``planted_conditions``, ``distributions`` and
+        ``confidence_override`` may be left out; every other key below is
+        required. A missing key, a key not shown below, or a value of the
+        wrong type is rejected with its path
+        (``confusion.a[0]: unknown key 'typo'``,
+        ``confusion.a[0]: missing key 'weight'``). Rationals may be numbers
         or "num/den" strings::
 
             {"seed": 1, "n_records": 100, "model_id": "m",
@@ -219,54 +248,46 @@ class SynthConfig:
                                 {"tag": "d2", "record_fraction": "1/2",
                                  "confidence_override": {"c1": 0}}]}
         """
-        try:
-            _known_keys(obj, _CONFIG_KEYS, "")
-            confusion = {
+        _object(obj, "", _CONFIG_KEYS, _CONFIG_OPTIONAL)
+        return cls(
+            seed=obj["seed"],
+            n_records=obj["n_records"],
+            model_id=_string(obj["model_id"], "model_id"),
+            labels=_strings(obj["labels"], "labels"),
+            class_priors=_rationals(obj["class_priors"], "class_priors"),
+            confusion={
                 label: tuple(
                     (
                         frozenset(_strings(entry["predicted"], f"{where}.predicted")),
-                        as_fraction(entry["weight"]),
+                        _rational(entry["weight"], f"{where}.weight"),
                     )
-                    for where, entry in _entries(rows, _CONFUSION_KEYS, f"confusion.{label}")
+                    for where, entry in _entries(rows, f"confusion.{label}", _CONFUSION_KEYS)
                 )
-                for label, rows in obj["confusion"].items()
-            }
-            return cls(
-                seed=obj["seed"],
-                n_records=obj["n_records"],
-                model_id=_string(obj["model_id"], "model_id"),
-                labels=_strings(obj["labels"], "labels"),
-                class_priors={
-                    label: as_fraction(w) for label, w in obj["class_priors"].items()
-                },
-                confusion=confusion,
-                planted_conditions=tuple(
-                    PlantedCondition(
-                        _string(pc["condition_id"], f"{where}.condition_id"),
-                        _string(pc["target_class"], f"{where}.target_class"),
-                        as_fraction(pc["target_support"]),
-                        as_fraction(pc["target_confidence"]),
-                    )
-                    for where, pc in _entries(obj.get("planted_conditions", ()), _PLANTED_KEYS,
-                                              "planted_conditions")
-                ),
-                distributions=tuple(
-                    DistributionSpec(
-                        _string(d["tag"], f"{where}.tag"),
-                        as_fraction(d["record_fraction"]),
-                        {
-                            cid: as_fraction(v)
-                            for cid, v in d.get("confidence_override", {}).items()
-                        },
-                    )
-                    for where, d in _entries(obj.get("distributions", ()), _DISTRIBUTION_KEYS,
-                                             "distributions")
-                ),
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, SynthConfigError):
-                raise
-            raise SynthConfigError(f"malformed synth config: {exc}") from exc
+                for label, rows in _mapping(obj["confusion"], "confusion").items()
+            },
+            planted_conditions=tuple(
+                PlantedCondition(
+                    _string(pc["condition_id"], f"{where}.condition_id"),
+                    _string(pc["target_class"], f"{where}.target_class"),
+                    _rational(pc["target_support"], f"{where}.target_support"),
+                    _rational(pc["target_confidence"], f"{where}.target_confidence"),
+                )
+                for where, pc in _entries(
+                    obj.get("planted_conditions", []), "planted_conditions", _PLANTED_KEYS
+                )
+            ),
+            distributions=tuple(
+                DistributionSpec(
+                    _string(d["tag"], f"{where}.tag"),
+                    _rational(d["record_fraction"], f"{where}.record_fraction"),
+                    _rationals(d.get("confidence_override", {}), f"{where}.confidence_override"),
+                )
+                for where, d in _entries(
+                    obj.get("distributions", []), "distributions",
+                    _DISTRIBUTION_KEYS, _DISTRIBUTION_OPTIONAL,
+                )
+            ),
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -436,69 +457,103 @@ def _cumulative(weights: Sequence[Fraction]) -> list[float]:
     return out
 
 
+def _row_sets(hits, names: Sequence[str]) -> list[frozenset[str]]:
+    """For each row of the C-contiguous boolean matrix ``hits``, the set of
+    ``names`` whose columns it marks. Rows with one pattern share one set,
+    built when the pattern is first seen; each row's key is its bytes."""
+    if not names:
+        return [frozenset()] * len(hits)
+    sets: dict[bytes, frozenset[str]] = {}
+    out = []
+    # A bytes view drops trailing zero bytes, i.e. unmarked last columns,
+    # which the zip below would not reach anyway.
+    for key in hits.view(f"S{len(names)}").ravel().tolist():
+        found = sets.get(key)
+        if found is None:
+            found = sets[key] = frozenset(name for name, hit in zip(names, key) if hit)
+        out.append(found)
+    return out
+
+
 def generate(cfg: SynthConfig) -> tuple[PredictionLog, SynthBookkeeping]:
     """Draw the configured log; deterministic for a fixed config."""
+    tags, records = _draw(cfg, _mark_probabilities(cfg))
+    log = PredictionLog._unchecked(records)  # sample ids are distinct
+    return log, _bookkeeping(cfg, log, tags)
+
+
+def _draw(
+    cfg: SynthConfig, marks: Mapping[tuple[str, str], tuple[Fraction, Fraction]]
+) -> tuple[list[str], tuple[PredictionRecord, ...]]:
+    """The tags and the records of ``generate``, drawn column-wise. Each
+    array is freed once read, so that the records and the index built from
+    them can reuse its memory."""
     import numpy as np  # deferred: importing errata must not load numpy
 
-    marks = _mark_probabilities(cfg)  # validates satisfiability
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     n = cfg.n_records
 
     if cfg.distributions:
         tags = [d.tag for d in cfg.distributions]
         tag_cum = _cumulative([d.record_fraction for d in cfg.distributions])
-        tag_idx = np.minimum(
-            np.searchsorted(tag_cum, rng.random(n), side="right"), len(tags) - 1
-        )
+        cell_idx = np.minimum(np.searchsorted(tag_cum, rng.random(n), side="right"), len(tags) - 1)
     else:
         tags = [DEFAULT_DISTRIBUTION]
-        tag_idx = np.zeros(n, dtype=np.intp)
+        cell_idx = np.zeros(n, dtype=np.intp)
 
     prior_labels = [label for label, w in cfg.class_priors.items() if w > 0]
     prior_cum = _cumulative([cfg.class_priors[label] for label in prior_labels])
     truth_idx = np.minimum(
         np.searchsorted(prior_cum, rng.random(n), side="right"), len(prior_labels) - 1
     )
-
-    # _record stores the sets it is given; a config built in code may hold
-    # plain sets.
-    confusion_tables = {
-        label: (
-            [frozenset(predicted) for predicted, _ in rows],
-            _cumulative([w for _, w in rows]),
-        )
-        for label, rows in cfg.confusion.items()
-    }
+    u_pred = rng.random(n)
     planted = cfg.planted_conditions
-    u_pred = rng.random(n).tolist()
-    cond_u = rng.random((n, len(planted))).tolist() if planted else None
+    cond_u = rng.random((n, len(planted)))
 
-    mark_floats = {key: (float(qe), float(qo)) for key, (qe, qo) in marks.items()}
+    # Number the (truth, confusion row) outcomes, one block per truth class
+    # in prior order, and add each record's outcome to its tag's block of
+    # cells with one search per truth class. _record stores the sets it is
+    # given; a config built in code may hold plain sets.
+    outcomes = [
+        (truth, frozenset(predicted)) for truth in prior_labels for predicted, _ in cfg.confusion[truth]
+    ]
+    cell_idx *= len(outcomes)
+    start = 0
+    for r, truth in enumerate(prior_labels):
+        rows = cfg.confusion[truth]
+        in_class = truth_idx == r
+        found = np.searchsorted(_cumulative([w for _, w in rows]), u_pred[in_class], side="right")
+        np.minimum(found, len(rows) - 1, out=found)
+        cell_idx[in_class] += start + found
+        start += len(rows)
+    del truth_idx, u_pred, in_class, found
+
+    # Record i carries condition j when cond_u[i, j] falls below the
+    # condition's mark probability in the record's cell; -1 where the
+    # target class is not predicted, so those records are never marked.
+    hits = np.empty((n, len(planted)), dtype=bool)
+    for j, pc in enumerate(planted):
+        thresholds = []
+        for tag in tags:
+            q_err, q_ok = marks[(pc.condition_id, tag)]
+            for truth, predicted in outcomes:
+                q = q_ok if truth == pc.target_class else q_err
+                thresholds.append(float(q) if pc.target_class in predicted else -1.0)
+        np.less(cond_u[:, j], np.take(thresholds, cell_idx), out=hits[:, j])
+    del cond_u
+
+    record_cells = cell_idx.tolist()
+    conditions = _row_sets(hits, [pc.condition_id for pc in planted])
+    del cell_idx, hits
+
     truth_sets = {label: frozenset((label,)) for label in prior_labels}
-    condition_sets: dict[tuple[str, ...], frozenset[str]] = {}
-
-    records = []
-    for i, (t, r, u) in enumerate(zip(tag_idx.tolist(), truth_idx.tolist(), u_pred)):
-        tag = tags[t]
-        truth = prior_labels[r]
-        sets, cum = confusion_tables[truth]
-        predicted = sets[min(bisect_right(cum, u), len(sets) - 1)]
-        conditions: list[str] = []
-        for j, pc in enumerate(planted):
-            if pc.target_class in predicted:
-                q_err, q_ok = mark_floats[(pc.condition_id, tag)]
-                threshold = q_ok if pc.target_class == truth else q_err
-                if cond_u[i][j] < threshold:
-                    conditions.append(pc.condition_id)
-        key = tuple(conditions)
-        condition_set = condition_sets.get(key)
-        if condition_set is None:
-            condition_set = condition_sets[key] = frozenset(key)
-        records.append(
-            _record(f"s{i + 1}", cfg.model_id, predicted, truth_sets[truth], condition_set, tag)
+    cells = [(predicted, truth_sets[truth], tag) for tag in tags for truth, predicted in outcomes]
+    return tags, tuple(
+        _record(f"s{i}", cfg.model_id, predicted, truth, condition_set, tag)
+        for i, ((predicted, truth, tag), condition_set) in enumerate(
+            zip(map(cells.__getitem__, record_cells), conditions), 1
         )
-    log = PredictionLog._unchecked(tuple(records))  # sample ids are distinct
-    return log, _bookkeeping(cfg, log, tags)
+    )
 
 
 def _bookkeeping(cfg: SynthConfig, log: PredictionLog, tags: Sequence[str]) -> SynthBookkeeping:
@@ -544,22 +599,11 @@ def random_log(
     n = int(rng.integers(1, max_records + 1))
     labels = label_alphabet(int(rng.integers(1, max_labels + 1)))
     conditions = condition_alphabet(int(rng.integers(0, max_conditions + 1)))
-    pred_m = rng.random((n, len(labels))) < 0.45
-    gt_m = rng.random((n, len(labels))) < 0.45
-    cond_m = rng.random((n, len(conditions))) < 0.5 if conditions else None
-    records = []
-    for i in range(n):
-        records.append(
-            PredictionRecord(
-                sample_id=f"r{i + 1}",
-                model_id="m",
-                predicted=frozenset(l for l, hit in zip(labels, pred_m[i]) if hit),
-                ground_truth=frozenset(l for l, hit in zip(labels, gt_m[i]) if hit),
-                conditions=frozenset(
-                    c for c, hit in zip(conditions, cond_m[i]) if hit
-                )
-                if conditions
-                else frozenset(),
-            )
-        )
-    return PredictionLog(tuple(records))
+    predicted = _row_sets(rng.random((n, len(labels))) < 0.45, labels)
+    truth = _row_sets(rng.random((n, len(labels))) < 0.45, labels)
+    marked = _row_sets(rng.random((n, len(conditions))) < 0.5, conditions)
+    records = [
+        _record(f"r{i}", "m", p, g, c, DEFAULT_DISTRIBUTION)
+        for i, (p, g, c) in enumerate(zip(predicted, truth, marked), 1)
+    ]
+    return PredictionLog._unchecked(tuple(records))  # sample ids r1..rn are distinct

@@ -351,6 +351,32 @@ print(json.dumps([codes, sorted(
     assert json.loads(result.stdout.splitlines()[-1]) == [[0, 0], []]
 
 
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+@pytest.mark.parametrize("command", ["synth", "sweep"])
+def test_numpy_commands_start_one_blas_thread(tmp_path, command, preset, expected):
+    # errata never calls BLAS; a value the user set is kept.
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps(SYNTH_CONFIG), encoding="utf-8")
+    argv = {
+        "synth": ["synth", "--config", str(config)],
+        "sweep": ["sweep", "--seed", "1", "--trials", "1"],
+    }[command] + ["--out", str(tmp_path / "out")]
+    code = f"""
+import json, os
+from errata.cli import main
+code = main({argv!r})
+print(json.dumps([code, os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+    env = _src_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert json.loads(result.stdout.splitlines()[-1]) == [0, expected]
+
+
 def test_usage_error_returns_2():
     assert main(["verify", "--log"]) == 2
     assert main(["no-such-command"]) == 2
@@ -437,6 +463,53 @@ def test_bad_input_exits_2(tmp_path, log_file, capsys, case):
     argv = BAD_INPUTS[case](tmp_path, str(log_file)) + ["--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"errata {argv[0]}: ")
+
+
+def _without(path):
+    """SYNTH_CONFIG with the key at ``path`` removed."""
+    config = json.loads(json.dumps(SYNTH_CONFIG))
+    target = config
+    for step in path[:-1]:
+        target = target[step]
+    del target[path[-1]]
+    return config
+
+
+def _with(path, value):
+    """SYNTH_CONFIG, with one tag overriding c1, and ``value`` at ``path``."""
+    config = json.loads(json.dumps(dict(SYNTH_CONFIG, distributions=[
+        {"tag": "d1", "record_fraction": 1, "confidence_override": {"c1": "1/2"}}])))
+    target = config
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return config
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        # Each of these used to give "malformed synth config: ..." with no path.
+        pytest.param(_without(("confusion", "a", 0, "weight")),
+                     "confusion.a[0]: missing key 'weight'", id="missing weight"),
+        pytest.param(_with(("confusion", "a", 0, "weight"), True),
+                     "confusion.a[0].weight: expected a rational (a number or \"num/den\" text), got True",
+                     id="boolean weight"),
+        pytest.param(_with(("class_priors",), ["a", "b"]),
+                     "class_priors: expected an object, got ['a', 'b']", id="list of priors"),
+        pytest.param(_with(("distributions", 0, "confidence_override", "c1"), "x"),
+                     "distributions[0].confidence_override.c1: expected a rational "
+                     "(a number or \"num/den\" text), got 'x'", id="text override"),
+        pytest.param(_with(("planted_conditions", 0, "target_support"), None),
+                     "planted_conditions[0].target_support: expected a rational "
+                     "(a number or \"num/den\" text), got None", id="null support"),
+    ],
+)
+def test_synth_config_errors_name_their_path(tmp_path, capsys, config, message):
+    argv = _synth_file(tmp_path, json.dumps(config)) + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"errata synth: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_internal_value_error_is_not_an_input_error(tmp_path, log_file, monkeypatch):

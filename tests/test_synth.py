@@ -1,8 +1,12 @@
+import json
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
-from errata.synth import MAX_RECORDS
+import synth_oracle
+from errata.synth import MAX_RECORDS, _class_precision
 from errata import (
     ConditionBody,
     SynthConfig,
@@ -49,6 +53,84 @@ def test_config_roundtrip():
     cfg = SynthConfig.from_dict(base_config())
     again = SynthConfig.from_dict(cfg.to_dict())
     assert again == cfg
+
+
+def _weights(draw, k):
+    """k nonnegative rationals summing to 1."""
+    raw = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+    return [Fraction(w, sum(raw)) for w in raw]
+
+
+def _text(draw, value: Fraction):
+    """``value`` as a config may spell it: "num/den" text, an int, or a
+    float whose shortest decimal is exact."""
+    forms = [f"{value.numerator}/{value.denominator}"]
+    if value.denominator == 1:
+        forms.append(value.numerator)
+    elif Fraction(str(float(value))) == value:
+        forms.append(float(value))
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def synth_configs_st(draw, max_records=40, min_planted=0, max_planted=6):
+    """Valid synth configs in their JSON shape: zero-prior labels, empty and
+    repeated predicted sets, zero-weight confusion rows, distribution tags
+    with confidence overrides, and planted targets scaled to be satisfiable."""
+    labels = draw(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=4, unique=True))
+    priors = [_text(draw, w) for w in _weights(draw, len(labels))]
+    predicted_pool = draw(st.lists(st.sets(st.sampled_from(labels)), min_size=1, max_size=3))
+    confusion = {}
+    for label in labels:
+        n_rows = draw(st.integers(1, 3))
+        confusion[label] = [
+            {"predicted": sorted(draw(st.sampled_from(predicted_pool))), "weight": _text(draw, w)}
+            for w in _weights(draw, n_rows)
+        ]
+    obj = {
+        "seed": draw(st.integers(0, 2**64 - 1)),
+        "n_records": draw(st.integers(1, max_records)),
+        "model_id": "m",
+        "labels": labels,
+        "class_priors": dict(zip(labels, priors)),
+        "confusion": confusion,
+    }
+    shape = SynthConfig.from_dict(obj)
+    planted = []
+    for j in range(draw(st.integers(min_planted, max_planted))):
+        target = draw(st.sampled_from(labels))
+        precision = _class_precision(shape, target)
+        # Any confidence is satisfiable once support is at most the class's
+        # error rate and its precision.
+        room = 0 if precision is None else min(precision, 1 - precision)
+        planted.append({
+            "condition_id": f"c{j + 1}",
+            "target_class": target,
+            "target_support": _text(draw, room * Fraction(draw(st.integers(0, 4)), 4)),
+            "target_confidence": _text(draw, Fraction(draw(st.integers(0, 10)), 10)),
+        })
+    obj["planted_conditions"] = planted
+    if draw(st.booleans()):
+        tags = draw(st.lists(st.sampled_from(["d1", "d2", "d3"]), min_size=1, unique=True))
+        obj["distributions"] = [
+            {
+                "tag": tag,
+                "record_fraction": _text(draw, w),
+                "confidence_override": {
+                    pc["condition_id"]: _text(draw, Fraction(draw(st.integers(0, 4)), 4))
+                    for pc in planted
+                    if draw(st.booleans())
+                },
+            }
+            for tag, w in zip(tags, _weights(draw, len(tags)))
+        ]
+    return obj
+
+
+@given(synth_configs_st())
+def test_config_roundtrip_property(obj):
+    cfg = SynthConfig.from_dict(obj)
+    assert SynthConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 def test_config_rejects_bad_priors():
@@ -302,6 +384,25 @@ def test_generate_realized_statistics_near_targets():
     assert abs(Fraction(correct, pred) - Fraction(4, 5)) < Fraction(5, 100)
 
 
+@pytest.mark.parametrize(
+    "configs",
+    [
+        pytest.param(synth_configs_st(), id="any"),
+        pytest.param(synth_configs_st(max_planted=0), id="no planted conditions"),
+        pytest.param(synth_configs_st(min_planted=65, max_planted=70), id="over 64 planted"),
+        pytest.param(synth_configs_st(max_records=1), id="one record"),
+    ],
+)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_generate_matches_record_loop(configs, data):
+    cfg = SynthConfig.from_dict(data.draw(configs))
+    log, book = generate(cfg)
+    ref_log, ref_book = synth_oracle.generate(cfg)
+    assert serialize_log(log) == serialize_log(ref_log)
+    assert book.to_dict() == ref_book.to_dict()
+
+
 def test_bookkeeping_has_per_distribution_rows():
     cfg = SynthConfig.from_dict(
         base_config(
@@ -369,6 +470,20 @@ def test_random_log_distinct_seeds_validate():
     a, b = random_log(1), random_log(2)
     assert load_log(serialize_log(a)) == a
     assert load_log(serialize_log(b)) == b
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    max_records=st.integers(1, 40),
+    max_labels=st.integers(1, 12),
+    max_conditions=st.integers(0, 10),
+)
+@example(seed=2**64 - 1, max_records=30, max_labels=12, max_conditions=0)
+@example(seed=2**63, max_records=1, max_labels=9, max_conditions=10)
+@settings(max_examples=150, deadline=None)
+def test_random_log_matches_record_loop(seed, max_records, max_labels, max_conditions):
+    bounds = (seed, max_records, max_labels, max_conditions)
+    assert serialize_log(random_log(*bounds)) == serialize_log(synth_oracle.random_log(*bounds))
 
 
 def test_random_log_rejects_bad_bounds():
