@@ -1,8 +1,11 @@
-"""Reference learners for the detection tests: the greedy learner scored
-with ``Fraction`` arithmetic through ``joint_counts`` on every candidate,
-and the subset oracle by brute force over every subset, with the tie rules
-of the library. ``learn_detection`` returns the same ``LearnReport`` the
-library builds; ``exhaustive_oracle`` the same (body, value) pair.
+"""Reference learners: the greedy detection learner scored with
+``Fraction`` arithmetic through ``joint_counts`` on every candidate, the
+greedy correction learner scored with ``Fraction`` arithmetic by walking
+the model's records for every candidate pair set, and the subset oracle by
+brute force over every subset, each with the tie rules of the library.
+``learn_detection`` and ``learn_correction`` return the same
+``LearnReport`` the library builds; ``exhaustive_oracle`` the same
+(body, value) pair.
 """
 
 from fractions import Fraction
@@ -10,17 +13,19 @@ from itertools import combinations
 
 from errata import (
     ConditionBody,
+    CorrectionRule,
     DetectionRule,
     GuardCheck,
     LearnConfig,
     LearnReport,
     LearnStep,
     Objective,
+    PairGuard,
     Probability,
     joint_counts,
     metric_bundle,
 )
-from errata.learning import INFEASIBLE, NO_IMPROVEMENT, UNDEFINED_BASE
+from errata.learning import INFEASIBLE, NO_ADMISSIBLE_PAIR, NO_IMPROVEMENT, UNDEFINED_BASE
 
 
 def objective_value(objective, n_pred, n_pred_gt, n_gt, pred_body, pred_body_gt):
@@ -105,6 +110,65 @@ def learn_detection(log, model_id, alpha, candidates, cfg=None):
         final_metrics=metric_bundle(log, model_id, alpha, rule.body),
     )
     return rule, report
+
+
+def learn_correction(log, model_id, beta, candidate_pairs, cfg=None):
+    """A pair is admissible when beta's precision over the records it fires
+    on beats beta's base precision (any positive precision when the base is
+    undefined); each step adds the admissible pair whose union with the
+    chosen ones has the strictly highest precision, the first in sorted
+    order on a tie, while that strictly beats the current precision."""
+    cfg = cfg or LearnConfig()
+    records = [r for r in log.records if r.model_id == model_id]
+
+    def precision(pair_set):
+        """beta's precision over the records where some pair fires."""
+        firing = [
+            r for r in records
+            if any(c in r.conditions and t in r.predicted for c, t in pair_set)
+        ]
+        return Probability(sum(beta in r.ground_truth for r in firing), len(firing))
+
+    predicted = [r for r in records if beta in r.predicted]
+    base = Probability(sum(beta in r.ground_truth for r in predicted), len(predicted))
+    bar = base.value if base.defined else Fraction(0)
+    guards, admissible = [], []
+    for pair in sorted(set(candidate_pairs)):
+        pair_precision = precision({pair})
+        ok = pair_precision.defined and pair_precision.value > bar
+        guards.append(PairGuard(*pair, pair_precision, base, ok))
+        if ok:
+            admissible.append(pair)
+
+    chosen, current, steps = [], None, []
+    while cfg.max_body_size is None or len(chosen) < cfg.max_body_size:
+        best = None
+        for pair in admissible:
+            if pair in chosen:
+                continue
+            value = precision({*chosen, pair}).value
+            if value is None or (current is not None and value <= current):
+                continue
+            if best is None or value > best[0]:
+                best = (value, pair)
+        if best is None:
+            break
+        value, pair = best
+        steps.append(LearnStep(pair, current, value, None))
+        chosen.append(pair)
+        current = value
+
+    if not chosen:
+        report = LearnReport(
+            outcome="NONE", reason=NO_ADMISSIBLE_PAIR, baseline_objective=base.value,
+            pair_guards=tuple(guards), base_precision=base,
+        )
+        return None, report
+    report = LearnReport(
+        outcome="RULE", reason=None, baseline_objective=base.value, steps=tuple(steps),
+        pair_guards=tuple(guards), base_precision=base, final_precision=precision(chosen),
+    )
+    return CorrectionRule(model_id, beta, frozenset(chosen)), report
 
 
 def exhaustive_oracle(log, model_id, alpha, candidates, cfg=None):

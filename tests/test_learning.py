@@ -403,6 +403,35 @@ def test_learners_match_the_fraction_references(seed, alpha, candidates, epsilon
     assert report.to_dict() == want_report.to_dict()
 
 
+# Pairs over four conditions random_log may draw and one no log carries,
+# triggered by the three labels it may draw and one it never does; a
+# correction class "d" is never predicted, so its base is undefined.
+PAIR_POOL = tuple(
+    (cond, trig) for cond in condition_alphabet(4) + ("x1",) for trig in ("a", "b", "c", "d")
+)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(("a", "b", "c", "d")),
+    st.lists(st.sampled_from(PAIR_POOL), max_size=10),
+    st.sampled_from((None, 1, 2, 3)),
+)
+# Two pairs that tie at 1/2 over a base of 1/6 beside two that never fire,
+# and two admissible pairs over an undefined base.
+@example(1, "a", [("c2", "b"), ("c3", "b"), ("x1", "a"), ("c1", "d")], None)
+@example(14, "c", [("c1", "a"), ("c3", "a"), ("c2", "d")], 2)
+@settings(max_examples=150, deadline=None)
+def test_learn_correction_matches_the_fraction_reference(seed, beta, pairs, max_size):
+    log = random_log(seed, max_records=20, max_labels=3, max_conditions=4)
+    c = cfg(max_body_size=max_size)
+    rule, report = learn_correction(log, "m", beta, pairs, c)
+    want_rule, want_report = learner_oracle.learn_correction(log, "m", beta, pairs, c)
+    assert rule == want_rule
+    assert report == want_report
+    assert report.to_dict() == want_report.to_dict()
+
+
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
