@@ -20,7 +20,7 @@ from pathlib import Path
 # learning, synth and theorems are imported by the commands that run them,
 # so that apply and eval start without loading them.
 from .estimators import ConditionBody
-from .logs import InputError, load_log_file, serialize_log
+from .logs import InputError, _strict_json, load_log_file, serialize_log
 from .rational import decimal_str, format_rational, parse_rational
 from .rules import RuleSet, apply_rules, dumps_rules, evaluate_delta, loads_rules
 
@@ -63,25 +63,23 @@ def report_render(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _delta_cells(row) -> list[str]:
+    """One row of ``deltas.csv`` without its ``skipped`` cell; the eval
+    table shows the same cells but ``f1_before`` and ``f1_after``."""
+    return [row.model_id, row.label, *map(format_rational, (
+        row.precision_before.value, row.precision_after.value, row.precision_delta,
+        row.recall_before.value, row.recall_after.value, row.recall_delta,
+        row.f1_before, row.f1_after, row.f1_delta,
+    ))]
+
+
 def render_deltas(rows) -> str:
     header = ("model", "label", "P before", "P after", "ΔP",
               "R before", "R after", "ΔR", "ΔF1", "status")
     table = [header]
     for row in rows:
-        table.append(
-            (
-                row.model_id,
-                row.label,
-                format_rational(row.precision_before.value),
-                format_rational(row.precision_after.value),
-                format_rational(row.precision_delta),
-                format_rational(row.recall_before.value),
-                format_rational(row.recall_after.value),
-                format_rational(row.recall_delta),
-                format_rational(row.f1_delta),
-                "SKIPPED" if row.skipped else "ok",
-            )
-        )
+        cells = _delta_cells(row)
+        table.append((*cells[:8], cells[10], "SKIPPED" if row.skipped else "ok"))
     widths = [max(len(cell) for cell in col) for col in zip(*table)]
     lines = [
         "  ".join(cell.ljust(w) if i < 2 else cell.rjust(w)
@@ -98,24 +96,7 @@ def deltas_csv(rows) -> str:
     )
     lines = [header]
     for row in rows:
-        lines.append(
-            ",".join(
-                (
-                    row.model_id,
-                    row.label,
-                    format_rational(row.precision_before.value),
-                    format_rational(row.precision_after.value),
-                    format_rational(row.precision_delta),
-                    format_rational(row.recall_before.value),
-                    format_rational(row.recall_after.value),
-                    format_rational(row.recall_delta),
-                    format_rational(row.f1_before),
-                    format_rational(row.f1_after),
-                    format_rational(row.f1_delta),
-                    "yes" if row.skipped else "no",
-                )
-            )
-        )
+        lines.append(",".join([*_delta_cells(row), "yes" if row.skipped else "no"]))
     return "\n".join(lines) + "\n"
 
 
@@ -197,10 +178,7 @@ def _cmd_synth(args) -> int:
     _one_blas_thread()
     from .synth import SynthConfig, SynthConfigError, generate
     with open(args.config, "r", encoding="utf-8") as handle:
-        try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SynthConfigError(f"malformed synth config: {exc}") from exc
+        obj = _strict_json(handle.read(), "synth config", SynthConfigError)
     cfg = SynthConfig.from_dict(obj)
     log, bookkeeping = generate(cfg)
     run = _Run("synth", args.out, [args.config], [cfg.seed], cfg.to_dict())

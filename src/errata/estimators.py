@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .logs import PredictionLog
 from .rational import format_rational
@@ -221,26 +221,52 @@ def joint_counts(
     return JointCounts(*(mask.bit_count() for mask in masks))
 
 
+class _Base(NamedTuple):
+    """The count ratios that judge a rule, each None when undefined: the
+    only definition of precision, post-rule precision, support,
+    confidence, K and residual. Every check but T4 reads and reports them,
+    in this order."""
+
+    precision: Ratio | None
+    rule_precision: Ratio | None
+    support: Ratio | None
+    confidence: Ratio | None
+    k_factor: Ratio | None
+    residual: Ratio | None
+
+
+def _base(c: JointCounts) -> _Base:
+    n, b = c.pred, c.pred_body
+    precision = (c.pred_gt, n) if n else None
+    support = (b, n) if n else None
+    return _Base(
+        precision,
+        (c.pred_gt - c.pred_body_gt, n - b) if n > b else None,
+        support,
+        (b - c.pred_body_gt, b) if b else None,
+        _div(support, _sub(_ONE, support)) if n and n != b else None,
+        _sub(_ONE, precision) if n else None,
+    )
+
+
+def _probability(r: Ratio | None) -> Probability:
+    # An undefined ratio of ``_base`` has a zero numerator count as well.
+    return Probability(*(r or (0, 0)))
+
+
 def bundle_from_counts(c: JointCounts) -> MetricBundle:
-    precision = Probability(c.pred_gt, c.pred)
-    recall = Probability(c.pred_gt, c.gt)
-    support = Probability(c.pred_body, c.pred)
-    confidence = Probability(c.pred_body - c.pred_body_gt, c.pred_body)
-    rule_precision = Probability(c.pred_gt - c.pred_body_gt, c.pred - c.pred_body)
-    rule_recall = Probability(c.pred_gt - c.pred_body_gt, c.gt)
-    s = support.value
-    k_factor = None if s is None or s == 1 else s / (1 - s)
-    p = precision.value
-    residual = None if p is None else 1 - p
+    """The ratios of ``_base`` as report values, with recall before and
+    after the rule."""
+    q = _base(c)
     return MetricBundle(
-        precision=precision,
-        recall=recall,
-        rule_precision=rule_precision,
-        rule_recall=rule_recall,
-        support=support,
-        confidence=confidence,
-        k_factor=k_factor,
-        residual=residual,
+        precision=_probability(q.precision),
+        recall=Probability(c.pred_gt, c.gt),
+        rule_precision=_probability(q.rule_precision),
+        rule_recall=Probability(c.pred_gt - c.pred_body_gt, c.gt),
+        support=_probability(q.support),
+        confidence=_probability(q.confidence),
+        k_factor=_fraction(q.k_factor),
+        residual=_fraction(q.residual),
     )
 
 

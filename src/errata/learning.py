@@ -265,45 +265,50 @@ class _Kernel:
         )
 
 
-def _greedy(k: _Kernel, ids: list[str], max_body_size: int | None):
-    """Grow a body one condition at a time; see ``learn_detection``.
+def _grow(masks: dict, score, start: Ratio | None, max_size: int | None):
+    """The greedy step loop of both learners.
 
-    Returns (body, steps, first_step_had_feasible), where each step is
-    (added id, value before, value after, pred_body_gt after) with ratio
-    values. Ties break toward the smallest id: candidates are visited in
-    sorted order and only a strictly higher value replaces the best.
+    ``masks`` maps each candidate, in sorted order, to the records it
+    covers. A step adds the candidate whose union with the covered mask
+    scores strictly highest, and strictly above the current value (at
+    first ``start``, the value of the empty set; None when undefined);
+    ``score(mask)`` returns None when that union may not be chosen. Ties
+    go to the candidate met first, and at most ``max_size`` steps are
+    taken. Returns (chosen candidates, steps), each step (candidate,
+    value before, value after, covered mask after).
     """
-    masks = {cid: k.mask(cid) for cid in ids}
-    body: list[str] = []
-    covered = 0
-    current = k.value(0, 0)
+    chosen: list = []
     steps = []
-    first_step_had_feasible = False
-    while max_body_size is None or len(body) < max_body_size:
+    covered = 0
+    current = start
+    while max_size is None or len(chosen) < max_size:
         best = None
-        for cid in ids:
-            if cid in body:
+        for key, mask in masks.items():
+            if key in chosen:
                 continue
-            mask = covered | masks[cid]
-            pb, pbg = k.counts(mask)
-            if not k.feasible(pbg):
-                continue
-            if not body:
-                first_step_had_feasible = True
-            value = k.value(pb, pbg)
-            if value is None:
-                continue
-            if current is not None and _le(value, current):
+            union = covered | mask
+            value = score(union)
+            if value is None or current is not None and _le(value, current):
                 continue
             if best is None or _lt(best[0], value):
-                best = (value, cid, mask, pbg)
+                best = (value, key, union)
         if best is None:
             break
-        value, cid, covered, pbg = best
-        steps.append((cid, current, value, pbg))
-        body.append(cid)
+        value, key, covered = best
+        steps.append((key, current, value, covered))
+        chosen.append(key)
         current = value
-    return body, steps, first_step_had_feasible
+    return chosen, steps
+
+
+def _grow_body(k: _Kernel, ids: list[str], max_body_size: int | None):
+    """``_grow`` over condition ids under the recall-reduction budget."""
+
+    def score(mask: int) -> Ratio | None:
+        pb, pbg = k.counts(mask)
+        return k.value(pb, pbg) if k.feasible(pbg) else None
+
+    return _grow({cid: k.mask(cid) for cid in ids}, score, k.value(0, 0), max_body_size)
 
 
 def learn_detection(
@@ -339,16 +344,18 @@ def learn_detection(
     residual_num = k.n_pred - k.n_pred_gt
     residual = Fraction(residual_num, k.n_pred)
     guards = []
+    any_feasible = False  # is some body of one condition within the budget?
     for cid in candidate_ids:
         pb, pbg = k.counts(k.mask(cid))
+        any_feasible = any_feasible or k.feasible(pbg)
         improves = None if pb == 0 else (pb - pbg) * k.n_pred > residual_num * pb
         guards.append(GuardCheck(cid, Probability(pb - pbg, pb), residual, improves))
 
     baseline = _fraction(k.value(0, 0))
-    body, ratio_steps, first_step_had_feasible = _greedy(k, candidate_ids, cfg.max_body_size)
+    body, ratio_steps = _grow_body(k, candidate_ids, cfg.max_body_size)
 
     if not body:
-        reason = NO_IMPROVEMENT if first_step_had_feasible or not candidate_ids else INFEASIBLE
+        reason = NO_IMPROVEMENT if any_feasible or not candidate_ids else INFEASIBLE
         report = LearnReport(
             objective=cfg.objective,
             epsilon=cfg.epsilon,
@@ -361,8 +368,8 @@ def learn_detection(
 
     steps = tuple(
         LearnStep(cid, _fraction(before), _fraction(after),
-                  Fraction(pbg, k.n_gt) if k.n_gt else None)
-        for cid, before, after, pbg in ratio_steps
+                  Fraction(k.counts(mask)[1], k.n_gt) if k.n_gt else None)
+        for cid, before, after, mask in ratio_steps
     )
     rule = DetectionRule(model_id, alpha, ConditionBody(frozenset(body)))
     report = LearnReport(
@@ -414,41 +421,18 @@ def learn_correction(
     base = Probability(*base_ratio)
     # With an undefined base, any pair of positive precision is admissible.
     bar = base_ratio if base_ratio[1] else _ZERO
-    fires: dict[tuple[str, str], int] = {}
     pair_guards = []
-    admissible: list[tuple[str, str]] = []
+    admissible: dict[tuple[str, str], int] = {}  # pair → records it fires on
     for cond, trig in pairs:
-        fires[(cond, trig)] = scope & ix.predicted.get(trig, 0) & ix.conditions.get(cond, 0)
-        pair_prec = precision(fires[(cond, trig)])
+        fires = scope & ix.predicted.get(trig, 0) & ix.conditions.get(cond, 0)
+        pair_prec = precision(fires)
         ok = pair_prec[1] > 0 and _lt(bar, pair_prec)
         pair_guards.append(PairGuard(cond, trig, Probability(*pair_prec), base, ok))
         if ok:
-            admissible.append((cond, trig))
+            admissible[(cond, trig)] = fires
 
-    chosen: list[tuple[str, str]] = []
-    covered = 0  # records where some chosen pair fires
-    current: Ratio | None = None
-    steps: list[LearnStep] = []
-    while cfg.max_body_size is None or len(chosen) < cfg.max_body_size:
-        best = None
-        for pair in admissible:
-            if pair in chosen:
-                continue
-            value = precision(covered | fires[pair])
-            if value[1] == 0:
-                continue
-            if current is not None and _le(value, current):
-                continue
-            if best is None or _lt(best[0], value):
-                best = (value, pair)
-        if best is None:
-            break
-        value, pair = best
-        steps.append(LearnStep(pair, _fraction(current), Fraction(*value), None))
-        covered |= fires[pair]
-        chosen.append(pair)
-        current = value
-
+    # Every union of admissible pairs fires somewhere, so each may be chosen.
+    chosen, ratio_steps = _grow(admissible, precision, None, cfg.max_body_size)
     if not chosen:
         report = LearnReport(
             outcome="NONE",
@@ -464,10 +448,13 @@ def learn_correction(
         outcome="RULE",
         reason=None,
         baseline_objective=base.value,
-        steps=tuple(steps),
+        steps=tuple(
+            LearnStep(pair, _fraction(before), Fraction(*after), None)
+            for pair, before, after, _ in ratio_steps
+        ),
         pair_guards=tuple(pair_guards),
         base_precision=base,
-        final_precision=Probability(*precision(covered)),
+        final_precision=Probability(*ratio_steps[-1][2]),
     )
     return rule, report
 
@@ -535,7 +522,7 @@ def exhaustive_oracle(
     baseline = k.value(0, 0)
     errors = k.pred & ~k.pred_gt
 
-    body, steps, _ = _greedy(k, ids, cfg.max_body_size)
+    body, steps = _grow_body(k, ids, cfg.max_body_size)
     best_value = steps[-1][2] if steps else None
     best_body = tuple(sorted(body))
 

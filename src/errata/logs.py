@@ -76,6 +76,41 @@ class LogFormatError(InputError):
     """A log line or record violates the schema."""
 
 
+# Strict readers of the JSON objects in rule files and synth configs. Each
+# raises the ``error`` class its caller names, with the path of the value.
+
+def _object(value, where: str, required: frozenset, optional: frozenset = frozenset(),
+            error: type[InputError] = InputError) -> dict:
+    """``value``, once it is a JSON object with every ``required`` key and
+    no key outside ``required | optional``. The error names the path and
+    the first unknown key, or else the first missing one."""
+    prefix = f"{where}: " if where else ""
+    if not isinstance(value, dict):
+        raise error(f"{prefix}expected an object, got {value!r}")
+    if not value.keys() <= required | optional:
+        raise error(f"{prefix}unknown key {min(value.keys() - required - optional, key=str)!r}")
+    if not required <= value.keys():
+        raise error(f"{prefix}missing key {min(required - value.keys())!r}")
+    return value
+
+
+def _entries(rows, where: str, required: frozenset, optional: frozenset = frozenset(),
+             error: type[InputError] = InputError):
+    """(path, object) for each object of a JSON array, each checked by
+    ``_object`` as it is read."""
+    if not isinstance(rows, list):
+        raise error(f"{where}: expected an array, got {rows!r}")
+    for i, entry in enumerate(rows):
+        path = f"{where}[{i}]"
+        yield path, _object(entry, path, required, optional, error)
+
+
+def _string(value, where: str, error: type[InputError] = InputError) -> str:
+    if not isinstance(value, str) or not value:
+        raise error(f"{where}: expected a nonempty string, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, slots=True)
 class PredictionRecord:
     """One sample's outcome for one model."""
@@ -282,15 +317,28 @@ def _parse_record(obj: dict, lineno: int, interned: dict) -> PredictionRecord:
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """Object hook of the line decoder: a key may appear once per object."""
+    """Object hook of every decoder of input files: a key may appear once
+    per object."""
     obj = dict(pairs)
     if len(obj) != len(pairs):
         seen = set()
         for key, _ in pairs:
             if key in seen:
-                raise LogFormatError(f"duplicate key {key!r}")
+                raise InputError(f"duplicate key {key!r}")
             seen.add(key)
     return obj
+
+
+def _strict_json(text: str, what: str, error: type[InputError]):
+    """The JSON value of a whole rule file or synth config; a key repeated
+    within an object is rejected as in a log line. ``what`` names the
+    format in the ``error`` raised."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as exc:
+        raise error(f"malformed {what}: {exc}") from exc
+    except InputError as exc:  # a repeated key
+        raise error(f"{what}: {exc}") from None
 
 
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
@@ -312,7 +360,7 @@ def _decode_line(line: str, lineno: int) -> dict:
         if line.startswith("\ufeff"):  # json.loads names the BOM; raw_decode does not
             msg = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
         raise LogFormatError(f"line {lineno}: malformed JSON ({msg})") from exc
-    except LogFormatError as exc:
+    except InputError as exc:  # a repeated key
         raise LogFormatError(f"line {lineno}: {exc}") from None
     if not isinstance(obj, dict):
         raise LogFormatError(f"line {lineno}: expected a JSON object")

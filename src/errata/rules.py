@@ -24,7 +24,7 @@ from .estimators import (
     f1_value,
     joint_counts,
 )
-from .logs import InputError, PredictionLog, _record
+from .logs import InputError, PredictionLog, _entries, _object, _record, _strict_json, _string
 from .rational import format_rational, sub
 
 
@@ -50,10 +50,6 @@ class DetectionRule:
             "target_class": self.target_class,
             "conditions": list(self.body.sorted_ids()),
         }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "DetectionRule":
-        return cls(obj["model_id"], obj["target_class"], ConditionBody.of(*obj["conditions"]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,11 +82,6 @@ class CorrectionRule:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "CorrectionRule":
-        pairs = frozenset((p["condition"], p["trigger_class"]) for p in obj["pairs"])
-        return cls(obj["model_id"], obj["target_class"], pairs)
-
 
 @dataclass(frozen=True)
 class RuleSet:
@@ -109,86 +100,62 @@ class RuleSet:
             "corrections": [r.to_dict() for r in self.corrections],
         }
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "RuleSet":
-        return cls(
-            tuple(DetectionRule.from_dict(r) for r in obj.get("detections", ())),
-            tuple(CorrectionRule.from_dict(r) for r in obj.get("corrections", ())),
-        )
-
 
 def dumps_rules(rules: RuleSet) -> str:
     """Canonical rule-file text (round-trips bit-exact)."""
     return json.dumps(rules.to_dict(), indent=2) + "\n"
 
 
-_RULE_KEYS = {
-    "detections": ("model_id", "target_class", "conditions"),
-    "corrections": ("model_id", "target_class", "pairs"),
-}
-_PAIR_KEYS = ("condition", "trigger_class")
+_RULE_LISTS = frozenset({"detections", "corrections"})
+_DETECTION_KEYS = frozenset({"model_id", "target_class", "conditions"})
+_CORRECTION_KEYS = frozenset({"model_id", "target_class", "pairs"})
+_PAIR_KEYS = frozenset({"condition", "trigger_class"})
 
 
-def _require_object(obj, keys: tuple[str, ...], where: str) -> None:
-    if not isinstance(obj, dict):
-        raise InputError(f"{where}: expected a JSON object")
-    unknown = sorted(set(obj) - set(keys))
-    if unknown:
-        raise InputError(f"{where}: unknown key(s) {unknown}")
-    missing = [key for key in keys if key not in obj]
-    if missing:
-        raise InputError(f"{where}: missing key(s) {missing}")
+def _pair(item, where: str) -> tuple[str, str]:
+    _object(item, where, _PAIR_KEYS)
+    return (_string(item["condition"], f"{where}.condition"),
+            _string(item["trigger_class"], f"{where}.trigger_class"))
 
 
-def _require_list(value, where: str) -> None:
-    if not isinstance(value, list) or not value:
-        raise InputError(f"{where}: expected a nonempty array")
-
-
-def _require_id(value, where: str) -> None:
-    if not isinstance(value, str) or not value:
-        raise InputError(f"{where}: expected a nonempty string")
+def _unique(items, where: str, read, what: str) -> frozenset:
+    """``read(item, path)`` of each item of a nonempty JSON array, as a set;
+    an item read twice is rejected."""
+    if not isinstance(items, list) or not items:
+        raise InputError(f"{where}: expected a nonempty array, got {items!r}")
+    seen = set()
+    for j, item in enumerate(items):
+        path = f"{where}[{j}]"
+        ident = read(item, path)
+        if ident in seen:
+            raise InputError(f"{path}: duplicate {what} {ident!r}")
+        seen.add(ident)
+    return frozenset(seen)
 
 
 def loads_rules(text: str) -> RuleSet:
-    """Parse a rule file strictly: unknown keys, wrong types, empty ids and
-    repeated condition ids or pairs within a rule are rejected with an
-    error naming the rule list, index and key."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed rule file: {exc.msg}") from exc
-    if not isinstance(obj, dict):
-        raise InputError("rule file must contain a JSON object")
-    unknown = sorted(set(obj) - set(_RULE_KEYS))
-    if unknown:
-        raise InputError(f"rule file has unknown key(s) {unknown}")
-    for kind, keys in _RULE_KEYS.items():
-        entries = obj.get(kind, [])
-        if not isinstance(entries, list):
-            raise InputError(f"{kind}: expected an array")
-        for i, entry in enumerate(entries):
-            where = f"{kind}[{i}]"
-            _require_object(entry, keys, where)
-            _require_id(entry["model_id"], f"{where}.model_id")
-            _require_id(entry["target_class"], f"{where}.target_class")
-            body_key = keys[2]
-            _require_list(entry[body_key], f"{where}.{body_key}")
-            seen = set()
-            for j, item in enumerate(entry[body_key]):
-                item_where = f"{where}.{body_key}[{j}]"
-                if kind == "detections":
-                    _require_id(item, item_where)
-                    what, ident = "id", item
-                else:
-                    _require_object(item, _PAIR_KEYS, item_where)
-                    for key in _PAIR_KEYS:
-                        _require_id(item[key], f"{item_where}.{key}")
-                    what, ident = "pair", (item["condition"], item["trigger_class"])
-                if ident in seen:
-                    raise InputError(f"{item_where}: duplicate {what} {ident!r}")
-                seen.add(ident)
-    return RuleSet.from_dict(obj)
+    """Parse a rule file strictly: a repeated, unknown or missing key, a
+    wrong type, an empty id and a condition id or pair repeated within a
+    rule are rejected with an error naming the rule list, index and key.
+    Each rule is built as it is checked."""
+    obj = _object(_strict_json(text, "rule file", InputError), "rule file", frozenset(), _RULE_LISTS)
+    detections = tuple(
+        DetectionRule(
+            _string(entry["model_id"], f"{where}.model_id"),
+            _string(entry["target_class"], f"{where}.target_class"),
+            ConditionBody(_unique(entry["conditions"], f"{where}.conditions", _string, "id")),
+        )
+        for where, entry in _entries(obj.get("detections", []), "detections", _DETECTION_KEYS)
+    )
+    corrections = tuple(
+        CorrectionRule(
+            _string(entry["model_id"], f"{where}.model_id"),
+            _string(entry["target_class"], f"{where}.target_class"),
+            _unique(entry["pairs"], f"{where}.pairs", _pair, "pair"),
+        )
+        for where, entry in _entries(obj.get("corrections", []), "corrections", _CORRECTION_KEYS)
+    )
+    return RuleSet(detections, corrections)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,16 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .estimators import Probability, bundle_from_counts, joint_counts
-from .logs import DEFAULT_DISTRIBUTION, InputError, PredictionLog, PredictionRecord, _record
+from .logs import (
+    DEFAULT_DISTRIBUTION,
+    InputError,
+    PredictionLog,
+    PredictionRecord,
+    _entries,
+    _object,
+    _record,
+    _string,
+)
 from .rational import as_fraction, format_rational
 
 
@@ -71,30 +80,6 @@ _DISTRIBUTION_KEYS = frozenset({"tag", "record_fraction"})
 _DISTRIBUTION_OPTIONAL = frozenset({"confidence_override"})
 
 
-def _object(value, where: str, required: frozenset, optional: frozenset = frozenset()) -> dict:
-    """``value``, once it is a JSON object with every ``required`` key and
-    no key outside ``required | optional``. The error names the path and
-    the first unknown key, or else the first missing one."""
-    prefix = f"{where}: " if where else ""
-    if not isinstance(value, dict):
-        raise SynthConfigError(f"{prefix}expected an object, got {value!r}")
-    if not value.keys() <= required | optional:
-        raise SynthConfigError(f"{prefix}unknown key {min(value.keys() - required - optional, key=str)!r}")
-    if not required <= value.keys():
-        raise SynthConfigError(f"{prefix}missing key {min(required - value.keys())!r}")
-    return value
-
-
-def _entries(rows, where: str, required: frozenset, optional: frozenset = frozenset()):
-    """(path, object) for each object of a config array, each checked by
-    ``_object`` as it is read."""
-    if not isinstance(rows, list):
-        raise SynthConfigError(f"{where}: expected an array, got {rows!r}")
-    for i, entry in enumerate(rows):
-        path = f"{where}[{i}]"
-        yield path, _object(entry, path, required, optional)
-
-
 def _rational(value, where: str) -> Fraction:
     try:
         return as_fraction(value)
@@ -113,12 +98,6 @@ def _mapping(value, where: str) -> dict:
 def _rationals(value, where: str) -> dict[str, Fraction]:
     """A JSON object whose values are rationals, such as ``class_priors``."""
     return {key: _rational(v, f"{where}.{key}") for key, v in _mapping(value, where).items()}
-
-
-def _string(value, where: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise SynthConfigError(f"{where}: expected a nonempty string, got {value!r}")
-    return value
 
 
 def _strings(value, where: str) -> tuple[str, ...]:
@@ -248,11 +227,11 @@ class SynthConfig:
                                 {"tag": "d2", "record_fraction": "1/2",
                                  "confidence_override": {"c1": 0}}]}
         """
-        _object(obj, "", _CONFIG_KEYS, _CONFIG_OPTIONAL)
+        _object(obj, "", _CONFIG_KEYS, _CONFIG_OPTIONAL, SynthConfigError)
         return cls(
             seed=obj["seed"],
             n_records=obj["n_records"],
-            model_id=_string(obj["model_id"], "model_id"),
+            model_id=_string(obj["model_id"], "model_id", SynthConfigError),
             labels=_strings(obj["labels"], "labels"),
             class_priors=_rationals(obj["class_priors"], "class_priors"),
             confusion={
@@ -261,30 +240,33 @@ class SynthConfig:
                         frozenset(_strings(entry["predicted"], f"{where}.predicted")),
                         _rational(entry["weight"], f"{where}.weight"),
                     )
-                    for where, entry in _entries(rows, f"confusion.{label}", _CONFUSION_KEYS)
+                    for where, entry in _entries(
+                        rows, f"confusion.{label}", _CONFUSION_KEYS, error=SynthConfigError
+                    )
                 )
                 for label, rows in _mapping(obj["confusion"], "confusion").items()
             },
             planted_conditions=tuple(
                 PlantedCondition(
-                    _string(pc["condition_id"], f"{where}.condition_id"),
-                    _string(pc["target_class"], f"{where}.target_class"),
+                    _string(pc["condition_id"], f"{where}.condition_id", SynthConfigError),
+                    _string(pc["target_class"], f"{where}.target_class", SynthConfigError),
                     _rational(pc["target_support"], f"{where}.target_support"),
                     _rational(pc["target_confidence"], f"{where}.target_confidence"),
                 )
                 for where, pc in _entries(
-                    obj.get("planted_conditions", []), "planted_conditions", _PLANTED_KEYS
+                    obj.get("planted_conditions", []), "planted_conditions", _PLANTED_KEYS,
+                    error=SynthConfigError,
                 )
             ),
             distributions=tuple(
                 DistributionSpec(
-                    _string(d["tag"], f"{where}.tag"),
+                    _string(d["tag"], f"{where}.tag", SynthConfigError),
                     _rational(d["record_fraction"], f"{where}.record_fraction"),
                     _rationals(d.get("confidence_override", {}), f"{where}.confidence_override"),
                 )
                 for where, d in _entries(
                     obj.get("distributions", []), "distributions",
-                    _DISTRIBUTION_KEYS, _DISTRIBUTION_OPTIONAL,
+                    _DISTRIBUTION_KEYS, _DISTRIBUTION_OPTIONAL, SynthConfigError,
                 )
             ),
         )

@@ -3,17 +3,18 @@ relate pre- and post-rule precision/recall to support and confidence.
 
 Every statement is one entry of the ordered ``CHECKS`` registry, a pure
 function of a ``JointCounts`` tuple and of its base quantities (precision,
-post-rule precision, support, confidence, K and residual), which are
-computed once per tuple. A ratio is an integer ``(num, den)`` pair with a
-positive denominator; each side of an identity is evaluated as written and
-the two are compared by integer cross-multiplication, so no float and no
-``Fraction`` reaches a verdict, and a wrong formula still comes out
-VIOLATED. Reports (from the public ``check_*`` functions, ``errata verify``
-and any VIOLATED verdict of the sweep) carry the same quantities as exact
-``Fraction`` values. The sweep over random logs only counts verdicts; it
-treats any VIOLATED verdict as a fatal self-test failure and captures the
-offending log for replay. Checks whose conditioning events never occur
-report SKIPPED (a first-class verdict) rather than guessing.
+post-rule precision, support, confidence, K and residual), which
+``estimators._base`` computes once per tuple. A ratio is an integer
+``(num, den)`` pair with a positive denominator; each side of an identity
+is evaluated as written and the two are compared by integer
+cross-multiplication, so no float and no ``Fraction`` reaches a verdict,
+and a wrong formula still comes out VIOLATED. Reports (from the public
+``check_*`` functions, ``errata verify`` and any VIOLATED verdict of the
+sweep) carry the same quantities as exact ``Fraction`` values. The sweep
+over random logs only counts verdicts; a VIOLATED verdict is an
+implementation bug, and the sweep keeps its report and the offending log
+for replay. Checks whose conditioning events never occur report SKIPPED
+(a first-class verdict) rather than guessing.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .estimators import (
     _ONE,
@@ -29,6 +30,8 @@ from .estimators import (
     ConditionBody,
     JointCounts,
     Ratio,
+    _Base,
+    _base,
     _div,
     _eq,
     _fraction,
@@ -111,31 +114,6 @@ def _body_ids(body) -> frozenset[str]:
     if isinstance(body, ConditionBody):
         return body.condition_ids
     return frozenset(body)
-
-
-class _Base(NamedTuple):
-    """The quantities every check but T4 reads and reports, in report order."""
-
-    precision: Ratio | None
-    rule_precision: Ratio | None
-    support: Ratio | None
-    confidence: Ratio | None
-    k_factor: Ratio | None
-    residual: Ratio | None
-
-
-def _base(c: JointCounts) -> _Base:
-    n, b = c.pred, c.pred_body
-    precision = (c.pred_gt, n) if n else None
-    support = (b, n) if n else None
-    return _Base(
-        precision,
-        (c.pred_gt - c.pred_body_gt, n - b) if n > b else None,
-        support,
-        (b - c.pred_body_gt, b) if b else None,
-        _div(support, _sub(_ONE, support)) if n and n != b else None,
-        _sub(_ONE, precision) if n else None,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +363,6 @@ def check_all(log, model_id, alpha, body, beta=None) -> list[TheoremReport]:
 # Random sweep
 # ---------------------------------------------------------------------------
 
-class SweepViolationError(AssertionError):
-    """A sweep produced a VIOLATED verdict (implementation self-test failure)."""
-
-
 @dataclass(frozen=True)
 class SweepViolation:
     trial: int
@@ -442,7 +416,6 @@ def sweep(
     max_records: int = 30,
     max_labels: int = 4,
     max_conditions: int = 3,
-    raise_on_violation: bool = False,
 ) -> SweepResult:
     """Check every statement on ``trials`` random logs.
 
@@ -500,13 +473,6 @@ def sweep(
                                 serialize_log(log),
                             )
                         )
-    result = SweepResult(
+    return SweepResult(
         seed, trials, max_records, max_labels, max_conditions, counts, tuple(violations)
     )
-    if raise_on_violation and violations:
-        first = violations[0]
-        raise SweepViolationError(
-            f"{first.theorem_id.value} VIOLATED on trial {first.trial} "
-            f"(seed {first.trial_seed}, alpha={first.alpha!r}, condition={first.condition_id!r})"
-        )
-    return result

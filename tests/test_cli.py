@@ -512,6 +512,27 @@ def test_synth_config_errors_name_their_path(tmp_path, capsys, config, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        pytest.param(
+            lambda tmp, log: ["apply", "--log", log, "--rules", str(_rules_text(
+                tmp, '{"detections": [{"model_id": "m", "target_class": "a",'
+                     ' "conditions": ["c1"], "conditions": ["c2"]}]}'))],
+            "rule file: duplicate key 'conditions'", id="rule file"),
+        pytest.param(
+            lambda tmp, log: _synth_file(tmp, json.dumps(SYNTH_CONFIG)[:-1] + ', "seed": 2}'),
+            "synth config: duplicate key 'seed'", id="synth config"),
+    ],
+)
+def test_repeated_keys_exit_2(tmp_path, log_file, capsys, command, message):
+    # Both formats used to keep the last value and exit 0.
+    argv = command(tmp_path, str(log_file)) + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"errata {argv[0]}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_internal_value_error_is_not_an_input_error(tmp_path, log_file, monkeypatch):
     # A bug that raises ValueError deep inside a command must surface, not
     # be reported as bad input.

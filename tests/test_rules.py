@@ -259,6 +259,16 @@ def test_rule_file_unknown_key_rejected():
         loads_rules('{"detections": [], "extra": []}')
 
 
+def test_rule_file_repeated_keys_rejected():
+    # The last value used to win: the body became {c2}, or a later empty
+    # list silently dropped the rule before it.
+    entry = '{"model_id": "m", "target_class": "a", "conditions": ["c1"]'
+    with pytest.raises(ValueError, match="^rule file: duplicate key 'conditions'$"):
+        loads_rules('{"detections": [' + entry + ', "conditions": ["c2"]}]}')
+    with pytest.raises(ValueError, match="^rule file: duplicate key 'detections'$"):
+        loads_rules('{"detections": [' + entry + '}], "detections": []}')
+
+
 def test_rule_file_malformed_rejected():
     with pytest.raises(ValueError):
         loads_rules("{nope")
@@ -298,7 +308,7 @@ def test_rule_file_non_string_ids_rejected():
 
 
 def test_rule_file_unknown_entry_key_rejected():
-    with pytest.raises(ValueError, match=r"detections\[0\]: unknown key\(s\) \['note'\]"):
+    with pytest.raises(ValueError, match=r"detections\[0\]: unknown key 'note'"):
         loads_rules(_detection_entry(note="x"))
     with pytest.raises(ValueError, match=r"corrections\[0\]\.pairs\[0\]: unknown key"):
         loads_rules(_correction_entry(pairs=[{"condition": "c1", "trigger_class": "a", "w": 1}]))

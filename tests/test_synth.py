@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import synth_oracle
+from errata.logs import _strict_json
 from errata.synth import MAX_RECORDS, _class_precision
 from errata import (
     ConditionBody,
@@ -254,6 +255,17 @@ def test_config_names_the_first_unknown_key():
     with pytest.raises(SynthConfigError) as err:
         SynthConfig.from_dict(base_config(zeta=1, extra=2))
     assert str(err.value) == "unknown key 'extra'"
+
+
+def test_config_text_rejects_repeated_keys():
+    # The last value used to win: "seed": 1, "seed": 2 ran as seed 2.
+    text = json.dumps(base_config(seed=1))[:-1] + ', "seed": 2}'
+    with pytest.raises(SynthConfigError) as err:
+        _strict_json(text, "synth config", SynthConfigError)
+    assert str(err.value) == "synth config: duplicate key 'seed'"
+    nested = json.dumps(base_config()).replace('"weight": 1}', '"weight": 1, "weight": 0}')
+    with pytest.raises(SynthConfigError, match="duplicate key 'weight'"):
+        _strict_json(nested, "synth config", SynthConfigError)
 
 
 def test_config_caps_n_records_before_drawing():

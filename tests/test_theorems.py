@@ -27,7 +27,7 @@ from errata import (
 from errata import theorems
 from errata.cli import main
 from errata.estimators import JointCounts
-from errata.theorems import CHECKS, SweepViolationError
+from errata.theorems import CHECKS
 from theorem_oracle import oracle
 
 BODY_C1 = ConditionBody.of("c1")
@@ -338,7 +338,7 @@ def test_sweep_counts_scale_with_trials():
 
 
 def test_sweep_zero_violations():
-    result = sweep(5, 300, raise_on_violation=True)
+    result = sweep(5, 300)
     assert not result.violations
     assert result.count(TheoremId.T1_PRECISION_CHANGE, VIOLATED) == 0
 
@@ -482,8 +482,6 @@ def test_sweep_captures_violation_with_full_report(monkeypatch):
         expected = check_reclassification_limit(log, "m", violation.alpha, beta, body)
         assert violation.report == replace(expected, verdict=VIOLATED)
         assert None not in violation.report.intermediates.values()
-    with pytest.raises(SweepViolationError):
-        sweep(7, 5, raise_on_violation=True)
 
 
 def test_verify_and_sweep_share_the_registry(tmp_path):
