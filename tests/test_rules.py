@@ -12,6 +12,7 @@ from errata import (
     ConditionBody,
     CorrectionRule,
     DetectionRule,
+    InputError,
     LogMismatchError,
     PredictionLog,
     RecordTrace,
@@ -312,6 +313,24 @@ def test_rule_file_unknown_entry_key_rejected():
         loads_rules(_detection_entry(note="x"))
     with pytest.raises(ValueError, match=r"corrections\[0\]\.pairs\[0\]: unknown key"):
         loads_rules(_correction_entry(pairs=[{"condition": "c1", "trigger_class": "a", "w": 1}]))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "rule file: expected an object, got []"),
+        ('{"detections": [], "zeta": 1, "extra": 2}', "rule file: unknown key 'extra'"),
+        ('{"corrections": {}}', "corrections: expected an array, got {}"),
+        ('{"detections": [{"model_id": "m"}]}', "detections[0]: missing key 'conditions'"),
+        (_detection_entry(model_id=7), "detections[0].model_id: expected a nonempty string, got 7"),
+        (_detection_entry(conditions=[]), "detections[0].conditions: expected a nonempty array, got []"),
+        (_correction_entry(pairs=["c1"]), "corrections[0].pairs[0]: expected an object, got 'c1'"),
+    ],
+)
+def test_rule_file_errors_use_the_synth_wording(text, message):
+    with pytest.raises(InputError) as err:
+        loads_rules(text)
+    assert str(err.value) == message
 
 
 def test_rule_file_duplicate_condition_ids_rejected():
