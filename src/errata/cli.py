@@ -429,6 +429,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flags that name an id or a label, as (flag, argparse dest, what it names):
+# an empty value names nothing and is rejected.
+_NONEMPTY_VALUES = (("--model", "model", "model id"), ("--class", "class_label", "class label"),
+                    ("--target-class", "target_class", "class label"),
+                    ("--condition", "condition", "condition id"),
+                    ("--trigger-class", "trigger_class", "class label"))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -436,8 +444,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if "" in getattr(args, "condition", ()):
-            raise InputError("--condition: expected a nonempty condition id")
+        for flag, dest, what in _NONEMPTY_VALUES:
+            value = getattr(args, dest, None)
+            if "" in (value if isinstance(value, list) else [value]):
+                raise InputError(f"{flag}: expected a nonempty {what}")
         return args.func(args)
     except (InputError, OSError, UnicodeDecodeError) as exc:
         # Bad input only (an undecodable file is bad input too): any other

@@ -4,12 +4,28 @@ A log is an immutable, order-preserving sequence of per-sample classifier
 outcomes: the label set a model produced, the ground-truth label set, the
 boolean side-conditions observed for the sample, and a distribution tag.
 Every probability this package reports is an exact ratio of record counts
-over such a log. The counts come from the log's ``index``, built once per
-log on first use: one bitset per model id, distribution tag, predicted
-label, ground-truth label and condition id, so that a count is ``&``,
-``|`` and ``int.bit_count()``. The label, condition and distribution
-universes are the index's keys. The tests check the index against a
-record-walking reference, ``tests/event_oracle.py``.
+over such a log.
+
+A log is stored by column. A record's *shape* is all of it but the sample
+id: (model_id, predicted, ground_truth, conditions, distribution). The
+log holds the sample ids, one shape code per row and a table of the
+shapes. A count asks how many rows of a scope carry a label, a truth or
+a condition, and a rule fires on a row by the model, predicted set and
+conditions the row carries; the id only names the row. So every count
+and every rule firing is fixed by the shape, and is decided once per
+shape, however many rows share it: a 100,000-record log synthesized with
+three labels and three planted conditions has 14 shapes.
+``PredictionRecord`` objects are built only when ``records`` is read or
+the log is iterated.
+
+The counts come from the log's ``index``, built once per log on first
+use: one bitset per model id, distribution tag, predicted label,
+ground-truth label and condition id, so that a count is ``&``, ``|`` and
+``int.bit_count()``. A key's bitset holds the rows whose shape carries
+the key. The label, condition and distribution universes are the index's
+keys. The tests check the index against a record-walking reference,
+``tests/event_oracle.py``, and the whole log against a record-built one,
+``tests/record_log.py``.
 
 ``load_log`` interns set fields: equal arrays within one load share one
 frozenset, and only arrays that passed validation are reused, so every
@@ -17,16 +33,17 @@ line is still checked and its errors still carry its line number.
 
 It also parses each distinct line *tail* once per load. A canonical line
 (as ``serialize_log`` writes it) starts ``{"sample_id":"``, and its tail
-is the text after the id string. A tail is remembered only after a whole
-line ending in it has passed the full parse and validation; a later
-canonical line with a nonempty id and a remembered tail takes that line's
-validated fields and keeps its own id. This is sound because what the
-decoder does after the id string does not depend on the id: the later
-line parses to the same keys and values apart from ``sample_id``, so it
-passes every check the earlier line passed. A tail that repeats the
-``"sample_id"`` key fails its first line and is never remembered. Any
-other line takes the full parse, so its errors are unchanged, and the
-(sample_id, model_id) duplicate check runs on every line.
+is the text after the id string. A tail is remembered, with its shape
+code, only after a whole line ending in it has passed the full parse and
+validation; a later canonical line with a nonempty id and a remembered
+tail takes that shape and keeps its own id. This is sound because what
+the decoder does after the id string does not depend on the id: the
+later line parses to the same keys and values apart from ``sample_id``,
+so it passes every check the earlier line passed. A tail that repeats
+the ``"sample_id"`` key fails its first line and is never remembered.
+Any other line takes the full parse and is then mapped to its shape, so
+its errors are unchanged, and the (sample_id, model_id) duplicate check
+runs on every line.
 
 JSONL schema (one object per line, strict — unknown fields are rejected):
 
@@ -48,9 +65,10 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cache, cached_property
+from itertools import chain
+from typing import Iterable, Iterator
 
 DEFAULT_DISTRIBUTION = "default"
 
@@ -123,12 +141,6 @@ class PredictionRecord:
     distribution: str = DEFAULT_DISTRIBUTION
 
     def __post_init__(self):
-        if (
-            isinstance(self.predicted, frozenset)
-            and isinstance(self.ground_truth, frozenset)
-            and isinstance(self.conditions, frozenset)
-        ):
-            return
         for name in _SET_FIELDS:
             value = getattr(self, name)
             if not isinstance(value, frozenset):
@@ -139,7 +151,7 @@ class PredictionRecord:
         return (self.sample_id, self.model_id)
 
 
-def _bitset(n: int, positions: list[int]) -> int:
+def _bitset(n: int, positions: Iterable[int]) -> int:
     """Int with bit i set for each i in positions, built in O(n)."""
     buf = bytearray((n + 7) >> 3)
     for i in positions:
@@ -147,28 +159,57 @@ def _bitset(n: int, positions: list[int]) -> int:
     return int.from_bytes(buf, "little")
 
 
+_ZEROS = b"0" * 256  # a translate table that maps every row code to "0"
+
+
 class LogIndex:
-    """Bitsets over a record sequence: bit i of a key's mask is set iff
-    record i carries the key. Keys the records never carry have no entry;
-    read them as the empty mask 0."""
+    """Bitsets over a log's rows: bit i of a key's mask is set iff row i
+    carries the key. Keys no row carries have no entry; read them as the
+    empty mask 0.
+
+    Each key's mask is the rows whose shape carries it. With at most 256
+    shapes, the row codes are one byte each: one ``bytes.translate`` turns
+    them into "1" for the key's shapes and "0" elsewhere, which
+    ``int(…, 2)`` reads as the mask. With more shapes, the key's mask is
+    built from the row positions of its shapes.
+    """
 
     __slots__ = ("all", "models", "distributions", "predicted", "ground_truth", "conditions")
 
-    def __init__(self, records: Sequence[PredictionRecord]):
+    def __init__(self, log: "PredictionLog"):
         keyed = tuple(defaultdict(list) for _ in range(5))
         models, distributions, predicted, ground_truth, conditions = keyed
-        for i, rec in enumerate(records):
-            models[rec.model_id].append(i)
-            distributions[rec.distribution].append(i)
-            for label in rec.predicted:
-                predicted[label].append(i)
-            for label in rec.ground_truth:
-                ground_truth[label].append(i)
-            for cid in rec.conditions:
-                conditions[cid].append(i)
-        n = len(records)
+        for code, (model_id, labels, truth, condition_ids, tag) in enumerate(log.shapes):
+            models[model_id].append(code)
+            distributions[tag].append(code)
+            for label in labels:
+                predicted[label].append(code)
+            for label in truth:
+                ground_truth[label].append(code)
+            for cid in condition_ids:
+                conditions[cid].append(code)
+        n, codes, n_shapes = len(log), log.codes, len(log.shapes)
         self.all = (1 << n) - 1
-        bitsets = [{key: _bitset(n, pos) for key, pos in by_key.items()} for by_key in keyed]
+        if n_shapes <= 256:
+            last_first = codes[::-1]  # int(…, 2) reads the most significant bit first
+
+            def rows(shapes: list[int]) -> int:
+                table = bytearray(_ZEROS)
+                for code in shapes:
+                    table[code] = 49  # "1"
+                return int(last_first.translate(table), 2)
+        else:
+            positions: list[list[int]] = [[] for _ in range(n_shapes)]
+            for i, code in enumerate(codes):
+                positions[code].append(i)
+
+            def rows(shapes: list[int]) -> int:
+                return _bitset(n, chain.from_iterable(map(positions.__getitem__, shapes)))
+        # Every shape is some row's, so a key on every shape is on every row.
+        bitsets = [
+            {key: self.all if len(shapes) == n_shapes else rows(shapes) for key, shapes in by_key.items()}
+            for by_key in keyed
+        ]
         (self.models, self.distributions, self.predicted, self.ground_truth,
          self.conditions) = bitsets
 
@@ -181,60 +222,87 @@ class LogIndex:
         return mask
 
 
-@dataclass(frozen=True)
 class PredictionLog:
-    """Immutable collection of prediction records.
+    """Immutable collection of prediction records, held by column.
+
+    ``sample_ids`` has one id per row and ``codes`` one shape code per
+    row: a ``bytes`` while there are at most 256 shapes, else a tuple of
+    ints. ``shapes[code]`` is the code's (model_id, predicted,
+    ground_truth, conditions, distribution). Every shape is some row's;
+    two codes may stand for equal shapes. ``records`` are built on first
+    use and then kept.
 
     A duplicate (sample_id, model_id) pair is rejected at construction, so
-    a constructed log is always internally consistent. The universes are
-    read from the keys of the index. All operations are pure: slicing and
-    rule application produce new logs.
+    a constructed log is always internally consistent. Two logs are equal
+    when their records are, in order, however their shapes are numbered;
+    the hash agrees. All operations are pure: rule application produces a
+    new log.
     """
 
-    records: tuple[PredictionRecord, ...] = ()
-
-    def __post_init__(self):
-        if not isinstance(self.records, tuple):
-            object.__setattr__(self, "records", tuple(self.records))
+    def __new__(cls, records: Iterable[PredictionRecord] = ()):
+        records = tuple(records)
         seen: set[tuple[str, str]] = set()
-        for rec in self.records:
+        shapes: dict[tuple, int] = {}
+        codes = []
+        for rec in records:
             key = (rec.sample_id, rec.model_id)
             if key in seen:
                 raise LogFormatError(f"duplicate (sample_id, model_id) pair {key!r}")
             seen.add(key)
-
-    @classmethod
-    def _unchecked(cls, records: tuple[PredictionRecord, ...]) -> "PredictionLog":
-        """A log over records whose keys the caller already knows are unique."""
-        log = object.__new__(cls)
-        object.__setattr__(log, "records", records)
+            shape = (rec.model_id, rec.predicted, rec.ground_truth, rec.conditions, rec.distribution)
+            codes.append(shapes.setdefault(shape, len(shapes)))
+        log = cls._columns([rec.sample_id for rec in records], codes, shapes)
+        log.__dict__["records"] = records
         return log
 
+    @classmethod
+    def _columns(cls, sample_ids: Iterable[str], codes: Iterable[int],
+                 shapes: Iterable[tuple]) -> "PredictionLog":
+        """A log over columns whose (sample_id, model_id) pairs the caller
+        already knows are unique, and whose shapes are each some row's."""
+        log = object.__new__(cls)
+        shapes = tuple(shapes)
+        codes = bytes(codes) if len(shapes) <= 256 else tuple(codes)
+        log.__dict__.update(sample_ids=tuple(sample_ids), codes=codes, shapes=shapes)
+        return log
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.sample_ids)
 
     def __iter__(self) -> Iterator[PredictionRecord]:
         return iter(self.records)
 
-    def slice(self, model_id: str, distribution: str | None = None) -> "PredictionLog":
-        """Sub-log for one model, optionally narrowed to one distribution tag.
+    @cached_property
+    def records(self) -> tuple[PredictionRecord, ...]:
+        shapes = self.shapes
+        return tuple(PredictionRecord(sample_id, *shapes[code])
+                     for sample_id, code in zip(self.sample_ids, self.codes))
 
-        An empty result is legal. Slicing on "default" selects records
-        that carried no explicit tag.
-        """
-        keep = tuple(
-            r
-            for r in self.records
-            if r.model_id == model_id
-            and (distribution is None or r.distribution == distribution)
-        )
-        return PredictionLog._unchecked(keep)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.sample_ids != other.sample_ids:
+            return False
+        mine, theirs = self.shapes, other.shapes
+        return all(mine[a] == theirs[b] for a, b in set(zip(self.codes, other.codes)))
+
+    def __hash__(self) -> int:
+        shape_hashes = list(map(hash, self.shapes))  # equal shapes hash alike
+        return hash((self.sample_ids, tuple(map(shape_hashes.__getitem__, self.codes))))
+
+    def __repr__(self) -> str:
+        return f"PredictionLog(records={self.records!r})"
 
     @cached_property
     def index(self) -> LogIndex:
-        """Bitset index of the records, built on first use and kept for the
+        """Bitset index of the rows, built on first use and kept for the
         life of the log; equality and hashing ignore it."""
-        return LogIndex(self.records)
+        return LogIndex(self)
 
     # Every label, condition id and tag the records carry: the index's keys.
     label_universe = cached_property(
@@ -247,25 +315,6 @@ class PredictionLog:
 # ---------------------------------------------------------------------------
 # JSONL ingestion / serialization
 # ---------------------------------------------------------------------------
-
-_new_object = object.__new__
-(_set_sample_id, _set_model_id, _set_predicted, _set_ground_truth, _set_conditions,
- _set_distribution) = (PredictionRecord.__dict__[name].__set__ for name in _SCHEMA_FIELDS)
-
-
-def _record(sample_id, model_id, predicted, ground_truth, conditions, distribution):
-    """A ``PredictionRecord`` over validated fields, filled through its slot
-    descriptors: the frozen ``__init__`` and ``__post_init__`` would only
-    redo checks these fields passed."""
-    record = _new_object(PredictionRecord)
-    _set_sample_id(record, sample_id)
-    _set_model_id(record, model_id)
-    _set_predicted(record, predicted)
-    _set_ground_truth(record, ground_truth)
-    _set_conditions(record, conditions)
-    _set_distribution(record, distribution)
-    return record
-
 
 def _parse_set_field(value, name: str, lineno: int, interned: dict) -> frozenset[str]:
     """The set a JSON array stands for, shared by equal arrays of one load.
@@ -292,7 +341,9 @@ def _parse_set_field(value, name: str, lineno: int, interned: dict) -> frozenset
     return unique
 
 
-def _parse_record(obj: dict, lineno: int, interned: dict) -> PredictionRecord:
+def _parse_record(obj: dict, lineno: int, interned: dict) -> tuple[str, tuple]:
+    """The sample id and the shape of one decoded line, once both pass
+    every check."""
     keys = obj.keys()
     if not keys <= _SCHEMA_SET:
         unknown = sorted(set(obj) - _SCHEMA_SET)
@@ -306,8 +357,7 @@ def _parse_record(obj: dict, lineno: int, interned: dict) -> PredictionRecord:
     distribution = obj.get(DISTRIBUTION, DEFAULT_DISTRIBUTION)
     if not isinstance(distribution, str) or not distribution:
         raise LogFormatError(f"line {lineno}: field 'distribution' must be a nonempty string")
-    return _record(
-        obj["sample_id"],
+    return obj["sample_id"], (
         obj["model_id"],
         _parse_set_field(obj[PREDICTED], PREDICTED, lineno, interned),
         _parse_set_field(obj[GROUND_TRUTH], GROUND_TRUTH, lineno, interned),
@@ -343,7 +393,8 @@ def _strict_json(text: str, what: str, error: type[InputError]):
 
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 _scanstring = json.decoder.scanstring  # the decoder's own string scanner
-_CANONICAL_HEAD = '{"sample_id":"'  # how every serialize_log line starts
+_HEAD = '{"sample_id":'
+_CANONICAL_HEAD = _HEAD + '"'  # how every serialize_log line starts
 _ID_START = len(_CANONICAL_HEAD)
 
 
@@ -371,23 +422,26 @@ def load_log(source: str | Iterable[str]) -> PredictionLog:
     """Parse line-delimited JSON into a validated log.
 
     Rejection errors carry the 1-based line number of the offending line.
-    Blank lines are skipped; an empty source yields an empty log. A
-    canonical line whose tail an earlier line already validated is not
-    parsed again (see the module docstring).
+    Blank lines are skipped; an empty source yields an empty log. A text
+    is split into lines as a text-mode file is: at "\n", "\r\n" and "\r"
+    only. A canonical line whose tail an earlier line already validated
+    is not parsed again (see the module docstring).
     """
-    lines = source.splitlines() if isinstance(source, str) else source
-    records: list[PredictionRecord] = []
-    seen: dict[tuple[str, str], int] = {}
+    if isinstance(source, str):
+        source = source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    sample_ids: list[str] = []
+    codes: list[int] = []
+    shapes: dict[tuple, int] = {}  # shape → its code
+    tails: dict[str, int] = {}  # tail text → the shape of the first line ending in it
+    # Per shape code, the {sample_id: line} map of the shape's model.
+    seen: list[dict[str, int]] = []
+    seen_by_model: dict[str, dict[str, int]] = {}
     interned: dict[tuple[str, ...], frozenset[str]] = {}
-    # Tail text -> the first record whose line ended in it. The record holds
-    # the validated fields and is kept anyway, so the cache adds no object
-    # for the garbage collector to trace.
-    tails: dict[str, PredictionRecord] = {}
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line:
             continue
-        tail = like = None
+        code = tail = None
         if line.startswith(_CANONICAL_HEAD):
             try:
                 sample_id, end = _scanstring(line, _ID_START)
@@ -396,23 +450,25 @@ def load_log(source: str | Iterable[str]) -> PredictionLog:
             else:
                 tail = line[end:]
                 if sample_id:
-                    like = tails.get(tail)
-        if like is None:
-            record = _parse_record(_decode_line(line, lineno), lineno, interned)
+                    code = tails.get(tail)
+        if code is None:
+            sample_id, shape = _parse_record(_decode_line(line, lineno), lineno, interned)
+            code = shapes.get(shape)
+            if code is None:
+                code = shapes[shape] = len(seen)
+                seen.append(seen_by_model.setdefault(shape[0], {}))
             if tail is not None:
-                tails[tail] = record
-        else:
-            record = _record(sample_id, like.model_id, like.predicted, like.ground_truth,
-                             like.conditions, like.distribution)
-        key = (record.sample_id, record.model_id)
-        if key in seen:
+                tails[tail] = code
+        first = seen[code].setdefault(sample_id, lineno)
+        if first != lineno:
+            model_id = next(shape[0] for shape, c in shapes.items() if c == code)
             raise LogFormatError(
-                f"line {lineno}: duplicate (sample_id, model_id) {key!r}"
-                f" first seen on line {seen[key]}"
+                f"line {lineno}: duplicate (sample_id, model_id) {(sample_id, model_id)!r}"
+                f" first seen on line {first}"
             )
-        seen[key] = lineno
-        records.append(record)
-    return PredictionLog._unchecked(tuple(records))
+        sample_ids.append(sample_id)
+        codes.append(code)
+    return PredictionLog._columns(sample_ids, codes, shapes)
 
 
 def load_log_file(path) -> PredictionLog:
@@ -423,29 +479,25 @@ def load_log_file(path) -> PredictionLog:
 _ENCODE_STR = json.encoder.encode_basestring_ascii
 
 
-class _ArrayText(dict):
-    """Set → its canonical JSON array text, encoded on first lookup."""
-
-    def __missing__(self, value: frozenset[str]) -> str:
-        text = self[value] = "[" + ",".join(map(_ENCODE_STR, sorted(value))) + "]"
-        return text
-
-
 def serialize_log(log: PredictionLog) -> str:
     """Canonical JSONL for a log; record order is preserved. Each line has
     the bytes ``JSONEncoder(separators=(",", ":"))`` gives for the record's
-    dict; each distinct set is encoded once per call."""
-    arrays = _ArrayText()
-    lines = []
-    for rec in log.records:
-        tail = "}"
-        if rec.distribution != DEFAULT_DISTRIBUTION:
-            tail = f',"distribution":{_ENCODE_STR(rec.distribution)}}}'
-        lines.append(
-            f'{{"sample_id":{_ENCODE_STR(rec.sample_id)},"model_id":{_ENCODE_STR(rec.model_id)},'
-            f'"predicted":{arrays[rec.predicted]},"ground_truth":{arrays[rec.ground_truth]},'
-            f'"conditions":{arrays[rec.conditions]}{tail}'
+    dict. The text after the id is encoded once per shape, and each
+    distinct set once, per call."""
+    @cache
+    def array(values: frozenset[str]) -> str:
+        return "[" + ",".join(map(_ENCODE_STR, sorted(values))) + "]"
+
+    tails = []
+    for model_id, predicted, ground_truth, conditions, distribution in log.shapes:
+        end = "}\n"
+        if distribution != DEFAULT_DISTRIBUTION:
+            end = f',"distribution":{_ENCODE_STR(distribution)}}}\n'
+        tails.append(
+            f',"model_id":{_ENCODE_STR(model_id)},"predicted":{array(predicted)},'
+            f'"ground_truth":{array(ground_truth)},"conditions":{array(conditions)}{end}'
         )
-    if lines:
-        lines.append("")  # a final newline, without copying the joined text again
-    return "\n".join(lines)
+    if not tails:
+        return ""
+    lines = map(str.__add__, map(_ENCODE_STR, log.sample_ids), map(tails.__getitem__, log.codes))
+    return _HEAD + _HEAD.join(lines)

@@ -2,11 +2,13 @@
 
 Detection rules erase a predicted label when any of their body conditions
 holds; correction rules then relabel records that lost a label.
-``apply_rules`` reads which records each rule fires on from the log's
-index and visits only records a detection rule touches, detection first
-within each record. Application is record-local: every rule is evaluated
-against the input record, so results do not depend on rule order, and
-rule indices in traces refer to positions in the RuleSet.
+Application is record-local: every rule is evaluated against the input
+record, so results do not depend on rule order, and rule indices in
+traces refer to positions in the RuleSet. What a record's model,
+predicted set and conditions are fixes what every rule does to it, so
+``apply_rules`` decides it once per shape of the log (see
+``errata.logs``), detection first, and writes a trace entry per record
+of a shape a detection rule touches.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from operator import or_
 
 from .estimators import (
     ConditionBody,
@@ -24,7 +24,7 @@ from .estimators import (
     f1_value,
     joint_counts,
 )
-from .logs import InputError, PredictionLog, _entries, _object, _record, _strict_json, _string
+from .logs import InputError, PredictionLog, _entries, _object, _strict_json, _string
 from .rational import format_rational, sub
 
 
@@ -215,7 +215,9 @@ class ApplicationTrace:
     def entries(self) -> tuple[RecordTrace, ...]:
         """One entry per record of the log, in log order; built on demand."""
         by_key = {(e.sample_id, e.model_id): e for e in self.touched}
-        return tuple(by_key.get(r.key) or RecordTrace(*r.key) for r in self.log.records)
+        shapes = self.log.shapes
+        keys = zip(self.log.sample_ids, (shapes[code][0] for code in self.log.codes))
+        return tuple(by_key.get(key) or RecordTrace(*key) for key in keys)
 
     def nonempty(self) -> tuple[RecordTrace, ...]:
         return tuple(e for e in self.touched if e.erased or e.added or e.conflict)
@@ -255,20 +257,6 @@ def _require_known_conditions(condition_ids, log: PredictionLog, kind: str) -> N
         )
 
 
-def _fired(masks, rules) -> dict[int, list[tuple[str, int]]]:
-    """Record position → (target class, rule index) of each rule whose mask
-    has the record's bit, in rule order. Set bits are found by scanning the
-    mask's binary text, not by shifting a long int once per record."""
-    by_record: dict[int, list[tuple[str, int]]] = {}
-    for idx, (mask, rule) in enumerate(zip(masks, rules)):
-        bits = bin(mask)[:1:-1]  # least significant bit first
-        i = bits.find("1")
-        while i >= 0:
-            by_record.setdefault(i, []).append((rule.target_class, idx))
-            i = bits.find("1", i + 1)
-    return by_record
-
-
 def apply_rules(log: PredictionLog, rules: RuleSet) -> tuple[PredictionLog, ApplicationTrace]:
     """Apply detection, then correction, to the records the rules touch.
 
@@ -283,9 +271,9 @@ def apply_rules(log: PredictionLog, rules: RuleSet) -> tuple[PredictionLog, Appl
     one record, none is applied and the competing classes are recorded as a
     conflict; a proposed class the record still predicts is a no-op.
 
-    Each rule's firing records are one mask over the log's index, so only
-    records a detection rule touches are visited and the rest are reused
-    as they are. The input log is unchanged.
+    The outcome is decided once per shape. The new log shares the sample
+    ids and shape codes of the input: only the shapes a detection rule
+    touches are replaced. The input log is unchanged.
     """
     _require_known_conditions(
         (cid for rule in rules.detections for cid in rule.body.condition_ids),
@@ -295,43 +283,39 @@ def apply_rules(log: PredictionLog, rules: RuleSet) -> tuple[PredictionLog, Appl
     _require_known_conditions(
         (c for rule in rules.corrections for c, _ in rule.pairs), log, "correction"
     )
-    index = log.index
-    detect = [
-        index.models.get(rule.model_id, 0)
-        & index.predicted.get(rule.target_class, 0)
-        & reduce(or_, (index.conditions[cid] for cid in rule.body.condition_ids))
-        for rule in rules.detections
-    ]
-    erased_any = reduce(or_, detect, 0)
-    correct = [
-        erased_any
-        & index.models.get(rule.model_id, 0)
-        & reduce(or_, (index.conditions[c] & index.predicted.get(t, 0) for c, t in rule.pairs))
-        for rule in rules.corrections
-    ]
-    erasures = _fired(detect, rules.detections)
-    firings = _fired(correct, rules.corrections)
-    records = list(log.records)
-    touched = []
-    interned: dict[frozenset[str], frozenset[str]] = {}
-    for i in sorted(erasures):
-        rec = records[i]
-        erased = tuple(sorted(erasures[i]))
-        predicted = rec.predicted - {label for label, _ in erased}
-        firing = firings.get(i, ())
+    shapes = list(log.shapes)
+    outcomes: dict[int, tuple] = {}  # code of a touched shape → its trace fields
+    for code, (model_id, predicted, ground_truth, conditions, distribution) in enumerate(log.shapes):
+        erased = tuple(sorted(
+            (rule.target_class, idx) for idx, rule in enumerate(rules.detections)
+            if rule.model_id == model_id and rule.target_class in predicted
+            and not rule.body.condition_ids.isdisjoint(conditions)
+        ))
+        if not erased:
+            continue
+        kept = predicted - {label for label, _ in erased}
+        firing = [
+            (rule.target_class, idx) for idx, rule in enumerate(rules.corrections)
+            if rule.model_id == model_id
+            and any(c in conditions and t in predicted for c, t in rule.pairs)
+        ]
         targets = frozenset(target for target, _ in firing)
         added: tuple[tuple[str, int], ...] = ()
         conflict: frozenset[str] = frozenset()
         if len(targets) > 1:
             conflict = targets
-        elif targets and not targets <= predicted:
+        elif targets and not targets <= kept:
             added = tuple(sorted(firing))
-            predicted |= targets
-        predicted = interned.setdefault(predicted, predicted)
-        records[i] = _record(rec.sample_id, rec.model_id, predicted,
-                             rec.ground_truth, rec.conditions, rec.distribution)
-        touched.append(RecordTrace(rec.sample_id, rec.model_id, erased, added, conflict))
-    return PredictionLog._unchecked(tuple(records)), ApplicationTrace(log, tuple(touched))
+            kept |= targets
+        shapes[code] = (model_id, kept, ground_truth, conditions, distribution)
+        outcomes[code] = (model_id, erased, added, conflict)
+    touched = tuple(
+        RecordTrace(sample_id, *outcomes[code])
+        for sample_id, code in zip(log.sample_ids, log.codes) if code in outcomes
+    )
+    if not outcomes:
+        return log, ApplicationTrace(log, touched)
+    return PredictionLog._columns(log.sample_ids, log.codes, shapes), ApplicationTrace(log, touched)
 
 
 # ---------------------------------------------------------------------------
@@ -380,20 +364,29 @@ class DeltaRow:
         }
 
 
+def _truths_by_key(log: PredictionLog) -> dict[tuple[str, str], frozenset[str]]:
+    shapes = log.shapes
+    return {(sample_id, shapes[code][0]): shapes[code][2]
+            for sample_id, code in zip(log.sample_ids, log.codes)}
+
+
 def evaluate_delta(before: PredictionLog, after: PredictionLog) -> tuple[DeltaRow, ...]:
     """Exact per-(model, label) precision/recall/F1 deltas.
 
     The two logs must share (sample_id, model_id) key sets and ground
     truths; otherwise the comparison is meaningless and is rejected.
     """
-    before_gt = {(r.sample_id, r.model_id): r.ground_truth for r in before.records}
-    after_gt = {(r.sample_id, r.model_id): r.ground_truth for r in after.records}
-    if before_gt != after_gt:
-        if before_gt.keys() != after_gt.keys():
-            missing = sorted(before_gt.keys() ^ after_gt.keys())[:3]
-            raise LogMismatchError(f"sample keys differ between logs (e.g. {missing})")
-        key = next(k for k, gt in before_gt.items() if gt != after_gt[k])
-        raise LogMismatchError(f"ground truth differs for {key!r}")
+    b, a = before.shapes, after.shapes  # rows in the same order: compare per pair of shapes
+    if before.sample_ids != after.sample_ids or any(
+        b[i][0] != a[j][0] or b[i][2] != a[j][2] for i, j in set(zip(before.codes, after.codes))
+    ):
+        before_gt, after_gt = _truths_by_key(before), _truths_by_key(after)
+        if before_gt != after_gt:
+            if before_gt.keys() != after_gt.keys():
+                missing = sorted(before_gt.keys() ^ after_gt.keys())[:3]
+                raise LogMismatchError(f"sample keys differ between logs (e.g. {missing})")
+            key = next(k for k, gt in before_gt.items() if gt != after_gt[k])
+            raise LogMismatchError(f"ground truth differs for {key!r}")
 
     rows = []
     for model_id in sorted(before.index.models):

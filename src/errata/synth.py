@@ -18,21 +18,14 @@ so a config reproduces its log bit for bit across runs and platforms.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .estimators import Probability, bundle_from_counts, joint_counts
-from .logs import (
-    DEFAULT_DISTRIBUTION,
-    InputError,
-    PredictionLog,
-    PredictionRecord,
-    _entries,
-    _object,
-    _record,
-    _string,
-)
+from .estimators import JointCounts, Probability, bundle_from_counts
+from .logs import DEFAULT_DISTRIBUTION, InputError, PredictionLog, _entries, _object, _string
 from .rational import as_fraction, format_rational
 
 
@@ -439,37 +432,26 @@ def _cumulative(weights: Sequence[Fraction]) -> list[float]:
     return out
 
 
-def _row_sets(hits, names: Sequence[str]) -> list[frozenset[str]]:
-    """For each row of the C-contiguous boolean matrix ``hits``, the set of
-    ``names`` whose columns it marks. Rows with one pattern share one set,
-    built when the pattern is first seen; each row's key is its bytes."""
-    if not names:
-        return [frozenset()] * len(hits)
-    sets: dict[bytes, frozenset[str]] = {}
-    out = []
-    # A bytes view drops trailing zero bytes, i.e. unmarked last columns,
-    # which the zip below would not reach anyway.
-    for key in hits.view(f"S{len(names)}").ravel().tolist():
-        found = sets.get(key)
-        if found is None:
-            found = sets[key] = frozenset(name for name, hit in zip(names, key) if hit)
-        out.append(found)
-    return out
+@lru_cache(maxsize=4096)
+def _names(names: tuple[str, ...], key: bytes) -> frozenset[str]:
+    """The ``names`` whose columns a bytes view of a boolean row marks;
+    cached, since a sweep's thousands of tiny logs share a few patterns."""
+    return frozenset(name for name, hit in zip(names, key) if hit)
 
 
 def generate(cfg: SynthConfig) -> tuple[PredictionLog, SynthBookkeeping]:
     """Draw the configured log; deterministic for a fixed config."""
-    tags, records = _draw(cfg, _mark_probabilities(cfg))
-    log = PredictionLog._unchecked(records)  # sample ids are distinct
-    return log, _bookkeeping(cfg, log, tags)
+    tags, codes, shapes, counts = _draw(cfg, _mark_probabilities(cfg))
+    # Sample ids s1..sn are distinct, and every shape is some row's.
+    log = PredictionLog._columns([f"s{i}" for i in range(1, cfg.n_records + 1)], codes, shapes)
+    return log, _bookkeeping(cfg, shapes, counts, tags)
 
 
 def _draw(
     cfg: SynthConfig, marks: Mapping[tuple[str, str], tuple[Fraction, Fraction]]
-) -> tuple[list[str], tuple[PredictionRecord, ...]]:
-    """The tags and the records of ``generate``, drawn column-wise. Each
-    array is freed once read, so that the records and the index built from
-    them can reuse its memory."""
+) -> tuple[list[str], Sequence[int], list[tuple], list[int]]:
+    """The tags of ``generate``, then its log as a shape code per row, the
+    shapes and the number of rows of each shape, drawn column-wise."""
     import numpy as np  # deferred: importing errata must not load numpy
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
@@ -494,8 +476,8 @@ def _draw(
 
     # Number the (truth, confusion row) outcomes, one block per truth class
     # in prior order, and add each record's outcome to its tag's block of
-    # cells with one search per truth class. _record stores the sets it is
-    # given; a config built in code may hold plain sets.
+    # cells with one search per truth class. A config built in code may
+    # hold plain sets, so each predicted set is frozen here.
     outcomes = [
         (truth, frozenset(predicted)) for truth in prior_labels for predicted, _ in cfg.confusion[truth]
     ]
@@ -524,40 +506,55 @@ def _draw(
         np.less(cond_u[:, j], np.take(thresholds, cell_idx), out=hits[:, j])
     del cond_u
 
-    record_cells = cell_idx.tolist()
-    conditions = _row_sets(hits, [pc.condition_id for pc in planted])
-    del cell_idx, hits
+    # A row's shape is fixed by its cell and its row of marks: number the
+    # (cell, mark pattern) pairs that occur.
+    names = tuple(pc.condition_id for pc in planted)
+    if names:
+        # A bytes view drops trailing zero bytes, i.e. unmarked last
+        # columns, which _names would not reach anyway.
+        patterns, pattern_idx = np.unique(hits.view(f"S{len(names)}").ravel(), return_inverse=True)
+        condition_sets = [_names(names, key) for key in patterns.tolist()]
+    else:
+        pattern_idx, condition_sets = 0, [frozenset()]
+    del hits
+    pairs, codes, counts = np.unique(
+        cell_idx * len(condition_sets) + pattern_idx, return_inverse=True, return_counts=True
+    )
+    del cell_idx, pattern_idx
 
     truth_sets = {label: frozenset((label,)) for label in prior_labels}
     cells = [(predicted, truth_sets[truth], tag) for tag in tags for truth, predicted in outcomes]
-    return tags, tuple(
-        _record(f"s{i}", cfg.model_id, predicted, truth, condition_set, tag)
-        for i, ((predicted, truth, tag), condition_set) in enumerate(
-            zip(map(cells.__getitem__, record_cells), conditions), 1
-        )
-    )
+    shapes = []
+    for pair in pairs.tolist():
+        predicted, truth, tag = cells[pair // len(condition_sets)]
+        shapes.append((cfg.model_id, predicted, truth, condition_sets[pair % len(condition_sets)], tag))
+    codes = codes.astype(np.uint8) if len(shapes) <= 256 else codes.tolist()
+    return tags, codes, shapes, counts.tolist()
 
 
-def _bookkeeping(cfg: SynthConfig, log: PredictionLog, tags: Sequence[str]) -> SynthBookkeeping:
+def _bookkeeping(cfg: SynthConfig, shapes: Sequence[tuple], counts: Sequence[int],
+                 tags: Sequence[str]) -> SynthBookkeeping:
+    """Realized support and confidence of each planted condition, pooled
+    and per tag, summed from the number of rows of each shape."""
+    cells: dict[tuple, int] = defaultdict(int)  # (tag, predicted, truth) → rows
+    marked: dict[tuple, int] = defaultdict(int)  # ... and a condition id they hold → rows
+    for (_, predicted, truth, conditions, tag), k in zip(shapes, counts):
+        cells[tag, predicted, truth] += k
+        for cid in conditions:
+            marked[tag, predicted, truth, cid] += k
     rows = []
-    scopes = [None, *tags] if cfg.distributions else [None]
     for pc in cfg.planted_conditions:
-        for tag in scopes:
-            bundle = bundle_from_counts(
-                joint_counts(
-                    log, pc.target_class, (pc.condition_id,),
-                    model_id=cfg.model_id, distribution=tag,
-                )
-            )
-            rows.append(
-                BookkeepingRow(
-                    condition_id=pc.condition_id,
-                    target_class=pc.target_class,
-                    distribution=tag,
-                    support=bundle.support,
-                    confidence=bundle.confidence,
-                )
-            )
+        alpha = pc.target_class
+        for scope in [None, *tags] if cfg.distributions else [None]:
+            c = [0] * 6  # total, gt, pred, pred_gt, pred_body, pred_body_gt
+            for (tag, predicted, truth), k in cells.items():
+                if scope in (None, tag):
+                    pred, gt = alpha in predicted, alpha in truth
+                    body = pred * marked.get((tag, predicted, truth, pc.condition_id), 0)
+                    for i, n in enumerate((k, k * gt, k * pred, k * pred * gt, body, body * gt)):
+                        c[i] += n
+            bundle = bundle_from_counts(JointCounts(*c))
+            rows.append(BookkeepingRow(pc.condition_id, alpha, scope, bundle.support, bundle.confidence))
     return SynthBookkeeping(tuple(rows))
 
 
@@ -581,11 +578,14 @@ def random_log(
     n = int(rng.integers(1, max_records + 1))
     labels = label_alphabet(int(rng.integers(1, max_labels + 1)))
     conditions = condition_alphabet(int(rng.integers(0, max_conditions + 1)))
-    predicted = _row_sets(rng.random((n, len(labels))) < 0.45, labels)
-    truth = _row_sets(rng.random((n, len(labels))) < 0.45, labels)
-    marked = _row_sets(rng.random((n, len(conditions))) < 0.5, conditions)
-    records = [
-        _record(f"r{i}", "m", p, g, c, DEFAULT_DISTRIBUTION)
-        for i, (p, g, c) in enumerate(zip(predicted, truth, marked), 1)
-    ]
-    return PredictionLog._unchecked(tuple(records))  # sample ids r1..rn are distinct
+    # Each row of each matrix as bytes (a view drops trailing zero bytes,
+    # i.e. unmarked last columns, which _names would not reach anyway).
+    keys = [hits.view(f"S{hits.shape[1]}").ravel().tolist() if hits.shape[1] else [b""] * n
+            for hits in (rng.random((n, len(labels))) < 0.45, rng.random((n, len(labels))) < 0.45,
+                         rng.random((n, len(conditions))) < 0.5)]
+    patterns: dict[tuple[bytes, bytes, bytes], int] = {}  # a row's three keys → its shape code
+    codes = [patterns.setdefault(row, len(patterns)) for row in zip(*keys)]
+    shapes = [("m", _names(labels, p), _names(labels, g), _names(conditions, c), DEFAULT_DISTRIBUTION)
+              for p, g, c in patterns]
+    # Sample ids r1..rn are distinct, and every shape is some row's.
+    return PredictionLog._columns([f"r{i}" for i in range(1, n + 1)], codes, shapes)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from errata import ConditionBody, PredictionLog, PredictionRecord, Probability
+from errata import ConditionBody, PredictionLog, PredictionRecord, Probability, RecordTrace
 
 PREDICTED = "predicted"
 GROUND_TRUTH = "ground_truth"
@@ -111,6 +111,23 @@ class EventQuery:
             raise ValueError("negation is defined for single-conjunction queries only")
         (clause,) = self.clauses
         return EventQuery(tuple(frozenset((atom.negate(),)) for atom in clause))
+
+
+def slice_log(log: PredictionLog, model_id: str, distribution: str | None = None) -> PredictionLog:
+    """The records of one model, narrowed to one distribution tag when one
+    is given, as a log of their own; "default" selects the records that
+    carried no explicit tag."""
+    return PredictionLog(tuple(
+        r for r in log.records
+        if r.model_id == model_id and (distribution is None or r.distribution == distribution)
+    ))
+
+
+def trace_entries(trace) -> tuple[RecordTrace, ...]:
+    """One entry per record of the trace's input log, in log order: the
+    entry of a record a rule touched, else an empty one."""
+    by_key = {(e.sample_id, e.model_id): e for e in trace.touched}
+    return tuple(by_key.get(r.key) or RecordTrace(*r.key) for r in trace.log.records)
 
 
 def count(log: PredictionLog, query: EventQuery) -> int:

@@ -3,16 +3,19 @@
 order, as the library. Each record's outcome is found by ``bisect`` on the
 cumulative confusion weights and each planted condition is tested one
 record at a time, so the library's array work can be checked against
-them byte for byte.
+them byte for byte. The bookkeeping is counted on the emitted log's
+index, not from per-shape counts as the library counts it.
 """
 
 from bisect import bisect_right
 
 import numpy as np
 
-from errata import DEFAULT_DISTRIBUTION, PredictionLog, PredictionRecord
+from errata import DEFAULT_DISTRIBUTION, PredictionLog, PredictionRecord, joint_counts
+from errata.estimators import bundle_from_counts
 from errata.synth import (
-    _bookkeeping,
+    BookkeepingRow,
+    SynthBookkeeping,
     _cumulative,
     _mark_probabilities,
     condition_alphabet,
@@ -68,6 +71,18 @@ def generate(cfg):
         )
     log = PredictionLog(tuple(records))
     return log, _bookkeeping(cfg, log, tags)
+
+
+def _bookkeeping(cfg, log, tags):
+    rows = []
+    for pc in cfg.planted_conditions:
+        for tag in [None, *tags] if cfg.distributions else [None]:
+            bundle = bundle_from_counts(joint_counts(
+                log, pc.target_class, (pc.condition_id,), model_id=cfg.model_id, distribution=tag
+            ))
+            rows.append(BookkeepingRow(pc.condition_id, pc.target_class, tag,
+                                       bundle.support, bundle.confidence))
+    return SynthBookkeeping(tuple(rows))
 
 
 def random_log(seed, max_records=30, max_labels=4, max_conditions=3):

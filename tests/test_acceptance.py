@@ -39,6 +39,7 @@ from errata import (
 from errata.cli import main
 from errata.learning import _objective_value
 from errata.synth import condition_alphabet
+from event_oracle import slice_log
 
 BODY_C1 = ConditionBody.of("c1")
 
@@ -218,7 +219,7 @@ def test_acceptance_5_oracle_agreement():
             rule, report = learn_detection(log, "m", "a", candidates, cfg)
             body, oracle_value = exhaustive_oracle(log, "m", "a", candidates, cfg)
 
-            sub = log.slice("m")
+            sub = slice_log(log, "m")
             if rule is not None:
                 counts = joint_counts(sub, "a", rule.body)
                 # Never infeasible: exact budget satisfaction.

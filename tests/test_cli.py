@@ -427,6 +427,19 @@ BAD_INPUTS = {
     "empty condition (learn-correction)": lambda tmp, log: [
         "learn-correction", "--log", log, "--model", "m", "--target-class", "b",
         "--condition", "", "--trigger-class", "a"],
+    "empty model (learn-detection)": lambda tmp, log: [
+        "learn-detection", "--log", log, "--model", "", "--class", "a", "--condition", "c1"],
+    "empty class (verify)": lambda tmp, log: [
+        "verify", "--log", log, "--model", "m", "--class", "", "--condition", "c1"],
+    "empty target class (verify)": lambda tmp, log: [
+        "verify", "--log", log, "--model", "m", "--class", "a", "--condition", "c1",
+        "--target-class", ""],
+    "empty target class (learn-correction)": lambda tmp, log: [
+        "learn-correction", "--log", log, "--model", "m", "--target-class", "",
+        "--condition", "c1", "--trigger-class", "a"],
+    "empty trigger class": lambda tmp, log: [
+        "learn-correction", "--log", log, "--model", "m", "--target-class", "b",
+        "--condition", "c1", "--trigger-class", ""],
     "unpaired trigger class": lambda tmp, log: [
         "learn-correction", "--log", log, "--model", "m", "--target-class", "b",
         "--condition", "c1", "--trigger-class", "a", "--trigger-class", "b"],
@@ -463,6 +476,25 @@ def test_bad_input_exits_2(tmp_path, log_file, capsys, case):
     argv = BAD_INPUTS[case](tmp_path, str(log_file)) + ["--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"errata {argv[0]}: ")
+
+
+@pytest.mark.parametrize(
+    "case, flag",
+    [
+        ("empty model (learn-detection)", "--model"),
+        ("empty class (verify)", "--class"),
+        ("empty target class (verify)", "--target-class"),
+        ("empty target class (learn-correction)", "--target-class"),
+        ("empty trigger class", "--trigger-class"),
+    ],
+)
+def test_empty_flag_value_is_named(tmp_path, log_file, capsys, case, flag):
+    # These used to run: an empty --model learned NONE (UNDEFINED_BASE) and
+    # an empty verify --target-class dropped the T4 check, both exit 0.
+    argv = BAD_INPUTS[case](tmp_path, str(log_file)) + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"errata {argv[0]}: {flag}: expected a nonempty ")
+    assert not (tmp_path / "out").exists()
 
 
 def _without(path):

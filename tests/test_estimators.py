@@ -29,6 +29,7 @@ from event_oracle import (
     condition_holds,
     count,
     predicted_has,
+    slice_log,
     truth_has,
 )
 
@@ -253,7 +254,7 @@ def test_bundle_matches_explicit_queries(log, alpha, body_ids):
     """Dual route: one-pass bundle vs explicit event-query estimation."""
     body = ConditionBody(frozenset(body_ids))
     b = metric_bundle(log, "m", alpha, body)
-    sub = log.slice("m")
+    sub = slice_log(log, "m")
     alpha_pred = EventQuery.conjunction(predicted_has(alpha))
     no_body = EventQuery.conjunction(
         predicted_has(alpha), *(condition_absent(c) for c in body_ids)
@@ -324,7 +325,7 @@ def _union(*queries):
 )
 def test_joint_counts_match_event_queries(log, model, tag, alpha, body, beta):
     c = joint_counts(log, alpha, body, beta, model_id=model, distribution=tag)
-    sub = log.slice(model, tag)
+    sub = slice_log(log, model, tag)
     pred = EventQuery.conjunction(predicted_has(alpha))
     gt = EventQuery.conjunction(truth_has(alpha))
     pred_body = pred.and_(_union(*(EventQuery.conjunction(condition_holds(x)) for x in body)))

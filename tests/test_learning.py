@@ -23,7 +23,7 @@ from errata.learning import (
     _objective_value,
 )
 from errata.synth import condition_alphabet, random_log
-from event_oracle import EventQuery, cond_prob, condition_holds, predicted_has, truth_has
+from event_oracle import EventQuery, cond_prob, condition_holds, predicted_has, slice_log, truth_has
 import learner_oracle
 
 GAIN = Objective.PRECISION_GAIN
@@ -452,7 +452,7 @@ def test_greedy_contracts_and_oracle_dominance(log, alpha, epsilon, objective):
         assert oracle_body is None
         return
 
-    sub = log.slice("m")
+    sub = slice_log(log, "m")
     if rule is not None:
         b = metric_bundle(log, "m", alpha, rule.body)
         # Feasibility: exact budget satisfaction whenever recall is defined.

@@ -14,8 +14,9 @@ from errata import (
     load_log,
     serialize_log,
 )
+from errata.logs import load_log_file
 from errata import logs as logs_module
-from event_oracle import Atom, EventQuery, count, predicted_has, truth_has
+from event_oracle import Atom, EventQuery, count, predicted_has, slice_log, truth_has
 
 
 def line(**kw):
@@ -169,6 +170,40 @@ def test_record_order_preserved():
     assert [r.sample_id for r in load_log(text)] == [f"s{i}" for i in range(5)]
 
 
+# str.splitlines() also breaks lines at these; a text-mode file does not.
+SPLITLINES_ONLY = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+def _load_outcome(load, source):
+    try:
+        return [dataclasses.astuple(r) for r in load(source)]
+    except LogFormatError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("char", SPLITLINES_ONLY, ids=ascii)
+@pytest.mark.parametrize("where", ["in an id", "between objects"])
+@pytest.mark.parametrize("last", ["", "\nnot json"], ids=["", "bad last line"])
+def test_text_splits_lines_as_a_file_does(tmp_path, char, where, last):
+    if where == "in an id":
+        text = line(sample_id="s1") + "\n" + line(sample_id="s@2").replace("@", char)
+    else:
+        text = line(sample_id="s1") + char + line(sample_id="s2")
+    text += "\r\n" + line(sample_id="s3") + "\r" + line(sample_id="s4") + last
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    got = _load_outcome(load_log, text)
+    assert got == _load_outcome(load_log_file, path)
+    if where == "between objects":
+        assert got == "line 1: malformed JSON (Extra data)"
+    elif char in "\u2028\u2029\x85":  # legal raw in a JSON string
+        assert got == ("line 5: malformed JSON (Expecting value)" if last
+                       else [(f"s{i}", "m", frozenset(), frozenset(), frozenset(), DEFAULT_DISTRIBUTION)
+                             for i in ("1", f"{char}2", "3", "4")])
+    else:
+        assert got.startswith("line 2: malformed JSON (Invalid control character at")
+
+
 # ---------------------------------------------------------------------------
 # Canonical lines: a tail that an earlier line validated is not parsed again.
 # Build these with serialize_log; line() writes ": " separators, which never
@@ -244,12 +279,12 @@ def test_cached_tail_decodes_ids_like_json_loads(id_text):
 # ---------------------------------------------------------------------------
 
 def test_slice_whole_model(log_a):
-    assert len(log_a.slice("m")) == 5
-    assert log_a.slice("m") == log_a
+    assert len(slice_log(log_a, "m")) == 5
+    assert slice_log(log_a, "m") == log_a
 
 
 def test_slice_unknown_model_empty(log_a):
-    assert len(log_a.slice("other")) == 0
+    assert len(slice_log(log_a, "other")) == 0
 
 
 def test_slice_by_distribution():
@@ -258,8 +293,8 @@ def test_slice_by_distribution():
         rec("s2", distribution="d2"),
         rec("s3", distribution="d1"),
     )
-    assert [r.sample_id for r in log.slice("m", "d1")] == ["s1", "s3"]
-    assert len(log.slice("m", "default")) == 0
+    assert [r.sample_id for r in slice_log(log, "m", "d1")] == ["s1", "s3"]
+    assert len(slice_log(log, "m", "default")) == 0
 
 
 def test_count_predicted(log_a):

@@ -25,6 +25,8 @@ from errata import (
     evaluate_delta,
     loads_rules,
 )
+from event_oracle import trace_entries
+from record_log import two_stage as _two_stage
 
 RULE_A_C1 = DetectionRule("m", "a", ConditionBody.of("c1"))
 
@@ -52,16 +54,16 @@ def test_detection_erases_on_condition():
     )
     detected, trace = apply_rules(log, RuleSet(detections=rules.detections))
     assert detected.records[0].predicted == {"us"}
-    assert trace.entries[0].erased == (("toyota", 0),)
+    assert trace_entries(trace)[0].erased == (("toyota", 0),)
     corrected, trace2 = apply_rules(log, rules)
     assert corrected.records[0].predicted == {"us", "dodge"}
-    assert trace2.entries[0].erased == (("toyota", 0),)
-    assert trace2.entries[0].added == (("dodge", 0),)
+    assert trace_entries(trace2)[0].erased == (("toyota", 0),)
+    assert trace_entries(trace2)[0].added == (("dodge", 0),)
 
 
 def test_detection_on_log_a(log_a):
     after, trace = apply_rules(log_a, RuleSet(detections=(RULE_A_C1,)))
-    erased = {e.sample_id for e in trace.entries if e.erased}
+    erased = {e.sample_id for e in trace_entries(trace) if e.erased}
     assert erased == {"r2", "r3"}
     rows = evaluate_delta(log_a, after)
     row = delta_for(rows, "m", "a")
@@ -86,7 +88,7 @@ def test_condition_never_true_yields_identity():
     # c1 exists in the universe but never co-occurs with an "a" prediction.
     after, trace = apply_rules(log, RuleSet(detections=(RULE_A_C1,)))
     assert after == log
-    assert all(not e.erased for e in trace.entries)
+    assert all(not e.erased for e in trace_entries(trace))
 
 
 def test_detection_multiple_rules_disjunctive():
@@ -104,8 +106,8 @@ def test_detection_multiple_rules_disjunctive():
     )
     after, trace = apply_rules(log, rules)
     assert all("a" not in r.predicted for r in after)
-    assert trace.entries[0].erased == (("a", 1),)
-    assert trace.entries[1].erased == (("a", 0),)
+    assert trace_entries(trace)[0].erased == (("a", 1),)
+    assert trace_entries(trace)[1].erased == (("a", 0),)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +131,7 @@ def test_correction_requires_erasure():
     corrected, trace = apply_rules(log, rules)
     # s3 fires the pair (c1 holds, b predicted) but had no erasure: untouched.
     assert corrected.records[2] == log.records[2]
-    assert not trace.entries[2].added
+    assert not trace_entries(trace)[2].added
 
 
 def test_correction_no_matching_pair_unchanged():
@@ -139,7 +141,7 @@ def test_correction_no_matching_pair_unchanged():
     corrected, trace = apply_rules(log, rules)
     # s1 lost "a" but no pair fires for it (c2 absent).
     assert corrected.records[0].predicted == frozenset()
-    assert not trace.entries[0].added
+    assert not trace_entries(trace)[0].added
 
 
 def test_correction_conflict_applies_none():
@@ -153,8 +155,8 @@ def test_correction_conflict_applies_none():
     )
     corrected, trace = apply_rules(log, rules)
     assert corrected.records[0].predicted == frozenset()
-    assert trace.entries[0].conflict == {"x", "y"}
-    assert not trace.entries[0].added
+    assert trace_entries(trace)[0].conflict == {"x", "y"}
+    assert not trace_entries(trace)[0].added
 
 
 def test_correction_trigger_uses_original_predictions():
@@ -164,7 +166,7 @@ def test_correction_trigger_uses_original_predictions():
     rules = RuleSet(detections=(detection,), corrections=(correction,))
     corrected, trace = apply_rules(log, rules)
     assert corrected.records[0].predicted == {"b"}
-    assert trace.entries[0].added == (("b", 0),)
+    assert trace_entries(trace)[0].added == (("b", 0),)
 
 
 def test_correction_may_reinstate_erased_label():
@@ -172,7 +174,7 @@ def test_correction_may_reinstate_erased_label():
     correction = CorrectionRule("m", "a", frozenset({("c1", "a")}))
     rules = RuleSet(detections=(detection,), corrections=(correction,))
     corrected, trace = apply_rules(log, rules)
-    entry = trace.entries[0]
+    entry = trace_entries(trace)[0]
     assert corrected.records[0].predicted == {"a"}
     assert entry.erased_labels == {"a"} and entry.added_labels == {"a"}
     assert entry.reinstated == {"a"}
@@ -186,7 +188,7 @@ def test_correction_noop_when_label_already_present():
     correction = CorrectionRule("m", "b", frozenset({("c1", "a")}))
     corrected, trace = apply_rules(log, RuleSet((detection,), (correction,)))
     assert corrected.records[0].predicted == {"b"}
-    assert not trace.entries[0].added
+    assert not trace_entries(trace)[0].added
 
 
 def test_correction_unknown_condition_rejected():
@@ -423,7 +425,7 @@ def test_detection_idempotent(log, rule):
     once, _ = apply_rules(log, rules)
     twice, trace = apply_rules(once, rules)
     assert twice == once
-    assert all(not e.erased for e in trace.entries)
+    assert all(not e.erased for e in trace_entries(trace))
 
 
 @given(logs_st(max_records=10), detection_rules_st)
@@ -465,7 +467,7 @@ def test_trace_completeness(log, detection, corrections):
     if not needed <= log.condition_universe:
         return
     corrected, trace = apply_rules(log, rules)
-    for before, after, entry in zip(log, corrected, trace.entries):
+    for before, after, entry in zip(log, corrected, trace_entries(trace)):
         if entry.conflict:
             assert len(after.predicted) == len(before.predicted) - len(entry.erased_labels)
         else:
@@ -478,41 +480,6 @@ def test_trace_completeness(log, detection, corrections):
 # ---------------------------------------------------------------------------
 # One-pass application vs a two-stage reference
 # ---------------------------------------------------------------------------
-
-def _two_stage(log, rules):
-    """Reference semantics, stage by stage: erase on every record, then
-    offer each record that lost a label to the correction rules, with
-    triggers read from the original predictions. Returns per record the
-    final predicted set and the (erased, added, conflict) trace fields."""
-    detected = []
-    for r in log:
-        erased = tuple(sorted(
-            (d.target_class, i)
-            for i, d in enumerate(rules.detections)
-            if d.model_id == r.model_id
-            and d.target_class in r.predicted
-            and r.conditions & d.body.condition_ids
-        ))
-        detected.append((r.predicted - {label for label, _ in erased}, erased))
-    out = []
-    for r, (predicted, erased) in zip(log, detected):
-        added, conflict = (), frozenset()
-        if erased:
-            firing = [
-                (c.target_class, i)
-                for i, c in enumerate(rules.corrections)
-                if c.model_id == r.model_id
-                and any(cond in r.conditions and trig in r.predicted for cond, trig in c.pairs)
-            ]
-            targets = {target for target, _ in firing}
-            if len(targets) > 1:
-                conflict = frozenset(targets)
-            elif targets and not targets <= predicted:
-                added = tuple(sorted(firing))
-                predicted = predicted | targets
-        out.append((predicted, erased, added, conflict))
-    return out
-
 
 def _fixture_log(*predicted_and_conditions):
     return make_log(*(
@@ -561,9 +528,9 @@ def test_apply_rules_matches_two_stage_reference(log, detections, corrections):
         return
     after, trace = apply_rules(log, rules)
     expected = _two_stage(log, rules)
-    assert len(after) == len(trace.entries) == len(expected)
+    assert len(after) == len(trace_entries(trace)) == len(expected)
     for before, got, entry, (predicted, erased, added, conflict) in zip(
-        log, after, trace.entries, expected
+        log, after, trace_entries(trace), expected
     ):
         assert got == replace(before, predicted=predicted)
         assert (entry.sample_id, entry.model_id) == before.key
@@ -572,8 +539,9 @@ def test_apply_rules_matches_two_stage_reference(log, detections, corrections):
 
 def _assert_matches_reference(log, rules, after, trace):
     expected = _two_stage(log, rules)
+    assert trace.entries == trace_entries(trace)
     for before, got, entry, (predicted, erased, added, conflict) in zip(
-        log, after, trace.entries, expected
+        log, after, trace_entries(trace), expected
     ):
         assert got == replace(before, predicted=predicted)
         assert (entry.sample_id, entry.model_id) == before.key
@@ -590,7 +558,7 @@ def test_apply_rules_touching_no_record():
     assert all(got is before for got, before in zip(after, log))
     assert trace.touched == () and trace.nonempty() == ()
     assert trace.to_dict() == {"entries": []}
-    assert trace.entries == tuple(RecordTrace(*r.key) for r in log)
+    assert trace_entries(trace) == tuple(RecordTrace(*r.key) for r in log)
     _assert_matches_reference(log, rules, after, trace)
 
 
@@ -601,7 +569,7 @@ def test_apply_rules_touching_every_record():
         (CorrectionRule("m", "b", {("c2", "a")}), CorrectionRule("m", "d", {("c3", "c")})),
     )
     after, trace = apply_rules(log, rules)
-    assert trace.touched == trace.nonempty() == trace.entries
+    assert trace.touched == trace.nonempty() == trace_entries(trace)
     assert [e.sample_id for e in trace.touched] == [r.sample_id for r in log]
     assert [r.predicted for r in after] == [frozenset(), {"b"}, {"c", "d"}]
     _assert_matches_reference(log, rules, after, trace)
