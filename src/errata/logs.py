@@ -64,6 +64,7 @@ omitted) so that serialization is deterministic and
 from __future__ import annotations
 
 import json
+from array import array
 from collections import defaultdict
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cache, cached_property
@@ -226,8 +227,8 @@ class PredictionLog:
     """Immutable collection of prediction records, held by column.
 
     ``sample_ids`` has one id per row and ``codes`` one shape code per
-    row: a ``bytes`` while there are at most 256 shapes, else a tuple of
-    ints. ``shapes[code]`` is the code's (model_id, predicted,
+    row: a ``bytes`` while there are at most 256 shapes, else an
+    ``array("I")``. ``shapes[code]`` is the code's (model_id, predicted,
     ground_truth, conditions, distribution). Every shape is some row's;
     two codes may stand for equal shapes. ``records`` are built on first
     use and then kept.
@@ -262,7 +263,7 @@ class PredictionLog:
         already knows are unique, and whose shapes are each some row's."""
         log = object.__new__(cls)
         shapes = tuple(shapes)
-        codes = bytes(codes) if len(shapes) <= 256 else tuple(codes)
+        codes = bytes(codes) if len(shapes) <= 256 else array("I", codes)
         log.__dict__.update(sample_ids=tuple(sample_ids), codes=codes, shapes=shapes)
         return log
 

@@ -545,14 +545,15 @@ def _bookkeeping(cfg: SynthConfig, shapes: Sequence[tuple], counts: Sequence[int
     rows = []
     for pc in cfg.planted_conditions:
         alpha = pc.target_class
+        by_tag: dict[str, list[int]] = defaultdict(lambda: [0] * 6)  # tag → JointCounts fields
+        for (tag, predicted, truth), k in cells.items():
+            pred, gt = alpha in predicted, alpha in truth
+            body = pred * marked.get((tag, predicted, truth, pc.condition_id), 0)
+            fields = by_tag[tag]
+            for i, n in enumerate((k, k * gt, k * pred, k * pred * gt, body, body * gt)):
+                fields[i] += n
         for scope in [None, *tags] if cfg.distributions else [None]:
-            c = [0] * 6  # total, gt, pred, pred_gt, pred_body, pred_body_gt
-            for (tag, predicted, truth), k in cells.items():
-                if scope in (None, tag):
-                    pred, gt = alpha in predicted, alpha in truth
-                    body = pred * marked.get((tag, predicted, truth, pc.condition_id), 0)
-                    for i, n in enumerate((k, k * gt, k * pred, k * pred * gt, body, body * gt)):
-                        c[i] += n
+            c = map(sum, zip(*by_tag.values())) if scope is None else by_tag[scope]
             bundle = bundle_from_counts(JointCounts(*c))
             rows.append(BookkeepingRow(pc.condition_id, alpha, scope, bundle.support, bundle.confidence))
     return SynthBookkeeping(tuple(rows))
