@@ -267,6 +267,9 @@ class PredictionLog:
         log.__dict__.update(sample_ids=tuple(sample_ids), codes=codes, shapes=shapes)
         return log
 
+    def __reduce__(self):  # copy and pickle rebuild the columns, not the records
+        return PredictionLog._columns, (self.sample_ids, self.codes, self.shapes)
+
     def __setattr__(self, name, value=None):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 

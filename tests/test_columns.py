@@ -7,7 +7,9 @@ records of ``record_log`` describe: the same records, index, universes,
 serialization, equality and hash, however the shapes are numbered.
 """
 
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -109,6 +111,8 @@ def assert_matches(log: PredictionLog, ref: RecordLog) -> None:
     assert serialize_log(log) == record_log.serialize(ref)
     twin = PredictionLog(ref.records)
     assert log == twin and twin == log and hash(log) == hash(twin)
+    for copied in (copy.copy(log), pickle.loads(pickle.dumps(log))):
+        assert copied.records == ref.records
     assert log.records == ref.records
 
 
