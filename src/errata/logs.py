@@ -64,7 +64,6 @@ omitted) so that serialization is deterministic and
 from __future__ import annotations
 
 import json
-from array import array
 from collections import defaultdict
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cache, cached_property
@@ -263,7 +262,11 @@ class PredictionLog:
         already knows are unique, and whose shapes are each some row's."""
         log = object.__new__(cls)
         shapes = tuple(shapes)
-        codes = bytes(codes) if len(shapes) <= 256 else array("I", codes)
+        if len(shapes) <= 256:
+            codes = bytes(codes)
+        else:
+            from array import array  # deferred: most logs, a sweep's among them, need no array
+            codes = array("I", codes)
         log.__dict__.update(sample_ids=tuple(sample_ids), codes=codes, shapes=shapes)
         return log
 

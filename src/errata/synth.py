@@ -432,7 +432,7 @@ def _cumulative(weights: Sequence[Fraction]) -> list[float]:
     return out
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=256)
 def _names(names: tuple[str, ...], key: bytes) -> frozenset[str]:
     """The ``names`` whose columns a bytes view of a boolean row marks;
     cached, since a sweep's thousands of tiny logs share a few patterns."""

@@ -186,6 +186,11 @@ def _rules_st(models, labels, conditions):
      PredictionRecord("s2", "m", frozenset("b"), frozenset("b"), frozenset(["c1"]))],
     RuleSet((DetectionRule("m", "a", ConditionBody.of("c1")),)),
 )
+@example(  # the correction proposes b, which s1 still predicts: no addition
+    [PredictionRecord("s1", "m", frozenset("ab"), frozenset("b"), frozenset(["c1"]))],
+    RuleSet((DetectionRule("m", "a", ConditionBody.of("c1")),),
+            (CorrectionRule("m", "b", {("c1", "a")}),)),
+)
 @settings(max_examples=80, deadline=None)
 def test_apply_rules_matches_the_record_reference(records, rules):
     log = PredictionLog(records)
