@@ -4,7 +4,10 @@ All estimates are plain empirical frequencies: count(event ∧ given) over
 count(given), kept as integer count pairs. A zero conditioning count makes
 the estimate UNDEFINED — a value, not an error — and undefinedness
 propagates through derived quantities. Every count comes from the log's
-bitset index, through ``joint_counts`` or a mask read from it.
+bitset index, through ``joint_counts`` or a mask read from it: a count
+over class α's predictions alone from α's view (``LogIndex.view``), whose
+masks span only the rows predicting α, and a count that involves a
+correction class β from the row masks.
 
 A decision (is a body error detecting, does it raise precision, which
 candidate scores higher) compares unreduced integer ``(num, den)`` ratios
@@ -19,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .logs import PredictionLog
+from .logs import _NO_COUNTS, PredictionLog
 from .rational import format_rational
 
 
@@ -208,16 +211,22 @@ def joint_counts(
     """
     ids = body.condition_ids if isinstance(body, ConditionBody) else body or ()
     ix = log.index
+    if beta is None:  # every count is over α's predictions: read α's view
+        view = ix.view(model_id, alpha)
+        pred_body = view.body(ids)
+        if distribution is not None:
+            pred_body &= view.distributions.get(distribution, 0)
+        return JointCounts(*view.counts.get(distribution, _NO_COUNTS),
+                           pred_body.bit_count(), (pred_body & view.correct).bit_count())
     scope = ix.scope(model_id, distribution)
     gt = ix.ground_truth.get(alpha, 0) & scope
     pred = ix.predicted.get(alpha, 0) & scope
     pred_body = pred & body_mask(log, ids)
-    masks = [scope, gt, pred, pred & gt, pred_body, pred_body & gt]
-    if beta is not None:
-        beta_gt = ix.ground_truth.get(beta, 0)
-        beta_pred = ix.predicted.get(beta, 0) & scope
-        union = beta_pred | pred_body
-        masks += [beta_pred, beta_pred & beta_gt, pred_body & beta_gt, union, union & beta_gt]
+    beta_gt = ix.ground_truth.get(beta, 0)
+    beta_pred = ix.predicted.get(beta, 0) & scope
+    union = beta_pred | pred_body
+    masks = [scope, gt, pred, pred & gt, pred_body, pred_body & gt,
+             beta_pred, beta_pred & beta_gt, pred_body & beta_gt, union, union & beta_gt]
     return JointCounts(*(mask.bit_count() for mask in masks))
 
 
@@ -356,22 +365,22 @@ class InvarianceProfile:
 def invariance_profile(
     log: PredictionLog, model_id: str, alpha: str, body: ConditionBody
 ) -> InvarianceProfile:
-    """Each tag's counts are the pooled masks narrowed by the tag's mask."""
-    ix = log.index
-    pred = ix.predicted.get(alpha, 0) & ix.scope(model_id)
-    pred_gt = pred & ix.ground_truth.get(alpha, 0)
-    pred_body = pred & body_mask(log, body.condition_ids)
-    pred_body_gt = pred_body & pred_gt
+    """Each tag's counts are the pooled body masks of α's view narrowed
+    by the tag's mask."""
+    view = log.index.view(model_id, alpha)
+    pred_body = view.body(body.condition_ids)
+    pred_body_gt = pred_body & view.correct
     pb, pbg = pred_body.bit_count(), pred_body_gt.bit_count()
     pooled_conf = Probability(pb - pbg, pb)
     rows = []
-    for tag in sorted(ix.distributions):
-        d = ix.distributions[tag]
+    for tag in sorted(log.index.distributions):
+        d = view.distributions.get(tag, 0)
         b, bg = (pred_body & d).bit_count(), (pred_body_gt & d).bit_count()
         conf = Probability(b - bg, b)
         # |(b - bg)/b - (pb - pbg)/pb|, cross-multiplied
         gap = Fraction(abs((b - bg) * pb - (pb - pbg) * b), b * pb) if b and pb else None
-        verdict = _error_detecting((pred & d).bit_count(), (pred_gt & d).bit_count(), b, bg)
+        _, _, pred, pred_gt = view.counts.get(tag, _NO_COUNTS)
+        verdict = _error_detecting(pred, pred_gt, b, bg)
         rows.append(InvarianceRow(tag, verdict, conf, gap))
     invariant = all(row.verdict is not Verdict.NO for row in rows)
     return InvarianceProfile(tuple(rows), pooled_conf, invariant)

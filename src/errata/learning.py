@@ -8,11 +8,12 @@ always break toward the lexicographically smallest condition id (then
 trigger class), so learning is deterministic regardless of candidate
 iteration order.
 
-Every decision is made on integer counts read from the log's index: a
-body's mask is the OR of its conditions' masks, pre-ANDed with the
-class's predictions, and feasibility and every objective comparison are
-cross-multiplications of unreduced ``(num, den)`` ratios. ``Fraction``
-values are built only for the report. A subset oracle, exact by branch
+Every detection decision is made on integer counts read from the
+class's view of the log's index, whose masks span only the rows that
+predict the class: a body's mask is the OR of its conditions' masks, and
+feasibility and every objective comparison are cross-multiplications of
+unreduced ``(num, den)`` ratios. ``Fraction`` values are built only for
+the report. A subset oracle, exact by branch
 and bound, audits greedy quality on candidate sets of up to 20 ids.
 """
 
@@ -225,29 +226,23 @@ def _objective_value(
 class _Kernel:
     """Scoring of condition bodies for one (log, model, class α).
 
-    Reads the scope's α predictions, their correct part and the counts once
-    from the index; ``mask`` gives a condition's records pre-ANDed with the
-    predictions, so a body's mask is the OR of its conditions' masks and
-    its counts are two ``bit_count`` calls.
+    Reads α's view of the model's rows (``LogIndex.view``): ``mask`` gives
+    a condition's mask over α's predictions, so a body's mask is the OR of
+    its conditions' masks and its counts are two ``bit_count`` calls.
     """
 
-    __slots__ = ("objective", "epsilon", "conditions", "pred", "pred_gt",
-                 "n_pred", "n_pred_gt", "n_gt")
+    __slots__ = ("objective", "epsilon", "conditions", "pred_gt", "n_pred", "n_pred_gt", "n_gt")
 
     def __init__(self, log: PredictionLog, model_id: str, alpha: str, cfg: LearnConfig):
-        ix = log.index
-        scope = ix.scope(model_id)
+        view = log.index.view(model_id, alpha)
         self.objective = cfg.objective
         self.epsilon = (cfg.epsilon.numerator, cfg.epsilon.denominator)
-        self.conditions = ix.conditions
-        self.pred = ix.predicted.get(alpha, 0) & scope
-        self.pred_gt = self.pred & ix.ground_truth.get(alpha, 0)
-        self.n_pred = self.pred.bit_count()
-        self.n_pred_gt = self.pred_gt.bit_count()
-        self.n_gt = (ix.ground_truth.get(alpha, 0) & scope).bit_count()
+        self.conditions = view.conditions
+        self.pred_gt = view.correct
+        _, self.n_gt, self.n_pred, self.n_pred_gt = view.counts[None]
 
     def mask(self, cid: str) -> int:
-        return self.pred & self.conditions.get(cid, 0)
+        return self.conditions.get(cid, 0)
 
     def counts(self, mask: int) -> tuple[int, int]:
         """(pred_body, pred_body_gt) of a body mask."""
@@ -509,6 +504,12 @@ def exhaustive_oracle(
     subtree is larger. These cuts drop only bodies that would lose, and
     ties are decided by explicit comparison, so the visiting order (the
     extensions covering the most errors first) does not change the result.
+
+    Candidates with equal masks over α's predictions (twins, such as ids
+    that never fire) are merged first into the one first in sorted order:
+    a body that holds a twin in its place scores the same and has a larger
+    sorted id tuple, and one that holds both scores as it does without the
+    later id.
     """
     cfg = cfg or LearnConfig()
     ids = sorted(set(candidates))
@@ -518,9 +519,13 @@ def exhaustive_oracle(
     k = _Kernel(log, model_id, alpha, cfg)
     if k.n_pred == 0:
         return None, None
+    twins: dict[int, str] = {}  # mask → the first id with it
+    for cid in ids:
+        twins.setdefault(k.mask(cid), cid)
+    ids = list(twins.values())
 
     baseline = k.value(0, 0)
-    errors = k.pred & ~k.pred_gt
+    errors = ((1 << k.n_pred) - 1) ^ k.pred_gt  # every prediction of α not in its truth
 
     body, steps = _grow_body(k, ids, cfg.max_body_size)
     best_value = steps[-1][2] if steps else None

@@ -27,6 +27,16 @@ keys. The tests check the index against a record-walking reference,
 ``tests/event_oracle.py``, and the whole log against a record-built one,
 ``tests/record_log.py``.
 
+Counts over one class α's predictions, which are most of what rule
+learning asks, come from the index's *view* of α
+(``LogIndex.view(model_id, alpha)``), also built on first use and kept:
+a bit space of only the scope's rows that predict α, with one mask for
+the correct predictions, one per condition id and one per distribution
+tag. Its bits are grouped by shape, one run per shape as long as the
+shape's row count, so each mask is built by string joins from per-shape
+runs, without a loop over rows. A view mask is only ever counted: it is
+never compared or combined with a row mask, and never used to find rows.
+
 ``load_log`` interns set fields: equal arrays within one load share one
 frozenset, and only arrays that passed validation are reused, so every
 line is still checked and its errors still carry its line number.
@@ -42,8 +52,10 @@ later line parses to the same keys and values apart from ``sample_id``,
 so it passes every check the earlier line passed. A tail that repeats
 the ``"sample_id"`` key fails its first line and is never remembered.
 Any other line takes the full parse and is then mapped to its shape, so
-its errors are unchanged, and the (sample_id, model_id) duplicate check
-runs on every line.
+its errors are unchanged. The (sample_id, model_id) pairs are checked for
+duplicates with one ``set`` after the last line, or at the first bad
+line, so that a duplicate is still reported before any later line's
+error.
 
 JSONL schema (one object per line, strict — unknown fields are rejected):
 
@@ -64,7 +76,8 @@ omitted) so that serialization is deterministic and
 from __future__ import annotations
 
 import json
-from collections import defaultdict
+from bisect import bisect_right
+from collections import Counter, defaultdict
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cache, cached_property
 from itertools import chain
@@ -160,6 +173,71 @@ def _bitset(n: int, positions: Iterable[int]) -> int:
 
 
 _ZEROS = b"0" * 256  # a translate table that maps every row code to "0"
+_NO_COUNTS = (0, 0, 0, 0)
+
+
+class ClassView:
+    """The rows of one scope that predict one class α, as a bit space of
+    their own, for counting α's rule bodies.
+
+    Bits are grouped by shape: each shape of the scope that predicts α is
+    one run of bits, as long as the number of rows it has. ``correct``
+    holds the runs of shapes whose ground truth has α, and
+    ``conditions[cid]`` and ``distributions[tag]`` the runs of shapes that
+    carry the key; absent keys read as 0. ``counts[tag]`` is (total, gt,
+    pred, pred_gt) of the scope narrowed to the tag: its rows, those with
+    α in the ground truth, those predicting α and those predicting it
+    correctly; ``counts[None]`` is the same over every tag.
+    """
+
+    __slots__ = ("correct", "conditions", "distributions", "counts")
+
+    def __init__(self, shapes: tuple[tuple, ...], shape_rows: Counter,
+                 model_id: str | None, alpha: str):
+        runs: list[int] = []  # rows of each shape predicting α, in code order
+        correct: list[int] = []  # per key, the runs of the shapes that carry it
+        conditions, distributions = defaultdict(list), defaultdict(list)
+        counts = defaultdict(lambda: [0, 0, 0, 0])
+        for code, (model, labels, truth, condition_ids, tag) in enumerate(shapes):
+            if model_id is not None and model != model_id:
+                continue
+            n, tally, hit = shape_rows[code], counts[tag], alpha in truth
+            tally[0] += n
+            if hit:
+                tally[1] += n
+            if alpha in labels:
+                run = len(runs)
+                runs.append(n)
+                tally[2] += n
+                if hit:
+                    tally[3] += n
+                    correct.append(run)
+                for cid in condition_ids:
+                    conditions[cid].append(run)
+                distributions[tag].append(run)
+        zeros = ["0" * n for n in runs]
+
+        def mask(chosen: list[int]) -> int:
+            if not chosen:
+                return 0  # also the empty view: int("", 2) raises
+            bits = zeros.copy()
+            for run in chosen:
+                bits[run] = "1" * runs[run]
+            return int("".join(bits), 2)
+
+        self.correct = mask(correct)
+        self.conditions = {cid: mask(chosen) for cid, chosen in conditions.items()}
+        self.distributions = {tag: mask(chosen) for tag, chosen in distributions.items()}
+        self.counts = {tag: tuple(tally) for tag, tally in counts.items()}
+        # _NO_COUNTS keeps the four columns when the scope has no rows.
+        self.counts[None] = tuple(sum(column) for column in zip(_NO_COUNTS, *self.counts.values()))
+
+    def body(self, ids: Iterable[str]) -> int:
+        """The view's rows where any of the condition ids holds."""
+        mask = 0
+        for cid in ids:
+            mask |= self.conditions.get(cid, 0)
+        return mask
 
 
 class LogIndex:
@@ -172,11 +250,22 @@ class LogIndex:
     them into "1" for the key's shapes and "0" elsewhere, which
     ``int(…, 2)`` reads as the mask. With more shapes, the key's mask is
     built from the row positions of its shapes.
+
+    ``view(model_id, alpha)`` is the ``ClassView`` of the scope's rows
+    that predict α, built on first use and kept. Its masks are as wide as
+    α has predictions in the scope, so a count over them costs O(rows
+    predicting α), not O(rows). Its bit space is its own, grouped by
+    shape, so its masks are only counted: they are never compared or
+    combined with a row mask, and never used to find rows. The runs take
+    the shapes' row counts, read once per log by one ``Counter`` pass over
+    the row codes.
     """
 
-    __slots__ = ("all", "models", "distributions", "predicted", "ground_truth", "conditions")
+    __slots__ = ("all", "models", "distributions", "predicted", "ground_truth", "conditions",
+                 "_shapes", "_codes", "_shape_rows", "_views")
 
     def __init__(self, log: "PredictionLog"):
+        self._shapes, self._codes, self._shape_rows, self._views = log.shapes, log.codes, None, {}
         keyed = tuple(defaultdict(list) for _ in range(5))
         models, distributions, predicted, ground_truth, conditions = keyed
         for code, (model_id, labels, truth, condition_ids, tag) in enumerate(log.shapes):
@@ -220,6 +309,17 @@ class LogIndex:
         if distribution is not None:
             mask &= self.distributions.get(distribution, 0)
         return mask
+
+    def view(self, model_id: str | None, alpha: str) -> ClassView:
+        """The rows of ``scope(model_id)`` that predict α, as a bit space
+        of their own; built on first use and kept."""
+        view = self._views.get((model_id, alpha))
+        if view is None:
+            if self._shape_rows is None:
+                self._shape_rows = Counter(self._codes)
+            view = self._views[model_id, alpha] = ClassView(
+                self._shapes, self._shape_rows, model_id, alpha)
+        return view
 
 
 class PredictionLog:
@@ -440,42 +540,58 @@ def load_log(source: str | Iterable[str]) -> PredictionLog:
     codes: list[int] = []
     shapes: dict[tuple, int] = {}  # shape → its code
     tails: dict[str, int] = {}  # tail text → the shape of the first line ending in it
-    # Per shape code, the {sample_id: line} map of the shape's model.
-    seen: list[dict[str, int]] = []
-    seen_by_model: dict[str, dict[str, int]] = {}
+    blanks: list[int] = []  # the number of rows read at each blank line
     interned: dict[tuple[str, ...], frozenset[str]] = {}
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        code = tail = None
-        if line.startswith(_CANONICAL_HEAD):
-            try:
-                sample_id, end = _scanstring(line, _ID_START)
-            except json.JSONDecodeError:
-                pass  # the full parse reports it
-            else:
-                tail = line[end:]
-                if sample_id:
-                    code = tails.get(tail)
-        if code is None:
-            sample_id, shape = _parse_record(_decode_line(line, lineno), lineno, interned)
-            code = shapes.get(shape)
+    try:
+        for lineno, raw in enumerate(source, start=1):
+            line = raw.strip()
+            if not line:
+                blanks.append(len(sample_ids))
+                continue
+            code = tail = None
+            if line.startswith(_CANONICAL_HEAD):
+                try:
+                    sample_id, end = _scanstring(line, _ID_START)
+                except json.JSONDecodeError:
+                    pass  # the full parse reports it
+                else:
+                    tail = line[end:]
+                    if sample_id:
+                        code = tails.get(tail)
             if code is None:
-                code = shapes[shape] = len(seen)
-                seen.append(seen_by_model.setdefault(shape[0], {}))
-            if tail is not None:
-                tails[tail] = code
-        first = seen[code].setdefault(sample_id, lineno)
-        if first != lineno:
-            model_id = next(shape[0] for shape, c in shapes.items() if c == code)
-            raise LogFormatError(
-                f"line {lineno}: duplicate (sample_id, model_id) {(sample_id, model_id)!r}"
-                f" first seen on line {first}"
-            )
-        sample_ids.append(sample_id)
-        codes.append(code)
+                sample_id, shape = _parse_record(_decode_line(line, lineno), lineno, interned)
+                code = shapes.setdefault(shape, len(shapes))
+                if tail is not None:
+                    tails[tail] = code
+            sample_ids.append(sample_id)
+            codes.append(code)
+    except ValueError:  # a bad line, or text that does not decode
+        _check_unique(sample_ids, codes, shapes, blanks)  # an earlier duplicate is reported first
+        raise
+    _check_unique(sample_ids, codes, shapes, blanks)
     return PredictionLog._columns(sample_ids, codes, shapes)
+
+
+def _check_unique(sample_ids: list[str], codes: list[int], shapes: dict[tuple, int],
+                  blanks: list[int]) -> None:
+    """Reject the first row whose (sample_id, model_id) pair an earlier row
+    has, naming both lines; ``blanks`` places the skipped blank lines."""
+    if len(set(sample_ids)) == len(sample_ids):
+        return
+    model_of = [None] * len(shapes)
+    for shape, code in shapes.items():
+        model_of[code] = shape[0]
+    keys = list(zip(sample_ids, map(model_of.__getitem__, codes)))
+    if len(set(keys)) == len(keys):
+        return
+    first: dict[tuple[str, str], int] = {}
+    for row, key in enumerate(keys):
+        earlier = first.setdefault(key, row)
+        if earlier != row:
+            lineno, first_lineno = (r + 1 + bisect_right(blanks, r) for r in (row, earlier))
+            raise LogFormatError(
+                f"line {lineno}: duplicate (sample_id, model_id) {key!r} first seen on line {first_lineno}"
+            )
 
 
 def load_log_file(path) -> PredictionLog:

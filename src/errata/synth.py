@@ -572,7 +572,7 @@ def random_log(
     (no planted signal). Model id is always "m".
     """
     if max_records < 1 or max_labels < 1 or max_conditions < 0:
-        raise ValueError("bounds must be positive (conditions may be 0)")
+        raise InputError("bounds must be positive (conditions may be 0)")
     import numpy as np  # deferred: importing errata must not load numpy
 
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -401,6 +402,42 @@ def test_learners_match_the_fraction_references(seed, alpha, candidates, epsilon
     want_rule, want_report = learner_oracle.learn_detection(log, "m", alpha, candidates, c)
     assert rule == want_rule
     assert report.to_dict() == want_report.to_dict()
+
+
+def _with_twins(log: PredictionLog, alpha: str) -> PredictionLog:
+    """The log with ids added that tie with others over alpha's
+    predictions: t1 and t3 hold where c1 and c3 do, v2 where c2 does or
+    alpha is not predicted, and o only where alpha is not predicted, so
+    its mask over alpha's predictions is that of the ids x1, x2 no record
+    carries."""
+    def extra(r):
+        off = alpha not in r.predicted
+        held = {"t1": "c1" in r.conditions, "t3": "c3" in r.conditions,
+                "v2": off or "c2" in r.conditions, "o": off}
+        return r.conditions | {cid for cid, on in held.items() if on}
+
+    return PredictionLog(replace(r, conditions=extra(r)) for r in log.records)
+
+
+TWIN_POOL = condition_alphabet(6) + ("t1", "t3", "v2", "o", "x1", "x2")
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(("a", "b", "c")),
+    st.integers(0, len(TWIN_POOL)).flatmap(lambda n: st.permutations(TWIN_POOL).map(lambda ids: ids[:n])),
+    st.fractions(0, 1, max_denominator=20),
+    st.sampled_from(tuple(Objective)),
+    st.sampled_from((None, 1, 2, 3)),
+)
+@settings(max_examples=60, deadline=None)
+def test_oracle_with_twin_candidates_matches_the_brute_force(seed, alpha, candidates, epsilon, objective,
+                                                              max_size):
+    log = _with_twins(random_log(seed, max_records=60, max_labels=3, max_conditions=6), alpha)
+    c = cfg(epsilon, objective, max_size)
+    assert exhaustive_oracle(log, "m", alpha, candidates, c) == learner_oracle.exhaustive_oracle(
+        log, "m", alpha, candidates, c
+    )
 
 
 # Pairs over four conditions random_log may draw and one no log carries,

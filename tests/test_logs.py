@@ -53,6 +53,25 @@ def test_duplicate_key_cites_line():
         load_log(text)
 
 
+@pytest.mark.parametrize("canonical", [False, True], ids=["full parse", "canonical"])
+@pytest.mark.parametrize("bad_line", ["not json", line(sample_id="s9", predicted="a")])
+def test_duplicate_is_reported_before_a_later_bad_line(canonical, bad_line):
+    def render(sample_id, model_id):
+        if canonical:
+            return serialize_log(make_log(rec(sample_id, model=model_id))).strip()
+        return line(sample_id=sample_id, model_id=model_id)
+
+    lines = [render("s1", "m"), render("s1", "n"), "", render("s2", "m"), render("s1", "n"), bad_line]
+    with pytest.raises(LogFormatError) as raised:
+        load_log("\n".join(lines))
+    assert str(raised.value) == "line 5: duplicate (sample_id, model_id) ('s1', 'n') first seen on line 2"
+
+
+def test_one_sample_id_under_two_models_loads():
+    log = load_log(line(model_id="m") + "\n\n" + line(model_id="n") + "\n")
+    assert [r.key for r in log] == [("s1", "m"), ("s1", "n")]
+
+
 def test_malformed_line_cites_line_number():
     text = line() + "\nnot json\n"
     with pytest.raises(LogFormatError, match="line 2"):

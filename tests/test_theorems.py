@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import LOG_A_TEXT, labels_st, logs_st, make_log, rec
 from errata import (
     ConditionBody,
+    InputError,
     TheoremId,
     TheoremReport,
     TheoremVerdict,
@@ -320,6 +321,14 @@ def test_identities_never_violated(log, alpha, cid):
 def test_sweep_rejects_zero_trials():
     with pytest.raises(ValueError):
         sweep(1, 0)
+
+
+@pytest.mark.parametrize("bounds", [{"max_records": 0}, {"max_labels": 0}, {"max_conditions": -1}])
+def test_bad_sweep_bounds_are_input_errors(bounds):
+    with pytest.raises(InputError, match="bounds must be positive"):
+        sweep(1, 2, **bounds)
+    with pytest.raises(InputError, match="bounds must be positive"):
+        random_log(1, **bounds)
 
 
 def test_sweep_deterministic():
