@@ -184,10 +184,10 @@ class JointCounts:
     union_beta_gt: int = 0       # ... ∧ β ∈ gt
 
 
-def body_mask(log: PredictionLog, ids: Iterable[str]) -> int:
-    """Records where any of the condition ids holds; ids the log never
-    observed hold nowhere."""
-    conditions = log.index.conditions
+def body_mask(conditions: dict[str, int], ids: Iterable[str]) -> int:
+    """The OR of the ids' masks in ``conditions``, a row index's or a class
+    view's: where any of the condition ids holds. Ids without a mask hold
+    nowhere."""
     mask = 0
     for cid in ids:
         mask |= conditions.get(cid, 0)
@@ -213,7 +213,7 @@ def joint_counts(
     ix = log.index
     if beta is None:  # every count is over α's predictions: read α's view
         view = ix.view(model_id, alpha)
-        pred_body = view.body(ids)
+        pred_body = body_mask(view.conditions, ids)
         if distribution is not None:
             pred_body &= view.distributions.get(distribution, 0)
         return JointCounts(*view.counts.get(distribution, _NO_COUNTS),
@@ -221,7 +221,7 @@ def joint_counts(
     scope = ix.scope(model_id, distribution)
     gt = ix.ground_truth.get(alpha, 0) & scope
     pred = ix.predicted.get(alpha, 0) & scope
-    pred_body = pred & body_mask(log, ids)
+    pred_body = pred & body_mask(ix.conditions, ids)
     beta_gt = ix.ground_truth.get(beta, 0)
     beta_pred = ix.predicted.get(beta, 0) & scope
     union = beta_pred | pred_body
@@ -368,7 +368,7 @@ def invariance_profile(
     """Each tag's counts are the pooled body masks of α's view narrowed
     by the tag's mask."""
     view = log.index.view(model_id, alpha)
-    pred_body = view.body(body.condition_ids)
+    pred_body = body_mask(view.conditions, body.condition_ids)
     pred_body_gt = pred_body & view.correct
     pb, pbg = pred_body.bit_count(), pred_body_gt.bit_count()
     pooled_conf = Probability(pb - pbg, pb)

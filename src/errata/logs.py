@@ -232,13 +232,6 @@ class ClassView:
         # _NO_COUNTS keeps the four columns when the scope has no rows.
         self.counts[None] = tuple(sum(column) for column in zip(_NO_COUNTS, *self.counts.values()))
 
-    def body(self, ids: Iterable[str]) -> int:
-        """The view's rows where any of the condition ids holds."""
-        mask = 0
-        for cid in ids:
-            mask |= self.conditions.get(cid, 0)
-        return mask
-
 
 class LogIndex:
     """Bitsets over a log's rows: bit i of a key's mask is set iff row i
