@@ -211,7 +211,7 @@ def joint_counts(
     """
     ids = body.condition_ids if isinstance(body, ConditionBody) else body or ()
     ix = log.index
-    if beta is None:  # every count is over α's predictions: read α's view
+    if beta is None:  # without β, α's view holds every count
         view = ix.view(model_id, alpha)
         pred_body = body_mask(view.conditions, ids)
         if distribution is not None:
