@@ -167,8 +167,7 @@ class MetricBundle:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class JointCounts:
+class JointCounts(NamedTuple):
     """Event counts for (class α, body[, correction class β]) over one scope."""
 
     total: int
@@ -225,9 +224,12 @@ def joint_counts(
     beta_gt = ix.ground_truth.get(beta, 0)
     beta_pred = ix.predicted.get(beta, 0) & scope
     union = beta_pred | pred_body
-    masks = [scope, gt, pred, pred & gt, pred_body, pred_body & gt,
-             beta_pred, beta_pred & beta_gt, pred_body & beta_gt, union, union & beta_gt]
-    return JointCounts(*(mask.bit_count() for mask in masks))
+    return JointCounts(
+        scope.bit_count(), gt.bit_count(), pred.bit_count(), (pred & gt).bit_count(),
+        pred_body.bit_count(), (pred_body & gt).bit_count(),
+        beta_pred.bit_count(), (beta_pred & beta_gt).bit_count(),
+        (pred_body & beta_gt).bit_count(), union.bit_count(), (union & beta_gt).bit_count(),
+    )
 
 
 class _Base(NamedTuple):

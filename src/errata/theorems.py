@@ -11,10 +11,11 @@ cross-multiplication, so no float and no ``Fraction`` reaches a verdict,
 and a wrong formula still comes out VIOLATED. Reports (from the public
 ``check_*`` functions, ``errata verify`` and any VIOLATED verdict of the
 sweep) carry the same quantities as exact ``Fraction`` values. The sweep
-over random logs only counts verdicts; a VIOLATED verdict is an
-implementation bug, and the sweep keeps its report and the offending log
-for replay. Checks whose conditioning events never occur report SKIPPED
-(a first-class verdict) rather than guessing.
+over random logs only counts verdicts: it checks each distinct count tuple
+once and tallies its verdicts per occurrence. A VIOLATED verdict is an
+implementation bug, and the sweep keeps each occurrence's report and the
+offending log for replay. Checks whose conditioning events never occur
+report SKIPPED (a first-class verdict) rather than guessing.
 """
 
 from __future__ import annotations
@@ -410,6 +411,13 @@ class SweepResult:
         }
 
 
+# A sweep checks each distinct count tuple once; its memo of tuples seen is
+# cleared when it holds this many, so memory stays bounded for any trial
+# count.
+_MEMO_CAP = 4096
+_VERDICTS = tuple(TheoremVerdict)
+
+
 def sweep(
     seed: int,
     trials: int,
@@ -419,12 +427,15 @@ def sweep(
 ) -> SweepResult:
     """Check every statement on ``trials`` random logs.
 
-    Each trial draws one log and runs every registry check for every
-    (class, condition) pair of the fixed alphabets implied by the bounds;
-    the reclassification check uses the cyclically next label as the
-    correction class, so each theorem contributes exactly one verdict per
-    pair per trial. Verdicts are only counted: a report is built for a
-    VIOLATED verdict alone. Per-trial seeds derive from the master seed via
+    Each trial draws one log and counts the verdicts of every registry
+    check for every (class, condition) pair of the fixed alphabets implied
+    by the bounds; the reclassification check uses the cyclically next
+    label as the correction class, so each theorem contributes exactly one
+    verdict per pair per trial. Checks are pure functions of the pair's
+    count tuple, so the registry runs once per distinct tuple and its
+    verdicts are tallied once per occurrence. A report is built for each
+    occurrence of a VIOLATED verdict alone, in (trial, class, condition,
+    registry) order. Per-trial seeds derive from the master seed via
     numpy's SeedSequence, making the aggregate table reproducible.
     """
     import numpy as np  # deferred: importing errata must not load numpy
@@ -437,10 +448,11 @@ def sweep(
         raise InputError("seed must be nonnegative")
     labels = label_alphabet(max_labels)
     conditions = condition_alphabet(max_conditions)
-    counts: dict[TheoremId, dict[TheoremVerdict, int]] = {
-        tid: {v: 0 for v in TheoremVerdict} for tid in TheoremId
-    }
     checks = tuple(CHECKS.items())
+    memo: dict[JointCounts, int] = {}  # count tuple → index of its verdict vector
+    vectors: dict[tuple[int, ...], int] = {}  # verdict codes in registry order → index
+    tally: list[int] = []  # occurrences per vector index
+    flagged: set[int] = set()  # indices of vectors with a VIOLATED verdict
     violations: list[SweepViolation] = []
     trial_seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
     for trial in range(trials):
@@ -455,24 +467,43 @@ def sweep(
             beta = labels[(i + 1) % len(labels)]
             for cid in conditions:
                 c = joint_counts(log, alpha, (cid,), beta, model_id="m")
-                q = _base(c)
-                for tid, check in checks:
-                    outcome = check(c, q)
-                    counts[tid][outcome[0]] += 1
-                    if outcome[0] is VIOLATED:
-                        report = _report(tid, outcome, q, "m", alpha, (cid,), beta)
-                        violations.append(
-                            SweepViolation(
-                                trial,
-                                trial_seed,
-                                tid,
-                                alpha,
-                                cid,
-                                report.correction_class,
-                                report,
-                                serialize_log(log),
+                index = memo.get(c)
+                if index is None:
+                    q = _base(c)
+                    codes = tuple([_VERDICTS.index(check(c, q)[0]) for _, check in checks])
+                    index = vectors.setdefault(codes, len(vectors))
+                    if index == len(tally):
+                        tally.append(0)
+                        if _VERDICTS.index(VIOLATED) in codes:
+                            flagged.add(index)
+                    if len(memo) >= _MEMO_CAP:
+                        memo.clear()
+                    memo[c] = index
+                tally[index] += 1
+                if index in flagged:
+                    q = _base(c)
+                    for tid, check in checks:
+                        outcome = check(c, q)
+                        if outcome[0] is VIOLATED:
+                            report = _report(tid, outcome, q, "m", alpha, (cid,), beta)
+                            violations.append(
+                                SweepViolation(
+                                    trial,
+                                    trial_seed,
+                                    tid,
+                                    alpha,
+                                    cid,
+                                    report.correction_class,
+                                    report,
+                                    serialize_log(log),
+                                )
                             )
-                        )
+    counts: dict[TheoremId, dict[TheoremVerdict, int]] = {
+        tid: {v: 0 for v in TheoremVerdict} for tid in TheoremId
+    }
+    for codes, index in vectors.items():
+        for (tid, _), code in zip(checks, codes):
+            counts[tid][_VERDICTS[code]] += tally[index]
     return SweepResult(
         seed, trials, max_records, max_labels, max_conditions, counts, tuple(violations)
     )

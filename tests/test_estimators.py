@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -345,11 +344,11 @@ def test_joint_counts_match_event_queries(log, model, tag, alpha, body, beta):
         "union": union,
         "union_beta_gt": union.and_(beta_gt),
     }
-    assert dataclasses.asdict(c) == {name: count(sub, q) for name, q in expected.items()}
+    assert c._asdict() == {name: count(sub, q) for name, q in expected.items()}
     # Without beta the beta fields stay zero and the rest is unchanged.
     alone = joint_counts(log, alpha, body, model_id=model, distribution=tag)
-    assert dataclasses.astuple(alone)[:6] == dataclasses.astuple(c)[:6]
-    assert not any(dataclasses.astuple(alone)[6:])
+    assert tuple(alone)[:6] == tuple(c)[:6]
+    assert not any(tuple(alone)[6:])
 
 
 def test_index_built_once_per_log(monkeypatch, log_a):

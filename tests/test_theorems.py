@@ -29,7 +29,7 @@ from errata import theorems
 from errata.cli import main
 from errata.estimators import JointCounts
 from errata.theorems import CHECKS
-from theorem_oracle import oracle
+from theorem_oracle import oracle, reference_sweep
 
 BODY_C1 = ConditionBody.of("c1")
 HOLDS = TheoremVerdict.HOLDS
@@ -465,20 +465,36 @@ def test_public_reports_carry_oracle_intermediates():
                     assert rep.correction_class == beta
 
 
+def _record_counts(monkeypatch):
+    """Every count tuple the sweep draws, one per (trial, class, condition)."""
+    seen = []
+    counted = theorems.joint_counts
+
+    def recording(*args, **kwargs):
+        seen.append(counted(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(theorems, "joint_counts", recording)
+    return seen
+
+
 def test_sweep_captures_violation_with_full_report(monkeypatch):
     honest = CHECKS[T4]
-    seen = []
-    monkeypatch.setitem(CHECKS, T4, lambda c, q: seen.append(c) or honest(c, q))
-    clean = sweep(7, 5)
-    chosen = next(c for c in seen if honest(c, theorems._base(c))[:3] == (HOLDS, None, None))
+    seen = _record_counts(monkeypatch)
+    clean = sweep(7, 30)
+    holding = [c for c in seen if honest(c, theorems._base(c))[:3] == (HOLDS, None, None)]
+    chosen = max(holding, key=seen.count)
+    occurrences = seen.count(chosen)
+    assert occurrences >= 2  # the memo's repeat path reports too
 
     def rigged(c, q):
         outcome = honest(c, q)
         return (VIOLATED, *outcome[1:]) if c == chosen else outcome
 
     monkeypatch.setitem(CHECKS, T4, rigged)
-    result = sweep(7, 5)
-    occurrences = seen.count(chosen)
+    seen.clear()
+    result = sweep(7, 30)
+    assert seen.count(chosen) == occurrences
     assert len(result.violations) == occurrences == result.count(T4, VIOLATED)
     assert result.count(T4, HOLDS) == clean.count(T4, HOLDS) - occurrences
     for violation in result.violations:
@@ -491,6 +507,58 @@ def test_sweep_captures_violation_with_full_report(monkeypatch):
         expected = check_reclassification_limit(log, "m", violation.alpha, beta, body)
         assert violation.report == replace(expected, verdict=VIOLATED)
         assert None not in violation.report.intermediates.values()
+
+
+def _assert_sweeps_equal(got, want):
+    assert got.to_dict() == want.to_dict()
+    assert got.violations == want.violations
+
+
+@pytest.mark.parametrize("seed, trials, bounds", [
+    (1, 40, {}),
+    (8, 50, {}),
+    (977, 50, {}),
+    (20240802, 30, {"max_records": 12, "max_labels": 3, "max_conditions": 2}),
+    (2, 30, {"max_records": 1}),
+    (3, 30, {"max_labels": 1}),
+    (4, 30, {"max_conditions": 0}),
+    (5, 30, {"max_records": 1, "max_labels": 1, "max_conditions": 1}),
+])
+def test_sweep_matches_per_pair_reference(seed, trials, bounds):
+    _assert_sweeps_equal(sweep(seed, trials, **bounds), reference_sweep(seed, trials, **bounds))
+
+
+@pytest.mark.parametrize("cap", [theorems._MEMO_CAP, 1])
+def test_sweep_matches_per_pair_reference_on_a_rigged_registry(monkeypatch, cap):
+    monkeypatch.setattr(theorems, "_MEMO_CAP", cap)
+    honest = CHECKS[TheoremId.T1_PRECISION_CHANGE]
+
+    def rigged(c, q):  # fails on every pair whose body fires once
+        outcome = honest(c, q)
+        return (VIOLATED, *outcome[1:]) if c.pred_body == 1 else outcome
+
+    monkeypatch.setitem(CHECKS, TheoremId.T1_PRECISION_CHANGE, rigged)
+    result = sweep(8, 40)
+    _assert_sweeps_equal(result, reference_sweep(8, 40))
+    reports = [json.dumps(v.report.to_dict()) for v in result.violations]
+    assert len(set(reports)) < len(reports)  # some violating tuple repeats
+
+
+@pytest.mark.parametrize("cap", [theorems._MEMO_CAP, 1])
+def test_sweep_checks_each_distinct_tuple_once(monkeypatch, cap):
+    monkeypatch.setattr(theorems, "_MEMO_CAP", cap)
+    checked = []
+    honest = CHECKS[T4]
+    monkeypatch.setitem(CHECKS, T4, lambda c, q: checked.append(c) or honest(c, q))
+    seen = _record_counts(monkeypatch)
+    result = sweep(11, 40)
+    if cap == 1:  # the memo is cleared on every new tuple: it holds the last one
+        expected = [c for i, c in enumerate(seen) if i == 0 or c != seen[i - 1]]
+    else:
+        expected = list(dict.fromkeys(seen))
+    assert checked == expected
+    assert len(expected) < len(seen)
+    _assert_sweeps_equal(result, reference_sweep(11, 40))
 
 
 def test_verify_and_sweep_share_the_registry(tmp_path):

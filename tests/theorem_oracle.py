@@ -3,11 +3,18 @@ with ``Fraction`` arithmetic, as the paper states it, with the skip rules
 of the library. Returns (verdict, skip_reason, note, intermediates) for a
 ``JointCounts`` tuple; the intermediates are named and ordered as in a
 ``TheoremReport``.
+
+``reference_sweep`` is the sweep as a plain per-pair loop: it runs the
+library's registry on every (trial, class, condition) pair, with no memo,
+for comparison with ``errata.sweep``.
 """
 
 from fractions import Fraction
 
-from errata import TheoremId, TheoremVerdict
+import numpy as np
+
+from errata import TheoremId, TheoremVerdict, joint_counts, serialize_log, theorems
+from errata.synth import condition_alphabet, label_alphabet, random_log
 
 HOLDS, VIOLATED, SKIPPED = TheoremVerdict.HOLDS, TheoremVerdict.VIOLATED, TheoremVerdict.SKIPPED
 NEVER_PREDICTED = "class never predicted"
@@ -131,3 +138,31 @@ def oracle(theorem_id, c):
     if theorem_id is not TheoremId.T4_RECLASS_LIMIT:
         inter = {**q, **inter}
     return verdict, reason, note, inter
+
+
+def reference_sweep(seed, trials, max_records=30, max_labels=4, max_conditions=3):
+    """``errata.sweep``'s result, counting and reporting every pair on its own."""
+    labels = label_alphabet(max_labels)
+    conditions = condition_alphabet(max_conditions)
+    counts = {tid: {v: 0 for v in TheoremVerdict} for tid in TheoremId}
+    violations = []
+    trial_seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
+    for trial in range(trials):
+        trial_seed = int(trial_seeds[trial])
+        log = random_log(trial_seed, max_records=max_records, max_labels=max_labels,
+                         max_conditions=max_conditions)
+        for i, alpha in enumerate(labels):
+            beta = labels[(i + 1) % len(labels)]
+            for cid in conditions:
+                c = joint_counts(log, alpha, (cid,), beta, model_id="m")
+                q = theorems._base(c)
+                for tid, check in theorems.CHECKS.items():
+                    outcome = check(c, q)
+                    counts[tid][outcome[0]] += 1
+                    if outcome[0] is VIOLATED:
+                        report = theorems._report(tid, outcome, q, "m", alpha, (cid,), beta)
+                        violations.append(theorems.SweepViolation(
+                            trial, trial_seed, tid, alpha, cid, report.correction_class,
+                            report, serialize_log(log)))
+    return theorems.SweepResult(seed, trials, max_records, max_labels, max_conditions,
+                                counts, tuple(violations))
