@@ -432,8 +432,9 @@ def sweep(
     by the bounds; the reclassification check uses the cyclically next
     label as the correction class, so each theorem contributes exactly one
     verdict per pair per trial. Checks are pure functions of the pair's
-    count tuple, so the registry runs once per distinct tuple and its
-    verdicts are tallied once per occurrence. A report is built for each
+    count tuple, so the registry runs once per distinct tuple (again only
+    after the memo is cleared at ``_MEMO_CAP`` tuples) and its verdicts
+    are tallied once per occurrence. A report is built for each
     occurrence of a VIOLATED verdict alone, in (trial, class, condition,
     registry) order. Per-trial seeds derive from the master seed via
     numpy's SeedSequence, making the aggregate table reproducible.
@@ -472,7 +473,7 @@ def sweep(
                     q = _base(c)
                     codes = tuple([_VERDICTS.index(check(c, q)[0]) for _, check in checks])
                     index = vectors.setdefault(codes, len(vectors))
-                    if index == len(tally):
+                    if index == len(tally):  # a verdict vector not seen before
                         tally.append(0)
                         if _VERDICTS.index(VIOLATED) in codes:
                             flagged.add(index)
