@@ -217,19 +217,34 @@ def joint_counts(
             pred_body &= view.distributions.get(distribution, 0)
         return JointCounts(*view.counts.get(distribution, _NO_COUNTS),
                            pred_body.bit_count(), (pred_body & view.correct).bit_count())
-    scope = ix.scope(model_id, distribution)
-    gt = ix.ground_truth.get(alpha, 0) & scope
-    pred = ix.predicted.get(alpha, 0) & scope
-    pred_body = pred & body_mask(ix.conditions, ids)
-    beta_gt = ix.ground_truth.get(beta, 0)
-    beta_pred = ix.predicted.get(beta, 0) & scope
-    union = beta_pred | pred_body
-    return JointCounts(
-        scope.bit_count(), gt.bit_count(), pred.bit_count(), (pred & gt).bit_count(),
-        pred_body.bit_count(), (pred_body & gt).bit_count(),
-        beta_pred.bit_count(), (beta_pred & beta_gt).bit_count(),
-        (pred_body & beta_gt).bit_count(), union.bit_count(), (union & beta_gt).bit_count(),
-    )
+    return _beta_counts(
+        ix.scope(model_id, distribution), ix.predicted.get(alpha, 0),
+        ix.ground_truth.get(alpha, 0), (body_mask(ix.conditions, ids),),
+        ix.predicted.get(beta, 0), ix.ground_truth.get(beta, 0),
+    )[0]
+
+
+def _beta_counts(
+    scope: int, pred: int, gt: int, bodies: Iterable[int], beta_pred: int, beta_gt: int
+) -> list[JointCounts]:
+    """The counts of class α, correction class β and each body mask in
+    ``bodies`` over the rows of ``scope``, from row masks of α and β
+    predicted and in the ground truth: the one kernel of every count tuple
+    with β. The counts that involve no body are taken once for all bodies."""
+    gt &= scope
+    pred &= scope
+    beta_pred &= scope
+    head = (scope.bit_count(), gt.bit_count(), pred.bit_count(), (pred & gt).bit_count())
+    beta = (beta_pred.bit_count(), (beta_pred & beta_gt).bit_count())
+    out = []
+    for body in bodies:
+        pred_body = pred & body
+        union = beta_pred | pred_body
+        out.append(JointCounts(
+            *head, pred_body.bit_count(), (pred_body & gt).bit_count(), *beta,
+            (pred_body & beta_gt).bit_count(), union.bit_count(), (union & beta_gt).bit_count(),
+        ))
+    return out
 
 
 class _Base(NamedTuple):

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import lru_cache
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -115,10 +114,7 @@ class SynthConfig:
     distributions: tuple[DistributionSpec, ...] = ()
 
     def __post_init__(self):
-        for name in ("seed", "n_records"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise SynthConfigError(f"{name}: expected an integer, got {value!r}")
+        _integers(SynthConfigError, seed=self.seed, n_records=self.n_records)
         if self.seed < 0:
             raise SynthConfigError("seed must be nonnegative")
         if self.n_records < 1:
@@ -432,10 +428,8 @@ def _cumulative(weights: Sequence[Fraction]) -> list[float]:
     return out
 
 
-@lru_cache(maxsize=256)
 def _names(names: tuple[str, ...], key: bytes) -> frozenset[str]:
-    """The ``names`` whose columns a bytes view of a boolean row marks;
-    cached, since a sweep's thousands of tiny logs share a few patterns."""
+    """The ``names`` whose columns a bytes view of a boolean row marks."""
     return frozenset(name for name, hit in zip(names, key) if hit)
 
 
@@ -559,6 +553,31 @@ def _bookkeeping(cfg: SynthConfig, shapes: Sequence[tuple], counts: Sequence[int
     return SynthBookkeeping(tuple(rows))
 
 
+def _integers(error: type[InputError] = InputError, **values) -> None:
+    """Raise ``error`` naming the first of ``values`` that is not an ``int``
+    (a ``bool`` is not one)."""
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise error(f"{name}: expected an integer, got {value!r}")
+
+
+def _fuzz_draw(seed: int, max_records: int, max_labels: int, max_conditions: int):
+    """The draws of ``random_log``, in draw order: the record count n, the
+    label and condition alphabet sizes k and m, then the n × k predicted,
+    n × k true-label and n × m condition matrices (boolean, a row per
+    record). Returns n and the three matrices."""
+    _integers(seed=seed, max_records=max_records, max_labels=max_labels,
+              max_conditions=max_conditions)
+    if max_records < 1 or max_labels < 1 or max_conditions < 0:
+        raise InputError("bounds must be positive (conditions may be 0)")
+    import numpy as np  # deferred: importing errata must not load numpy
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = int(rng.integers(1, max_records + 1))
+    k, m = int(rng.integers(1, max_labels + 1)), int(rng.integers(0, max_conditions + 1))
+    return n, rng.random((n, k)) < 0.45, rng.random((n, k)) < 0.45, rng.random((n, m)) < 0.5
+
+
 def random_log(
     seed: int,
     max_records: int = 30,
@@ -571,19 +590,13 @@ def random_log(
     drawn uniformly within the bounds; memberships are drawn per record
     (no planted signal). Model id is always "m".
     """
-    if max_records < 1 or max_labels < 1 or max_conditions < 0:
-        raise InputError("bounds must be positive (conditions may be 0)")
-    import numpy as np  # deferred: importing errata must not load numpy
-
-    rng = np.random.Generator(np.random.PCG64(seed))
-    n = int(rng.integers(1, max_records + 1))
-    labels = label_alphabet(int(rng.integers(1, max_labels + 1)))
-    conditions = condition_alphabet(int(rng.integers(0, max_conditions + 1)))
+    n, predicted, truth, marks = _fuzz_draw(seed, max_records, max_labels, max_conditions)
+    labels = label_alphabet(predicted.shape[1])
+    conditions = condition_alphabet(marks.shape[1])
     # Each row of each matrix as bytes (a view drops trailing zero bytes,
     # i.e. unmarked last columns, which _names would not reach anyway).
     keys = [hits.view(f"S{hits.shape[1]}").ravel().tolist() if hits.shape[1] else [b""] * n
-            for hits in (rng.random((n, len(labels))) < 0.45, rng.random((n, len(labels))) < 0.45,
-                         rng.random((n, len(conditions))) < 0.5)]
+            for hits in (predicted, truth, marks)]
     patterns: dict[tuple[bytes, bytes, bytes], int] = {}  # a row's three keys → its shape code
     codes = [patterns.setdefault(row, len(patterns)) for row in zip(*keys)]
     shapes = [("m", _names(labels, p), _names(labels, g), _names(conditions, c), DEFAULT_DISTRIBUTION)

@@ -11,11 +11,13 @@ cross-multiplication, so no float and no ``Fraction`` reaches a verdict,
 and a wrong formula still comes out VIOLATED. Reports (from the public
 ``check_*`` functions, ``errata verify`` and any VIOLATED verdict of the
 sweep) carry the same quantities as exact ``Fraction`` values. The sweep
-over random logs only counts verdicts: it checks each distinct count tuple
-once and tallies its verdicts per occurrence. A VIOLATED verdict is an
-implementation bug, and the sweep keeps each occurrence's report and the
-offending log for replay. Checks whose conditioning events never occur
-report SKIPPED (a first-class verdict) rather than guessing.
+over random logs only counts verdicts: it counts each trial from the
+random draws of its log, through the kernel of ``joint_counts`` with a
+correction class, checks each distinct count tuple once and tallies its
+verdicts per occurrence. A VIOLATED verdict is an implementation bug; only
+then does the sweep build the trial's log, and it keeps each occurrence's
+report and the log's text for replay. Checks whose conditioning events
+never occur report SKIPPED (a first-class verdict) rather than guessing.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .estimators import (
     Ratio,
     _Base,
     _base,
+    _beta_counts,
     _div,
     _eq,
     _fraction,
@@ -418,6 +421,33 @@ _MEMO_CAP = 4096
 _VERDICTS = tuple(TheoremVerdict)
 
 
+def _trial_counts(
+    trial_seed: int, max_records: int, max_labels: int, max_conditions: int
+) -> list[JointCounts]:
+    """The count tuple of every (class, condition) pair of the sweep's
+    alphabets on ``random_log(trial_seed, ...)``, class-major, with the
+    cyclically next label as β, counted from the log's draws: each column
+    of a draw is packed into a row mask. A name outside the trial's
+    alphabets has mask 0, as it holds on no row of the log."""
+    import numpy as np  # deferred: importing errata must not load numpy
+
+    from .synth import _fuzz_draw
+
+    n, predicted, truth, marks = _fuzz_draw(trial_seed, max_records, max_labels, max_conditions)
+    k, width = predicted.shape[1], (n + 7) // 8
+    packed = np.packbits(np.hstack((predicted, truth, marks)).T, axis=1, bitorder="little").tobytes()
+    masks = [int.from_bytes(packed[i:i + width], "little") for i in range(0, len(packed), width)]
+    absent = [0] * (max_labels - k)
+    pred, gt = masks[:k] + absent, masks[k:2 * k] + absent
+    bodies = masks[2 * k:] + [0] * (max_conditions - marks.shape[1])
+    scope = (1 << n) - 1
+    counts = []
+    for i in range(max_labels):
+        j = (i + 1) % max_labels
+        counts += _beta_counts(scope, pred[i], gt[i], bodies, pred[j], gt[j])
+    return counts
+
+
 def sweep(
     seed: int,
     trials: int,
@@ -427,28 +457,33 @@ def sweep(
 ) -> SweepResult:
     """Check every statement on ``trials`` random logs.
 
-    Each trial draws one log and counts the verdicts of every registry
-    check for every (class, condition) pair of the fixed alphabets implied
-    by the bounds; the reclassification check uses the cyclically next
-    label as the correction class, so each theorem contributes exactly one
-    verdict per pair per trial. Checks are pure functions of the pair's
-    count tuple, so the registry runs once per distinct tuple (again only
-    after the memo is cleared at ``_MEMO_CAP`` tuples) and its verdicts
-    are tallied once per occurrence. A report is built for each
-    occurrence of a VIOLATED verdict alone, in (trial, class, condition,
-    registry) order. Per-trial seeds derive from the master seed via
-    numpy's SeedSequence, making the aggregate table reproducible.
+    Each trial is one ``random_log`` and counts the verdicts of every
+    registry check for every (class, condition) pair of the fixed
+    alphabets implied by the bounds; the reclassification check uses the
+    cyclically next label as the correction class, so each theorem
+    contributes exactly one verdict per pair per trial. A trial is counted
+    from the log's draws; the log is built only for the replay text of a
+    VIOLATED verdict. Checks are pure functions of the pair's count tuple,
+    so the registry runs once per distinct tuple (again only after the
+    memo is cleared at ``_MEMO_CAP`` tuples) and its verdicts are tallied
+    once per occurrence. A report is built for each occurrence of a
+    VIOLATED verdict alone, in (trial, class, condition, registry) order.
+    Per-trial seeds derive from the master seed via numpy's SeedSequence,
+    making the aggregate table reproducible.
     """
     import numpy as np  # deferred: importing errata must not load numpy
 
-    from .synth import condition_alphabet, label_alphabet, random_log
+    from .synth import _integers, condition_alphabet, label_alphabet, random_log
 
+    _integers(seed=seed, trials=trials, max_records=max_records, max_labels=max_labels,
+              max_conditions=max_conditions)
     if trials < 1:
         raise InputError("trial count must be at least 1")
     if seed < 0:
         raise InputError("seed must be nonnegative")
     labels = label_alphabet(max_labels)
-    conditions = condition_alphabet(max_conditions)
+    pairs = [(alpha, labels[(i + 1) % len(labels)], cid)  # (α, β, condition), as _trial_counts
+             for i, alpha in enumerate(labels) for cid in condition_alphabet(max_conditions)]
     checks = tuple(CHECKS.items())
     memo: dict[JointCounts, int] = {}  # count tuple → index of its verdict vector
     vectors: dict[tuple[int, ...], int] = {}  # verdict codes in registry order → index
@@ -458,47 +493,34 @@ def sweep(
     trial_seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
     for trial in range(trials):
         trial_seed = int(trial_seeds[trial])
-        log = random_log(
-            trial_seed,
-            max_records=max_records,
-            max_labels=max_labels,
-            max_conditions=max_conditions,
-        )
-        for i, alpha in enumerate(labels):
-            beta = labels[(i + 1) % len(labels)]
-            for cid in conditions:
-                c = joint_counts(log, alpha, (cid,), beta, model_id="m")
-                index = memo.get(c)
-                if index is None:
-                    q = _base(c)
-                    codes = tuple([_VERDICTS.index(check(c, q)[0]) for _, check in checks])
-                    index = vectors.setdefault(codes, len(vectors))
-                    if index == len(tally):  # a verdict vector not seen before
-                        tally.append(0)
-                        if _VERDICTS.index(VIOLATED) in codes:
-                            flagged.add(index)
-                    if len(memo) >= _MEMO_CAP:
-                        memo.clear()
-                    memo[c] = index
-                tally[index] += 1
-                if index in flagged:
-                    q = _base(c)
-                    for tid, check in checks:
-                        outcome = check(c, q)
-                        if outcome[0] is VIOLATED:
-                            report = _report(tid, outcome, q, "m", alpha, (cid,), beta)
-                            violations.append(
-                                SweepViolation(
-                                    trial,
-                                    trial_seed,
-                                    tid,
-                                    alpha,
-                                    cid,
-                                    report.correction_class,
-                                    report,
-                                    serialize_log(log),
-                                )
-                            )
+        log_text = None  # the trial's log, serialized on its first VIOLATED verdict
+        trial_counts = _trial_counts(trial_seed, max_records, max_labels, max_conditions)
+        for (alpha, beta, cid), c in zip(pairs, trial_counts):
+            index = memo.get(c)
+            if index is None:
+                q = _base(c)
+                codes = tuple([_VERDICTS.index(check(c, q)[0]) for _, check in checks])
+                index = vectors.setdefault(codes, len(vectors))
+                if index == len(tally):  # a verdict vector not seen before
+                    tally.append(0)
+                    if _VERDICTS.index(VIOLATED) in codes:
+                        flagged.add(index)
+                if len(memo) >= _MEMO_CAP:
+                    memo.clear()
+                memo[c] = index
+            tally[index] += 1
+            if index in flagged:
+                if log_text is None:
+                    log_text = serialize_log(
+                        random_log(trial_seed, max_records, max_labels, max_conditions))
+                q = _base(c)
+                for tid, check in checks:
+                    outcome = check(c, q)
+                    if outcome[0] is VIOLATED:
+                        report = _report(tid, outcome, q, "m", alpha, (cid,), beta)
+                        violations.append(SweepViolation(
+                            trial, trial_seed, tid, alpha, cid, report.correction_class, report,
+                            log_text))
     counts: dict[TheoremId, dict[TheoremVerdict, int]] = {
         tid: {v: 0 for v in TheoremVerdict} for tid in TheoremId
     }

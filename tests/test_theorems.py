@@ -3,7 +3,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import LOG_A_TEXT, labels_st, logs_st, make_log, rec
@@ -28,8 +28,9 @@ from errata import (
 from errata import theorems
 from errata.cli import main
 from errata.estimators import JointCounts
+from errata.synth import condition_alphabet, label_alphabet
 from errata.theorems import CHECKS
-from theorem_oracle import oracle, reference_sweep
+from theorem_oracle import oracle, reference_pairs, reference_sweep
 
 BODY_C1 = ConditionBody.of("c1")
 HOLDS = TheoremVerdict.HOLDS
@@ -331,6 +332,45 @@ def test_bad_sweep_bounds_are_input_errors(bounds):
         random_log(1, **bounds)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("seed", 1.0), ("seed", True), ("trials", 2.0), ("trials", True),
+    ("max_records", 2.5), ("max_records", True), ("max_labels", 2.0),
+    ("max_conditions", 1.0), ("max_conditions", False),
+])
+def test_non_integer_sweep_arguments_are_input_errors(name, value):
+    args = {"seed": 1, "trials": 2, name: value}
+    with pytest.raises(InputError, match=f"^{name}: expected an integer"):
+        sweep(**args)
+    if name != "trials":
+        del args["trials"]
+        with pytest.raises(InputError, match=f"^{name}: expected an integer"):
+            random_log(**args)
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    max_records=st.integers(1, 150),
+    max_labels=st.integers(1, 10),
+    max_conditions=st.integers(0, 5),
+)
+@example(seed=5, max_records=100, max_labels=1, max_conditions=3)
+@example(seed=2**64 - 1, max_records=200, max_labels=9, max_conditions=5)
+@example(seed=0, max_records=30, max_labels=4, max_conditions=0)
+@settings(max_examples=150, deadline=None)
+def test_sweep_trial_counts_match_joint_counts_on_the_trial_log(
+    seed, max_records, max_labels, max_conditions
+):
+    bounds = (max_records, max_labels, max_conditions)
+    log = random_log(seed, *bounds)
+    labels = label_alphabet(max_labels)
+    expected = [
+        joint_counts(log, alpha, (cid,), labels[(i + 1) % max_labels], model_id="m")
+        for i, alpha in enumerate(labels)
+        for cid in condition_alphabet(max_conditions)
+    ]
+    assert theorems._trial_counts(seed, *bounds) == expected
+
+
 def test_sweep_deterministic():
     a = sweep(11, 40)
     b = sweep(11, 40)
@@ -465,23 +505,16 @@ def test_public_reports_carry_oracle_intermediates():
                     assert rep.correction_class == beta
 
 
-def _record_counts(monkeypatch):
-    """Every count tuple the sweep draws, one per (trial, class, condition)."""
-    seen = []
-    counted = theorems.joint_counts
-
-    def recording(*args, **kwargs):
-        seen.append(counted(*args, **kwargs))
-        return seen[-1]
-
-    monkeypatch.setattr(theorems, "joint_counts", recording)
-    return seen
+def _sweep_counts(seed, trials):
+    """Every count tuple of ``sweep(seed, trials)``, one per (trial, class,
+    condition), counted on the trial's ``random_log``."""
+    return [c for *_, c in reference_pairs(seed, trials)]
 
 
 def test_sweep_captures_violation_with_full_report(monkeypatch):
     honest = CHECKS[T4]
-    seen = _record_counts(monkeypatch)
     clean = sweep(7, 30)
+    seen = _sweep_counts(7, 30)
     holding = [c for c in seen if honest(c, theorems._base(c))[:3] == (HOLDS, None, None)]
     chosen = max(holding, key=seen.count)
     occurrences = seen.count(chosen)
@@ -492,8 +525,8 @@ def test_sweep_captures_violation_with_full_report(monkeypatch):
         return (VIOLATED, *outcome[1:]) if c == chosen else outcome
 
     monkeypatch.setitem(CHECKS, T4, rigged)
-    seen.clear()
     result = sweep(7, 30)
+    seen = _sweep_counts(7, 30)
     assert seen.count(chosen) == occurrences
     assert len(result.violations) == occurrences == result.count(T4, VIOLATED)
     assert result.count(T4, HOLDS) == clean.count(T4, HOLDS) - occurrences
@@ -550,8 +583,8 @@ def test_sweep_checks_each_distinct_tuple_once(monkeypatch, cap):
     checked = []
     honest = CHECKS[T4]
     monkeypatch.setitem(CHECKS, T4, lambda c, q: checked.append(c) or honest(c, q))
-    seen = _record_counts(monkeypatch)
     result = sweep(11, 40)
+    seen = _sweep_counts(11, 40)
     if cap == 1:  # the memo is cleared on every new tuple: it holds the last one
         expected = [c for i, c in enumerate(seen) if i == 0 or c != seen[i - 1]]
     else:

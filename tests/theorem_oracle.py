@@ -4,9 +4,10 @@ of the library. Returns (verdict, skip_reason, note, intermediates) for a
 ``JointCounts`` tuple; the intermediates are named and ordered as in a
 ``TheoremReport``.
 
-``reference_sweep`` is the sweep as a plain per-pair loop: it runs the
-library's registry on every (trial, class, condition) pair, with no memo,
-for comparison with ``errata.sweep``.
+``reference_sweep`` is the sweep as a plain per-pair loop: it builds each
+trial's log, counts every (trial, class, condition) pair on it with
+``joint_counts`` (``reference_pairs``) and runs the library's registry on
+each, with no memo, for comparison with ``errata.sweep``.
 """
 
 from fractions import Fraction
@@ -140,12 +141,11 @@ def oracle(theorem_id, c):
     return verdict, reason, note, inter
 
 
-def reference_sweep(seed, trials, max_records=30, max_labels=4, max_conditions=3):
-    """``errata.sweep``'s result, counting and reporting every pair on its own."""
+def reference_pairs(seed, trials, max_records=30, max_labels=4, max_conditions=3):
+    """Each (trial, trial seed, log, α, β, condition, count tuple) of
+    ``errata.sweep``, in its order, from ``random_log`` and ``joint_counts``."""
     labels = label_alphabet(max_labels)
     conditions = condition_alphabet(max_conditions)
-    counts = {tid: {v: 0 for v in TheoremVerdict} for tid in TheoremId}
-    violations = []
     trial_seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
     for trial in range(trials):
         trial_seed = int(trial_seeds[trial])
@@ -155,14 +155,22 @@ def reference_sweep(seed, trials, max_records=30, max_labels=4, max_conditions=3
             beta = labels[(i + 1) % len(labels)]
             for cid in conditions:
                 c = joint_counts(log, alpha, (cid,), beta, model_id="m")
-                q = theorems._base(c)
-                for tid, check in theorems.CHECKS.items():
-                    outcome = check(c, q)
-                    counts[tid][outcome[0]] += 1
-                    if outcome[0] is VIOLATED:
-                        report = theorems._report(tid, outcome, q, "m", alpha, (cid,), beta)
-                        violations.append(theorems.SweepViolation(
-                            trial, trial_seed, tid, alpha, cid, report.correction_class,
-                            report, serialize_log(log)))
-    return theorems.SweepResult(seed, trials, max_records, max_labels, max_conditions,
-                                counts, tuple(violations))
+                yield trial, trial_seed, log, alpha, beta, cid, c
+
+
+def reference_sweep(seed, trials, max_records=30, max_labels=4, max_conditions=3):
+    """``errata.sweep``'s result, counting and reporting every pair on its own."""
+    counts = {tid: {v: 0 for v in TheoremVerdict} for tid in TheoremId}
+    violations = []
+    bounds = (max_records, max_labels, max_conditions)
+    for trial, trial_seed, log, alpha, beta, cid, c in reference_pairs(seed, trials, *bounds):
+        q = theorems._base(c)
+        for tid, check in theorems.CHECKS.items():
+            outcome = check(c, q)
+            counts[tid][outcome[0]] += 1
+            if outcome[0] is VIOLATED:
+                report = theorems._report(tid, outcome, q, "m", alpha, (cid,), beta)
+                violations.append(theorems.SweepViolation(
+                    trial, trial_seed, tid, alpha, cid, report.correction_class,
+                    report, serialize_log(log)))
+    return theorems.SweepResult(seed, trials, *bounds, counts, tuple(violations))
