@@ -17,7 +17,8 @@ from importlib import import_module as _import_module
 __version__ = "0.1.0"
 
 _SUBMODULE_NAMES = {
-    "estimators": "ConditionBody InvarianceProfile InvarianceRow MetricBundle Probability"
+    "bundles": "MetricBundle",
+    "estimators": "ConditionBody InvarianceProfile InvarianceRow Probability"
     " Verdict f1_value invariance_profile is_error_detecting joint_counts metric_bundle",
     "learning": "GuardCheck LearnConfig LearnReport LearnStep Objective PairGuard"
     " exhaustive_oracle learn_correction learn_detection",

@@ -17,12 +17,11 @@ import os
 import sys
 from pathlib import Path
 
-# learning, synth and theorems are imported by the commands that run them,
-# so that apply and eval start without loading them.
+# learning, rules, synth and theorems are imported by the commands that run
+# them, so that each command loads only the modules it uses.
 from .estimators import ConditionBody
 from .logs import InputError, _strict_json, load_log_file, serialize_log
 from .rational import decimal_str, format_rational, parse_rational
-from .rules import RuleSet, apply_rules, dumps_rules, evaluate_delta, loads_rules
 
 _OBJECTIVES = {  # --objective value → learning.Objective member
     "precision-gain": "PRECISION_GAIN",
@@ -190,6 +189,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_learn_detection(args) -> int:
     from .learning import learn_detection
+    from .rules import RuleSet, dumps_rules
     log = load_log_file(args.log)
     cfg = _learn_config(args)
     rule, report = learn_detection(log, args.model, args.class_label, args.condition, cfg)
@@ -216,6 +216,7 @@ def _cmd_learn_detection(args) -> int:
 
 def _cmd_learn_correction(args) -> int:
     from .learning import learn_correction
+    from .rules import RuleSet, dumps_rules
     log = load_log_file(args.log)
     conditions = args.condition or []
     triggers = args.trigger_class or []
@@ -243,6 +244,7 @@ def _cmd_learn_correction(args) -> int:
 
 
 def _cmd_apply(args) -> int:
+    from .rules import apply_rules, loads_rules
     log = load_log_file(args.log)
     with open(args.rules, "r", encoding="utf-8") as handle:
         rules = loads_rules(handle.read())
@@ -263,6 +265,7 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .rules import evaluate_delta
     before = load_log_file(args.before)
     after = load_log_file(args.after)
     rows = evaluate_delta(before, after)

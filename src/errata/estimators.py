@@ -17,13 +17,15 @@ for values a report carries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .logs import _NO_COUNTS, PredictionLog
+from .logs import _NO_COUNTS, PredictionLog, _Frozen, _set
 from .rational import format_rational
+
+if TYPE_CHECKING:
+    from .bundles import MetricBundle
 
 
 # ---------------------------------------------------------------------------
@@ -73,22 +75,22 @@ class Verdict(str, Enum):
     UNDEFINED = "UNDEFINED"
 
 
-@dataclass(frozen=True, slots=True)
-class Probability:
+class Probability(_Frozen):
     """Empirical conditional probability as an exact count ratio.
 
     ``denominator == 0`` encodes UNDEFINED (the conditioning event never
     occurs); the ``value`` property then returns None.
     """
 
-    numerator: int
-    denominator: int
+    __slots__ = ("numerator", "denominator")
 
-    def __post_init__(self):
-        if self.numerator < 0 or self.denominator < 0:
+    def __init__(self, numerator: int, denominator: int):
+        if numerator < 0 or denominator < 0:
             raise ValueError("event counts must be nonnegative")
-        if self.numerator > self.denominator:
+        if numerator > denominator:
             raise ValueError("numerator count exceeds denominator count")
+        _set(self, "numerator", numerator)
+        _set(self, "denominator", denominator)
 
     @property
     def defined(self) -> bool:
@@ -108,8 +110,7 @@ class Probability:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class ConditionBody:
+class ConditionBody(_Frozen):
     """Disjunctive set of condition ids.
 
     The body holds for a record when at least one of its ids is among the
@@ -117,15 +118,15 @@ class ConditionBody:
     hold (zero support).
     """
 
-    condition_ids: frozenset[str]
+    __slots__ = ("condition_ids",)
 
-    def __post_init__(self):
-        if not isinstance(self.condition_ids, frozenset):
-            object.__setattr__(self, "condition_ids", frozenset(self.condition_ids))
-        if not self.condition_ids:
+    def __init__(self, condition_ids: Iterable[str]):
+        condition_ids = frozenset(condition_ids)
+        if not condition_ids:
             raise ValueError("a condition body must name at least one condition")
-        if not all(isinstance(c, str) and c for c in self.condition_ids):
+        if not all(isinstance(c, str) and c for c in condition_ids):
             raise ValueError("condition ids must be nonempty strings")
+        _set(self, "condition_ids", condition_ids)
 
     @classmethod
     def of(cls, *ids: str) -> "ConditionBody":
@@ -133,38 +134,6 @@ class ConditionBody:
 
     def sorted_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.condition_ids))
-
-
-@dataclass(frozen=True, slots=True)
-class MetricBundle:
-    """Headline statistics for one (model, class, body) triple.
-
-    rule_precision / rule_recall are the post-erasure figures: what
-    precision and recall become if every prediction of the class made
-    while the body holds is withdrawn. k_factor is support / (1 − support)
-    and is UNDEFINED at support = 1; residual is 1 − precision.
-    """
-
-    precision: Probability
-    recall: Probability
-    rule_precision: Probability
-    rule_recall: Probability
-    support: Probability
-    confidence: Probability
-    k_factor: Fraction | None
-    residual: Fraction | None
-
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision.to_dict(),
-            "recall": self.recall.to_dict(),
-            "rule_precision": self.rule_precision.to_dict(),
-            "rule_recall": self.rule_recall.to_dict(),
-            "support": self.support.to_dict(),
-            "confidence": self.confidence.to_dict(),
-            "k_factor": format_rational(self.k_factor),
-            "residual": format_rational(self.residual),
-        }
 
 
 class JointCounts(NamedTuple):
@@ -280,15 +249,27 @@ def _probability(r: Ratio | None) -> Probability:
     return Probability(*(r or (0, 0)))
 
 
+def _recalls(c: JointCounts) -> tuple[Ratio | None, Ratio | None]:
+    """Recall of α before and after the rule erases α where the body
+    holds: the only definition of both. None when α is never in the
+    ground truth."""
+    if not c.gt:
+        return None, None
+    return (c.pred_gt, c.gt), (c.pred_gt - c.pred_body_gt, c.gt)
+
+
 def bundle_from_counts(c: JointCounts) -> MetricBundle:
     """The ratios of ``_base`` as report values, with recall before and
     after the rule."""
+    from .bundles import MetricBundle  # deferred: only a bundle's caller loads dataclasses
+
     q = _base(c)
+    recall, rule_recall = _recalls(c)
     return MetricBundle(
         precision=_probability(q.precision),
-        recall=Probability(c.pred_gt, c.gt),
+        recall=_probability(recall),
         rule_precision=_probability(q.rule_precision),
-        rule_recall=Probability(c.pred_gt - c.pred_body_gt, c.gt),
+        rule_recall=_probability(rule_recall),
         support=_probability(q.support),
         confidence=_probability(q.confidence),
         k_factor=_fraction(q.k_factor),
@@ -336,12 +317,15 @@ def is_error_detecting(
     return _error_detecting(c.pred, c.pred_gt, c.pred_body, c.pred_body_gt)
 
 
-@dataclass(frozen=True, slots=True)
-class InvarianceRow:
-    distribution: str
-    verdict: Verdict
-    confidence: Probability
-    confidence_gap: Fraction | None
+class InvarianceRow(_Frozen):
+    __slots__ = ("distribution", "verdict", "confidence", "confidence_gap")
+
+    def __init__(self, distribution: str, verdict: Verdict, confidence: Probability,
+                 confidence_gap: Fraction | None):
+        _set(self, "distribution", distribution)
+        _set(self, "verdict", verdict)
+        _set(self, "confidence", confidence)
+        _set(self, "confidence_gap", confidence_gap)
 
     def to_dict(self) -> dict:
         return {
@@ -352,8 +336,7 @@ class InvarianceRow:
         }
 
 
-@dataclass(frozen=True)
-class InvarianceProfile:
+class InvarianceProfile(_Frozen):
     """Per-distribution error-detecting verdicts for one condition body.
 
     ``invariant`` is True iff every *defined* verdict is YES. The gap
@@ -361,9 +344,13 @@ class InvarianceProfile:
     far each distribution sits from the unsliced estimate.
     """
 
-    rows: tuple[InvarianceRow, ...]
-    pooled_confidence: Probability
-    invariant: bool
+    __slots__ = ("rows", "pooled_confidence", "invariant")
+
+    def __init__(self, rows: tuple[InvarianceRow, ...], pooled_confidence: Probability,
+                 invariant: bool):
+        _set(self, "rows", rows)
+        _set(self, "pooled_confidence", pooled_confidence)
+        _set(self, "invariant", invariant)
 
     def row_for(self, distribution: str) -> InvarianceRow:
         for row in self.rows:

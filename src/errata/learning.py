@@ -19,14 +19,13 @@ and bound, audits greedy quality on candidate sets of up to 20 ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .estimators import (
     _ZERO,
     ConditionBody,
-    MetricBundle,
     Probability,
     Ratio,
     _eq,
@@ -36,9 +35,12 @@ from .estimators import (
     _sub,
     metric_bundle,
 )
-from .logs import InputError, PredictionLog
+from .logs import InputError, PredictionLog, _Frozen, _set
 from .rational import as_fraction, format_rational
 from .rules import CorrectionRule, DetectionRule
+
+if TYPE_CHECKING:
+    from .bundles import MetricBundle
 
 
 class Objective(str, Enum):
@@ -54,31 +56,34 @@ NO_IMPROVEMENT = "NO_IMPROVEMENT"
 NO_ADMISSIBLE_PAIR = "NO_ADMISSIBLE_PAIR"
 
 
-@dataclass(frozen=True)
-class LearnConfig:
+class LearnConfig(_Frozen):
     """Learner settings; epsilon bounds the allowed recall reduction and is
     read exactly (the float 0.1 is 1/10)."""
 
-    objective: Objective = Objective.PRECISION_GAIN
-    epsilon: Fraction = Fraction(1, 20)
-    max_body_size: int | None = None
+    __slots__ = ("objective", "epsilon", "max_body_size")
 
-    def __post_init__(self):
-        if not isinstance(self.objective, Objective):
-            object.__setattr__(self, "objective", Objective(self.objective))
-        object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
-        if self.epsilon < 0:
+    def __init__(self, objective: Objective = Objective.PRECISION_GAIN,
+                 epsilon: Fraction = Fraction(1, 20), max_body_size: int | None = None):
+        objective = objective if isinstance(objective, Objective) else Objective(objective)
+        epsilon = as_fraction(epsilon)
+        if epsilon < 0:
             raise InputError("epsilon must be nonnegative")
-        if self.max_body_size is not None and self.max_body_size < 1:
+        if max_body_size is not None and max_body_size < 1:
             raise ValueError("max_body_size must be positive")
+        _set(self, "objective", objective)
+        _set(self, "epsilon", epsilon)
+        _set(self, "max_body_size", max_body_size)
 
 
-@dataclass(frozen=True, slots=True)
-class LearnStep:
-    added: str | tuple[str, str]
-    objective_before: Fraction | None
-    objective_after: Fraction | None
-    recall_reduction: Fraction | None
+class LearnStep(_Frozen):
+    __slots__ = ("added", "objective_before", "objective_after", "recall_reduction")
+
+    def __init__(self, added: str | tuple[str, str], objective_before: Fraction | None,
+                 objective_after: Fraction | None, recall_reduction: Fraction | None):
+        _set(self, "added", added)
+        _set(self, "objective_before", objective_before)
+        _set(self, "objective_after", objective_after)
+        _set(self, "recall_reduction", recall_reduction)
 
     def to_dict(self) -> dict:
         added = (
@@ -94,8 +99,7 @@ class LearnStep:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class GuardCheck:
+class GuardCheck(_Frozen):
     """Per-candidate precision-improvement guard, singleton body.
 
     Erasing on the condition raises precision iff its confidence exceeds
@@ -103,10 +107,14 @@ class GuardCheck:
     is undefined.
     """
 
-    condition_id: str
-    confidence: Probability
-    residual: Fraction | None
-    improves_precision: bool | None
+    __slots__ = ("condition_id", "confidence", "residual", "improves_precision")
+
+    def __init__(self, condition_id: str, confidence: Probability, residual: Fraction | None,
+                 improves_precision: bool | None):
+        _set(self, "condition_id", condition_id)
+        _set(self, "confidence", confidence)
+        _set(self, "residual", residual)
+        _set(self, "improves_precision", improves_precision)
 
     def to_dict(self) -> dict:
         return {
@@ -117,15 +125,18 @@ class GuardCheck:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class PairGuard:
+class PairGuard(_Frozen):
     """Admissibility of one correction pair against the base precision."""
 
-    condition_id: str
-    trigger_class: str
-    pair_precision: Probability
-    base_precision: Probability
-    admissible: bool
+    __slots__ = ("condition_id", "trigger_class", "pair_precision", "base_precision", "admissible")
+
+    def __init__(self, condition_id: str, trigger_class: str, pair_precision: Probability,
+                 base_precision: Probability, admissible: bool):
+        _set(self, "condition_id", condition_id)
+        _set(self, "trigger_class", trigger_class)
+        _set(self, "pair_precision", pair_precision)
+        _set(self, "base_precision", base_precision)
+        _set(self, "admissible", admissible)
 
     def to_dict(self) -> dict:
         return {
@@ -137,21 +148,33 @@ class PairGuard:
         }
 
 
-@dataclass(frozen=True)
-class LearnReport:
-    outcome: str                        # "RULE" or "NONE"
-    reason: str | None
-    baseline_objective: Fraction | None
-    # Detection settings; None (and absent from to_dict) for correction
-    # reports, whose learner reads neither.
-    objective: Objective | None = None
-    epsilon: Fraction | None = None
-    steps: tuple[LearnStep, ...] = ()
-    guards: tuple[GuardCheck, ...] = ()
-    pair_guards: tuple[PairGuard, ...] = ()
-    final_metrics: MetricBundle | None = None
-    base_precision: Probability | None = None
-    final_precision: Probability | None = None
+class LearnReport(_Frozen):
+    """What a learner did: its outcome ("RULE" or "NONE"), the reason for
+    NONE and every step and guard. The detection settings ``objective``
+    and ``epsilon`` are None (and absent from to_dict) for correction
+    reports, whose learner reads neither."""
+
+    __slots__ = ("outcome", "reason", "baseline_objective", "objective", "epsilon", "steps",
+                 "guards", "pair_guards", "final_metrics", "base_precision", "final_precision")
+
+    def __init__(self, outcome: str, reason: str | None, baseline_objective: Fraction | None,
+                 objective: Objective | None = None, epsilon: Fraction | None = None,
+                 steps: tuple[LearnStep, ...] = (), guards: tuple[GuardCheck, ...] = (),
+                 pair_guards: tuple[PairGuard, ...] = (),
+                 final_metrics: MetricBundle | None = None,
+                 base_precision: Probability | None = None,
+                 final_precision: Probability | None = None):
+        _set(self, "outcome", outcome)
+        _set(self, "reason", reason)
+        _set(self, "baseline_objective", baseline_objective)
+        _set(self, "objective", objective)
+        _set(self, "epsilon", epsilon)
+        _set(self, "steps", steps)
+        _set(self, "guards", guards)
+        _set(self, "pair_guards", pair_guards)
+        _set(self, "final_metrics", final_metrics)
+        _set(self, "base_precision", base_precision)
+        _set(self, "final_precision", final_precision)
 
     def to_dict(self) -> dict:
         out = {} if self.objective is None else {

@@ -77,7 +77,6 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from collections import Counter, defaultdict
-from dataclasses import FrozenInstanceError, dataclass
 from functools import cache, cached_property
 from itertools import chain
 from typing import Iterable, Iterator
@@ -141,22 +140,63 @@ def _string(value, where: str, error: type[InputError] = InputError) -> str:
     return value
 
 
-@dataclass(frozen=True, slots=True)
-class PredictionRecord:
-    """One sample's outcome for one model."""
+_set = object.__setattr__  # how a value type's __init__ sets a field
 
-    sample_id: str
-    model_id: str
-    predicted: frozenset[str]
-    ground_truth: frozenset[str]
-    conditions: frozenset[str]
-    distribution: str = DEFAULT_DISTRIBUTION
 
-    def __post_init__(self):
-        for name in _SET_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, frozenset):
-                object.__setattr__(self, name, frozenset(value))
+class _Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in ``__slots__``, in the order its
+    ``__init__`` takes them, and sets each one with ``_set``. Values of one
+    class are equal when their fields are, and the hash agrees; the repr is
+    ``Name(field=value, ...)`` over the fields not in ``_hidden``.
+    Assignment and deletion raise ``AttributeError``. Copy and pickle
+    rebuild a value through its constructor, so a changed copy is built the
+    same way: ``Probability(p.numerator, 7)``.
+    """
+
+    __slots__ = ()
+    _hidden: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name not in self._hidden)
+        return f"{self.__class__.__qualname__}({', '.join(shown)})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PredictionRecord(_Frozen):
+    """One sample's outcome for one model; the set fields are frozensets."""
+
+    __slots__ = ("sample_id", "model_id", "predicted", "ground_truth", "conditions", "distribution")
+
+    def __init__(self, sample_id: str, model_id: str, predicted: Iterable[str],
+                 ground_truth: Iterable[str], conditions: Iterable[str],
+                 distribution: str = DEFAULT_DISTRIBUTION):
+        _set(self, "sample_id", sample_id)
+        _set(self, "model_id", model_id)
+        _set(self, "predicted", frozenset(predicted))  # a frozenset is kept as it is
+        _set(self, "ground_truth", frozenset(ground_truth))
+        _set(self, "conditions", frozenset(conditions))
+        _set(self, "distribution", distribution)
 
     @property
     def key(self) -> tuple[str, str]:
@@ -365,10 +405,8 @@ class PredictionLog:
     def __reduce__(self):  # copy and pickle rebuild the columns, not the records
         return PredictionLog._columns, (self.sample_ids, self.codes, self.shapes)
 
-    def __setattr__(self, name, value=None):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
+    __setattr__ = _Frozen.__setattr__
+    __delattr__ = _Frozen.__delattr__
 
     def __len__(self) -> int:
         return len(self.sample_ids)

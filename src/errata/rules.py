@@ -14,17 +14,18 @@ of a shape a detection rule touches.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .estimators import (
     ConditionBody,
     Probability,
-    bundle_from_counts,
+    _base,
+    _probability,
+    _recalls,
     f1_value,
     joint_counts,
 )
-from .logs import InputError, PredictionLog, _entries, _object, _strict_json, _string
+from .logs import InputError, PredictionLog, _entries, _Frozen, _object, _set, _strict_json, _string
 from .rational import format_rational, sub
 
 
@@ -36,13 +37,15 @@ class LogMismatchError(InputError):
     """Two logs that must share sample keys and ground truths do not."""
 
 
-@dataclass(frozen=True, slots=True)
-class DetectionRule:
+class DetectionRule(_Frozen):
     """Erase target_class from a record's predictions when the body holds."""
 
-    model_id: str
-    target_class: str
-    body: ConditionBody
+    __slots__ = ("model_id", "target_class", "body")
+
+    def __init__(self, model_id: str, target_class: str, body: ConditionBody):
+        _set(self, "model_id", model_id)
+        _set(self, "target_class", target_class)
+        _set(self, "body", body)
 
     def to_dict(self) -> dict:
         return {
@@ -52,23 +55,22 @@ class DetectionRule:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class CorrectionRule:
+class CorrectionRule(_Frozen):
     """Add target_class when some (condition, trigger_class) pair fires.
 
     A pair fires when its condition holds for the record and the trigger
     class was in the record's original (pre-erasure) prediction set.
     """
 
-    model_id: str
-    target_class: str
-    pairs: frozenset[tuple[str, str]]
+    __slots__ = ("model_id", "target_class", "pairs")
 
-    def __post_init__(self):
-        if not isinstance(self.pairs, frozenset):
-            object.__setattr__(self, "pairs", frozenset(self.pairs))
-        if not self.pairs:
+    def __init__(self, model_id: str, target_class: str, pairs):
+        pairs = frozenset(pairs)
+        if not pairs:
             raise ValueError("a correction rule needs at least one (condition, trigger) pair")
+        _set(self, "model_id", model_id)
+        _set(self, "target_class", target_class)
+        _set(self, "pairs", pairs)
 
     def sorted_pairs(self) -> tuple[tuple[str, str], ...]:
         return tuple(sorted(self.pairs))
@@ -83,16 +85,12 @@ class CorrectionRule:
         }
 
 
-@dataclass(frozen=True)
-class RuleSet:
-    detections: tuple[DetectionRule, ...] = ()
-    corrections: tuple[CorrectionRule, ...] = ()
+class RuleSet(_Frozen):
+    __slots__ = ("detections", "corrections")
 
-    def __post_init__(self):
-        if not isinstance(self.detections, tuple):
-            object.__setattr__(self, "detections", tuple(self.detections))
-        if not isinstance(self.corrections, tuple):
-            object.__setattr__(self, "corrections", tuple(self.corrections))
+    def __init__(self, detections=(), corrections=()):
+        _set(self, "detections", tuple(detections))
+        _set(self, "corrections", tuple(corrections))
 
     def to_dict(self) -> dict:
         return {
@@ -162,15 +160,18 @@ def loads_rules(text: str) -> RuleSet:
 # Application
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class RecordTrace:
+class RecordTrace(_Frozen):
     """What happened to one record: (label, rule index) per event."""
 
-    sample_id: str
-    model_id: str
-    erased: tuple[tuple[str, int], ...] = ()
-    added: tuple[tuple[str, int], ...] = ()
-    conflict: frozenset[str] = frozenset()
+    __slots__ = ("sample_id", "model_id", "erased", "added", "conflict")
+
+    def __init__(self, sample_id: str, model_id: str, erased: tuple[tuple[str, int], ...] = (),
+                 added: tuple[tuple[str, int], ...] = (), conflict: frozenset[str] = frozenset()):
+        _set(self, "sample_id", sample_id)
+        _set(self, "model_id", model_id)
+        _set(self, "erased", erased)
+        _set(self, "added", added)
+        _set(self, "conflict", conflict)
 
     @property
     def erased_labels(self) -> frozenset[str]:
@@ -203,13 +204,16 @@ _ENTRY_HEAD = '{\n      "sample_id": '
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-@dataclass(frozen=True)
-class ApplicationTrace:
+class ApplicationTrace(_Frozen):
     """What ``apply_rules`` did to a log: a RecordTrace for each record a
     detection rule touched, in log order, plus the input log."""
 
-    log: PredictionLog = field(repr=False)
-    touched: tuple[RecordTrace, ...]
+    __slots__ = ("log", "touched")
+    _hidden = ("log",)
+
+    def __init__(self, log: PredictionLog, touched: tuple[RecordTrace, ...]):
+        _set(self, "log", log)
+        _set(self, "touched", touched)
 
     @property
     def entries(self) -> tuple[RecordTrace, ...]:
@@ -322,21 +326,29 @@ def apply_rules(log: PredictionLog, rules: RuleSet) -> tuple[PredictionLog, Appl
 # Before/after evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class DeltaRow:
+class DeltaRow(_Frozen):
     """Per-(model, label) before/after metrics with exact deltas."""
 
-    model_id: str
-    label: str
-    precision_before: Probability
-    precision_after: Probability
-    recall_before: Probability
-    recall_after: Probability
-    f1_before: Fraction | None
-    f1_after: Fraction | None
-    precision_delta: Fraction | None
-    recall_delta: Fraction | None
-    f1_delta: Fraction | None
+    __slots__ = ("model_id", "label", "precision_before", "precision_after", "recall_before",
+                 "recall_after", "f1_before", "f1_after", "precision_delta", "recall_delta",
+                 "f1_delta")
+
+    def __init__(self, model_id: str, label: str, precision_before: Probability,
+                 precision_after: Probability, recall_before: Probability,
+                 recall_after: Probability, f1_before: Fraction | None, f1_after: Fraction | None,
+                 precision_delta: Fraction | None, recall_delta: Fraction | None,
+                 f1_delta: Fraction | None):
+        _set(self, "model_id", model_id)
+        _set(self, "label", label)
+        _set(self, "precision_before", precision_before)
+        _set(self, "precision_after", precision_after)
+        _set(self, "recall_before", recall_before)
+        _set(self, "recall_after", recall_after)
+        _set(self, "f1_before", f1_before)
+        _set(self, "f1_after", f1_after)
+        _set(self, "precision_delta", precision_delta)
+        _set(self, "recall_delta", recall_delta)
+        _set(self, "f1_delta", f1_delta)
 
     @property
     def skipped(self) -> bool:
@@ -394,21 +406,23 @@ def evaluate_delta(before: PredictionLog, after: PredictionLog) -> tuple[DeltaRo
             counts = [joint_counts(log, label, model_id=model_id) for log in (before, after)]
             if not any(c.pred or c.gt for c in counts):
                 continue  # the label never occurs on this model's records
-            b, a = (bundle_from_counts(c) for c in counts)
-            f_b = f1_value(b.precision, b.recall)
-            f_a = f1_value(a.precision, a.recall)
+            # Precision and recall of each log, read from its counts.
+            (p_b, r_b), (p_a, r_a) = (
+                (_probability(_base(c).precision), _probability(_recalls(c)[0])) for c in counts)
+            f_b = f1_value(p_b, r_b)
+            f_a = f1_value(p_a, r_a)
             rows.append(
                 DeltaRow(
                     model_id=model_id,
                     label=label,
-                    precision_before=b.precision,
-                    precision_after=a.precision,
-                    recall_before=b.recall,
-                    recall_after=a.recall,
+                    precision_before=p_b,
+                    precision_after=p_a,
+                    recall_before=r_b,
+                    recall_after=r_a,
                     f1_before=f_b,
                     f1_after=f_a,
-                    precision_delta=sub(a.precision.value, b.precision.value),
-                    recall_delta=sub(a.recall.value, b.recall.value),
+                    precision_delta=sub(p_a.value, p_b.value),
+                    recall_delta=sub(r_a.value, r_b.value),
                     f1_delta=sub(f_a, f_b),
                 )
             )

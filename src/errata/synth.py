@@ -19,12 +19,20 @@ so a config reproduces its log bit for bit across runs and platforms.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .estimators import JointCounts, Probability, bundle_from_counts
-from .logs import DEFAULT_DISTRIBUTION, InputError, PredictionLog, _entries, _object, _string
+from .estimators import JointCounts, Probability, _base, _probability
+from .logs import (
+    DEFAULT_DISTRIBUTION,
+    InputError,
+    PredictionLog,
+    _entries,
+    _Frozen,
+    _object,
+    _set,
+    _string,
+)
 from .rational import as_fraction, format_rational
 
 
@@ -49,19 +57,25 @@ def condition_alphabet(k: int) -> tuple[str, ...]:
     return tuple(f"c{i + 1}" for i in range(k))
 
 
-@dataclass(frozen=True, slots=True)
-class PlantedCondition:
-    condition_id: str
-    target_class: str
-    target_support: Fraction
-    target_confidence: Fraction
+class PlantedCondition(_Frozen):
+    __slots__ = ("condition_id", "target_class", "target_support", "target_confidence")
+
+    def __init__(self, condition_id: str, target_class: str, target_support: Fraction,
+                 target_confidence: Fraction):
+        _set(self, "condition_id", condition_id)
+        _set(self, "target_class", target_class)
+        _set(self, "target_support", target_support)
+        _set(self, "target_confidence", target_confidence)
 
 
-@dataclass(frozen=True)
-class DistributionSpec:
-    tag: str
-    record_fraction: Fraction
-    confidence_override: Mapping[str, Fraction] = field(default_factory=dict)
+class DistributionSpec(_Frozen):
+    __slots__ = ("tag", "record_fraction", "confidence_override")
+
+    def __init__(self, tag: str, record_fraction: Fraction,
+                 confidence_override: Mapping[str, Fraction] | None = None):
+        _set(self, "tag", tag)
+        _set(self, "record_fraction", record_fraction)
+        _set(self, "confidence_override", {} if confidence_override is None else confidence_override)
 
 
 _CONFIG_KEYS = frozenset({"seed", "n_records", "model_id", "labels", "class_priors", "confusion"})
@@ -100,20 +114,25 @@ def _strings(value, where: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-@dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(_Frozen):
     """Generator settings; see from_dict for the file shape."""
 
-    seed: int
-    n_records: int
-    model_id: str
-    labels: tuple[str, ...]
-    class_priors: Mapping[str, Fraction]
-    confusion: Mapping[str, Sequence[tuple[frozenset[str], Fraction]]]
-    planted_conditions: tuple[PlantedCondition, ...] = ()
-    distributions: tuple[DistributionSpec, ...] = ()
+    __slots__ = ("seed", "n_records", "model_id", "labels", "class_priors", "confusion",
+                 "planted_conditions", "distributions")
 
-    def __post_init__(self):
+    def __init__(self, seed: int, n_records: int, model_id: str, labels: tuple[str, ...],
+                 class_priors: Mapping[str, Fraction],
+                 confusion: Mapping[str, Sequence[tuple[frozenset[str], Fraction]]],
+                 planted_conditions: tuple[PlantedCondition, ...] = (),
+                 distributions: tuple[DistributionSpec, ...] = ()):
+        _set(self, "seed", seed)
+        _set(self, "n_records", n_records)
+        _set(self, "model_id", model_id)
+        _set(self, "labels", labels)
+        _set(self, "class_priors", class_priors)
+        _set(self, "confusion", confusion)
+        _set(self, "planted_conditions", planted_conditions)
+        _set(self, "distributions", distributions)
         _integers(SynthConfigError, seed=self.seed, n_records=self.n_records)
         if self.seed < 0:
             raise SynthConfigError("seed must be nonnegative")
@@ -299,13 +318,19 @@ class SynthConfig:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class BookkeepingRow:
-    condition_id: str
-    target_class: str
-    distribution: str | None  # None means pooled over all tags
-    support: Probability
-    confidence: Probability
+class BookkeepingRow(_Frozen):
+    """Realized support and confidence of one planted condition; a
+    ``distribution`` of None means pooled over all tags."""
+
+    __slots__ = ("condition_id", "target_class", "distribution", "support", "confidence")
+
+    def __init__(self, condition_id: str, target_class: str, distribution: str | None,
+                 support: Probability, confidence: Probability):
+        _set(self, "condition_id", condition_id)
+        _set(self, "target_class", target_class)
+        _set(self, "distribution", distribution)
+        _set(self, "support", support)
+        _set(self, "confidence", confidence)
 
     def to_dict(self) -> dict:
         return {
@@ -317,11 +342,13 @@ class BookkeepingRow:
         }
 
 
-@dataclass(frozen=True)
-class SynthBookkeeping:
+class SynthBookkeeping(_Frozen):
     """Realized support/confidence per condition, measured on the output log."""
 
-    rows: tuple[BookkeepingRow, ...]
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[BookkeepingRow, ...]):
+        _set(self, "rows", rows)
 
     def for_condition(self, condition_id: str, distribution: str | None = None) -> BookkeepingRow:
         for row in self.rows:
@@ -548,8 +575,9 @@ def _bookkeeping(cfg: SynthConfig, shapes: Sequence[tuple], counts: Sequence[int
                 fields[i] += n
         for scope in [None, *tags] if cfg.distributions else [None]:
             c = map(sum, zip(*by_tag.values())) if scope is None else by_tag[scope]
-            bundle = bundle_from_counts(JointCounts(*c))
-            rows.append(BookkeepingRow(pc.condition_id, alpha, scope, bundle.support, bundle.confidence))
+            q = _base(JointCounts(*c))
+            rows.append(BookkeepingRow(pc.condition_id, alpha, scope, _probability(q.support),
+                                       _probability(q.confidence)))
     return SynthBookkeeping(tuple(rows))
 
 
@@ -568,6 +596,8 @@ def _fuzz_draw(seed: int, max_records: int, max_labels: int, max_conditions: int
     record). Returns n and the three matrices."""
     _integers(seed=seed, max_records=max_records, max_labels=max_labels,
               max_conditions=max_conditions)
+    if seed < 0:
+        raise InputError("seed must be nonnegative")
     if max_records < 1 or max_labels < 1 or max_conditions < 0:
         raise InputError("bounds must be positive (conditions may be 0)")
     import numpy as np  # deferred: importing errata must not load numpy

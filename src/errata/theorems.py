@@ -22,7 +22,6 @@ never occur report SKIPPED (a first-class verdict) rather than guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Callable
@@ -42,10 +41,11 @@ from .estimators import (
     _le,
     _lt,
     _mul,
+    _recalls,
     _sub,
     joint_counts,
 )
-from .logs import InputError, serialize_log
+from .logs import InputError, _Frozen, _set, serialize_log
 from .rational import format_rational, parse_rational
 
 
@@ -65,19 +65,26 @@ class TheoremVerdict(str, Enum):
     SKIPPED = "SKIPPED"
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(_Frozen):
     """Structured verdict with every quantity the checked statement names."""
 
-    theorem_id: TheoremId
-    verdict: TheoremVerdict
-    model_id: str
-    target_class: str
-    condition_ids: tuple[str, ...]
-    intermediates: dict[str, Fraction | None] = field(default_factory=dict)
-    correction_class: str | None = None
-    skip_reason: str | None = None
-    note: str | None = None
+    __slots__ = ("theorem_id", "verdict", "model_id", "target_class", "condition_ids",
+                 "intermediates", "correction_class", "skip_reason", "note")
+
+    def __init__(self, theorem_id: TheoremId, verdict: TheoremVerdict, model_id: str,
+                 target_class: str, condition_ids: tuple[str, ...],
+                 intermediates: dict[str, Fraction | None] | None = None,
+                 correction_class: str | None = None, skip_reason: str | None = None,
+                 note: str | None = None):
+        _set(self, "theorem_id", theorem_id)
+        _set(self, "verdict", verdict)
+        _set(self, "model_id", model_id)
+        _set(self, "target_class", target_class)
+        _set(self, "condition_ids", condition_ids)
+        _set(self, "intermediates", {} if intermediates is None else intermediates)
+        _set(self, "correction_class", correction_class)
+        _set(self, "skip_reason", skip_reason)
+        _set(self, "note", note)
 
     def to_dict(self) -> dict:
         return {
@@ -193,8 +200,7 @@ def _t2(c: JointCounts, q: _Base) -> Outcome:
 
 
 def _t3(c: JointCounts, q: _Base) -> Outcome:
-    recall = (c.pred_gt, c.gt) if c.gt else None
-    rule_recall = (c.pred_gt - c.pred_body_gt, c.gt) if c.gt else None
+    recall, rule_recall = _recalls(c)
     correct_under_body = (c.pred_body_gt, c.pred_body) if c.pred_body else None
     extras = (
         ("recall", recall),
@@ -367,27 +373,37 @@ def check_all(log, model_id, alpha, body, beta=None) -> list[TheoremReport]:
 # Random sweep
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepViolation:
-    trial: int
-    trial_seed: int
-    theorem_id: TheoremId
-    alpha: str
-    condition_id: str
-    correction_class: str | None
-    report: TheoremReport
-    log_text: str
+class SweepViolation(_Frozen):
+    __slots__ = ("trial", "trial_seed", "theorem_id", "alpha", "condition_id", "correction_class",
+                 "report", "log_text")
+
+    def __init__(self, trial: int, trial_seed: int, theorem_id: TheoremId, alpha: str,
+                 condition_id: str, correction_class: str | None, report: TheoremReport,
+                 log_text: str):
+        _set(self, "trial", trial)
+        _set(self, "trial_seed", trial_seed)
+        _set(self, "theorem_id", theorem_id)
+        _set(self, "alpha", alpha)
+        _set(self, "condition_id", condition_id)
+        _set(self, "correction_class", correction_class)
+        _set(self, "report", report)
+        _set(self, "log_text", log_text)
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    seed: int
-    trials: int
-    max_records: int
-    max_labels: int
-    max_conditions: int
-    verdict_counts: dict[TheoremId, dict[TheoremVerdict, int]]
-    violations: tuple[SweepViolation, ...]
+class SweepResult(_Frozen):
+    __slots__ = ("seed", "trials", "max_records", "max_labels", "max_conditions",
+                 "verdict_counts", "violations")
+
+    def __init__(self, seed: int, trials: int, max_records: int, max_labels: int,
+                 max_conditions: int, verdict_counts: dict[TheoremId, dict[TheoremVerdict, int]],
+                 violations: tuple[SweepViolation, ...]):
+        _set(self, "seed", seed)
+        _set(self, "trials", trials)
+        _set(self, "max_records", max_records)
+        _set(self, "max_labels", max_labels)
+        _set(self, "max_conditions", max_conditions)
+        _set(self, "verdict_counts", verdict_counts)
+        _set(self, "violations", violations)
 
     @property
     def total_verdicts(self) -> int:

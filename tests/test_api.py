@@ -10,8 +10,9 @@ PUBLIC_BY_MODULE = {
         "InputError", "LogFormatError", "PredictionLog", "PredictionRecord",
         "load_log", "load_log_file", "serialize_log",
     },
+    "bundles": {"MetricBundle"},
     "estimators": {
-        "ConditionBody", "InvarianceProfile", "InvarianceRow", "MetricBundle",
+        "ConditionBody", "InvarianceProfile", "InvarianceRow",
         "Probability", "Verdict", "f1_value", "invariance_profile",
         "is_error_detecting", "joint_counts", "metric_bundle",
     },

@@ -351,6 +351,50 @@ print(json.dumps([codes, sorted(
     assert json.loads(result.stdout.splitlines()[-1]) == [[0, 0], []]
 
 
+# The six commands of the batch chain, each with its arguments but --out,
+# run from one directory in this order.
+_CHAIN = (
+    ("synth", ["--config", "config.json"]),
+    ("learn-detection", ["--log", "synth/log.jsonl", "--model", "m", "--class", "a",
+                         "--condition", "c1", "--epsilon", "1/5"]),
+    ("learn-correction", ["--log", "synth/log.jsonl", "--model", "m", "--target-class", "b",
+                          "--condition", "c1", "--trigger-class", "a"]),
+    ("apply", ["--log", "synth/log.jsonl", "--rules", "learn-detection/rules.json"]),
+    ("eval", ["--before", "synth/log.jsonl", "--after", "apply/applied.jsonl"]),
+    ("verify", ["--log", "synth/log.jsonl", "--model", "m", "--class", "a",
+                "--condition", "c1", "--target-class", "b"]),
+)
+
+
+def test_chain_commands_start_without_dataclasses_or_numpy(tmp_path):
+    # Each command runs in a fresh interpreter, as a CLI child does. Only
+    # learn-detection builds a MetricBundle, the one dataclass, so only it
+    # loads dataclasses, and with it inspect; only synth draws, so only it
+    # loads numpy. numpy itself loads inspect, so synth is not checked for
+    # inspect.
+    (tmp_path / "config.json").write_text(json.dumps(SYNTH_CONFIG), encoding="utf-8")
+    code = """
+import json, sys
+from errata.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in ("dataclasses", "inspect", "numpy") if m in sys.modules)]))
+"""
+    loaded = {}
+    for command, args in _CHAIN:
+        result = subprocess.run(
+            [sys.executable, "-c", code, command, *args, "--out", command],
+            capture_output=True, text=True, env=_src_env(), cwd=tmp_path, check=True,
+        )
+        exit_code, loaded[command] = json.loads(result.stdout.splitlines()[-1])
+        assert exit_code == 0, (command, result.stderr)
+    assert read_json(tmp_path / "learn-detection" / "rules.json")["detections"]
+    assert [c for c, names in loaded.items() if "dataclasses" in names] == ["learn-detection"]
+    assert [c for c, names in loaded.items() if "numpy" in names] == ["synth"]
+    assert [c for c, names in loaded.items() if "inspect" in names and c != "synth"] == [
+        "learn-detection"
+    ]
+
+
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
 @pytest.mark.parametrize("command", ["synth", "sweep"])
 def test_numpy_commands_start_one_blas_thread(tmp_path, command, preset, expected):

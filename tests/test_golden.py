@@ -11,7 +11,6 @@ command line). To re-derive a pin after an intended output change, print
 
 import hashlib
 import json
-from dataclasses import replace
 
 from errata import (
     ConditionBody,
@@ -319,7 +318,7 @@ def test_cli_chain_pinned(tmp_path, monkeypatch, capsys):
     detect = loads_rules((tmp_path / "detect/rules.json").read_text(encoding="utf-8"))
     correct = loads_rules((tmp_path / "correct/rules.json").read_text(encoding="utf-8"))
     assert detect.detections and correct.corrections
-    merged = replace(detect, corrections=correct.corrections)
+    merged = RuleSet(detect.detections, correct.corrections)
     (tmp_path / "rules.json").write_text(dumps_rules(merged), encoding="utf-8")
     assert main(["apply", "--log", log, "--rules", "rules.json", "--out", "apply"]) == 0
     assert main(["eval", "--before", log, "--after", "apply/applied.jsonl", "--out", "eval"]) == 0

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +9,7 @@ from errata import (
     LearnConfig,
     Objective,
     PredictionLog,
+    PredictionRecord,
     exhaustive_oracle,
     joint_counts,
     learn_correction,
@@ -416,7 +416,10 @@ def _with_twins(log: PredictionLog, alpha: str) -> PredictionLog:
                 "v2": off or "c2" in r.conditions, "o": off}
         return r.conditions | {cid for cid, on in held.items() if on}
 
-    return PredictionLog(replace(r, conditions=extra(r)) for r in log.records)
+    return PredictionLog(
+        PredictionRecord(r.sample_id, r.model_id, r.predicted, r.ground_truth, extra(r), r.distribution)
+        for r in log.records
+    )
 
 
 TWIN_POOL = condition_alphabet(6) + ("t1", "t3", "v2", "o", "x1", "x2")

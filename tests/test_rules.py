@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,6 +14,7 @@ from errata import (
     InputError,
     LogMismatchError,
     PredictionLog,
+    PredictionRecord,
     RecordTrace,
     RuleSet,
     TheoremVerdict,
@@ -532,9 +532,13 @@ def test_apply_rules_matches_two_stage_reference(log, detections, corrections):
     for before, got, entry, (predicted, erased, added, conflict) in zip(
         log, after, trace_entries(trace), expected
     ):
-        assert got == replace(before, predicted=predicted)
+        assert got == _with_predicted(before, predicted)
         assert (entry.sample_id, entry.model_id) == before.key
         assert (entry.erased, entry.added, entry.conflict) == (erased, added, conflict)
+
+
+def _with_predicted(r: PredictionRecord, predicted) -> PredictionRecord:
+    return PredictionRecord(r.sample_id, r.model_id, predicted, r.ground_truth, r.conditions, r.distribution)
 
 
 def _assert_matches_reference(log, rules, after, trace):
@@ -543,7 +547,7 @@ def _assert_matches_reference(log, rules, after, trace):
     for before, got, entry, (predicted, erased, added, conflict) in zip(
         log, after, trace_entries(trace), expected
     ):
-        assert got == replace(before, predicted=predicted)
+        assert got == _with_predicted(before, predicted)
         assert (entry.sample_id, entry.model_id) == before.key
         assert (entry.erased, entry.added, entry.conflict) == (erased, added, conflict)
 

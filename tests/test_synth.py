@@ -10,6 +10,7 @@ from errata.logs import _strict_json
 from errata.synth import MAX_RECORDS, _class_precision
 from errata import (
     ConditionBody,
+    InputError,
     SynthConfig,
     SynthConfigError,
     Verdict,
@@ -501,3 +502,10 @@ def test_random_log_matches_record_loop(seed, max_records, max_labels, max_condi
 def test_random_log_rejects_bad_bounds():
     with pytest.raises(ValueError):
         random_log(1, max_records=0)
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**64)])
+def test_random_log_rejects_a_negative_seed_as_input_error(seed):
+    # As sweep does, before numpy's generator sees the seed.
+    with pytest.raises(InputError, match="^seed must be nonnegative$"):
+        random_log(seed)

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -538,7 +537,11 @@ def test_sweep_captures_violation_with_full_report(monkeypatch):
         assert beta is not None and violation.report.correction_class == beta
         assert joint_counts(log, violation.alpha, body, beta, model_id="m") == chosen
         expected = check_reclassification_limit(log, "m", violation.alpha, beta, body)
-        assert violation.report == replace(expected, verdict=VIOLATED)
+        assert violation.report == TheoremReport(
+            expected.theorem_id, VIOLATED, expected.model_id, expected.target_class,
+            expected.condition_ids, expected.intermediates, expected.correction_class,
+            expected.skip_reason, expected.note,
+        )
         assert None not in violation.report.intermediates.values()
 
 
