@@ -4,9 +4,13 @@ Every other value type is a plain slotted class (``errata.logs._Frozen``),
 because decorating a dataclass, and importing ``dataclasses`` with the
 ``inspect`` and ``ast`` modules it loads, is a large share of a CLI
 child's start-up. A bundle stays a frozen, slotted dataclass so that
-``dataclasses.replace`` builds a changed copy of it. The module is loaded
-by ``estimators.bundle_from_counts`` on its first call, so only a command
-that builds a bundle (``learn-detection``) pays for ``dataclasses``.
+``dataclasses.replace`` builds a changed copy of it. Its ``__slots__`` are
+declared by hand rather than with ``slots=True``: that option rebuilds the
+class, and the frozen ``__setattr__`` made before it then raises
+``TypeError`` (not ``AttributeError``) for a name that is not a field. The
+module is loaded by ``estimators.bundle_from_counts`` on its first call,
+so only a command that builds a bundle (``learn-detection``) pays for
+``dataclasses``.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from .estimators import Probability
 from .rational import format_rational
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class MetricBundle:
     """Headline statistics for one (model, class, body) triple.
 
@@ -28,6 +32,9 @@ class MetricBundle:
     and is UNDEFINED at support = 1; residual is 1 − precision.
     """
 
+    __slots__ = ("precision", "recall", "rule_precision", "rule_recall", "support",
+                 "confidence", "k_factor", "residual")
+
     precision: Probability
     recall: Probability
     rule_precision: Probability
@@ -36,6 +43,9 @@ class MetricBundle:
     confidence: Probability
     k_factor: Fraction | None
     residual: Fraction | None
+
+    def __reduce__(self):  # copy and unpickle through the constructor, as frozen
+        return (MetricBundle, tuple(getattr(self, name) for name in self.__slots__))
 
     def to_dict(self) -> dict:
         return {

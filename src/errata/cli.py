@@ -162,7 +162,7 @@ def _learn_config(args):
     from .learning import LearnConfig, Objective
     kwargs = {"objective": Objective[_OBJECTIVES[args.objective]]}
     if args.epsilon is not None:
-        kwargs["epsilon"] = parse_rational(args.epsilon)
+        kwargs["epsilon"] = parse_rational(args.epsilon, "--epsilon")
     return LearnConfig(**kwargs)
 
 

@@ -65,7 +65,7 @@ class LearnConfig(_Frozen):
     def __init__(self, objective: Objective = Objective.PRECISION_GAIN,
                  epsilon: Fraction = Fraction(1, 20), max_body_size: int | None = None):
         objective = objective if isinstance(objective, Objective) else Objective(objective)
-        epsilon = as_fraction(epsilon)
+        epsilon = as_fraction(epsilon, "epsilon")
         if epsilon < 0:
             raise InputError("epsilon must be nonnegative")
         if max_body_size is not None and max_body_size < 1:

@@ -526,6 +526,8 @@ def _strict_json(text: str, what: str, error: type[InputError]):
         raise error(f"malformed {what}: {exc}") from exc
     except InputError as exc:  # a repeated key
         raise error(f"{what}: {exc}") from None
+    except RecursionError:
+        raise error(f"malformed {what}: nested too deeply") from None
 
 
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
@@ -550,6 +552,8 @@ def _decode_line(line: str, lineno: int) -> dict:
         raise LogFormatError(f"line {lineno}: malformed JSON ({msg})") from exc
     except InputError as exc:  # a repeated key
         raise LogFormatError(f"line {lineno}: {exc}") from None
+    except RecursionError:
+        raise LogFormatError(f"line {lineno}: malformed JSON (nested too deeply)") from None
     if not isinstance(obj, dict):
         raise LogFormatError(f"line {lineno}: expected a JSON object")
     return obj

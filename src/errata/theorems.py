@@ -11,13 +11,14 @@ cross-multiplication, so no float and no ``Fraction`` reaches a verdict,
 and a wrong formula still comes out VIOLATED. Reports (from the public
 ``check_*`` functions, ``errata verify`` and any VIOLATED verdict of the
 sweep) carry the same quantities as exact ``Fraction`` values. The sweep
-over random logs only counts verdicts: it counts each trial from the
-random draws of its log, through the kernel of ``joint_counts`` with a
-correction class, checks each distinct count tuple once and tallies its
-verdicts per occurrence. A VIOLATED verdict is an implementation bug; only
-then does the sweep build the trial's log, and it keeps each occurrence's
-report and the log's text for replay. Checks whose conditioning events
-never occur report SKIPPED (a first-class verdict) rather than guessing.
+over random logs only counts verdicts: it counts a chunk of trials at once
+from the random draws of their logs, zero-padded into one numpy block,
+with one batched matrix product, checks each distinct count tuple once
+and tallies its verdicts per occurrence. A VIOLATED verdict is an
+implementation bug; only then does the sweep build the trial's log, and
+it keeps each occurrence's report and the log's text for replay. Checks
+whose conditioning events never occur report SKIPPED (a first-class
+verdict) rather than guessing.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .estimators import (
     Ratio,
     _Base,
     _base,
-    _beta_counts,
     _div,
     _eq,
     _fraction,
@@ -435,33 +435,53 @@ class SweepResult(_Frozen):
 # count.
 _MEMO_CAP = 4096
 _VERDICTS = tuple(TheoremVerdict)
+# A sweep counts its trials a chunk at a time, as many trials as fit this
+# many cells of padded draws, so memory stays bounded for any bounds.
+_CHUNK_CELLS = 1 << 16
 
 
-def _trial_counts(
-    trial_seed: int, max_records: int, max_labels: int, max_conditions: int
-) -> list[JointCounts]:
-    """The count tuple of every (class, condition) pair of the sweep's
-    alphabets on ``random_log(trial_seed, ...)``, class-major, with the
-    cyclically next label as β, counted from the log's draws: each column
-    of a draw is packed into a row mask. A name outside the trial's
-    alphabets has mask 0, as it holds on no row of the log."""
+def _chunk_trials(max_records: int, max_labels: int, max_conditions: int) -> int:
+    cells = max_records * (max_labels + max_conditions) + max_labels * max_conditions
+    return max(1, _CHUNK_CELLS // cells)
+
+
+def _chunk_counts(
+    trial_seeds: list[int], max_records: int, labels: int, conditions: int
+) -> list[list[int]]:
+    """The ``JointCounts`` fields of every (trial, class, condition) pair of
+    the sweep's alphabets, trial-major then class-major, with the
+    cyclically next label as β, on ``random_log(s, max_records, labels,
+    conditions)`` for each s in ``trial_seeds``: all counted at once."""
     import numpy as np  # deferred: importing errata must not load numpy
 
     from .synth import _fuzz_draw
 
-    n, predicted, truth, marks = _fuzz_draw(trial_seed, max_records, max_labels, max_conditions)
-    k, width = predicted.shape[1], (n + 7) // 8
-    packed = np.packbits(np.hstack((predicted, truth, marks)).T, axis=1, bitorder="little").tobytes()
-    masks = [int.from_bytes(packed[i:i + width], "little") for i in range(0, len(packed), width)]
-    absent = [0] * (max_labels - k)
-    pred, gt = masks[:k] + absent, masks[k:2 * k] + absent
-    bodies = masks[2 * k:] + [0] * (max_conditions - marks.shape[1])
-    scope = (1 << n) - 1
-    counts = []
-    for i in range(max_labels):
-        j = (i + 1) % max_labels
-        counts += _beta_counts(scope, pred[i], gt[i], bodies, pred[j], gt[j])
-    return counts
+    # Per trial, rows of predicted labels, true labels and conditions over
+    # the records, then a row that holds on every record. Zero padding: a
+    # padded record, or a name outside the trial's alphabets, holds nowhere.
+    block = np.zeros((len(trial_seeds), 2 * labels + conditions + 1, max_records), bool)
+    block[:, -1], total = True, np.empty((len(trial_seeds), 1, 1), np.int64)
+    for t, trial_seed in enumerate(trial_seeds):
+        total[t], *draws = _fuzz_draw(trial_seed, max_records, labels, conditions)
+        for first, draw in zip((0, labels, 2 * labels), draws):
+            block[t, first:first + draw.shape[1], :len(draw)] = draw.T
+    # Six events per class α: α ∈ gt, α predicted, ... ∧ α ∈ gt, ... ∧ β ∈ gt,
+    # α and β predicted, ... ∧ β ∈ gt.
+    pred, gt = block[:, :labels], block[:, labels:2 * labels]
+    beta_pred, beta_gt = np.roll(pred, -1, 1), np.roll(gt, -1, 1)
+    both = pred & beta_pred
+    events = np.concatenate((gt, pred, pred & gt, pred & beta_gt, both, both & beta_gt), 1)
+    # Each event's count under each condition, then on every record (exact:
+    # float64 holds every count below 2**53).
+    hits = np.matmul(events.astype(float), block[:, 2 * labels:].transpose(0, 2, 1).astype(float))
+    hits = hits.astype(np.int64).reshape(len(trial_seeds), 6, labels, conditions + 1)
+    head, body = hits[..., conditions:].transpose(0, 2, 3, 1), hits[..., :conditions].swapaxes(0, 1)
+    out = np.empty((len(trial_seeds), labels, conditions, len(JointCounts._fields)), np.int64)
+    out[..., 0], out[..., 1:4], out[..., 6:8] = total, head[..., :3], np.roll(head[..., 1:3], -1, 1)
+    out[..., 4], out[..., 5], out[..., 8] = body[1], body[2], body[3]
+    # |β ∨ (α ∧ body)| = |β| + |α ∧ body| − |α ∧ β ∧ body|, and the same ∧ β ∈ gt.
+    out[..., 9], out[..., 10] = out[..., 6] + body[1] - body[4], out[..., 7] + body[3] - body[5]
+    return out.reshape(-1, len(JointCounts._fields)).tolist()
 
 
 def sweep(
@@ -477,15 +497,16 @@ def sweep(
     registry check for every (class, condition) pair of the fixed
     alphabets implied by the bounds; the reclassification check uses the
     cyclically next label as the correction class, so each theorem
-    contributes exactly one verdict per pair per trial. A trial is counted
-    from the log's draws; the log is built only for the replay text of a
-    VIOLATED verdict. Checks are pure functions of the pair's count tuple,
-    so the registry runs once per distinct tuple (again only after the
-    memo is cleared at ``_MEMO_CAP`` tuples) and its verdicts are tallied
-    once per occurrence. A report is built for each occurrence of a
-    VIOLATED verdict alone, in (trial, class, condition, registry) order.
-    Per-trial seeds derive from the master seed via numpy's SeedSequence,
-    making the aggregate table reproducible.
+    contributes exactly one verdict per pair per trial. Trials are counted
+    from their logs' draws, a chunk of trials (at most ``_CHUNK_CELLS``
+    padded cells) at once with a few numpy operations; a log is built only
+    for the replay text of a VIOLATED verdict. Checks are pure functions of
+    the pair's count tuple, so the registry runs once per distinct tuple
+    (again only after the memo is cleared at ``_MEMO_CAP`` tuples) and its
+    verdicts are tallied once per occurrence. A report is built for each
+    occurrence of a VIOLATED verdict alone, in (trial, class, condition,
+    registry) order. Per-trial seeds derive from the master seed via
+    numpy's SeedSequence, making the aggregate table reproducible.
     """
     import numpy as np  # deferred: importing errata must not load numpy
 
@@ -497,23 +518,26 @@ def sweep(
         raise InputError("trial count must be at least 1")
     if seed < 0:
         raise InputError("seed must be nonnegative")
+    if max_records < 1 or max_labels < 1 or max_conditions < 0:
+        raise InputError("bounds must be positive (conditions may be 0)")
     labels = label_alphabet(max_labels)
-    pairs = [(alpha, labels[(i + 1) % len(labels)], cid)  # (α, β, condition), as _trial_counts
+    pairs = [(alpha, labels[(i + 1) % len(labels)], cid)  # (α, β, condition), as _chunk_counts
              for i, alpha in enumerate(labels) for cid in condition_alphabet(max_conditions)]
     checks = tuple(CHECKS.items())
-    memo: dict[JointCounts, int] = {}  # count tuple → index of its verdict vector
+    memo: dict[tuple[int, ...], int] = {}  # count tuple → index of its verdict vector
     vectors: dict[tuple[int, ...], int] = {}  # verdict codes in registry order → index
     tally: list[int] = []  # occurrences per vector index
     flagged: set[int] = set()  # indices of vectors with a VIOLATED verdict
     violations: list[SweepViolation] = []
     trial_seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
-    for trial in range(trials):
-        trial_seed = int(trial_seeds[trial])
-        log_text = None  # the trial's log, serialized on its first VIOLATED verdict
-        trial_counts = _trial_counts(trial_seed, max_records, max_labels, max_conditions)
-        for (alpha, beta, cid), c in zip(pairs, trial_counts):
-            index = memo.get(c)
+    bounds, replay = (max_records, max_labels, max_conditions), (None, None)
+    chunk = _chunk_trials(*bounds)
+    for first in range(0, trials if pairs else 0, chunk):
+        chunk_seeds = trial_seeds[first:first + chunk].tolist()
+        for row, key in enumerate(map(tuple, _chunk_counts(chunk_seeds, *bounds))):
+            index = memo.get(key)
             if index is None:
+                c = JointCounts._make(key)
                 q = _base(c)
                 codes = tuple([_VERDICTS.index(check(c, q)[0]) for _, check in checks])
                 index = vectors.setdefault(codes, len(vectors))
@@ -523,20 +547,22 @@ def sweep(
                         flagged.add(index)
                 if len(memo) >= _MEMO_CAP:
                     memo.clear()
-                memo[c] = index
+                memo[key] = index
             tally[index] += 1
             if index in flagged:
-                if log_text is None:
-                    log_text = serialize_log(
-                        random_log(trial_seed, max_records, max_labels, max_conditions))
+                t, pair = divmod(row, len(pairs))
+                trial, trial_seed, (alpha, beta, cid) = first + t, chunk_seeds[t], pairs[pair]
+                if replay[0] != trial:  # (trial, its serialized log)
+                    replay = (trial, serialize_log(random_log(trial_seed, *bounds)))
+                c = JointCounts._make(key)
                 q = _base(c)
                 for tid, check in checks:
                     outcome = check(c, q)
                     if outcome[0] is VIOLATED:
                         report = _report(tid, outcome, q, "m", alpha, (cid,), beta)
                         violations.append(SweepViolation(
-                            trial, trial_seed, tid, alpha, cid, report.correction_class, report,
-                            log_text))
+                            trial, trial_seed, tid, alpha, cid, report.correction_class,
+                            report, replay[1]))
     counts: dict[TheoremId, dict[TheoremVerdict, int]] = {
         tid: {v: 0 for v in TheoremVerdict} for tid in TheoremId
     }

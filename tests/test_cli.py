@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,10 +11,13 @@ from conftest import LOG_A_TEXT
 from errata.cli import main, report_render
 from errata import (
     ConditionBody,
+    InputError,
+    LearnConfig,
     check_precision_change,
     check_residual,
     load_log,
 )
+from errata.rational import parse_rational
 
 SYNTH_CONFIG = {
     "seed": 11,
@@ -607,6 +611,61 @@ def test_repeated_keys_exit_2(tmp_path, log_file, capsys, command, message):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"errata {argv[0]}: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+DEEP = "[" * 100_000 + "]" * 100_000  # past the JSON decoder's recursion limit
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        pytest.param(
+            lambda tmp, log: ["apply", "--log", str(_bytes_file(tmp, (
+                LOG_A_TEXT.splitlines()[0] + "\n"
+                + '{"sample_id": "deep", "model_id": "m", "predicted": [], "ground_truth": [],'
+                  ' "conditions": ' + DEEP + "}\n").encode())),
+                "--rules", str(_rules_text(tmp, '{"detections": []}'))],
+            "line 2: malformed JSON (nested too deeply)", id="log line"),
+        pytest.param(
+            lambda tmp, log: ["apply", "--log", log, "--rules", str(_rules_text(
+                tmp, '{"detections": ' + DEEP + "}"))],
+            "malformed rule file: nested too deeply", id="rule file"),
+        pytest.param(
+            lambda tmp, log: _synth_file(tmp, '{"seed": ' + DEEP + "}"),
+            "malformed synth config: nested too deeply", id="synth config"),
+    ],
+)
+def test_deeply_nested_json_exits_2(tmp_path, log_file, capsys, command, message):
+    # A RecursionError from the decoder used to end in a traceback and exit 1.
+    argv = command(tmp_path, str(log_file)) + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"errata {argv[0]}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("epsilon", ["1e-999999", "1e1000", "1/" + "9" * 1001, "2e-99999999999999999999"])
+def test_oversized_epsilon_exits_2(tmp_path, log_file, capsys, epsilon):
+    # 1e-999999 used to pass parsing and crash writing the report (Python
+    # writes at most 4300 digits of an integer as text), with exit 1.
+    argv = ["learn-detection", "--log", str(log_file), "--model", "m", "--class", "a",
+            "--condition", "c1", "--epsilon", epsilon, "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "errata learn-detection: --epsilon: more than 1000 digits in the numerator or "
+        f"denominator of {epsilon!r}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_rationals_up_to_the_digit_bound_parse_exactly():
+    assert parse_rational("1e999") == 10 ** 999
+    assert parse_rational("1e-999") == Fraction(1, 10 ** 999)
+    assert parse_rational("1" + "0" * 1500 + "e-1000") == 10 ** 500
+    assert parse_rational("0e-99999999999") == 0 and parse_rational(" 1e1_0 ") == 10 ** 10
+    for text in ("1/2e99999", "e99999", "x"):
+        with pytest.raises(InputError, match="^not a rational number"):
+            parse_rational(text)
+    with pytest.raises(InputError, match="^epsilon: more than 1000 digits"):
+        LearnConfig(epsilon="1e-1000")
 
 
 def test_internal_value_error_is_not_an_input_error(tmp_path, log_file, monkeypatch):

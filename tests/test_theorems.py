@@ -323,7 +323,8 @@ def test_sweep_rejects_zero_trials():
         sweep(1, 0)
 
 
-@pytest.mark.parametrize("bounds", [{"max_records": 0}, {"max_labels": 0}, {"max_conditions": -1}])
+@pytest.mark.parametrize("bounds", [{"max_records": 0}, {"max_labels": 0}, {"max_conditions": -1},
+                                    {"max_records": 0, "max_conditions": 0}])
 def test_bad_sweep_bounds_are_input_errors(bounds):
     with pytest.raises(InputError, match="bounds must be positive"):
         sweep(1, 2, **bounds)
@@ -347,27 +348,39 @@ def test_non_integer_sweep_arguments_are_input_errors(name, value):
 
 
 @given(
-    seed=st.integers(0, 2**64 - 1),
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
     max_records=st.integers(1, 150),
     max_labels=st.integers(1, 10),
     max_conditions=st.integers(0, 5),
 )
-@example(seed=5, max_records=100, max_labels=1, max_conditions=3)
-@example(seed=2**64 - 1, max_records=200, max_labels=9, max_conditions=5)
-@example(seed=0, max_records=30, max_labels=4, max_conditions=0)
+@example(seeds=[5, 6], max_records=100, max_labels=1, max_conditions=3)
+@example(seeds=[2**64 - 1, 0, 7, 8, 9], max_records=200, max_labels=9, max_conditions=5)
+@example(seeds=[0], max_records=30, max_labels=4, max_conditions=0)
 @settings(max_examples=150, deadline=None)
 def test_sweep_trial_counts_match_joint_counts_on_the_trial_log(
-    seed, max_records, max_labels, max_conditions
+    seeds, max_records, max_labels, max_conditions
 ):
+    # Trials of different record counts and alphabet sizes share one chunk.
     bounds = (max_records, max_labels, max_conditions)
-    log = random_log(seed, *bounds)
     labels = label_alphabet(max_labels)
-    expected = [
-        joint_counts(log, alpha, (cid,), labels[(i + 1) % max_labels], model_id="m")
-        for i, alpha in enumerate(labels)
-        for cid in condition_alphabet(max_conditions)
-    ]
-    assert theorems._trial_counts(seed, *bounds) == expected
+    expected = []
+    for seed in seeds:
+        log = random_log(seed, *bounds)
+        expected += [
+            joint_counts(log, alpha, (cid,), labels[(i + 1) % max_labels], model_id="m")
+            for i, alpha in enumerate(labels)
+            for cid in condition_alphabet(max_conditions)
+        ]
+    assert theorems._chunk_counts(seeds, *bounds) == [list(c) for c in expected]
+
+
+def test_sweep_chunks_fit_their_cell_budget():
+    for bounds in [(30, 4, 3), (1, 1, 0), (150, 10, 5), (10**6, 4, 3)]:
+        size = theorems._chunk_trials(*bounds)
+        records, labels, conditions = bounds
+        cells = records * (labels + conditions) + labels * conditions
+        fills = size * cells <= theorems._CHUNK_CELLS < (size + 1) * cells
+        assert fills or (size == 1 and cells > theorems._CHUNK_CELLS)
 
 
 def test_sweep_deterministic():
@@ -578,6 +591,23 @@ def test_sweep_matches_per_pair_reference_on_a_rigged_registry(monkeypatch, cap)
     _assert_sweeps_equal(result, reference_sweep(8, 40))
     reports = [json.dumps(v.report.to_dict()) for v in result.violations]
     assert len(set(reports)) < len(reports)  # some violating tuple repeats
+
+
+@pytest.mark.parametrize("size", [1, 3, None])
+def test_sweep_chunk_size_changes_no_result(monkeypatch, size):
+    if size is not None:
+        monkeypatch.setattr(theorems, "_chunk_trials", lambda *bounds: size)
+    honest = CHECKS[TheoremId.T1_PRECISION_CHANGE]
+
+    def rigged(c, q):  # fails on every pair whose body fires once
+        outcome = honest(c, q)
+        return (VIOLATED, *outcome[1:]) if c.pred_body == 1 else outcome
+
+    monkeypatch.setitem(CHECKS, TheoremId.T1_PRECISION_CHANGE, rigged)
+    for seed, trials, bounds in [(8, 40, {}), (3, 10, {"max_records": 7, "max_labels": 2})]:
+        result = sweep(seed, trials, **bounds)
+        assert len({v.trial for v in result.violations}) >= 5  # across chunks when small
+        _assert_sweeps_equal(result, reference_sweep(seed, trials, **bounds))
 
 
 @pytest.mark.parametrize("cap", [theorems._MEMO_CAP, 1])
