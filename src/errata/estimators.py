@@ -230,18 +230,17 @@ class _Base(NamedTuple):
     residual: Ratio | None
 
 
-def _base(c: JointCounts) -> _Base:
+def _base_ratios(c: JointCounts) -> _Base:
+    """The ratios of ``_base``, with a zero denominator where ``_base`` has
+    None; on count columns (numpy arrays) as on counts."""
     n, b = c.pred, c.pred_body
-    precision = (c.pred_gt, n) if n else None
-    support = (b, n) if n else None
-    return _Base(
-        precision,
-        (c.pred_gt - c.pred_body_gt, n - b) if n > b else None,
-        support,
-        (b - c.pred_body_gt, b) if b else None,
-        _div(support, _sub(_ONE, support)) if n and n != b else None,
-        _sub(_ONE, precision) if n else None,
-    )
+    precision, support = (c.pred_gt, n), (b, n)
+    return _Base(precision, (c.pred_gt - c.pred_body_gt, n - b), support, (b - c.pred_body_gt, b),
+                 _div(support, _sub(_ONE, support)), _sub(_ONE, precision))
+
+
+def _base(c: JointCounts) -> _Base:
+    return _Base._make([r if r[1] else None for r in _base_ratios(c)])
 
 
 def _probability(r: Ratio | None) -> Probability:

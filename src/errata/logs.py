@@ -528,6 +528,8 @@ def _strict_json(text: str, what: str, error: type[InputError]):
         raise error(f"{what}: {exc}") from None
     except RecursionError:
         raise error(f"malformed {what}: nested too deeply") from None
+    except ValueError:  # an integer past Python's int-text digit limit
+        raise error(f"malformed {what}: integer has too many digits") from None
 
 
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
@@ -554,6 +556,8 @@ def _decode_line(line: str, lineno: int) -> dict:
         raise LogFormatError(f"line {lineno}: {exc}") from None
     except RecursionError:
         raise LogFormatError(f"line {lineno}: malformed JSON (nested too deeply)") from None
+    except ValueError:  # an integer past Python's int-text digit limit
+        raise LogFormatError(f"line {lineno}: malformed JSON (integer has too many digits)") from None
     if not isinstance(obj, dict):
         raise LogFormatError(f"line {lineno}: expected a JSON object")
     return obj

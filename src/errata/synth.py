@@ -605,7 +605,10 @@ def _fuzz_draw(seed: int, max_records: int, max_labels: int, max_conditions: int
     rng = np.random.Generator(np.random.PCG64(seed))
     n = int(rng.integers(1, max_records + 1))
     k, m = int(rng.integers(1, max_labels + 1)), int(rng.integers(0, max_conditions + 1))
-    return n, rng.random((n, k)) < 0.45, rng.random((n, k)) < 0.45, rng.random((n, m)) < 0.5
+    # One call draws the three matrices' uniforms in turn, as three calls would.
+    u = rng.random(n * (2 * k + m))
+    return (n, u[:n * k].reshape(n, k) < 0.45, u[n * k:2 * n * k].reshape(n, k) < 0.45,
+            u[2 * n * k:].reshape(n, m) < 0.5)
 
 
 def random_log(

@@ -10,15 +10,19 @@ is evaluated as written and the two are compared by integer
 cross-multiplication, so no float and no ``Fraction`` reaches a verdict,
 and a wrong formula still comes out VIOLATED. Reports (from the public
 ``check_*`` functions, ``errata verify`` and any VIOLATED verdict of the
-sweep) carry the same quantities as exact ``Fraction`` values. The sweep
-over random logs only counts verdicts: it counts a chunk of trials at once
-from the random draws of their logs, zero-padded into one numpy block,
-with one batched matrix product, checks each distinct count tuple once
-and tallies its verdicts per occurrence. A VIOLATED verdict is an
-implementation bug; only then does the sweep build the trial's log, and
-it keeps each occurrence's report and the log's text for replay. Checks
-whose conditioning events never occur report SKIPPED (a first-class
-verdict) rather than guessing.
+sweep) carry the same quantities as exact ``Fraction`` values. Beside
+each check is its column form (``COLUMN_CHECKS``): the same statement over
+the count columns of many rows at once, numpy integer arrays, with the
+same unreduced ratios, skips and cross-multiplication, giving each row's
+verdict code. The sweep over random logs only counts verdicts: it counts
+a chunk of trials at once from the random draws of their logs,
+zero-padded into one numpy block, with one batched matrix product, then
+runs the column forms once over the chunk and tallies their codes. A
+VIOLATED verdict is an implementation bug; only then does the sweep run
+the registry on that row, build the trial's log and keep each
+occurrence's report and the log's text for replay. Checks whose
+conditioning events never occur report SKIPPED (a first-class verdict)
+rather than guessing.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .estimators import (
     Ratio,
     _Base,
     _base,
+    _base_ratios,
     _div,
     _eq,
     _fraction,
@@ -138,6 +143,16 @@ HOLDS, VIOLATED, SKIPPED = TheoremVerdict.HOLDS, TheoremVerdict.VIOLATED, Theore
 Outcome = tuple[TheoremVerdict, str | None, str | None, tuple[tuple[str, Ratio | None], ...]]
 Check = Callable[[JointCounts, _Base], Outcome]
 
+# A column form states a check over the count columns of many rows: it
+# takes a ``JointCounts`` of numpy integer arrays and ``_base_ratios`` of
+# it, and returns each row's verdict code, the index of its verdict in
+# ``_VERDICTS``. It evaluates every side on every row as the check writes
+# it. A zero denominator stands where the check has None; on those rows
+# an earlier case (a skip) decides the code, as the check returns early.
+ColumnCheck = Callable[[JointCounts, _Base], object]  # → a numpy array of codes
+_VERDICTS = tuple(TheoremVerdict)
+_H, _V, _S = (_VERDICTS.index(v) for v in (HOLDS, VIOLATED, SKIPPED))
+
 _NEVER_PREDICTED: Outcome = (SKIPPED, "class never predicted", None, ())
 _NO_COOCCURRENCE: Outcome = (SKIPPED, "condition never co-occurs with a prediction", None, ())
 _SUPPORT_ONE: Outcome = (SKIPPED, "support is 1; post-rule precision undefined", None, ())
@@ -145,6 +160,25 @@ _SUPPORT_ONE: Outcome = (SKIPPED, "support is 1; post-rule precision undefined",
 
 def _verdict(holds: bool) -> TheoremVerdict:
     return HOLDS if holds else VIOLATED
+
+
+def _select(cases, holds):
+    """Each row's verdict code: the code of the first case whose condition
+    holds on the row, as the check returns early, else HOLDS or VIOLATED
+    as ``holds``. A case is a (condition column, code) pair."""
+    import numpy as np  # deferred: importing errata must not load numpy
+
+    codes = np.where(holds, _H, _V)
+    for cond, code in reversed(cases):  # np.select, without its set-up cost
+        codes = np.where(cond, code, codes)
+    return codes
+
+
+def _where(cond, x: Ratio, y: Ratio) -> Ratio:
+    """The ratio ``x`` on the rows where ``cond`` holds, else ``y``."""
+    import numpy as np
+
+    return np.where(cond, x[0], y[0]), np.where(cond, x[1], y[1])
 
 
 def _closed_form(q: _Base) -> Ratio:
@@ -174,6 +208,15 @@ def _t1(c: JointCounts, q: _Base) -> Outcome:
     return (_verdict(holds), None, None, extras)
 
 
+def _t1_columns(c: JointCounts, q: _Base):
+    zero = c.pred_body == 0
+    lhs = _sub(q.rule_precision, q.precision)
+    rhs = _where(zero, _ZERO, _mul(q.k_factor, _sub(q.confidence, q.residual)))
+    closed_form = _where(zero, q.precision, _closed_form(q))
+    holds = _eq(lhs, rhs) & _eq(q.rule_precision, closed_form)
+    return _select([(c.pred == 0, _S), (c.pred_body == c.pred, _S)], holds)
+
+
 def _claim1(c: JointCounts, q: _Base) -> Outcome:
     if not c.pred:
         return _NEVER_PREDICTED
@@ -182,6 +225,12 @@ def _claim1(c: JointCounts, q: _Base) -> Outcome:
     expected = q.precision if not c.pred_body else _closed_form(q)
     holds = _eq(q.rule_precision, expected)
     return (_verdict(holds), None, None, (("expected_rule_precision", expected),))
+
+
+def _claim1_columns(c: JointCounts, q: _Base):
+    expected = _where(c.pred_body == 0, q.precision, _closed_form(q))
+    return _select([(c.pred == 0, _S), (c.pred_body == c.pred, _S)],
+                   _eq(q.rule_precision, expected))
 
 
 def _t2(c: JointCounts, q: _Base) -> Outcome:
@@ -197,6 +246,17 @@ def _t2(c: JointCounts, q: _Base) -> Outcome:
     note = f"error_detecting={'YES' if error_detecting else 'NO'}"
     extras = (("correct_rate_under_body", correct_under_body),)
     return (_verdict(error_detecting == no_worse), None, note, extras)
+
+
+def _biconditional_skips(c: JointCounts) -> list:
+    """The skips of both biconditionals, T2 and EQ7, as column cases."""
+    return [(c.pred == 0, _S), (c.pred_body == 0, _S), (c.pred_body == c.pred, _S)]
+
+
+def _t2_columns(c: JointCounts, q: _Base):
+    correct_under_body = _sub(_ONE, q.confidence)
+    error_detecting = _le(correct_under_body, q.precision)
+    return _select(_biconditional_skips(c), error_detecting == _le(q.precision, q.rule_precision))
 
 
 def _t3(c: JointCounts, q: _Base) -> Outcome:
@@ -222,6 +282,17 @@ def _t3(c: JointCounts, q: _Base) -> Outcome:
     return (_verdict(_eq(lhs, rhs)), None, None, extras + (("lhs", lhs), ("rhs", rhs)))
 
 
+def _t3_columns(c: JointCounts, q: _Base):
+    recall, rule_recall = (c.pred_gt, c.gt), (c.pred_gt - c.pred_body_gt, c.gt)  # as _recalls
+    correct_under_body = (c.pred_body_gt, c.pred_body)
+    zero = c.pred_body == 0
+    lhs = _sub(recall, rule_recall)
+    rhs = _where(zero, _ZERO,
+                 _div(_mul(_mul(correct_under_body, q.support), recall), q.precision))
+    return _select([(c.gt == 0, _S), (c.pred == 0, _S), (~zero & (c.pred_gt == 0), _S)],
+                   _eq(lhs, rhs))
+
+
 def _corollary(c: JointCounts, q: _Base) -> Outcome:
     if not c.pred or not c.pred_body:
         return (SKIPPED, "error-detecting verdict undefined", None, ())
@@ -237,6 +308,13 @@ def _corollary(c: JointCounts, q: _Base) -> Outcome:
     return (_verdict(_le(q.support, bound)), None, None, extras + (("support_bound", bound),))
 
 
+def _corollary_columns(c: JointCounts, q: _Base):
+    errors = c.pred - c.pred_gt
+    cases = [((c.pred == 0) | (c.pred_body == 0), _S),
+             (_lt(q.precision, _sub(_ONE, q.confidence)), _H), (errors == 0, _S)]
+    return _select(cases, _le(q.support, (c.pred_body - c.pred_body_gt, errors)))
+
+
 def _eq7(c: JointCounts, q: _Base) -> Outcome:
     if not c.pred:
         return _NEVER_PREDICTED
@@ -247,6 +325,11 @@ def _eq7(c: JointCounts, q: _Base) -> Outcome:
     improves = _lt(q.residual, q.confidence)
     gained = _lt(q.precision, q.rule_precision)
     return (_verdict(improves == gained), None, None, ())
+
+
+def _eq7_columns(c: JointCounts, q: _Base):
+    improves = _lt(q.residual, q.confidence)
+    return _select(_biconditional_skips(c), improves == _lt(q.precision, q.rule_precision))
 
 
 def _t4(c: JointCounts, q: _Base) -> Outcome:
@@ -274,6 +357,13 @@ def _t4(c: JointCounts, q: _Base) -> Outcome:
     return (_verdict(_le(pooled, base)), None, None, extras)
 
 
+def _t4_columns(c: JointCounts, q: _Base):
+    base, pair = (c.beta_pred_beta_gt, c.beta_pred), (c.pred_body_beta_gt, c.pred_body)
+    pooled = (c.beta_pred_beta_gt + c.pred_body_beta_gt, c.beta_pred + c.pred_body)
+    cases = [(c.beta_pred == 0, _S), (c.pred_body == 0, _S), (~_le(pair, base), _H)]
+    return _select(cases, _le(pooled, base))
+
+
 # One entry per statement; the public ``check_*`` functions below state
 # each. Registry order is the report order of ``errata verify``; T4 runs
 # last and only when a correction class is given.
@@ -285,6 +375,16 @@ CHECKS: dict[TheoremId, Check] = {
     TheoremId.COROLLARY_SUPPORT_BOUND: _corollary,
     TheoremId.EQ7_RESIDUAL: _eq7,
     TheoremId.T4_RECLASS_LIMIT: _t4,
+}
+# The column form of each entry, in the same order: what the sweep runs.
+COLUMN_CHECKS: dict[TheoremId, ColumnCheck] = {
+    TheoremId.T1_PRECISION_CHANGE: _t1_columns,
+    TheoremId.CLAIM1_APPENDIX: _claim1_columns,
+    TheoremId.T2_EDNS: _t2_columns,
+    TheoremId.T3_RECALL_REDUCTION: _t3_columns,
+    TheoremId.COROLLARY_SUPPORT_BOUND: _corollary_columns,
+    TheoremId.EQ7_RESIDUAL: _eq7_columns,
+    TheoremId.T4_RECLASS_LIMIT: _t4_columns,
 }
 _T4 = TheoremId.T4_RECLASS_LIMIT
 
@@ -430,14 +530,17 @@ class SweepResult(_Frozen):
         }
 
 
-# A sweep checks each distinct count tuple once; its memo of tuples seen is
-# cleared when it holds this many, so memory stays bounded for any trial
-# count.
-_MEMO_CAP = 4096
-_VERDICTS = tuple(TheoremVerdict)
 # A sweep counts its trials a chunk at a time, as many trials as fit this
 # many cells of padded draws, so memory stays bounded for any bounds.
 _CHUNK_CELLS = 1 << 16
+# A sweep decides its verdicts on int64 columns while max_records is at
+# most this bound, else on exact Python ints (dtype=object). Every count
+# is at most N = max_records. The column forms subtract only terms that are
+# products of counts, so each part of a ratio that is a product of d
+# counts is at most N**d in size. The largest such products are of degree
+# 6: the cross-multiplications of lhs (degree 2) with rhs (degree 4) in T1
+# and in T3. 1448**6 < 2**63 <= 1449**6.
+_INT64_RECORDS = 1448
 
 
 def _chunk_trials(max_records: int, max_labels: int, max_conditions: int) -> int:
@@ -445,13 +548,12 @@ def _chunk_trials(max_records: int, max_labels: int, max_conditions: int) -> int
     return max(1, _CHUNK_CELLS // cells)
 
 
-def _chunk_counts(
-    trial_seeds: list[int], max_records: int, labels: int, conditions: int
-) -> list[list[int]]:
-    """The ``JointCounts`` fields of every (trial, class, condition) pair of
-    the sweep's alphabets, trial-major then class-major, with the
-    cyclically next label as β, on ``random_log(s, max_records, labels,
-    conditions)`` for each s in ``trial_seeds``: all counted at once."""
+def _chunk_counts(trial_seeds: list[int], max_records: int, labels: int, conditions: int):
+    """The ``JointCounts`` fields, one int64 row per field, of every (trial,
+    class, condition) pair of the sweep's alphabets, a column per pair,
+    trial-major then class-major, with the cyclically next label as β, on
+    ``random_log(s, max_records, labels, conditions)`` for each s in
+    ``trial_seeds``: all counted at once."""
     import numpy as np  # deferred: importing errata must not load numpy
 
     from .synth import _fuzz_draw
@@ -472,16 +574,16 @@ def _chunk_counts(
     both = pred & beta_pred
     events = np.concatenate((gt, pred, pred & gt, pred & beta_gt, both, both & beta_gt), 1)
     # Each event's count under each condition, then on every record (exact:
-    # float64 holds every count below 2**53).
+    # float64 holds every count below 2**53), event-major.
     hits = np.matmul(events.astype(float), block[:, 2 * labels:].transpose(0, 2, 1).astype(float))
-    hits = hits.astype(np.int64).reshape(len(trial_seeds), 6, labels, conditions + 1)
-    head, body = hits[..., conditions:].transpose(0, 2, 3, 1), hits[..., :conditions].swapaxes(0, 1)
-    out = np.empty((len(trial_seeds), labels, conditions, len(JointCounts._fields)), np.int64)
-    out[..., 0], out[..., 1:4], out[..., 6:8] = total, head[..., :3], np.roll(head[..., 1:3], -1, 1)
-    out[..., 4], out[..., 5], out[..., 8] = body[1], body[2], body[3]
+    hits = hits.astype(np.int64).reshape(len(trial_seeds), 6, labels, conditions + 1).swapaxes(0, 1)
+    head, body = hits[..., conditions:], hits[..., :conditions]
+    out = np.empty((len(JointCounts._fields), len(trial_seeds), labels, conditions), np.int64)
+    out[0], out[1:4], out[6:8] = total, head[:3], np.roll(head[1:3], -1, 2)
+    out[4], out[5], out[8] = body[1], body[2], body[3]
     # |β ∨ (α ∧ body)| = |β| + |α ∧ body| − |α ∧ β ∧ body|, and the same ∧ β ∈ gt.
-    out[..., 9], out[..., 10] = out[..., 6] + body[1] - body[4], out[..., 7] + body[3] - body[5]
-    return out.reshape(-1, len(JointCounts._fields)).tolist()
+    out[9], out[10] = out[6] + body[1] - body[4], out[7] + body[3] - body[5]
+    return out.reshape(len(JointCounts._fields), -1)
 
 
 def sweep(
@@ -499,14 +601,16 @@ def sweep(
     cyclically next label as the correction class, so each theorem
     contributes exactly one verdict per pair per trial. Trials are counted
     from their logs' draws, a chunk of trials (at most ``_CHUNK_CELLS``
-    padded cells) at once with a few numpy operations; a log is built only
-    for the replay text of a VIOLATED verdict. Checks are pure functions of
-    the pair's count tuple, so the registry runs once per distinct tuple
-    (again only after the memo is cleared at ``_MEMO_CAP`` tuples) and its
-    verdicts are tallied once per occurrence. A report is built for each
-    occurrence of a VIOLATED verdict alone, in (trial, class, condition,
-    registry) order. Per-trial seeds derive from the master seed via
-    numpy's SeedSequence, making the aggregate table reproducible.
+    padded cells) at once with a few numpy operations. The column forms
+    decide the verdicts of a chunk's pairs at once, on int64 columns up to
+    ``_INT64_RECORDS`` records and on exact Python ints above, and one
+    ``np.bincount`` tallies them. A pair that a column form finds VIOLATED
+    goes through ``CHECKS`` again, which builds its reports, in (trial,
+    class, condition, registry) order; a log is built only for their
+    replay text. If ``CHECKS`` gives that pair other verdicts, the sweep
+    raises ``RuntimeError``: a bug, never an input error. Per-trial seeds
+    derive from the master seed via numpy's SeedSequence, making the
+    aggregate table reproducible.
     """
     import numpy as np  # deferred: importing errata must not load numpy
 
@@ -523,52 +627,39 @@ def sweep(
     labels = label_alphabet(max_labels)
     pairs = [(alpha, labels[(i + 1) % len(labels)], cid)  # (α, β, condition), as _chunk_counts
              for i, alpha in enumerate(labels) for cid in condition_alphabet(max_conditions)]
-    checks = tuple(CHECKS.items())
-    memo: dict[tuple[int, ...], int] = {}  # count tuple → index of its verdict vector
-    vectors: dict[tuple[int, ...], int] = {}  # verdict codes in registry order → index
-    tally: list[int] = []  # occurrences per vector index
-    flagged: set[int] = set()  # indices of vectors with a VIOLATED verdict
+    columns = [COLUMN_CHECKS[tid] for tid in CHECKS]
+    # Check i's verdict code v is tallied at i * len(_VERDICTS) + v.
+    offsets = np.arange(len(columns))[:, None] * len(_VERDICTS)
+    tally = np.zeros(len(columns) * len(_VERDICTS), np.int64)
     violations: list[SweepViolation] = []
     trial_seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
     bounds, replay = (max_records, max_labels, max_conditions), (None, None)
     chunk = _chunk_trials(*bounds)
     for first in range(0, trials if pairs else 0, chunk):
         chunk_seeds = trial_seeds[first:first + chunk].tolist()
-        for row, key in enumerate(map(tuple, _chunk_counts(chunk_seeds, *bounds))):
-            index = memo.get(key)
-            if index is None:
-                c = JointCounts._make(key)
-                q = _base(c)
-                codes = tuple([_VERDICTS.index(check(c, q)[0]) for _, check in checks])
-                index = vectors.setdefault(codes, len(vectors))
-                if index == len(tally):  # a verdict vector not seen before
-                    tally.append(0)
-                    if _VERDICTS.index(VIOLATED) in codes:
-                        flagged.add(index)
-                if len(memo) >= _MEMO_CAP:
-                    memo.clear()
-                memo[key] = index
-            tally[index] += 1
-            if index in flagged:
-                t, pair = divmod(row, len(pairs))
-                trial, trial_seed, (alpha, beta, cid) = first + t, chunk_seeds[t], pairs[pair]
-                if replay[0] != trial:  # (trial, its serialized log)
-                    replay = (trial, serialize_log(random_log(trial_seed, *bounds)))
-                c = JointCounts._make(key)
-                q = _base(c)
-                for tid, check in checks:
-                    outcome = check(c, q)
-                    if outcome[0] is VIOLATED:
-                        report = _report(tid, outcome, q, "m", alpha, (cid,), beta)
-                        violations.append(SweepViolation(
-                            trial, trial_seed, tid, alpha, cid, report.correction_class,
-                            report, replay[1]))
-    counts: dict[TheoremId, dict[TheoremVerdict, int]] = {
-        tid: {v: 0 for v in TheoremVerdict} for tid in TheoremId
-    }
-    for codes, index in vectors.items():
-        for (tid, _), code in zip(checks, codes):
-            counts[tid][_VERDICTS[code]] += tally[index]
+        counts = _chunk_counts(chunk_seeds, *bounds)
+        c = JointCounts._make(counts if max_records <= _INT64_RECORDS else counts.astype(object))
+        q = _base_ratios(c)
+        codes = np.stack([column(c, q) for column in columns])
+        tally += np.bincount((codes + offsets).ravel(), minlength=len(tally))
+        for row in np.flatnonzero((codes == _V).any(0)).tolist():
+            t, pair = divmod(row, len(pairs))
+            trial, trial_seed, (alpha, beta, cid) = first + t, chunk_seeds[t], pairs[pair]
+            c_row = JointCounts._make(counts[:, row].tolist())
+            q_row = _base(c_row)
+            outcomes = [check(c_row, q_row) for check in CHECKS.values()]
+            if [_VERDICTS.index(o[0]) for o in outcomes] != codes[:, row].tolist():
+                raise RuntimeError(f"column and registry checks disagree on {c_row}")
+            if replay[0] != trial:  # (trial, its serialized log)
+                replay = (trial, serialize_log(random_log(trial_seed, *bounds)))
+            for tid, outcome in zip(CHECKS, outcomes):
+                if outcome[0] is VIOLATED:
+                    report = _report(tid, outcome, q_row, "m", alpha, (cid,), beta)
+                    violations.append(SweepViolation(
+                        trial, trial_seed, tid, alpha, cid, report.correction_class,
+                        report, replay[1]))
+    by_check = dict(zip(CHECKS, tally.reshape(len(columns), len(_VERDICTS)).tolist()))
+    verdict_counts = {tid: dict(zip(_VERDICTS, by_check[tid])) for tid in TheoremId}
     return SweepResult(
-        seed, trials, max_records, max_labels, max_conditions, counts, tuple(violations)
+        seed, trials, max_records, max_labels, max_conditions, verdict_counts, tuple(violations)
     )

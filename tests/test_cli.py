@@ -643,7 +643,37 @@ def test_deeply_nested_json_exits_2(tmp_path, log_file, capsys, command, message
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("epsilon", ["1e-999999", "1e1000", "1/" + "9" * 1001, "2e-99999999999999999999"])
+HUGE = "7" * 5000  # past Python's 4300-digit limit on int text
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        pytest.param(
+            lambda tmp, log: ["verify", "--log", str(_bytes_file(tmp, (
+                LOG_A_TEXT.splitlines()[0] + "\n"
+                + '{"sample_id": "huge", "model_id": "m", "predicted": [], "ground_truth": [],'
+                  ' "conditions": [], "weight": ' + HUGE + "}\n").encode())),
+                "--model", "m", "--class", "a", "--condition", "c1"],
+            "line 2: malformed JSON (integer has too many digits)", id="log line"),
+        pytest.param(
+            lambda tmp, log: ["apply", "--log", log, "--rules", str(_rules_text(
+                tmp, '{"detections": [], "corrections": ' + HUGE + "}"))],
+            "malformed rule file: integer has too many digits", id="rule file"),
+        pytest.param(
+            lambda tmp, log: _synth_file(tmp, '{"seed": ' + HUGE + "}"),
+            "malformed synth config: integer has too many digits", id="synth config"),
+    ],
+)
+def test_huge_json_integer_exits_2(tmp_path, log_file, capsys, command, message):
+    # json raised a bare ValueError past the digit limit: a traceback, exit 1.
+    argv = command(tmp_path, str(log_file)) + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"errata {argv[0]}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("epsilon", ["1e-999999","1e1000", "1/" + "9" * 1001, "2e-99999999999999999999"])
 def test_oversized_epsilon_exits_2(tmp_path, log_file, capsys, epsilon):
     # 1e-999999 used to pass parsing and crash writing the report (Python
     # writes at most 4300 digits of an integer as text), with exit 1.

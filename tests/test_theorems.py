@@ -1,6 +1,11 @@
 import json
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from itertools import product
+from operator import and_
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -28,7 +33,7 @@ from errata import theorems
 from errata.cli import main
 from errata.estimators import JointCounts
 from errata.synth import condition_alphabet, label_alphabet
-from errata.theorems import CHECKS
+from errata.theorems import _VERDICTS, CHECKS, COLUMN_CHECKS
 from theorem_oracle import oracle, reference_pairs, reference_sweep
 
 BODY_C1 = ConditionBody.of("c1")
@@ -371,7 +376,7 @@ def test_sweep_trial_counts_match_joint_counts_on_the_trial_log(
             for i, alpha in enumerate(labels)
             for cid in condition_alphabet(max_conditions)
         ]
-    assert theorems._chunk_counts(seeds, *bounds) == [list(c) for c in expected]
+    assert theorems._chunk_counts(seeds, *bounds).T.tolist() == [list(c) for c in expected]
 
 
 def test_sweep_chunks_fit_their_cell_budget():
@@ -424,6 +429,17 @@ def _run(tid, c):
     return CHECKS[tid](c, theorems._base(c))
 
 
+def _columns(tuples, dtype):
+    """Count tuples as columns of ``dtype``: int64, or object for exact
+    Python ints."""
+    return JointCounts._make(np.array(tuples, dtype).T)
+
+
+def _column_verdicts(tid, c):
+    """The verdicts of the column form of ``tid`` on count columns."""
+    return [_VERDICTS[code] for code in COLUMN_CHECKS[tid](c, theorems._base_ratios(c)).tolist()]
+
+
 def _cells(k, bound):
     """Every k-tuple of nonnegative counts whose total is at most ``bound``."""
     if k == 0:
@@ -434,19 +450,24 @@ def _cells(k, bound):
             yield (first, *rest)
 
 
+def alpha_tuple(tp_body, tp_rest, fp_body, fp_rest, fn, tn):
+    """The counts of a 6-cell contingency: α predicted × α in truth × body
+    holds, plus not predicted × in truth / not in truth."""
+    tp = tp_body + tp_rest
+    return JointCounts(
+        total=tp + fp_body + fp_rest + fn + tn,
+        gt=tp + fn,
+        pred=tp + fp_body + fp_rest,
+        pred_gt=tp,
+        pred_body=tp_body + fp_body,
+        pred_body_gt=tp_body,
+    )
+
+
 def alpha_counts(bound):
-    """Counts of every 6-cell contingency with total <= bound: α predicted ×
-    α in truth × body holds, plus not predicted × in truth / not in truth."""
-    for tp_body, tp_rest, fp_body, fp_rest, fn, tn in _cells(6, bound):
-        tp = tp_body + tp_rest
-        yield JointCounts(
-            total=tp + fp_body + fp_rest + fn + tn,
-            gt=tp + fn,
-            pred=tp + fp_body + fp_rest,
-            pred_gt=tp,
-            pred_body=tp_body + fp_body,
-            pred_body_gt=tp_body,
-        )
+    """Counts of every 6-cell contingency with total <= bound."""
+    for cells in _cells(6, bound):
+        yield alpha_tuple(*cells)
 
 
 def beta_counts(beta_gt, beta_wrong, pair_gt, pair_wrong, both_gt=0, both_wrong=0):
@@ -469,30 +490,50 @@ def beta_counts(beta_gt, beta_wrong, pair_gt, pair_wrong, both_gt=0, both_wrong=
 
 
 def test_registry_exhaustive_bounded_verification():
-    """Small-scope proof: no count tuple up to the bound violates a statement."""
+    """Small-scope proof: no count tuple up to the bound violates a
+    statement, and each column form gives every tuple its check's verdict,
+    on int64 and on exact (object) columns."""
     tuples = list(alpha_counts(16))
     assert len(tuples) == 74_613  # C(16 + 6, 6)
-    seen = {tid: {v: 0 for v in TheoremVerdict} for tid in CHECKS}
-    for c in tuples:
-        q = theorems._base(c)
-        for tid in ALPHA_CHECKS:
-            seen[tid][CHECKS[tid](c, q)[0]] += 1
-    check_t4 = CHECKS[T4]
     t4_tuples = [beta_counts(*cells) for cells in _cells(4, 20)]
     assert len(t4_tuples) == 10_626  # C(20 + 4, 4)
-    for c in t4_tuples:
-        seen[T4][check_t4(c, theorems._base(c))[0]] += 1
+    alpha_bases, t4_bases = ([theorems._base(c) for c in cases] for cases in (tuples, t4_tuples))
+    columns = {dtype: (_columns(tuples, dtype), _columns(t4_tuples, dtype))
+               for dtype in (np.int64, object)}
+    seen = {}
+    for tid, check in CHECKS.items():
+        cases, bases = (t4_tuples, t4_bases) if tid is T4 else (tuples, alpha_bases)
+        verdicts = [check(c, q)[0] for c, q in zip(cases, bases)]
+        for dtype in (np.int64, object):
+            assert _column_verdicts(tid, columns[dtype][tid is T4]) == verdicts, (tid, dtype)
+        seen[tid] = Counter(verdicts)
     assert all(counts[VIOLATED] == 0 for counts in seen.values()), seen
     assert all(counts[HOLDS] > 0 for counts in seen.values()), seen
 
 
 def test_registry_matches_fraction_oracle():
-    for c in alpha_counts(8):
-        for tid in ALPHA_CHECKS:
-            assert _run(tid, c)[:3] == oracle(tid, c)[:3], (tid, c)
-    for cells in _cells(6, 8):
-        c = beta_counts(*cells)
-        assert _run(T4, c)[:3] == oracle(T4, c)[:3], c
+    tuples, t4_tuples = list(alpha_counts(8)), [beta_counts(*cells) for cells in _cells(6, 8)]
+    for tid in CHECKS:
+        cases = t4_tuples if tid is T4 else tuples
+        expected = [oracle(tid, c)[:3] for c in cases]
+        assert [_run(tid, c)[:3] for c in cases] == expected, tid
+        for dtype in (np.int64, object):
+            assert _column_verdicts(tid, _columns(cases, dtype)) == [e[0] for e in expected], (tid, dtype)
+
+
+def test_column_forms_are_exact_at_the_int64_bound():
+    n = theorems._INT64_RECORDS
+    assert n ** 6 < 2 ** 63 <= (n + 1) ** 6  # the largest count whose degree-6 products fit
+    values = (0, 1, n // 2, n - 1, n)
+    cells = [c for c in product(values, repeat=6) if sum(c) <= n]
+    tuples = [alpha_tuple(*c) for c in cells]
+    t4_tuples = [beta_counts(*c) for c in cells]
+    assert max(max(c) for c in tuples + t4_tuples) == n
+    for tid, check in CHECKS.items():
+        cases = t4_tuples if tid is T4 else tuples
+        verdicts = [check(c, theorems._base(c))[0] for c in cases]
+        for dtype in (np.int64, object):
+            assert _column_verdicts(tid, _columns(cases, dtype)) == verdicts, (tid, dtype)
 
 
 def test_public_reports_carry_oracle_intermediates():
@@ -523,6 +564,27 @@ def _sweep_counts(seed, trials):
     return [c for *_, c in reference_pairs(seed, trials)]
 
 
+def _rig(monkeypatch, tid, fails):
+    """Make statement ``tid`` VIOLATED wherever ``fails(c)`` holds, in its
+    registry check and in its column form alike; ``fails`` maps a count
+    tuple to a bool and count columns to a bool column."""
+    honest, honest_columns = CHECKS[tid], COLUMN_CHECKS[tid]
+
+    def rigged(c, q):
+        outcome = honest(c, q)
+        return (VIOLATED, *outcome[1:]) if fails(c) else outcome
+
+    def rigged_columns(c, q):
+        return np.where(fails(c), theorems._V, honest_columns(c, q))
+
+    monkeypatch.setitem(CHECKS, tid, rigged)
+    monkeypatch.setitem(COLUMN_CHECKS, tid, rigged_columns)
+
+
+def _fires_once(c):  # the body fires on one prediction of α
+    return c.pred_body == 1
+
+
 def test_sweep_captures_violation_with_full_report(monkeypatch):
     honest = CHECKS[T4]
     clean = sweep(7, 30)
@@ -530,13 +592,9 @@ def test_sweep_captures_violation_with_full_report(monkeypatch):
     holding = [c for c in seen if honest(c, theorems._base(c))[:3] == (HOLDS, None, None)]
     chosen = max(holding, key=seen.count)
     occurrences = seen.count(chosen)
-    assert occurrences >= 2  # the memo's repeat path reports too
+    assert occurrences >= 2  # every occurrence is reported
 
-    def rigged(c, q):
-        outcome = honest(c, q)
-        return (VIOLATED, *outcome[1:]) if c == chosen else outcome
-
-    monkeypatch.setitem(CHECKS, T4, rigged)
+    _rig(monkeypatch, T4, lambda c: reduce(and_, (x == y for x, y in zip(c, chosen))))
     result = sweep(7, 30)
     seen = _sweep_counts(7, 30)
     assert seen.count(chosen) == occurrences
@@ -572,21 +630,14 @@ def _assert_sweeps_equal(got, want):
     (3, 30, {"max_labels": 1}),
     (4, 30, {"max_conditions": 0}),
     (5, 30, {"max_records": 1, "max_labels": 1, "max_conditions": 1}),
+    (6, 4, {"max_records": theorems._INT64_RECORDS + 1}),  # exact ints, past the int64 bound
 ])
 def test_sweep_matches_per_pair_reference(seed, trials, bounds):
     _assert_sweeps_equal(sweep(seed, trials, **bounds), reference_sweep(seed, trials, **bounds))
 
 
-@pytest.mark.parametrize("cap", [theorems._MEMO_CAP, 1])
-def test_sweep_matches_per_pair_reference_on_a_rigged_registry(monkeypatch, cap):
-    monkeypatch.setattr(theorems, "_MEMO_CAP", cap)
-    honest = CHECKS[TheoremId.T1_PRECISION_CHANGE]
-
-    def rigged(c, q):  # fails on every pair whose body fires once
-        outcome = honest(c, q)
-        return (VIOLATED, *outcome[1:]) if c.pred_body == 1 else outcome
-
-    monkeypatch.setitem(CHECKS, TheoremId.T1_PRECISION_CHANGE, rigged)
+def test_sweep_matches_per_pair_reference_on_a_rigged_registry(monkeypatch):
+    _rig(monkeypatch, TheoremId.T1_PRECISION_CHANGE, _fires_once)
     result = sweep(8, 40)
     _assert_sweeps_equal(result, reference_sweep(8, 40))
     reports = [json.dumps(v.report.to_dict()) for v in result.violations]
@@ -597,34 +648,22 @@ def test_sweep_matches_per_pair_reference_on_a_rigged_registry(monkeypatch, cap)
 def test_sweep_chunk_size_changes_no_result(monkeypatch, size):
     if size is not None:
         monkeypatch.setattr(theorems, "_chunk_trials", lambda *bounds: size)
-    honest = CHECKS[TheoremId.T1_PRECISION_CHANGE]
-
-    def rigged(c, q):  # fails on every pair whose body fires once
-        outcome = honest(c, q)
-        return (VIOLATED, *outcome[1:]) if c.pred_body == 1 else outcome
-
-    monkeypatch.setitem(CHECKS, TheoremId.T1_PRECISION_CHANGE, rigged)
+    _rig(monkeypatch, TheoremId.T1_PRECISION_CHANGE, _fires_once)
     for seed, trials, bounds in [(8, 40, {}), (3, 10, {"max_records": 7, "max_labels": 2})]:
         result = sweep(seed, trials, **bounds)
         assert len({v.trial for v in result.violations}) >= 5  # across chunks when small
         _assert_sweeps_equal(result, reference_sweep(seed, trials, **bounds))
 
 
-@pytest.mark.parametrize("cap", [theorems._MEMO_CAP, 1])
-def test_sweep_checks_each_distinct_tuple_once(monkeypatch, cap):
-    monkeypatch.setattr(theorems, "_MEMO_CAP", cap)
-    checked = []
-    honest = CHECKS[T4]
-    monkeypatch.setitem(CHECKS, T4, lambda c, q: checked.append(c) or honest(c, q))
-    result = sweep(11, 40)
-    seen = _sweep_counts(11, 40)
-    if cap == 1:  # the memo is cleared on every new tuple: it holds the last one
-        expected = [c for i, c in enumerate(seen) if i == 0 or c != seen[i - 1]]
-    else:
-        expected = list(dict.fromkeys(seen))
-    assert checked == expected
-    assert len(expected) < len(seen)
-    _assert_sweeps_equal(result, reference_sweep(11, 40))
+def test_sweep_disagreeing_column_form_is_an_internal_error(monkeypatch, tmp_path):
+    # Only the column form fails: the registry check does not confirm it.
+    honest = COLUMN_CHECKS[T4]
+    monkeypatch.setitem(COLUMN_CHECKS, T4,
+                        lambda c, q: np.where(_fires_once(c), theorems._V, honest(c, q)))
+    with pytest.raises(RuntimeError, match="column and registry checks disagree"):
+        sweep(8, 40)
+    with pytest.raises(RuntimeError, match="column and registry checks disagree"):  # not exit 2
+        main(["sweep", "--seed", "8", "--trials", "40", "--out", str(tmp_path / "out")])
 
 
 def test_verify_and_sweep_share_the_registry(tmp_path):
