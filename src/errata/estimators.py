@@ -248,13 +248,16 @@ def _probability(r: Ratio | None) -> Probability:
     return Probability(*(r or (0, 0)))
 
 
-def _recalls(c: JointCounts) -> tuple[Ratio | None, Ratio | None]:
+def _recall_ratios(c: JointCounts) -> tuple[Ratio, Ratio]:
     """Recall of α before and after the rule erases α where the body
-    holds: the only definition of both. None when α is never in the
-    ground truth."""
-    if not c.gt:
-        return None, None
+    holds: the only definition of both, with a zero denominator when α is
+    never in the ground truth; on count columns as on counts."""
     return (c.pred_gt, c.gt), (c.pred_gt - c.pred_body_gt, c.gt)
+
+
+def _recalls(c: JointCounts) -> tuple[Ratio | None, Ratio | None]:
+    """``_recall_ratios``, each None when α is never in the ground truth."""
+    return _recall_ratios(c) if c.gt else (None, None)
 
 
 def bundle_from_counts(c: JointCounts) -> MetricBundle:

@@ -46,6 +46,7 @@ from .estimators import (
     _le,
     _lt,
     _mul,
+    _recall_ratios,
     _recalls,
     _sub,
     joint_counts,
@@ -283,7 +284,7 @@ def _t3(c: JointCounts, q: _Base) -> Outcome:
 
 
 def _t3_columns(c: JointCounts, q: _Base):
-    recall, rule_recall = (c.pred_gt, c.gt), (c.pred_gt - c.pred_body_gt, c.gt)  # as _recalls
+    recall, rule_recall = _recall_ratios(c)
     correct_under_body = (c.pred_body_gt, c.pred_body)
     zero = c.pred_body == 0
     lhs = _sub(recall, rule_recall)
@@ -535,11 +536,12 @@ class SweepResult(_Frozen):
 _CHUNK_CELLS = 1 << 16
 # A sweep decides its verdicts on int64 columns while max_records is at
 # most this bound, else on exact Python ints (dtype=object). Every count
-# is at most N = max_records. The column forms subtract only terms that are
-# products of counts, so each part of a ratio that is a product of d
-# counts is at most N**d in size. The largest such products are of degree
-# 6: the cross-multiplications of lhs (degree 2) with rhs (degree 4) in T1
-# and in T3. 1448**6 < 2**63 <= 1449**6.
+# is at most N = max_records. Each subtraction in a column form takes two
+# nonnegative products of d counts, so every value built from products of
+# d counts (a part of a ratio, a side of a cross-multiplication) is at
+# most N**d in size; T4 alone adds two counts, and its sides stay below
+# 2 * N**2. The largest degree is 6: lhs (degree 2) times rhs (degree 4)
+# in T1 and in T3. 1448**6 < 2**63 <= 1449**6.
 _INT64_RECORDS = 1448
 
 

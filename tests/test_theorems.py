@@ -414,7 +414,6 @@ def test_sweep_zero_violations():
 # ---------------------------------------------------------------------------
 
 T4 = TheoremId.T4_RECLASS_LIMIT
-ALPHA_CHECKS = [tid for tid in CHECKS if tid is not T4]
 PUBLIC_CHECKS = {
     TheoremId.T1_PRECISION_CHANGE: check_precision_change,
     TheoremId.CLAIM1_APPENDIX: check_claim1,

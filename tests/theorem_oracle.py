@@ -6,8 +6,9 @@ of the library. Returns (verdict, skip_reason, note, intermediates) for a
 
 ``reference_sweep`` is the sweep as a plain per-pair loop: it builds each
 trial's log, counts every (trial, class, condition) pair on it with
-``joint_counts`` (``reference_pairs``) and runs the library's registry on
-each, with no memo, for comparison with ``errata.sweep``.
+``joint_counts`` (``reference_pairs``) and runs the library's registry
+(``CHECKS``, not the column forms) on each, for comparison with
+``errata.sweep``.
 """
 
 from fractions import Fraction
