@@ -635,7 +635,9 @@ def test_sweep_matches_per_pair_reference(seed, trials, bounds):
     _assert_sweeps_equal(sweep(seed, trials, **bounds), reference_sweep(seed, trials, **bounds))
 
 
-def test_sweep_matches_per_pair_reference_on_a_rigged_registry(monkeypatch):
+@pytest.mark.parametrize("cells", [1, 4096])  # one trial a chunk; 18 trials a chunk
+def test_sweep_matches_per_pair_reference_on_a_rigged_registry(monkeypatch, cells):
+    monkeypatch.setattr(theorems, "_CHUNK_CELLS", cells)
     _rig(monkeypatch, TheoremId.T1_PRECISION_CHANGE, _fires_once)
     result = sweep(8, 40)
     _assert_sweeps_equal(result, reference_sweep(8, 40))
