@@ -550,23 +550,46 @@ def _chunk_trials(max_records: int, max_labels: int, max_conditions: int) -> int
     return max(1, _CHUNK_CELLS // cells)
 
 
-def _chunk_counts(trial_seeds: list[int], max_records: int, labels: int, conditions: int):
+def _chunk_counts(trial_seeds, max_records: int, labels: int, conditions: int):
     """The ``JointCounts`` fields, one int64 row per field, of every (trial,
     class, condition) pair of the sweep's alphabets, a column per pair,
     trial-major then class-major, with the cyclically next label as β, on
     ``random_log(s, max_records, labels, conditions)`` for each s in
-    ``trial_seeds``: all counted at once."""
+    ``trial_seeds`` (uint64 values): all counted at once. The draws come
+    from ``synth._fuzz_draws`` in one batch and are scattered into the
+    block with one assignment per round; only a trial it cannot draw goes
+    through ``synth._fuzz_draw``."""
     import numpy as np  # deferred: importing errata must not load numpy
 
-    from .synth import _fuzz_draw
+    from .synth import _fuzz_draw, _fuzz_draws
 
+    trial_seeds = np.asarray(trial_seeds, np.uint64)
+    trials = len(trial_seeds)
     # Per trial, rows of predicted labels, true labels and conditions over
     # the records, then a row that holds on every record. Zero padding: a
     # padded record, or a name outside the trial's alphabets, holds nowhere.
-    block = np.zeros((len(trial_seeds), 2 * labels + conditions + 1, max_records), bool)
-    block[:, -1], total = True, np.empty((len(trial_seeds), 1, 1), np.int64)
-    for t, trial_seed in enumerate(trial_seeds):
-        total[t], *draws = _fuzz_draw(trial_seed, max_records, labels, conditions)
+    block = np.zeros((trials, 2 * labels + conditions + 1, max_records), bool)
+    block[:, -1] = True
+    n, k, m, redraw, rounds = _fuzz_draws(trial_seeds, max_records, labels, conditions)
+    # A trial's uniforms fill its predicted, true-label and condition
+    # matrices in turn, each a row per record. Per trial and matrix: its
+    # first uniform, its width, its first cell in the block (its first
+    # row, record 0), and the bound below which a uniform marks the cell.
+    nk = n * k
+    starts = np.stack((0 * nk, nk, 2 * nk), 1).ravel()
+    widths = np.stack((k, k, m), 1).ravel()
+    firsts = (np.arange(trials)[:, None] * block[0].size
+              + np.array([0, labels, 2 * labels]) * max_records).ravel()
+    below = np.tile([0.45, 0.45, 0.5], trials)
+    cells = block.reshape(-1)
+    for trial, index, uniforms in rounds:
+        matrix = 3 * trial + (index >= nk[trial]) + (index >= 2 * nk[trial])
+        offset, width = index - starts[matrix], widths[matrix]
+        record = offset // width
+        cells[firsts[matrix] + (offset - record * width) * max_records + record] = (
+            uniforms < below[matrix])
+    for t in np.flatnonzero(redraw).tolist():
+        n[t], *draws = _fuzz_draw(int(trial_seeds[t]), max_records, labels, conditions)
         for first, draw in zip((0, labels, 2 * labels), draws):
             block[t, first:first + draw.shape[1], :len(draw)] = draw.T
     # Six events per class α: α ∈ gt, α predicted, ... ∧ α ∈ gt, ... ∧ β ∈ gt,
@@ -578,10 +601,10 @@ def _chunk_counts(trial_seeds: list[int], max_records: int, labels: int, conditi
     # Each event's count under each condition, then on every record (exact:
     # float64 holds every count below 2**53), event-major.
     hits = np.matmul(events.astype(float), block[:, 2 * labels:].transpose(0, 2, 1).astype(float))
-    hits = hits.astype(np.int64).reshape(len(trial_seeds), 6, labels, conditions + 1).swapaxes(0, 1)
+    hits = hits.astype(np.int64).reshape(trials, 6, labels, conditions + 1).swapaxes(0, 1)
     head, body = hits[..., conditions:], hits[..., :conditions]
-    out = np.empty((len(JointCounts._fields), len(trial_seeds), labels, conditions), np.int64)
-    out[0], out[1:4], out[6:8] = total, head[:3], np.roll(head[1:3], -1, 2)
+    out = np.empty((len(JointCounts._fields), trials, labels, conditions), np.int64)
+    out[0], out[1:4], out[6:8] = n[:, None, None], head[:3], np.roll(head[1:3], -1, 2)
     out[4], out[5], out[8] = body[1], body[2], body[3]
     # |β ∨ (α ∧ body)| = |β| + |α ∧ body| − |α ∧ β ∧ body|, and the same ∧ β ∈ gt.
     out[9], out[10] = out[6] + body[1] - body[4], out[7] + body[3] - body[5]
@@ -601,22 +624,25 @@ def sweep(
     registry check for every (class, condition) pair of the fixed
     alphabets implied by the bounds; the reclassification check uses the
     cyclically next label as the correction class, so each theorem
-    contributes exactly one verdict per pair per trial. Trials are counted
-    from their logs' draws, a chunk of trials (at most ``_CHUNK_CELLS``
-    padded cells) at once with a few numpy operations. The column forms
+    contributes exactly one verdict per pair per trial. Trial t's seed is
+    uint64 word t of numpy's ``SeedSequence(seed).generate_state``,
+    computed a chunk at a time from the seed's pool, so no trial count
+    builds an array of every trial's seed. Trials are counted from their
+    logs' draws, a chunk of trials (at most ``_CHUNK_CELLS`` padded cells)
+    at once with a few numpy operations; ``synth._fuzz_draws`` computes a
+    chunk's draws in one batch, equal bit for bit to numpy's. The column forms
     decide the verdicts of a chunk's pairs at once, on int64 columns up to
     ``_INT64_RECORDS`` records and on exact Python ints above, and one
     ``np.bincount`` tallies them. A pair that a column form finds VIOLATED
     goes through ``CHECKS`` again, which builds its reports, in (trial,
     class, condition, registry) order; a log is built only for their
     replay text. If ``CHECKS`` gives that pair other verdicts, the sweep
-    raises ``RuntimeError``: a bug, never an input error. Per-trial seeds
-    derive from the master seed via numpy's SeedSequence, making the
-    aggregate table reproducible.
+    raises ``RuntimeError``: a bug, never an input error. The aggregate
+    table is reproducible from the seed and the bounds.
     """
     import numpy as np  # deferred: importing errata must not load numpy
 
-    from .synth import _integers, condition_alphabet, label_alphabet, random_log
+    from .synth import _integers, _state_words, condition_alphabet, label_alphabet, random_log
 
     _integers(seed=seed, trials=trials, max_records=max_records, max_labels=max_labels,
               max_conditions=max_conditions)
@@ -634,11 +660,11 @@ def sweep(
     offsets = np.arange(len(columns))[:, None] * len(_VERDICTS)
     tally = np.zeros(len(columns) * len(_VERDICTS), np.int64)
     violations: list[SweepViolation] = []
-    trial_seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
+    pool = np.random.SeedSequence(seed).pool
     bounds, replay = (max_records, max_labels, max_conditions), (None, None)
     chunk = _chunk_trials(*bounds)
     for first in range(0, trials if pairs else 0, chunk):
-        chunk_seeds = trial_seeds[first:first + chunk].tolist()
+        chunk_seeds = _state_words(pool, first, min(chunk, trials - first))
         counts = _chunk_counts(chunk_seeds, *bounds)
         c = JointCounts._make(counts if max_records <= _INT64_RECORDS else counts.astype(object))
         q = _base_ratios(c)
@@ -646,7 +672,7 @@ def sweep(
         tally += np.bincount((codes + offsets).ravel(), minlength=len(tally))
         for row in np.flatnonzero((codes == _V).any(0)).tolist():
             t, pair = divmod(row, len(pairs))
-            trial, trial_seed, (alpha, beta, cid) = first + t, chunk_seeds[t], pairs[pair]
+            trial, trial_seed, (alpha, beta, cid) = first + t, int(chunk_seeds[t]), pairs[pair]
             c_row = JointCounts._make(counts[:, row].tolist())
             q_row = _base(c_row)
             outcomes = [check(c_row, q_row) for check in CHECKS.values()]

@@ -2,12 +2,13 @@ import json
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
 import synth_oracle
 from errata.logs import _strict_json
-from errata.synth import MAX_RECORDS, _class_precision
+from errata.synth import _JUMPS, MAX_RECORDS, _class_precision, _fuzz_draws
 from errata import (
     ConditionBody,
     InputError,
@@ -509,3 +510,78 @@ def test_random_log_rejects_a_negative_seed_as_input_error(seed):
     # As sweep does, before numpy's generator sees the seed.
     with pytest.raises(InputError, match="^seed must be nonnegative$"):
         random_log(seed)
+
+
+# ---------------------------------------------------------------------------
+# Batched draws of the sweep, against numpy's own generator
+# ---------------------------------------------------------------------------
+
+def _numpy_draws(seed, max_records, max_labels, max_conditions):
+    """n, k, m and the uniforms of ``_fuzz_draw``, drawn by numpy."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = int(rng.integers(1, max_records + 1))
+    k, m = int(rng.integers(1, max_labels + 1)), int(rng.integers(0, max_conditions + 1))
+    return n, k, m, rng.random(n * (2 * k + m))
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+MANY_SEEDS = EDGE_SEEDS + list(range(2, 1000)) + np.random.default_rng(18).integers(
+    0, 2**64, 2000, dtype=np.uint64, endpoint=False).tolist()
+
+
+@pytest.mark.parametrize("bounds, seeds", [
+    ((30, 4, 3), MANY_SEEDS),
+    ((30, 3, 3), MANY_SEEDS),  # Lemire thresholds 2**32 % 30 and 2**32 % 3 are nonzero
+    ((1, 1, 0), MANY_SEEDS),  # nothing drawn before the uniforms
+    ((7, 1, 1), MANY_SEEDS[:500]),  # two draws: the first output's two halves
+    ((1, 5, 2), MANY_SEEDS[:500]),
+    ((5000, 2, 1), EDGE_SEEDS + list(range(2, 30))),  # up to 25,000 uniforms a trial
+])
+def test_fuzz_draws_equal_numpy_bit_for_bit(bounds, seeds):
+    n, k, m, redraw, rounds = _fuzz_draws(np.array(seeds, np.uint64), *bounds)
+    trials, index, uniforms = [], [], []
+    for trial, at, drawn in rounds:
+        assert np.bincount(trial).max() <= _JUMPS  # a trial's draws come in slices
+        trials.append(trial), index.append(at), uniforms.append(drawn)
+    trials, index, uniforms = map(np.concatenate, (trials, index, uniforms))
+    order = np.lexsort((index, trials))
+    sizes = np.bincount(trials, minlength=len(seeds))
+    assert index[order].tolist() == [i for size in sizes.tolist() for i in range(size)]
+    per_trial = np.split(uniforms[order], np.cumsum(sizes)[:-1])
+    assert not redraw.any()  # a rejection has odds of at most 3 * 30 / 2**32 here
+    for t, seed in enumerate(seeds):
+        want_n, want_k, want_m, want = _numpy_draws(seed, *bounds)
+        assert (n[t], k[t], m[t]) == (want_n, want_k, want_m)
+        assert np.array_equal(per_trial[t].view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("bounds", [
+    (1, 2**31 + 1, 0),  # 2**32 % bound = 2**31 - 1: about half of all first draws reject
+    (2**32 - 1, 3, 2**31),  # 2**32 % (2**32 - 1) = 1, then a 2**31 - 1 threshold
+    (2**31 + 1, 2**31 + 1, 2**31),  # three draws that each reject half the time
+])
+def test_fuzz_draws_flag_exactly_the_trials_numpy_redraws(bounds):
+    # n, k and m only: at these bounds a trial has too many uniforms to draw.
+    seeds = EDGE_SEEDS + list(range(2, 300))
+    n, k, m, redraw, _ = _fuzz_draws(np.array(seeds, np.uint64), *bounds)
+    assert 0 < redraw.sum() < len(seeds)
+    drawn = sum(r > 1 for r in (bounds[0], bounds[1], bounds[2] + 1))  # 32-bit halves
+    for t, seed in enumerate(seeds):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        heads = (int(rng.integers(1, bounds[0] + 1)), int(rng.integers(1, bounds[1] + 1)),
+                 int(rng.integers(0, bounds[2] + 1)))
+        # Without a rejection numpy uses exactly ``drawn`` halves, low half first.
+        plain = np.random.PCG64(seed)
+        plain.advance((drawn + 1) // 2)
+        state = rng.bit_generator.state
+        rejected = (state["state"], state["has_uint32"]) != (plain.state["state"], drawn % 2)
+        assert bool(redraw[t]) == rejected
+        if not rejected:
+            assert (n[t], k[t], m[t]) == heads
+
+
+@pytest.mark.parametrize("bounds", [(2**32, 4, 3), (30, 2**40, 3), (30, 4, 2**32 - 1)])
+def test_fuzz_draws_leave_draws_past_32_bits_to_fuzz_draw(bounds):
+    # numpy draws these bounds with a full 32- or 64-bit word, not Lemire's.
+    n, k, m, redraw, rounds = _fuzz_draws(np.array(EDGE_SEEDS, np.uint64), *bounds)
+    assert redraw.all() and list(rounds) == []

@@ -29,7 +29,7 @@ from errata import (
     random_log,
     sweep,
 )
-from errata import theorems
+from errata import synth, theorems
 from errata.cli import main
 from errata.estimators import JointCounts
 from errata.synth import condition_alphabet, label_alphabet
@@ -361,22 +361,100 @@ def test_non_integer_sweep_arguments_are_input_errors(name, value):
 @example(seeds=[5, 6], max_records=100, max_labels=1, max_conditions=3)
 @example(seeds=[2**64 - 1, 0, 7, 8, 9], max_records=200, max_labels=9, max_conditions=5)
 @example(seeds=[0], max_records=30, max_labels=4, max_conditions=0)
+@example(seeds=[2**32 - 1, 2**32, 2**32 + 1, 2**32 - 2], max_records=30, max_labels=3,
+         max_conditions=3)  # seeds of one and of two entropy words
+@example(seeds=[2**33 + 7, 2**31], max_records=150, max_labels=10, max_conditions=5)
 @settings(max_examples=150, deadline=None)
 def test_sweep_trial_counts_match_joint_counts_on_the_trial_log(
     seeds, max_records, max_labels, max_conditions
 ):
     # Trials of different record counts and alphabet sizes share one chunk.
     bounds = (max_records, max_labels, max_conditions)
+    assert theorems._chunk_counts(seeds, *bounds).T.tolist() == _trial_counts(seeds, *bounds)
+
+
+def _trial_counts(seeds, max_records, max_labels, max_conditions):
+    """The sweep's count tuples of each trial log, from ``joint_counts``."""
     labels = label_alphabet(max_labels)
     expected = []
     for seed in seeds:
-        log = random_log(seed, *bounds)
+        log = random_log(seed, max_records, max_labels, max_conditions)
         expected += [
-            joint_counts(log, alpha, (cid,), labels[(i + 1) % max_labels], model_id="m")
+            list(joint_counts(log, alpha, (cid,), labels[(i + 1) % max_labels], model_id="m"))
             for i, alpha in enumerate(labels)
             for cid in condition_alphabet(max_conditions)
         ]
-    assert theorems._chunk_counts(seeds, *bounds).T.tolist() == [list(c) for c in expected]
+    return expected
+
+
+def test_chunk_counts_redraw_a_rejected_trial_through_fuzz_draw():
+    # Found by searching seeds with the batched draws' first outputs: at
+    # 69,921 records numpy's Lemire draw of n rejects seed 40921's first
+    # 32-bit word (2**32 % 69921 = 69871 leftovers reject) and draws again.
+    bounds, seeds = (69921, 1, 1), [40921, 7]
+    first = int(np.random.PCG64(40921).random_raw()) & 0xFFFFFFFF
+    assert first * 69921 % 2**32 < 2**32 % 69921
+    assert synth._fuzz_draws(np.array(seeds, np.uint64), *bounds)[3].tolist() == [True, False]
+    assert theorems._chunk_counts(seeds, *bounds).T.tolist() == _trial_counts(seeds, *bounds)
+
+
+def test_chunk_counts_redraw_every_flagged_trial(monkeypatch):
+    batched = synth._fuzz_draws
+
+    def redraw_all(seeds, *bounds):
+        n, k, m, redraw, rounds = batched(seeds, *bounds)
+        return n, k, m, np.ones_like(redraw), iter(())
+
+    monkeypatch.setattr(synth, "_fuzz_draws", redraw_all)
+    seeds = [3, 2**32, 2**64 - 1, 0]
+    assert theorems._chunk_counts(seeds, 30, 4, 3).T.tolist() == _trial_counts(seeds, 30, 4, 3)
+
+
+def _generate_state_word(pool, i):
+    """uint64 word i of ``SeedSequence.generate_state``, in pure Python:
+    uint32 word j hashes pool word j % 4 with 0x8B51F9DD * 0x58F38DED**j."""
+    halves = []
+    for j in (2 * i, 2 * i + 1):
+        const = 0x8B51F9DD * pow(0x58F38DED, j, 2**32) % 2**32
+        word = (pool[j % 4] ^ const) * (const * 0x58F38DED % 2**32) % 2**32
+        halves.append(word ^ word >> 16)
+    return halves[0] | halves[1] << 32
+
+
+@pytest.mark.parametrize("seed", [0, 1, 977, 2**32, 2**64 - 1, 2**100])
+def test_sweep_trial_seeds_match_generate_state(seed):
+    pool = np.random.SeedSequence(seed).pool
+    want = np.random.SeedSequence(seed).generate_state(700, np.uint64).tolist()
+    assert [_generate_state_word(pool.tolist(), i) for i in range(700)] == want
+    for first, count in [(0, 700), (0, 1), (5, 295), (295, 295), (699, 1)]:
+        assert synth._state_words(pool, first, count).tolist() == want[first:first + count]
+
+
+def test_sweep_trial_seeds_past_2_32_match_the_pure_python_words():
+    pool = np.random.SeedSequence(1).pool
+    for first in [2**32 - 3, 2**32 + 5, 2**62 - 2, 2**64 + 1]:
+        words = [_generate_state_word(pool.tolist(), first + i) for i in range(6)]
+        assert synth._state_words(pool, first, 6).tolist() == words
+
+
+class _FirstChunk(Exception):
+    pass
+
+
+def test_sweep_of_2_62_trials_reaches_its_first_chunk(monkeypatch, tmp_path):
+    # No array of every trial's seed is built up front.
+    def first_chunk(trial_seeds, *bounds):
+        raise _FirstChunk(trial_seeds.tolist())
+
+    monkeypatch.setattr(theorems, "_chunk_counts", first_chunk)
+    chunk = theorems._chunk_trials(30, 4, 3)
+    want = np.random.SeedSequence(1).generate_state(chunk, np.uint64).tolist()
+    for trials in [2**62, 2**60]:
+        with pytest.raises(_FirstChunk) as caught:
+            sweep(1, trials)
+        assert caught.value.args[0] == want
+    with pytest.raises(_FirstChunk):
+        main(["sweep", "--seed", "1", "--trials", str(2**62), "--out", str(tmp_path / "out")])
 
 
 def test_sweep_chunks_fit_their_cell_budget():
