@@ -725,11 +725,11 @@ def _fuzz_draws(seeds, max_records: int, max_labels: int, max_conditions: int):
     Returns n, k and m (int64 arrays), ``redraw`` and ``rounds``.
     ``redraw`` marks the trials whose bounded draw numpy rejects and
     repeats, and every trial when a bound needs more than a 32-bit draw;
-    ``_fuzz_draw`` must draw those trials. ``rounds`` yields (trials,
-    index, uniforms) arrays, at most ``_JUMPS`` uniforms of each trial a
-    round: uniform ``index`` of trial ``trials`` is element ``index`` of
-    ``_fuzz_draw``'s ``rng.random(n * (2 * k + m))``. Every uniform of the
-    other trials comes once."""
+    their n, k and m are placeholders, and ``_fuzz_draw`` must draw them.
+    ``rounds`` yields (trials, index, uniforms) arrays, at most ``_JUMPS``
+    uniforms of each trial a round: uniform ``index`` of trial ``trials``
+    is element ``index`` of ``_fuzz_draw``'s ``rng.random(n * (2k + m))``.
+    Every uniform of the other trials comes once."""
     import numpy as np
 
     jumps = _jumps()
@@ -739,15 +739,18 @@ def _fuzz_draws(seeds, max_records: int, max_labels: int, max_conditions: int):
         ones = np.ones(trials, np.int64)
         return ones, ones, ones, np.ones(trials, bool), iter(())
     words = _state_words(_seed_pools(seeds), 0, 4)
-    # PCG64's srandom: inc is the odd stream word; the state steps from 0,
-    # adds the seed word, and steps again.
+    # PCG64's srandom: inc is the odd stream word; the state steps from 0
+    # to inc, adds the seed word and steps again to the seeded state. So
+    # r + 1 steps on from that sum is the seeded state (r = 0), then the
+    # state of output r − 1.
     inc = words[2] << 1 | words[3] >> 63, words[3] << 1 | 1
-    state = _add128(_mul128(_add128((words[0], words[1]), inc), (jumps[0][:1], jumps[1][:1])), inc)
+    start = _add128((words[0], words[1]), inc)
     # Each drawn bound takes the next 32-bit half, low half first, of the
     # first outputs; a range of 1 draws nothing.
     drawn = sum(r > 1 for r in ranges)
-    heads = _jump(jumps, np.arange((drawn + 1) // 2)[:, None], state, inc)
-    halves = [half for out in _pcg_output(heads) for half in (out & _MASK32, out >> 32)]
+    states = _jump(jumps, np.arange((drawn + 1) // 2 + 1)[:, None], start, inc)
+    heads = _pcg_output((states[0][1:], states[1][1:]))
+    halves = [half for out in heads for half in (out & _MASK32, out >> 32)]
     values, redraw = [], np.zeros(trials, bool)
     for r in ranges:
         if r == 1:
@@ -757,8 +760,6 @@ def _fuzz_draws(seeds, max_records: int, max_labels: int, max_conditions: int):
         values.append((x >> 32).astype(np.int64))
         redraw |= (x & _MASK32) < (1 << 32) % r  # numpy's Lemire rejection
     n, k, m = values[0] + 1, values[1] + 1, values[2]
-    if len(heads[0]):
-        state = heads[0][-1], heads[1][-1]
     sizes = np.where(redraw, 0, n * (2 * k + m))
     most = int(sizes.max(initial=0))
 
@@ -773,7 +774,7 @@ def _fuzz_draws(seeds, max_records: int, max_labels: int, max_conditions: int):
             if first + _JUMPS < most:
                 state = _jump(jumps, slice(_JUMPS - 1, None), state, inc)
 
-    return n, k, m, redraw, rounds(state)
+    return n, k, m, redraw, rounds((states[0][-1], states[1][-1]))
 
 
 def random_log(
