@@ -650,7 +650,8 @@ def _seed_pools(seeds):
     for src in range(4):
         # Each other word, in order, mixes in word src hashed anew.
         dst, j = [i for i in range(4) if i != src], 4 + 3 * src
-        mixed = pool[dst] * _MIX_L - _hashmix(pool[src], consts[j:j + 3], consts[j + 1:j + 4]) * _MIX_R
+        hashed = _hashmix(pool[src], consts[j:j + 3], consts[j + 1:j + 4])
+        mixed = pool[dst] * _MIX_L - hashed * _MIX_R
         pool[dst] = mixed ^ (mixed >> 16)
     return pool
 

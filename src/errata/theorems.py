@@ -630,10 +630,10 @@ def sweep(
     builds an array of every trial's seed. Trials are counted from their
     logs' draws, a chunk of trials (at most ``_CHUNK_CELLS`` padded cells)
     at once with a few numpy operations; ``synth._fuzz_draws`` computes a
-    chunk's draws in one batch, equal bit for bit to numpy's. The column forms
-    decide the verdicts of a chunk's pairs at once, on int64 columns up to
-    ``_INT64_RECORDS`` records and on exact Python ints above, and one
-    ``np.bincount`` tallies them. A pair that a column form finds VIOLATED
+    chunk's draws in one batch, equal bit for bit to numpy's. The column
+    forms decide the verdicts of a chunk's pairs at once, on int64 columns
+    up to ``_INT64_RECORDS`` records and on exact Python ints above, and
+    one ``np.bincount`` tallies them. A pair that a column form finds VIOLATED
     goes through ``CHECKS`` again, which builds its reports, in (trial,
     class, condition, registry) order; a log is built only for their
     replay text. If ``CHECKS`` gives that pair other verdicts, the sweep
