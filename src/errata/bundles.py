@@ -1,9 +1,10 @@
 """``MetricBundle``, the one dataclass of the package.
 
 Every other value type is a plain slotted class (``errata.logs._Frozen``),
-because decorating a dataclass, and importing ``dataclasses`` with the
-``inspect`` and ``ast`` modules it loads, is a large share of a CLI
-child's start-up. A bundle stays a frozen, slotted dataclass so that
+and one whose constructor only stores its fields has it written from its
+``__slots__`` when the class is made, without ``dataclasses``: decorating
+a dataclass, and importing ``dataclasses`` with the ``inspect`` and
+``ast`` modules it loads, is a large share of a CLI child's start-up. A bundle stays a frozen, slotted dataclass so that
 ``dataclasses.replace`` builds a changed copy of it. Its ``__slots__`` are
 declared by hand rather than with ``slots=True``: that option rebuilds the
 class, and the frozen ``__setattr__`` made before it then raises

@@ -322,13 +322,6 @@ def is_error_detecting(
 class InvarianceRow(_Frozen):
     __slots__ = ("distribution", "verdict", "confidence", "confidence_gap")
 
-    def __init__(self, distribution: str, verdict: Verdict, confidence: Probability,
-                 confidence_gap: Fraction | None):
-        _set(self, "distribution", distribution)
-        _set(self, "verdict", verdict)
-        _set(self, "confidence", confidence)
-        _set(self, "confidence_gap", confidence_gap)
-
     def to_dict(self) -> dict:
         return {
             "distribution": self.distribution,
@@ -347,12 +340,6 @@ class InvarianceProfile(_Frozen):
     """
 
     __slots__ = ("rows", "pooled_confidence", "invariant")
-
-    def __init__(self, rows: tuple[InvarianceRow, ...], pooled_confidence: Probability,
-                 invariant: bool):
-        _set(self, "rows", rows)
-        _set(self, "pooled_confidence", pooled_confidence)
-        _set(self, "invariant", invariant)
 
     def row_for(self, distribution: str) -> InvarianceRow:
         for row in self.rows:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .estimators import (
     _ZERO,
@@ -38,9 +37,6 @@ from .estimators import (
 from .logs import InputError, PredictionLog, _Frozen, _set
 from .rational import as_fraction, format_rational
 from .rules import CorrectionRule, DetectionRule
-
-if TYPE_CHECKING:
-    from .bundles import MetricBundle
 
 
 class Objective(str, Enum):
@@ -78,13 +74,6 @@ class LearnConfig(_Frozen):
 class LearnStep(_Frozen):
     __slots__ = ("added", "objective_before", "objective_after", "recall_reduction")
 
-    def __init__(self, added: str | tuple[str, str], objective_before: Fraction | None,
-                 objective_after: Fraction | None, recall_reduction: Fraction | None):
-        _set(self, "added", added)
-        _set(self, "objective_before", objective_before)
-        _set(self, "objective_after", objective_after)
-        _set(self, "recall_reduction", recall_reduction)
-
     def to_dict(self) -> dict:
         added = (
             {"condition": self.added[0], "trigger_class": self.added[1]}
@@ -109,13 +98,6 @@ class GuardCheck(_Frozen):
 
     __slots__ = ("condition_id", "confidence", "residual", "improves_precision")
 
-    def __init__(self, condition_id: str, confidence: Probability, residual: Fraction | None,
-                 improves_precision: bool | None):
-        _set(self, "condition_id", condition_id)
-        _set(self, "confidence", confidence)
-        _set(self, "residual", residual)
-        _set(self, "improves_precision", improves_precision)
-
     def to_dict(self) -> dict:
         return {
             "condition_id": self.condition_id,
@@ -129,14 +111,6 @@ class PairGuard(_Frozen):
     """Admissibility of one correction pair against the base precision."""
 
     __slots__ = ("condition_id", "trigger_class", "pair_precision", "base_precision", "admissible")
-
-    def __init__(self, condition_id: str, trigger_class: str, pair_precision: Probability,
-                 base_precision: Probability, admissible: bool):
-        _set(self, "condition_id", condition_id)
-        _set(self, "trigger_class", trigger_class)
-        _set(self, "pair_precision", pair_precision)
-        _set(self, "base_precision", base_precision)
-        _set(self, "admissible", admissible)
 
     def to_dict(self) -> dict:
         return {
@@ -156,25 +130,7 @@ class LearnReport(_Frozen):
 
     __slots__ = ("outcome", "reason", "baseline_objective", "objective", "epsilon", "steps",
                  "guards", "pair_guards", "final_metrics", "base_precision", "final_precision")
-
-    def __init__(self, outcome: str, reason: str | None, baseline_objective: Fraction | None,
-                 objective: Objective | None = None, epsilon: Fraction | None = None,
-                 steps: tuple[LearnStep, ...] = (), guards: tuple[GuardCheck, ...] = (),
-                 pair_guards: tuple[PairGuard, ...] = (),
-                 final_metrics: MetricBundle | None = None,
-                 base_precision: Probability | None = None,
-                 final_precision: Probability | None = None):
-        _set(self, "outcome", outcome)
-        _set(self, "reason", reason)
-        _set(self, "baseline_objective", baseline_objective)
-        _set(self, "objective", objective)
-        _set(self, "epsilon", epsilon)
-        _set(self, "steps", steps)
-        _set(self, "guards", guards)
-        _set(self, "pair_guards", pair_guards)
-        _set(self, "final_metrics", final_metrics)
-        _set(self, "base_precision", base_precision)
-        _set(self, "final_precision", final_precision)
+    _defaults = (None, None, (), (), (), None, None, None)  # objective ... final_precision
 
     def to_dict(self) -> dict:
         out = {} if self.objective is None else {

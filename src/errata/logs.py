@@ -147,7 +147,11 @@ class _Frozen:
     """Base of the package's immutable value types.
 
     A subclass names its fields in ``__slots__``, in the order its
-    ``__init__`` takes them, and sets each one with ``_set``. Values of one
+    ``__init__`` takes them, and sets each one with ``_set``. A subclass
+    that defines no ``__init__`` is given one that takes the fields in that
+    order and only stores them, one ``_set`` per field; ``_defaults``
+    holds the default values of its trailing fields, the last field's last.
+    A constructor that checks or coerces is written out. Values of one
     class are equal when their fields are, and the hash agrees; the repr is
     ``Name(field=value, ...)`` over the fields not in ``_hidden``.
     Assignment and deletion raise ``AttributeError``. Copy and pickle
@@ -157,6 +161,22 @@ class _Frozen:
 
     __slots__ = ()
     _hidden: tuple[str, ...] = ()
+    _defaults: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "__init__" in cls.__dict__:
+            return
+        # Straight-line source, so the constructor runs the bytecode a
+        # hand-written one would; the defaults are read once, at the def.
+        fields, first = cls.__slots__, len(cls.__slots__) - len(cls._defaults)
+        params = [f if i < first else f"{f}=_defaults[{i - first}]" for i, f in enumerate(fields)]
+        body = "".join(f"\n    _set(self, {f!r}, {f})" for f in fields)
+        name = f"{cls.__qualname__}.__init__"  # also the file name profilers show
+        namespace = {"__name__": cls.__module__, "_set": _set, "_defaults": cls._defaults}
+        exec(compile(f"def __init__(self, {', '.join(params)}):{body}", f"<{name}>", "exec"), namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = name
 
     def _values(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__slots__))
@@ -635,8 +655,22 @@ def _check_unique(sample_ids: list[str], codes: list[int], shapes: dict[tuple, i
 
 
 def load_log_file(path) -> PredictionLog:
+    """``load_log`` of a UTF-8 file. Bytes that do not decode are rejected
+    with the line they are on, after an error on an earlier line."""
     with open(path, "r", encoding="utf-8") as handle:
-        return load_log(handle)
+        try:
+            return load_log(handle)
+        except UnicodeDecodeError:
+            pass  # raised a chunk ahead of the line read, and at a chunk's offset
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = data[:exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        load_log(lines[:-1])
+        raise LogFormatError(f"line {len(lines)}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    return load_log(text)  # the file changed between the two reads
 
 
 _ENCODE_STR = json.encoder.encode_basestring_ascii

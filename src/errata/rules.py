@@ -14,11 +14,9 @@ of a shape a detection rule touches.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .estimators import (
     ConditionBody,
-    Probability,
     _base,
     _probability,
     _recalls,
@@ -41,11 +39,6 @@ class DetectionRule(_Frozen):
     """Erase target_class from a record's predictions when the body holds."""
 
     __slots__ = ("model_id", "target_class", "body")
-
-    def __init__(self, model_id: str, target_class: str, body: ConditionBody):
-        _set(self, "model_id", model_id)
-        _set(self, "target_class", target_class)
-        _set(self, "body", body)
 
     def to_dict(self) -> dict:
         return {
@@ -164,14 +157,7 @@ class RecordTrace(_Frozen):
     """What happened to one record: (label, rule index) per event."""
 
     __slots__ = ("sample_id", "model_id", "erased", "added", "conflict")
-
-    def __init__(self, sample_id: str, model_id: str, erased: tuple[tuple[str, int], ...] = (),
-                 added: tuple[tuple[str, int], ...] = (), conflict: frozenset[str] = frozenset()):
-        _set(self, "sample_id", sample_id)
-        _set(self, "model_id", model_id)
-        _set(self, "erased", erased)
-        _set(self, "added", added)
-        _set(self, "conflict", conflict)
+    _defaults = ((), (), frozenset())
 
     @property
     def erased_labels(self) -> frozenset[str]:
@@ -210,10 +196,6 @@ class ApplicationTrace(_Frozen):
 
     __slots__ = ("log", "touched")
     _hidden = ("log",)
-
-    def __init__(self, log: PredictionLog, touched: tuple[RecordTrace, ...]):
-        _set(self, "log", log)
-        _set(self, "touched", touched)
 
     @property
     def entries(self) -> tuple[RecordTrace, ...]:
@@ -332,23 +314,6 @@ class DeltaRow(_Frozen):
     __slots__ = ("model_id", "label", "precision_before", "precision_after", "recall_before",
                  "recall_after", "f1_before", "f1_after", "precision_delta", "recall_delta",
                  "f1_delta")
-
-    def __init__(self, model_id: str, label: str, precision_before: Probability,
-                 precision_after: Probability, recall_before: Probability,
-                 recall_after: Probability, f1_before: Fraction | None, f1_after: Fraction | None,
-                 precision_delta: Fraction | None, recall_delta: Fraction | None,
-                 f1_delta: Fraction | None):
-        _set(self, "model_id", model_id)
-        _set(self, "label", label)
-        _set(self, "precision_before", precision_before)
-        _set(self, "precision_after", precision_after)
-        _set(self, "recall_before", recall_before)
-        _set(self, "recall_after", recall_after)
-        _set(self, "f1_before", f1_before)
-        _set(self, "f1_after", f1_after)
-        _set(self, "precision_delta", precision_delta)
-        _set(self, "recall_delta", recall_delta)
-        _set(self, "f1_delta", f1_delta)
 
     @property
     def skipped(self) -> bool:

@@ -478,33 +478,10 @@ class SweepViolation(_Frozen):
     __slots__ = ("trial", "trial_seed", "theorem_id", "alpha", "condition_id", "correction_class",
                  "report", "log_text")
 
-    def __init__(self, trial: int, trial_seed: int, theorem_id: TheoremId, alpha: str,
-                 condition_id: str, correction_class: str | None, report: TheoremReport,
-                 log_text: str):
-        _set(self, "trial", trial)
-        _set(self, "trial_seed", trial_seed)
-        _set(self, "theorem_id", theorem_id)
-        _set(self, "alpha", alpha)
-        _set(self, "condition_id", condition_id)
-        _set(self, "correction_class", correction_class)
-        _set(self, "report", report)
-        _set(self, "log_text", log_text)
-
 
 class SweepResult(_Frozen):
     __slots__ = ("seed", "trials", "max_records", "max_labels", "max_conditions",
                  "verdict_counts", "violations")
-
-    def __init__(self, seed: int, trials: int, max_records: int, max_labels: int,
-                 max_conditions: int, verdict_counts: dict[TheoremId, dict[TheoremVerdict, int]],
-                 violations: tuple[SweepViolation, ...]):
-        _set(self, "seed", seed)
-        _set(self, "trials", trials)
-        _set(self, "max_records", max_records)
-        _set(self, "max_labels", max_labels)
-        _set(self, "max_conditions", max_conditions)
-        _set(self, "verdict_counts", verdict_counts)
-        _set(self, "violations", violations)
 
     @property
     def total_verdicts(self) -> int:
@@ -556,12 +533,13 @@ def _chunk_counts(trial_seeds, max_records: int, labels: int, conditions: int):
     trial-major then class-major, with the cyclically next label as β, on
     ``random_log(s, max_records, labels, conditions)`` for each s in
     ``trial_seeds`` (uint64 values): all counted at once. The draws come
-    from ``synth._fuzz_draws`` in one batch and are scattered into the
+    from ``draws._fuzz_draws`` in one batch and are scattered into the
     block with one assignment per round; only a trial it cannot draw goes
     through ``synth._fuzz_draw``."""
     import numpy as np  # deferred: importing errata must not load numpy
 
-    from .synth import _fuzz_draw, _fuzz_draws
+    from .draws import _fuzz_draws
+    from .synth import _MARK_BELOW, _fuzz_draw
 
     trial_seeds = np.asarray(trial_seeds, np.uint64)
     trials = len(trial_seeds)
@@ -580,7 +558,7 @@ def _chunk_counts(trial_seeds, max_records: int, labels: int, conditions: int):
     widths = np.stack((k, k, m), 1).ravel()
     firsts = (np.arange(trials)[:, None] * block[0].size
               + np.array([0, labels, 2 * labels]) * max_records).ravel()
-    below = np.tile([0.45, 0.45, 0.5], trials)
+    below = np.tile(_MARK_BELOW, trials)
     cells = block.reshape(-1)
     for trial, index, uniforms in rounds:
         matrix = 3 * trial + (index >= nk[trial]) + (index >= 2 * nk[trial])
@@ -629,7 +607,7 @@ def sweep(
     computed a chunk at a time from the seed's pool, so no trial count
     builds an array of every trial's seed. Trials are counted from their
     logs' draws, a chunk of trials (at most ``_CHUNK_CELLS`` padded cells)
-    at once with a few numpy operations; ``synth._fuzz_draws`` computes a
+    at once with a few numpy operations; ``draws._fuzz_draws`` computes a
     chunk's draws in one batch, equal bit for bit to numpy's. The column
     forms decide the verdicts of a chunk's pairs at once, on int64 columns
     up to ``_INT64_RECORDS`` records and on exact Python ints above, and
@@ -642,7 +620,8 @@ def sweep(
     """
     import numpy as np  # deferred: importing errata must not load numpy
 
-    from .synth import _integers, _state_words, condition_alphabet, label_alphabet, random_log
+    from .draws import _state_words
+    from .synth import _integers, condition_alphabet, label_alphabet, random_log
 
     _integers(seed=seed, trials=trials, max_records=max_records, max_labels=max_labels,
               max_conditions=max_conditions)

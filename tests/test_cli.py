@@ -375,13 +375,14 @@ def test_chain_commands_start_without_dataclasses_or_numpy(tmp_path):
     # learn-detection builds a MetricBundle, the one dataclass, so only it
     # loads dataclasses, and with it inspect; only synth draws, so only it
     # loads numpy. numpy itself loads inspect, so synth is not checked for
-    # inspect.
+    # inspect. The sweep's batched draws are loaded by no chain command.
     (tmp_path / "config.json").write_text(json.dumps(SYNTH_CONFIG), encoding="utf-8")
     code = """
 import json, sys
 from errata.cli import main
 code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in ("dataclasses", "inspect", "numpy") if m in sys.modules)]))
+watched = ("dataclasses", "inspect", "numpy", "errata.draws")
+print(json.dumps([code, sorted(m for m in watched if m in sys.modules)]))
 """
     loaded = {}
     for command, args in _CHAIN:
@@ -394,6 +395,7 @@ print(json.dumps([code, sorted(m for m in ("dataclasses", "inspect", "numpy") if
     assert read_json(tmp_path / "learn-detection" / "rules.json")["detections"]
     assert [c for c, names in loaded.items() if "dataclasses" in names] == ["learn-detection"]
     assert [c for c, names in loaded.items() if "numpy" in names] == ["synth"]
+    assert [c for c, names in loaded.items() if "errata.draws" in names] == []
     assert [c for c, names in loaded.items() if "inspect" in names and c != "synth"] == [
         "learn-detection"
     ]

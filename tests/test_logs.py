@@ -66,6 +66,26 @@ def test_duplicate_is_reported_before_a_later_bad_line(canonical, bad_line):
     assert str(raised.value) == "line 5: duplicate (sample_id, model_id) ('s1', 'n') first seen on line 2"
 
 
+@pytest.mark.parametrize("bad, reason", [
+    (b"\xff", "invalid start byte"),
+    (b"\xe2\x82", "invalid continuation byte"),
+])
+def test_log_not_utf8_names_its_line(tmp_path, bad, reason):
+    # Found by the mutated-log fuzz test: the error named no line, only an
+    # offset within the decoder's chunk. Here the bytes lie past the first
+    # chunk, after lines that end in each of the three line breaks.
+    head = "".join(line(sample_id=f"s{i}") + ("\r\n", "\r", "\n")[i % 3] for i in range(300)).encode()
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(head + b'{"sample_id":"s' + bad + b'"}\n')
+    with pytest.raises(LogFormatError) as raised:
+        load_log_file(path)
+    assert str(raised.value) == f"line 301: not UTF-8 ({reason} at byte {len(head) + 15})"
+    # An error on an earlier line is reported first, as for a decoded file.
+    path.write_bytes(head + b"not json\n" + bad + b"\n")
+    with pytest.raises(LogFormatError, match="^line 301: malformed JSON"):
+        load_log_file(path)
+
+
 def test_one_sample_id_under_two_models_loads():
     log = load_log(line(model_id="m") + "\n\n" + line(model_id="n") + "\n")
     assert [r.key for r in log] == [("s1", "m"), ("s1", "n")]

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 
 import synth_oracle
 from errata.logs import _strict_json
-from errata.synth import _JUMPS, MAX_RECORDS, _class_precision, _fuzz_draws
+from errata.draws import _JUMPS, _fuzz_draws
+from errata.synth import MAX_RECORDS, _class_precision
 from errata import (
     ConditionBody,
     InputError,

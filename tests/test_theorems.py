@@ -29,7 +29,7 @@ from errata import (
     random_log,
     sweep,
 )
-from errata import synth, theorems
+from errata import draws, theorems
 from errata.cli import main
 from errata.estimators import JointCounts
 from errata.synth import condition_alphabet, label_alphabet
@@ -394,18 +394,18 @@ def test_chunk_counts_redraw_a_rejected_trial_through_fuzz_draw():
     bounds, seeds = (69921, 1, 1), [40921, 7]
     first = int(np.random.PCG64(40921).random_raw()) & 0xFFFFFFFF
     assert first * 69921 % 2**32 < 2**32 % 69921
-    assert synth._fuzz_draws(np.array(seeds, np.uint64), *bounds)[3].tolist() == [True, False]
+    assert draws._fuzz_draws(np.array(seeds, np.uint64), *bounds)[3].tolist() == [True, False]
     assert theorems._chunk_counts(seeds, *bounds).T.tolist() == _trial_counts(seeds, *bounds)
 
 
 def test_chunk_counts_redraw_every_flagged_trial(monkeypatch):
-    batched = synth._fuzz_draws
+    batched = draws._fuzz_draws
 
     def redraw_all(seeds, *bounds):
         n, k, m, redraw, rounds = batched(seeds, *bounds)
         return n, k, m, np.ones_like(redraw), iter(())
 
-    monkeypatch.setattr(synth, "_fuzz_draws", redraw_all)
+    monkeypatch.setattr(draws, "_fuzz_draws", redraw_all)
     seeds = [3, 2**32, 2**64 - 1, 0]
     assert theorems._chunk_counts(seeds, 30, 4, 3).T.tolist() == _trial_counts(seeds, 30, 4, 3)
 
@@ -427,14 +427,14 @@ def test_sweep_trial_seeds_match_generate_state(seed):
     want = np.random.SeedSequence(seed).generate_state(700, np.uint64).tolist()
     assert [_generate_state_word(pool.tolist(), i) for i in range(700)] == want
     for first, count in [(0, 700), (0, 1), (5, 295), (295, 295), (699, 1)]:
-        assert synth._state_words(pool, first, count).tolist() == want[first:first + count]
+        assert draws._state_words(pool, first, count).tolist() == want[first:first + count]
 
 
 def test_sweep_trial_seeds_past_2_32_match_the_pure_python_words():
     pool = np.random.SeedSequence(1).pool
     for first in [2**32 - 3, 2**32 + 5, 2**62 - 2, 2**64 + 1]:
         words = [_generate_state_word(pool.tolist(), first + i) for i in range(6)]
-        assert synth._state_words(pool, first, 6).tolist() == words
+        assert draws._state_words(pool, first, 6).tolist() == words
 
 
 class _FirstChunk(Exception):

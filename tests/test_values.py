@@ -5,6 +5,7 @@ works on it."""
 
 import copy
 import dataclasses
+import inspect
 import pickle
 from fractions import Fraction
 
@@ -225,6 +226,33 @@ CASES = {
 }
 # Types with a dict field are unhashable, as a frozen dataclass with one is.
 UNHASHABLE = {"DistributionSpec", "SynthConfig", "TheoremReport", "SweepViolation", "SweepResult"}
+# The types whose constructor only stores its fields, with the parameters
+# their hand-written constructors took, in order: a name, or a (name,
+# default) pair. Each is positional or keyword.
+PLAIN_SIGNATURES = {
+    "InvarianceRow": ["distribution", "verdict", "confidence", "confidence_gap"],
+    "InvarianceProfile": ["rows", "pooled_confidence", "invariant"],
+    "LearnStep": ["added", "objective_before", "objective_after", "recall_reduction"],
+    "GuardCheck": ["condition_id", "confidence", "residual", "improves_precision"],
+    "PairGuard": ["condition_id", "trigger_class", "pair_precision", "base_precision", "admissible"],
+    "LearnReport": ["outcome", "reason", "baseline_objective", ("objective", None),
+                    ("epsilon", None), ("steps", ()), ("guards", ()), ("pair_guards", ()),
+                    ("final_metrics", None), ("base_precision", None), ("final_precision", None)],
+    "DetectionRule": ["model_id", "target_class", "body"],
+    "RecordTrace": ["sample_id", "model_id", ("erased", ()), ("added", ()),
+                    ("conflict", frozenset())],
+    "ApplicationTrace": ["log", "touched"],
+    "DeltaRow": ["model_id", "label", "precision_before", "precision_after", "recall_before",
+                 "recall_after", "f1_before", "f1_after", "precision_delta", "recall_delta",
+                 "f1_delta"],
+    "PlantedCondition": ["condition_id", "target_class", "target_support", "target_confidence"],
+    "BookkeepingRow": ["condition_id", "target_class", "distribution", "support", "confidence"],
+    "SynthBookkeeping": ["rows"],
+    "SweepViolation": ["trial", "trial_seed", "theorem_id", "alpha", "condition_id",
+                       "correction_class", "report", "log_text"],
+    "SweepResult": ["seed", "trials", "max_records", "max_labels", "max_conditions",
+                    "verdict_counts", "violations"],
+}
 
 
 def test_every_public_value_type_is_covered():
@@ -276,6 +304,18 @@ def test_copy_and_pickle_round_trips(name):
         assert type(again) is type(value)
         assert again == value
         assert repr(again) == repr(value)
+
+
+@pytest.mark.parametrize("name", PLAIN_SIGNATURES)
+def test_plain_constructor_signatures_are_pinned(name):
+    # Keyword callers and defaults see the same constructor as before it
+    # was generated from the fields.
+    empty, kind = inspect.Parameter.empty, inspect.Parameter.POSITIONAL_OR_KEYWORD
+    cls = type(CASES[name][0]())
+    want = [(p, kind, empty) if isinstance(p, str) else (p[0], kind, p[1])
+            for p in PLAIN_SIGNATURES[name]]
+    params = inspect.signature(cls).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in params] == want
 
 
 def test_metric_bundle_is_a_dataclass_for_replace():
