@@ -20,7 +20,7 @@ from pathlib import Path
 # learning, rules, synth and theorems are imported by the commands that run
 # them, so that each command loads only the modules it uses.
 from .estimators import ConditionBody
-from .logs import InputError, _strict_json, load_log_file, serialize_log
+from .logs import InputError, _read_text, _strict_json, load_log_file, serialize_log
 from .rational import decimal_str, format_rational, parse_rational
 
 _OBJECTIVES = {  # --objective value → learning.Objective member
@@ -176,8 +176,8 @@ def _one_blas_thread() -> None:
 def _cmd_synth(args) -> int:
     _one_blas_thread()
     from .synth import SynthConfig, SynthConfigError, generate
-    with open(args.config, "r", encoding="utf-8") as handle:
-        obj = _strict_json(handle.read(), "synth config", SynthConfigError)
+    text = _read_text(args.config, "synth config", SynthConfigError)
+    obj = _strict_json(text, "synth config", SynthConfigError)
     cfg = SynthConfig.from_dict(obj)
     log, bookkeeping = generate(cfg)
     run = _Run("synth", args.out, [args.config], [cfg.seed], cfg.to_dict())
@@ -246,8 +246,7 @@ def _cmd_learn_correction(args) -> int:
 def _cmd_apply(args) -> int:
     from .rules import apply_rules, loads_rules
     log = load_log_file(args.log)
-    with open(args.rules, "r", encoding="utf-8") as handle:
-        rules = loads_rules(handle.read())
+    rules = loads_rules(_read_text(args.rules, "rule file", InputError))
     applied, trace = apply_rules(log, rules)
     run = _Run("apply", args.out, [args.log, args.rules], None, None)
     run.write("applied.jsonl", serialize_log(applied))

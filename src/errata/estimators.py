@@ -260,22 +260,23 @@ def _recalls(c: JointCounts) -> tuple[Ratio | None, Ratio | None]:
     return _recall_ratios(c) if c.gt else (None, None)
 
 
+_MetricBundle = None  # bundles.MetricBundle, imported by the first bundle_from_counts call
+
+
 def bundle_from_counts(c: JointCounts) -> MetricBundle:
     """The ratios of ``_base`` as report values, with recall before and
-    after the rule."""
-    from .bundles import MetricBundle  # deferred: only a bundle's caller loads dataclasses
+    after the rule. ``errata.bundles`` is imported by the first call and
+    kept, so that only a bundle's caller loads ``dataclasses``."""
+    global _MetricBundle
+    if _MetricBundle is None:
+        from .bundles import MetricBundle as _MetricBundle
 
     q = _base(c)
     recall, rule_recall = _recalls(c)
-    return MetricBundle(
-        precision=_probability(q.precision),
-        recall=_probability(recall),
-        rule_precision=_probability(q.rule_precision),
-        rule_recall=_probability(rule_recall),
-        support=_probability(q.support),
-        confidence=_probability(q.confidence),
-        k_factor=_fraction(q.k_factor),
-        residual=_fraction(q.residual),
+    return _MetricBundle(
+        _probability(q.precision), _probability(recall), _probability(q.rule_precision),
+        _probability(rule_recall), _probability(q.support), _probability(q.confidence),
+        _fraction(q.k_factor), _fraction(q.residual),
     )
 
 
@@ -366,7 +367,7 @@ def invariance_profile(
     pb, pbg = pred_body.bit_count(), pred_body_gt.bit_count()
     pooled_conf = Probability(pb - pbg, pb)
     rows = []
-    for tag in sorted(log.index.distributions):
+    for tag in log.index.tags:
         d = view.distributions.get(tag, 0)
         b, bg = (pred_body & d).bit_count(), (pred_body_gt & d).bit_count()
         conf = Probability(b - bg, b)

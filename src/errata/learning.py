@@ -10,11 +10,12 @@ iteration order.
 
 Every detection decision is made on integer counts read from the
 class's view of the log's index, whose masks span only the rows that
-predict the class: a body's mask is the OR of its conditions' masks, and
-feasibility and every objective comparison are cross-multiplications of
-unreduced ``(num, den)`` ratios. ``Fraction`` values are built only for
-the report. A subset oracle, exact by branch
-and bound, audits greedy quality on candidate sets of up to 20 ids.
+predict the class: a body's mask is the OR of its conditions' masks,
+feasibility compares a count with the largest count the budget allows,
+and every objective comparison is a cross-multiplication of unreduced
+``(num, den)`` ratios. ``Fraction`` values are built only for the report.
+A subset oracle, exact by branch and bound, audits greedy quality on
+candidate sets of up to 20 ids.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from fractions import Fraction
 from .estimators import (
     _ZERO,
     ConditionBody,
+    JointCounts,
     Probability,
     Ratio,
     _eq,
@@ -32,7 +34,7 @@ from .estimators import (
     _le,
     _lt,
     _sub,
-    metric_bundle,
+    bundle_from_counts,
 )
 from .logs import InputError, PredictionLog, _Frozen, _set
 from .rational import as_fraction, format_rational
@@ -160,83 +162,66 @@ class LearnReport(_Frozen):
 # Detection learning
 # ---------------------------------------------------------------------------
 
-def _objective_ratio(
-    objective: Objective,
-    n_pred: int,
-    n_pred_gt: int,
-    n_gt: int,
-    pred_body: int,
-    pred_body_gt: int,
-) -> Ratio | None:
-    """Objective of a body from its counts, as an unreduced ratio with a
-    positive denominator (given n_pred > 0); None when undefined.
-
-    SUPPORT_TIMES_CONFIDENCE collapses to (body-covered errors)/predictions,
-    which makes the zero-support case an exact 0 rather than undefined.
-    With kept = n_pred − pred_body predictions left and kept_gt =
-    n_pred_gt − pred_body_gt of them correct, the precision gain is
-    kept_gt/kept − n_pred_gt/n_pred and F1 is 2·kept_gt/(kept + n_gt).
-    """
-    if objective is Objective.SUPPORT_TIMES_CONFIDENCE:
-        return (pred_body - pred_body_gt, n_pred)
-    kept = n_pred - pred_body
-    if kept == 0:
-        return None  # every prediction erased: post-rule precision undefined
-    if objective is Objective.PRECISION_GAIN:
-        return (n_pred_gt * pred_body - pred_body_gt * n_pred, n_pred * kept)
-    kept_gt = n_pred_gt - pred_body_gt
-    if n_gt == 0 or kept_gt == 0:
-        return None  # recall undefined, or precision + recall = 0
-    return (2 * kept_gt, kept + n_gt)
-
-
-def _objective_value(
-    objective: Objective,
-    n_pred: int,
-    n_pred_gt: int,
-    n_gt: int,
-    pred_body: int,
-    pred_body_gt: int,
-) -> Fraction | None:
-    """Objective of a body from its counts; None when undefined."""
-    return _fraction(_objective_ratio(objective, n_pred, n_pred_gt, n_gt, pred_body, pred_body_gt))
-
-
 class _Kernel:
     """Scoring of condition bodies for one (log, model, class α).
 
-    Reads α's view of the model's rows (``LogIndex.view``): ``mask`` gives
-    a condition's mask over α's predictions, so a body's mask is the OR of
-    its conditions' masks and its counts are two ``bit_count`` calls.
+    Reads α's view of the model's rows (``LogIndex.view``): ``conditions``
+    maps each condition to its mask over α's predictions, so a body's mask
+    is the OR of its conditions' masks, and its counts pred_body and
+    pred_body_gt are ``mask.bit_count()`` and ``(mask & correct).bit_count()``.
+    ``base`` holds (total, gt, pred, pred_gt) of the model's rows. A body
+    is within the ε budget when its recall reduction pred_body_gt/gt is at
+    most ε, that is when pred_body_gt ≤ ``limit`` = ⌊ε·gt⌋; a class absent
+    from the ground truth has no recall to lose.
+
+    ``score(mask)`` is the objective of a body, counted and judged in one
+    call: an unreduced ``(num, den)`` ratio with a positive denominator, or
+    None when the body is over budget or the objective is undefined there.
+    ``score(0)`` is the empty body's objective.
     """
 
-    __slots__ = ("objective", "epsilon", "conditions", "pred_gt", "n_pred", "n_pred_gt", "n_gt")
+    __slots__ = ("objective", "conditions", "correct", "base", "n_gt", "n_pred", "n_pred_gt", "limit",
+                 "score")
 
     def __init__(self, log: PredictionLog, model_id: str, alpha: str, cfg: LearnConfig):
         view = log.index.view(model_id, alpha)
         self.objective = cfg.objective
-        self.epsilon = (cfg.epsilon.numerator, cfg.epsilon.denominator)
         self.conditions = view.conditions
-        self.pred_gt = view.correct
-        _, self.n_gt, self.n_pred, self.n_pred_gt = view.counts[None]
+        self.correct = view.correct
+        self.base = view.counts[None]
+        _, self.n_gt, self.n_pred, self.n_pred_gt = self.base
+        self.limit = cfg.epsilon.numerator * self.n_gt // cfg.epsilon.denominator
+        self.score = self._score_function()
 
-    def mask(self, cid: str) -> int:
-        return self.conditions.get(cid, 0)
+    def _score_function(self):
+        """``score`` for the kernel's objective, given n_pred > 0.
 
-    def counts(self, mask: int) -> tuple[int, int]:
-        """(pred_body, pred_body_gt) of a body mask."""
-        return mask.bit_count(), (mask & self.pred_gt).bit_count()
-
-    def feasible(self, pred_body_gt: int) -> bool:
-        """Recall reduction pred_body_gt/gt within epsilon; a class absent
-        from the ground truth has no recall to lose."""
-        num, den = self.epsilon
-        return pred_body_gt * den <= num * self.n_gt
-
-    def value(self, pred_body: int, pred_body_gt: int) -> Ratio | None:
-        return _objective_ratio(
-            self.objective, self.n_pred, self.n_pred_gt, self.n_gt, pred_body, pred_body_gt
-        )
+        SUPPORT_TIMES_CONFIDENCE collapses to (body-covered errors)/predictions,
+        which makes the zero-support case an exact 0 rather than undefined.
+        With kept = n_pred − pred_body predictions left and kept_gt =
+        n_pred_gt − pred_body_gt of them correct, the precision gain is
+        kept_gt/kept − n_pred_gt/n_pred and F1 is 2·kept_gt/(kept + n_gt).
+        """
+        correct, n_pred, n_pred_gt, n_gt, limit = (
+            self.correct, self.n_pred, self.n_pred_gt, self.n_gt, self.limit)
+        if self.objective is Objective.SUPPORT_TIMES_CONFIDENCE:
+            def score(mask: int) -> Ratio | None:
+                pbg = (mask & correct).bit_count()
+                return None if pbg > limit else (mask.bit_count() - pbg, n_pred)
+        elif self.objective is Objective.PRECISION_GAIN:
+            def score(mask: int) -> Ratio | None:
+                pbg = (mask & correct).bit_count()
+                pb = mask.bit_count()
+                if pbg > limit or pb == n_pred:
+                    return None  # over budget, or every prediction erased
+                return (n_pred_gt * pb - pbg * n_pred, n_pred * (n_pred - pb))
+        else:
+            def score(mask: int) -> Ratio | None:
+                pbg = (mask & correct).bit_count()
+                if pbg > limit or pbg == n_pred_gt:
+                    return None  # over budget, or no correct prediction kept: P + R = 0
+                return (2 * (n_pred_gt - pbg), n_pred - mask.bit_count() + n_gt)
+        return score
 
 
 def _grow(masks: dict, score, start: Ratio | None, max_size: int | None):
@@ -245,44 +230,34 @@ def _grow(masks: dict, score, start: Ratio | None, max_size: int | None):
     ``masks`` maps each candidate, in sorted order, to the records it
     covers. A step adds the candidate whose union with the covered mask
     scores strictly highest, and strictly above the current value (at
-    first ``start``, the value of the empty set; None when undefined);
-    ``score(mask)`` returns None when that union may not be chosen. Ties
-    go to the candidate met first, and at most ``max_size`` steps are
-    taken. Returns (chosen candidates, steps), each step (candidate,
-    value before, value after, covered mask after).
+    first ``start``, the value of the empty set; None when undefined).
+    ``score(mask)`` is called once per candidate and step: it returns the
+    union's value as a ``(num, den)`` ratio with a positive denominator,
+    compared here by cross-multiplication, or None when that union may not
+    be chosen. Ties go to the candidate met first, and at most
+    ``max_size`` steps are taken. Returns (chosen candidates, steps), each
+    step (candidate, value before, value after, covered mask after).
     """
+    remaining = dict(masks)
     chosen: list = []
     steps = []
     covered = 0
     current = start
     while max_size is None or len(chosen) < max_size:
         best = None
-        for key, mask in masks.items():
-            if key in chosen:
-                continue
+        bar = current  # the value to beat: the current one, then the best union's
+        for key, mask in remaining.items():
             union = covered | mask
             value = score(union)
-            if value is None or current is not None and _le(value, current):
-                continue
-            if best is None or _lt(best[0], value):
-                best = (value, key, union)
+            if value is not None and (bar is None or bar[0] * value[1] < value[0] * bar[1]):
+                bar, best, best_union = value, key, union
         if best is None:
             break
-        value, key, covered = best
-        steps.append((key, current, value, covered))
-        chosen.append(key)
-        current = value
+        steps.append((best, current, bar, best_union))
+        chosen.append(best)
+        del remaining[best]
+        covered, current = best_union, bar
     return chosen, steps
-
-
-def _grow_body(k: _Kernel, ids: list[str], max_body_size: int | None):
-    """``_grow`` over condition ids under the recall-reduction budget."""
-
-    def score(mask: int) -> Ratio | None:
-        pb, pbg = k.counts(mask)
-        return k.value(pb, pbg) if k.feasible(pbg) else None
-
-    return _grow({cid: k.mask(cid) for cid in ids}, score, k.value(0, 0), max_body_size)
 
 
 def learn_detection(
@@ -318,15 +293,18 @@ def learn_detection(
     residual_num = k.n_pred - k.n_pred_gt
     residual = Fraction(residual_num, k.n_pred)
     guards = []
+    masks = {}
     any_feasible = False  # is some body of one condition within the budget?
     for cid in candidate_ids:
-        pb, pbg = k.counts(k.mask(cid))
-        any_feasible = any_feasible or k.feasible(pbg)
+        mask = masks[cid] = k.conditions.get(cid, 0)
+        pb, pbg = mask.bit_count(), (mask & k.correct).bit_count()
+        any_feasible = any_feasible or pbg <= k.limit
         improves = None if pb == 0 else (pb - pbg) * k.n_pred > residual_num * pb
         guards.append(GuardCheck(cid, Probability(pb - pbg, pb), residual, improves))
 
-    baseline = _fraction(k.value(0, 0))
-    body, ratio_steps = _grow_body(k, candidate_ids, cfg.max_body_size)
+    start = k.score(0)
+    baseline = _fraction(start)
+    body, ratio_steps = _grow(masks, k.score, start, cfg.max_body_size)
 
     if not body:
         reason = NO_IMPROVEMENT if any_feasible or not candidate_ids else INFEASIBLE
@@ -342,9 +320,10 @@ def learn_detection(
 
     steps = tuple(
         LearnStep(cid, _fraction(before), _fraction(after),
-                  Fraction(k.counts(mask)[1], k.n_gt) if k.n_gt else None)
+                  Fraction((mask & k.correct).bit_count(), k.n_gt) if k.n_gt else None)
         for cid, before, after, mask in ratio_steps
     )
+    mask = ratio_steps[-1][3]  # the body's mask: its counts are the final metrics'
     rule = DetectionRule(model_id, alpha, ConditionBody(frozenset(body)))
     report = LearnReport(
         objective=cfg.objective,
@@ -354,7 +333,8 @@ def learn_detection(
         baseline_objective=baseline,
         steps=steps,
         guards=tuple(guards),
-        final_metrics=metric_bundle(log, model_id, alpha, rule.body),
+        final_metrics=bundle_from_counts(
+            JointCounts(*k.base, mask.bit_count(), (mask & k.correct).bit_count())),
     )
     return rule, report
 
@@ -500,13 +480,14 @@ def exhaustive_oracle(
         return None, None
     twins: dict[int, str] = {}  # mask → the first id with it
     for cid in ids:
-        twins.setdefault(k.mask(cid), cid)
-    ids = list(twins.values())
+        twins.setdefault(k.conditions.get(cid, 0), cid)
+    masks = {cid: mask for mask, cid in twins.items()}
 
-    baseline = k.value(0, 0)
-    errors = ((1 << k.n_pred) - 1) ^ k.pred_gt  # every prediction of α not in its truth
+    correct, limit, score = k.correct, k.limit, k.score
+    baseline = score(0)
+    errors = ((1 << k.n_pred) - 1) ^ correct  # every prediction of α not in its truth
 
-    body, steps = _grow_body(k, ids, cfg.max_body_size)
+    body, steps = _grow(masks, score, baseline, cfg.max_body_size)
     best_value = steps[-1][2] if steps else None
     best_body = tuple(sorted(body))
 
@@ -526,16 +507,16 @@ def exhaustive_oracle(
         children = []
         for cid, cmask in extensions:
             mask = covered | cmask
-            pb, pbg = k.counts(mask)
-            if k.feasible(pbg):  # no superset of an infeasible body is feasible
-                children.append((pbg - pb, cid, cmask, mask, pb, pbg))
+            pbg = (mask & correct).bit_count()
+            if pbg <= limit:  # no superset of an infeasible body is feasible
+                children.append((pbg - mask.bit_count(), cid, cmask, mask, pbg))
         children.sort()  # most errors covered first: later subtrees reach fewer
         reachable = [0] * (len(children) + 1)  # reachable[i]: OR of children[i:]
         for i in range(len(children) - 1, -1, -1):
             reachable[i] = reachable[i + 1] | children[i][3]
-        for i, (_, cid, _, mask, pb, pbg) in enumerate(children):
+        for i, (_, cid, _, mask, pbg) in enumerate(children):
             node = subset + (cid,)
-            value = k.value(pb, pbg)
+            value = score(mask)
             if value is not None and (baseline is None or _lt(baseline, value)) and beats(value, node):
                 best_value, best_body = value, tuple(sorted(node))
             if len(node) == cfg.max_body_size or i + 1 == len(children):
@@ -551,7 +532,7 @@ def exhaustive_oracle(
                 continue
             search([(c[1], c[2]) for c in children[i + 1:]], mask, node)
 
-    search([(cid, k.mask(cid)) for cid in ids], 0, ())
+    search(list(masks.items()), 0, ())
     if best_value is None:
         return None, None
     return frozenset(best_body), Fraction(*best_value)

@@ -295,7 +295,7 @@ class ClassView:
 class LogIndex:
     """Bitsets over a log's rows: bit i of a key's mask is set iff row i
     carries the key. Keys no row carries have no entry; read them as the
-    empty mask 0.
+    empty mask 0. ``tags`` holds the distribution tags in sorted order.
 
     Each key's mask is the rows whose shape carries it. With at most 256
     shapes, the row codes are one byte each: one ``bytes.translate`` turns
@@ -313,7 +313,7 @@ class LogIndex:
     the row codes.
     """
 
-    __slots__ = ("all", "models", "distributions", "predicted", "ground_truth", "conditions",
+    __slots__ = ("all", "models", "distributions", "tags", "predicted", "ground_truth", "conditions",
                  "_shapes", "_codes", "_shape_rows", "_views")
 
     def __init__(self, log: "PredictionLog"):
@@ -353,6 +353,7 @@ class LogIndex:
         ]
         (self.models, self.distributions, self.predicted, self.ground_truth,
          self.conditions) = bitsets
+        self.tags = tuple(sorted(self.distributions))
 
     def scope(self, model_id: str | None = None, distribution: str | None = None) -> int:
         """Records of one model (every model for None), narrowed to one
@@ -662,15 +663,37 @@ def load_log_file(path) -> PredictionLog:
             return load_log(handle)
         except UnicodeDecodeError:
             pass  # raised a chunk ahead of the line read, and at a chunk's offset
+    return load_log(_reread_utf8(path, LogFormatError, "", load_log))
+
+
+def _read_text(path, what: str, error: type[InputError]) -> str:
+    """The text of a whole UTF-8 document, a rule file or a synth config,
+    with its line ends read as ``open`` reads them. Bytes that do not decode
+    are rejected with the line they are on; ``what`` names the format in
+    the ``error`` raised."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError:
+            pass
+    return _reread_utf8(path, error, f"{what}: ")
+
+
+def _reread_utf8(path, error: type[InputError], prefix: str, check_lines=None) -> str:
+    """The bytes of a file whose text read failed to decode: ``error``
+    names the line of the first byte that does not decode (CRLF, CR and LF
+    end a line), once ``check_lines``, if given, has read the lines before
+    it. A text is returned only when the file changed between the two
+    reads."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lines = data[:exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        load_log(lines[:-1])
-        raise LogFormatError(f"line {len(lines)}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
-    return load_log(text)  # the file changed between the two reads
+        if check_lines is not None:
+            check_lines(lines[:-1])
+        raise error(f"{prefix}line {len(lines)}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
 _ENCODE_STR = json.encoder.encode_basestring_ascii

@@ -235,12 +235,15 @@ class ApplicationTrace(_Frozen):
         return '{\n  "entries": [\n    ' + ",\n    ".join(parts) + "\n  ]\n}"
 
 
-def _require_known_conditions(condition_ids, log: PredictionLog, kind: str) -> None:
-    unknown = sorted(set(condition_ids) - log.condition_universe)
-    if unknown:
-        raise UnknownConditionError(
-            f"{kind} rule references condition id(s) absent from the log: {unknown}"
-        )
+def _require_known_conditions(rules: RuleSet, log: PredictionLog) -> None:
+    """Reject the first rule that names a condition id the log never
+    observed, by its key path in the rule file."""
+    known = log.condition_universe
+    bodies = [(f"detections[{i}].conditions", r.body.condition_ids) for i, r in enumerate(rules.detections)]
+    bodies += [(f"corrections[{i}].pairs", {c for c, _ in r.pairs}) for i, r in enumerate(rules.corrections)]
+    for path, ids in bodies:
+        if not ids <= known:
+            raise UnknownConditionError(f"{path}: condition id(s) absent from the log: {sorted(ids - known)}")
 
 
 def apply_rules(log: PredictionLog, rules: RuleSet) -> tuple[PredictionLog, ApplicationTrace]:
@@ -261,14 +264,7 @@ def apply_rules(log: PredictionLog, rules: RuleSet) -> tuple[PredictionLog, Appl
     ids and shape codes of the input: only the shapes a detection rule
     touches are replaced. The input log is unchanged.
     """
-    _require_known_conditions(
-        (cid for rule in rules.detections for cid in rule.body.condition_ids),
-        log,
-        "detection",
-    )
-    _require_known_conditions(
-        (c for rule in rules.corrections for c, _ in rule.pairs), log, "correction"
-    )
+    _require_known_conditions(rules, log)
     shapes = list(log.shapes)
     outcomes: dict[int, tuple] = {}  # code of a touched shape → its trace fields
     for code, (model_id, predicted, ground_truth, conditions, distribution) in enumerate(log.shapes):

@@ -37,9 +37,9 @@ from errata import (
     sweep,
 )
 from errata.cli import main
-from errata.learning import _objective_value
 from errata.synth import condition_alphabet
 from event_oracle import slice_log
+from learner_oracle import objective_value
 
 BODY_C1 = ConditionBody.of("c1")
 
@@ -233,7 +233,7 @@ def test_acceptance_5_oracle_agreement():
                     ext = joint_counts(sub, "a", rule.body.condition_ids | {extra})
                     if ext.gt and Fraction(ext.pred_body_gt, ext.gt) > cfg.epsilon:
                         continue
-                    value = _objective_value(
+                    value = objective_value(
                         cfg.objective, ext.pred, ext.pred_gt, ext.gt,
                         ext.pred_body, ext.pred_body_gt,
                     )

@@ -675,6 +675,47 @@ def test_huge_json_integer_exits_2(tmp_path, log_file, capsys, command, message)
     assert not (tmp_path / "out").exists()
 
 
+# A rule file and a synth config whose bytes past the decoder's first 8 KB
+# chunk, after CRLF, CR and LF line ends, are not UTF-8.
+_PADDING = "".join(" " * 40 + ("\r\n", "\r", "\n")[i % 3] for i in range(300))
+
+
+def test_rule_file_not_utf8_names_its_line(tmp_path, log_file, capsys):
+    # Found with a rule file holding a 0xff byte: the message named an
+    # offset into the decoder's chunk and no line.
+    data = ('{"detections": [],' + _PADDING + '"corrections": [').encode() + b"\xff]}"
+    argv = ["apply", "--log", str(log_file), "--rules", str(_bytes_file(tmp_path, data)),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"errata apply: rule file: line 301: not UTF-8 (invalid start byte at byte {len(data) - 3})\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_synth_config_not_utf8_names_its_line(tmp_path, capsys):
+    # As for rule files: the message named no line.
+    data = ('{"seed": 1,' + _PADDING + '"model_id": "').encode() + b'\xe2\x82"}'
+    argv = ["synth", "--config", str(_bytes_file(tmp_path, data)), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "errata synth: synth config: line 301: not UTF-8 "
+        f"(invalid continuation byte at byte {len(data) - 4})\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_condition_names_its_rule(tmp_path, log_file, capsys):
+    # Found by the mutated-rule-file fuzz test: the message named neither a
+    # line nor a key path.
+    rules = {"detections": [{"model_id": "m", "target_class": "a", "conditions": ["c1"]}],
+             "corrections": [{"model_id": "m", "target_class": "b",
+                              "pairs": [{"condition": "ghost", "trigger_class": "a"}]}]}
+    argv = ["apply", "--log", str(log_file), "--rules", str(_rules_text(tmp_path, json.dumps(rules))),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "errata apply: corrections[0].pairs: condition id(s) absent from the log: ['ghost']\n")
+
+
 @pytest.mark.parametrize("epsilon", ["1e-999999","1e1000", "1/" + "9" * 1001, "2e-99999999999999999999"])
 def test_oversized_epsilon_exits_2(tmp_path, log_file, capsys, epsilon):
     # 1e-999999 used to pass parsing and crash writing the report (Python

@@ -1,10 +1,11 @@
 """Mutated input documents never crash the CLI.
 
-Each test starts from a valid document, applies a few byte-level
-mutations and runs the CLI in-process. The exit code must be 0, 2 or 3
-(never 1, which reports a VIOLATED check, nor a traceback); an exit 2
-must name the offending line, and the strict reader must agree: it
-accepts exactly the texts the command accepted.
+Each test starts from a valid document (a log, a rule file or a synth
+config), applies a few byte-level mutations and runs the CLI in-process.
+The exit code must be 0, 2 or 3 (never 1, which reports a VIOLATED check,
+nor a traceback); an exit 2 must name the offending line or key path, and
+the strict reader must agree: it accepts exactly the texts the command
+accepted, and the command writes what it gives for them.
 """
 
 import contextlib
@@ -15,13 +16,25 @@ import tempfile
 from pathlib import Path
 
 import hypothesis.strategies as st
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 
-from conftest import logs_st
-from errata import InputError, load_log_file, serialize_log
+from conftest import logs_st, make_log, rec
+from errata import (
+    InputError, SynthConfig, apply_rules, generate, load_log_file, loads_rules, serialize_log,
+)
 from errata.cli import main
+from errata.logs import _strict_json
+from errata.synth import SynthConfigError
+from test_rules import rule_sets_st
+from test_synth import synth_configs_st
 
+# The keys each format's mutations drop, duplicate or retype.
 _FIELDS = ("sample_id", "model_id", "predicted", "ground_truth", "conditions", "distribution")
+_RULE_FIELDS = ("detections", "corrections", "model_id", "target_class", "conditions", "pairs",
+                "condition", "trigger_class")
+_SYNTH_FIELDS = ("seed", "n_records", "model_id", "labels", "class_priors", "confusion", "predicted",
+                 "weight", "planted_conditions", "condition_id", "target_class", "target_support",
+                 "target_confidence", "distributions", "tag", "record_fraction", "confidence_override")
 # Values of the wrong JSON type for some field, and JSON that Python's
 # reader takes apart in its own ways: NaN and the infinities are accepted
 # by json, a 5,000-digit integer is past the int-text digit limit, and a
@@ -33,27 +46,53 @@ _ODD_VALUES = (
 _BAD_UTF8 = (b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xc0\xaf")
 
 
+# Stands in for the edited object while the rest of its line is written.
+_MARK = "\x00edited object\x00"
+
+
 def _edit_object(data: bytes, index: int, edit) -> bytes:
-    """``data`` with line ``index`` (mod the line count) parsed, changed by
-    ``edit`` into a list of (key, value text) pairs and written again; a
-    line that is not a JSON object is left as it is."""
+    """``data`` with one JSON object of line ``index`` (mod the line count)
+    changed by ``edit`` into a list of (key, value text) pairs and written
+    again: the object ``index`` (mod their count) of the line's objects in
+    document order, so the line itself when it is a flat object. A line
+    that holds no JSON object is left as it is."""
     lines = data.split(b"\n")
     i = index % len(lines)
     try:
-        obj = json.loads(lines[i])
+        value = json.loads(lines[i])
     except (ValueError, RecursionError):
         return data
-    if not isinstance(obj, dict):
+    slots = []  # (container, key) of each object, (None, None) for the line's own value
+
+    def collect(v, container, key):
+        if isinstance(v, dict):
+            slots.append((container, key))
+            children = v.items()
+        elif isinstance(v, list):
+            children = enumerate(v)
+        else:
+            return
+        for k, child in children:
+            collect(child, v, k)
+
+    collect(value, None, None)
+    if not slots:
         return data
-    pairs = edit([(key, json.dumps(value)) for key, value in obj.items()])
-    lines[i] = ("{" + ",".join(f"{json.dumps(k)}:{v}" for k, v in pairs) + "}").encode()
+    container, key = slots[index % len(slots)]
+    obj = value if container is None else container[key]
+    pairs = edit([(k, json.dumps(v)) for k, v in obj.items()])
+    text = "{" + ",".join(f"{json.dumps(k)}:{v}" for k, v in pairs) + "}"
+    if container is not None:
+        container[key] = _MARK
+        text = json.dumps(value).replace(json.dumps(_MARK), text, 1)
+    lines[i] = text.encode()
     return b"\n".join(lines)
 
 
 @st.composite
-def _mutation(draw, data: bytes) -> bytes:
+def _mutation(draw, data: bytes, fields=_FIELDS) -> bytes:
     where = draw(st.integers(0, max(len(data), 1)))
-    field = draw(st.sampled_from(_FIELDS))
+    field = draw(st.sampled_from(fields))
     kind = draw(st.sampled_from(
         ["truncate", "drop", "duplicate", "retype", "splice", "bom", "cr", "utf8"]))
     if kind == "truncate":
@@ -105,3 +144,119 @@ def test_verify_on_a_mutated_log_exits_0_2_or_3(data, beta):
             assert re.match(r"errata verify: line \d+: ", err.getvalue()), err.getvalue()
         else:
             assert code in (0, 3), (code, err.getvalue())
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (code, err.getvalue())
+    return code, err.getvalue()
+
+
+def _names_a_line_or_key(message: str, command: str, root: str) -> bool:
+    """Does an exit-2 message name a line, a key, or a key path (the
+    document's root, named ``root``, or a path within it)?"""
+    detail = message.removeprefix(f"errata {command}: ")
+    return bool(re.search(r"\bline \d+|\bkey '", detail) or re.match(
+        rf"(malformed )?{root}: |[\w-]+(\[\d+\]|\.[^\s:]+)*: ", detail))
+
+
+def _document(draw, text: str, fields) -> bytes:
+    data = text.encode()
+    for _ in range(draw(st.integers(1, 3))):
+        data = draw(_mutation(data, fields))
+    return data
+
+
+def _read(path: Path) -> str | None:
+    """The file's text as the CLI reads it; None when it is not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        return None
+
+
+def _log_for(rules):
+    """A log on which every condition id of ``rules`` is observed: one
+    record per rule, of its model, predicting its target class (and the
+    pairs' trigger classes) under each of its condition ids."""
+    records = [rec("r0", {"a"}, {"a"}, {"c1"})]
+    for i, rule in enumerate(rules.detections):
+        records.append(rec(f"d{i}", {rule.target_class}, (), rule.body.condition_ids, rule.model_id))
+    for i, rule in enumerate(rules.corrections):
+        records.append(rec(f"c{i}", {t for _, t in rule.pairs}, {rule.target_class},
+                           {c for c, _ in rule.pairs}, rule.model_id))
+    return make_log(*records)
+
+
+@st.composite
+def mutated_rule_files_st(draw):
+    rules = draw(rule_sets_st)
+    text = json.dumps(rules.to_dict(), indent=draw(st.sampled_from([None, 2])))
+    return rules, _document(draw, text, _RULE_FIELDS)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_rule_files_st())
+def test_apply_on_a_mutated_rule_file_exits_0_2_or_3(case):
+    rules, data = case
+    log = _log_for(rules)
+    with tempfile.TemporaryDirectory() as tmp:
+        log_path, path, out = Path(tmp) / "log.jsonl", Path(tmp) / "rules.json", Path(tmp) / "out"
+        log_path.write_text(serialize_log(log), encoding="utf-8")
+        path.write_bytes(data)
+        code, err = _run(["apply", "--log", str(log_path), "--rules", str(path), "--out", str(out)])
+        text = _read(path)
+        try:
+            if text is None:
+                raise InputError("not UTF-8")
+            applied, trace = apply_rules(log, loads_rules(text))
+        except InputError as exc:
+            assert code == 2, (code, exc)
+            assert _names_a_line_or_key(err, "apply", "rule file"), err
+        else:
+            assert code == 0, (code, err)
+            assert (out / "applied.jsonl").read_text(encoding="utf-8") == serialize_log(applied)
+            assert (out / "trace.json").read_text(encoding="utf-8") == trace.to_json() + "\n"
+
+
+def _n_records(data: bytes):
+    """``n_records`` of a config that parses as a JSON object, else None."""
+    try:
+        obj = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError):
+        return None
+    return obj.get("n_records") if isinstance(obj, dict) else None
+
+
+@st.composite
+def mutated_synth_configs_st(draw):
+    text = json.dumps(draw(synth_configs_st()), indent=draw(st.sampled_from([None, 2])))
+    return _document(draw, text, _SYNTH_FIELDS)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_synth_configs_st())
+def test_synth_on_a_mutated_config_exits_0_2_or_3(data):
+    # A mutation may ask for up to MAX_RECORDS records; a few hundred suffice.
+    n = _n_records(data)
+    assume(not isinstance(n, int) or n <= 300)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        path.write_bytes(data)
+        code, err = _run(["synth", "--config", str(path), "--out", str(out)])
+        text = _read(path)
+        try:
+            if text is None:
+                raise InputError("not UTF-8")
+            log, bookkeeping = generate(SynthConfig.from_dict(
+                _strict_json(text, "synth config", SynthConfigError)))
+        except InputError as exc:
+            assert code == 2, (code, exc)
+            assert _names_a_line_or_key(err, "synth", "synth config"), err
+        else:
+            assert code == 0, (code, err)
+            assert (out / "log.jsonl").read_text(encoding="utf-8") == serialize_log(log)
+            assert (out / "bookkeeping.json").read_text(encoding="utf-8") == (
+                json.dumps(bookkeeping.to_dict(), indent=2) + "\n")

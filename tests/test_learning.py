@@ -21,7 +21,6 @@ from errata.learning import (
     NO_ADMISSIBLE_PAIR,
     NO_IMPROVEMENT,
     UNDEFINED_BASE,
-    _objective_value,
 )
 from errata.synth import condition_alphabet, random_log
 from event_oracle import EventQuery, cond_prob, condition_holds, predicted_has, slice_log, truth_has
@@ -401,6 +400,7 @@ def test_learners_match_the_fraction_references(seed, alpha, candidates, epsilon
     rule, report = learn_detection(log, "m", alpha, candidates, c)
     want_rule, want_report = learner_oracle.learn_detection(log, "m", alpha, candidates, c)
     assert rule == want_rule
+    assert report == want_report
     assert report.to_dict() == want_report.to_dict()
 
 
@@ -472,6 +472,73 @@ def test_learn_correction_matches_the_fraction_reference(seed, beta, pairs, max_
     assert report.to_dict() == want_report.to_dict()
 
 
+LIBRARY_LABELS = ("a", "b", "c", "d")
+# Per class: an error marker, two weaker markers and a benign condition,
+# as (support, confidence) targets.
+LIBRARY_SHAPES = (("1/5", "9/10"), ("3/20", "4/5"), ("1/10", "7/10"), ("1/5", "1/10"))
+
+
+def library_log(n_records):
+    """A log of the library audit's shape: four labels, multi-label
+    predictions, three distribution tags (one with a confidence override)
+    and four planted conditions per class, c1 … c16."""
+    from errata import SynthConfig, generate
+
+    def shifted(label, step):
+        return LIBRARY_LABELS[(LIBRARY_LABELS.index(label) + step) % 4]
+
+    config = {
+        "seed": 1,
+        "n_records": n_records,
+        "model_id": "m",
+        "labels": list(LIBRARY_LABELS),
+        "class_priors": {label: "1/4" for label in LIBRARY_LABELS},
+        "confusion": {
+            x: [
+                {"predicted": [x], "weight": "11/20"},
+                {"predicted": [shifted(x, -1)], "weight": "1/5"},
+                {"predicted": [x, shifted(x, -1)], "weight": "3/20"},
+                {"predicted": [x, shifted(x, 1)], "weight": "1/10"},
+            ]
+            for x in LIBRARY_LABELS
+        },
+        "planted_conditions": [
+            {"condition_id": f"c{4 * i + j + 1}", "target_class": label,
+             "target_support": support, "target_confidence": confidence}
+            for i, label in enumerate(LIBRARY_LABELS)
+            for j, (support, confidence) in enumerate(LIBRARY_SHAPES)
+        ],
+        "distributions": [
+            {"tag": "d1", "record_fraction": "2/5", "confidence_override": {}},
+            {"tag": "d2", "record_fraction": "2/5", "confidence_override": {}},
+            {"tag": "d3", "record_fraction": "1/5", "confidence_override": {"c1": "1/10"}},
+        ],
+    }
+    return generate(SynthConfig.from_dict(config))[0]
+
+
+def test_learners_match_the_references_on_a_library_log():
+    log = library_log(1000)
+    assert len(log.shapes) > 256  # the row codes are an array, not bytes
+    candidates = [f"c{i}" for i in range(1, 17)]
+    for i, alpha in enumerate(LIBRARY_LABELS):
+        beta = LIBRARY_LABELS[(i + 1) % 4]
+        for objective in Objective:
+            c = cfg("3/20", objective)
+            got = learn_detection(log, "m", alpha, candidates, c)
+            want = learner_oracle.learn_detection(log, "m", alpha, candidates, c)
+            assert got == want
+            assert got[1].to_dict() == want[1].to_dict()
+        eight = candidates[4 * i:4 * i + 4] + candidates[4 * ((i + 1) % 4):4 * ((i + 1) % 4) + 4]
+        assert exhaustive_oracle(log, "m", alpha, eight, cfg("3/20")) == learner_oracle.exhaustive_oracle(
+            log, "m", alpha, eight, cfg("3/20"))
+        pairs = [(cid, alpha) for cid in candidates[4 * i:4 * i + 4]]
+        got = learn_correction(log, "m", beta, pairs, cfg("3/20"))
+        want = learner_oracle.learn_correction(log, "m", beta, pairs, cfg("3/20"))
+        assert got == want
+        assert got[1].to_dict() == want[1].to_dict()
+
+
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
@@ -506,7 +573,7 @@ def test_greedy_contracts_and_oracle_dominance(log, alpha, epsilon, objective):
         assert all(x <= y for x, y in zip(values, values[1:]))
         # Local optimality: no single feasible improving extension.
         counts = joint_counts(sub, alpha, rule.body)
-        current = _objective_value(
+        current = learner_oracle.objective_value(
             objective, counts.pred, counts.pred_gt, counts.gt,
             counts.pred_body, counts.pred_body_gt,
         )
@@ -516,7 +583,7 @@ def test_greedy_contracts_and_oracle_dominance(log, alpha, epsilon, objective):
             ext = joint_counts(sub, alpha, rule.body.condition_ids | {extra})
             if ext.gt and Fraction(ext.pred_body_gt, ext.gt) > epsilon:
                 continue
-            value = _objective_value(
+            value = learner_oracle.objective_value(
                 objective, ext.pred, ext.pred_gt, ext.gt, ext.pred_body, ext.pred_body_gt
             )
             assert value is None or value <= current
