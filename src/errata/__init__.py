@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _SUBMODULE_NAMES = {
     "bundles": "MetricBundle",
     "estimators": "ConditionBody InvarianceProfile InvarianceRow Probability"
-    " Verdict f1_value invariance_profile is_error_detecting joint_counts metric_bundle",
+    " Verdict f1_value invariance_profile joint_counts metric_bundle",
     "learning": "GuardCheck LearnConfig LearnReport LearnStep Objective PairGuard"
     " exhaustive_oracle learn_correction learn_detection",
     "logs": "DEFAULT_DISTRIBUTION InputError LogFormatError PredictionLog PredictionRecord"
@@ -29,9 +29,8 @@ _SUBMODULE_NAMES = {
     " loads_rules",
     "synth": "DistributionSpec PlantedCondition SynthBookkeeping SynthConfig SynthConfigError"
     " generate random_log",
-    "theorems": "SweepResult TheoremId TheoremReport TheoremVerdict check_claim1 check_edns"
-    " check_precision_change check_recall_reduction check_reclassification_limit"
-    " check_residual check_support_bound sweep",
+    "theorems": "SweepResult TheoremId TheoremReport TheoremVerdict check check_precision_change"
+    " check_recall_reduction check_support_bound sweep",
 }
 _SUBMODULE_OF = {
     name: module for module, names in _SUBMODULE_NAMES.items() for name in names.split()

@@ -296,28 +296,14 @@ def f1_value(precision: Probability, recall: Probability) -> Fraction | None:
 
 
 def _error_detecting(pred: int, pred_gt: int, pred_body: int, pred_body_gt: int) -> Verdict:
+    """YES iff P(α ∈ gt | α predicted, body) ≤ P(α ∈ gt | α predicted):
+    the body's truth does not raise α's precision. UNDEFINED when either
+    side has a zero conditioning count."""
     if pred == 0 or pred_body == 0:
         return Verdict.UNDEFINED
     # Non-strict by definition: equality still counts as error detecting.
     conditioned_le_base = pred_body_gt * pred <= pred_gt * pred_body
     return Verdict.YES if conditioned_le_base else Verdict.NO
-
-
-def is_error_detecting(
-    log: PredictionLog,
-    model_id: str,
-    alpha: str,
-    body: ConditionBody,
-    distribution: str | None = None,
-) -> Verdict:
-    """Does the body's truth fail to raise conditional precision for alpha?
-
-    YES iff P(alpha ∈ gt | alpha predicted, body) ≤ P(alpha ∈ gt | alpha
-    predicted) on the (model, distribution) slice; UNDEFINED when either
-    side has a zero conditioning count.
-    """
-    c = joint_counts(log, alpha, body, model_id=model_id, distribution=distribution)
-    return _error_detecting(c.pred, c.pred_gt, c.pred_body, c.pred_body_gt)
 
 
 class InvarianceRow(_Frozen):

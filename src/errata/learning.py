@@ -260,6 +260,18 @@ def _grow(masks: dict, score, start: Ratio | None, max_size: int | None):
     return chosen, steps
 
 
+def _learn_steps(start: Fraction | None, steps) -> tuple[LearnStep, ...]:
+    """``LearnStep``s from (added, value after as a ratio, recall
+    reduction) triples: each step's value before is the previous step's
+    value after, the first one's ``start``, each normalized once."""
+    out = []
+    for added, after, recall_reduction in steps:
+        after = Fraction(*after)
+        out.append(LearnStep(added, start, after, recall_reduction))
+        start = after
+    return tuple(out)
+
+
 def learn_detection(
     log: PredictionLog,
     model_id: str,
@@ -318,11 +330,9 @@ def learn_detection(
         )
         return None, report
 
-    steps = tuple(
-        LearnStep(cid, _fraction(before), _fraction(after),
-                  Fraction((mask & k.correct).bit_count(), k.n_gt) if k.n_gt else None)
-        for cid, before, after, mask in ratio_steps
-    )
+    steps = _learn_steps(baseline, [
+        (cid, after, Fraction((mask & k.correct).bit_count(), k.n_gt) if k.n_gt else None)
+        for cid, _, after, mask in ratio_steps])
     mask = ratio_steps[-1][3]  # the body's mask: its counts are the final metrics'
     rule = DetectionRule(model_id, alpha, ConditionBody(frozenset(body)))
     report = LearnReport(
@@ -402,10 +412,7 @@ def learn_correction(
         outcome="RULE",
         reason=None,
         baseline_objective=base.value,
-        steps=tuple(
-            LearnStep(pair, _fraction(before), Fraction(*after), None)
-            for pair, before, after, _ in ratio_steps
-        ),
+        steps=_learn_steps(None, [(pair, after, None) for pair, _, after, _ in ratio_steps]),
         pair_guards=tuple(pair_guards),
         base_precision=base,
         final_precision=Probability(*ratio_steps[-1][2]),

@@ -131,50 +131,53 @@ class SynthConfig(_Frozen):
         _set(self, "distributions", distributions)
         _integers(SynthConfigError, seed=self.seed, n_records=self.n_records)
         if self.seed < 0:
-            raise SynthConfigError("seed must be nonnegative")
+            raise SynthConfigError("seed: must be nonnegative")
         if self.n_records < 1:
-            raise SynthConfigError("n_records must be at least 1")
+            raise SynthConfigError("n_records: must be at least 1")
         if self.n_records > MAX_RECORDS:
-            raise SynthConfigError(f"n_records must be at most {MAX_RECORDS}")
+            raise SynthConfigError(f"n_records: must be at most {MAX_RECORDS}")
         if not self.model_id:
-            raise SynthConfigError("model_id must be a nonempty string")
+            raise SynthConfigError("model_id: must be a nonempty string")
         if not self.labels or len(set(self.labels)) != len(self.labels):
-            raise SynthConfigError("labels must be nonempty and unique")
+            raise SynthConfigError("labels: must be nonempty and unique")
         label_set = set(self.labels)
         prior_total = Fraction(0)
         for label, weight in self.class_priors.items():
             if label not in label_set:
-                raise SynthConfigError(f"prior for unknown label {label!r}")
+                raise SynthConfigError(f"class_priors: prior for unknown label {label!r}")
             if not 0 <= weight <= 1:
-                raise SynthConfigError(f"prior for {label!r} outside [0, 1]")
+                raise SynthConfigError(f"class_priors: prior for {label!r} outside [0, 1]")
             prior_total += weight
         if prior_total != 1:
-            raise SynthConfigError(f"class priors sum to {prior_total}, not 1")
+            raise SynthConfigError(f"class_priors: priors sum to {prior_total}, not 1")
         for label, entries in self.confusion.items():
             if label not in label_set:
-                raise SynthConfigError(f"confusion row for unknown label {label!r}")
+                raise SynthConfigError(f"confusion: row for unknown label {label!r}")
             total = Fraction(0)
             for predicted, weight in entries:
                 if not predicted <= label_set:
                     raise SynthConfigError(
-                        f"confusion row {label!r} predicts unknown labels {sorted(predicted - label_set)}"
+                        f"confusion: row {label!r} predicts unknown labels "
+                        f"{sorted(predicted - label_set)}"
                     )
                 if not 0 <= weight <= 1:
-                    raise SynthConfigError(f"confusion weight for {label!r} outside [0, 1]")
+                    raise SynthConfigError(f"confusion: weight for {label!r} outside [0, 1]")
                 total += weight
             if total != 1:
-                raise SynthConfigError(f"confusion row {label!r} sums to {total}, not 1")
+                raise SynthConfigError(f"confusion: row {label!r} sums to {total}, not 1")
         for label, weight in self.class_priors.items():
             if weight > 0 and label not in self.confusion:
-                raise SynthConfigError(f"label {label!r} has prior mass but no confusion row")
+                raise SynthConfigError(f"confusion: label {label!r} has prior mass but no row")
         seen_conditions = set()
-        for pc in self.planted_conditions:
+        for i, pc in enumerate(self.planted_conditions):
+            where = f"planted_conditions[{i}]"
             if not pc.condition_id or pc.condition_id in seen_conditions:
-                raise SynthConfigError(f"condition id {pc.condition_id!r} empty or repeated")
+                raise SynthConfigError(f"{where}: condition id {pc.condition_id!r} empty or repeated")
             seen_conditions.add(pc.condition_id)
             if pc.target_class not in label_set:
                 raise SynthConfigError(
-                    f"condition {pc.condition_id!r} targets unknown class {pc.target_class!r}"
+                    f"{where}: condition {pc.condition_id!r} targets unknown class "
+                    f"{pc.target_class!r}"
                 )
             for name, value in (
                 ("target_support", pc.target_support),
@@ -182,24 +185,25 @@ class SynthConfig(_Frozen):
             ):
                 if not 0 <= value <= 1:
                     raise SynthConfigError(
-                        f"condition {pc.condition_id!r}: {name} outside [0, 1]"
+                        f"{where}.{name}: condition {pc.condition_id!r} outside [0, 1]"
                     )
         if self.distributions:
             tags = [d.tag for d in self.distributions]
             if len(set(tags)) != len(tags) or not all(tags):
-                raise SynthConfigError("distribution tags must be nonempty and unique")
+                raise SynthConfigError("distributions: tags must be nonempty and unique")
             total = sum((d.record_fraction for d in self.distributions), Fraction(0))
             if total != 1:
-                raise SynthConfigError(f"distribution fractions sum to {total}, not 1")
-            for d in self.distributions:
+                raise SynthConfigError(f"distributions: fractions sum to {total}, not 1")
+            for j, d in enumerate(self.distributions):
+                where = f"distributions[{j}].confidence_override"
                 for cid, value in d.confidence_override.items():
                     if cid not in seen_conditions:
                         raise SynthConfigError(
-                            f"distribution {d.tag!r} overrides unknown condition {cid!r}"
+                            f"{where}: distribution {d.tag!r} overrides unknown condition {cid!r}"
                         )
                     if not 0 <= value <= 1:
                         raise SynthConfigError(
-                            f"override for {cid!r} under {d.tag!r} outside [0, 1]"
+                            f"{where}: override for {cid!r} under {d.tag!r} outside [0, 1]"
                         )
 
     @classmethod
@@ -378,7 +382,8 @@ def _mark_probabilities(
     tags = [d.tag for d in cfg.distributions] or [DEFAULT_DISTRIBUTION]
     overrides = {d.tag: d.confidence_override for d in cfg.distributions}
     out: dict[tuple[str, str], tuple[Fraction, Fraction]] = {}
-    for pc in cfg.planted_conditions:
+    for i, pc in enumerate(cfg.planted_conditions):
+        where = f"planted_conditions[{i}]: condition {pc.condition_id!r}"
         precision = _class_precision(cfg, pc.target_class)
         for tag in tags:
             confidence = overrides.get(tag, {}).get(pc.condition_id, pc.target_confidence)
@@ -386,7 +391,7 @@ def _mark_probabilities(
             if precision is None:
                 if support != 0:
                     raise SynthConfigError(
-                        f"condition {pc.condition_id!r}: target class "
+                        f"{where}: target class "
                         f"{pc.target_class!r} is never predicted, support target unreachable"
                     )
                 out[(pc.condition_id, tag)] = (Fraction(0), Fraction(0))
@@ -398,7 +403,7 @@ def _mark_probabilities(
                 q_err = Fraction(0)
             elif error_rate == 0:
                 raise SynthConfigError(
-                    f"condition {pc.condition_id!r} under {tag!r}: target confidence "
+                    f"{where} under {tag!r}: target confidence "
                     f"{confidence} needs errors, but the confusion yields none for "
                     f"{pc.target_class!r}"
                 )
@@ -408,18 +413,18 @@ def _mark_probabilities(
                 q_ok = Fraction(0)
             elif precision == 0:
                 raise SynthConfigError(
-                    f"condition {pc.condition_id!r} under {tag!r}: targets need correct "
+                    f"{where} under {tag!r}: targets need correct "
                     f"predictions of {pc.target_class!r}, but the confusion yields none"
                 )
             else:
                 q_ok = ok_mass / precision
             if q_err > 1 or q_ok > 1:
                 raise SynthConfigError(
-                    f"condition {pc.condition_id!r} under {tag!r}: unsatisfiable "
+                    f"{where} under {tag!r}: unsatisfiable "
                     f"support/confidence targets (support {support} × confidence "
                     f"{confidence} exceeds the class error rate {error_rate})"
                     if q_err > 1
-                    else f"condition {pc.condition_id!r} under {tag!r}: unsatisfiable "
+                    else f"{where} under {tag!r}: unsatisfiable "
                     f"support/confidence targets (support {support} × (1 − confidence) "
                     f"exceeds the class correct rate {precision})"
                 )

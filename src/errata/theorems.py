@@ -1,25 +1,28 @@
 """Machine checks of the exact identities, equivalences, and bounds that
 relate pre- and post-rule precision/recall to support and confidence.
 
-Every statement is one entry of the ordered ``CHECKS`` registry, a pure
-function of a ``JointCounts`` tuple and of its base quantities (precision,
-post-rule precision, support, confidence, K and residual), which
-``estimators._base`` computes once per tuple. A ratio is an integer
-``(num, den)`` pair with a positive denominator; each side of an identity
-is evaluated as written and the two are compared by integer
-cross-multiplication, so no float and no ``Fraction`` reaches a verdict,
-and a wrong formula still comes out VIOLATED. Reports (from the public
-``check_*`` functions, ``errata verify`` and any VIOLATED verdict of the
-sweep) carry the same quantities as exact ``Fraction`` values. Beside
-each check is its column form (``COLUMN_CHECKS``): the same statement over
-the count columns of many rows at once, numpy integer arrays, with the
-same unreduced ratios, skips and cross-multiplication, giving each row's
-verdict code. The sweep over random logs only counts verdicts: it counts
-a chunk of trials at once from the random draws of their logs,
-zero-padded into one numpy block, with one batched matrix product, then
-runs the column forms once over the chunk and tallies their codes. A
-VIOLATED verdict is an implementation bug; only then does the sweep run
-the registry on that row, build the trial's log and keep each
+Each statement is written once, as one entry of the ordered ``STATEMENTS``
+registry: a function of an evaluator, a ``JointCounts`` tuple and its base
+ratios (precision, post-rule precision, support, confidence, K and
+residual, from ``estimators._base_ratios``). It declares its cases in
+order (a skip, or a vacuous HOLDS), names the quantities its report
+carries, and returns its verdict expression. A ratio is an unreduced
+integer ``(num, den)`` pair; each side of an identity is evaluated as
+written and the two are compared by integer cross-multiplication, so no
+float and no ``Fraction`` reaches a verdict, and a wrong formula still
+comes out VIOLATED.
+
+One evaluator runs a statement on one count tuple of Python ints: the
+first case that holds decides, and the report (``check``, ``check_all``,
+``errata verify``, a VIOLATED verdict of the sweep) carries the named
+quantities as exact ``Fraction`` values, None where undefined. The other
+runs it on count columns, numpy integer arrays of many rows, and gives
+each row's verdict code. The sweep over random logs only counts verdicts:
+it counts a chunk of trials at once from the random draws of their logs,
+zero-padded into one numpy block, with one batched matrix product, runs
+the column evaluation once over the chunk and tallies its codes. A
+VIOLATED verdict is an implementation bug; only then does the sweep
+evaluate that row on ints, build the trial's log and keep each
 occurrence's report and the log's text for replay. Checks whose
 conditioning events never occur report SKIPPED (a first-class verdict)
 rather than guessing.
@@ -38,16 +41,13 @@ from .estimators import (
     JointCounts,
     Ratio,
     _Base,
-    _base,
     _base_ratios,
     _div,
     _eq,
-    _fraction,
     _le,
     _lt,
     _mul,
     _recall_ratios,
-    _recalls,
     _sub,
     joint_counts,
 )
@@ -134,241 +134,113 @@ def _body_ids(body) -> frozenset[str]:
 
 
 # ---------------------------------------------------------------------------
-# Check registry
+# Statements
 # ---------------------------------------------------------------------------
 
 HOLDS, VIOLATED, SKIPPED = TheoremVerdict.HOLDS, TheoremVerdict.VIOLATED, TheoremVerdict.SKIPPED
 
-# An outcome is (verdict, skip_reason, note, extras): extras names the
-# statement's own quantities, in report order, beyond the base ones.
-Outcome = tuple[TheoremVerdict, str | None, str | None, tuple[tuple[str, Ratio | None], ...]]
-Check = Callable[[JointCounts, _Base], Outcome]
-
-# A column form states a check over the count columns of many rows: it
-# takes a ``JointCounts`` of numpy integer arrays and ``_base_ratios`` of
-# it, and returns each row's verdict code, the index of its verdict in
-# ``_VERDICTS``. It evaluates every side on every row as the check writes
-# it. A zero denominator stands where the check has None; on those rows
-# an earlier case (a skip) decides the code, as the check returns early.
-ColumnCheck = Callable[[JointCounts, _Base], object]  # → a numpy array of codes
+# A statement is a function ``(e, c, q)`` of an evaluator ``e``, a
+# ``JointCounts`` ``c`` and its ``_base_ratios`` ``q``. It declares its
+# cases in order (``e.case``, ``e.skip``: the first that holds decides),
+# names the quantities its report carries (``e.let``), and returns its
+# verdict expression, true where it holds. Its conditions use only ==, !=,
+# & and | (never ~, not, and, or), so that they read the same on Python
+# ints and on numpy columns.
+Statement = Callable[..., object]
 _VERDICTS = tuple(TheoremVerdict)
 _H, _V, _S = (_VERDICTS.index(v) for v in (HOLDS, VIOLATED, SKIPPED))
 
-_NEVER_PREDICTED: Outcome = (SKIPPED, "class never predicted", None, ())
-_NO_COOCCURRENCE: Outcome = (SKIPPED, "condition never co-occurs with a prediction", None, ())
-_SUPPORT_ONE: Outcome = (SKIPPED, "support is 1; post-rule precision undefined", None, ())
-
-
-def _verdict(holds: bool) -> TheoremVerdict:
-    return HOLDS if holds else VIOLATED
-
-
-def _select(cases, holds):
-    """Each row's verdict code: the code of the first case whose condition
-    holds on the row, as the check returns early, else HOLDS or VIOLATED
-    as ``holds``. A case is a (condition column, code) pair."""
-    import numpy as np  # deferred: importing errata must not load numpy
-
-    codes = np.where(holds, _H, _V)
-    for cond, code in reversed(cases):  # np.select, without its set-up cost
-        codes = np.where(cond, code, codes)
-    return codes
-
-
-def _where(cond, x: Ratio, y: Ratio) -> Ratio:
-    """The ratio ``x`` on the rows where ``cond`` holds, else ``y``."""
-    import numpy as np
-
-    return np.where(cond, x[0], y[0]), np.where(cond, x[1], y[1])
+_NEVER_PREDICTED = "class never predicted"
+_NO_COOCCURRENCE = "condition never co-occurs with a prediction"
+_SUPPORT_ONE = "support is 1; post-rule precision undefined"
 
 
 def _closed_form(q: _Base) -> Ratio:
     """Post-rule precision from precision, support and confidence."""
     correct_under_body = _sub(_ONE, q.confidence)
-    return _div(
-        _sub(q.precision, _mul(correct_under_body, q.support)), _sub(_ONE, q.support)
-    )
+    return _div(_sub(q.precision, _mul(correct_under_body, q.support)), _sub(_ONE, q.support))
 
 
-def _t1(c: JointCounts, q: _Base) -> Outcome:
-    if not c.pred:
-        return _NEVER_PREDICTED
-    if c.pred_body == c.pred:
-        return _SUPPORT_ONE
-    lhs = _sub(q.rule_precision, q.precision)
-    if not c.pred_body:
-        # Zero support annihilates the right-hand side: K = 0.
-        rhs, closed_form = _ZERO, q.precision
-    else:
-        rhs = _mul(q.k_factor, _sub(q.confidence, q.residual))
-        closed_form = _closed_form(q)
+def _t1(e, c: JointCounts, q: _Base):
+    e.skip(c.pred == 0, _NEVER_PREDICTED)
+    e.skip(c.pred_body == c.pred, _SUPPORT_ONE)
+    zero = c.pred_body == 0  # zero support annihilates the right-hand side: K = 0
+    lhs = e.let("lhs", _sub(q.rule_precision, q.precision))
+    rhs = e.let("rhs", e.where(zero, _ZERO, _mul(q.k_factor, _sub(q.confidence, q.residual))))
     # Closed form of post-rule precision; its failure would equally be an
     # implementation bug, so it shares the verdict.
-    holds = _eq(lhs, rhs) and _eq(q.rule_precision, closed_form)
-    extras = (("lhs", lhs), ("rhs", rhs), ("closed_form_rule_precision", closed_form))
-    return (_verdict(holds), None, None, extras)
+    closed_form = e.let("closed_form_rule_precision", e.where(zero, q.precision, _closed_form(q)))
+    return _eq(lhs, rhs) & _eq(q.rule_precision, closed_form)
 
 
-def _t1_columns(c: JointCounts, q: _Base):
-    zero = c.pred_body == 0
-    lhs = _sub(q.rule_precision, q.precision)
-    rhs = _where(zero, _ZERO, _mul(q.k_factor, _sub(q.confidence, q.residual)))
-    closed_form = _where(zero, q.precision, _closed_form(q))
-    holds = _eq(lhs, rhs) & _eq(q.rule_precision, closed_form)
-    return _select([(c.pred == 0, _S), (c.pred_body == c.pred, _S)], holds)
+def _claim1(e, c: JointCounts, q: _Base):
+    e.skip(c.pred == 0, _NEVER_PREDICTED)
+    e.skip(c.pred_body == c.pred, _SUPPORT_ONE)
+    expected = e.where(c.pred_body == 0, q.precision, _closed_form(q))
+    return _eq(q.rule_precision, e.let("expected_rule_precision", expected))
 
 
-def _claim1(c: JointCounts, q: _Base) -> Outcome:
-    if not c.pred:
-        return _NEVER_PREDICTED
-    if c.pred_body == c.pred:
-        return _SUPPORT_ONE
-    expected = q.precision if not c.pred_body else _closed_form(q)
-    holds = _eq(q.rule_precision, expected)
-    return (_verdict(holds), None, None, (("expected_rule_precision", expected),))
-
-
-def _claim1_columns(c: JointCounts, q: _Base):
-    expected = _where(c.pred_body == 0, q.precision, _closed_form(q))
-    return _select([(c.pred == 0, _S), (c.pred_body == c.pred, _S)],
-                   _eq(q.rule_precision, expected))
-
-
-def _t2(c: JointCounts, q: _Base) -> Outcome:
-    if not c.pred:
-        return _NEVER_PREDICTED
-    if not c.pred_body:
-        return _NO_COOCCURRENCE
-    if c.pred_body == c.pred:
-        return _SUPPORT_ONE
-    correct_under_body = _sub(_ONE, q.confidence)
+def _t2(e, c: JointCounts, q: _Base):
+    e.skip(c.pred == 0, _NEVER_PREDICTED)
+    e.skip(c.pred_body == 0, _NO_COOCCURRENCE)
+    e.skip(c.pred_body == c.pred, _SUPPORT_ONE)
+    correct_under_body = e.let("correct_rate_under_body", _sub(_ONE, q.confidence))
     error_detecting = _le(correct_under_body, q.precision)
-    no_worse = _le(q.precision, q.rule_precision)
-    note = f"error_detecting={'YES' if error_detecting else 'NO'}"
-    extras = (("correct_rate_under_body", correct_under_body),)
-    return (_verdict(error_detecting == no_worse), None, note, extras)
+    e.note(error_detecting, "error_detecting=YES", "error_detecting=NO")
+    return error_detecting == _le(q.precision, q.rule_precision)
 
 
-def _biconditional_skips(c: JointCounts) -> list:
-    """The skips of both biconditionals, T2 and EQ7, as column cases."""
-    return [(c.pred == 0, _S), (c.pred_body == 0, _S), (c.pred_body == c.pred, _S)]
-
-
-def _t2_columns(c: JointCounts, q: _Base):
-    correct_under_body = _sub(_ONE, q.confidence)
-    error_detecting = _le(correct_under_body, q.precision)
-    return _select(_biconditional_skips(c), error_detecting == _le(q.precision, q.rule_precision))
-
-
-def _t3(c: JointCounts, q: _Base) -> Outcome:
-    recall, rule_recall = _recalls(c)
-    correct_under_body = (c.pred_body_gt, c.pred_body) if c.pred_body else None
-    extras = (
-        ("recall", recall),
-        ("rule_recall", rule_recall),
-        ("correct_rate_under_body", correct_under_body),
-    )
-    if not c.gt:
-        return (SKIPPED, "class never in ground truth", None, extras)
-    if not c.pred:
-        return (SKIPPED, "class never predicted", None, extras)
-    lhs = _sub(recall, rule_recall)
-    if not c.pred_body:
-        rhs = _ZERO  # zero support: nothing erased
-    elif not c.pred_gt:
-        reason = "precision is zero (division by zero on the right)"
-        return (SKIPPED, reason, None, extras)
-    else:
-        rhs = _div(_mul(_mul(correct_under_body, q.support), recall), q.precision)
-    return (_verdict(_eq(lhs, rhs)), None, None, extras + (("lhs", lhs), ("rhs", rhs)))
-
-
-def _t3_columns(c: JointCounts, q: _Base):
+def _t3(e, c: JointCounts, q: _Base):
     recall, rule_recall = _recall_ratios(c)
-    correct_under_body = (c.pred_body_gt, c.pred_body)
-    zero = c.pred_body == 0
-    lhs = _sub(recall, rule_recall)
-    rhs = _where(zero, _ZERO,
-                 _div(_mul(_mul(correct_under_body, q.support), recall), q.precision))
-    return _select([(c.gt == 0, _S), (c.pred == 0, _S), (~zero & (c.pred_gt == 0), _S)],
-                   _eq(lhs, rhs))
+    e.let("recall", recall)
+    e.let("rule_recall", rule_recall)
+    correct_under_body = e.let("correct_rate_under_body", (c.pred_body_gt, c.pred_body))
+    e.skip(c.gt == 0, "class never in ground truth")
+    e.skip(c.pred == 0, _NEVER_PREDICTED)
+    zero = c.pred_body == 0  # zero support: nothing erased
+    e.skip((c.pred_body != 0) & (c.pred_gt == 0), "precision is zero (division by zero on the right)")
+    lhs = e.let("lhs", _sub(recall, rule_recall))
+    rhs = _div(_mul(_mul(correct_under_body, q.support), recall), q.precision)
+    return _eq(lhs, e.let("rhs", e.where(zero, _ZERO, rhs)))
 
 
-def _corollary(c: JointCounts, q: _Base) -> Outcome:
-    if not c.pred or not c.pred_body:
-        return (SKIPPED, "error-detecting verdict undefined", None, ())
-    correct_under_body = _sub(_ONE, q.confidence)
-    extras = (("correct_rate_under_body", correct_under_body),)
-    if _lt(q.precision, correct_under_body):
-        return (HOLDS, None, "condition not error detecting; bound vacuous", extras)
+def _corollary(e, c: JointCounts, q: _Base):
+    e.skip((c.pred == 0) | (c.pred_body == 0), "error-detecting verdict undefined")
+    correct_under_body = e.let("correct_rate_under_body", _sub(_ONE, q.confidence))
+    e.case(_lt(q.precision, correct_under_body), HOLDS,
+           note="condition not error detecting; bound vacuous")
     errors = c.pred - c.pred_gt
-    if not errors:
-        reason = "class always correct; bound side undefined"
-        return (SKIPPED, reason, None, extras)
-    bound = (c.pred_body - c.pred_body_gt, errors)
-    return (_verdict(_le(q.support, bound)), None, None, extras + (("support_bound", bound),))
+    e.skip(errors == 0, "class always correct; bound side undefined")
+    return _le(q.support, e.let("support_bound", (c.pred_body - c.pred_body_gt, errors)))
 
 
-def _corollary_columns(c: JointCounts, q: _Base):
-    errors = c.pred - c.pred_gt
-    cases = [((c.pred == 0) | (c.pred_body == 0), _S),
-             (_lt(q.precision, _sub(_ONE, q.confidence)), _H), (errors == 0, _S)]
-    return _select(cases, _le(q.support, (c.pred_body - c.pred_body_gt, errors)))
+def _eq7(e, c: JointCounts, q: _Base):
+    e.skip(c.pred == 0, _NEVER_PREDICTED)
+    e.skip(c.pred_body == 0, _NO_COOCCURRENCE)
+    e.skip(c.pred_body == c.pred, _SUPPORT_ONE)
+    return _lt(q.residual, q.confidence) == _lt(q.precision, q.rule_precision)
 
 
-def _eq7(c: JointCounts, q: _Base) -> Outcome:
-    if not c.pred:
-        return _NEVER_PREDICTED
-    if not c.pred_body:
-        return _NO_COOCCURRENCE
-    if c.pred_body == c.pred:
-        return _SUPPORT_ONE
-    improves = _lt(q.residual, q.confidence)
-    gained = _lt(q.precision, q.rule_precision)
-    return (_verdict(improves == gained), None, None, ())
-
-
-def _eq7_columns(c: JointCounts, q: _Base):
-    improves = _lt(q.residual, q.confidence)
-    return _select(_biconditional_skips(c), improves == _lt(q.precision, q.rule_precision))
-
-
-def _t4(c: JointCounts, q: _Base) -> Outcome:
+def _t4(e, c: JointCounts, q: _Base):
     # The conclusion pools the two prediction events with multiplicity
     # (native β predictions plus relabel decisions): a record satisfying
     # both events contributes to both counts. On multi-label logs the
     # plain set union of the events is *not* bounded by the base
     # precision; it is reported as an informative extra.
-    base = (c.beta_pred_beta_gt, c.beta_pred) if c.beta_pred else None
-    pair = (c.pred_body_beta_gt, c.pred_body) if c.pred_body else None
-    pooled_den = c.beta_pred + c.pred_body
-    pooled = (c.beta_pred_beta_gt + c.pred_body_beta_gt, pooled_den) if pooled_den else None
-    extras = (
-        ("base_precision", base),
-        ("pair_precision", pair),
-        ("combined_precision", pooled),
-        ("set_union_precision", (c.union_beta_gt, c.union) if c.union else None),
-    )
-    if base is None:
-        return (SKIPPED, "correction class never predicted", None, extras)
-    if pair is None:
-        return (SKIPPED, "pair event never occurs", None, extras)
-    if not _le(pair, base):
-        return (HOLDS, None, "hypothesis not met; implication vacuous", extras)
-    return (_verdict(_le(pooled, base)), None, None, extras)
+    base = e.let("base_precision", (c.beta_pred_beta_gt, c.beta_pred))
+    pair = e.let("pair_precision", (c.pred_body_beta_gt, c.pred_body))
+    pooled = e.let("combined_precision",
+                   (c.beta_pred_beta_gt + c.pred_body_beta_gt, c.beta_pred + c.pred_body))
+    e.let("set_union_precision", (c.union_beta_gt, c.union))
+    e.skip(c.beta_pred == 0, "correction class never predicted")
+    e.skip(c.pred_body == 0, "pair event never occurs")
+    e.case(_lt(base, pair), HOLDS, note="hypothesis not met; implication vacuous")
+    return _le(pooled, base)
 
 
-def _t4_columns(c: JointCounts, q: _Base):
-    base, pair = (c.beta_pred_beta_gt, c.beta_pred), (c.pred_body_beta_gt, c.pred_body)
-    pooled = (c.beta_pred_beta_gt + c.pred_body_beta_gt, c.beta_pred + c.pred_body)
-    cases = [(c.beta_pred == 0, _S), (c.pred_body == 0, _S), (~_le(pair, base), _H)]
-    return _select(cases, _le(pooled, base))
-
-
-# One entry per statement; the public ``check_*`` functions below state
-# each. Registry order is the report order of ``errata verify``; T4 runs
-# last and only when a correction class is given.
-CHECKS: dict[TheoremId, Check] = {
+# One entry per statement. Registry order is the report order of ``errata
+# verify``; T4 runs last and only when a correction class is given.
+STATEMENTS: dict[TheoremId, Statement] = {
     TheoremId.T1_PRECISION_CHANGE: _t1,
     TheoremId.CLAIM1_APPENDIX: _claim1,
     TheoremId.T2_EDNS: _t2,
@@ -377,83 +249,132 @@ CHECKS: dict[TheoremId, Check] = {
     TheoremId.EQ7_RESIDUAL: _eq7,
     TheoremId.T4_RECLASS_LIMIT: _t4,
 }
-# The column form of each entry, in the same order: what the sweep runs.
-COLUMN_CHECKS: dict[TheoremId, ColumnCheck] = {
-    TheoremId.T1_PRECISION_CHANGE: _t1_columns,
-    TheoremId.CLAIM1_APPENDIX: _claim1_columns,
-    TheoremId.T2_EDNS: _t2_columns,
-    TheoremId.T3_RECALL_REDUCTION: _t3_columns,
-    TheoremId.COROLLARY_SUPPORT_BOUND: _corollary_columns,
-    TheoremId.EQ7_RESIDUAL: _eq7_columns,
-    TheoremId.T4_RECLASS_LIMIT: _t4_columns,
-}
 _T4 = TheoremId.T4_RECLASS_LIMIT
 
 
-def _report(
-    theorem_id, outcome: Outcome, q: _Base, model_id, alpha, ids, beta
-) -> TheoremReport:
-    verdict, skip_reason, note, extras = outcome
-    named = extras if theorem_id is _T4 else (*zip(_Base._fields, q), *extras)
-    return TheoremReport(
-        theorem_id=theorem_id,
-        verdict=verdict,
-        model_id=model_id,
-        target_class=alpha,
-        condition_ids=tuple(sorted(ids)),
-        intermediates={name: _fraction(r) for name, r in named},
-        correction_class=beta if theorem_id is _T4 else None,
-        skip_reason=skip_reason,
-        note=note,
-    )
+# ---------------------------------------------------------------------------
+# The two evaluations: on one count tuple, and on count columns
+# ---------------------------------------------------------------------------
+
+class _Scalar:
+    """Evaluates a statement on one count tuple of Python ints: the first
+    case that holds decides, else the verdict expression. ``named`` keeps
+    the quantities named before the deciding case."""
+
+    __slots__ = ("decided", "named", "final_note")
+
+    def __init__(self, named: list):
+        self.decided, self.named, self.final_note = None, named, None
+
+    def case(self, cond, verdict, reason=None, note=None):
+        if cond and self.decided is None:
+            self.decided = (verdict, reason, note)
+
+    def skip(self, cond, reason):
+        self.case(cond, SKIPPED, reason)
+
+    def let(self, name, r):
+        if self.decided is None:
+            self.named.append((name, r))
+        return r
+
+    def where(self, cond, x, y):
+        return x if cond else y
+
+    def note(self, cond, yes, no):
+        """The verdict expression's note: ``yes`` where ``cond`` holds, else ``no``."""
+        self.final_note = yes if cond else no
+
+
+class _Columns:
+    """Evaluates a statement on count columns (numpy integer arrays, one
+    row per count tuple): each case is kept as (condition column, verdict
+    code), and its reasons, names and notes are dropped."""
+
+    __slots__ = ("cases",)
+
+    def __init__(self):
+        self.cases = []
+
+    def case(self, cond, verdict, reason=None, note=None):
+        self.cases.append((cond, _VERDICTS.index(verdict)))
+
+    def skip(self, cond, reason):
+        self.cases.append((cond, _S))
+
+    def let(self, name, r):
+        return r
+
+    def where(self, cond, x, y):
+        import numpy as np  # deferred: importing errata must not load numpy
+
+        return np.where(cond, x[0], y[0]), np.where(cond, x[1], y[1])
+
+    def note(self, cond, yes, no):
+        pass
+
+
+def _outcome(theorem_id: TheoremId, c: JointCounts):
+    """(verdict, skip reason, note, named ratios) of one statement on one
+    count tuple; every statement but T4 names the base ratios first."""
+    q = _base_ratios(c)
+    e = _Scalar([] if theorem_id is _T4 else list(zip(_Base._fields, q)))
+    holds = STATEMENTS[theorem_id](e, c, q)
+    return (*(e.decided or (HOLDS if holds else VIOLATED, None, e.final_note)), e.named)
+
+
+def _codes(statement: Statement, c: JointCounts, q: _Base):
+    """Each row's verdict code, the index of its verdict in ``_VERDICTS``:
+    the code of the first case that holds on the row, else HOLDS or
+    VIOLATED as the verdict expression. Every side is evaluated on every
+    row; a zero denominator stands where a report has None, and on those
+    rows an earlier case (a skip) decides."""
+    import numpy as np  # deferred: importing errata must not load numpy
+
+    e = _Columns()
+    codes = np.where(statement(e, c, q), _H, _V)
+    for cond, code in reversed(e.cases):  # np.select, without its set-up cost
+        codes = np.where(cond, code, codes)
+    return codes
+
+
+def _report(theorem_id: TheoremId, c: JointCounts, model_id, alpha, ids, beta) -> TheoremReport:
+    verdict, skip_reason, note, named = _outcome(theorem_id, c)
+    intermediates = {name: Fraction(*r) if r[1] else None for name, r in named}
+    return TheoremReport(theorem_id, verdict, model_id, alpha, tuple(sorted(ids)), intermediates,
+                         beta if theorem_id is _T4 else None, skip_reason, note)
 
 
 # ---------------------------------------------------------------------------
 # Public check API
 # ---------------------------------------------------------------------------
 
-def _check(theorem_id, log, model_id, alpha, body, beta=None) -> TheoremReport:
+def check(theorem_id, log, model_id, alpha, body, beta=None) -> TheoremReport:
+    """The report of one statement for class ``alpha`` and condition body
+    ``body`` (a ``ConditionBody`` or condition ids) on the records of
+    ``model_id``; T4 needs its correction class ``beta``."""
+    theorem_id = TheoremId(theorem_id)
+    if theorem_id is _T4 and beta is None:
+        raise ValueError(f"{theorem_id.value} needs a correction class (beta)")
     ids = _body_ids(body)
     c = joint_counts(log, alpha, ids, beta, model_id=model_id)
-    q = _base(c)
-    return _report(theorem_id, CHECKS[theorem_id](c, q), q, model_id, alpha, ids, beta)
+    return _report(theorem_id, c, model_id, alpha, ids, beta)
 
 
 def check_precision_change(log, model_id, alpha, body) -> TheoremReport:
     """Identity: post-rule precision change equals K × (confidence − residual)."""
-    return _check(TheoremId.T1_PRECISION_CHANGE, log, model_id, alpha, body)
-
-
-def check_claim1(log, model_id, alpha, body) -> TheoremReport:
-    """Closed form of post-rule precision from precision, support, confidence."""
-    return _check(TheoremId.CLAIM1_APPENDIX, log, model_id, alpha, body)
-
-
-def check_edns(log, model_id, alpha, body) -> TheoremReport:
-    """Biconditional: error detecting ⟺ post-rule precision ≥ precision."""
-    return _check(TheoremId.T2_EDNS, log, model_id, alpha, body)
+    return check(TheoremId.T1_PRECISION_CHANGE, log, model_id, alpha, body)
 
 
 def check_recall_reduction(log, model_id, alpha, body) -> TheoremReport:
     """Identity: recall loss equals the four-factor product form."""
-    return _check(TheoremId.T3_RECALL_REDUCTION, log, model_id, alpha, body)
-
-
-def check_reclassification_limit(log, model_id, alpha, beta, body) -> TheoremReport:
-    """Implication: a pair no more precise than the base class cannot raise
-    the base class's pooled precision by relabeling."""
-    return _check(TheoremId.T4_RECLASS_LIMIT, log, model_id, alpha, body, beta)
+    return check(TheoremId.T3_RECALL_REDUCTION, log, model_id, alpha, body)
 
 
 def check_support_bound(log, model_id, alpha, body) -> TheoremReport:
     """Bound: for an error-detecting condition, support is at most the
     condition's rate among erroneous predictions."""
-    return _check(TheoremId.COROLLARY_SUPPORT_BOUND, log, model_id, alpha, body)
-
-
-def check_residual(log, model_id, alpha, body) -> TheoremReport:
-    """Biconditional: confidence exceeds residual ⟺ precision strictly improves."""
-    return _check(TheoremId.EQ7_RESIDUAL, log, model_id, alpha, body)
+    return check(TheoremId.COROLLARY_SUPPORT_BOUND, log, model_id, alpha, body)
 
 
 def check_all(log, model_id, alpha, body, beta=None) -> list[TheoremReport]:
@@ -461,13 +382,8 @@ def check_all(log, model_id, alpha, body, beta=None) -> list[TheoremReport]:
     the log; the reclassification check runs only when ``beta`` is given."""
     ids = _body_ids(body)
     c = joint_counts(log, alpha, ids, beta, model_id=model_id)
-    q = _base(c)
-    return [
-        _report(tid, check(c, q), q, model_id, alpha, ids, beta)
-        for tid, check in CHECKS.items()
-        if beta is not None or tid is not _T4
-    ]
-
+    return [_report(tid, c, model_id, alpha, ids, beta)
+            for tid in STATEMENTS if beta is not None or tid is not _T4]
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +429,7 @@ class SweepResult(_Frozen):
 _CHUNK_CELLS = 1 << 16
 # A sweep decides its verdicts on int64 columns while max_records is at
 # most this bound, else on exact Python ints (dtype=object). Every count
-# is at most N = max_records. Each subtraction in a column form takes two
+# is at most N = max_records. Each subtraction in a statement takes two
 # nonnegative products of d counts, so every value built from products of
 # d counts (a part of a ratio, a side of a cross-multiplication) is at
 # most N**d in size; T4 alone adds two counts, and its sides stay below
@@ -599,7 +515,7 @@ def sweep(
     """Check every statement on ``trials`` random logs.
 
     Each trial is one ``random_log`` and counts the verdicts of every
-    registry check for every (class, condition) pair of the fixed
+    statement for every (class, condition) pair of the fixed
     alphabets implied by the bounds; the reclassification check uses the
     cyclically next label as the correction class, so each theorem
     contributes exactly one verdict per pair per trial. Trial t's seed is
@@ -609,13 +525,14 @@ def sweep(
     logs' draws, a chunk of trials (at most ``_CHUNK_CELLS`` padded cells)
     at once with a few numpy operations; ``draws._fuzz_draws`` computes a
     chunk's draws in one batch, equal bit for bit to numpy's. The column
-    forms decide the verdicts of a chunk's pairs at once, on int64 columns
-    up to ``_INT64_RECORDS`` records and on exact Python ints above, and
-    one ``np.bincount`` tallies them. A pair that a column form finds VIOLATED
-    goes through ``CHECKS`` again, which builds its reports, in (trial,
+    evaluation decides the verdicts of a chunk's pairs at once, on int64
+    columns up to ``_INT64_RECORDS`` records and on exact Python ints
+    above, and one ``np.bincount`` tallies them. A pair found VIOLATED is
+    evaluated again on Python ints, which builds its reports, in (trial,
     class, condition, registry) order; a log is built only for their
-    replay text. If ``CHECKS`` gives that pair other verdicts, the sweep
-    raises ``RuntimeError``: a bug, never an input error. The aggregate
+    replay text. If the two evaluations give that pair other verdicts (an
+    int64 overflow, or numpy and ints parting ways), the sweep raises
+    ``RuntimeError``: a bug, never an input error. The aggregate
     table is reproducible from the seed and the bounds.
     """
     import numpy as np  # deferred: importing errata must not load numpy
@@ -634,10 +551,10 @@ def sweep(
     labels = label_alphabet(max_labels)
     pairs = [(alpha, labels[(i + 1) % len(labels)], cid)  # (α, β, condition), as _chunk_counts
              for i, alpha in enumerate(labels) for cid in condition_alphabet(max_conditions)]
-    columns = [COLUMN_CHECKS[tid] for tid in CHECKS]
-    # Check i's verdict code v is tallied at i * len(_VERDICTS) + v.
-    offsets = np.arange(len(columns))[:, None] * len(_VERDICTS)
-    tally = np.zeros(len(columns) * len(_VERDICTS), np.int64)
+    statements = list(STATEMENTS.values())
+    # Statement i's verdict code v is tallied at i * len(_VERDICTS) + v.
+    offsets = np.arange(len(statements))[:, None] * len(_VERDICTS)
+    tally = np.zeros(len(statements) * len(_VERDICTS), np.int64)
     violations: list[SweepViolation] = []
     pool = np.random.SeedSequence(seed).pool
     bounds, replay = (max_records, max_labels, max_conditions), (None, None)
@@ -647,26 +564,22 @@ def sweep(
         counts = _chunk_counts(chunk_seeds, *bounds)
         c = JointCounts._make(counts if max_records <= _INT64_RECORDS else counts.astype(object))
         q = _base_ratios(c)
-        codes = np.stack([column(c, q) for column in columns])
+        codes = np.stack([_codes(statement, c, q) for statement in statements])
         tally += np.bincount((codes + offsets).ravel(), minlength=len(tally))
         for row in np.flatnonzero((codes == _V).any(0)).tolist():
             t, pair = divmod(row, len(pairs))
             trial, trial_seed, (alpha, beta, cid) = first + t, int(chunk_seeds[t]), pairs[pair]
             c_row = JointCounts._make(counts[:, row].tolist())
-            q_row = _base(c_row)
-            outcomes = [check(c_row, q_row) for check in CHECKS.values()]
-            if [_VERDICTS.index(o[0]) for o in outcomes] != codes[:, row].tolist():
-                raise RuntimeError(f"column and registry checks disagree on {c_row}")
+            reports = [_report(tid, c_row, "m", alpha, (cid,), beta) for tid in STATEMENTS]
+            if [_VERDICTS.index(r.verdict) for r in reports] != codes[:, row].tolist():
+                raise RuntimeError(f"scalar and column evaluations disagree on {c_row}")
             if replay[0] != trial:  # (trial, its serialized log)
                 replay = (trial, serialize_log(random_log(trial_seed, *bounds)))
-            for tid, outcome in zip(CHECKS, outcomes):
-                if outcome[0] is VIOLATED:
-                    report = _report(tid, outcome, q_row, "m", alpha, (cid,), beta)
-                    violations.append(SweepViolation(
-                        trial, trial_seed, tid, alpha, cid, report.correction_class,
-                        report, replay[1]))
-    by_check = dict(zip(CHECKS, tally.reshape(len(columns), len(_VERDICTS)).tolist()))
-    verdict_counts = {tid: dict(zip(_VERDICTS, by_check[tid])) for tid in TheoremId}
+            violations += [SweepViolation(trial, trial_seed, r.theorem_id, alpha, cid,
+                                          r.correction_class, r, replay[1])
+                           for r in reports if r.verdict is VIOLATED]
+    by_statement = dict(zip(STATEMENTS, tally.reshape(len(statements), len(_VERDICTS)).tolist()))
+    verdict_counts = {tid: dict(zip(_VERDICTS, by_statement[tid])) for tid in TheoremId}
     return SweepResult(
         seed, trials, max_records, max_labels, max_conditions, verdict_counts, tuple(violations)
     )

@@ -14,7 +14,7 @@ PUBLIC_BY_MODULE = {
     "estimators": {
         "ConditionBody", "InvarianceProfile", "InvarianceRow",
         "Probability", "Verdict", "f1_value", "invariance_profile",
-        "is_error_detecting", "joint_counts", "metric_bundle",
+        "joint_counts", "metric_bundle",
     },
     "learning": {
         "GuardCheck", "LearnConfig", "LearnReport", "LearnStep", "Objective",
@@ -31,9 +31,8 @@ PUBLIC_BY_MODULE = {
     },
     "theorems": {
         "SweepResult", "TheoremId", "TheoremReport", "TheoremVerdict",
-        "check_claim1", "check_edns", "check_precision_change",
-        "check_recall_reduction", "check_reclassification_limit",
-        "check_residual", "check_support_bound", "sweep",
+        "check", "check_precision_change", "check_recall_reduction",
+        "check_support_bound", "sweep",
     },
 }
 PUBLIC = set().union(*PUBLIC_BY_MODULE.values())
@@ -43,6 +42,8 @@ REMOVED = {
     "EventQuery", "Atom", "cond_prob", "class_body_counts",
     "predicted_has", "predicted_lacks", "truth_has", "truth_lacks",
     "condition_holds", "condition_absent", "distribution_is",
+    "is_error_detecting", "check_claim1", "check_edns", "check_reclassification_limit",
+    "check_residual", "CHECKS", "COLUMN_CHECKS",
 }
 
 

@@ -13,8 +13,9 @@ from errata import (
     ConditionBody,
     InputError,
     LearnConfig,
+    TheoremId,
+    check,
     check_precision_change,
-    check_residual,
     load_log,
 )
 from errata.rational import parse_rational
@@ -280,7 +281,7 @@ def test_report_render_empty_is_header_only():
 def test_report_render_mixed_verdicts(log_a):
     reports = [
         check_precision_change(log_a, "m", "a", ConditionBody.of("c1")),
-        check_residual(log_a, "m", "zz", ConditionBody.of("c1")),
+        check(TheoremId.EQ7_RESIDUAL, log_a, "m", "zz", ConditionBody.of("c1")),
     ]
     text = report_render(reports)
     assert "T1_PRECISION_CHANGE — HOLDS" in text
@@ -751,3 +752,33 @@ def test_internal_value_error_is_not_an_input_error(tmp_path, log_file, monkeypa
     with pytest.raises(ValueError, match="numerator count"):
         main(["verify", "--log", str(log_file), "--model", "m", "--class", "a",
               "--condition", "c1", "--out", str(tmp_path / "out")])
+
+
+# ---------------------------------------------------------------------------
+# README examples
+# ---------------------------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _fenced_after(text: str, marker: str) -> str:
+    """The body of the first fenced block after ``marker``."""
+    start = text.index("\n", text.index("```", text.index(marker))) + 1
+    return text[start:text.index("```", start)]
+
+
+def test_readme_examples_run_on_log_a(tmp_path, monkeypatch, capsys):
+    readme = README.read_text(encoding="utf-8")
+    (tmp_path / "log.jsonl").write_text(LOG_A_TEXT, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    quick_start = _fenced_after(readme, "## Library quick start")
+    exec(compile(quick_start, "README quick start", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "2/3 1/2" and quick_start.count("# 2/3 1/2") == 1
+    assert [line.rsplit(".", 1)[-1] for line in printed[-2:]] == ["HOLDS", "HOLDS"]
+    # The verify example: its command, then its output up to the "...".
+    command = _fenced_after(readme, "## Command line").split()
+    assert command[0] == "errata"
+    shown = _fenced_after(readme, "`verify` runs every check")
+    assert main(command[1:]) == 0
+    assert capsys.readouterr().out.startswith(shown.split("...\n")[0])

@@ -14,12 +14,12 @@ from errata import (
     exhaustive_oracle,
     f1_value,
     invariance_profile,
-    is_error_detecting,
     joint_counts,
     learn_correction,
     learn_detection,
     metric_bundle,
 )
+from errata.estimators import _error_detecting
 from event_oracle import (
     EventQuery,
     body_query,
@@ -33,6 +33,12 @@ from event_oracle import (
 )
 
 BODY_C1 = ConditionBody.of("c1")
+
+
+def _detecting(log, distribution=None):
+    """Is c1 error detecting for class a of model m (on one tag)?"""
+    c = joint_counts(log, "a", BODY_C1, model_id="m", distribution=distribution)
+    return _error_detecting(c.pred, c.pred_gt, c.pred_body, c.pred_body_gt)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +148,7 @@ def test_f1_value():
 
 def test_error_detecting_log_a(log_a):
     # 1/2 <= 2/3
-    assert is_error_detecting(log_a, "m", "a", BODY_C1) is Verdict.YES
+    assert _detecting(log_a) is Verdict.YES
 
 
 def test_error_detecting_no():
@@ -151,12 +157,12 @@ def test_error_detecting_no():
         rec("s1", predicted={"a"}, ground_truth={"a"}, conditions={"c1"}),
         rec("s2", predicted={"a"}, ground_truth={"b"}),
     )
-    assert is_error_detecting(log, "m", "a", BODY_C1) is Verdict.NO
+    assert _detecting(log) is Verdict.NO
 
 
 def test_error_detecting_undefined_without_predictions():
     log = make_log(rec("s1", predicted={"b"}, ground_truth={"a"}))
-    assert is_error_detecting(log, "m", "a", BODY_C1) is Verdict.UNDEFINED
+    assert _detecting(log) is Verdict.UNDEFINED
 
 
 def test_error_detecting_equality_counts_as_yes():
@@ -167,7 +173,7 @@ def test_error_detecting_equality_counts_as_yes():
         rec("s3", predicted={"a"}, ground_truth={"a"}),
         rec("s4", predicted={"a"}, ground_truth={"b"}),
     )
-    assert is_error_detecting(log, "m", "a", BODY_C1) is Verdict.YES
+    assert _detecting(log) is Verdict.YES
 
 
 def test_error_detecting_respects_distribution_slice():
@@ -177,8 +183,10 @@ def test_error_detecting_respects_distribution_slice():
         rec("s3", predicted={"a"}, ground_truth={"a"}, conditions={"c1"}, distribution="d2"),
         rec("s4", predicted={"a"}, ground_truth={"b"}, distribution="d2"),
     )
-    assert is_error_detecting(log, "m", "a", BODY_C1, "d1") is Verdict.YES
-    assert is_error_detecting(log, "m", "a", BODY_C1, "d2") is Verdict.NO
+    assert _detecting(log, "d1") is Verdict.YES
+    assert _detecting(log, "d2") is Verdict.NO
+    profile = invariance_profile(log, "m", "a", BODY_C1)
+    assert [row.verdict for row in profile.rows] == [Verdict.YES, Verdict.NO]
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +374,6 @@ def test_index_built_once_per_log(monkeypatch, log_a):
     monkeypatch.setattr(errata.logs, "LogIndex", CountingIndex)
     metric_bundle(log_a, "m", "a", BODY_C1)
     invariance_profile(log_a, "m", "a", BODY_C1)
-    is_error_detecting(log_a, "m", "a", BODY_C1, "default")
     learn_detection(log_a, "m", "a", ["c1"])
     exhaustive_oracle(log_a, "m", "a", ["c1"])
     learn_correction(log_a, "m", "b", [("c1", "a")])

@@ -142,6 +142,38 @@ def test_config_rejects_bad_priors():
         SynthConfig.from_dict(base_config(class_priors={"a": "1/2", "b": "1/3"}))
 
 
+_PLANTED_C1 = {"condition_id": "c1", "target_class": "a", "target_support": "1/4",
+               "target_confidence": "9/10"}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"seed": -1}, "seed: must be nonnegative"),
+    ({"n_records": 0}, "n_records: must be at least 1"),
+    ({"labels": ["a", "b", "a"]}, "labels: must be nonempty and unique"),
+    ({"class_priors": {"a": "1/2", " b": "1/2"}}, "class_priors: prior for unknown label ' b'"),
+    ({"class_priors": {"a": "3/2", "b": "-1/2"}}, "class_priors: prior for 'a' outside [0, 1]"),
+    ({"class_priors": {"a": "0", "b": "0"}}, "class_priors: priors sum to 0, not 1"),
+    ({"confusion": {"a": [{"predicted": ["a"], "weight": 1}]}},
+     "confusion: label 'b' has prior mass but no row"),
+    ({"planted_conditions": [_PLANTED_C1, _PLANTED_C1]},
+     "planted_conditions[1]: condition id 'c1' empty or repeated"),
+    ({"planted_conditions": [{**_PLANTED_C1, "target_support": "5/4"}]},
+     "planted_conditions[0].target_support: condition 'c1' outside [0, 1]"),
+    ({"distributions": [{"tag": "d1", "record_fraction": "1/2"}]},
+     "distributions: fractions sum to 1/2, not 1"),
+    ({"distributions": [{"tag": "d1", "record_fraction": 1, "confidence_override": {"c1": 2}}]},
+     "distributions[0].confidence_override: override for 'c1' under 'd1' outside [0, 1]"),
+    ({"planted_conditions": [{**_PLANTED_C1, "target_class": "b"}]},
+     "planted_conditions[0]: condition 'c1' under 'default': target confidence 9/10 needs"
+     " errors, but the confusion yields none for 'b'"),
+])
+def test_config_value_errors_name_their_key_path(change, message):
+    # Found by the synth config fuzz test: these named no key.
+    with pytest.raises(SynthConfigError) as caught:
+        generate(SynthConfig.from_dict(base_config(**change)))
+    assert str(caught.value) == message
+
+
 def test_config_rejects_unknown_label():
     cfg = base_config()
     cfg["planted_conditions"][0]["target_class"] = "zz"
@@ -272,7 +304,7 @@ def test_config_text_rejects_repeated_keys():
 
 
 def test_config_caps_n_records_before_drawing():
-    with pytest.raises(SynthConfigError, match=f"n_records must be at most {MAX_RECORDS}"):
+    with pytest.raises(SynthConfigError, match=f"^n_records: must be at most {MAX_RECORDS}$"):
         SynthConfig.from_dict(base_config(n_records=1_000_000_000_000))
     assert SynthConfig.from_dict(base_config(n_records=MAX_RECORDS)).n_records == MAX_RECORDS
 

@@ -17,12 +17,9 @@ from errata import (
     TheoremId,
     TheoremReport,
     TheoremVerdict,
-    check_claim1,
-    check_edns,
+    check,
     check_precision_change,
     check_recall_reduction,
-    check_reclassification_limit,
-    check_residual,
     check_support_bound,
     joint_counts,
     load_log,
@@ -33,10 +30,12 @@ from errata import draws, theorems
 from errata.cli import main
 from errata.estimators import JointCounts
 from errata.synth import condition_alphabet, label_alphabet
-from errata.theorems import _VERDICTS, CHECKS, COLUMN_CHECKS
+from errata.theorems import _VERDICTS, STATEMENTS
 from theorem_oracle import oracle, reference_pairs, reference_sweep
 
 BODY_C1 = ConditionBody.of("c1")
+CLAIM1, T2, EQ7 = TheoremId.CLAIM1_APPENDIX, TheoremId.T2_EDNS, TheoremId.EQ7_RESIDUAL
+T4 = TheoremId.T4_RECLASS_LIMIT
 HOLDS = TheoremVerdict.HOLDS
 SKIPPED = TheoremVerdict.SKIPPED
 VIOLATED = TheoremVerdict.VIOLATED
@@ -81,7 +80,7 @@ def test_t1_never_predicted_skipped(log_a):
 
 
 def test_claim1_log_a(log_a):
-    rep = check_claim1(log_a, "m", "a", BODY_C1)
+    rep = check(CLAIM1, log_a, "m", "a", BODY_C1)
     assert rep.verdict is HOLDS
     assert rep.intermediates["expected_rule_precision"] == 1
 
@@ -91,7 +90,7 @@ def test_claim1_log_a(log_a):
 # ---------------------------------------------------------------------------
 
 def test_t2_log_a(log_a):
-    rep = check_edns(log_a, "m", "a", BODY_C1)
+    rep = check(T2, log_a, "m", "a", BODY_C1)
     assert rep.verdict is HOLDS
     assert rep.note == "error_detecting=YES"
     assert rep.intermediates["rule_precision"] >= rep.intermediates["precision"]
@@ -104,14 +103,14 @@ def test_t2_both_sides_false_holds():
         rec("s1", predicted={"a"}, ground_truth={"a"}, conditions={"c1"}),
         rec("s2", predicted={"a"}, ground_truth={"b"}),
     )
-    rep = check_edns(log, "m", "a", BODY_C1)
+    rep = check(T2, log, "m", "a", BODY_C1)
     assert rep.verdict is HOLDS
     assert rep.note == "error_detecting=NO"
     assert rep.intermediates["rule_precision"] < rep.intermediates["precision"]
 
 
 def test_t2_zero_support_skipped(log_a):
-    assert check_edns(log_a, "m", "a", ConditionBody.of("cz")).verdict is SKIPPED
+    assert check(T2, log_a, "m", "a", ConditionBody.of("cz")).verdict is SKIPPED
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +170,7 @@ def test_t4_hypothesis_met_holds():
         )
         for i in range(4)
     ]
-    rep = check_reclassification_limit(make_log(*records), "m", "t", "d", BODY_C1)
+    rep = check(T4, make_log(*records), "m", "t", BODY_C1, "d")
     assert rep.verdict is HOLDS
     assert rep.intermediates["pair_precision"] == Fraction(1, 4)
     assert rep.intermediates["base_precision"] == Fraction(1, 2)
@@ -185,14 +184,14 @@ def test_t4_hypothesis_not_met_vacuous():
         rec("d2", predicted={"d"}, ground_truth={"f"}),
         rec("t1", predicted={"t"}, ground_truth={"d"}, conditions={"c1"}),
     ]
-    rep = check_reclassification_limit(make_log(*records), "m", "t", "d", BODY_C1)
+    rep = check(T4, make_log(*records), "m", "t", BODY_C1, "d")
     assert rep.verdict is HOLDS
     assert "vacuous" in rep.note
 
 
 def test_t4_beta_never_predicted_skipped():
     log = make_log(rec("s1", predicted={"t"}, ground_truth={"d"}, conditions={"c1"}))
-    rep = check_reclassification_limit(log, "m", "t", "d", BODY_C1)
+    rep = check(T4, log, "m", "t", BODY_C1, "d")
     assert rep.verdict is SKIPPED
 
 
@@ -201,7 +200,7 @@ def test_t4_pair_event_never_occurs_skipped():
         rec("s1", predicted={"d"}, ground_truth={"d"}, conditions={"c1"}),
         rec("s2", predicted={"t"}, ground_truth={"d"}),
     )
-    rep = check_reclassification_limit(log, "m", "t", "d", BODY_C1)
+    rep = check(T4, log, "m", "t", BODY_C1, "d")
     assert rep.verdict is SKIPPED
 
 
@@ -214,7 +213,7 @@ def test_t4_overlap_regression():
         rec("s3", predicted={"b"}, ground_truth={"b"}),
         rec("s4", predicted={"a"}, ground_truth={"b"}, conditions={"c1"}),
     ]
-    rep = check_reclassification_limit(make_log(*records), "m", "a", "b", BODY_C1)
+    rep = check(T4, make_log(*records), "m", "a", BODY_C1, "b")
     assert rep.intermediates["base_precision"] == Fraction(2, 3)
     assert rep.intermediates["pair_precision"] == Fraction(1, 2)
     assert rep.intermediates["set_union_precision"] == Fraction(3, 4)  # > base!
@@ -258,7 +257,7 @@ def test_corollary_always_correct_skipped():
 # ---------------------------------------------------------------------------
 
 def test_eq7_log_a(log_a):
-    rep = check_residual(log_a, "m", "a", BODY_C1)
+    rep = check(EQ7, log_a, "m", "a", BODY_C1)
     assert rep.verdict is HOLDS
     assert rep.intermediates["confidence"] > rep.intermediates["residual"]
     assert rep.intermediates["rule_precision"] > rep.intermediates["precision"]
@@ -273,14 +272,14 @@ def test_eq7_boundary_equality_holds():
         rec("s3", predicted={"a"}, ground_truth={"a"}),
         rec("s4", predicted={"a"}, ground_truth={"b"}),
     )
-    rep = check_residual(log, "m", "a", BODY_C1)
+    rep = check(EQ7, log, "m", "a", BODY_C1)
     assert rep.verdict is HOLDS
     assert rep.intermediates["confidence"] == rep.intermediates["residual"] == Fraction(1, 2)
     assert rep.intermediates["rule_precision"] == rep.intermediates["precision"]
 
 
 def test_eq7_zero_support_skipped(log_a):
-    assert check_residual(log_a, "m", "a", ConditionBody.of("cz")).verdict is SKIPPED
+    assert check(EQ7, log_a, "m", "a", ConditionBody.of("cz")).verdict is SKIPPED
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +311,16 @@ def test_intermediates_contain_every_symbol(log, alpha):
 @settings(max_examples=120, deadline=None)
 def test_identities_never_violated(log, alpha, cid):
     body = ConditionBody.of(cid)
-    for check in (check_precision_change, check_claim1, check_recall_reduction):
-        assert check(log, "m", alpha, body).verdict is not VIOLATED
-    for check in (check_edns, check_support_bound, check_residual):
-        assert check(log, "m", alpha, body).verdict is not VIOLATED
-    assert check_reclassification_limit(log, "m", alpha, "b", body).verdict is not VIOLATED
+    for tid in STATEMENTS:
+        assert check(tid, log, "m", alpha, body, "b" if tid is T4 else None).verdict is not VIOLATED
+
+
+def test_check_takes_a_theorem_id_or_its_name(log_a):
+    assert check("T2_EDNS", log_a, "m", "a", ["c1"]) == check(T2, log_a, "m", "a", BODY_C1)
+    with pytest.raises(ValueError, match="T4_RECLASS_LIMIT needs a correction class"):
+        check(T4, log_a, "m", "a", BODY_C1)
+    with pytest.raises(ValueError):
+        check("T9", log_a, "m", "a", BODY_C1)
 
 
 # ---------------------------------------------------------------------------
@@ -491,19 +495,16 @@ def test_sweep_zero_violations():
 # Check registry: exhaustive bounded verification and the Fraction oracle
 # ---------------------------------------------------------------------------
 
-T4 = TheoremId.T4_RECLASS_LIMIT
-PUBLIC_CHECKS = {
+NAMED_CHECKS = {
     TheoremId.T1_PRECISION_CHANGE: check_precision_change,
-    TheoremId.CLAIM1_APPENDIX: check_claim1,
-    TheoremId.T2_EDNS: check_edns,
     TheoremId.T3_RECALL_REDUCTION: check_recall_reduction,
     TheoremId.COROLLARY_SUPPORT_BOUND: check_support_bound,
-    TheoremId.EQ7_RESIDUAL: check_residual,
 }
 
 
 def _run(tid, c):
-    return CHECKS[tid](c, theorems._base(c))
+    """(verdict, skip reason, note, named ratios) of ``tid`` on one count tuple."""
+    return theorems._outcome(tid, c)
 
 
 def _columns(tuples, dtype):
@@ -513,8 +514,23 @@ def _columns(tuples, dtype):
 
 
 def _column_verdicts(tid, c):
-    """The verdicts of the column form of ``tid`` on count columns."""
-    return [_VERDICTS[code] for code in COLUMN_CHECKS[tid](c, theorems._base_ratios(c)).tolist()]
+    """The verdicts of the column evaluation of ``tid`` on count columns."""
+    return [_VERDICTS[code] for code in theorems._codes(STATEMENTS[tid], c, theorems._base_ratios(c)).tolist()]
+
+
+def _decided_per_case(tid, c):
+    """How many rows of the int64 count columns ``c`` each declared case
+    of ``tid`` decides, in declaration order: the rows where it holds and
+    no earlier case does."""
+    e = theorems._Columns()
+    STATEMENTS[tid](e, c, theorems._base_ratios(c))
+    open_rows = np.ones(len(c.total), bool)
+    decided = []
+    for cond, _ in e.cases:
+        decides = open_rows & cond
+        decided.append(int(decides.sum()))
+        open_rows &= ~decides
+    return decided
 
 
 def _cells(k, bound):
@@ -568,29 +584,35 @@ def beta_counts(beta_gt, beta_wrong, pair_gt, pair_wrong, both_gt=0, both_wrong=
 
 def test_registry_exhaustive_bounded_verification():
     """Small-scope proof: no count tuple up to the bound violates a
-    statement, and each column form gives every tuple its check's verdict,
-    on int64 and on exact (object) columns."""
+    statement, the column evaluation gives every tuple the verdict of the
+    evaluation on ints, on int64 and on exact (object) columns, and every
+    case a statement declares decides some tuple (none is dead or
+    shadowed by an earlier one)."""
     tuples = list(alpha_counts(16))
     assert len(tuples) == 74_613  # C(16 + 6, 6)
     t4_tuples = [beta_counts(*cells) for cells in _cells(4, 20)]
     assert len(t4_tuples) == 10_626  # C(20 + 4, 4)
-    alpha_bases, t4_bases = ([theorems._base(c) for c in cases] for cases in (tuples, t4_tuples))
     columns = {dtype: (_columns(tuples, dtype), _columns(t4_tuples, dtype))
                for dtype in (np.int64, object)}
-    seen = {}
-    for tid, check in CHECKS.items():
-        cases, bases = (t4_tuples, t4_bases) if tid is T4 else (tuples, alpha_bases)
-        verdicts = [check(c, q)[0] for c, q in zip(cases, bases)]
+    seen, decided = {}, {}
+    for tid in STATEMENTS:
+        cases = t4_tuples if tid is T4 else tuples
+        verdicts = [_run(tid, c)[0] for c in cases]
         for dtype in (np.int64, object):
             assert _column_verdicts(tid, columns[dtype][tid is T4]) == verdicts, (tid, dtype)
         seen[tid] = Counter(verdicts)
+        decided[tid] = _decided_per_case(tid, columns[np.int64][tid is T4])
     assert all(counts[VIOLATED] == 0 for counts in seen.values()), seen
     assert all(counts[HOLDS] > 0 for counts in seen.values()), seen
+    assert all(n > 0 for counts in decided.values() for n in counts), decided
+    # Two skips of T1 and CLAIM1; three of T2, T3 and EQ7; the support
+    # bound's and T4's vacuous HOLDS among their three cases.
+    assert [len(decided[tid]) for tid in STATEMENTS] == [2, 2, 3, 3, 3, 3, 3], decided
 
 
 def test_registry_matches_fraction_oracle():
     tuples, t4_tuples = list(alpha_counts(8)), [beta_counts(*cells) for cells in _cells(6, 8)]
-    for tid in CHECKS:
+    for tid in STATEMENTS:
         cases = t4_tuples if tid is T4 else tuples
         expected = [oracle(tid, c)[:3] for c in cases]
         assert [_run(tid, c)[:3] for c in cases] == expected, tid
@@ -606,9 +628,9 @@ def test_column_forms_are_exact_at_the_int64_bound():
     tuples = [alpha_tuple(*c) for c in cells]
     t4_tuples = [beta_counts(*c) for c in cells]
     assert max(max(c) for c in tuples + t4_tuples) == n
-    for tid, check in CHECKS.items():
+    for tid in STATEMENTS:
         cases = t4_tuples if tid is T4 else tuples
-        verdicts = [check(c, theorems._base(c))[0] for c in cases]
+        verdicts = [_run(tid, c)[0] for c in cases]
         for dtype in (np.int64, object):
             assert _column_verdicts(tid, _columns(cases, dtype)) == verdicts, (tid, dtype)
 
@@ -619,14 +641,18 @@ def test_public_reports_carry_oracle_intermediates():
         for alpha in ("a", "b", "c"):
             for body in (ConditionBody.of("c1"), ConditionBody.of("c1", "c2")):
                 c = joint_counts(log, alpha, body, model_id="m")
-                for tid, check in PUBLIC_CHECKS.items():
-                    rep = check(log, "m", alpha, body)
+                for tid in STATEMENTS:
+                    if tid is T4:
+                        continue
+                    rep = check(tid, log, "m", alpha, body)
                     verdict, reason, note, inter = oracle(tid, c)
                     assert (rep.verdict, rep.skip_reason, rep.note) == (verdict, reason, note)
                     assert list(rep.intermediates.items()) == list(inter.items())
                     assert all(type(v) is Fraction for v in rep.intermediates.values() if v is not None)
+                    if tid in NAMED_CHECKS:
+                        assert NAMED_CHECKS[tid](log, "m", alpha, body) == rep
                 for beta in ("a", "b", "c"):
-                    rep = check_reclassification_limit(log, "m", alpha, beta, body)
+                    rep = check(T4, log, "m", alpha, body, beta)
                     verdict, reason, note, inter = oracle(
                         T4, joint_counts(log, alpha, body, beta, model_id="m")
                     )
@@ -641,21 +667,24 @@ def _sweep_counts(seed, trials):
     return [c for *_, c in reference_pairs(seed, trials)]
 
 
-def _rig(monkeypatch, tid, fails):
-    """Make statement ``tid`` VIOLATED wherever ``fails(c)`` holds, in its
-    registry check and in its column form alike; ``fails`` maps a count
-    tuple to a bool and count columns to a bool column."""
-    honest, honest_columns = CHECKS[tid], COLUMN_CHECKS[tid]
+def _rig(monkeypatch, tid, fails, first=True):
+    """Make statement ``tid`` VIOLATED where ``fails(c)`` holds, with one
+    more case that both evaluations read. Declared ``first``, it decides
+    every such row; declared last, only the rows none of the statement's
+    own cases decides, which keep every quantity the statement names.
+    ``fails`` maps a count tuple to a bool and count columns to a bool
+    column."""
+    honest = STATEMENTS[tid]
 
-    def rigged(c, q):
-        outcome = honest(c, q)
-        return (VIOLATED, *outcome[1:]) if fails(c) else outcome
+    def rigged(e, c, q):
+        if first:
+            e.case(fails(c), VIOLATED)
+        holds = honest(e, c, q)
+        if not first:
+            e.case(fails(c), VIOLATED)
+        return holds
 
-    def rigged_columns(c, q):
-        return np.where(fails(c), theorems._V, honest_columns(c, q))
-
-    monkeypatch.setitem(CHECKS, tid, rigged)
-    monkeypatch.setitem(COLUMN_CHECKS, tid, rigged_columns)
+    monkeypatch.setitem(STATEMENTS, tid, rigged)
 
 
 def _fires_once(c):  # the body fires on one prediction of α
@@ -663,15 +692,14 @@ def _fires_once(c):  # the body fires on one prediction of α
 
 
 def test_sweep_captures_violation_with_full_report(monkeypatch):
-    honest = CHECKS[T4]
     clean = sweep(7, 30)
     seen = _sweep_counts(7, 30)
-    holding = [c for c in seen if honest(c, theorems._base(c))[:3] == (HOLDS, None, None)]
+    holding = [c for c in seen if _run(T4, c)[:3] == (HOLDS, None, None)]
     chosen = max(holding, key=seen.count)
     occurrences = seen.count(chosen)
     assert occurrences >= 2  # every occurrence is reported
 
-    _rig(monkeypatch, T4, lambda c: reduce(and_, (x == y for x, y in zip(c, chosen))))
+    _rig(monkeypatch, T4, lambda c: reduce(and_, (x == y for x, y in zip(c, chosen))), first=False)
     result = sweep(7, 30)
     seen = _sweep_counts(7, 30)
     assert seen.count(chosen) == occurrences
@@ -684,7 +712,7 @@ def test_sweep_captures_violation_with_full_report(monkeypatch):
         beta = violation.correction_class
         assert beta is not None and violation.report.correction_class == beta
         assert joint_counts(log, violation.alpha, body, beta, model_id="m") == chosen
-        expected = check_reclassification_limit(log, "m", violation.alpha, beta, body)
+        expected = check(T4, log, "m", violation.alpha, body, beta)
         assert violation.report == TheoremReport(
             expected.theorem_id, VIOLATED, expected.model_id, expected.target_class,
             expected.condition_ids, expected.intermediates, expected.correction_class,
@@ -734,14 +762,19 @@ def test_sweep_chunk_size_changes_no_result(monkeypatch, size):
         _assert_sweeps_equal(result, reference_sweep(seed, trials, **bounds))
 
 
-def test_sweep_disagreeing_column_form_is_an_internal_error(monkeypatch, tmp_path):
-    # Only the column form fails: the registry check does not confirm it.
-    honest = COLUMN_CHECKS[T4]
-    monkeypatch.setitem(COLUMN_CHECKS, T4,
-                        lambda c, q: np.where(_fires_once(c), theorems._V, honest(c, q)))
-    with pytest.raises(RuntimeError, match="column and registry checks disagree"):
+def test_sweep_disagreeing_evaluations_are_an_internal_error(monkeypatch, tmp_path):
+    # Only the column evaluation fails T4: the evaluation on ints, which
+    # the statement itself still passes, does not confirm it.
+    honest = theorems._codes
+
+    def rigged(statement, c, q):
+        codes = honest(statement, c, q)
+        return np.where(_fires_once(c), theorems._V, codes) if statement is STATEMENTS[T4] else codes
+
+    monkeypatch.setattr(theorems, "_codes", rigged)
+    with pytest.raises(RuntimeError, match="scalar and column evaluations disagree"):
         sweep(8, 40)
-    with pytest.raises(RuntimeError, match="column and registry checks disagree"):  # not exit 2
+    with pytest.raises(RuntimeError, match="scalar and column evaluations disagree"):  # not exit 2
         main(["sweep", "--seed", "8", "--trials", "40", "--out", str(tmp_path / "out")])
 
 
@@ -753,6 +786,6 @@ def test_verify_and_sweep_share_the_registry(tmp_path):
           "--condition", "c1", "--target-class", "b", "--out", str(out)])
     reports = json.loads((out / "reports.json").read_text(encoding="utf-8"))
     ids = [r["theorem_id"] for r in reports]
-    assert ids == [tid.value for tid in CHECKS]
+    assert ids == [tid.value for tid in STATEMENTS]
     assert set(ids) == {tid.value for tid in TheoremId}
-    assert set(sweep(1, 2).verdict_counts) == set(CHECKS) == set(TheoremId)
+    assert set(sweep(1, 2).verdict_counts) == set(STATEMENTS) == set(TheoremId)

@@ -6,9 +6,9 @@ of the library. Returns (verdict, skip_reason, note, intermediates) for a
 
 ``reference_sweep`` is the sweep as a plain per-pair loop: it builds each
 trial's log, counts every (trial, class, condition) pair on it with
-``joint_counts`` (``reference_pairs``) and runs the library's registry
-(``CHECKS``, not the column forms) on each, for comparison with
-``errata.sweep``.
+``joint_counts`` (``reference_pairs``) and evaluates the library's
+statements on each, on Python ints (``theorems._outcome``, not the
+column evaluation), for comparison with ``errata.sweep``.
 """
 
 from fractions import Fraction
@@ -165,12 +165,11 @@ def reference_sweep(seed, trials, max_records=30, max_labels=4, max_conditions=3
     violations = []
     bounds = (max_records, max_labels, max_conditions)
     for trial, trial_seed, log, alpha, beta, cid, c in reference_pairs(seed, trials, *bounds):
-        q = theorems._base(c)
-        for tid, check in theorems.CHECKS.items():
-            outcome = check(c, q)
-            counts[tid][outcome[0]] += 1
-            if outcome[0] is VIOLATED:
-                report = theorems._report(tid, outcome, q, "m", alpha, (cid,), beta)
+        for tid in theorems.STATEMENTS:
+            verdict = theorems._outcome(tid, c)[0]
+            counts[tid][verdict] += 1
+            if verdict is VIOLATED:
+                report = theorems._report(tid, c, "m", alpha, (cid,), beta)
                 violations.append(theorems.SweepViolation(
                     trial, trial_seed, tid, alpha, cid, report.correction_class,
                     report, serialize_log(log)))
