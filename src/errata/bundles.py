@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .estimators import Probability
-from .rational import format_rational
+from .logs import _Frozen
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,7 @@ class MetricBundle:
 
     __slots__ = ("precision", "recall", "rule_precision", "rule_recall", "support",
                  "confidence", "k_factor", "residual")
+    _rationals = ("k_factor", "residual")
 
     precision: Probability
     recall: Probability
@@ -48,14 +49,4 @@ class MetricBundle:
     def __reduce__(self):  # copy and unpickle through the constructor, as frozen
         return (MetricBundle, tuple(getattr(self, name) for name in self.__slots__))
 
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision.to_dict(),
-            "recall": self.recall.to_dict(),
-            "rule_precision": self.rule_precision.to_dict(),
-            "rule_recall": self.rule_recall.to_dict(),
-            "support": self.support.to_dict(),
-            "confidence": self.confidence.to_dict(),
-            "k_factor": format_rational(self.k_factor),
-            "residual": format_rational(self.residual),
-        }
+    to_dict = _Frozen.to_dict  # the shared encoder of the value types

@@ -103,11 +103,7 @@ class Probability(_Frozen):
         return Fraction(self.numerator, self.denominator)
 
     def to_dict(self) -> dict:
-        return {
-            "numerator": self.numerator,
-            "denominator": self.denominator,
-            "value": format_rational(self.value),
-        }
+        return {**super().to_dict(), "value": format_rational(self.value)}
 
 
 class ConditionBody(_Frozen):
@@ -308,14 +304,7 @@ def _error_detecting(pred: int, pred_gt: int, pred_body: int, pred_body_gt: int)
 
 class InvarianceRow(_Frozen):
     __slots__ = ("distribution", "verdict", "confidence", "confidence_gap")
-
-    def to_dict(self) -> dict:
-        return {
-            "distribution": self.distribution,
-            "verdict": self.verdict.value,
-            "confidence": self.confidence.to_dict(),
-            "confidence_gap": format_rational(self.confidence_gap),
-        }
+    _rationals = ("confidence_gap",)
 
 
 class InvarianceProfile(_Frozen):
@@ -333,13 +322,6 @@ class InvarianceProfile(_Frozen):
             if row.distribution == distribution:
                 return row
         raise KeyError(distribution)
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [row.to_dict() for row in self.rows],
-            "pooled_confidence": self.pooled_confidence.to_dict(),
-            "invariant": self.invariant,
-        }
 
 
 def invariance_profile(

@@ -37,7 +37,7 @@ from .estimators import (
     bundle_from_counts,
 )
 from .logs import InputError, PredictionLog, _Frozen, _set
-from .rational import as_fraction, format_rational
+from .rational import as_fraction
 from .rules import CorrectionRule, DetectionRule
 
 
@@ -56,7 +56,9 @@ NO_ADMISSIBLE_PAIR = "NO_ADMISSIBLE_PAIR"
 
 class LearnConfig(_Frozen):
     """Learner settings; epsilon bounds the allowed recall reduction and is
-    read exactly (the float 0.1 is 1/10)."""
+    read exactly (the float 0.1 is 1/10). A body is admitted while it
+    erases at most ⌊ε·gt⌋ correct predictions; ε may exceed 1, and any
+    ε ≥ 1 admits every body, as ε = 1 does."""
 
     __slots__ = ("objective", "epsilon", "max_body_size")
 
@@ -75,19 +77,13 @@ class LearnConfig(_Frozen):
 
 class LearnStep(_Frozen):
     __slots__ = ("added", "objective_before", "objective_after", "recall_reduction")
+    _rationals = ("objective_before", "objective_after", "recall_reduction")
 
     def to_dict(self) -> dict:
-        added = (
-            {"condition": self.added[0], "trigger_class": self.added[1]}
-            if isinstance(self.added, tuple)
-            else self.added
-        )
-        return {
-            "added": added,
-            "objective_before": format_rational(self.objective_before),
-            "objective_after": format_rational(self.objective_after),
-            "recall_reduction": format_rational(self.recall_reduction),
-        }
+        out = super().to_dict()
+        if isinstance(self.added, tuple):  # a correction step's (condition, trigger class)
+            out["added"] = dict(zip(("condition", "trigger_class"), self.added))
+        return out
 
 
 class GuardCheck(_Frozen):
@@ -99,29 +95,13 @@ class GuardCheck(_Frozen):
     """
 
     __slots__ = ("condition_id", "confidence", "residual", "improves_precision")
-
-    def to_dict(self) -> dict:
-        return {
-            "condition_id": self.condition_id,
-            "confidence": self.confidence.to_dict(),
-            "residual": format_rational(self.residual),
-            "improves_precision": self.improves_precision,
-        }
+    _rationals = ("residual",)
 
 
 class PairGuard(_Frozen):
     """Admissibility of one correction pair against the base precision."""
 
     __slots__ = ("condition_id", "trigger_class", "pair_precision", "base_precision", "admissible")
-
-    def to_dict(self) -> dict:
-        return {
-            "condition_id": self.condition_id,
-            "trigger_class": self.trigger_class,
-            "pair_precision": self.pair_precision.to_dict(),
-            "base_precision": self.base_precision.to_dict(),
-            "admissible": self.admissible,
-        }
 
 
 class LearnReport(_Frozen):
@@ -133,23 +113,13 @@ class LearnReport(_Frozen):
     __slots__ = ("outcome", "reason", "baseline_objective", "objective", "epsilon", "steps",
                  "guards", "pair_guards", "final_metrics", "base_precision", "final_precision")
     _defaults = (None, None, (), (), (), None, None, None)  # objective ... final_precision
+    _rationals = ("baseline_objective",)
 
     def to_dict(self) -> dict:
-        out = {} if self.objective is None else {
-            "objective": self.objective.value,
-            "epsilon": format_rational(self.epsilon),
-        }
-        out.update({
-            "outcome": self.outcome,
-            "reason": self.reason,
-            "baseline_objective": format_rational(self.baseline_objective),
-            "steps": [s.to_dict() for s in self.steps],
-            "guards": [g.to_dict() for g in self.guards],
-            "pair_guards": [g.to_dict() for g in self.pair_guards],
-            "final_metrics": None if self.final_metrics is None else self.final_metrics.to_dict(),
-            "base_precision": None if self.base_precision is None else self.base_precision.to_dict(),
-            "final_precision": None if self.final_precision is None else self.final_precision.to_dict(),
-        })
+        out = super().to_dict()
+        settings = {name: out.pop(name) for name in ("objective", "epsilon")}
+        if self.objective is not None:  # the settings lead the report
+            out = {**settings, **out}
         if self.objective is Objective.F1:
             out["objective_note"] = (
                 "F1 objective scores the post-rule F1 of the target class; it is a "

@@ -34,7 +34,9 @@ a bit space of only the scope's rows that predict α, with one mask for
 the correct predictions, one per condition id and one per distribution
 tag. Its bits are grouped by shape, one run per shape as long as the
 shape's row count, so each mask is built by string joins from per-shape
-runs, without a loop over rows. A view mask is only ever counted: it is
+runs, without a loop over rows. The runs of shapes that carry a condition
+take the low bits, correct ones lowest, so body masks stay as narrow as
+the rows with a condition. A view mask is only ever counted: it is
 never compared or combined with a row mask, and never used to find rows.
 
 ``load_log`` interns set fields: equal arrays within one load share one
@@ -77,9 +79,13 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from collections import Counter, defaultdict
+from enum import Enum
+from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain
 from typing import Iterable, Iterator
+
+from .rational import format_rational
 
 DEFAULT_DISTRIBUTION = "default"
 
@@ -143,6 +149,26 @@ def _string(value, where: str, error: type[InputError] = InputError) -> str:
 _set = object.__setattr__  # how a value type's __init__ sets a field
 
 
+def _json(value):
+    """``value`` as JSON data: a str, int, bool or None as it is, an Enum
+    as its value, a rational as "num/den" text, a tuple as a list and a
+    frozenset as a sorted list of encoded items, a dict as a dict of
+    encoded keys and values, and a value type through its ``to_dict``."""
+    if isinstance(value, Enum):
+        return value.value
+    if value is None or isinstance(value, (str, int)):
+        return value
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, tuple):
+        return [_json(item) for item in value]
+    if isinstance(value, frozenset):
+        return sorted(map(_json, value))
+    if isinstance(value, dict):
+        return {_json(key): _json(item) for key, item in value.items()}
+    return value.to_dict()
+
+
 class _Frozen:
     """Base of the package's immutable value types.
 
@@ -157,11 +183,18 @@ class _Frozen:
     Assignment and deletion raise ``AttributeError``. Copy and pickle
     rebuild a value through its constructor, so a changed copy is built the
     same way: ``Probability(p.numerator, 7)``.
+
+    ``to_dict`` gives a value as JSON data: its fields in ``__slots__``
+    order, each encoded by ``_json``. ``_rationals`` names the fields that
+    hold a rational, or a dict of them, whose None means undefined: it is
+    written UNDEFINED, not null. A type whose JSON is not its fields
+    overrides ``to_dict`` over this one.
     """
 
     __slots__ = ()
     _hidden: tuple[str, ...] = ()
     _defaults: tuple = ()
+    _rationals: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -195,6 +228,18 @@ class _Frozen:
 
     def __reduce__(self):
         return self.__class__, self._values()
+
+    def to_dict(self) -> dict:
+        out = {}
+        for name in self.__slots__:
+            value = getattr(self, name)
+            if name not in self._rationals:
+                out[name] = _json(value)
+            elif isinstance(value, dict):
+                out[name] = {key: format_rational(v) for key, v in value.items()}
+            else:
+                out[name] = format_rational(value)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -240,10 +285,15 @@ class ClassView:
     their own, for counting α's rule bodies.
 
     Bits are grouped by shape: each shape of the scope that predicts α is
-    one run of bits, as long as the number of rows it has. ``correct``
-    holds the runs of shapes whose ground truth has α, and
-    ``conditions[cid]`` and ``distributions[tag]`` the runs of shapes that
-    carry the key; absent keys read as 0. ``counts[tag]`` is (total, gt,
+    one run of bits, as long as the number of rows it has. The lowest runs
+    are the shapes that carry a condition and are correct, the next those
+    that carry one and are wrong, the highest those without a condition,
+    each group in code order. So a body mask spans only the rows with a
+    condition, its correct part only the lowest group, and a count of
+    either reads no wider an int than it must. ``correct`` holds the runs
+    of shapes whose ground truth has α, and ``conditions[cid]`` and
+    ``distributions[tag]`` the runs of shapes that carry the key; absent
+    keys read as 0. ``counts[tag]`` is (total, gt,
     pred, pred_gt) of the scope narrowed to the tag: its rows, those with
     α in the ground truth, those predicting α and those predicting it
     correctly; ``counts[None]`` is the same over every tag.
@@ -253,9 +303,9 @@ class ClassView:
 
     def __init__(self, shapes: tuple[tuple, ...], shape_rows: Counter,
                  model_id: str | None, alpha: str):
-        runs: list[int] = []  # rows of each shape predicting α, in code order
-        correct: list[int] = []  # per key, the runs of the shapes that carry it
-        conditions, distributions = defaultdict(list), defaultdict(list)
+        # The codes of the shapes predicting α, by layout group: without a
+        # condition, with one and wrong, with one and correct.
+        groups: tuple[list[int], ...] = ([], [], [])
         counts = defaultdict(lambda: [0, 0, 0, 0])
         for code, (model, labels, truth, condition_ids, tag) in enumerate(shapes):
             if model_id is not None and model != model_id:
@@ -265,15 +315,21 @@ class ClassView:
             if hit:
                 tally[1] += n
             if alpha in labels:
-                run = len(runs)
-                runs.append(n)
                 tally[2] += n
                 if hit:
                     tally[3] += n
-                    correct.append(run)
-                for cid in condition_ids:
-                    conditions[cid].append(run)
-                distributions[tag].append(run)
+                groups[(1 + hit) if condition_ids else 0].append(code)
+        runs: list[int] = []  # rows of each run, most significant run first
+        correct: list[int] = []  # per key, the runs of the shapes that carry it
+        conditions, distributions = defaultdict(list), defaultdict(list)
+        for run, code in enumerate(chain.from_iterable(groups)):
+            _, _, truth, condition_ids, tag = shapes[code]
+            runs.append(shape_rows[code])
+            if alpha in truth:
+                correct.append(run)
+            for cid in condition_ids:
+                conditions[cid].append(run)
+            distributions[tag].append(run)
         zeros = ["0" * n for n in runs]
 
         def mask(chosen: list[int]) -> int:

@@ -11,8 +11,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .logs import InputError
-
 UNDEFINED_TEXT = "UNDEFINED"
 
 # The most decimal digits the numerator or the denominator of a parsed
@@ -48,6 +46,8 @@ def parse_rational(text: str, name: str = "value") -> Fraction:
     """Parse "num/den", integer, or decimal text into a Fraction. A value
     whose numerator or denominator has more than ``MAX_DIGITS`` digits is
     an ``InputError`` that names ``name``, the flag or key of the text."""
+    from .logs import InputError  # logs imports this module
+
     exponent = _EXPONENT.search(text)
     # An exponent of 10**4 or more is read as 0 (Fraction would build
     # 10 ** exponent): Python reads at most 4300 digits on either side of

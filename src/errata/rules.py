@@ -23,8 +23,8 @@ from .estimators import (
     f1_value,
     joint_counts,
 )
-from .logs import InputError, PredictionLog, _entries, _Frozen, _object, _set, _strict_json, _string
-from .rational import format_rational, sub
+from .logs import InputError, PredictionLog, _entries, _Frozen, _json, _object, _set, _strict_json, _string
+from .rational import sub
 
 
 class UnknownConditionError(InputError):
@@ -41,11 +41,9 @@ class DetectionRule(_Frozen):
     __slots__ = ("model_id", "target_class", "body")
 
     def to_dict(self) -> dict:
-        return {
-            "model_id": self.model_id,
-            "target_class": self.target_class,
-            "conditions": list(self.body.sorted_ids()),
-        }
+        out = super().to_dict()
+        out["conditions"] = out.pop("body")["condition_ids"]
+        return out
 
 
 class CorrectionRule(_Frozen):
@@ -65,17 +63,10 @@ class CorrectionRule(_Frozen):
         _set(self, "target_class", target_class)
         _set(self, "pairs", pairs)
 
-    def sorted_pairs(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted(self.pairs))
-
     def to_dict(self) -> dict:
-        return {
-            "model_id": self.model_id,
-            "target_class": self.target_class,
-            "pairs": [
-                {"condition": c, "trigger_class": t} for c, t in self.sorted_pairs()
-            ],
-        }
+        out = super().to_dict()
+        out["pairs"] = [dict(zip(("condition", "trigger_class"), pair)) for pair in out["pairs"]]
+        return out
 
 
 class RuleSet(_Frozen):
@@ -84,12 +75,6 @@ class RuleSet(_Frozen):
     def __init__(self, detections=(), corrections=()):
         _set(self, "detections", tuple(detections))
         _set(self, "corrections", tuple(corrections))
-
-    def to_dict(self) -> dict:
-        return {
-            "detections": [r.to_dict() for r in self.detections],
-            "corrections": [r.to_dict() for r in self.corrections],
-        }
 
 
 def dumps_rules(rules: RuleSet) -> str:
@@ -174,13 +159,8 @@ class RecordTrace(_Frozen):
         return self.erased_labels & self.added_labels
 
     def to_dict(self) -> dict:
-        out: dict = {"sample_id": self.sample_id, "model_id": self.model_id}
-        if self.erased:
-            out["erased"] = [[label, idx] for label, idx in self.erased]
-        if self.added:
-            out["added"] = [[label, idx] for label, idx in self.added]
-        if self.conflict:
-            out["conflict"] = sorted(self.conflict)
+        # erased, added and conflict are left out when empty
+        out = {name: value for name, value in super().to_dict().items() if value != []}
         if self.reinstated:
             out["mutually_canceling"] = sorted(self.reinstated)
         return out
@@ -209,7 +189,7 @@ class ApplicationTrace(_Frozen):
         return tuple(e for e in self.touched if e.erased or e.added or e.conflict)
 
     def to_dict(self) -> dict:
-        return {"entries": [e.to_dict() for e in self.nonempty()]}
+        return {"entries": _json(self.nonempty())}
 
     def to_json(self) -> str:
         """The text ``json.dumps(self.to_dict(), indent=2)`` gives.
@@ -310,6 +290,7 @@ class DeltaRow(_Frozen):
     __slots__ = ("model_id", "label", "precision_before", "precision_after", "recall_before",
                  "recall_after", "f1_before", "f1_after", "precision_delta", "recall_delta",
                  "f1_delta")
+    _rationals = ("f1_before", "f1_after", "precision_delta", "recall_delta", "f1_delta")
 
     @property
     def skipped(self) -> bool:
@@ -321,20 +302,7 @@ class DeltaRow(_Frozen):
         )
 
     def to_dict(self) -> dict:
-        return {
-            "model_id": self.model_id,
-            "label": self.label,
-            "precision_before": self.precision_before.to_dict(),
-            "precision_after": self.precision_after.to_dict(),
-            "recall_before": self.recall_before.to_dict(),
-            "recall_after": self.recall_after.to_dict(),
-            "f1_before": format_rational(self.f1_before),
-            "f1_after": format_rational(self.f1_after),
-            "precision_delta": format_rational(self.precision_delta),
-            "recall_delta": format_rational(self.recall_delta),
-            "f1_delta": format_rational(self.f1_delta),
-            "skipped": self.skipped,
-        }
+        return {**super().to_dict(), "skipped": self.skipped}
 
 
 def _truths_by_key(log: PredictionLog) -> dict[tuple[str, str], frozenset[str]]:

@@ -36,7 +36,7 @@ from .logs import (
     _set,
     _string,
 )
-from .rational import as_fraction, format_rational
+from .rational import as_fraction
 
 
 class SynthConfigError(InputError):
@@ -280,42 +280,10 @@ class SynthConfig(_Frozen):
         )
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_records": self.n_records,
-            "model_id": self.model_id,
-            "labels": list(self.labels),
-            "class_priors": {
-                label: format_rational(w) for label, w in self.class_priors.items()
-            },
-            "confusion": {
-                label: [
-                    {"predicted": sorted(predicted), "weight": format_rational(w)}
-                    for predicted, w in rows
-                ]
-                for label, rows in self.confusion.items()
-            },
-            "planted_conditions": [
-                {
-                    "condition_id": pc.condition_id,
-                    "target_class": pc.target_class,
-                    "target_support": format_rational(pc.target_support),
-                    "target_confidence": format_rational(pc.target_confidence),
-                }
-                for pc in self.planted_conditions
-            ],
-            "distributions": [
-                {
-                    "tag": d.tag,
-                    "record_fraction": format_rational(d.record_fraction),
-                    "confidence_override": {
-                        cid: format_rational(v)
-                        for cid, v in d.confidence_override.items()
-                    },
-                }
-                for d in self.distributions
-            ],
-        }
+        out = super().to_dict()
+        out["confusion"] = {label: [dict(zip(("predicted", "weight"), row)) for row in rows]
+                            for label, rows in out["confusion"].items()}
+        return out
 
 
 class BookkeepingRow(_Frozen):
@@ -323,15 +291,6 @@ class BookkeepingRow(_Frozen):
     ``distribution`` of None means pooled over all tags."""
 
     __slots__ = ("condition_id", "target_class", "distribution", "support", "confidence")
-
-    def to_dict(self) -> dict:
-        return {
-            "condition_id": self.condition_id,
-            "target_class": self.target_class,
-            "distribution": self.distribution,
-            "support": self.support.to_dict(),
-            "confidence": self.confidence.to_dict(),
-        }
 
 
 class SynthBookkeeping(_Frozen):
@@ -344,9 +303,6 @@ class SynthBookkeeping(_Frozen):
             if row.condition_id == condition_id and row.distribution == distribution:
                 return row
         raise KeyError((condition_id, distribution))
-
-    def to_dict(self) -> dict:
-        return {"rows": [row.to_dict() for row in self.rows]}
 
 
 # ---------------------------------------------------------------------------

@@ -51,8 +51,8 @@ from .estimators import (
     _sub,
     joint_counts,
 )
-from .logs import InputError, _Frozen, _set, serialize_log
-from .rational import format_rational, parse_rational
+from .logs import InputError, _Frozen, _json, _set, serialize_log
+from .rational import parse_rational
 
 
 class TheoremId(str, Enum):
@@ -76,6 +76,7 @@ class TheoremReport(_Frozen):
 
     __slots__ = ("theorem_id", "verdict", "model_id", "target_class", "condition_ids",
                  "intermediates", "correction_class", "skip_reason", "note")
+    _rationals = ("intermediates",)
 
     def __init__(self, theorem_id: TheoremId, verdict: TheoremVerdict, model_id: str,
                  target_class: str, condition_ids: tuple[str, ...],
@@ -93,20 +94,9 @@ class TheoremReport(_Frozen):
         _set(self, "note", note)
 
     def to_dict(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id.value,
-            "verdict": self.verdict.value,
-            "model_id": self.model_id,
-            "target_class": self.target_class,
-            "condition_ids": list(self.condition_ids),
-            "correction_class": self.correction_class,
-            "skip_reason": self.skip_reason,
-            "note": self.note,
-            "intermediates": {
-                name: format_rational(value)
-                for name, value in self.intermediates.items()
-            },
-        }
+        out = super().to_dict()
+        out["intermediates"] = out.pop("intermediates")  # last, after the scalar fields
+        return out
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TheoremReport":
@@ -143,9 +133,10 @@ HOLDS, VIOLATED, SKIPPED = TheoremVerdict.HOLDS, TheoremVerdict.VIOLATED, Theore
 # ``JointCounts`` ``c`` and its ``_base_ratios`` ``q``. It declares its
 # cases in order (``e.case``, ``e.skip``: the first that holds decides),
 # names the quantities its report carries (``e.let``), and returns its
-# verdict expression, true where it holds. Its conditions use only ==, !=,
-# & and | (never ~, not, and, or), so that they read the same on Python
-# ints and on numpy columns.
+# verdict expression, true where it holds. It compares ratios with
+# ``e.eq``, ``e.le`` and ``e.lt``. Its conditions use only ==, !=, & and |
+# (never ~, not, and, or), so that they read the same on Python ints and
+# on numpy columns.
 Statement = Callable[..., object]
 _VERDICTS = tuple(TheoremVerdict)
 _H, _V, _S = (_VERDICTS.index(v) for v in (HOLDS, VIOLATED, SKIPPED))
@@ -170,14 +161,14 @@ def _t1(e, c: JointCounts, q: _Base):
     # Closed form of post-rule precision; its failure would equally be an
     # implementation bug, so it shares the verdict.
     closed_form = e.let("closed_form_rule_precision", e.where(zero, q.precision, _closed_form(q)))
-    return _eq(lhs, rhs) & _eq(q.rule_precision, closed_form)
+    return e.eq(lhs, rhs) & e.eq(q.rule_precision, closed_form)
 
 
 def _claim1(e, c: JointCounts, q: _Base):
     e.skip(c.pred == 0, _NEVER_PREDICTED)
     e.skip(c.pred_body == c.pred, _SUPPORT_ONE)
     expected = e.where(c.pred_body == 0, q.precision, _closed_form(q))
-    return _eq(q.rule_precision, e.let("expected_rule_precision", expected))
+    return e.eq(q.rule_precision, e.let("expected_rule_precision", expected))
 
 
 def _t2(e, c: JointCounts, q: _Base):
@@ -185,9 +176,9 @@ def _t2(e, c: JointCounts, q: _Base):
     e.skip(c.pred_body == 0, _NO_COOCCURRENCE)
     e.skip(c.pred_body == c.pred, _SUPPORT_ONE)
     correct_under_body = e.let("correct_rate_under_body", _sub(_ONE, q.confidence))
-    error_detecting = _le(correct_under_body, q.precision)
+    error_detecting = e.le(correct_under_body, q.precision)
     e.note(error_detecting, "error_detecting=YES", "error_detecting=NO")
-    return error_detecting == _le(q.precision, q.rule_precision)
+    return error_detecting == e.le(q.precision, q.rule_precision)
 
 
 def _t3(e, c: JointCounts, q: _Base):
@@ -201,24 +192,24 @@ def _t3(e, c: JointCounts, q: _Base):
     e.skip((c.pred_body != 0) & (c.pred_gt == 0), "precision is zero (division by zero on the right)")
     lhs = e.let("lhs", _sub(recall, rule_recall))
     rhs = _div(_mul(_mul(correct_under_body, q.support), recall), q.precision)
-    return _eq(lhs, e.let("rhs", e.where(zero, _ZERO, rhs)))
+    return e.eq(lhs, e.let("rhs", e.where(zero, _ZERO, rhs)))
 
 
 def _corollary(e, c: JointCounts, q: _Base):
     e.skip((c.pred == 0) | (c.pred_body == 0), "error-detecting verdict undefined")
     correct_under_body = e.let("correct_rate_under_body", _sub(_ONE, q.confidence))
-    e.case(_lt(q.precision, correct_under_body), HOLDS,
+    e.case(e.lt(q.precision, correct_under_body), HOLDS,
            note="condition not error detecting; bound vacuous")
     errors = c.pred - c.pred_gt
     e.skip(errors == 0, "class always correct; bound side undefined")
-    return _le(q.support, e.let("support_bound", (c.pred_body - c.pred_body_gt, errors)))
+    return e.le(q.support, e.let("support_bound", (c.pred_body - c.pred_body_gt, errors)))
 
 
 def _eq7(e, c: JointCounts, q: _Base):
     e.skip(c.pred == 0, _NEVER_PREDICTED)
     e.skip(c.pred_body == 0, _NO_COOCCURRENCE)
     e.skip(c.pred_body == c.pred, _SUPPORT_ONE)
-    return _lt(q.residual, q.confidence) == _lt(q.precision, q.rule_precision)
+    return e.lt(q.residual, q.confidence) == e.lt(q.precision, q.rule_precision)
 
 
 def _t4(e, c: JointCounts, q: _Base):
@@ -234,8 +225,8 @@ def _t4(e, c: JointCounts, q: _Base):
     e.let("set_union_precision", (c.union_beta_gt, c.union))
     e.skip(c.beta_pred == 0, "correction class never predicted")
     e.skip(c.pred_body == 0, "pair event never occurs")
-    e.case(_lt(base, pair), HOLDS, note="hypothesis not met; implication vacuous")
-    return _le(pooled, base)
+    e.case(e.lt(base, pair), HOLDS, note="hypothesis not met; implication vacuous")
+    return e.le(pooled, base)
 
 
 # One entry per statement. Registry order is the report order of ``errata
@@ -259,12 +250,33 @@ _T4 = TheoremId.T4_RECLASS_LIMIT
 class _Scalar:
     """Evaluates a statement on one count tuple of Python ints: the first
     case that holds decides, else the verdict expression. ``named`` keeps
-    the quantities named before the deciding case."""
+    the quantities named before the deciding case.
 
-    __slots__ = ("decided", "named", "final_note")
+    Cross-multiplication finds a ratio with a zero denominator equal to,
+    and no greater than, any ratio, so a statement must skip every tuple
+    on which it would compare one. A comparison made before any case has
+    decided that sees a zero denominator raises ``RuntimeError``: the
+    statement lacks a skip, an implementation bug."""
 
-    def __init__(self, named: list):
-        self.decided, self.named, self.final_note = None, named, None
+    __slots__ = ("theorem_id", "decided", "named", "final_note")
+
+    def __init__(self, theorem_id: TheoremId, named: list):
+        self.theorem_id, self.decided, self.named, self.final_note = theorem_id, None, named, None
+
+    def _compare(self, compare, x: Ratio, y: Ratio) -> bool:
+        if self.decided is None and not (x[1] and y[1]):
+            raise RuntimeError(f"{self.theorem_id.value} compares an undefined ratio "
+                               f"({x[0]}/{x[1]} with {y[0]}/{y[1]}) that no case skips")
+        return compare(x, y)
+
+    def eq(self, x, y):
+        return self._compare(_eq, x, y)
+
+    def le(self, x, y):
+        return self._compare(_le, x, y)
+
+    def lt(self, x, y):
+        return self._compare(_lt, x, y)
 
     def case(self, cond, verdict, reason=None, note=None):
         if cond and self.decided is None:
@@ -292,6 +304,7 @@ class _Columns:
     code), and its reasons, names and notes are dropped."""
 
     __slots__ = ("cases",)
+    eq, le, lt = staticmethod(_eq), staticmethod(_le), staticmethod(_lt)
 
     def __init__(self):
         self.cases = []
@@ -318,7 +331,7 @@ def _outcome(theorem_id: TheoremId, c: JointCounts):
     """(verdict, skip reason, note, named ratios) of one statement on one
     count tuple; every statement but T4 names the base ratios first."""
     q = _base_ratios(c)
-    e = _Scalar([] if theorem_id is _T4 else list(zip(_Base._fields, q)))
+    e = _Scalar(theorem_id, [] if theorem_id is _T4 else list(zip(_Base._fields, q)))
     holds = STATEMENTS[theorem_id](e, c, q)
     return (*(e.decided or (HOLDS if holds else VIOLATED, None, e.final_note)), e.named)
 
@@ -407,21 +420,10 @@ class SweepResult(_Frozen):
         return self.verdict_counts[theorem_id][verdict]
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "bounds": {
-                "max_records": self.max_records,
-                "max_labels": self.max_labels,
-                "max_conditions": self.max_conditions,
-            },
-            "total_verdicts": self.total_verdicts,
-            "verdicts": {
-                tid.value: {v.value: n for v, n in counts.items()}
-                for tid, counts in self.verdict_counts.items()
-            },
-            "violations": len(self.violations),
-        }
+        bounds = {name: getattr(self, name) for name in ("max_records", "max_labels", "max_conditions")}
+        return {"seed": self.seed, "trials": self.trials, "bounds": bounds,
+                "total_verdicts": self.total_verdicts, "verdicts": _json(self.verdict_counts),
+                "violations": len(self.violations)}
 
 
 # A sweep counts its trials a chunk at a time, as many trials as fit this

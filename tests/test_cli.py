@@ -730,6 +730,19 @@ def test_oversized_epsilon_exits_2(tmp_path, log_file, capsys, epsilon):
     assert not (tmp_path / "out").exists()
 
 
+def test_epsilon_above_one_learns_as_epsilon_one(tmp_path, log_file):
+    # Any ε ≥ 1 gives a budget ⌊ε·gt⌋ ≥ gt, which admits every body; c1
+    # costs one of class a's three correct predictions in ground truth.
+    rules = {}
+    for epsilon in ("1", "2"):
+        out = tmp_path / epsilon
+        assert main(["learn-detection", "--log", str(log_file), "--model", "m", "--class", "a",
+                     "--condition", "c1", "--epsilon", epsilon, "--out", str(out)]) == 0
+        rules[epsilon] = (out / "rules.json").read_bytes()
+    assert rules["2"] == rules["1"]
+    assert json.loads(rules["2"])["detections"][0]["conditions"] == ["c1"]
+
+
 def test_rationals_up_to_the_digit_bound_parse_exactly():
     assert parse_rational("1e999") == 10 ** 999
     assert parse_rational("1e-999") == Fraction(1, 10 ** 999)

@@ -24,6 +24,7 @@ from errata import (
     joint_counts,
     load_log,
     random_log,
+    serialize_log,
     sweep,
 )
 from errata import draws, theorems
@@ -776,6 +777,43 @@ def test_sweep_disagreeing_evaluations_are_an_internal_error(monkeypatch, tmp_pa
         sweep(8, 40)
     with pytest.raises(RuntimeError, match="scalar and column evaluations disagree"):  # not exit 2
         main(["sweep", "--seed", "8", "--trials", "40", "--out", str(tmp_path / "out")])
+
+
+class _WithoutSkip:
+    """An evaluator that drops the skip with one reason and passes every
+    other call on to ``e``."""
+
+    def __init__(self, e, reason):
+        self._e, self._reason = e, reason
+
+    def skip(self, cond, reason):
+        if reason != self._reason:
+            self._e.skip(cond, reason)
+
+    def __getattr__(self, name):
+        return getattr(self._e, name)
+
+
+def test_a_comparison_of_an_undefined_ratio_is_an_internal_error(monkeypatch, tmp_path):
+    # Without its zero-precision skip, T3 divides by a zero precision. By
+    # cross-multiplication that undefined right-hand side equals any left
+    # side, so the check would report HOLDS; it raises instead.
+    log = make_log(
+        rec("s1", predicted={"a"}, ground_truth={"b"}, conditions={"c1"}),
+        rec("s2", predicted={"a"}, ground_truth={"b"}),
+        rec("s3", predicted={}, ground_truth={"a"}),
+    )
+    t3, honest = TheoremId.T3_RECALL_REDUCTION, STATEMENTS[TheoremId.T3_RECALL_REDUCTION]
+    reason = "precision is zero (division by zero on the right)"
+    assert check(t3, log, "m", "a", BODY_C1).skip_reason == reason
+    monkeypatch.setitem(STATEMENTS, t3, lambda e, c, q: honest(_WithoutSkip(e, reason), c, q))
+    with pytest.raises(RuntimeError, match="T3_RECALL_REDUCTION compares an undefined ratio"):
+        check(t3, log, "m", "a", BODY_C1)
+    path = tmp_path / "log.jsonl"
+    path.write_text(serialize_log(log), encoding="utf-8")
+    with pytest.raises(RuntimeError, match="T3_RECALL_REDUCTION compares an undefined ratio"):  # not exit 2
+        main(["verify", "--log", str(path), "--model", "m", "--class", "a", "--condition", "c1",
+              "--out", str(tmp_path / "out")])
 
 
 def test_verify_and_sweep_share_the_registry(tmp_path):

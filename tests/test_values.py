@@ -4,6 +4,7 @@ pickle. ``MetricBundle`` is the one dataclass, and ``dataclasses.replace``
 works on it."""
 
 import copy
+import json
 import dataclasses
 import inspect
 import pickle
@@ -340,3 +341,175 @@ def test_constructors_still_check_and_coerce():
     assert LearnConfig("F1", 0.1).epsilon == F(1, 10)
     assert TheoremReport(TheoremId.T2_EDNS, TheoremVerdict.HOLDS, "m", "a", ()).intermediates == {}
     assert DistributionSpec("d1", F(1)).confidence_override == {}
+
+
+# ---------------------------------------------------------------------------
+# to_dict: the JSON each value type gives, pinned field by field and in key
+# order, with undefined rationals and empty fields among the cases
+# ---------------------------------------------------------------------------
+
+def _p(numerator, denominator, value):
+    return {"numerator": numerator, "denominator": denominator, "value": value}
+
+
+P0 = Probability(0, 0)
+HALF, UNDEFINED = _p(1, 2, "1/2"), _p(0, 0, "UNDEFINED")
+ROW0 = InvarianceRow("d2", Verdict.UNDEFINED, P0, None)
+ROW_JSON = {"distribution": "d1", "verdict": "YES", "confidence": HALF, "confidence_gap": "1/4"}
+ROW0_JSON = {"distribution": "d2", "verdict": "UNDEFINED", "confidence": UNDEFINED,
+             "confidence_gap": "UNDEFINED"}
+BUNDLE = MetricBundle(P, Probability(2, 3), P, P, Probability(0, 4), P0, F(0), None)
+BUNDLE_JSON = {"precision": HALF, "recall": _p(2, 3, "2/3"), "rule_precision": HALF,
+               "rule_recall": HALF, "support": _p(0, 4, "0/1"), "confidence": UNDEFINED,
+               "k_factor": "0/1", "residual": "UNDEFINED"}
+STEP_JSON = {"added": "c1", "objective_before": "1/2", "objective_after": "2/3",
+             "recall_reduction": "1/20"}
+GUARD0 = GuardCheck("c2", P0, None, None)
+GUARD_JSON = {"condition_id": "c1", "confidence": HALF, "residual": "1/2", "improves_precision": True}
+GUARD0_JSON = {"condition_id": "c2", "confidence": UNDEFINED, "residual": "UNDEFINED",
+               "improves_precision": None}
+PAIR = PairGuard("c1", "a", P, P0, False)
+PAIR_JSON = {"condition_id": "c1", "trigger_class": "a", "pair_precision": HALF,
+             "base_precision": UNDEFINED, "admissible": False}
+DETECTION2 = DetectionRule("m", "a", ConditionBody.of("c2", "c1"))
+DETECTION2_JSON = {"model_id": "m", "target_class": "a", "conditions": ["c1", "c2"]}
+CORRECTION2 = CorrectionRule("m", "b", [("c2", "a"), ("c1", "b")])
+CORRECTION2_JSON = {"model_id": "m", "target_class": "b", "pairs": [
+    {"condition": "c1", "trigger_class": "b"}, {"condition": "c2", "trigger_class": "a"}]}
+TRACE2 = RecordTrace("s1", "m", (("a", 0), ("c", 1)), (("a", 1), ("b", 0)), frozenset({"c", "b"}))
+TRACE2_JSON = {"sample_id": "s1", "model_id": "m", "erased": [["a", 0], ["c", 1]],
+               "added": [["a", 1], ["b", 0]], "conflict": ["b", "c"], "mutually_canceling": ["a"]}
+PLANTED = PlantedCondition("c1", "a", F(1, 2), F(9, 10))
+PLANTED_JSON = {"condition_id": "c1", "target_class": "a", "target_support": "1/2",
+                "target_confidence": "9/10"}
+SPEC, SPEC0 = DistributionSpec("d1", F(1, 2), {"c1": F(0)}), DistributionSpec("d2", F(1, 2))
+SPEC_JSON = {"tag": "d1", "record_fraction": "1/2", "confidence_override": {"c1": "0/1"}}
+SPEC0_JSON = {"tag": "d2", "record_fraction": "1/2", "confidence_override": {}}
+BOOK1 = BookkeepingRow("c1", "a", "d1", Probability(0, 3), P)
+BOOK_JSON = {"condition_id": "c1", "target_class": "a", "distribution": None, "support": HALF,
+             "confidence": HALF}
+BOOK1_JSON = {"condition_id": "c1", "target_class": "a", "distribution": "d1",
+              "support": _p(0, 3, "0/1"), "confidence": HALF}
+T2_REPORT = TheoremReport(TheoremId.T2_EDNS, TheoremVerdict.HOLDS, "m", "a", (), note="error_detecting=YES")
+H, V, S = TheoremVerdict.HOLDS, TheoremVerdict.VIOLATED, TheoremVerdict.SKIPPED
+F1_NOTE = ("F1 objective scores the post-rule F1 of the target class; it is a stand-in, not a "
+           "ratio-maximization formulation")
+
+# name → [(a value, the JSON its to_dict gives)]
+TO_DICT = {
+    "Probability": [(P, HALF), (P0, UNDEFINED)],
+    "InvarianceRow": [(ROW, ROW_JSON), (ROW0, ROW0_JSON)],
+    "InvarianceProfile": [
+        (InvarianceProfile((ROW, ROW0), P, False),
+         {"rows": [ROW_JSON, ROW0_JSON], "pooled_confidence": HALF, "invariant": False}),
+        (InvarianceProfile((), P0, True), {"rows": [], "pooled_confidence": UNDEFINED, "invariant": True}),
+    ],
+    "MetricBundle": [(BUNDLE, BUNDLE_JSON)],
+    "LearnStep": [
+        (STEP, STEP_JSON),
+        (LearnStep(("c1", "a"), None, F(3, 4), None),
+         {"added": {"condition": "c1", "trigger_class": "a"}, "objective_before": "UNDEFINED",
+          "objective_after": "3/4", "recall_reduction": "UNDEFINED"}),
+    ],
+    "GuardCheck": [(GUARD, GUARD_JSON), (GUARD0, GUARD0_JSON)],
+    "PairGuard": [(PAIR, PAIR_JSON)],
+    "LearnReport": [
+        (LearnReport("RULE", None, F(1, 2), Objective.F1, F(1, 20), (STEP,), (GUARD, GUARD0), (),
+                     BUNDLE, P, Probability(2, 3)),
+         {"objective": "F1", "epsilon": "1/20", "outcome": "RULE", "reason": None,
+          "baseline_objective": "1/2", "steps": [STEP_JSON], "guards": [GUARD_JSON, GUARD0_JSON],
+          "pair_guards": [], "final_metrics": BUNDLE_JSON, "base_precision": HALF,
+          "final_precision": _p(2, 3, "2/3"), "objective_note": F1_NOTE}),
+        (LearnReport("NONE", "INFEASIBLE", None, Objective.PRECISION_GAIN, F(0)),
+         {"objective": "PRECISION_GAIN", "epsilon": "0/1", "outcome": "NONE", "reason": "INFEASIBLE",
+          "baseline_objective": "UNDEFINED", "steps": [], "guards": [], "pair_guards": [],
+          "final_metrics": None, "base_precision": None, "final_precision": None}),
+        (LearnReport("NONE", "NO_ADMISSIBLE_PAIR", None, pair_guards=(PAIR,), base_precision=P0),
+         {"outcome": "NONE", "reason": "NO_ADMISSIBLE_PAIR", "baseline_objective": "UNDEFINED",
+          "steps": [], "guards": [], "pair_guards": [PAIR_JSON], "final_metrics": None,
+          "base_precision": UNDEFINED, "final_precision": None}),
+    ],
+    "DetectionRule": [(DETECTION2, DETECTION2_JSON)],
+    "CorrectionRule": [(CORRECTION2, CORRECTION2_JSON)],
+    "RuleSet": [
+        (RuleSet([DETECTION2], [CORRECTION2]),
+         {"detections": [DETECTION2_JSON], "corrections": [CORRECTION2_JSON]}),
+        (RuleSet(), {"detections": [], "corrections": []}),
+    ],
+    "RecordTrace": [(TRACE2, TRACE2_JSON), (RecordTrace("s2", "m"), {"sample_id": "s2", "model_id": "m"})],
+    "ApplicationTrace": [
+        (ApplicationTrace(PredictionLog([RECORD]), (RecordTrace("s2", "m"), TRACE2)),
+         {"entries": [TRACE2_JSON]}),
+        (ApplicationTrace(PredictionLog(()), ()), {"entries": []}),
+    ],
+    "DeltaRow": [
+        (DeltaRow("m", "a", P, P0, P, Probability(1, 1), F(1, 2), None, None, F(1, 2), None),
+         {"model_id": "m", "label": "a", "precision_before": HALF, "precision_after": UNDEFINED,
+          "recall_before": HALF, "recall_after": _p(1, 1, "1/1"), "f1_before": "1/2",
+          "f1_after": "UNDEFINED", "precision_delta": "UNDEFINED", "recall_delta": "1/2",
+          "f1_delta": "UNDEFINED", "skipped": True}),
+    ],
+    "PlantedCondition": [(PLANTED, PLANTED_JSON)],
+    "DistributionSpec": [(SPEC, SPEC_JSON), (SPEC0, SPEC0_JSON)],
+    "SynthConfig": [
+        (SynthConfig(7, 10, "m", ("a", "b"), {"a": F(1, 4), "b": F(3, 4)},
+                     {"a": ((frozenset({"a"}), F(1)),),
+                      "b": ((frozenset({"b", "a"}), F(1, 2)), (frozenset(), F(1, 2)))},
+                     (PLANTED,), (SPEC, SPEC0)),
+         {"seed": 7, "n_records": 10, "model_id": "m", "labels": ["a", "b"],
+          "class_priors": {"a": "1/4", "b": "3/4"},
+          "confusion": {"a": [{"predicted": ["a"], "weight": "1/1"}],
+                        "b": [{"predicted": ["a", "b"], "weight": "1/2"}, {"predicted": [], "weight": "1/2"}]},
+          "planted_conditions": [PLANTED_JSON], "distributions": [SPEC_JSON, SPEC0_JSON]}),
+        (SynthConfig(1, 1, "m", ("a",), {"a": F(1)}, CONFUSION),
+         {"seed": 1, "n_records": 1, "model_id": "m", "labels": ["a"], "class_priors": {"a": "1/1"},
+          "confusion": {"a": [{"predicted": ["a"], "weight": "1/1"}]}, "planted_conditions": [],
+          "distributions": []}),
+    ],
+    "BookkeepingRow": [(BookkeepingRow("c1", "a", None, P, P), BOOK_JSON), (BOOK1, BOOK1_JSON)],
+    "SynthBookkeeping": [
+        (SynthBookkeeping((BookkeepingRow("c1", "a", None, P, P), BOOK1)), {"rows": [BOOK_JSON, BOOK1_JSON]}),
+        (SynthBookkeeping(()), {"rows": []}),
+    ],
+    "TheoremReport": [
+        (TheoremReport(TheoremId.T4_RECLASS_LIMIT, TheoremVerdict.SKIPPED, "m", "a", ("c1", "c2"),
+                       {"base_precision": None, "pair_precision": F(1, 2)}, "b",
+                       "correction class never predicted"),
+         {"theorem_id": "T4_RECLASS_LIMIT", "verdict": "SKIPPED", "model_id": "m", "target_class": "a",
+          "condition_ids": ["c1", "c2"], "correction_class": "b",
+          "skip_reason": "correction class never predicted", "note": None,
+          "intermediates": {"base_precision": "UNDEFINED", "pair_precision": "1/2"}}),
+        (T2_REPORT,
+         {"theorem_id": "T2_EDNS", "verdict": "HOLDS", "model_id": "m", "target_class": "a",
+          "condition_ids": [], "correction_class": None, "skip_reason": None,
+          "note": "error_detecting=YES", "intermediates": {}}),
+    ],
+    "SweepResult": [
+        (SweepResult(1, 2, 30, 4, 3, {TheoremId.T1_PRECISION_CHANGE: {H: 3, V: 1, S: 0},
+                                      TheoremId.EQ7_RESIDUAL: {H: 2, V: 0, S: 2}},
+                     (SweepViolation(0, 7, TheoremId.T1_PRECISION_CHANGE, "a", "c1", None, T2_REPORT, "{}\n"),)),
+         {"seed": 1, "trials": 2, "bounds": {"max_records": 30, "max_labels": 4, "max_conditions": 3},
+          "total_verdicts": 8,
+          "verdicts": {"T1_PRECISION_CHANGE": {"HOLDS": 3, "VIOLATED": 1, "SKIPPED": 0},
+                       "EQ7_RESIDUAL": {"HOLDS": 2, "VIOLATED": 0, "SKIPPED": 2}},
+          "violations": 1}),
+        (SweepResult(5, 0, 1, 1, 1, {}, ()),
+         {"seed": 5, "trials": 0, "bounds": {"max_records": 1, "max_labels": 1, "max_conditions": 1},
+          "total_verdicts": 0, "verdicts": {}, "violations": 0}),
+    ],
+}
+
+
+def test_every_type_written_to_json_is_pinned():
+    # The others reach JSON only inside a pinned type (a body is a
+    # detection rule's conditions), or not at all.
+    assert CASES.keys() - TO_DICT.keys() == {"PredictionRecord", "ConditionBody", "LearnConfig",
+                                             "SweepViolation"}
+
+
+@pytest.mark.parametrize("name", TO_DICT)
+def test_to_dict_is_pinned(name):
+    for value, want in TO_DICT[name]:
+        got = value.to_dict()
+        assert json.dumps(got) == json.dumps(want)  # keys in order, and JSON types only
+        assert json.loads(json.dumps(got)) == got

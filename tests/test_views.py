@@ -35,6 +35,13 @@ def assert_view_counts(log: PredictionLog, model_id, alpha: str) -> None:
     width = view.counts[None][2]
     masks = [view.correct, *view.conditions.values(), *view.distributions.values()]
     assert all(mask >> width == 0 for mask in masks)
+    # The layout: rows with a condition take the low bits, correct ones
+    # lowest, so that no body mask, or its correct part, reaches above them.
+    scope = [r for r in _scope(log, model_id, None).records if alpha in r.predicted and r.conditions]
+    with_condition, correct_with_condition = len(scope), sum(alpha in r.ground_truth for r in scope)
+    for mask in view.conditions.values():
+        assert mask >> with_condition == 0
+        assert (mask & view.correct) >> correct_with_condition == 0
     pred, gt = predicted_has(alpha), truth_has(alpha)
     for tag in (None,) + TAGS + ("d9",):
         scope = _scope(log, model_id, tag)
