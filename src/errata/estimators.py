@@ -3,11 +3,12 @@
 All estimates are plain empirical frequencies: count(event ∧ given) over
 count(given), kept as integer count pairs. A zero conditioning count makes
 the estimate UNDEFINED — a value, not an error — and undefinedness
-propagates through derived quantities. Every count comes from the log's
-bitset index, through ``joint_counts`` or a mask read from it: a count
-over class α's predictions alone from α's view (``LogIndex.view``), whose
-masks span only the rows predicting α, and a count that involves a
-correction class β from the row masks.
+propagates through derived quantities. Every count is a ``bit_count`` on
+masks of one view of the log's index (``LogIndex.view``), through
+``joint_counts`` or a mask read from a view: a count over class α's
+predictions alone from α's view, whose masks span only the rows
+predicting α, and a count that involves a correction class β from the
+view of the whole scope.
 
 A decision (is a body error detecting, does it raise precision, which
 candidate scores higher) compares unreduced integer ``(num, den)`` ratios
@@ -149,9 +150,8 @@ class JointCounts(NamedTuple):
 
 
 def body_mask(conditions: dict[str, int], ids: Iterable[str]) -> int:
-    """The OR of the ids' masks in ``conditions``, a row index's or a class
-    view's: where any of the condition ids holds. Ids without a mask hold
-    nowhere."""
+    """The OR of the ids' masks in ``conditions``, a view's: where any of
+    the condition ids holds. Ids without a mask hold nowhere."""
     mask = 0
     for cid in ids:
         mask |= conditions.get(cid, 0)
@@ -171,45 +171,31 @@ def joint_counts(
     narrowed to one distribution tag when one is given.
 
     The body holds where any of its condition ids does; an empty or None
-    body never holds. The β fields stay 0 unless ``beta`` is given.
+    body never holds. The β fields stay 0 unless ``beta`` is given: then
+    every count is read from the view of the whole scope.
     """
     ids = body.condition_ids if isinstance(body, ConditionBody) else body or ()
-    ix = log.index
     if beta is None:  # without β, α's view holds every count
-        view = ix.view(model_id, alpha)
+        view = log.index.view(model_id, alpha)
         pred_body = body_mask(view.conditions, ids)
         if distribution is not None:
             pred_body &= view.distributions.get(distribution, 0)
         return JointCounts(*view.counts.get(distribution, _NO_COUNTS),
                            pred_body.bit_count(), (pred_body & view.correct).bit_count())
-    return _beta_counts(
-        ix.scope(model_id, distribution), ix.predicted.get(alpha, 0),
-        ix.ground_truth.get(alpha, 0), (body_mask(ix.conditions, ids),),
-        ix.predicted.get(beta, 0), ix.ground_truth.get(beta, 0),
-    )[0]
-
-
-def _beta_counts(
-    scope: int, pred: int, gt: int, bodies: Iterable[int], beta_pred: int, beta_gt: int
-) -> list[JointCounts]:
-    """The counts of class α, correction class β and each body mask in
-    ``bodies`` over the rows of ``scope``, from row masks of α and β
-    predicted and in the ground truth: the one kernel of every count tuple
-    with β. The counts that involve no body are taken once for all bodies."""
-    gt &= scope
-    pred &= scope
-    beta_pred &= scope
-    head = (scope.bit_count(), gt.bit_count(), pred.bit_count(), (pred & gt).bit_count())
-    beta = (beta_pred.bit_count(), (beta_pred & beta_gt).bit_count())
-    out = []
-    for body in bodies:
-        pred_body = pred & body
-        union = beta_pred | pred_body
-        out.append(JointCounts(
-            *head, pred_body.bit_count(), (pred_body & gt).bit_count(), *beta,
-            (pred_body & beta_gt).bit_count(), union.bit_count(), (union & beta_gt).bit_count(),
-        ))
-    return out
+    view = log.index.view(model_id, None)
+    pred, gt = view.predicted.get(alpha, 0), view.ground_truth.get(alpha, 0)
+    beta_pred, beta_gt = view.predicted.get(beta, 0), view.ground_truth.get(beta, 0)
+    if distribution is not None:  # every count below ands one of these three
+        rows = view.distributions.get(distribution, 0)
+        pred, gt, beta_pred = pred & rows, gt & rows, beta_pred & rows
+    pred_body = pred & body_mask(view.conditions, ids)
+    union = beta_pred | pred_body
+    return JointCounts(
+        view.counts.get(distribution, _NO_COUNTS)[0], gt.bit_count(), pred.bit_count(),
+        (pred & gt).bit_count(), pred_body.bit_count(), (pred_body & gt).bit_count(),
+        beta_pred.bit_count(), (beta_pred & beta_gt).bit_count(), (pred_body & beta_gt).bit_count(),
+        union.bit_count(), (union & beta_gt).bit_count(),
+    )
 
 
 class _Base(NamedTuple):

@@ -13,7 +13,8 @@ class's view of the log's index, whose masks span only the rows that
 predict the class: a body's mask is the OR of its conditions' masks,
 feasibility compares a count with the largest count the budget allows,
 and every objective comparison is a cross-multiplication of unreduced
-``(num, den)`` ratios. ``Fraction`` values are built only for the report.
+``(num, den)`` ratios. Correction pairs are counted on the view of the
+model's whole scope. ``Fraction`` values are built only for the report.
 A subset oracle, exact by branch and bound, audits greedy quality on
 candidate sets of up to 20 ids.
 """
@@ -342,23 +343,22 @@ def learn_correction(
     """
     cfg = cfg or LearnConfig()
     pairs = sorted(set(candidate_pairs))
-    ix = log.index
-    scope = ix.scope(model_id)
-    beta_gt = ix.ground_truth.get(beta, 0)
+    view = log.index.view(model_id, None)
+    beta_gt = view.ground_truth.get(beta, 0)
 
     def precision(records: int) -> Ratio:
         """Precision of beta over a mask of (relabeled) records, as
         (correct, records); undefined when records is 0."""
         return (records & beta_gt).bit_count(), records.bit_count()
 
-    base_ratio = precision(scope & ix.predicted.get(beta, 0))
+    base_ratio = precision(view.predicted.get(beta, 0))
     base = Probability(*base_ratio)
     # With an undefined base, any pair of positive precision is admissible.
     bar = base_ratio if base_ratio[1] else _ZERO
     pair_guards = []
     admissible: dict[tuple[str, str], int] = {}  # pair → records it fires on
     for cond, trig in pairs:
-        fires = scope & ix.predicted.get(trig, 0) & ix.conditions.get(cond, 0)
+        fires = view.predicted.get(trig, 0) & view.conditions.get(cond, 0)
         pair_prec = precision(fires)
         ok = pair_prec[1] > 0 and _lt(bar, pair_prec)
         pair_guards.append(PairGuard(cond, trig, Probability(*pair_prec), base, ok))

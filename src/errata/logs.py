@@ -19,25 +19,21 @@ three labels and three planted conditions has 14 shapes.
 the log is iterated.
 
 The counts come from the log's ``index``, built once per log on first
-use: one bitset per model id, distribution tag, predicted label,
-ground-truth label and condition id, so that a count is ``&``, ``|`` and
-``int.bit_count()``. A key's bitset holds the rows whose shape carries
-the key. The label, condition and distribution universes are the index's
-keys. The tests check the index against a record-walking reference,
-``tests/event_oracle.py``, and the whole log against a record-built one,
-``tests/record_log.py``.
-
-Counts over one class α's predictions, which are most of what rule
-learning asks, come from the index's *view* of α
-(``LogIndex.view(model_id, alpha)``), also built on first use and kept:
-a bit space of only the scope's rows that predict α, with one mask for
-the correct predictions, one per condition id and one per distribution
-tag. Its bits are grouped by shape, one run per shape as long as the
-shape's row count, so each mask is built by string joins from per-shape
-runs, without a loop over rows. The runs of shapes that carry a condition
-take the low bits, correct ones lowest, so body masks stay as narrow as
-the rows with a condition. A view mask is only ever counted: it is
-never compared or combined with a row mask, and never used to find rows.
+use. It holds the log's keys (model ids, labels, condition ids and
+distribution tags: the universes) and its *views*, each also built on
+first use and kept. A view is a bit space of its own over rows of one
+scope, one model's rows or every model's: ``LogIndex.view(model_id,
+alpha)`` holds the scope's rows that predict class α, and
+``view(model_id, None)`` every row of the scope. Its bits are grouped by
+shape, one run per shape as long as the shape's row count, so each mask
+is built by string joins from per-shape runs, without a loop over rows,
+and a count is ``&``, ``|`` and ``int.bit_count()`` on masks of one view.
+The runs of shapes that carry a condition take the low bits, correct
+ones lowest, so α's body masks stay as narrow as the rows with a
+condition. A view mask is only ever counted: it is never combined with
+another view's mask, and never used to find rows. The tests check the
+views against a record-walking reference, ``tests/event_oracle.py``, and
+the whole log against a record-built one, ``tests/record_log.py``.
 
 ``load_log`` interns set fields: equal arrays within one load share one
 frozenset, and only arrays that passed validation are reused, so every
@@ -268,68 +264,69 @@ class PredictionRecord(_Frozen):
         return (self.sample_id, self.model_id)
 
 
-def _bitset(n: int, positions: Iterable[int]) -> int:
-    """Int with bit i set for each i in positions, built in O(n)."""
-    buf = bytearray((n + 7) >> 3)
-    for i in positions:
-        buf[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(buf, "little")
-
-
-_ZEROS = b"0" * 256  # a translate table that maps every row code to "0"
 _NO_COUNTS = (0, 0, 0, 0)
 
 
 class ClassView:
     """The rows of one scope that predict one class α, as a bit space of
-    their own, for counting α's rule bodies.
+    their own, for counting α's rule bodies; with α None, every row of the
+    scope, for counts that involve a correction class.
 
-    Bits are grouped by shape: each shape of the scope that predicts α is
-    one run of bits, as long as the number of rows it has. The lowest runs
-    are the shapes that carry a condition and are correct, the next those
-    that carry one and are wrong, the highest those without a condition,
-    each group in code order. So a body mask spans only the rows with a
-    condition, its correct part only the lowest group, and a count of
-    either reads no wider an int than it must. ``correct`` holds the runs
-    of shapes whose ground truth has α, and ``conditions[cid]`` and
-    ``distributions[tag]`` the runs of shapes that carry the key; absent
-    keys read as 0. ``counts[tag]`` is (total, gt,
-    pred, pred_gt) of the scope narrowed to the tag: its rows, those with
-    α in the ground truth, those predicting α and those predicting it
-    correctly; ``counts[None]`` is the same over every tag.
+    Bits are grouped by shape: each shape of the view is one run of bits,
+    as long as the number of rows it has. The lowest runs are the shapes
+    that carry a condition and are correct (have α in their ground truth),
+    the next those that carry one and are wrong, the highest those without
+    a condition, each group in code order. So a body mask spans only the
+    rows with a condition, its correct part only the lowest group, and a
+    count of either reads no wider an int than it must. ``correct`` holds
+    the runs of the correct shapes, and ``conditions[cid]`` and
+    ``distributions[tag]`` the runs of shapes that carry the key; a view
+    of the whole scope also holds ``predicted[label]`` and
+    ``ground_truth[label]`` (empty in a view of α). Absent keys read as 0.
+    ``counts[tag]`` is (total, gt, pred, pred_gt) of the scope narrowed to
+    the tag: its rows, those with α in the ground truth, those predicting
+    α and those predicting it correctly (all but total 0 when α is None);
+    ``counts[None]`` is the same over every tag.
     """
 
-    __slots__ = ("correct", "conditions", "distributions", "counts")
+    __slots__ = ("correct", "predicted", "ground_truth", "conditions", "distributions", "counts")
 
     def __init__(self, shapes: tuple[tuple, ...], shape_rows: Counter,
-                 model_id: str | None, alpha: str):
-        # The codes of the shapes predicting α, by layout group: without a
+                 model_id: str | None, alpha: str | None):
+        # The codes of the view's shapes, by layout group: without a
         # condition, with one and wrong, with one and correct.
         groups: tuple[list[int], ...] = ([], [], [])
         counts = defaultdict(lambda: [0, 0, 0, 0])
         for code, (model, labels, truth, condition_ids, tag) in enumerate(shapes):
             if model_id is not None and model != model_id:
                 continue
-            n, tally, hit = shape_rows[code], counts[tag], alpha in truth
+            n, tally, hit, predicts = shape_rows[code], counts[tag], alpha in truth, alpha in labels
             tally[0] += n
             if hit:
                 tally[1] += n
-            if alpha in labels:
+            if predicts:
                 tally[2] += n
                 if hit:
                     tally[3] += n
+            if predicts or alpha is None:
                 groups[(1 + hit) if condition_ids else 0].append(code)
         runs: list[int] = []  # rows of each run, most significant run first
         correct: list[int] = []  # per key, the runs of the shapes that carry it
-        conditions, distributions = defaultdict(list), defaultdict(list)
+        keyed = tuple(defaultdict(list) for _ in range(4))
+        predicted, ground_truth, conditions, distributions = keyed
         for run, code in enumerate(chain.from_iterable(groups)):
-            _, _, truth, condition_ids, tag = shapes[code]
+            _, labels, truth, condition_ids, tag = shapes[code]
             runs.append(shape_rows[code])
             if alpha in truth:
                 correct.append(run)
             for cid in condition_ids:
                 conditions[cid].append(run)
             distributions[tag].append(run)
+            if alpha is None:
+                for label in labels:
+                    predicted[label].append(run)
+                for label in truth:
+                    ground_truth[label].append(run)
         zeros = ["0" * n for n in runs]
 
         def mask(chosen: list[int]) -> int:
@@ -341,87 +338,44 @@ class ClassView:
             return int("".join(bits), 2)
 
         self.correct = mask(correct)
-        self.conditions = {cid: mask(chosen) for cid, chosen in conditions.items()}
-        self.distributions = {tag: mask(chosen) for tag, chosen in distributions.items()}
+        self.predicted, self.ground_truth, self.conditions, self.distributions = (
+            {key: mask(chosen) for key, chosen in by_key.items()} for by_key in keyed)
         self.counts = {tag: tuple(tally) for tag, tally in counts.items()}
         # _NO_COUNTS keeps the four columns when the scope has no rows.
         self.counts[None] = tuple(sum(column) for column in zip(_NO_COUNTS, *self.counts.values()))
 
 
 class LogIndex:
-    """Bitsets over a log's rows: bit i of a key's mask is set iff row i
-    carries the key. Keys no row carries have no entry; read them as the
-    empty mask 0. ``tags`` holds the distribution tags in sorted order.
-
-    Each key's mask is the rows whose shape carries it. With at most 256
-    shapes, the row codes are one byte each: one ``bytes.translate`` turns
-    them into "1" for the key's shapes and "0" elsewhere, which
-    ``int(…, 2)`` reads as the mask. With more shapes, the key's mask is
-    built from the row positions of its shapes.
+    """A log's keys and its views. ``models``, ``labels`` and
+    ``conditions`` are the model ids, labels (predicted or true) and
+    condition ids some row carries, and ``tags`` the distribution tags in
+    sorted order, all read from the shape table in one pass.
 
     ``view(model_id, alpha)`` is the ``ClassView`` of the scope's rows
-    that predict α, built on first use and kept. Its masks are as wide as
-    α has predictions in the scope, so a count over them costs O(rows
-    predicting α), not O(rows). Its bit space is its own, grouped by
-    shape, so its masks are only counted: they are never compared or
-    combined with a row mask, and never used to find rows. The runs take
-    the shapes' row counts, read once per log by one ``Counter`` pass over
-    the row codes.
+    that predict α (of every row of the scope for α None), built on first
+    use and kept. The masks of a view of α are as wide as α has
+    predictions in the scope, so a count over them costs O(rows predicting
+    α), not O(rows). The runs take the shapes' row counts, read once per
+    log by one ``Counter`` pass over the row codes.
     """
 
-    __slots__ = ("all", "models", "distributions", "tags", "predicted", "ground_truth", "conditions",
-                 "_shapes", "_codes", "_shape_rows", "_views")
+    __slots__ = ("models", "labels", "conditions", "tags", "_shapes", "_codes", "_shape_rows", "_views")
 
     def __init__(self, log: "PredictionLog"):
         self._shapes, self._codes, self._shape_rows, self._views = log.shapes, log.codes, None, {}
-        keyed = tuple(defaultdict(list) for _ in range(5))
-        models, distributions, predicted, ground_truth, conditions = keyed
-        for code, (model_id, labels, truth, condition_ids, tag) in enumerate(log.shapes):
-            models[model_id].append(code)
-            distributions[tag].append(code)
-            for label in labels:
-                predicted[label].append(code)
-            for label in truth:
-                ground_truth[label].append(code)
-            for cid in condition_ids:
-                conditions[cid].append(code)
-        n, codes, n_shapes = len(log), log.codes, len(log.shapes)
-        self.all = (1 << n) - 1
-        if n_shapes <= 256:
-            last_first = codes[::-1]  # int(…, 2) reads the most significant bit first
+        models, labels, conditions, tags = set(), set(), set(), set()
+        for model_id, predicted, truth, condition_ids, tag in log.shapes:
+            models.add(model_id)
+            labels.update(predicted, truth)
+            conditions.update(condition_ids)
+            tags.add(tag)
+        self.models, self.labels, self.conditions = frozenset(models), frozenset(labels), frozenset(conditions)
+        self.tags = tuple(sorted(tags))
 
-            def rows(shapes: list[int]) -> int:
-                table = bytearray(_ZEROS)
-                for code in shapes:
-                    table[code] = 49  # "1"
-                return int(last_first.translate(table), 2)
-        else:
-            positions: list[list[int]] = [[] for _ in range(n_shapes)]
-            for i, code in enumerate(codes):
-                positions[code].append(i)
-
-            def rows(shapes: list[int]) -> int:
-                return _bitset(n, chain.from_iterable(map(positions.__getitem__, shapes)))
-        # Every shape is some row's, so a key on every shape is on every row.
-        bitsets = [
-            {key: self.all if len(shapes) == n_shapes else rows(shapes) for key, shapes in by_key.items()}
-            for by_key in keyed
-        ]
-        (self.models, self.distributions, self.predicted, self.ground_truth,
-         self.conditions) = bitsets
-        self.tags = tuple(sorted(self.distributions))
-
-    def scope(self, model_id: str | None = None, distribution: str | None = None) -> int:
-        """Records of one model (every model for None), narrowed to one
-        distribution tag when one is given."""
-        mask = self.all if model_id is None else self.models.get(model_id, 0)
-        if distribution is not None:
-            mask &= self.distributions.get(distribution, 0)
-        return mask
-
-    def view(self, model_id: str | None, alpha: str) -> ClassView:
-        """The rows of ``scope(model_id)`` that predict α, as a bit space
-        of their own; built on first use and kept."""
+    def view(self, model_id: str | None, alpha: str | None) -> ClassView:
+        """The rows of one model (every model for None) that predict α
+        (every row for None), as a bit space of their own; built on first
+        use and kept."""
         view = self._views.get((model_id, alpha))
         if view is None:
             if self._shape_rows is None:
@@ -514,16 +468,14 @@ class PredictionLog:
 
     @cached_property
     def index(self) -> LogIndex:
-        """Bitset index of the rows, built on first use and kept for the
-        life of the log; equality and hashing ignore it."""
+        """The log's keys and count views, built on first use and kept for
+        the life of the log; equality and hashing ignore it."""
         return LogIndex(self)
 
     # Every label, condition id and tag the records carry: the index's keys.
-    label_universe = cached_property(
-        lambda self: frozenset(self.index.predicted).union(self.index.ground_truth)
-    )
-    condition_universe = cached_property(lambda self: frozenset(self.index.conditions))
-    distribution_universe = cached_property(lambda self: frozenset(self.index.distributions))
+    label_universe = cached_property(lambda self: self.index.labels)
+    condition_universe = cached_property(lambda self: self.index.conditions)
+    distribution_universe = cached_property(lambda self: frozenset(self.index.tags))
 
 
 # ---------------------------------------------------------------------------

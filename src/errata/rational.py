@@ -16,11 +16,12 @@ UNDEFINED_TEXT = "UNDEFINED"
 # The most decimal digits the numerator or the denominator of a parsed
 # rational may have. Python writes an integer of more than 4300 digits as
 # text only after ``sys.set_int_max_str_digits``, so a report could not
-# print a much longer one, and a short text with a large exponent
-# (``1e-999999``) would make one.
+# print a much longer one.
 MAX_DIGITS = 1000
 _LIMIT = 10 ** MAX_DIGITS
-_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+# A rational's text: an optional sign, ASCII digits, then "/digits" or
+# ".digits" or nothing.
+_RATIONAL = re.compile(r"[-+]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
 
 
 def as_fraction(value, name: str = "value") -> Fraction:
@@ -43,21 +44,20 @@ def as_fraction(value, name: str = "value") -> Fraction:
 
 
 def parse_rational(text: str, name: str = "value") -> Fraction:
-    """Parse "num/den", integer, or decimal text into a Fraction. A value
-    whose numerator or denominator has more than ``MAX_DIGITS`` digits is
-    an ``InputError`` that names ``name``, the flag or key of the text."""
+    """Parse "num/den", integer, or decimal text into a Fraction: an
+    optional sign, ASCII digits, and an optional "/digits" or ".digits",
+    with no blank around them. A value whose numerator or denominator has
+    more than ``MAX_DIGITS`` digits is an ``InputError`` that names
+    ``name``, the flag or key of the text."""
     from .logs import InputError  # logs imports this module
 
-    exponent = _EXPONENT.search(text)
-    # An exponent of 10**4 or more is read as 0 (Fraction would build
-    # 10 ** exponent): Python reads at most 4300 digits on either side of
-    # the point, so unless they are all 0 the value is too long.
-    huge = exponent is not None and len(exponent[1].replace("_", "").lstrip("0")) > 4
     try:
-        value = Fraction((text[:exponent.start(1)] + "0" if huge else text).strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"not a rational number: {text!r}") from exc
-    if (huge and value) or max(abs(value.numerator), value.denominator) >= _LIMIT:
+        value = Fraction(text) if _RATIONAL.fullmatch(text) else None
+    except (ValueError, ZeroDivisionError):  # a zero denominator, or past int's digit limit
+        value = None
+    if value is None:
+        raise InputError(f"not a rational number: {text!r}")
+    if max(abs(value.numerator), value.denominator) >= _LIMIT:
         raise InputError(
             f"{name}: more than {MAX_DIGITS} digits in the numerator or denominator of {text!r}")
     return value

@@ -139,7 +139,7 @@ HOLDS, VIOLATED, SKIPPED = TheoremVerdict.HOLDS, TheoremVerdict.VIOLATED, Theore
 # on numpy columns.
 Statement = Callable[..., object]
 _VERDICTS = tuple(TheoremVerdict)
-_H, _V, _S = (_VERDICTS.index(v) for v in (HOLDS, VIOLATED, SKIPPED))
+_H, _V = _VERDICTS.index(HOLDS), _VERDICTS.index(VIOLATED)
 
 _NEVER_PREDICTED = "class never predicted"
 _NO_COOCCURRENCE = "condition never co-occurs with a prediction"
@@ -247,26 +247,22 @@ _T4 = TheoremId.T4_RECLASS_LIMIT
 # The two evaluations: on one count tuple, and on count columns
 # ---------------------------------------------------------------------------
 
-class _Scalar:
-    """Evaluates a statement on one count tuple of Python ints: the first
-    case that holds decides, else the verdict expression. ``named`` keeps
-    the quantities named before the deciding case.
+class _Evaluator:
+    """What the two evaluations share. A comparison is integer
+    cross-multiplication, which finds a ratio with a zero denominator
+    equal to, and no greater than, any ratio, so a statement must skip
+    every tuple on which it would compare one. A comparison that sees a
+    zero denominator where no case declared before it decides
+    (``_undecided`` gives the first such pair of ratios) raises
+    ``RuntimeError``: the statement lacks a skip, an implementation bug."""
 
-    Cross-multiplication finds a ratio with a zero denominator equal to,
-    and no greater than, any ratio, so a statement must skip every tuple
-    on which it would compare one. A comparison made before any case has
-    decided that sees a zero denominator raises ``RuntimeError``: the
-    statement lacks a skip, an implementation bug."""
+    __slots__ = ("theorem_id",)
 
-    __slots__ = ("theorem_id", "decided", "named", "final_note")
-
-    def __init__(self, theorem_id: TheoremId, named: list):
-        self.theorem_id, self.decided, self.named, self.final_note = theorem_id, None, named, None
-
-    def _compare(self, compare, x: Ratio, y: Ratio) -> bool:
-        if self.decided is None and not (x[1] and y[1]):
+    def _compare(self, compare, x, y):
+        undecided = self._undecided(x, y)
+        if undecided is not None:
             raise RuntimeError(f"{self.theorem_id.value} compares an undefined ratio "
-                               f"({x[0]}/{x[1]} with {y[0]}/{y[1]}) that no case skips")
+                               "({}/{} with {}/{}) that no case skips".format(*undecided))
         return compare(x, y)
 
     def eq(self, x, y):
@@ -278,12 +274,26 @@ class _Scalar:
     def lt(self, x, y):
         return self._compare(_lt, x, y)
 
+    def skip(self, cond, reason):
+        self.case(cond, SKIPPED, reason)
+
+
+class _Scalar(_Evaluator):
+    """Evaluates a statement on one count tuple of Python ints: the first
+    case that holds decides, else the verdict expression. ``named`` keeps
+    the quantities named before the deciding case."""
+
+    __slots__ = ("decided", "named", "final_note")
+
+    def __init__(self, theorem_id: TheoremId, named: list):
+        self.theorem_id, self.decided, self.named, self.final_note = theorem_id, None, named, None
+
+    def _undecided(self, x: Ratio, y: Ratio):
+        return (*x, *y) if self.decided is None and not (x[1] and y[1]) else None
+
     def case(self, cond, verdict, reason=None, note=None):
         if cond and self.decided is None:
             self.decided = (verdict, reason, note)
-
-    def skip(self, cond, reason):
-        self.case(cond, SKIPPED, reason)
 
     def let(self, name, r):
         if self.decided is None:
@@ -298,22 +308,30 @@ class _Scalar:
         self.final_note = yes if cond else no
 
 
-class _Columns:
+class _Columns(_Evaluator):
     """Evaluates a statement on count columns (numpy integer arrays, one
     row per count tuple): each case is kept as (condition column, verdict
-    code), and its reasons, names and notes are dropped."""
+    code), and its reasons, names and notes are dropped. ``open`` holds
+    the rows no case declared so far decides."""
 
-    __slots__ = ("cases",)
-    eq, le, lt = staticmethod(_eq), staticmethod(_le), staticmethod(_lt)
+    __slots__ = ("cases", "open")
 
-    def __init__(self):
-        self.cases = []
+    def __init__(self, theorem_id: TheoremId):
+        self.theorem_id, self.cases, self.open = theorem_id, [], True
+
+    def _undecided(self, x, y):
+        import numpy as np  # deferred: importing errata must not load numpy
+
+        undefined = self.open & ((x[1] == 0) | (y[1] == 0))
+        if not np.any(undefined):
+            return None
+        undefined, *sides = np.broadcast_arrays(undefined, *x, *y)
+        row = np.flatnonzero(undefined)[0]
+        return tuple(side.ravel()[row] for side in sides)
 
     def case(self, cond, verdict, reason=None, note=None):
         self.cases.append((cond, _VERDICTS.index(verdict)))
-
-    def skip(self, cond, reason):
-        self.cases.append((cond, _S))
+        self.open = self.open & ~cond
 
     def let(self, name, r):
         return r
@@ -336,16 +354,17 @@ def _outcome(theorem_id: TheoremId, c: JointCounts):
     return (*(e.decided or (HOLDS if holds else VIOLATED, None, e.final_note)), e.named)
 
 
-def _codes(statement: Statement, c: JointCounts, q: _Base):
+def _codes(theorem_id: TheoremId, c: JointCounts, q: _Base):
     """Each row's verdict code, the index of its verdict in ``_VERDICTS``:
     the code of the first case that holds on the row, else HOLDS or
     VIOLATED as the verdict expression. Every side is evaluated on every
     row; a zero denominator stands where a report has None, and on those
-    rows an earlier case (a skip) decides."""
+    rows an earlier case (a skip) decides, or the statement lacks a skip
+    and ``_Columns`` raises ``RuntimeError``."""
     import numpy as np  # deferred: importing errata must not load numpy
 
-    e = _Columns()
-    codes = np.where(statement(e, c, q), _H, _V)
+    e = _Columns(theorem_id)
+    codes = np.where(STATEMENTS[theorem_id](e, c, q), _H, _V)
     for cond, code in reversed(e.cases):  # np.select, without its set-up cost
         codes = np.where(cond, code, codes)
     return codes
@@ -533,7 +552,8 @@ def sweep(
     evaluated again on Python ints, which builds its reports, in (trial,
     class, condition, registry) order; a log is built only for their
     replay text. If the two evaluations give that pair other verdicts (an
-    int64 overflow, or numpy and ints parting ways), the sweep raises
+    int64 overflow, or numpy and ints parting ways), or if a statement
+    compares an undefined ratio on a row no case decides, the sweep raises
     ``RuntimeError``: a bug, never an input error. The aggregate
     table is reproducible from the seed and the bounds.
     """
@@ -553,10 +573,9 @@ def sweep(
     labels = label_alphabet(max_labels)
     pairs = [(alpha, labels[(i + 1) % len(labels)], cid)  # (α, β, condition), as _chunk_counts
              for i, alpha in enumerate(labels) for cid in condition_alphabet(max_conditions)]
-    statements = list(STATEMENTS.values())
     # Statement i's verdict code v is tallied at i * len(_VERDICTS) + v.
-    offsets = np.arange(len(statements))[:, None] * len(_VERDICTS)
-    tally = np.zeros(len(statements) * len(_VERDICTS), np.int64)
+    offsets = np.arange(len(STATEMENTS))[:, None] * len(_VERDICTS)
+    tally = np.zeros(len(STATEMENTS) * len(_VERDICTS), np.int64)
     violations: list[SweepViolation] = []
     pool = np.random.SeedSequence(seed).pool
     bounds, replay = (max_records, max_labels, max_conditions), (None, None)
@@ -566,7 +585,7 @@ def sweep(
         counts = _chunk_counts(chunk_seeds, *bounds)
         c = JointCounts._make(counts if max_records <= _INT64_RECORDS else counts.astype(object))
         q = _base_ratios(c)
-        codes = np.stack([_codes(statement, c, q) for statement in statements])
+        codes = np.stack([_codes(theorem_id, c, q) for theorem_id in STATEMENTS])
         tally += np.bincount((codes + offsets).ravel(), minlength=len(tally))
         for row in np.flatnonzero((codes == _V).any(0)).tolist():
             t, pair = divmod(row, len(pairs))
@@ -580,7 +599,7 @@ def sweep(
             violations += [SweepViolation(trial, trial_seed, r.theorem_id, alpha, cid,
                                           r.correction_class, r, replay[1])
                            for r in reports if r.verdict is VIOLATED]
-    by_statement = dict(zip(STATEMENTS, tally.reshape(len(statements), len(_VERDICTS)).tolist()))
+    by_statement = dict(zip(STATEMENTS, tally.reshape(len(STATEMENTS), len(_VERDICTS)).tolist()))
     verdict_counts = {tid: dict(zip(_VERDICTS, by_statement[tid])) for tid in TheoremId}
     return SweepResult(
         seed, trials, max_records, max_labels, max_conditions, verdict_counts, tuple(violations)

@@ -4,7 +4,7 @@ The package stores a log by column: sample ids, a shape code per row and
 a table of shapes. This module holds a log the plain way, as a tuple of
 ``PredictionRecord``s compared and hashed as a tuple, and answers each
 question about it by walking the records: what a JSONL text parses to,
-what it serializes to, which rows carry each index key, and what rules do
+what it serializes to, how many rows carry each key, and what rules do
 to it. The tests hold the column log equal to it.
 """
 
@@ -21,18 +21,17 @@ from errata import DEFAULT_DISTRIBUTION, PredictionRecord
 class RecordLog:
     records: tuple[PredictionRecord, ...]
 
-    def index(self) -> dict[str, dict[str, int]]:
-        """Per index field, key → bitset of the records that carry it."""
-        out = {name: defaultdict(int) for name in INDEX_FIELDS}
-        for i, r in enumerate(self.records):
-            bit = 1 << i
-            out["models"][r.model_id] |= bit
-            out["distributions"][r.distribution] |= bit
+    def key_counts(self) -> dict[str, dict[str, int]]:
+        """Per field, key → the number of records that carry it."""
+        out = {name: defaultdict(int) for name in KEY_FIELDS}
+        for r in self.records:
+            out["models"][r.model_id] += 1
+            out["distributions"][r.distribution] += 1
             for name, keys in (("predicted", r.predicted), ("ground_truth", r.ground_truth),
                                ("conditions", r.conditions)):
                 for key in keys:
-                    out[name][key] |= bit
-        return {name: dict(masks) for name, masks in out.items()}
+                    out[name][key] += 1
+        return {name: dict(counts) for name, counts in out.items()}
 
     def universes(self) -> tuple[frozenset, frozenset, frozenset]:
         """Labels, condition ids and tags the records carry."""
@@ -43,7 +42,7 @@ class RecordLog:
         )
 
 
-INDEX_FIELDS = ("models", "distributions", "predicted", "ground_truth", "conditions")
+KEY_FIELDS = ("models", "distributions", "predicted", "ground_truth", "conditions")
 
 
 def parse(text: str) -> RecordLog:

@@ -717,16 +717,18 @@ def test_unknown_condition_names_its_rule(tmp_path, log_file, capsys):
         "errata apply: corrections[0].pairs: condition id(s) absent from the log: ['ghost']\n")
 
 
-@pytest.mark.parametrize("epsilon", ["1e-999999","1e1000", "1/" + "9" * 1001, "2e-99999999999999999999"])
+@pytest.mark.parametrize("epsilon", ["1e-999999","1e1000", "1/" + "9" * 1001, "2e-99999999999999999999",
+                                     "0." + "0" * 999 + "1", "1" + "0" * 1000])
 def test_oversized_epsilon_exits_2(tmp_path, log_file, capsys, epsilon):
     # 1e-999999 used to pass parsing and crash writing the report (Python
-    # writes at most 4300 digits of an integer as text), with exit 1.
+    # writes at most 4300 digits of an integer as text), with exit 1. Text
+    # with an exponent is now no rational at all; the rest is too long.
     argv = ["learn-detection", "--log", str(log_file), "--model", "m", "--class", "a",
             "--condition", "c1", "--epsilon", epsilon, "--out", str(tmp_path / "out")]
     assert main(argv) == 2
-    assert capsys.readouterr().err == (
-        "errata learn-detection: --epsilon: more than 1000 digits in the numerator or "
-        f"denominator of {epsilon!r}\n")
+    reason = ("not a rational number: " if "e" in epsilon
+              else "--epsilon: more than 1000 digits in the numerator or denominator of ")
+    assert capsys.readouterr().err == f"errata learn-detection: {reason}{epsilon!r}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -744,15 +746,22 @@ def test_epsilon_above_one_learns_as_epsilon_one(tmp_path, log_file):
 
 
 def test_rationals_up_to_the_digit_bound_parse_exactly():
-    assert parse_rational("1e999") == 10 ** 999
-    assert parse_rational("1e-999") == Fraction(1, 10 ** 999)
-    assert parse_rational("1" + "0" * 1500 + "e-1000") == 10 ** 500
-    assert parse_rational("0e-99999999999") == 0 and parse_rational(" 1e1_0 ") == 10 ** 10
-    for text in ("1/2e99999", "e99999", "x"):
+    # The grammar: an optional sign, ASCII digits, and an optional
+    # "/digits" or ".digits".
+    assert parse_rational("1" + "0" * 999) == 10 ** 999
+    assert parse_rational("0." + "0" * 998 + "1") == Fraction(1, 10 ** 999)
+    assert parse_rational("1" + "0" * 1500 + "/" + "1" + "0" * 1000) == 10 ** 500
+    assert parse_rational("-3/6") == Fraction(-1, 2) and parse_rational("+0.25") == Fraction(1, 4)
+    assert parse_rational("007") == 7
+    for text in ("1e999", "1e-3", "1/2e99999", "e99999", "x", "", "1_000/2", "\uff11/\uff12",
+                 " 1/2", "1/2 ", "1/2\n", "1/-2", "1/+2", ".5", "5.", "1.5/2", "1/2/3", "--1",
+                 "inf", "nan", "1/0"):
         with pytest.raises(InputError, match="^not a rational number"):
             parse_rational(text)
     with pytest.raises(InputError, match="^epsilon: more than 1000 digits"):
-        LearnConfig(epsilon="1e-1000")
+        LearnConfig(epsilon="0." + "0" * 999 + "1")
+    with pytest.raises(InputError, match="^epsilon: more than 1000 digits"):
+        LearnConfig(epsilon="1/1" + "0" * 1000)
 
 
 def test_internal_value_error_is_not_an_input_error(tmp_path, log_file, monkeypatch):

@@ -322,15 +322,7 @@ def _union(*queries):
     return EventQuery(tuple(clause for q in queries for clause in q.clauses))
 
 
-@given(
-    logs_st(models=("m", "n")),
-    st.sampled_from(("m", "n")),
-    st.sampled_from((None,) + TAGS),
-    labels_st,
-    st.sets(st.sampled_from(CONDITIONS)),
-    labels_st,
-)
-def test_joint_counts_match_event_queries(log, model, tag, alpha, body, beta):
+def _assert_joint_counts_match_event_queries(log, model, tag, alpha, body, beta):
     c = joint_counts(log, alpha, body, beta, model_id=model, distribution=tag)
     sub = slice_log(log, model, tag)
     pred = EventQuery.conjunction(predicted_has(alpha))
@@ -357,6 +349,31 @@ def test_joint_counts_match_event_queries(log, model, tag, alpha, body, beta):
     alone = joint_counts(log, alpha, body, model_id=model, distribution=tag)
     assert tuple(alone)[:6] == tuple(c)[:6]
     assert not any(tuple(alone)[6:])
+
+
+@given(
+    logs_st(models=("m", "n")),
+    st.sampled_from(("m", "n")),
+    st.sampled_from((None,) + TAGS),
+    labels_st,
+    st.sets(st.sampled_from(CONDITIONS)),
+    labels_st,
+)
+def test_joint_counts_match_event_queries(log, model, tag, alpha, body, beta):
+    _assert_joint_counts_match_event_queries(log, model, tag, alpha, body, beta)
+
+
+def test_joint_counts_match_event_queries_over_256_shapes():
+    from test_columns import _records
+
+    log = PredictionLog(_records(300, 200, seed=7))
+    assert len(log.shapes) > 256  # the row codes are an array, not bytes
+    for model, tag, (alpha, beta), body in [
+        ("m", None, ("a", "b"), {"c1"}), ("n", "d1", ("b", "c"), {"c2", "c3"}),
+        ("pé", "default", ("d", "a"), {"c1", "c2", "c3", "c4"}), ("m", "d2", ("c", "c"), set()),
+        ("x", None, ("a", "b"), {"c1"}), ("n", "d9", ("a", "e"), {"c9"}),
+    ]:
+        _assert_joint_counts_match_event_queries(log, model, tag, alpha, body, beta)
 
 
 def test_index_built_once_per_log(monkeypatch, log_a):

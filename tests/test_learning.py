@@ -472,6 +472,20 @@ def test_learn_correction_matches_the_fraction_reference(seed, beta, pairs, max_
     assert report.to_dict() == want_report.to_dict()
 
 
+def test_learn_correction_matches_the_fraction_reference_over_256_shapes():
+    from test_columns import _records
+
+    log = PredictionLog(_records(300, 200, seed=11))
+    assert len(log.shapes) > 256  # the row codes are an array, not bytes
+    pairs = [(cond, trig) for cond in ("c1", "c2", "c3", "c4", "x1") for trig in ("a", "b", "d")]
+    for model in ("m", "pé", "x"):
+        for beta in ("a", "c", "e"):
+            got = learn_correction(log, model, beta, pairs, cfg(max_body_size=3))
+            want = learner_oracle.learn_correction(log, model, beta, pairs, cfg(max_body_size=3))
+            assert got == want
+            assert got[1].to_dict() == want[1].to_dict()
+
+
 LIBRARY_LABELS = ("a", "b", "c", "d")
 # Per class: an error marker, two weaker markers and a benign condition,
 # as (support, confidence) targets.

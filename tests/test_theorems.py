@@ -516,14 +516,14 @@ def _columns(tuples, dtype):
 
 def _column_verdicts(tid, c):
     """The verdicts of the column evaluation of ``tid`` on count columns."""
-    return [_VERDICTS[code] for code in theorems._codes(STATEMENTS[tid], c, theorems._base_ratios(c)).tolist()]
+    return [_VERDICTS[code] for code in theorems._codes(tid, c, theorems._base_ratios(c)).tolist()]
 
 
 def _decided_per_case(tid, c):
     """How many rows of the int64 count columns ``c`` each declared case
     of ``tid`` decides, in declaration order: the rows where it holds and
     no earlier case does."""
-    e = theorems._Columns()
+    e = theorems._Columns(tid)
     STATEMENTS[tid](e, c, theorems._base_ratios(c))
     open_rows = np.ones(len(c.total), bool)
     decided = []
@@ -768,9 +768,9 @@ def test_sweep_disagreeing_evaluations_are_an_internal_error(monkeypatch, tmp_pa
     # the statement itself still passes, does not confirm it.
     honest = theorems._codes
 
-    def rigged(statement, c, q):
-        codes = honest(statement, c, q)
-        return np.where(_fires_once(c), theorems._V, codes) if statement is STATEMENTS[T4] else codes
+    def rigged(theorem_id, c, q):
+        codes = honest(theorem_id, c, q)
+        return np.where(_fires_once(c), theorems._V, codes) if theorem_id is T4 else codes
 
     monkeypatch.setattr(theorems, "_codes", rigged)
     with pytest.raises(RuntimeError, match="scalar and column evaluations disagree"):
@@ -807,13 +807,25 @@ def test_a_comparison_of_an_undefined_ratio_is_an_internal_error(monkeypatch, tm
     reason = "precision is zero (division by zero on the right)"
     assert check(t3, log, "m", "a", BODY_C1).skip_reason == reason
     monkeypatch.setitem(STATEMENTS, t3, lambda e, c, q: honest(_WithoutSkip(e, reason), c, q))
-    with pytest.raises(RuntimeError, match="T3_RECALL_REDUCTION compares an undefined ratio"):
+    with pytest.raises(RuntimeError, match="T3_RECALL_REDUCTION compares an undefined ratio") as on_ints:
         check(t3, log, "m", "a", BODY_C1)
     path = tmp_path / "log.jsonl"
     path.write_text(serialize_log(log), encoding="utf-8")
     with pytest.raises(RuntimeError, match="T3_RECALL_REDUCTION compares an undefined ratio"):  # not exit 2
         main(["verify", "--log", str(path), "--model", "m", "--class", "a", "--condition", "c1",
               "--out", str(tmp_path / "out")])
+    # The sweep's column evaluation raises too, rather than count the rows
+    # it cannot decide as HOLDS.
+    with pytest.raises(RuntimeError, match="T3_RECALL_REDUCTION compares an undefined ratio"):
+        sweep(1, 300)
+    c = joint_counts(log, "a", BODY_C1, model_id="m")
+    for dtype in (np.int64, object):  # int64 columns, and exact ints above _INT64_RECORDS
+        columns = _columns([JointCounts(0, 0, 0, 0, 0, 0), c], dtype)
+        with pytest.raises(RuntimeError) as on_columns:
+            theorems._codes(t3, columns, theorems._base_ratios(columns))
+        assert str(on_columns.value) == str(on_ints.value)  # names the row's ratios as well
+    with pytest.raises(RuntimeError, match="T3_RECALL_REDUCTION compares an undefined ratio"):  # not exit 2
+        main(["sweep", "--seed", "1", "--trials", "300", "--out", str(tmp_path / "sweep")])
 
 
 def test_verify_and_sweep_share_the_registry(tmp_path):
