@@ -10,10 +10,14 @@ predictions alone from α's view, whose masks span only the rows
 predicting α, and a count that involves a correction class β from the
 view of the whole scope.
 
-A decision (is a body error detecting, does it raise precision, which
-candidate scores higher) compares unreduced integer ``(num, den)`` ratios
-by cross-multiplication; ``Fraction`` and ``Probability`` are built only
-for values a report carries.
+Counting comes first, judging second. A decision (is a body error
+detecting, does it raise precision, which candidate scores higher) is
+made on counts already taken, comparing unreduced integer ``(num, den)``
+ratios by cross-multiplication: the learners judge each body from its
+two counts (the predictions it erases and the correct ones among them),
+and ``bundle_from_counts`` builds a bundle from counts a caller already
+holds. ``Fraction`` and ``Probability`` are built only for values a
+report carries.
 """
 
 from __future__ import annotations

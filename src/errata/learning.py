@@ -8,15 +8,20 @@ always break toward the lexicographically smallest condition id (then
 trigger class), so learning is deterministic regardless of candidate
 iteration order.
 
-Every detection decision is made on integer counts read from the
-class's view of the log's index, whose masks span only the rows that
-predict the class: a body's mask is the OR of its conditions' masks,
-feasibility compares a count with the largest count the budget allows,
-and every objective comparison is a cross-multiplication of unreduced
-``(num, den)`` ratios. Correction pairs are counted on the view of the
-model's whole scope. ``Fraction`` values are built only for the report.
-A subset oracle, exact by branch and bound, audits greedy quality on
-candidate sets of up to 20 ids.
+Every body is counted, then judged. Detection counts read the class's
+view of the log's index, whose masks span only the rows that predict
+the class: a body's mask is the OR of its conditions' masks, and its two
+counts are the predictions it erases and the correct ones among them.
+One score function per objective judges those two counts: it checks
+the budget (a count against the largest count ε allows) and returns the
+objective as an unreduced ``(num, den)`` ratio, compared by
+cross-multiplication. The same function scores each greedy step, each
+oracle node and each oracle subtree's bound, and the steps' counts give
+the recall reductions and the final metrics. Correction pairs are
+counted on the view of the model's whole scope, against β's truth, and
+judged by their precision. ``Fraction`` values are built only for the
+report. A subset oracle, exact by branch and bound, audits greedy
+quality on candidate sets of up to 20 ids.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from .estimators import (
     _fraction,
     _le,
     _lt,
-    _sub,
     bundle_from_counts,
 )
 from .logs import InputError, PredictionLog, _Frozen, _set
@@ -133,81 +137,60 @@ class LearnReport(_Frozen):
 # Detection learning
 # ---------------------------------------------------------------------------
 
-class _Kernel:
-    """Scoring of condition bodies for one (log, model, class α).
+def _score_function(cfg: LearnConfig, counts: tuple[int, int, int, int]):
+    """The objective's ``score(pb, pbg)`` for class α, and its budget.
 
-    Reads α's view of the model's rows (``LogIndex.view``): ``conditions``
-    maps each condition to its mask over α's predictions, so a body's mask
-    is the OR of its conditions' masks, and its counts pred_body and
-    pred_body_gt are ``mask.bit_count()`` and ``(mask & correct).bit_count()``.
-    ``base`` holds (total, gt, pred, pred_gt) of the model's rows. A body
-    is within the ε budget when its recall reduction pred_body_gt/gt is at
-    most ε, that is when pred_body_gt ≤ ``limit`` = ⌊ε·gt⌋; a class absent
-    from the ground truth has no recall to lose.
+    ``counts`` are (total, gt, pred, pred_gt) of α's view of the model's
+    rows (``LogIndex.view``), with pred > 0. A body erasing pb of α's
+    predictions, pbg of them correct, is within the ε budget when its
+    recall reduction pbg/gt is at most ε, that is when pbg ≤ ``limit`` =
+    ⌊ε·gt⌋; a class absent from the ground truth has no recall to lose.
 
-    ``score(mask)`` is the objective of a body, counted and judged in one
-    call: an unreduced ``(num, den)`` ratio with a positive denominator, or
-    None when the body is over budget or the objective is undefined there.
-    ``score(0)`` is the empty body's objective.
+    ``score`` returns None when the body is over budget or the objective
+    is undefined there, and otherwise the objective as an unreduced
+    ``(num, den)`` ratio with a positive denominator; ``score(0, 0)`` is
+    the empty body's. A body that adds conditions erases no fewer
+    predictions and no fewer correct ones, so a body scored None has no
+    superset scored otherwise.
+
+    SUPPORT_TIMES_CONFIDENCE collapses to (body-covered errors)/predictions,
+    which makes the zero-support case an exact 0 rather than undefined.
+    With kept = pred − pb predictions left and kept_gt = pred_gt − pbg of
+    them correct, the precision gain is kept_gt/kept − pred_gt/pred and F1
+    is 2·kept_gt/(kept + gt). Returns (score, limit).
     """
-
-    __slots__ = ("objective", "conditions", "correct", "base", "n_gt", "n_pred", "n_pred_gt", "limit",
-                 "score")
-
-    def __init__(self, log: PredictionLog, model_id: str, alpha: str, cfg: LearnConfig):
-        view = log.index.view(model_id, alpha)
-        self.objective = cfg.objective
-        self.conditions = view.conditions
-        self.correct = view.correct
-        self.base = view.counts[None]
-        _, self.n_gt, self.n_pred, self.n_pred_gt = self.base
-        self.limit = cfg.epsilon.numerator * self.n_gt // cfg.epsilon.denominator
-        self.score = self._score_function()
-
-    def _score_function(self):
-        """``score`` for the kernel's objective, given n_pred > 0.
-
-        SUPPORT_TIMES_CONFIDENCE collapses to (body-covered errors)/predictions,
-        which makes the zero-support case an exact 0 rather than undefined.
-        With kept = n_pred − pred_body predictions left and kept_gt =
-        n_pred_gt − pred_body_gt of them correct, the precision gain is
-        kept_gt/kept − n_pred_gt/n_pred and F1 is 2·kept_gt/(kept + n_gt).
-        """
-        correct, n_pred, n_pred_gt, n_gt, limit = (
-            self.correct, self.n_pred, self.n_pred_gt, self.n_gt, self.limit)
-        if self.objective is Objective.SUPPORT_TIMES_CONFIDENCE:
-            def score(mask: int) -> Ratio | None:
-                pbg = (mask & correct).bit_count()
-                return None if pbg > limit else (mask.bit_count() - pbg, n_pred)
-        elif self.objective is Objective.PRECISION_GAIN:
-            def score(mask: int) -> Ratio | None:
-                pbg = (mask & correct).bit_count()
-                pb = mask.bit_count()
-                if pbg > limit or pb == n_pred:
-                    return None  # over budget, or every prediction erased
-                return (n_pred_gt * pb - pbg * n_pred, n_pred * (n_pred - pb))
-        else:
-            def score(mask: int) -> Ratio | None:
-                pbg = (mask & correct).bit_count()
-                if pbg > limit or pbg == n_pred_gt:
-                    return None  # over budget, or no correct prediction kept: P + R = 0
-                return (2 * (n_pred_gt - pbg), n_pred - mask.bit_count() + n_gt)
-        return score
+    _, n_gt, n_pred, n_pred_gt = counts
+    limit = cfg.epsilon.numerator * n_gt // cfg.epsilon.denominator
+    if cfg.objective is Objective.SUPPORT_TIMES_CONFIDENCE:
+        def score(pb: int, pbg: int) -> Ratio | None:
+            return None if pbg > limit else (pb - pbg, n_pred)
+    elif cfg.objective is Objective.PRECISION_GAIN:
+        def score(pb: int, pbg: int) -> Ratio | None:
+            if pbg > limit or pb == n_pred:
+                return None  # over budget, or every prediction erased
+            return (n_pred_gt * pb - pbg * n_pred, n_pred * (n_pred - pb))
+    else:
+        def score(pb: int, pbg: int) -> Ratio | None:
+            if pbg > limit or pbg == n_pred_gt:
+                return None  # over budget, or no correct prediction kept: P + R = 0
+            return (2 * (n_pred_gt - pbg), n_pred - pb + n_gt)
+    return score, limit
 
 
-def _grow(masks: dict, score, start: Ratio | None, max_size: int | None):
+def _grow(masks: dict, hits: int, score, start: Ratio | None, max_size: int | None):
     """The greedy step loop of both learners.
 
     ``masks`` maps each candidate, in sorted order, to the records it
     covers. A step adds the candidate whose union with the covered mask
     scores strictly highest, and strictly above the current value (at
     first ``start``, the value of the empty set; None when undefined).
-    ``score(mask)`` is called once per candidate and step: it returns the
-    union's value as a ``(num, den)`` ratio with a positive denominator,
-    compared here by cross-multiplication, or None when that union may not
-    be chosen. Ties go to the candidate met first, and at most
-    ``max_size`` steps are taken. Returns (chosen candidates, steps), each
-    step (candidate, value before, value after, covered mask after).
+    Each union is counted once, its records pb and its records in the
+    ``hits`` mask pbg, and judged by ``score(pb, pbg)``: the union's value
+    as a ``(num, den)`` ratio with a positive denominator, compared here
+    by cross-multiplication, or None when that union may not be chosen.
+    Ties go to the candidate met first, and at most ``max_size`` steps
+    are taken. Returns (chosen candidates, steps), each step (candidate,
+    value after, (pb, pbg) after).
     """
     remaining = dict(masks)
     chosen: list = []
@@ -219,12 +202,13 @@ def _grow(masks: dict, score, start: Ratio | None, max_size: int | None):
         bar = current  # the value to beat: the current one, then the best union's
         for key, mask in remaining.items():
             union = covered | mask
-            value = score(union)
+            pb, pbg = union.bit_count(), (union & hits).bit_count()
+            value = score(pb, pbg)
             if value is not None and (bar is None or bar[0] * value[1] < value[0] * bar[1]):
-                bar, best, best_union = value, key, union
+                bar, best, best_union, best_counts = value, key, union, (pb, pbg)
         if best is None:
             break
-        steps.append((best, current, bar, best_union))
+        steps.append((best, bar, best_counts))
         chosen.append(best)
         del remaining[best]
         covered, current = best_union, bar
@@ -260,8 +244,9 @@ def learn_detection(
     """
     cfg = cfg or LearnConfig()
     candidate_ids = sorted(set(candidates))
-    k = _Kernel(log, model_id, alpha, cfg)
-    if k.n_pred == 0:
+    view = log.index.view(model_id, alpha)
+    _, n_gt, n_pred, n_pred_gt = base = view.counts[None]
+    if n_pred == 0:
         report = LearnReport(
             objective=cfg.objective,
             epsilon=cfg.epsilon,
@@ -271,23 +256,25 @@ def learn_detection(
         )
         return None, report
 
+    score, limit = _score_function(cfg, base)
+    correct = view.correct
     # Erasing on a condition raises precision iff its confidence
     # (pb − pbg)/pb exceeds the residual (n_pred − n_pred_gt)/n_pred.
-    residual_num = k.n_pred - k.n_pred_gt
-    residual = Fraction(residual_num, k.n_pred)
+    residual_num = n_pred - n_pred_gt
+    residual = Fraction(residual_num, n_pred)
     guards = []
     masks = {}
     any_feasible = False  # is some body of one condition within the budget?
     for cid in candidate_ids:
-        mask = masks[cid] = k.conditions.get(cid, 0)
-        pb, pbg = mask.bit_count(), (mask & k.correct).bit_count()
-        any_feasible = any_feasible or pbg <= k.limit
-        improves = None if pb == 0 else (pb - pbg) * k.n_pred > residual_num * pb
+        mask = masks[cid] = view.conditions.get(cid, 0)
+        pb, pbg = mask.bit_count(), (mask & correct).bit_count()
+        any_feasible = any_feasible or pbg <= limit
+        improves = None if pb == 0 else (pb - pbg) * n_pred > residual_num * pb
         guards.append(GuardCheck(cid, Probability(pb - pbg, pb), residual, improves))
 
-    start = k.score(0)
+    start = score(0, 0)
     baseline = _fraction(start)
-    body, ratio_steps = _grow(masks, k.score, start, cfg.max_body_size)
+    body, ratio_steps = _grow(masks, correct, score, start, cfg.max_body_size)
 
     if not body:
         reason = NO_IMPROVEMENT if any_feasible or not candidate_ids else INFEASIBLE
@@ -302,9 +289,7 @@ def learn_detection(
         return None, report
 
     steps = _learn_steps(baseline, [
-        (cid, after, Fraction((mask & k.correct).bit_count(), k.n_gt) if k.n_gt else None)
-        for cid, _, after, mask in ratio_steps])
-    mask = ratio_steps[-1][3]  # the body's mask: its counts are the final metrics'
+        (cid, after, Fraction(pbg, n_gt) if n_gt else None) for cid, after, (_, pbg) in ratio_steps])
     rule = DetectionRule(model_id, alpha, ConditionBody(frozenset(body)))
     report = LearnReport(
         objective=cfg.objective,
@@ -314,8 +299,7 @@ def learn_detection(
         baseline_objective=baseline,
         steps=steps,
         guards=tuple(guards),
-        final_metrics=bundle_from_counts(
-            JointCounts(*k.base, mask.bit_count(), (mask & k.correct).bit_count())),
+        final_metrics=bundle_from_counts(JointCounts(*base, *ratio_steps[-1][2])),  # the body's counts
     )
     return rule, report
 
@@ -346,12 +330,13 @@ def learn_correction(
     view = log.index.view(model_id, None)
     beta_gt = view.ground_truth.get(beta, 0)
 
-    def precision(records: int) -> Ratio:
-        """Precision of beta over a mask of (relabeled) records, as
-        (correct, records); undefined when records is 0."""
-        return (records & beta_gt).bit_count(), records.bit_count()
+    def precision(pb: int, pbg: int) -> Ratio:
+        """Precision of beta over pb (relabeled) records, pbg of them with
+        beta in their ground truth; undefined when pb is 0."""
+        return pbg, pb
 
-    base_ratio = precision(view.predicted.get(beta, 0))
+    predicted = view.predicted.get(beta, 0)
+    base_ratio = precision(predicted.bit_count(), (predicted & beta_gt).bit_count())
     base = Probability(*base_ratio)
     # With an undefined base, any pair of positive precision is admissible.
     bar = base_ratio if base_ratio[1] else _ZERO
@@ -359,14 +344,14 @@ def learn_correction(
     admissible: dict[tuple[str, str], int] = {}  # pair → records it fires on
     for cond, trig in pairs:
         fires = view.predicted.get(trig, 0) & view.conditions.get(cond, 0)
-        pair_prec = precision(fires)
+        pair_prec = precision(fires.bit_count(), (fires & beta_gt).bit_count())
         ok = pair_prec[1] > 0 and _lt(bar, pair_prec)
         pair_guards.append(PairGuard(cond, trig, Probability(*pair_prec), base, ok))
         if ok:
             admissible[(cond, trig)] = fires
 
     # Every union of admissible pairs fires somewhere, so each may be chosen.
-    chosen, ratio_steps = _grow(admissible, precision, None, cfg.max_body_size)
+    chosen, ratio_steps = _grow(admissible, beta_gt, precision, None, cfg.max_body_size)
     if not chosen:
         report = LearnReport(
             outcome="NONE",
@@ -382,10 +367,10 @@ def learn_correction(
         outcome="RULE",
         reason=None,
         baseline_objective=base.value,
-        steps=_learn_steps(None, [(pair, after, None) for pair, _, after, _ in ratio_steps]),
+        steps=_learn_steps(None, [(pair, after, None) for pair, after, _ in ratio_steps]),
         pair_guards=tuple(pair_guards),
         base_precision=base,
-        final_precision=Probability(*ratio_steps[-1][2]),
+        final_precision=Probability(*ratio_steps[-1][1]),
     )
     return rule, report
 
@@ -393,28 +378,6 @@ def learn_correction(
 # ---------------------------------------------------------------------------
 # Subset oracle
 # ---------------------------------------------------------------------------
-
-def _upper_bound(k: _Kernel, pred_body_gt: int, errors_reachable: int) -> Ratio:
-    """Bound on the objective of every body between S and U = S ∪ R.
-
-    Adding a condition never un-erases a prediction, so such a body erases
-    at least the x_S = ``pred_body_gt`` correct predictions S erases and
-    at most the e_U = ``errors_reachable`` errors U covers. Precision
-    after the rule is at most (n_pred_gt − x_S)/(n_pred_gt − x_S + errors
-    − e_U), support × confidence at most e_U/n_pred, and F1 at most
-    2(n_pred_gt − x_S)/(n_pred − x_S − e_U + n_gt). A zero denominator
-    leaves no correct prediction, so the bound on precision and F1 is 0.
-    """
-    n_pred = k.n_pred
-    if k.objective is Objective.SUPPORT_TIMES_CONFIDENCE:
-        return (errors_reachable, n_pred)
-    kept_gt = k.n_pred_gt - pred_body_gt
-    kept = n_pred - pred_body_gt - errors_reachable
-    if k.objective is Objective.PRECISION_GAIN:
-        post = (kept_gt, kept) if kept else _ZERO
-        return _sub(post, (k.n_pred_gt, n_pred))
-    return (2 * kept_gt, kept + k.n_gt) if kept + k.n_gt else _ZERO
-
 
 def exhaustive_oracle(
     log: PredictionLog,
@@ -431,15 +394,21 @@ def exhaustive_oracle(
     rejected.
 
     The search is depth-first, seeded with the greedy body, and visits
-    each subset once. Feasibility is anti-monotone (a superset erases at
-    least as many correct predictions), so an infeasible subset ends its
-    subtree, and an extension infeasible beside a body is dropped from the
-    body's whole subtree. A subtree is skipped when its upper bound
-    (``_upper_bound``) is at most the empty-body objective, or strictly
-    below the best body found, or equal to it while every body in the
-    subtree is larger. These cuts drop only bodies that would lose, and
-    ties are decided by explicit comparison, so the visiting order (the
-    extensions covering the most errors first) does not change the result.
+    each subset once, scored from the counts its parent took. A body the
+    score rejects has no accepted superset, so it ends its subtree, and
+    an extension rejected beside a body is dropped from the body's whole
+    subtree. A body under a node S erases at least the x_S correct
+    predictions S erases and at most the e_U errors that S and the
+    extensions left to it cover; every objective falls with erased correct
+    predictions and rises with erased errors, so ``score(x_S + e_U, x_S)``
+    bounds the subtree. S is within the budget, so None there means no
+    prediction, or no correct one, is left: no body under S beats the
+    empty body. A subtree is skipped when its bound is None or at most the
+    empty-body objective, or strictly below the best body found, or equal
+    to it while every body in the subtree is larger. These cuts drop only
+    bodies that would lose, and ties are decided by explicit comparison,
+    so the visiting order (the extensions covering the most errors first)
+    does not change the result.
 
     Candidates with equal masks over α's predictions (twins, such as ids
     that never fire) are merged first into the one first in sorted order:
@@ -452,20 +421,23 @@ def exhaustive_oracle(
     if len(ids) > 20:
         raise ValueError(f"candidate set too large for enumeration ({len(ids)} > 20)")
 
-    k = _Kernel(log, model_id, alpha, cfg)
-    if k.n_pred == 0:
+    view = log.index.view(model_id, alpha)
+    base = view.counts[None]
+    n_pred = base[2]
+    if n_pred == 0:
         return None, None
     twins: dict[int, str] = {}  # mask → the first id with it
     for cid in ids:
-        twins.setdefault(k.conditions.get(cid, 0), cid)
+        twins.setdefault(view.conditions.get(cid, 0), cid)
     masks = {cid: mask for mask, cid in twins.items()}
 
-    correct, limit, score = k.correct, k.limit, k.score
-    baseline = score(0)
-    errors = ((1 << k.n_pred) - 1) ^ correct  # every prediction of α not in its truth
+    score, _ = _score_function(cfg, base)
+    correct = view.correct
+    baseline = score(0, 0)
+    errors = ((1 << n_pred) - 1) ^ correct  # every prediction of α not in its truth
 
-    body, steps = _grow(masks, score, baseline, cfg.max_body_size)
-    best_value = steps[-1][2] if steps else None
+    body, steps = _grow(masks, correct, score, baseline, cfg.max_body_size)
+    best_value = steps[-1][1] if steps else None
     best_body = tuple(sorted(body))
 
     def beats(value: Ratio, subset: tuple[str, ...]) -> bool:
@@ -484,24 +456,24 @@ def exhaustive_oracle(
         children = []
         for cid, cmask in extensions:
             mask = covered | cmask
-            pbg = (mask & correct).bit_count()
-            if pbg <= limit:  # no superset of an infeasible body is feasible
-                children.append((pbg - mask.bit_count(), cid, cmask, mask, pbg))
+            pb, pbg = mask.bit_count(), (mask & correct).bit_count()
+            value = score(pb, pbg)
+            if value is not None:  # no superset of a rejected body is accepted
+                children.append((pbg - pb, cid, cmask, mask, pbg, value))
         children.sort()  # most errors covered first: later subtrees reach fewer
         reachable = [0] * (len(children) + 1)  # reachable[i]: OR of children[i:]
         for i in range(len(children) - 1, -1, -1):
             reachable[i] = reachable[i + 1] | children[i][3]
-        for i, (_, cid, _, mask, pbg) in enumerate(children):
+        for i, (_, cid, _, mask, pbg, value) in enumerate(children):
             node = subset + (cid,)
-            value = score(mask)
-            if value is not None and (baseline is None or _lt(baseline, value)) and beats(value, node):
+            if (baseline is None or _lt(baseline, value)) and beats(value, node):
                 best_value, best_body = value, tuple(sorted(node))
             if len(node) == cfg.max_body_size or i + 1 == len(children):
                 continue
-            bound = _upper_bound(k, pbg, ((reachable[i + 1] | mask) & errors).bit_count())
+            bound = score(pbg + ((reachable[i + 1] | mask) & errors).bit_count(), pbg)
             # A body under node has more ids than node, so it loses a tie
             # with a best body no larger than node.
-            if best_value is not None and (
+            if bound is None or best_value is not None and (
                 _lt(bound, best_value) or _eq(bound, best_value) and len(node) >= len(best_body)
             ):
                 continue

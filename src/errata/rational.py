@@ -51,13 +51,15 @@ def parse_rational(text: str, name: str = "value") -> Fraction:
     ``name``, the flag or key of the text."""
     from .logs import InputError  # logs imports this module
 
-    try:
-        value = Fraction(text) if _RATIONAL.fullmatch(text) else None
-    except (ValueError, ZeroDivisionError):  # a zero denominator, or past int's digit limit
-        value = None
-    if value is None:
+    if not _RATIONAL.fullmatch(text):
         raise InputError(f"not a rational number: {text!r}")
-    if max(abs(value.numerator), value.denominator) >= _LIMIT:
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        raise InputError(f"not a rational number: {text!r}") from None
+    except ValueError:  # a digit run past int's limit, the grammar's one other failure
+        value = None
+    if value is None or max(abs(value.numerator), value.denominator) >= _LIMIT:
         raise InputError(
             f"{name}: more than {MAX_DIGITS} digits in the numerator or denominator of {text!r}")
     return value

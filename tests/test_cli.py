@@ -470,6 +470,9 @@ BAD_INPUTS = {
     "negative epsilon": lambda tmp, log: [
         "learn-detection", "--log", log, "--model", "m", "--class", "a",
         "--condition", "c1", "--epsilon=-1/2"],
+    "negative epsilon taken for a flag": lambda tmp, log: [
+        "learn-detection", "--log", log, "--model", "m", "--class", "a",
+        "--condition", "c1", "--epsilon", "-1/20"],
     "empty condition (verify)": lambda tmp, log: [
         "verify", "--log", log, "--model", "m", "--class", "a", "--condition", ""],
     "empty condition (learn-detection)": lambda tmp, log: [
@@ -526,7 +529,10 @@ BAD_INPUTS = {
 def test_bad_input_exits_2(tmp_path, log_file, capsys, case):
     argv = BAD_INPUTS[case](tmp_path, str(log_file)) + ["--out", str(tmp_path / "out")]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith(f"errata {argv[0]}: ")
+    err = capsys.readouterr().err
+    if err.startswith(f"usage: errata {argv[0]} "):  # argparse's own error follows its usage
+        err = err[err.index(f"\nerrata {argv[0]}: error: ") + 1:]
+    assert err.startswith(f"errata {argv[0]}: ")
 
 
 @pytest.mark.parametrize(
@@ -718,11 +724,13 @@ def test_unknown_condition_names_its_rule(tmp_path, log_file, capsys):
 
 
 @pytest.mark.parametrize("epsilon", ["1e-999999","1e1000", "1/" + "9" * 1001, "2e-99999999999999999999",
-                                     "0." + "0" * 999 + "1", "1" + "0" * 1000])
+                                     "0." + "0" * 999 + "1", "1" + "0" * 1000,
+                                     "1/" + "9" * 5000, "0." + "0" * 5000 + "1"])
 def test_oversized_epsilon_exits_2(tmp_path, log_file, capsys, epsilon):
     # 1e-999999 used to pass parsing and crash writing the report (Python
     # writes at most 4300 digits of an integer as text), with exit 1. Text
-    # with an exponent is now no rational at all; the rest is too long.
+    # with an exponent is now no rational at all; the rest is too long, also
+    # past the 4300 digits Python reads into an integer.
     argv = ["learn-detection", "--log", str(log_file), "--model", "m", "--class", "a",
             "--condition", "c1", "--epsilon", epsilon, "--out", str(tmp_path / "out")]
     assert main(argv) == 2

@@ -21,6 +21,7 @@ from errata.learning import (
     NO_ADMISSIBLE_PAIR,
     NO_IMPROVEMENT,
     UNDEFINED_BASE,
+    _score_function,
 )
 from errata.synth import condition_alphabet, random_log
 from event_oracle import EventQuery, cond_prob, condition_holds, predicted_has, slice_log, truth_has
@@ -366,6 +367,60 @@ def test_oracle_at_the_cap_with_ids_the_log_lacks(log_a):
 def test_oracle_rejects_oversized_candidate_sets(log_a):
     with pytest.raises(ValueError, match="20"):
         exhaustive_oracle(log_a, "m", "a", {f"k{i}" for i in range(21)}, cfg())
+
+
+def _count_space(max_pred=7, max_missed=3):
+    """Every (n_pred, n_pred_gt, n_gt, ε) with n_pred ≤ ``max_pred`` and at
+    most ``max_missed`` records of the class in truth but not predicted; ε
+    runs over every budget b/n_gt and the midpoints between them."""
+    for n_pred in range(1, max_pred + 1):
+        for n_pred_gt in range(n_pred + 1):
+            for n_gt in range(n_pred_gt, n_pred_gt + max_missed + 1):
+                epsilons = [Fraction(b, 2 * n_gt) for b in range(2 * n_gt + 1)] if n_gt else [Fraction(0)]
+                for epsilon in epsilons:
+                    yield n_pred, n_pred_gt, n_gt, epsilon
+
+
+def _scored(score, pb, pbg):
+    value = score(pb, pbg)
+    return None if value is None else Fraction(*value)
+
+
+@pytest.mark.parametrize("objective", tuple(Objective))
+def test_score_matches_the_objective_on_every_small_count_tuple(objective):
+    # Each body's two counts: pb predictions erased, pbg of them correct.
+    for n_pred, n_pred_gt, n_gt, epsilon in _count_space():
+        score, _ = _score_function(LearnConfig(objective, epsilon), (n_pred + n_gt, n_gt, n_pred, n_pred_gt))
+        for pbg in range(n_pred_gt + 1):
+            over_budget = n_gt > 0 and Fraction(pbg, n_gt) > epsilon
+            for errors in range(n_pred - n_pred_gt + 1):
+                expected = None if over_budget else learner_oracle.objective_value(
+                    objective, n_pred, n_pred_gt, n_gt, pbg + errors, pbg)
+                assert _scored(score, pbg + errors, pbg) == expected, (
+                    n_pred, n_pred_gt, n_gt, epsilon, pbg + errors, pbg)
+
+
+@pytest.mark.parametrize("objective", tuple(Objective))
+def test_score_bounds_every_body_under_a_node(objective):
+    # The oracle bounds the bodies under a node S within the budget, which
+    # erases x correct predictions, by score(x + e, x), e being the errors
+    # S with every extension left covers. Each such body erases at least x
+    # correct predictions and at most e errors.
+    for n_pred, n_pred_gt, n_gt, epsilon in _count_space():
+        score, limit = _score_function(LearnConfig(objective, epsilon), (n_pred + n_gt, n_gt, n_pred, n_pred_gt))
+        baseline = _scored(score, 0, 0)
+        n_errors = n_pred - n_pred_gt
+        values = {(pbg, errors): _scored(score, pbg + errors, pbg)
+                  for pbg in range(n_pred_gt + 1) for errors in range(n_errors + 1)}
+        for x in range(min(limit, n_pred_gt) + 1):
+            for e in range(n_errors + 1):
+                bound = _scored(score, x + e, x)
+                below = [value for (pbg, errors), value in values.items()
+                         if pbg >= x and errors <= e and value is not None]
+                if bound is None:  # no body under S beats the empty body
+                    assert all(baseline is not None and value <= baseline for value in below)
+                else:
+                    assert all(value <= bound for value in below), (n_pred, n_pred_gt, n_gt, epsilon, x, e)
 
 
 # Nine conditions random_log may draw, and three no log carries. The oracle
