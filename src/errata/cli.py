@@ -15,12 +15,14 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 from pathlib import Path
+from typing import Iterable
 
 # learning, rules, synth and theorems are imported by the commands that run
 # them, so that each command loads only the modules it uses.
 from .estimators import ConditionBody
-from .logs import InputError, _read_text, _strict_json, load_log_file, serialize_log
+from .logs import InputError, _log_chunks, _read_text, _strict_json, load_log_file
 from .rational import decimal_str, format_rational, parse_rational
 
 _OBJECTIVES = {  # --objective value → learning.Objective member
@@ -120,6 +122,9 @@ def render_sweep(result) -> str:
 # Run output helper
 # ---------------------------------------------------------------------------
 
+_HASH_BLOCK = 1 << 18  # bytes of an input file read per hash update
+
+
 class _Run:
     """Collects output files and emits the run manifest."""
 
@@ -132,8 +137,11 @@ class _Run:
         self.config = config
         self.outputs: list[str] = []
 
-    def write(self, name: str, text: str) -> None:
-        (self.out / name).write_text(text, encoding="utf-8")
+    def write(self, name: str, text: str | Iterable[str]) -> None:
+        """Write a text, or the chunks of one in order, to ``name``, opened
+        as ``Path.write_text`` opens it, so no chunked text is held whole."""
+        with (self.out / name).open("w", encoding="utf-8") as handle:
+            handle.writelines((text,) if isinstance(text, str) else text)
         self.outputs.append(name)
 
     def write_json(self, name: str, obj) -> None:
@@ -143,7 +151,11 @@ class _Run:
         import hashlib
         digests = {}
         for path in sorted(self.inputs):
-            digests[path] = "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            digest = hashlib.sha256()
+            with open(path, "rb") as handle:
+                for block in iter(lambda: handle.read(_HASH_BLOCK), b""):
+                    digest.update(block)
+            digests[path] = "sha256:" + digest.hexdigest()
         manifest = {
             "command": self.command,
             "inputs": digests,
@@ -160,10 +172,13 @@ class _Run:
 
 def _learn_config(args):
     from .learning import LearnConfig, Objective
-    kwargs = {"objective": Objective[_OBJECTIVES[args.objective]]}
-    if args.epsilon is not None:
-        kwargs["epsilon"] = parse_rational(args.epsilon, "--epsilon")
-    return LearnConfig(**kwargs)
+    objective = Objective[_OBJECTIVES[args.objective]]
+    if args.epsilon is None:
+        return LearnConfig(objective)
+    try:
+        return LearnConfig(objective, parse_rational(args.epsilon, "--epsilon"))
+    except InputError as exc:  # not a rational, too long or negative
+        raise InputError(f"--epsilon: {str(exc).removeprefix('--epsilon: ')}") from None
 
 
 def _one_blas_thread() -> None:
@@ -181,7 +196,7 @@ def _cmd_synth(args) -> int:
     cfg = SynthConfig.from_dict(obj)
     log, bookkeeping = generate(cfg)
     run = _Run("synth", args.out, [args.config], [cfg.seed], cfg.to_dict())
-    run.write("log.jsonl", serialize_log(log))
+    run.write("log.jsonl", _log_chunks(log))
     run.write_json("bookkeeping.json", bookkeeping.to_dict())
     run.finish()
     return EXIT_OK
@@ -249,8 +264,8 @@ def _cmd_apply(args) -> int:
     rules = loads_rules(_read_text(args.rules, "rule file", InputError))
     applied, trace = apply_rules(log, rules)
     run = _Run("apply", args.out, [args.log, args.rules], None, None)
-    run.write("applied.jsonl", serialize_log(applied))
-    run.write("trace.json", trace.to_json() + "\n")
+    run.write("applied.jsonl", _log_chunks(applied))
+    run.write("trace.json", chain(trace._json_chunks(), ("\n",)))
     run.finish()
     touched = trace.nonempty()
     reinstated = sum(len(e.reinstated) for e in touched)
@@ -317,6 +332,10 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep(args) -> int:
     _one_blas_thread()
     from .theorems import sweep
+    if args.seed < 0:
+        raise InputError("--seed: must be nonnegative")
+    if args.trials < 1:
+        raise InputError("--trials: must be at least 1")
     result = sweep(args.seed, args.trials)
     run = _Run(
         "sweep",
@@ -329,10 +348,15 @@ def _cmd_sweep(args) -> int:
     rendered = render_sweep(result)
     run.write("sweep.txt", rendered)
     for violation in result.violations:
-        name = f"replay_{violation.trial}_{violation.theorem_id.value}.jsonl"
-        run.write(name, violation.log_text)
+        # A trial's log is written once; each violation of it is named by
+        # its theorem, class and condition (the correction class follows
+        # from the class).
+        log_name = f"replay_{violation.trial}.jsonl"
+        if log_name not in run.outputs:
+            run.write(log_name, violation.log_text)
         run.write_json(
-            f"replay_{violation.trial}_{violation.theorem_id.value}.json",
+            f"replay_{violation.trial}_{violation.theorem_id.value}_{violation.alpha}"
+            f"_{violation.condition_id}.json",
             {
                 "trial": violation.trial,
                 "trial_seed": violation.trial_seed,

@@ -73,6 +73,8 @@ omitted) so that serialization is deterministic and
 from __future__ import annotations
 
 import json
+import re
+import sys
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from enum import Enum
@@ -548,17 +550,53 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 def _strict_json(text: str, what: str, error: type[InputError]):
     """The JSON value of a whole rule file or synth config; a key repeated
     within an object is rejected as in a log line. ``what`` names the
-    format in the ``error`` raised."""
+    format in the ``error`` raised, and every error names a line."""
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise error(f"malformed {what}: {exc}") from exc
     except InputError as exc:  # a repeated key
-        raise error(f"{what}: {exc}") from None
+        raise error(f"{what}: line {_error_line(text, 'key')}: {exc}") from None
     except RecursionError:
-        raise error(f"malformed {what}: nested too deeply") from None
+        line = _error_line(text, "depth")
+        raise error(f"malformed {what}: line {line}: nested too deeply") from None
     except ValueError:  # an integer past Python's int-text digit limit
-        raise error(f"malformed {what}: integer has too many digits") from None
+        line = _error_line(text, "digits")
+        raise error(f"malformed {what}: line {line}: integer has too many digits") from None
+
+
+# A JSON string and the colon after it when it is a key, a bracket, or a
+# number with its fraction and exponent; compiled on an error path only.
+_TOKEN = r'("(?:[^"\\]|\\.)*")(\s*:)?|([\[\]{}])|-?([0-9]+)(\.[0-9]+)?([eE][-+]?[0-9]+)?'
+
+
+def _error_line(text: str, kind: str) -> int:
+    """The line of a document's error that ``json`` reports without one,
+    found by scanning the text after the decoder failed: for ``kind``
+    "key", the line that opens the first object to close with a repeated
+    key (objects reach the decoder's hook as they close); for "depth", the
+    line of the first bracket at the greatest nesting depth; for "digits",
+    the line of the first integer past Python's int-text digit limit."""
+    at, deepest = 0, 0
+    stack: list[tuple[int, list | None]] = []  # (offset, keys) per open bracket; keys None in an array
+    for token in re.finditer(_TOKEN, text, re.S):
+        key, colon, bracket, digits, fraction, exponent = token.groups()
+        if bracket in ("[", "{"):
+            stack.append((token.start(), [] if bracket == "{" else None))
+            if kind == "depth" and len(stack) > deepest:
+                at, deepest = token.start(), len(stack)
+        elif bracket:
+            offset, keys = stack.pop()
+            if kind == "key" and keys is not None and len(set(keys)) != len(keys):
+                at = offset
+                break
+        elif kind == "key" and colon and stack and stack[-1][1] is not None:
+            stack[-1][1].append(json.loads(key))
+        elif (kind == "digits" and digits and not fraction and not exponent
+              and len(digits) > sys.get_int_max_str_digits()):
+            at = token.start()
+            break
+    return text.count("\n", 0, at) + 1
 
 
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
@@ -705,13 +743,15 @@ def _reread_utf8(path, error: type[InputError], prefix: str, check_lines=None) -
 
 
 _ENCODE_STR = json.encoder.encode_basestring_ascii
+_CHUNK_ROWS = 4096  # lines of a log, or entries of a trace, per chunk of output
 
 
-def serialize_log(log: PredictionLog) -> str:
-    """Canonical JSONL for a log; record order is preserved. Each line has
-    the bytes ``JSONEncoder(separators=(",", ":"))`` gives for the record's
-    dict. The text after the id is encoded once per shape, and each
-    distinct set once, per call."""
+def _log_chunks(log: PredictionLog) -> Iterator[str]:
+    """The canonical JSONL of a log, ``_CHUNK_ROWS`` lines per chunk, in
+    record order; no chunk is empty. Each line has the bytes
+    ``JSONEncoder(separators=(",", ":"))`` gives for the record's dict. The
+    text after the id is encoded once per shape, and each distinct set
+    once, per call."""
     @cache
     def array(values: frozenset[str]) -> str:
         return "[" + ",".join(map(_ENCODE_STR, sorted(values))) + "]"
@@ -725,7 +765,15 @@ def serialize_log(log: PredictionLog) -> str:
             f',"model_id":{_ENCODE_STR(model_id)},"predicted":{array(predicted)},'
             f'"ground_truth":{array(ground_truth)},"conditions":{array(conditions)}{end}'
         )
-    if not tails:
-        return ""
-    lines = map(str.__add__, map(_ENCODE_STR, log.sample_ids), map(tails.__getitem__, log.codes))
-    return _HEAD + _HEAD.join(lines)
+    sample_ids, codes = log.sample_ids, log.codes
+    for start in range(0, len(sample_ids), _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        lines = map(str.__add__, map(_ENCODE_STR, sample_ids[start:stop]),
+                    map(tails.__getitem__, codes[start:stop]))
+        yield _HEAD + _HEAD.join(lines)
+
+
+def serialize_log(log: PredictionLog) -> str:
+    """Canonical JSONL for a log, record order preserved: the join of
+    ``_log_chunks``, the text the CLI writes chunk by chunk."""
+    return "".join(_log_chunks(log))

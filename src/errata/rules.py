@@ -14,6 +14,7 @@ of a shape a detection rule touches.
 from __future__ import annotations
 
 import json
+from typing import Iterator
 
 from .estimators import (
     ConditionBody,
@@ -23,7 +24,10 @@ from .estimators import (
     f1_value,
     joint_counts,
 )
-from .logs import InputError, PredictionLog, _entries, _Frozen, _json, _object, _set, _strict_json, _string
+from .logs import (
+    _CHUNK_ROWS, InputError, PredictionLog, _entries, _Frozen, _json, _object, _set, _strict_json,
+    _string,
+)
 from .rational import sub
 
 
@@ -192,27 +196,39 @@ class ApplicationTrace(_Frozen):
         return {"entries": _json(self.nonempty())}
 
     def to_json(self) -> str:
-        """The text ``json.dumps(self.to_dict(), indent=2)`` gives.
+        """The text ``json.dumps(self.to_dict(), indent=2)`` gives: the join
+        of ``_json_chunks``, the text the CLI writes chunk by chunk."""
+        return "".join(self._json_chunks())
 
-        That encoder is pure Python once it indents. Entries that differ
+    def _json_chunks(self) -> Iterator[str]:
+        """``to_json``'s text, ``_CHUNK_ROWS`` entries per chunk after the
+        first chunk's head; the last chunk closes the document.
+
+        The indenting ``json`` encoder is pure Python. Entries that differ
         only in ``sample_id`` share one encoding of the rest, into which
         each entry's id is spliced by the C string encoder the indenting
         encoder itself uses for strings.
         """
         shapes: dict[tuple, str] = {}
-        parts = []
-        for e in self.nonempty():
-            shape = (e.model_id, e.erased, e.added, e.conflict)
-            rest = shapes.get(shape)
-            if rest is None:
-                # The entry with an empty id, indented two levels deep (a
-                # raw newline in the encoding is always an indent).
-                text = json.dumps(RecordTrace("", *shape).to_dict(), indent=2)
-                rest = shapes[shape] = text.replace("\n", "\n    ")[len(_ENTRY_HEAD) + 2:]
-            parts.append(_ENTRY_HEAD + _encode_str(e.sample_id) + rest)
-        if not parts:
-            return '{\n  "entries": []\n}'
-        return '{\n  "entries": [\n    ' + ",\n    ".join(parts) + "\n  ]\n}"
+        entries = self.nonempty()
+        if not entries:
+            yield '{\n  "entries": []\n}'
+            return
+        separator = '{\n  "entries": [\n    '  # what comes before a chunk's first entry
+        for start in range(0, len(entries), _CHUNK_ROWS):
+            parts = []
+            for e in entries[start:start + _CHUNK_ROWS]:
+                shape = (e.model_id, e.erased, e.added, e.conflict)
+                rest = shapes.get(shape)
+                if rest is None:
+                    # The entry with an empty id, indented two levels deep (a
+                    # raw newline in the encoding is always an indent).
+                    text = json.dumps(RecordTrace("", *shape).to_dict(), indent=2)
+                    rest = shapes[shape] = text.replace("\n", "\n    ")[len(_ENTRY_HEAD) + 2:]
+                parts.append(_ENTRY_HEAD + _encode_str(e.sample_id) + rest)
+            yield separator + ",\n    ".join(parts)
+            separator = ",\n    "
+        yield "\n  ]\n}"
 
 
 def _require_known_conditions(rules: RuleSet, log: PredictionLog) -> None:

@@ -2,6 +2,7 @@ import hypothesis.strategies as st
 import pytest
 
 from errata import DEFAULT_DISTRIBUTION, PredictionLog, PredictionRecord, load_log
+from errata.logs import _CHUNK_ROWS
 from event_oracle import (
     EventQuery,
     condition_absent,
@@ -51,6 +52,22 @@ def rec(
 
 def make_log(*records) -> PredictionLog:
     return PredictionLog(tuple(records))
+
+
+# (rows, shapes) of the chunked-output tests: row counts around the chunk
+# size K, and logs of 300 shapes, whose codes are held in an array.
+K = _CHUNK_ROWS
+CHUNK_CASES = [(n, 14) for n in (0, 1, K - 1, K, K + 1, 2 * K + 1)] + [(K, 300), (2 * K + 1, 300)]
+
+
+def rows_log(n: int, n_shapes: int = 14) -> PredictionLog:
+    """A log of ``n`` rows over ``min(n, n_shapes)`` shapes, taken in turn.
+    Every shape predicts a under condition c1, so a detection of a on c1
+    touches every row; truths, extra conditions and tags tell them apart."""
+    shapes = [("m", frozenset({"a"}), frozenset({"a" if i % 2 else "b"}), frozenset({"c1", f"x{i}"}),
+               DEFAULT_DISTRIBUTION if i % 3 else f"d{i}") for i in range(min(n, n_shapes))]
+    codes = [i % len(shapes) for i in range(n)]
+    return PredictionLog._columns([f"sample-{i:06d}" for i in range(n)], codes, shapes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,33 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from conftest import LOG_A_TEXT
-from errata.cli import main, report_render
+from conftest import CHUNK_CASES, K, LOG_A_TEXT, rows_log
+from errata.cli import _HASH_BLOCK, _Run, main, report_render
 from errata import (
     ConditionBody,
+    DetectionRule,
     InputError,
     LearnConfig,
+    RuleSet,
+    SynthConfig,
     TheoremId,
+    apply_rules,
     check,
     check_precision_change,
+    dumps_rules,
+    generate,
     load_log,
+    serialize_log,
 )
+from errata.logs import _log_chunks
 from errata.rational import parse_rational
 
 SYNTH_CONFIG = {
@@ -227,6 +237,59 @@ def test_learn_correction_pair_mismatch_exit_2(tmp_path, log_file):
 
 
 # ---------------------------------------------------------------------------
+# Chunked outputs and hashed inputs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n, n_shapes", CHUNK_CASES)
+def test_apply_writes_the_joined_chunks(tmp_path, n, n_shapes):
+    log = rows_log(n, n_shapes)
+    rules = RuleSet((DetectionRule("m", "a", ConditionBody.of("c1")),) if n else ())
+    log_path, rules_path, out = tmp_path / "log.jsonl", tmp_path / "rules.json", tmp_path / "out"
+    log_path.write_text(serialize_log(log), encoding="utf-8")
+    rules_path.write_text(dumps_rules(rules), encoding="utf-8")
+    assert main(["apply", "--log", str(log_path), "--rules", str(rules_path), "--out", str(out)]) == 0
+    applied, trace = apply_rules(log, rules)
+    assert (out / "applied.jsonl").read_bytes() == serialize_log(applied).encode()
+    assert (out / "trace.json").read_bytes() == (trace.to_json() + "\n").encode()
+
+
+@pytest.mark.parametrize("n", [1, K - 1, K, K + 1, 2 * K + 1])
+def test_synth_writes_the_joined_chunks(tmp_path, n):
+    config = {**SYNTH_CONFIG, "n_records": n}
+    argv = _synth_file(tmp_path, json.dumps(config)) + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    log, _ = generate(SynthConfig.from_dict(config))
+    assert (tmp_path / "out" / "log.jsonl").read_bytes() == serialize_log(log).encode()
+
+
+@pytest.mark.parametrize("size", [0, 1, _HASH_BLOCK - 1, _HASH_BLOCK, 2 * _HASH_BLOCK + 7])
+def test_manifest_digests_hash_the_whole_input(tmp_path, size):
+    data = bytes(range(256)) * (size // 256) + b"\r\n\xff"[: size % 256] + bytes(max(0, size % 256 - 3))
+    assert len(data) == size
+    path = tmp_path / "input.bin"
+    path.write_bytes(data)
+    run = _Run("test", str(tmp_path / "out"), [str(path)], None, None)
+    run.finish()
+    digests = read_json(tmp_path / "out" / "manifest.json")["inputs"]
+    assert digests == {str(path): "sha256:" + hashlib.sha256(data).hexdigest()}
+
+
+def test_a_log_is_written_without_holding_its_text(tmp_path):
+    # 16 chunks: the writer holds one chunk (and its encoding) at a time.
+    log = rows_log(16 * K)
+    size = len(serialize_log(log))
+    run = _Run("test", str(tmp_path / "out"), [], None, None)
+    tracemalloc.start()
+    try:
+        run.write("log.jsonl", _log_chunks(log))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "out" / "log.jsonl").stat().st_size == size
+    assert peak < size / 4, (peak, size)
+
+
+# ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
 
@@ -247,25 +310,35 @@ def test_sweep_cli_violation_writes_replay_and_exits_1(tmp_path, monkeypatch):
     from errata import TheoremId, TheoremReport, TheoremVerdict
     from errata.theorems import SweepResult, SweepViolation
 
-    report = TheoremReport(
-        theorem_id=TheoremId.T2_EDNS,
-        verdict=TheoremVerdict.VIOLATED,
-        model_id="m",
-        target_class="a",
-        condition_ids=("c1",),
-        intermediates={},
+    # Two pairs of one trial found VIOLATED by one theorem: their replay
+    # reports used to share one file name, and the manifest listed it twice.
+    violations = tuple(
+        SweepViolation(3, 77, TheoremId.T2_EDNS, alpha, cid, None, TheoremReport(
+            theorem_id=TheoremId.T2_EDNS,
+            verdict=TheoremVerdict.VIOLATED,
+            model_id="m",
+            target_class=alpha,
+            condition_ids=(cid,),
+            intermediates={},
+        ), '{"sample_id":"r1"}\n')
+        for alpha, cid in (("a", "c1"), ("b", "c2"))
     )
-    violation = SweepViolation(3, 77, TheoremId.T2_EDNS, "a", "c1", None, report, "")
     counts = {tid: {v: 0 for v in TheoremVerdict} for tid in TheoremId}
-    counts[TheoremId.T2_EDNS][TheoremVerdict.VIOLATED] = 1
-    fake = SweepResult(5, 30, 30, 4, 3, counts, (violation,))
+    counts[TheoremId.T2_EDNS][TheoremVerdict.VIOLATED] = 2
+    fake = SweepResult(5, 30, 30, 4, 3, counts, violations)
     monkeypatch.setattr(errata.theorems, "sweep", lambda seed, trials: fake)
 
     out = tmp_path / "sweep"
     code = main(["sweep", "--seed", "5", "--trials", "30", "--out", str(out)])
     assert code == 1
-    assert (out / "replay_3_T2_EDNS.jsonl").exists()
-    assert read_json(out / "replay_3_T2_EDNS.json")["trial_seed"] == 77
+    assert (out / "replay_3.jsonl").read_text(encoding="utf-8") == '{"sample_id":"r1"}\n'
+    for alpha, cid in (("a", "c1"), ("b", "c2")):
+        replay = read_json(out / f"replay_3_T2_EDNS_{alpha}_{cid}.json")
+        assert (replay["trial_seed"], replay["alpha"], replay["condition_id"]) == (77, alpha, cid)
+    outputs = read_json(out / "manifest.json")["outputs"]
+    assert outputs == ["replay_3.jsonl", "replay_3_T2_EDNS_a_c1.json", "replay_3_T2_EDNS_b_c2.json",
+                       "sweep.json", "sweep.txt"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(outputs + ["manifest.json"])
 
 
 # ---------------------------------------------------------------------------
@@ -608,10 +681,10 @@ def test_synth_config_errors_name_their_path(tmp_path, capsys, config, message):
             lambda tmp, log: ["apply", "--log", log, "--rules", str(_rules_text(
                 tmp, '{"detections": [{"model_id": "m", "target_class": "a",'
                      ' "conditions": ["c1"], "conditions": ["c2"]}]}'))],
-            "rule file: duplicate key 'conditions'", id="rule file"),
+            "rule file: line 1: duplicate key 'conditions'", id="rule file"),
         pytest.param(
             lambda tmp, log: _synth_file(tmp, json.dumps(SYNTH_CONFIG)[:-1] + ', "seed": 2}'),
-            "synth config: duplicate key 'seed'", id="synth config"),
+            "synth config: line 1: duplicate key 'seed'", id="synth config"),
     ],
 )
 def test_repeated_keys_exit_2(tmp_path, log_file, capsys, command, message):
@@ -638,10 +711,10 @@ DEEP = "[" * 100_000 + "]" * 100_000  # past the JSON decoder's recursion limit
         pytest.param(
             lambda tmp, log: ["apply", "--log", log, "--rules", str(_rules_text(
                 tmp, '{"detections": ' + DEEP + "}"))],
-            "malformed rule file: nested too deeply", id="rule file"),
+            "malformed rule file: line 1: nested too deeply", id="rule file"),
         pytest.param(
             lambda tmp, log: _synth_file(tmp, '{"seed": ' + DEEP + "}"),
-            "malformed synth config: nested too deeply", id="synth config"),
+            "malformed synth config: line 1: nested too deeply", id="synth config"),
     ],
 )
 def test_deeply_nested_json_exits_2(tmp_path, log_file, capsys, command, message):
@@ -668,10 +741,10 @@ HUGE = "7" * 5000  # past Python's 4300-digit limit on int text
         pytest.param(
             lambda tmp, log: ["apply", "--log", log, "--rules", str(_rules_text(
                 tmp, '{"detections": [], "corrections": ' + HUGE + "}"))],
-            "malformed rule file: integer has too many digits", id="rule file"),
+            "malformed rule file: line 1: integer has too many digits", id="rule file"),
         pytest.param(
             lambda tmp, log: _synth_file(tmp, '{"seed": ' + HUGE + "}"),
-            "malformed synth config: integer has too many digits", id="synth config"),
+            "malformed synth config: line 1: integer has too many digits", id="synth config"),
     ],
 )
 def test_huge_json_integer_exits_2(tmp_path, log_file, capsys, command, message):
@@ -734,8 +807,8 @@ def test_oversized_epsilon_exits_2(tmp_path, log_file, capsys, epsilon):
     argv = ["learn-detection", "--log", str(log_file), "--model", "m", "--class", "a",
             "--condition", "c1", "--epsilon", epsilon, "--out", str(tmp_path / "out")]
     assert main(argv) == 2
-    reason = ("not a rational number: " if "e" in epsilon
-              else "--epsilon: more than 1000 digits in the numerator or denominator of ")
+    reason = "--epsilon: " + ("not a rational number: " if "e" in epsilon
+                              else "more than 1000 digits in the numerator or denominator of ")
     assert capsys.readouterr().err == f"errata learn-detection: {reason}{epsilon!r}\n"
     assert not (tmp_path / "out").exists()
 

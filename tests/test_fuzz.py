@@ -18,7 +18,7 @@ from pathlib import Path
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, assume, given, settings
 
-from conftest import logs_st, make_log, rec
+from conftest import LOG_A_TEXT, logs_st, make_log, rec
 from errata import (
     InputError, SynthConfig, apply_rules, generate, load_log_file, loads_rules, serialize_log,
 )
@@ -156,10 +156,14 @@ def _run(argv: list[str]) -> tuple[int, str]:
 
 def _names_a_line_or_key(message: str, command: str, root: str) -> bool:
     """Does an exit-2 message name a line, a key, or a key path (the
-    document's root, named ``root``, or a path within it)?"""
+    document's root, named ``root``, or a path within it)? An error in the
+    document's JSON (malformed, nested too deeply, an integer past the
+    digit limit, a repeated key) must name its line."""
     detail = message.removeprefix(f"errata {command}: ")
+    if re.match(rf"malformed {root}: |{root}: (line \d+: )?duplicate key ", detail):
+        return bool(re.search(r"\bline \d+", detail))
     return bool(re.search(r"\bline \d+|\bkey '", detail) or re.match(
-        rf"(malformed )?{root}: |[\w-]+(\[\d+\]|\.[^\s:]+)*: ", detail))
+        rf"{root}: |[\w-]+(\[\d+\]|\.[^\s:]+)*: ", detail))
 
 
 def _document(draw, text: str, fields) -> bytes:
@@ -260,3 +264,53 @@ def test_synth_on_a_mutated_config_exits_0_2_or_3(data):
             assert (out / "log.jsonl").read_text(encoding="utf-8") == serialize_log(log)
             assert (out / "bookkeeping.json").read_text(encoding="utf-8") == (
                 json.dumps(bookkeeping.to_dict(), indent=2) + "\n")
+
+
+# Each command's valid flag values, which the flag test mutates one at a time.
+_FLAGS = {
+    "learn-detection": {"--model": "m", "--class": "a", "--condition": "c1", "--epsilon": "1/20"},
+    "verify": {"--model": "m", "--class": "a", "--condition": "c1", "--target-class": "b"},
+    "sweep": {"--seed": "1", "--trials": "2"},
+}
+# Characters of integers, rationals and ids, and of what argparse and int()
+# read in their own ways: signs, "_", blanks, an Arabic-Indic and a
+# full-width digit. Values stay short, so a seed or trial count stays small.
+_FLAG_CHARS = "0129-+/._ ea٣１"
+
+
+@st.composite
+def mutated_flags_st(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    values = dict(_FLAGS[command])
+    flag = draw(st.sampled_from(sorted(values)))
+    base = values[flag]
+    where = draw(st.integers(0, len(base)))
+    char = draw(st.sampled_from(_FLAG_CHARS))
+    values[flag] = draw(st.sampled_from([
+        base[:where] + char + base[where:],  # a character inserted
+        base[:where] + char + base[where + 1:],  # replaced
+        base[:where] + base[where + 1:],  # or dropped
+        draw(st.text(_FLAG_CHARS, max_size=3)),  # or a new value
+    ]))
+    joined = draw(st.booleans())  # --flag=value, so a value may begin with "-"
+    argv = [command]
+    for name, value in values.items():
+        argv += [f"{name}={value}"] if joined and name == flag else [name, value]
+    return flag, argv
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_flags_st())
+def test_mutated_flag_values_exit_0_2_or_3_and_name_the_flag(case):
+    flag, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "log.jsonl"
+        log.write_text(LOG_A_TEXT, encoding="utf-8")
+        if argv[0] != "sweep":
+            argv = argv[:1] + ["--log", str(log)] + argv[1:]
+        code, err = _run(argv + ["--out", str(Path(tmp) / "out")])
+    assert "Traceback" not in err, err
+    if code == 2:
+        # argparse's own error follows its usage line.
+        assert err.splitlines()[-1].startswith(f"errata {argv[0]}: "), err
+        assert flag in err.splitlines()[-1], (flag, err)

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import LOG_A_TEXT, conjunctions_st, logs_st, make_log, queries_st, rec
+from conftest import (
+    CHUNK_CASES, LOG_A_TEXT, K, conjunctions_st, logs_st, make_log, queries_st, rec, rows_log,
+)
 from errata import (
     DEFAULT_DISTRIBUTION,
     LogFormatError,
@@ -419,6 +421,17 @@ def _serialize_oracle(log, separators=(",", ":")):
             obj["distribution"] = r.distribution
         lines.append(encode(obj))
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+@pytest.mark.parametrize("n, n_shapes", CHUNK_CASES)
+def test_log_chunks_join_to_the_serialized_log(n, n_shapes):
+    log = rows_log(n, n_shapes)
+    assert (type(log.codes) is bytes) == (n_shapes <= 256)
+    chunks = list(logs_module._log_chunks(log))
+    # K lines per chunk, the last chunk the rest, no empty chunk.
+    assert [chunk.count("\n") for chunk in chunks] == [min(K, n - start) for start in range(0, n, K)]
+    assert "".join(chunks) == serialize_log(log) == _serialize_oracle(log)
+    assert load_log(serialize_log(log)) == log
 
 
 @given(logs_st())

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import labels_st, logs_st, make_log, rec
+from conftest import CHUNK_CASES, K, labels_st, logs_st, make_log, rec, rows_log
 from errata import (
     ApplicationTrace,
     ConditionBody,
@@ -266,10 +266,29 @@ def test_rule_file_repeated_keys_rejected():
     # The last value used to win: the body became {c2}, or a later empty
     # list silently dropped the rule before it.
     entry = '{"model_id": "m", "target_class": "a", "conditions": ["c1"]'
-    with pytest.raises(ValueError, match="^rule file: duplicate key 'conditions'$"):
+    with pytest.raises(ValueError, match="^rule file: line 1: duplicate key 'conditions'$"):
         loads_rules('{"detections": [' + entry + ', "conditions": ["c2"]}]}')
-    with pytest.raises(ValueError, match="^rule file: duplicate key 'detections'$"):
+    with pytest.raises(ValueError, match="^rule file: line 1: duplicate key 'detections'$"):
         loads_rules('{"detections": [' + entry + '}], "detections": []}')
+
+
+@pytest.mark.parametrize("text, message", [
+    # The object that repeats the key starts on line 3; line 2's object has none.
+    ('{"detections": [\n  {"model_id": "m", "target_class": "a", "conditions": ["c1"]},\n'
+     '  {"model_id": "m", "target_class": "a",\n   "conditions": ["c1"], "conditions": ["c2"]}\n]}',
+     "rule file: line 3: duplicate key 'conditions'"),
+    # Brackets and digits inside strings, and a long fraction, are not counted.
+    ('{"detections": [\n  {"model_id": "[[[[[[", "target_class": "a",\n   "conditions": ["c1"]},\n'
+     '  ' + "[" * 100_000 + "]" * 100_000 + "\n]}",
+     "malformed rule file: line 4: nested too deeply"),
+    ('{"detections": [],\n "x": "' + "7" * 5000 + '",\n "y": 0.' + "7" * 5000 + ',\n "z": 1e'
+     + "7" * 5000 + ',\n "corrections": -' + "7" * 5000 + "}",
+     "malformed rule file: line 5: integer has too many digits"),
+])
+def test_whole_document_errors_name_their_line(text, message):
+    with pytest.raises(InputError) as err:
+        loads_rules(text)
+    assert str(err.value) == message
 
 
 def test_rule_file_malformed_rejected():
@@ -600,3 +619,16 @@ record_trace_st = st.builds(
 def test_trace_json_is_the_indented_dump(entries):
     trace = ApplicationTrace(PredictionLog(), tuple(entries))
     assert trace.to_json() == json.dumps(trace.to_dict(), indent=2)
+
+
+@pytest.mark.parametrize("n, n_shapes", CHUNK_CASES)
+def test_trace_chunks_join_to_the_trace_text(n, n_shapes):
+    log = rows_log(n, n_shapes)
+    # An empty log observes no c1, which a rule may not name.
+    after, trace = apply_rules(log, RuleSet((RULE_A_C1,) if n else ()))
+    assert len(trace.nonempty()) == n
+    chunks = list(trace._json_chunks())
+    # K entries per chunk after the head, the last chunk closing the document.
+    assert [chunk.count('"sample_id"') for chunk in chunks] == (
+        [min(K, n - start) for start in range(0, n, K)] + [0] if n else [0])
+    assert "".join(chunks) == trace.to_json() == json.dumps(trace.to_dict(), indent=2)

@@ -297,7 +297,7 @@ def test_config_text_rejects_repeated_keys():
     text = json.dumps(base_config(seed=1))[:-1] + ', "seed": 2}'
     with pytest.raises(SynthConfigError) as err:
         _strict_json(text, "synth config", SynthConfigError)
-    assert str(err.value) == "synth config: duplicate key 'seed'"
+    assert str(err.value) == "synth config: line 1: duplicate key 'seed'"
     nested = json.dumps(base_config()).replace('"weight": 1}', '"weight": 1, "weight": 0}')
     with pytest.raises(SynthConfigError, match="duplicate key 'weight'"):
         _strict_json(nested, "synth config", SynthConfigError)
