@@ -23,7 +23,7 @@ from typing import Iterable
 # them, so that each command loads only the modules it uses.
 from .estimators import ConditionBody
 from .logs import InputError, _log_chunks, _read_text, _strict_json, load_log_file
-from .rational import decimal_str, format_rational, parse_rational
+from .rational import MAX_DIGITS, decimal_str, format_rational, parse_rational
 
 _OBJECTIVES = {  # --objective value → learning.Objective member
     "precision-gain": "PRECISION_GAIN",
@@ -181,6 +181,16 @@ def _learn_config(args):
         raise InputError(f"--epsilon: {str(exc).removeprefix('--epsilon: ')}") from None
 
 
+def _digits(text: str, flag: str) -> int:
+    """An integer flag's value: ASCII digits only, as in ``--epsilon``, and
+    at most ``MAX_DIGITS`` of them."""
+    if not (text.isascii() and text.isdigit()):
+        raise InputError(f"{flag}: expected ASCII digits, got {text!r}")
+    if len(text) > MAX_DIGITS:
+        raise InputError(f"{flag}: more than {MAX_DIGITS} digits")
+    return int(text)
+
+
 def _one_blas_thread() -> None:
     """Call before the first numpy import. errata never calls BLAS, but
     importing numpy starts OpenBLAS's thread pool, which costs a CLI child
@@ -332,18 +342,11 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep(args) -> int:
     _one_blas_thread()
     from .theorems import sweep
-    if args.seed < 0:
-        raise InputError("--seed: must be nonnegative")
-    if args.trials < 1:
+    seed, trials = _digits(args.seed, "--seed"), _digits(args.trials, "--trials")
+    if trials < 1:
         raise InputError("--trials: must be at least 1")
-    result = sweep(args.seed, args.trials)
-    run = _Run(
-        "sweep",
-        args.out,
-        [],
-        [args.seed],
-        {"trials": args.trials},
-    )
+    result = sweep(seed, trials)
+    run = _Run("sweep", args.out, [], [seed], {"trials": trials})
     run.write_json("sweep.json", result.to_dict())
     rendered = render_sweep(result)
     run.write("sweep.txt", rendered)
@@ -447,8 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sweep", help="randomized self-test over many logs")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--seed", required=True, help="nonnegative integer, ASCII digits")
+    p.add_argument("--trials", required=True, help="positive integer, ASCII digits")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 

@@ -1,11 +1,17 @@
-"""Batched draws of ``synth.random_log`` for the theorem sweep.
+"""numpy's PCG64 streams, computed without ``numpy.random``.
 
-``_fuzz_draws`` computes ``random_log``'s draws for many seeds at once
-from numpy's algorithms (SeedSequence, PCG64, Lemire's bounded integers,
-53-bit uniforms), equal bit for bit to numpy's own streams, without
-building a generator per seed; ``_state_words`` computes a chunk of the
-sweep's trial seeds from its master seed's pool. Only ``theorems.sweep``
-imports this module, so the ``synth`` command does not compile it.
+errata draws every random number from the streams that numpy's
+``Generator(PCG64(seed))`` would give, equal bit for bit, but computes them
+itself from numpy's algorithms: the SeedSequence hash (``_pool`` for one
+seed of any size, ``_seed_pools`` for a uint64 array of them), PCG64's
+seeding, steps and XSL-RR output, Lemire's bounded integers on buffered
+32-bit halves or 64-bit words (``_Stream.integers``) and 53-bit uniforms
+(``_uniforms``). ``synth.generate`` draws its uniforms with one
+``_uniforms`` call; ``synth.random_log`` draws its sizes from a ``_Stream``
+and then its uniforms. For the theorem sweep, ``_state_words`` computes a
+chunk of trial seeds from the master seed's pool, and ``_fuzz_draws``
+computes ``random_log``'s draws for many seeds at once, without a stream
+per seed. So no errata process imports ``numpy.random``.
 """
 
 from functools import cache
@@ -19,13 +25,15 @@ import numpy as np
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _HASH_A = [_INIT_A * pow(_MULT_A, j, 1 << 32) & _MASK32 for j in range(17)]
 # PCG64 steps its 128-bit state s to s * _PCG_MULT + inc mod 2**128. The
 # batched draws jump at most _JUMPS steps from a known state, so they draw
-# a trial's uniforms at most _JUMPS at a time.
+# a trial's uniforms at most _JUMPS at a time; a single stream steps
+# _LANES lanes _LANES states at a time.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _JUMPS = 4096
+_LANES = 1 << 14
 
 
 def _hashmix(x, xor, mult):
@@ -51,6 +59,36 @@ def _seed_pools(seeds):
     return pool
 
 
+def _pool(seed: int) -> list[int]:
+    """``SeedSequence(seed).pool`` of any nonnegative int, as Python ints.
+    The entropy words are the seed's 32-bit words, low first (0 has one):
+    hashed into four pool words (padded with zeros), mixed together, and
+    then each word past the fourth mixed into every pool word in turn."""
+    words = [seed >> 32 * i & _MASK32 for i in range(max(1, -(-seed.bit_length() // 32)))]
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        x = (x * _MIX_L - y * _MIX_R) & _MASK32
+        return x ^ x >> 16
+
+    pool = [hashmix(word) for word in (words + [0] * 3)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
 def _state_words(pool, first: int, count: int):
     """uint64 words first, ..., first + count − 1 of
     ``SeedSequence.generate_state(n, np.uint64)`` on ``pool``: a uint32
@@ -63,6 +101,61 @@ def _state_words(pool, first: int, count: int):
     words = (pool[(np.arange(2 * count) + 2 * (first % 2)) % 4] ^ consts[:-1]) * consts[1:]
     words = (words ^ (words >> 16)).astype(np.uint64)
     return words[0::2] | words[1::2] << 32
+
+
+def _seeded(seed: int) -> tuple[int, int]:
+    """The 128-bit state and increment of numpy's ``PCG64(seed)``, for any
+    nonnegative int. uint64 words 0 and 1 of the seed's ``generate_state``
+    are the seed value, words 2 and 3 the stream; PCG64's srandom takes the
+    odd increment from the stream, steps from state 0, adds the seed value
+    and steps again."""
+    words = _state_words(np.array(_pool(seed), np.uint32), 0, 4).tolist()
+    inc = (words[2] << 65 | words[3] << 1 | 1) & _MASK128
+    return (((words[0] << 64 | words[1]) + inc) * _PCG_MULT + inc) & _MASK128, inc
+
+
+class _Stream:
+    """The bounded integers of numpy's ``Generator(PCG64(seed))``, on
+    Python ints: the 128-bit ``state`` and ``inc``, and ``half``, the high
+    half of the last output while a 32-bit draw has used only its low
+    half (None otherwise). A 64-bit draw leaves ``half`` as it is."""
+
+    def __init__(self, seed: int):
+        self.state, self.inc = _seeded(seed)
+        self.half = None
+
+    def _next64(self) -> int:
+        """Step the state, then PCG64's XSL-RR output of the new state."""
+        self.state = (self.state * _PCG_MULT + self.inc) & _MASK128
+        high = self.state >> 64
+        x, rot = (high ^ self.state) & _MASK64, high >> 58
+        return (x >> rot | x << (64 - rot)) & _MASK64
+
+    def _next32(self) -> int:
+        if self.half is None:
+            out = self._next64()
+            self.half = out >> 32
+            return out & _MASK32
+        half, self.half = self.half, None
+        return half
+
+    def integers(self, low: int, high: int) -> int:
+        """``Generator.integers(low, high)`` with int64 bounds (high
+        excluded). A range of one value draws nothing; a range of at most
+        2**32 values takes 32-bit draws, a wider one 64-bit draws. Lemire's
+        method scales a draw by the range and rejects it while the low word
+        of the product falls below 2**bits mod the range (never, for a
+        range of exactly 2**bits)."""
+        if high > 1 << 63:
+            raise ValueError("high is out of bounds for int64")
+        span = high - low
+        if span == 1:
+            return low
+        bits, draw = (32, self._next32) if span <= 1 << 32 else (64, self._next64)
+        product = draw() * span
+        while product & ((1 << bits) - 1) < (1 << bits) % span:
+            product = draw() * span
+        return low + (product >> bits)
 
 
 def _mul128(a, b):
@@ -109,6 +202,39 @@ def _jumps() -> tuple:
     return (*a, *c)
 
 
+def _words(x: int):
+    """A 128-bit int as its (high, low) uint64 words, one-element arrays."""
+    return np.array([x >> 64], np.uint64), np.array([x & _MASK64], np.uint64)
+
+
+def _uniforms(state: int, inc: int, count: int):
+    """The next ``count`` uniforms of the PCG64 stream at the 128-bit
+    ``state`` with increment ``inc``, as ``Generator.random(count)`` draws
+    them: a float64 array. Each uniform steps the state and takes the top
+    53 bits of its output. Lane r of at most _LANES lanes starts at the
+    state of output r, r + 1 steps on, each half of the lanes jumped from
+    the half before; then every lane steps _LANES states at once."""
+    out = np.empty(count)
+    if not count:
+        return out
+    lanes = min(count, _LANES)
+    hi, lo = np.empty(lanes, np.uint64), np.empty(lanes, np.uint64)
+    a, c, width = _PCG_MULT, inc, 1  # s → a·s + c steps width states on
+    hi[:1], lo[:1] = _words((state * a + c) & _MASK128)
+    while width < lanes:
+        more = min(width, lanes - width)
+        hi[width:width + more], lo[width:width + more] = _add128(
+            _mul128(_words(a), (hi[:more], lo[:more])), _words(c))
+        a, c, width = a * a & _MASK128, c * (a + 1) & _MASK128, 2 * width
+    for first in range(0, count, lanes):
+        if first:  # only when lanes == _LANES, a power of two: a and c step _LANES states
+            hi, lo = _add128(_mul128(_words(a), (hi, lo)), _words(c))
+        x = _pcg_output((hi, lo))
+        x >>= 11
+        np.multiply(x[:count - first], 2.0 ** -53, out=out[first:first + lanes])
+    return out
+
+
 def _fuzz_draws(seeds, max_records: int, max_labels: int, max_conditions: int):
     """``_fuzz_draw``'s draws for each seed of the uint64 array ``seeds``,
     from numpy's algorithms (SeedSequence, PCG64, Lemire's bounded
@@ -120,7 +246,7 @@ def _fuzz_draws(seeds, max_records: int, max_labels: int, max_conditions: int):
     their n, k and m are placeholders, and ``_fuzz_draw`` must draw them.
     ``rounds`` yields (trials, index, uniforms) arrays, at most ``_JUMPS``
     uniforms of each trial a round: uniform ``index`` of trial ``trials``
-    is element ``index`` of ``_fuzz_draw``'s ``rng.random(n * (2k + m))``.
+    is uniform ``index`` of the n · (2k + m) that ``_fuzz_draw`` draws.
     Every uniform of the other trials comes once."""
     jumps = _jumps()
     trials = len(seeds)

@@ -9,14 +9,17 @@ Calibration is by expected value, not quota sampling; bookkeeping reports
 the realized statistics measured on the emitted log so tests can assert
 against what actually happened.
 
-Randomness comes from numpy's PCG64 generator seeded with the config
-seed; the draw order is fixed (one array each of tags, truths and
-predicted sets, then one record-major n × P block for the P planted
-conditions, a row per record and a column per condition in config order),
-so a config reproduces its log bit for bit across runs and platforms.
-``random_log`` draws an unstructured fuzz log from its own generator;
-the sweep computes many such draws at once with ``errata.draws`` and
-marks its cells by the same ``_MARK_BELOW`` bounds.
+Randomness is the stream that numpy's ``Generator(PCG64(seed))`` draws
+for the config seed, computed bit for bit by ``errata.draws`` without
+``numpy.random``. The draw order is fixed: one call draws every uniform,
+split in turn into an array each of tags (only when the config has
+distributions), truths and predicted sets, then one record-major n × P
+block for the P planted conditions, a row per record and a column per
+condition in config order. So a config reproduces its log bit for bit
+across runs and platforms. ``random_log`` draws an unstructured fuzz log
+from its own stream (its sizes as numpy's bounded integers, then its
+uniforms); the sweep computes many such draws at once with
+``errata.draws`` and marks its cells by the same ``_MARK_BELOW`` bounds.
 """
 
 from __future__ import annotations
@@ -401,8 +404,9 @@ def _cumulative(weights: Sequence[Fraction]) -> list[float]:
     return out
 
 
-def _names(names: tuple[str, ...], key: bytes) -> frozenset[str]:
-    """The ``names`` whose columns a bytes view of a boolean row marks."""
+def _names(names: tuple[str, ...], key: Sequence[int]) -> frozenset[str]:
+    """The ``names`` whose columns a row of 0s and 1s (a bytes view of a
+    boolean row, or a list of bits) marks."""
     return frozenset(name for name, hit in zip(names, key) if hit)
 
 
@@ -421,25 +425,26 @@ def _draw(
     shapes and the number of rows of each shape, drawn column-wise."""
     import numpy as np  # deferred: importing errata must not load numpy
 
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    n = cfg.n_records
+    from .draws import _seeded, _uniforms
 
+    n = cfg.n_records
+    planted = cfg.planted_conditions
+    # One stream, drawn at once and split in draw order.
+    u = _uniforms(*_seeded(cfg.seed), n * (bool(cfg.distributions) + 2 + len(planted)))
     if cfg.distributions:
         tags = [d.tag for d in cfg.distributions]
         tag_cum = _cumulative([d.record_fraction for d in cfg.distributions])
-        cell_idx = np.minimum(np.searchsorted(tag_cum, rng.random(n), side="right"), len(tags) - 1)
+        cell_idx = np.minimum(np.searchsorted(tag_cum, u[:n], side="right"), len(tags) - 1)
+        u = u[n:]
     else:
         tags = [DEFAULT_DISTRIBUTION]
         cell_idx = np.zeros(n, dtype=np.intp)
 
     prior_labels = [label for label, w in cfg.class_priors.items() if w > 0]
     prior_cum = _cumulative([cfg.class_priors[label] for label in prior_labels])
-    truth_idx = np.minimum(
-        np.searchsorted(prior_cum, rng.random(n), side="right"), len(prior_labels) - 1
-    )
-    u_pred = rng.random(n)
-    planted = cfg.planted_conditions
-    cond_u = rng.random((n, len(planted)))
+    truth_idx = np.minimum(np.searchsorted(prior_cum, u[:n], side="right"), len(prior_labels) - 1)
+    u_pred = u[n:2 * n]
+    cond_u = u[2 * n:].reshape(n, len(planted))
 
     # Number the (truth, confusion row) outcomes, one block per truth class
     # in prior order, and add each record's outcome to its tag's block of
@@ -457,12 +462,16 @@ def _draw(
         np.minimum(found, len(rows) - 1, out=found)
         cell_idx[in_class] += start + found
         start += len(rows)
-    del truth_idx, u_pred, in_class, found
+    del truth_idx, in_class, found
 
     # Record i carries condition j when cond_u[i, j] falls below the
     # condition's mark probability in the record's cell; -1 where the
     # target class is not predicted, so those records are never marked.
-    hits = np.empty((n, len(planted)), dtype=bool)
+    # A record's marks are bits, condition j at bit 63 - j % 64 of its word
+    # j // 64: so its words, compared in turn, order the records as their
+    # rows of marks read first column first would.
+    words = np.zeros((-(-len(planted) // 64), n), np.uint64)
+    hit = np.empty(n, bool)
     for j, pc in enumerate(planted):
         thresholds = []
         for tag in tags:
@@ -470,20 +479,30 @@ def _draw(
             for truth, predicted in outcomes:
                 q = q_ok if truth == pc.target_class else q_err
                 thresholds.append(float(q) if pc.target_class in predicted else -1.0)
-        np.less(cond_u[:, j], np.take(thresholds, cell_idx), out=hits[:, j])
-    del cond_u
+        np.less(cond_u[:, j], np.take(thresholds, cell_idx), out=hit)
+        words[j // 64] |= hit.astype(np.uint64) << np.uint64(63 - j % 64)
+    del u, u_pred, cond_u, hit
 
     # A row's shape is fixed by its cell and its row of marks: number the
     # (cell, mark pattern) pairs that occur.
     names = tuple(pc.condition_id for pc in planted)
     if names:
-        # A bytes view drops trailing zero bytes, i.e. unmarked last
-        # columns, which _names would not reach anyway.
-        patterns, pattern_idx = np.unique(hits.view(f"S{len(names)}").ravel(), return_inverse=True)
-        condition_sets = [_names(names, key) for key in patterns.tolist()]
+        # Number the patterns in that order: one lexsort (first word
+        # first), then each run of equal words a number.
+        order = np.lexsort(words[::-1])
+        ranked = words[:, order]
+        starts = np.ones(n, bool)
+        np.any(ranked[:, 1:] != ranked[:, :-1], axis=0, out=starts[1:])
+        pattern_idx = np.empty(n, np.intp)
+        pattern_idx[order] = np.cumsum(starts) - 1
+        # Each pattern's bits, most significant first, are its row of marks.
+        patterns = ranked[:, starts].T.astype(">u8", order="C").view(np.uint8)
+        condition_sets = [_names(names, row)
+                          for row in np.unpackbits(patterns, axis=1, count=len(names)).tolist()]
+        del order, ranked, starts
     else:
         pattern_idx, condition_sets = 0, [frozenset()]
-    del hits
+    del words
     pairs, codes, counts = np.unique(
         cell_idx * len(condition_sets) + pattern_idx, return_inverse=True, return_counts=True
     )
@@ -551,13 +570,14 @@ def _fuzz_draw(seed: int, max_records: int, max_labels: int, max_conditions: int
         raise InputError("seed must be nonnegative")
     if max_records < 1 or max_labels < 1 or max_conditions < 0:
         raise InputError("bounds must be positive (conditions may be 0)")
-    import numpy as np  # deferred: importing errata must not load numpy
+    from .draws import _Stream, _uniforms  # deferred: importing errata must not load numpy
 
-    rng = np.random.Generator(np.random.PCG64(seed))
-    n = int(rng.integers(1, max_records + 1))
-    k, m = int(rng.integers(1, max_labels + 1)), int(rng.integers(0, max_conditions + 1))
-    # One call draws the three matrices' uniforms in turn, as three calls would.
-    u = rng.random(n * (2 * k + m))
+    stream = _Stream(seed)
+    n = stream.integers(1, max_records + 1)
+    k, m = stream.integers(1, max_labels + 1), stream.integers(0, max_conditions + 1)
+    # The three matrices' uniforms come in turn, from where the sizes left
+    # the stream.
+    u = _uniforms(stream.state, stream.inc, n * (2 * k + m))
     below_p, below_g, below_c = _MARK_BELOW
     return (n, u[:n * k].reshape(n, k) < below_p, u[n * k:2 * n * k].reshape(n, k) < below_g,
             u[2 * n * k:].reshape(n, m) < below_c)

@@ -559,7 +559,7 @@ def sweep(
     """
     import numpy as np  # deferred: importing errata must not load numpy
 
-    from .draws import _state_words
+    from .draws import _pool, _state_words
     from .synth import _integers, condition_alphabet, label_alphabet, random_log
 
     _integers(seed=seed, trials=trials, max_records=max_records, max_labels=max_labels,
@@ -577,7 +577,7 @@ def sweep(
     offsets = np.arange(len(STATEMENTS))[:, None] * len(_VERDICTS)
     tally = np.zeros(len(STATEMENTS) * len(_VERDICTS), np.int64)
     violations: list[SweepViolation] = []
-    pool = np.random.SeedSequence(seed).pool
+    pool = np.array(_pool(seed), np.uint32)
     bounds, replay = (max_records, max_labels, max_conditions), (None, None)
     chunk = _chunk_trials(*bounds)
     for first in range(0, trials if pairs else 0, chunk):

@@ -7,6 +7,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import CHUNK_CASES, K, LOG_A_TEXT, rows_log
@@ -448,8 +449,8 @@ def test_chain_commands_start_without_dataclasses_or_numpy(tmp_path):
     # Each command runs in a fresh interpreter, as a CLI child does. Only
     # learn-detection builds a MetricBundle, the one dataclass, so only it
     # loads dataclasses, and with it inspect; only synth draws, so only it
-    # loads numpy. numpy itself loads inspect, so synth is not checked for
-    # inspect. The sweep's batched draws are loaded by no chain command.
+    # loads numpy and errata.draws, which computes its random stream.
+    # numpy itself loads inspect, so synth is not checked for inspect.
     (tmp_path / "config.json").write_text(json.dumps(SYNTH_CONFIG), encoding="utf-8")
     code = """
 import json, sys
@@ -469,10 +470,42 @@ print(json.dumps([code, sorted(m for m in watched if m in sys.modules)]))
     assert read_json(tmp_path / "learn-detection" / "rules.json")["detections"]
     assert [c for c, names in loaded.items() if "dataclasses" in names] == ["learn-detection"]
     assert [c for c, names in loaded.items() if "numpy" in names] == ["synth"]
-    assert [c for c, names in loaded.items() if "errata.draws" in names] == []
+    assert [c for c, names in loaded.items() if "errata.draws" in names] == ["synth"]
     assert [c for c, names in loaded.items() if "inspect" in names and c != "synth"] == [
         "learn-detection"
     ]
+
+
+def test_no_errata_process_imports_numpy_random(tmp_path):
+    # errata computes numpy's PCG64 streams itself (errata.draws), so the
+    # processes that draw load numpy but neither numpy.random nor secrets,
+    # which numpy.random imports. numpy before 2.0 loads numpy.random with
+    # numpy itself, so each process is held to what "import numpy" loads.
+    (tmp_path / "config.json").write_text(json.dumps(SYNTH_CONFIG), encoding="utf-8")
+    code = """
+import json, sys
+if sys.argv[1] == "numpy":
+    import numpy
+elif sys.argv[1] == "random_log":
+    import errata
+    errata.random_log(7)
+else:
+    from errata.cli import main
+    assert main(sys.argv[1:]) == 0
+print(json.dumps(sorted(m for m in ("numpy", "numpy.random", "secrets") if m in sys.modules)))
+"""
+    runs = {"numpy": ["numpy"], "random_log": ["random_log"],
+            "synth": ["synth", "--config", "config.json", "--out", "synth"],
+            "sweep": ["sweep", "--seed", "1", "--trials", "20", "--out", "sweep"]}
+    loaded = {}
+    for name, args in runs.items():
+        result = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                                text=True, env=_src_env(), cwd=tmp_path, check=True)
+        loaded[name] = json.loads(result.stdout.splitlines()[-1])
+    plain = loaded.pop("numpy")
+    if int(np.__version__.split(".")[0]) >= 2:
+        assert plain == ["numpy"]
+    assert loaded == {name: plain for name in loaded}
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])

@@ -16,7 +16,7 @@ import tempfile
 from pathlib import Path
 
 import hypothesis.strategies as st
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 
 from conftest import LOG_A_TEXT, logs_st, make_log, rec
 from errata import (
@@ -299,8 +299,22 @@ def mutated_flags_st(draw):
     return flag, argv
 
 
+def _flag_value(argv: list[str], flag: str) -> str:
+    for i, item in enumerate(argv):
+        if item == flag:
+            return argv[i + 1]
+        if item.startswith(flag + "="):
+            return item[len(flag) + 1:]
+    raise KeyError(flag)
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(mutated_flags_st())
+# Each of these ran and exited 0 when argparse read the two flags with int().
+@example(("--seed", ["sweep", "--seed", "1_0", "--trials", "2"]))
+@example(("--seed", ["sweep", "--seed", " 1", "--trials", "2"]))
+@example(("--trials", ["sweep", "--seed", "1", "--trials", "٣"]))
+@example(("--trials", ["sweep", "--seed", "1", "--trials=+2"]))
 def test_mutated_flag_values_exit_0_2_or_3_and_name_the_flag(case):
     flag, argv = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -314,3 +328,8 @@ def test_mutated_flag_values_exit_0_2_or_3_and_name_the_flag(case):
         # argparse's own error follows its usage line.
         assert err.splitlines()[-1].startswith(f"errata {argv[0]}: "), err
         assert flag in err.splitlines()[-1], (flag, err)
+    if argv[0] == "sweep":
+        # --seed and --trials take ASCII digits only, and at least 1 trial.
+        value = _flag_value(argv, flag)
+        valid = value.isascii() and value.isdigit() and (flag == "--seed" or int(value) >= 1)
+        assert (code == 0) == valid, (argv, code, err)

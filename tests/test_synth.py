@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 
 import synth_oracle
 from errata.logs import _strict_json
-from errata.draws import _JUMPS, _fuzz_draws
+from errata.draws import _JUMPS, _LANES, _Stream, _fuzz_draws, _pool, _seeded, _uniforms
 from errata.synth import MAX_RECORDS, _class_precision
 from errata import (
     ConditionBody,
@@ -527,6 +527,10 @@ def test_random_log_distinct_seeds_validate():
 )
 @example(seed=2**64 - 1, max_records=30, max_labels=12, max_conditions=0)
 @example(seed=2**63, max_records=1, max_labels=9, max_conditions=10)
+@example(seed=2**64, max_records=30, max_labels=4, max_conditions=3)
+@example(seed=2**200 + 3, max_records=30, max_labels=4, max_conditions=3)
+# numpy rejects seed 40921's first Lemire draw at 69,921 records and draws again.
+@example(seed=40921, max_records=69921, max_labels=1, max_conditions=1)
 @settings(max_examples=150, deadline=None)
 def test_random_log_matches_record_loop(seed, max_records, max_labels, max_conditions):
     bounds = (seed, max_records, max_labels, max_conditions)
@@ -611,6 +615,24 @@ def test_fuzz_draws_flag_exactly_the_trials_numpy_redraws(bounds):
         assert bool(redraw[t]) == rejected
         if not rejected:
             assert (n[t], k[t], m[t]) == heads
+        # _fuzz_draw's stream draws the same sizes, redrawn or not, and
+        # leaves the same state and buffered half.
+        assert _stream_sizes(seed, bounds) == (heads, _numpy_stream(state))
+
+
+def _stream_sizes(seed, bounds):
+    """n, k and m as ``_fuzz_draw`` draws them from its ``_Stream``, and the
+    stream's state, increment and buffered half after them."""
+    stream = _Stream(seed)
+    sizes = (stream.integers(1, bounds[0] + 1), stream.integers(1, bounds[1] + 1),
+             stream.integers(0, bounds[2] + 1))
+    return sizes, (stream.state, stream.inc, stream.half)
+
+
+def _numpy_stream(state):
+    """A numpy PCG64 state dict as (state, inc, buffered half or None)."""
+    return (state["state"]["state"], state["state"]["inc"],
+            state["uinteger"] if state["has_uint32"] else None)
 
 
 @pytest.mark.parametrize("bounds", [(2**32, 4, 3), (30, 2**40, 3), (30, 4, 2**32 - 1)])
@@ -618,3 +640,53 @@ def test_fuzz_draws_leave_draws_past_32_bits_to_fuzz_draw(bounds):
     # numpy draws these bounds with a full 32- or 64-bit word, not Lemire's.
     n, k, m, redraw, rounds = _fuzz_draws(np.array(EDGE_SEEDS, np.uint64), *bounds)
     assert redraw.all() and list(rounds) == []
+    for seed in EDGE_SEEDS + list(range(2, 100)):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        heads = (int(rng.integers(1, bounds[0] + 1)), int(rng.integers(1, bounds[1] + 1)),
+                 int(rng.integers(0, bounds[2] + 1)))
+        assert _stream_sizes(seed, bounds) == (heads, _numpy_stream(rng.bit_generator.state))
+
+
+# ---------------------------------------------------------------------------
+# Single streams (generate, random_log), against numpy's own generator
+# ---------------------------------------------------------------------------
+
+@given(
+    seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(2**64, 2**300), st.integers(0, 2**64 - 1)),
+    # Lanes fill by doubling, then step _LANES states at a time.
+    count=st.one_of(st.sampled_from([0, 1, 4094, 4095, 4096, _LANES - 1, _LANES, _LANES + 1]),
+                    st.integers(2, 3 * _LANES + 7)),
+)
+@example(seed=2**64, count=3 * _LANES)
+@example(seed=2**128 + 1, count=2 * _LANES + 1)
+@settings(max_examples=80, deadline=None)
+def test_stream_uniforms_equal_numpy_bit_for_bit(seed, count):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    assert _pool(seed) == np.random.SeedSequence(seed).pool.tolist()
+    assert _seeded(seed) == _numpy_stream(rng.bit_generator.state)[:2]
+    got = _uniforms(*_seeded(seed), count)
+    assert np.array_equal(got.view(np.uint64), rng.random(count).view(np.uint64))
+
+
+@pytest.mark.parametrize("spans", [
+    (2**32 - 1, 2**32, 2**32 + 1, 5),  # Lemire on halves, a whole half, 64-bit words, a half
+    (2**31 + 1, 2**40, 2**31 + 1),  # rejected halves around a 64-bit draw
+    (2**62 + 1, 2**63 - 1, 2**63, 1),  # 64-bit rejections; a range of one draws nothing
+])
+def test_stream_integers_equal_numpy(spans):
+    for seed in EDGE_SEEDS + [2**64, 2**100] + list(range(2, 200)):
+        rng, stream = np.random.Generator(np.random.PCG64(seed)), _Stream(seed)
+        for i, span in enumerate(spans):
+            low = i % 2  # each range ends at or below 2**63, as int64 bounds must
+            assert stream.integers(low, low + span) == int(rng.integers(low, low + span))
+        assert (stream.state, stream.inc, stream.half) == _numpy_stream(rng.bit_generator.state)
+        # The uniforms go on from where the bounded draws left the stream.
+        got = _uniforms(stream.state, stream.inc, 5)
+        assert np.array_equal(got.view(np.uint64), rng.random(5).view(np.uint64))
+
+
+def test_stream_integers_reject_a_bound_past_int64_as_numpy_does():
+    with pytest.raises(ValueError):
+        np.random.Generator(np.random.PCG64(1)).integers(0, 2**63 + 1)
+    with pytest.raises(ValueError):
+        _Stream(1).integers(0, 2**63 + 1)
