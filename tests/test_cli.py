@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -10,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CHUNK_CASES, K, LOG_A_TEXT, rows_log
-from errata.cli import _HASH_BLOCK, _Run, main, report_render
+from conftest import CHUNK_CASES, CHUNK_ROWS, K, LOG_A_TEXT, rows_log
+from errata import cli
+from errata.cli import _BUILTIN_HASH_MAX, _HASH_BLOCK, _Run, _sha256, main, report_render
 from errata import (
     ConditionBody,
     DetectionRule,
@@ -254,7 +256,7 @@ def test_apply_writes_the_joined_chunks(tmp_path, n, n_shapes):
     assert (out / "trace.json").read_bytes() == (trace.to_json() + "\n").encode()
 
 
-@pytest.mark.parametrize("n", [1, K - 1, K, K + 1, 2 * K + 1])
+@pytest.mark.parametrize("n", CHUNK_ROWS)
 def test_synth_writes_the_joined_chunks(tmp_path, n):
     config = {**SYNTH_CONFIG, "n_records": n}
     argv = _synth_file(tmp_path, json.dumps(config)) + ["--out", str(tmp_path / "out")]
@@ -263,16 +265,74 @@ def test_synth_writes_the_joined_chunks(tmp_path, n):
     assert (tmp_path / "out" / "log.jsonl").read_bytes() == serialize_log(log).encode()
 
 
-@pytest.mark.parametrize("size", [0, 1, _HASH_BLOCK - 1, _HASH_BLOCK, 2 * _HASH_BLOCK + 7])
-def test_manifest_digests_hash_the_whole_input(tmp_path, size):
+def _data(size):
     data = bytes(range(256)) * (size // 256) + b"\r\n\xff"[: size % 256] + bytes(max(0, size % 256 - 3))
     assert len(data) == size
+    return data
+
+
+@pytest.mark.parametrize("size", [0, 1, _HASH_BLOCK - 1, _HASH_BLOCK, _HASH_BLOCK + 1,
+                                  _BUILTIN_HASH_MAX - 1, _BUILTIN_HASH_MAX, _BUILTIN_HASH_MAX + 1,
+                                  2 * _HASH_BLOCK + 7])
+def test_manifest_digests_hash_the_whole_input(tmp_path, size):
+    data = _data(size)
     path = tmp_path / "input.bin"
     path.write_bytes(data)
     run = _Run("test", str(tmp_path / "out"), [str(path)], None, None)
     run.finish()
     digests = read_json(tmp_path / "out" / "manifest.json")["inputs"]
     assert digests == {str(path): "sha256:" + hashlib.sha256(data).hexdigest()}
+
+
+@pytest.mark.parametrize("sizes", [(_HASH_BLOCK, _HASH_BLOCK), (_HASH_BLOCK, _HASH_BLOCK + 1)])
+def test_digest_module_follows_the_inputs_total(tmp_path, monkeypatch, sizes):
+    # Two inputs of 512 KiB in all are hashed by the built-in module, one
+    # byte more by hashlib's.
+    totals = []
+    monkeypatch.setattr(cli, "_sha256", lambda total: totals.append(total) or _sha256(total))
+    paths = [tmp_path / f"input{i}.bin" for i in range(len(sizes))]
+    for path, size in zip(paths, sizes):
+        path.write_bytes(_data(size))
+    assert cli._digests([str(p) for p in paths]) == {
+        str(p): "sha256:" + hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+    assert totals == [sum(sizes)]
+    assert (_sha256(sum(sizes)) is hashlib.sha256) == (sum(sizes) > _BUILTIN_HASH_MAX)
+
+
+def test_small_inputs_hash_with_this_pythons_builtin_module():
+    # CPython 3.12 merged _sha256 into _sha2. A module renamed again must
+    # fail here, not fall back to OpenSSL unseen.
+    module = importlib.import_module("_sha2" if sys.version_info >= (3, 12) else "_sha256")
+    assert _sha256(0) is _sha256(_BUILTIN_HASH_MAX) is module.sha256
+    assert _sha256(_BUILTIN_HASH_MAX + 1) is hashlib.sha256
+
+
+@pytest.mark.parametrize("size", [0, 1, _BUILTIN_HASH_MAX])
+def test_digests_fall_back_to_hashlib_without_a_builtin_module(tmp_path, monkeypatch, size):
+    # A None entry in sys.modules makes its import raise ImportError.
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    assert _sha256(size) is hashlib.sha256
+    data = _data(size)
+    path = tmp_path / "input.bin"
+    path.write_bytes(data)
+    assert cli._digests([str(path)]) == {str(path): "sha256:" + hashlib.sha256(data).hexdigest()}
+
+
+def test_an_input_overwritten_by_an_output_keeps_its_digest(tmp_path, log_file):
+    # apply writes applied.jsonl over its own --log: the manifest records
+    # the bytes that were read, not the file left behind.
+    out = tmp_path / "out"
+    out.mkdir()
+    log = out / "applied.jsonl"
+    log.write_bytes(log_file.read_bytes())
+    rules = _rules_file(tmp_path)
+    assert main(["apply", "--log", str(log), "--rules", str(rules), "--out", str(out)]) == 0
+    assert log.read_bytes() != log_file.read_bytes()
+    assert read_json(out / "manifest.json")["inputs"] == {
+        str(log): "sha256:" + hashlib.sha256(log_file.read_bytes()).hexdigest(),
+        str(rules): "sha256:" + hashlib.sha256(rules.read_bytes()).hexdigest(),
+    }
 
 
 def test_a_log_is_written_without_holding_its_text(tmp_path):
@@ -508,6 +568,34 @@ print(json.dumps(sorted(m for m in ("numpy", "numpy.random", "secrets") if m in 
     assert loaded == {name: plain for name in loaded}
 
 
+def test_only_inputs_over_the_builtin_bound_load_openssl(tmp_path, log_file):
+    # synth hashes a short config, sweep nothing, and learn-detection on a
+    # small log under 512 KiB with CPython's built-in SHA-256; a larger log
+    # is hashed by hashlib, which loads OpenSSL (_hashlib).
+    (tmp_path / "config.json").write_text(json.dumps(SYNTH_CONFIG), encoding="utf-8")
+    big = tmp_path / "big.jsonl"
+    big.write_text(serialize_log(rows_log(10_000)), encoding="utf-8")
+    assert big.stat().st_size > _BUILTIN_HASH_MAX
+    code = """
+import json, sys
+from errata.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in ("hashlib", "_hashlib") if m in sys.modules)]))
+"""
+    detect = ["learn-detection", "--model", "m", "--class", "a", "--condition", "c1", "--log"]
+    runs = {"synth": ["synth", "--config", "config.json"],
+            "sweep": ["sweep", "--seed", "1", "--trials", "20"],
+            "small log": [*detect, str(log_file)],
+            "big log": [*detect, str(big)]}
+    loaded = {}
+    for name, args in runs.items():
+        result = subprocess.run([sys.executable, "-c", code, *args, "--out", name], capture_output=True,
+                                text=True, env=_src_env(), cwd=tmp_path, check=True)
+        loaded[name] = json.loads(result.stdout.splitlines()[-1])
+    assert loaded == {"synth": [0, []], "sweep": [0, []], "small log": [0, []],
+                      "big log": [0, ["_hashlib", "hashlib"]]}
+
+
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
 @pytest.mark.parametrize("command", ["synth", "sweep"])
 def test_numpy_commands_start_one_blas_thread(tmp_path, command, preset, expected):
@@ -639,6 +727,43 @@ def test_bad_input_exits_2(tmp_path, log_file, capsys, case):
     if err.startswith(f"usage: errata {argv[0]} "):  # argparse's own error follows its usage
         err = err[err.index(f"\nerrata {argv[0]}: error: ") + 1:]
     assert err.startswith(f"errata {argv[0]}: ")
+
+
+def test_inputs_must_be_regular_files(tmp_path, log_file):
+    # A pipe (as "--log <(cat log.jsonl)" passes) would be drained by the
+    # load and then hash as empty, and /dev/null reads as an empty file:
+    # each is rejected before anything is read, so a FIFO with no writer
+    # cannot block the run. Run in a child, with a timeout, in case it does.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    commands = {
+        "--log": ["verify", "--log", "{}", "--model", "m", "--class", "a", "--condition", "c1"],
+        "--before": ["eval", "--before", "{}", "--after", str(log_file)],
+        "--after": ["eval", "--before", str(log_file), "--after", "{}"],
+        "--rules": ["apply", "--log", str(log_file), "--rules", "{}"],
+        "--config": ["synth", "--config", "{}"],
+    }
+    cases = [(flag, path, [a.replace("{}", path) for a in argv] + ["--out", f"out-{i}"])
+             for flag, argv in commands.items()
+             for i, path in enumerate([str(fifo), os.devnull, str(tmp_path), str(tmp_path / "missing")])]
+    code = """
+import contextlib, io, json, sys
+from errata.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        results.append([main(argv), err.getvalue()])
+print(json.dumps(results))
+"""
+    result = subprocess.run([sys.executable, "-c", code, json.dumps([argv for *_, argv in cases])],
+                            capture_output=True, text=True, env=_src_env(), cwd=tmp_path,
+                            timeout=60, check=True)
+    for (flag, path, argv), (exit_code, err) in zip(cases, json.loads(result.stdout.splitlines()[-1])):
+        reason = "[Errno 2] No such file or directory" if path.endswith("missing") else "not a regular file"
+        assert exit_code == 2, (argv, err)
+        assert err.startswith(f"errata {argv[0]}: {flag}: {reason}"), (argv, err)
+        assert not (tmp_path / argv[-1]).exists()
 
 
 @pytest.mark.parametrize(
