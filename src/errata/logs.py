@@ -743,7 +743,7 @@ def _reread_utf8(path, error: type[InputError], prefix: str, check_lines=None) -
 
 
 _ENCODE_STR = json.encoder.encode_basestring_ascii
-_CHUNK_ROWS = 512  # lines of a log, or entries of a trace, per chunk of output
+_CHUNK_ROWS = 4096  # lines of a log, or entries of a trace, per chunk of output
 
 
 def _log_chunks(log: PredictionLog) -> Iterator[str]:
