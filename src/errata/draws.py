@@ -5,18 +5,20 @@ errata draws every random number from the streams that numpy's
 itself from numpy's algorithms: the SeedSequence hash (``_pool`` for one
 seed of any size, ``_seed_pools`` for a uint64 array of them), PCG64's
 seeding, steps and XSL-RR output, Lemire's bounded integers on buffered
-32-bit halves or 64-bit words (``_Stream.integers``) and 53-bit uniforms
-(``_uniforms``). ``synth.generate`` draws its uniforms with one
-``_uniforms`` call; ``synth.random_log`` draws its sizes from a ``_Stream``
-and then its uniforms. For the theorem sweep, ``_state_words`` computes a
-chunk of trial seeds from the master seed's pool, and ``_fuzz_draws``
-computes ``random_log``'s draws for many seeds at once, without a stream
-per seed. So no errata process imports ``numpy.random``.
+32-bit halves or 64-bit words (``_Stream.integers``) and 53-bit uniforms,
+one at a time on Python ints (``_Stream.random``) or in lanes on uint64
+arrays (``_uniforms``). ``synth.generate`` draws a small log's uniforms
+with ``_Stream.random`` and a large one's with one ``_uniforms`` call;
+``synth.random_log`` draws its sizes from a ``_Stream`` and then its
+uniforms with ``_uniforms``. For the theorem sweep, ``_state_words``
+computes a chunk of trial seeds from the master seed's pool, and
+``_fuzz_draws`` computes ``random_log``'s draws for many seeds at once,
+without a stream per seed. So no errata process imports ``numpy.random``,
+and a stream of Python ints imports no numpy at all: only the functions
+that build arrays import it.
 """
 
 from functools import cache
-
-import numpy as np
 
 # numpy's SeedSequence hashes its entropy words into a pool of four uint32
 # words (hashmix j xors with _HASH_A[j] and multiplies by _HASH_A[j + 1];
@@ -44,6 +46,7 @@ def _hashmix(x, xor, mult):
 def _seed_pools(seeds):
     """``SeedSequence(s).pool`` of each s in the uint64 array ``seeds``, a
     column each of a 4-row uint32 array."""
+    import numpy as np
     consts = np.array(_HASH_A, np.uint32)[:, None]
     # The entropy words are s's low and high halves (a seed below 2**32 has
     # one word, and the pool hashes a missing word as 0), then two zeros.
@@ -95,6 +98,7 @@ def _state_words(pool, first: int, count: int):
     array of four rows, each a scalar or a column per trial. ``first`` may
     be any nonnegative int. uint64 word i joins uint32 words 2i (low) and
     2i + 1 (high)."""
+    import numpy as np
     consts = np.full(2 * count + 1, _MULT_B, np.uint32)
     consts[0] = _INIT_B * pow(_MULT_B, 2 * first, 1 << 32) & _MASK32
     consts = np.multiply.accumulate(consts, dtype=np.uint32).reshape(-1, *[1] * (pool.ndim - 1))
@@ -108,8 +112,15 @@ def _seeded(seed: int) -> tuple[int, int]:
     nonnegative int. uint64 words 0 and 1 of the seed's ``generate_state``
     are the seed value, words 2 and 3 the stream; PCG64's srandom takes the
     odd increment from the stream, steps from state 0, adds the seed value
-    and steps again."""
-    words = _state_words(np.array(_pool(seed), np.uint32), 0, 4).tolist()
+    and steps again. generate_state hashes pool word i % 4 into uint32
+    word i, as ``_state_words`` does on arrays."""
+    pool, const, halves = _pool(seed), _INIT_B, []
+    for i in range(8):
+        x = pool[i % 4] ^ const
+        const = const * _MULT_B & _MASK32
+        x = x * const & _MASK32
+        halves.append(x ^ x >> 16)
+    words = [low | high << 32 for low, high in zip(halves[0::2], halves[1::2])]
     inc = (words[2] << 65 | words[3] << 1 | 1) & _MASK128
     return (((words[0] << 64 | words[1]) + inc) * _PCG_MULT + inc) & _MASK128, inc
 
@@ -130,6 +141,12 @@ class _Stream:
         high = self.state >> 64
         x, rot = (high ^ self.state) & _MASK64, high >> 58
         return (x >> rot | x << (64 - rot)) & _MASK64
+
+    def random(self, count: int) -> list[float]:
+        """``Generator.random(count)``: each uniform takes the top 53 bits
+        of a 64-bit output. A buffered half stays buffered, as in numpy."""
+        next64 = self._next64
+        return [(next64() >> 11) * 2.0 ** -53 for _ in range(count)]
 
     def _next32(self) -> int:
         if self.half is None:
@@ -191,6 +208,7 @@ def _jumps() -> tuple:
     """A and C of 1, ..., _JUMPS PCG64 steps, as high and low uint64
     arrays (A high, A low, C high, C low): r + 1 steps take a state s to
     A[r]·s + C[r]·inc."""
+    import numpy as np
     a = np.array([_PCG_MULT >> 64], np.uint64), np.array([_PCG_MULT & _MASK64], np.uint64)
     c = np.zeros(1, np.uint64), np.ones(1, np.uint64)
     while len(a[0]) < _JUMPS:  # h + s steps are s steps after h steps
@@ -204,6 +222,7 @@ def _jumps() -> tuple:
 
 def _words(x: int):
     """A 128-bit int as its (high, low) uint64 words, one-element arrays."""
+    import numpy as np
     return np.array([x >> 64], np.uint64), np.array([x & _MASK64], np.uint64)
 
 
@@ -214,6 +233,7 @@ def _uniforms(state: int, inc: int, count: int):
     53 bits of its output. Lane r of at most _LANES lanes starts at the
     state of output r, r + 1 steps on, each half of the lanes jumped from
     the half before; then every lane steps _LANES states at once."""
+    import numpy as np
     out = np.empty(count)
     if not count:
         return out
@@ -248,6 +268,7 @@ def _fuzz_draws(seeds, max_records: int, max_labels: int, max_conditions: int):
     uniforms of each trial a round: uniform ``index`` of trial ``trials``
     is uniform ``index`` of the n · (2k + m) that ``_fuzz_draw`` draws.
     Every uniform of the other trials comes once."""
+    import numpy as np
     jumps = _jumps()
     trials = len(seeds)
     ranges = (max_records, max_labels, max_conditions + 1)  # of n, k and m

@@ -12,11 +12,14 @@ against what actually happened.
 Randomness is the stream that numpy's ``Generator(PCG64(seed))`` draws
 for the config seed, computed bit for bit by ``errata.draws`` without
 ``numpy.random``. The draw order is fixed: one call draws every uniform,
-split in turn into an array each of tags (only when the config has
+split in turn into a run each of tags (only when the config has
 distributions), truths and predicted sets, then one record-major n × P
 block for the P planted conditions, a row per record and a column per
-condition in config order. So a config reproduces its log bit for bit
-across runs and platforms. ``random_log`` draws an unstructured fuzz log
+condition in config order. A log of at most ``_INT_DRAWS`` uniforms is
+drawn and classified on Python ints (``_draw_ints``), so drawing it
+imports no numpy; a larger one on numpy arrays (``_draw_arrays``). Both
+give the same log, and a config reproduces its log bit for bit across
+runs and platforms. ``random_log`` draws an unstructured fuzz log
 from its own stream (its sizes as numpy's bounded integers, then its
 uniforms); the sweep computes many such draws at once with
 ``errata.draws`` and marks its cells by the same ``_MARK_BELOW`` bounds.
@@ -24,7 +27,8 @@ uniforms); the sweep computes many such draws at once with
 
 from __future__ import annotations
 
-from collections import defaultdict
+from bisect import bisect
+from collections import Counter, defaultdict
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -406,86 +410,159 @@ def _cumulative(weights: Sequence[Fraction]) -> list[float]:
 
 def _names(names: tuple[str, ...], key: Sequence[int]) -> frozenset[str]:
     """The ``names`` whose columns a row of 0s and 1s (a bytes view of a
-    boolean row, or a list of bits) marks."""
+    boolean row, a list of bits or a tuple of bools) marks."""
     return frozenset(name for name, hit in zip(names, key) if hit)
 
 
+# A log of at most this many uniforms is drawn on Python ints: a fresh
+# process draws and classifies it faster than it imports numpy (they break
+# even at about 100k uniforms). A larger log is drawn on numpy arrays.
+_INT_DRAWS = 1 << 16
+
+
 def generate(cfg: SynthConfig) -> tuple[PredictionLog, SynthBookkeeping]:
-    """Draw the configured log; deterministic for a fixed config."""
-    tags, codes, shapes, counts = _draw(cfg, _mark_probabilities(cfg))
+    """Draw the configured log; deterministic for a fixed config.
+
+    A log of at most ``_INT_DRAWS`` uniforms (n_records × (planted
+    conditions + 2, + 1 with distributions)) is drawn and classified on
+    Python ints, so a process that draws it imports no numpy; a larger one
+    on numpy arrays. Both give the same log and bookkeeping, bit for bit.
+    A caller that has already imported numpy pays for the Python path: a
+    10k-record log of 50,000 uniforms takes about 43 ms on ints against
+    4 ms on arrays (CPython 3.11, a 2-vCPU VM)."""
+    plan = _Plan(cfg, _mark_probabilities(cfg))
+    tags, codes, shapes, counts = (_draw_ints if plan.count <= _INT_DRAWS else _draw_arrays)(plan)
     # Sample ids s1..sn are distinct, and every shape is some row's.
     log = PredictionLog._columns([f"s{i}" for i in range(1, cfg.n_records + 1)], codes, shapes)
     return log, _bookkeeping(cfg, shapes, counts, tags)
 
 
-def _draw(
-    cfg: SynthConfig, marks: Mapping[tuple[str, str], tuple[Fraction, Fraction]]
-) -> tuple[list[str], Sequence[int], list[tuple], list[int]]:
-    """The tags of ``generate``, then its log as a shape code per row, the
-    shapes and the number of rows of each shape, drawn column-wise."""
+class _Plan:
+    """What both draw paths read: the uniform count, the cumulative tables
+    they search and the mark thresholds; ``result`` builds their shapes."""
+
+    def __init__(self, cfg: SynthConfig,
+                 marks: Mapping[tuple[str, str], tuple[Fraction, Fraction]]):
+        self.cfg, self.n, planted = cfg, cfg.n_records, cfg.planted_conditions
+        self.names = tuple(pc.condition_id for pc in planted)
+        self.count = self.n * (bool(cfg.distributions) + 2 + len(planted))
+        self.tags = [d.tag for d in cfg.distributions] or [DEFAULT_DISTRIBUTION]
+        self.tag_cum = _cumulative([d.record_fraction for d in cfg.distributions])
+        self.prior_labels = [label for label, w in cfg.class_priors.items() if w > 0]
+        self.prior_cum = _cumulative([cfg.class_priors[label] for label in self.prior_labels])
+        # Number the (truth, confusion row) outcomes, one block per truth
+        # class in prior order (``rows``: each block's start and cumulative
+        # weights); a record's cell is its outcome in its tag's block of
+        # outcomes. A config built in code may hold plain sets, so each
+        # predicted set is frozen here.
+        self.outcomes = [(truth, frozenset(predicted))
+                         for truth in self.prior_labels for predicted, _ in cfg.confusion[truth]]
+        self.rows, start = [], 0
+        for truth in self.prior_labels:
+            self.rows.append((start, _cumulative([w for _, w in cfg.confusion[truth]])))
+            start += len(cfg.confusion[truth])
+        # Record i carries condition j when its uniform for j falls below
+        # thresholds[j][its cell]: the condition's mark probability there,
+        # or -1 where the target class is not predicted, so those records
+        # are never marked.
+        self.thresholds = [
+            [float(q_ok if truth == pc.target_class else q_err) if pc.target_class in predicted
+             else -1.0
+             for q_err, q_ok in (marks[(pc.condition_id, tag)] for tag in self.tags)
+             for truth, predicted in self.outcomes]
+            for pc in planted
+        ]
+
+    def result(self, keys: Sequence[tuple[int, frozenset[str]]], codes: Sequence[int],
+               counts: list[int]) -> tuple[list[str], Sequence[int], list[tuple], list[int]]:
+        """The tags of ``generate``, then its log as a shape code per row,
+        the shapes and the number of rows of each shape; ``keys`` holds
+        each shape's cell and condition set, in code order."""
+        truth_sets = {label: frozenset((label,)) for label in self.prior_labels}
+        cells = [(predicted, truth_sets[truth], tag)
+                 for tag in self.tags for truth, predicted in self.outcomes]
+        shapes = []
+        for cell, conditions in keys:
+            predicted, truth, tag = cells[cell]
+            shapes.append((self.cfg.model_id, predicted, truth, conditions, tag))
+        return self.tags, codes, shapes, counts
+
+
+def _draw_ints(plan: _Plan) -> tuple[list[str], Sequence[int], list[tuple], list[int]]:
+    """``_Plan.result`` of the log, drawn record by record on Python ints."""
+    from .draws import _Stream
+
+    n, width, planted = plan.n, len(plan.outcomes), len(plan.names)
+    # One stream, drawn at once and read in draw order.
+    u = _Stream(plan.cfg.seed).random(plan.count)
+    if plan.tag_cum:
+        last = len(plan.tag_cum) - 1
+        cells = [min(bisect(plan.tag_cum, x), last) * width for x in u[:n]]
+        del u[:n]
+    else:
+        cells = [0] * n
+    rows, last = [(start, cum, len(cum) - 1) for start, cum in plan.rows], len(plan.rows) - 1
+    for i, x, y in zip(range(n), u[:n], u[n:2 * n]):
+        start, cum, top = rows[min(bisect(plan.prior_cum, x), last)]
+        cells[i] += start + min(bisect(cum, y), top)
+    # A record's marks, condition 0 first: its row of uniforms below its
+    # cell's thresholds. Tuples of bools sort as the array path numbers
+    # its mark patterns, so the (cell, marks) pairs sort as its shapes.
+    if planted:
+        by_cell = list(zip(*plan.thresholds))
+        marked = zip(*[iter(u[2 * n:])] * planted)
+        patterns = [tuple(map(float.__lt__, row, by_cell[c])) for row, c in zip(marked, cells)]
+    else:
+        patterns = [()] * n
+    del u
+    keyed = list(zip(cells, patterns))
+    counted = Counter(keyed)
+    order = sorted(counted)
+    code = {key: i for i, key in enumerate(order)}
+    return plan.result([(cell, _names(plan.names, marks)) for cell, marks in order],
+                       [code[key] for key in keyed], [counted[key] for key in order])
+
+
+def _draw_arrays(plan: _Plan) -> tuple[list[str], Sequence[int], list[tuple], list[int]]:
+    """``_Plan.result`` of the log, drawn column-wise on numpy arrays."""
     import numpy as np  # deferred: importing errata must not load numpy
 
     from .draws import _seeded, _uniforms
 
-    n = cfg.n_records
-    planted = cfg.planted_conditions
+    n, names = plan.n, plan.names
     # One stream, drawn at once and split in draw order.
-    u = _uniforms(*_seeded(cfg.seed), n * (bool(cfg.distributions) + 2 + len(planted)))
-    if cfg.distributions:
-        tags = [d.tag for d in cfg.distributions]
-        tag_cum = _cumulative([d.record_fraction for d in cfg.distributions])
-        cell_idx = np.minimum(np.searchsorted(tag_cum, u[:n], side="right"), len(tags) - 1)
+    u = _uniforms(*_seeded(plan.cfg.seed), plan.count)
+    if plan.tag_cum:
+        cell_idx = np.minimum(np.searchsorted(plan.tag_cum, u[:n], side="right"), len(plan.tags) - 1)
         u = u[n:]
     else:
-        tags = [DEFAULT_DISTRIBUTION]
         cell_idx = np.zeros(n, dtype=np.intp)
-
-    prior_labels = [label for label, w in cfg.class_priors.items() if w > 0]
-    prior_cum = _cumulative([cfg.class_priors[label] for label in prior_labels])
-    truth_idx = np.minimum(np.searchsorted(prior_cum, u[:n], side="right"), len(prior_labels) - 1)
+    truth_idx = np.minimum(np.searchsorted(plan.prior_cum, u[:n], side="right"), len(plan.rows) - 1)
     u_pred = u[n:2 * n]
-    cond_u = u[2 * n:].reshape(n, len(planted))
+    cond_u = u[2 * n:].reshape(n, len(names))
 
-    # Number the (truth, confusion row) outcomes, one block per truth class
-    # in prior order, and add each record's outcome to its tag's block of
-    # cells with one search per truth class. A config built in code may
-    # hold plain sets, so each predicted set is frozen here.
-    outcomes = [
-        (truth, frozenset(predicted)) for truth in prior_labels for predicted, _ in cfg.confusion[truth]
-    ]
-    cell_idx *= len(outcomes)
-    start = 0
-    for r, truth in enumerate(prior_labels):
-        rows = cfg.confusion[truth]
+    # Add each record's outcome to its tag's block of cells with one search
+    # per truth class.
+    cell_idx *= len(plan.outcomes)
+    for r, (start, cum) in enumerate(plan.rows):
         in_class = truth_idx == r
-        found = np.searchsorted(_cumulative([w for _, w in rows]), u_pred[in_class], side="right")
-        np.minimum(found, len(rows) - 1, out=found)
+        found = np.searchsorted(cum, u_pred[in_class], side="right")
+        np.minimum(found, len(cum) - 1, out=found)
         cell_idx[in_class] += start + found
-        start += len(rows)
     del truth_idx, in_class, found
 
-    # Record i carries condition j when cond_u[i, j] falls below the
-    # condition's mark probability in the record's cell; -1 where the
-    # target class is not predicted, so those records are never marked.
     # A record's marks are bits, condition j at bit 63 - j % 64 of its word
     # j // 64: so its words, compared in turn, order the records as their
     # rows of marks read first column first would.
-    words = np.zeros((-(-len(planted) // 64), n), np.uint64)
+    words = np.zeros((-(-len(names) // 64), n), np.uint64)
     hit = np.empty(n, bool)
-    for j, pc in enumerate(planted):
-        thresholds = []
-        for tag in tags:
-            q_err, q_ok = marks[(pc.condition_id, tag)]
-            for truth, predicted in outcomes:
-                q = q_ok if truth == pc.target_class else q_err
-                thresholds.append(float(q) if pc.target_class in predicted else -1.0)
+    for j, thresholds in enumerate(plan.thresholds):
         np.less(cond_u[:, j], np.take(thresholds, cell_idx), out=hit)
         words[j // 64] |= hit.astype(np.uint64) << np.uint64(63 - j % 64)
     del u, u_pred, cond_u, hit
 
     # A row's shape is fixed by its cell and its row of marks: number the
     # (cell, mark pattern) pairs that occur.
-    names = tuple(pc.condition_id for pc in planted)
     if names:
         # Number the patterns in that order: one lexsort (first word
         # first), then each run of equal words a number.
@@ -507,15 +584,10 @@ def _draw(
         cell_idx * len(condition_sets) + pattern_idx, return_inverse=True, return_counts=True
     )
     del cell_idx, pattern_idx
-
-    truth_sets = {label: frozenset((label,)) for label in prior_labels}
-    cells = [(predicted, truth_sets[truth], tag) for tag in tags for truth, predicted in outcomes]
-    shapes = []
-    for pair in pairs.tolist():
-        predicted, truth, tag = cells[pair // len(condition_sets)]
-        shapes.append((cfg.model_id, predicted, truth, condition_sets[pair % len(condition_sets)], tag))
-    codes = codes.astype(np.uint8) if len(shapes) <= 256 else codes.tolist()
-    return tags, codes, shapes, counts.tolist()
+    keys = [divmod(pair, len(condition_sets)) for pair in pairs.tolist()]
+    return plan.result([(cell, condition_sets[p]) for cell, p in keys],
+                       codes.astype(np.uint8) if len(keys) <= 256 else codes.tolist(),
+                       counts.tolist())
 
 
 def _bookkeeping(cfg: SynthConfig, shapes: Sequence[tuple], counts: Sequence[int],

@@ -31,6 +31,7 @@ from errata import (
     serialize_log,
 )
 from errata.logs import _log_chunks
+from errata.synth import _INT_DRAWS
 from errata.rational import parse_rational
 
 SYNTH_CONFIG = {
@@ -444,22 +445,27 @@ def test_module_entrypoint_smoke(tmp_path, log_file):
 
 
 def test_numpy_is_imported_only_to_draw():
-    # Only synth/generate, random_log and sweep draw random numbers; every
-    # other subcommand must start without paying for the numpy import.
+    # generate draws a log of at most _INT_DRAWS uniforms on Python ints and
+    # a larger one on numpy arrays; only that draw, random_log and sweep
+    # load numpy. Each size runs in a fresh interpreter. With no planted
+    # conditions and no distributions a record takes two uniforms.
     code = """
 import json, sys
 import errata, errata.cli
 at_import = "numpy" in sys.modules
 errata.generate(errata.SynthConfig.from_dict({
-    "seed": 1, "n_records": 1, "model_id": "m", "labels": ["a"],
+    "seed": 1, "n_records": int(sys.argv[1]), "model_id": "m", "labels": ["a"],
     "class_priors": {"a": 1}, "confusion": {"a": [{"predicted": ["a"], "weight": 1}]},
 }))
 print(json.dumps([at_import, "numpy" in sys.modules]))
 """
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), check=True
-    )
-    assert json.loads(result.stdout) == [False, True]
+    loaded = {}
+    for n_records in (1, _INT_DRAWS // 2, _INT_DRAWS // 2 + 1):
+        result = subprocess.run([sys.executable, "-c", code, str(n_records)],
+                                capture_output=True, text=True, env=_src_env(), check=True)
+        loaded[n_records] = json.loads(result.stdout)
+    assert loaded == {1: [False, False], _INT_DRAWS // 2: [False, False],
+                      _INT_DRAWS // 2 + 1: [False, True]}
 
 
 def test_apply_and_eval_load_only_what_they_run(tmp_path, log_file):
@@ -509,8 +515,8 @@ def test_chain_commands_start_without_dataclasses_or_numpy(tmp_path):
     # Each command runs in a fresh interpreter, as a CLI child does. Only
     # learn-detection builds a MetricBundle, the one dataclass, so only it
     # loads dataclasses, and with it inspect; only synth draws, so only it
-    # loads numpy and errata.draws, which computes its random stream.
-    # numpy itself loads inspect, so synth is not checked for inspect.
+    # loads errata.draws, and its log is small enough to draw on Python
+    # ints, so no command loads numpy.
     (tmp_path / "config.json").write_text(json.dumps(SYNTH_CONFIG), encoding="utf-8")
     code = """
 import json, sys
@@ -529,19 +535,22 @@ print(json.dumps([code, sorted(m for m in watched if m in sys.modules)]))
         assert exit_code == 0, (command, result.stderr)
     assert read_json(tmp_path / "learn-detection" / "rules.json")["detections"]
     assert [c for c, names in loaded.items() if "dataclasses" in names] == ["learn-detection"]
-    assert [c for c, names in loaded.items() if "numpy" in names] == ["synth"]
+    assert [c for c, names in loaded.items() if "numpy" in names] == []
     assert [c for c, names in loaded.items() if "errata.draws" in names] == ["synth"]
-    assert [c for c, names in loaded.items() if "inspect" in names and c != "synth"] == [
-        "learn-detection"
-    ]
+    assert [c for c, names in loaded.items() if "inspect" in names] == ["learn-detection"]
 
 
 def test_no_errata_process_imports_numpy_random(tmp_path):
     # errata computes numpy's PCG64 streams itself (errata.draws), so the
-    # processes that draw load numpy but neither numpy.random nor secrets,
-    # which numpy.random imports. numpy before 2.0 loads numpy.random with
-    # numpy itself, so each process is held to what "import numpy" loads.
+    # processes that draw on arrays load numpy but neither numpy.random nor
+    # secrets, which numpy.random imports, and synth on a small config
+    # loads no numpy at all. numpy before 2.0 loads numpy.random with numpy
+    # itself, so each process that loads numpy is held to what
+    # "import numpy" loads.
     (tmp_path / "config.json").write_text(json.dumps(SYNTH_CONFIG), encoding="utf-8")
+    # Three uniforms a record: just over _INT_DRAWS, so drawn on arrays.
+    big = dict(SYNTH_CONFIG, n_records=_INT_DRAWS // 3 + 1)
+    (tmp_path / "big.json").write_text(json.dumps(big), encoding="utf-8")
     code = """
 import json, sys
 if sys.argv[1] == "numpy":
@@ -556,6 +565,7 @@ print(json.dumps(sorted(m for m in ("numpy", "numpy.random", "secrets") if m in 
 """
     runs = {"numpy": ["numpy"], "random_log": ["random_log"],
             "synth": ["synth", "--config", "config.json", "--out", "synth"],
+            "big synth": ["synth", "--config", "big.json", "--out", "big"],
             "sweep": ["sweep", "--seed", "1", "--trials", "20", "--out", "sweep"]}
     loaded = {}
     for name, args in runs.items():
@@ -565,7 +575,7 @@ print(json.dumps(sorted(m for m in ("numpy", "numpy.random", "secrets") if m in 
     plain = loaded.pop("numpy")
     if int(np.__version__.split(".")[0]) >= 2:
         assert plain == ["numpy"]
-    assert loaded == {name: plain for name in loaded}
+    assert loaded == {"random_log": plain, "synth": [], "big synth": plain, "sweep": plain}
 
 
 def test_only_inputs_over_the_builtin_bound_load_openssl(tmp_path, log_file):
@@ -573,8 +583,8 @@ def test_only_inputs_over_the_builtin_bound_load_openssl(tmp_path, log_file):
     # small log under 512 KiB with CPython's built-in SHA-256; a larger log
     # is hashed by hashlib, which loads OpenSSL (_hashlib). numpy before 2.0
     # loads hashlib itself (numpy.random imports secrets, which imports
-    # hmac), so synth and sweep, which import numpy, are held to what
-    # "import numpy" loads.
+    # hmac), so sweep, which imports numpy, is held to what "import numpy"
+    # loads; synth on a small config imports no numpy.
     (tmp_path / "config.json").write_text(json.dumps(SYNTH_CONFIG), encoding="utf-8")
     big = tmp_path / "big.jsonl"
     big.write_text(serialize_log(rows_log(10_000)), encoding="utf-8")
@@ -603,7 +613,7 @@ print(json.dumps([code, sorted(m for m in ("hashlib", "_hashlib") if m in sys.mo
     plain = loaded.pop("numpy")
     if int(np.__version__.split(".")[0]) >= 2:
         assert plain == [0, []]
-    assert loaded == {"synth": plain, "sweep": plain, "small log": [0, []],
+    assert loaded == {"synth": [0, []], "sweep": plain, "small log": [0, []],
                       "big log": [0, ["_hashlib", "hashlib"]]}
 
 

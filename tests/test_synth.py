@@ -1,5 +1,7 @@
+import importlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
@@ -9,7 +11,15 @@ from hypothesis import example, given, settings
 import synth_oracle
 from errata.logs import _strict_json
 from errata.draws import _JUMPS, _LANES, _Stream, _fuzz_draws, _pool, _seeded, _uniforms
-from errata.synth import MAX_RECORDS, _class_precision
+from errata.synth import (
+    _INT_DRAWS,
+    MAX_RECORDS,
+    _class_precision,
+    _draw_arrays,
+    _draw_ints,
+    _mark_probabilities,
+    _Plan,
+)
 from errata import (
     ConditionBody,
     InputError,
@@ -450,6 +460,66 @@ def test_generate_matches_record_loop(configs, data):
     assert book.to_dict() == ref_book.to_dict()
 
 
+def _draws_config(n_records, planted, distributions):
+    """base_config with ``planted`` copies of its condition (c1, c2, ...)
+    and, if ``distributions``, two tags, the second overriding c1's
+    confidence: n_records × (planted + 2 + distributions) uniforms."""
+    override = {"c1": "0"} if planted else {}
+    return base_config(
+        seed=n_records, n_records=n_records,
+        planted_conditions=[{**_PLANTED_C1, "condition_id": f"c{j + 1}"} for j in range(planted)],
+        distributions=[{"tag": "d1", "record_fraction": "1/3"},
+                       {"tag": "d2", "record_fraction": "2/3", "confidence_override": override}]
+        if distributions else [],
+    )
+
+
+def _assert_draw_paths_equal(obj):
+    cfg = SynthConfig.from_dict(obj)
+    plan = _Plan(cfg, _mark_probabilities(cfg))
+    tags, codes, shapes, counts = _draw_ints(plan)
+    want_tags, want_codes, want_shapes, want_counts = _draw_arrays(plan)
+    assert (tags, shapes, counts) == (want_tags, want_shapes, want_counts)
+    assert list(codes) == list(want_codes)  # uint8 codes, or a list past 256 shapes
+    return plan, shapes
+
+
+# 65,537 = _INT_DRAWS + 1 is prime, and every record draws at least two
+# uniforms, so no config draws exactly one uniform past the bound.
+@given(obj=st.one_of(
+    synth_configs_st(),
+    synth_configs_st(max_planted=0),
+    synth_configs_st(min_planted=65, max_planted=70),
+    synth_configs_st(max_records=600, min_planted=8, max_planted=10),
+))
+@example(obj=_draws_config(21845, 1, False))  # _INT_DRAWS - 1 uniforms
+@example(obj=_draws_config(16384, 1, True))  # _INT_DRAWS
+@example(obj=_draws_config(32768, 0, False))  # _INT_DRAWS
+@example(obj=_draws_config(21846, 0, True))  # _INT_DRAWS + 2
+@example(obj=_draws_config(300, 0, True))
+@example(obj=_draws_config(300, 66, False))  # two mark words
+@example(obj=_draws_config(2000, 10, True))  # 391 shapes, past uint8 codes
+@settings(max_examples=60, deadline=None)
+def test_draw_paths_give_the_same_log(obj):
+    # generate takes _draw_ints up to _INT_DRAWS uniforms and _draw_arrays
+    # above: each path is called here directly, whatever the size.
+    _assert_draw_paths_equal(obj)
+
+
+@pytest.mark.parametrize("seed", [1, 977])
+@pytest.mark.parametrize("workload, uniforms, many_shapes", [
+    ("cli_pipeline", 50_000, False),  # 10k records: drawn on Python ints
+    ("library_audit", 380_000, True),  # 20k records: drawn on arrays
+])
+def test_draw_paths_give_the_same_benchmark_logs(monkeypatch, workload, uniforms, many_shapes, seed):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    module = importlib.import_module(workload)
+    n_records = 10_000 if workload == "cli_pipeline" else 20_000
+    plan, shapes = _assert_draw_paths_equal(module.synth_config(seed, n_records))
+    assert plan.count == uniforms and (plan.count <= _INT_DRAWS) is (workload == "cli_pipeline")
+    assert (len(shapes) > 256) is many_shapes
+
+
 def test_bookkeeping_has_per_distribution_rows():
     cfg = SynthConfig.from_dict(
         base_config(
@@ -666,6 +736,31 @@ def test_stream_uniforms_equal_numpy_bit_for_bit(seed, count):
     assert _seeded(seed) == _numpy_stream(rng.bit_generator.state)[:2]
     got = _uniforms(*_seeded(seed), count)
     assert np.array_equal(got.view(np.uint64), rng.random(count).view(np.uint64))
+
+
+@pytest.mark.parametrize("counts, seeds", [
+    ((0, 1, 2), EDGE_SEEDS + [2**64, 2**100] + list(range(2, 300))),
+    ((_LANES + 1,), EDGE_SEEDS + [2**64, 2**100]),  # past the array path's lanes
+])
+def test_stream_random_equals_numpy_bit_for_bit(counts, seeds):
+    for seed, count in ((seed, count) for seed in seeds for count in counts):
+        stream, rng = _Stream(seed), np.random.Generator(np.random.PCG64(seed))
+        got = np.array(stream.random(count), np.float64)
+        assert np.array_equal(got.view(np.uint64), rng.random(count).view(np.uint64))
+        assert (stream.state, stream.inc, stream.half) == _numpy_stream(rng.bit_generator.state)
+
+
+def test_stream_random_keeps_a_buffered_half_as_numpy_does():
+    for seed in EDGE_SEEDS + list(range(2, 100)):
+        stream, rng = _Stream(seed), np.random.Generator(np.random.PCG64(seed))
+        # A 32-bit draw leaves its output's high half buffered; the uniforms
+        # step past it, and the next 32-bit draw takes it.
+        assert stream.integers(0, 5) == int(rng.integers(0, 5))
+        assert stream.half is not None
+        got = np.array(stream.random(3), np.float64)
+        assert np.array_equal(got.view(np.uint64), rng.random(3).view(np.uint64))
+        assert (stream.state, stream.inc, stream.half) == _numpy_stream(rng.bit_generator.state)
+        assert stream.integers(0, 2**31 + 1) == int(rng.integers(0, 2**31 + 1))
 
 
 @pytest.mark.parametrize("spans", [
