@@ -125,9 +125,12 @@ def render_sweep(result) -> str:
 
 _HASH_BLOCK = 1 << 18  # bytes of an input file read per hash update
 # Inputs of at most this many bytes in all are hashed by CPython's built-in
-# SHA-256: about six times slower than OpenSSL's, but a child that loads no
-# OpenSSL starts 2-3 ms sooner and 3.5 MB smaller.
-_BUILTIN_HASH_MAX = 1 << 19
+# SHA-256: about 4.4 ms per MiB against OpenSSL's 0.8, but a child that never
+# imports hashlib starts 2.6 ms sooner and peaks 2.0 MB lower (ru_maxrss).
+# The bound covers every input set of a 10k-record chain (the largest,
+# eval's two logs, is 1.87 MB), so none of its children maps OpenSSL;
+# 100k-record logs (9.4 MB each) keep hashlib, where its speed pays.
+_BUILTIN_HASH_MAX = 1 << 21
 
 
 def _sha256(total: int):

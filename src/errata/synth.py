@@ -15,18 +15,20 @@ for the config seed, computed bit for bit by ``errata.draws`` without
 split in turn into a run each of tags (only when the config has
 distributions), truths and predicted sets, then one record-major n × P
 block for the P planted conditions, a row per record and a column per
-condition in config order. A log of at most ``_INT_DRAWS`` uniforms is
-drawn and classified on Python ints (``_draw_ints``), so drawing it
-imports no numpy; a larger one on numpy arrays (``_draw_arrays``). Both
-give the same log, and a config reproduces its log bit for bit across
-runs and platforms. ``random_log`` draws an unstructured fuzz log
-from its own stream (its sizes as numpy's bounded integers, then its
-uniforms); the sweep computes many such draws at once with
-``errata.draws`` and marks its cells by the same ``_MARK_BELOW`` bounds.
+condition in config order. While numpy is unloaded, a log of at most
+``_INT_DRAWS`` uniforms is drawn and classified on Python ints
+(``_draw_ints``), so drawing it imports no numpy; otherwise on numpy
+arrays (``_draw_arrays``). Both give the same log, and a config
+reproduces its log bit for bit across runs and platforms. ``random_log``
+draws an unstructured fuzz log from its own stream (its sizes as numpy's
+bounded integers, then its uniforms); the sweep computes many such draws
+at once with ``errata.draws`` and marks its cells by the same
+``_MARK_BELOW`` bounds.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect
 from collections import Counter, defaultdict
 from fractions import Fraction
@@ -414,25 +416,25 @@ def _names(names: tuple[str, ...], key: Sequence[int]) -> frozenset[str]:
     return frozenset(name for name, hit in zip(names, key) if hit)
 
 
-# A log of at most this many uniforms is drawn on Python ints: a fresh
-# process draws and classifies it faster than it imports numpy (they break
-# even at about 80k uniforms) and peaks about 10 MB lower. A larger log is
-# drawn on numpy arrays.
+# While numpy is unloaded, a log of at most this many uniforms is drawn on
+# Python ints: a fresh process draws and classifies it faster than it imports
+# numpy (they break even at about 80k uniforms) and peaks about 10 MB lower.
+# Otherwise it is drawn on numpy arrays.
 _INT_DRAWS = 1 << 16
 
 
 def generate(cfg: SynthConfig) -> tuple[PredictionLog, SynthBookkeeping]:
     """Draw the configured log; deterministic for a fixed config.
 
-    A log of at most ``_INT_DRAWS`` uniforms (n_records × (planted
-    conditions + 2, + 1 with distributions)) is drawn and classified on
-    Python ints, so a process that draws it imports no numpy; a larger one
+    While numpy is unloaded, a log of at most ``_INT_DRAWS`` uniforms
+    (n_records × (planted conditions + 2, + 1 with distributions)) is drawn
+    and classified on Python ints, so drawing it imports no numpy; otherwise
     on numpy arrays. Both give the same log and bookkeeping, bit for bit.
-    A caller that has already imported numpy pays for the Python path: a
-    10k-record log of 50,000 uniforms takes about 43 ms on ints against
-    4 ms on arrays (CPython 3.11, a 2-vCPU VM)."""
+    Cost: at 10k records (50,000 uniforms) ints take about 43 ms, arrays
+    4 ms (CPython 3.11, a 2-vCPU VM), so a caller with numpy gets arrays."""
     plan = _Plan(cfg, _mark_probabilities(cfg))
-    tags, codes, shapes, counts = (_draw_ints if plan.count <= _INT_DRAWS else _draw_arrays)(plan)
+    ints = plan.count <= _INT_DRAWS and "numpy" not in sys.modules
+    tags, codes, shapes, counts = (_draw_ints if ints else _draw_arrays)(plan)
     # Sample ids s1..sn are distinct, and every shape is some row's.
     log = PredictionLog._columns([f"s{i}" for i in range(1, cfg.n_records + 1)], codes, shapes)
     return log, _bookkeeping(cfg, shapes, counts, tags)

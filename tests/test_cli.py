@@ -273,8 +273,9 @@ def _data(size):
 
 
 @pytest.mark.parametrize("size", [0, 1, _HASH_BLOCK - 1, _HASH_BLOCK, _HASH_BLOCK + 1,
-                                  _BUILTIN_HASH_MAX - 1, _BUILTIN_HASH_MAX, _BUILTIN_HASH_MAX + 1,
-                                  2 * _HASH_BLOCK + 7])
+                                  2 * _HASH_BLOCK - 1, 2 * _HASH_BLOCK, 2 * _HASH_BLOCK + 1,
+                                  2 * _HASH_BLOCK + 7,
+                                  _BUILTIN_HASH_MAX - 1, _BUILTIN_HASH_MAX, _BUILTIN_HASH_MAX + 1])
 def test_manifest_digests_hash_the_whole_input(tmp_path, size):
     data = _data(size)
     path = tmp_path / "input.bin"
@@ -285,10 +286,11 @@ def test_manifest_digests_hash_the_whole_input(tmp_path, size):
     assert digests == {str(path): "sha256:" + hashlib.sha256(data).hexdigest()}
 
 
-@pytest.mark.parametrize("sizes", [(_HASH_BLOCK, _HASH_BLOCK), (_HASH_BLOCK, _HASH_BLOCK + 1)])
+@pytest.mark.parametrize("sizes", [(_BUILTIN_HASH_MAX // 2, _BUILTIN_HASH_MAX // 2),
+                                   (_BUILTIN_HASH_MAX // 2, _BUILTIN_HASH_MAX // 2 + 1)])
 def test_digest_module_follows_the_inputs_total(tmp_path, monkeypatch, sizes):
-    # Two inputs of 512 KiB in all are hashed by the built-in module, one
-    # byte more by hashlib's.
+    # Two inputs of _BUILTIN_HASH_MAX bytes in all are hashed by the
+    # built-in module, one byte more by hashlib's.
     totals = []
     monkeypatch.setattr(cli, "_sha256", lambda total: totals.append(total) or _sha256(total))
     paths = [tmp_path / f"input{i}.bin" for i in range(len(sizes))]
@@ -308,7 +310,7 @@ def test_small_inputs_hash_with_this_pythons_builtin_module():
     assert _sha256(_BUILTIN_HASH_MAX + 1) is hashlib.sha256
 
 
-@pytest.mark.parametrize("size", [0, 1, _BUILTIN_HASH_MAX])
+@pytest.mark.parametrize("size", [0, 1, 2 * _HASH_BLOCK, _BUILTIN_HASH_MAX])
 def test_digests_fall_back_to_hashlib_without_a_builtin_module(tmp_path, monkeypatch, size):
     # A None entry in sys.modules makes its import raise ImportError.
     monkeypatch.setitem(sys.modules, "_sha2", None)
@@ -431,6 +433,30 @@ def _src_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+_FRESH = """
+import json, sys
+watched, args = json.loads(sys.argv[1])
+if isinstance(args, str):
+    exec(args)
+    code = 0
+else:
+    from errata.cli import main
+    code = main(args)
+print(json.dumps([code, sorted(m for m in watched if m in sys.modules)]))
+"""
+
+
+def _fresh_run(args, watched=(), cwd=None):
+    """Run ``errata <args>`` (a list), or Python source (a str), in a fresh
+    interpreter, as a CLI child runs: its exit code, the ``watched`` modules
+    it has loaded when it ends, and its stderr. A run that blocks fails."""
+    result = subprocess.run([sys.executable, "-c", _FRESH, json.dumps([list(watched), args])],
+                            capture_output=True, text=True, env=_src_env(), cwd=cwd,
+                            timeout=60, check=True)
+    code, loaded = json.loads(result.stdout.splitlines()[-1])
+    return code, loaded, result.stderr
+
+
 def test_module_entrypoint_smoke(tmp_path, log_file):
     result = subprocess.run(
         [sys.executable, "-m", "errata", "verify", "--log", str(log_file),
@@ -449,23 +475,17 @@ def test_numpy_is_imported_only_to_draw():
     # a larger one on numpy arrays; only that draw, random_log and sweep
     # load numpy. Each size runs in a fresh interpreter. With no planted
     # conditions and no distributions a record takes two uniforms.
-    code = """
-import json, sys
-import errata, errata.cli
-at_import = "numpy" in sys.modules
-errata.generate(errata.SynthConfig.from_dict({
-    "seed": 1, "n_records": int(sys.argv[1]), "model_id": "m", "labels": ["a"],
-    "class_priors": {"a": 1}, "confusion": {"a": [{"predicted": ["a"], "weight": 1}]},
-}))
-print(json.dumps([at_import, "numpy" in sys.modules]))
-"""
     loaded = {}
     for n_records in (1, _INT_DRAWS // 2, _INT_DRAWS // 2 + 1):
-        result = subprocess.run([sys.executable, "-c", code, str(n_records)],
-                                capture_output=True, text=True, env=_src_env(), check=True)
-        loaded[n_records] = json.loads(result.stdout)
-    assert loaded == {1: [False, False], _INT_DRAWS // 2: [False, False],
-                      _INT_DRAWS // 2 + 1: [False, True]}
+        config = {"seed": 1, "n_records": n_records, "model_id": "m", "labels": ["a"],
+                  "class_priors": {"a": 1}, "confusion": {"a": [{"predicted": ["a"], "weight": 1}]}}
+        code, loaded[n_records], _ = _fresh_run(f"""
+import errata, errata.cli
+assert "numpy" not in sys.modules
+errata.generate(errata.SynthConfig.from_dict({config!r}))
+""", ["numpy"])
+        assert code == 0
+    assert loaded == {1: [], _INT_DRAWS // 2: [], _INT_DRAWS // 2 + 1: ["numpy"]}
 
 
 def test_apply_and_eval_load_only_what_they_run(tmp_path, log_file):
@@ -475,25 +495,11 @@ def test_apply_and_eval_load_only_what_they_run(tmp_path, log_file):
     rules.write_text(json.dumps({"detections": [
         {"model_id": "m", "target_class": "a", "conditions": ["c1"]}
     ]}), encoding="utf-8")
-    code = f"""
-import json, sys
-from errata.cli import main
-codes = [
-    main(["apply", "--log", {str(log_file)!r}, "--rules", {str(rules)!r},
-          "--out", {str(tmp_path / "applied")!r}]),
-    main(["eval", "--before", {str(log_file)!r},
-          "--after", {str(tmp_path / "applied" / "applied.jsonl")!r},
-          "--out", {str(tmp_path / "eval")!r}]),
-]
-print(json.dumps([codes, sorted(
-    name for name in ("errata.learning", "errata.synth", "errata.theorems", "numpy")
-    if name in sys.modules
-)]))
-"""
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), check=True
-    )
-    assert json.loads(result.stdout.splitlines()[-1]) == [[0, 0], []]
+    watched = ("errata.learning", "errata.synth", "errata.theorems", "numpy")
+    runs = [["apply", "--log", str(log_file), "--rules", str(rules), "--out", str(tmp_path / "applied")],
+            ["eval", "--before", str(log_file), "--after", str(tmp_path / "applied" / "applied.jsonl"),
+             "--out", str(tmp_path / "eval")]]
+    assert [_fresh_run(args, watched)[:2] for args in runs] == [(0, []), (0, [])]
 
 
 # The six commands of the batch chain, each with its arguments but --out,
@@ -518,21 +524,11 @@ def test_chain_commands_start_without_dataclasses_or_numpy(tmp_path):
     # loads errata.draws, and its log is small enough to draw on Python
     # ints, so no command loads numpy.
     (tmp_path / "config.json").write_text(json.dumps(SYNTH_CONFIG), encoding="utf-8")
-    code = """
-import json, sys
-from errata.cli import main
-code = main(sys.argv[1:])
-watched = ("dataclasses", "inspect", "numpy", "errata.draws")
-print(json.dumps([code, sorted(m for m in watched if m in sys.modules)]))
-"""
+    watched = ("dataclasses", "inspect", "numpy", "errata.draws")
     loaded = {}
     for command, args in _CHAIN:
-        result = subprocess.run(
-            [sys.executable, "-c", code, command, *args, "--out", command],
-            capture_output=True, text=True, env=_src_env(), cwd=tmp_path, check=True,
-        )
-        exit_code, loaded[command] = json.loads(result.stdout.splitlines()[-1])
-        assert exit_code == 0, (command, result.stderr)
+        exit_code, loaded[command], err = _fresh_run([command, *args, "--out", command], watched, tmp_path)
+        assert exit_code == 0, (command, err)
     assert read_json(tmp_path / "learn-detection" / "rules.json")["detections"]
     assert [c for c, names in loaded.items() if "dataclasses" in names] == ["learn-detection"]
     assert [c for c, names in loaded.items() if "numpy" in names] == []
@@ -551,70 +547,97 @@ def test_no_errata_process_imports_numpy_random(tmp_path):
     # Three uniforms a record: just over _INT_DRAWS, so drawn on arrays.
     big = dict(SYNTH_CONFIG, n_records=_INT_DRAWS // 3 + 1)
     (tmp_path / "big.json").write_text(json.dumps(big), encoding="utf-8")
-    code = """
-import json, sys
-if sys.argv[1] == "numpy":
-    import numpy
-elif sys.argv[1] == "random_log":
-    import errata
-    errata.random_log(7)
-else:
-    from errata.cli import main
-    assert main(sys.argv[1:]) == 0
-print(json.dumps(sorted(m for m in ("numpy", "numpy.random", "secrets") if m in sys.modules)))
-"""
-    runs = {"numpy": ["numpy"], "random_log": ["random_log"],
+    runs = {"numpy": "import numpy", "random_log": "import errata; errata.random_log(7)",
             "synth": ["synth", "--config", "config.json", "--out", "synth"],
             "big synth": ["synth", "--config", "big.json", "--out", "big"],
             "sweep": ["sweep", "--seed", "1", "--trials", "20", "--out", "sweep"]}
     loaded = {}
     for name, args in runs.items():
-        result = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                                text=True, env=_src_env(), cwd=tmp_path, check=True)
-        loaded[name] = json.loads(result.stdout.splitlines()[-1])
+        code, loaded[name], err = _fresh_run(args, ("numpy", "numpy.random", "secrets"), tmp_path)
+        assert code == 0, (name, err)
     plain = loaded.pop("numpy")
     if int(np.__version__.split(".")[0]) >= 2:
         assert plain == ["numpy"]
     assert loaded == {"random_log": plain, "synth": [], "big synth": plain, "sweep": plain}
 
 
-def test_only_inputs_over_the_builtin_bound_load_openssl(tmp_path, log_file):
-    # synth hashes a short config, sweep nothing, and learn-detection on a
-    # small log under 512 KiB with CPython's built-in SHA-256; a larger log
-    # is hashed by hashlib, which loads OpenSSL (_hashlib). numpy before 2.0
-    # loads hashlib itself (numpy.random imports secrets, which imports
-    # hmac), so sweep, which imports numpy, is held to what "import numpy"
-    # loads; synth on a small config imports no numpy.
-    (tmp_path / "config.json").write_text(json.dumps(SYNTH_CONFIG), encoding="utf-8")
-    big = tmp_path / "big.jsonl"
-    big.write_text(serialize_log(rows_log(10_000)), encoding="utf-8")
-    assert big.stat().st_size > _BUILTIN_HASH_MAX
-    code = """
-import json, sys
-if sys.argv[1] == "numpy":
-    import numpy
-    code = 0
-else:
-    from errata.cli import main
-    code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in ("hashlib", "_hashlib") if m in sys.modules)]))
-"""
-    detect = ["learn-detection", "--model", "m", "--class", "a", "--condition", "c1", "--log"]
-    runs = {"numpy": ["numpy"],
-            "synth": ["synth", "--config", "config.json", "--out", "synth"],
-            "sweep": ["sweep", "--seed", "1", "--trials", "20", "--out", "sweep"],
-            "small log": [*detect, str(log_file), "--out", "small"],
-            "big log": [*detect, str(big), "--out", "big"]}
+def _benchmark_config(monkeypatch, seed):
+    """The synth config of the benchmark's 10k-record CLI chain."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    return importlib.import_module("cli_pipeline").synth_config(seed, 10_000)
+
+
+def test_only_inputs_over_the_builtin_bound_load_openssl(tmp_path, monkeypatch):
+    # Every command of a chain on the benchmark's 10k-record config hashes
+    # its inputs with CPython's built-in SHA-256 and sweep hashes none, so
+    # none loads OpenSSL (_hashlib); an eval whose two logs total one byte
+    # over _BUILTIN_HASH_MAX is hashed by hashlib. numpy before 2.0 loads
+    # hashlib itself (numpy.random imports secrets, which imports hmac), so
+    # sweep, which imports numpy, is held to what "import numpy" loads;
+    # synth on a 10k config imports no numpy.
+    (tmp_path / "config.json").write_text(json.dumps(_benchmark_config(monkeypatch, 1)), encoding="utf-8")
+    text = serialize_log(rows_log(9_000))  # ASCII: a byte a character
+    pad = _BUILTIN_HASH_MAX - 2 * len(text)
+    assert pad > 0
+    first, rest = text.split("\n", 1)
+    (tmp_path / "before.jsonl").write_text(text, encoding="utf-8")
+    for name, spaces in (("at.jsonl", pad), ("over.jsonl", pad + 1)):
+        (tmp_path / name).write_text(first + " " * spaces + "\n" + rest, encoding="utf-8")
+    runs = {"numpy": "import numpy"}
+    runs.update((command, [command, *args, "--out", command]) for command, args in _CHAIN)
+    runs.update({"sweep": ["sweep", "--seed", "1", "--trials", "20", "--out", "sweep"],
+                 "eval at the bound": ["eval", "--before", "before.jsonl", "--after", "at.jsonl",
+                                       "--out", "at"],
+                 "eval over the bound": ["eval", "--before", "before.jsonl", "--after", "over.jsonl",
+                                         "--out", "over"]})
     loaded = {}
     for name, args in runs.items():
-        result = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                                text=True, env=_src_env(), cwd=tmp_path, check=True)
-        loaded[name] = json.loads(result.stdout.splitlines()[-1])
+        code, loaded[name], err = _fresh_run(args, ("hashlib", "_hashlib"), tmp_path)
+        assert code == 0, (name, err)
     plain = loaded.pop("numpy")
     if int(np.__version__.split(".")[0]) >= 2:
-        assert plain == [0, []]
-    assert loaded == {"synth": [0, []], "sweep": plain, "small log": [0, []],
-                      "big log": [0, ["_hashlib", "hashlib"]]}
+        assert plain == []
+    assert loaded == {**{command: [] for command, _ in _CHAIN}, "sweep": plain,
+                      "eval at the bound": [], "eval over the bound": ["_hashlib", "hashlib"]}
+
+
+@pytest.mark.parametrize("seed", [1, 977])
+def test_the_10k_chains_inputs_fit_the_builtin_bound(tmp_path, monkeypatch, seed):
+    # The traffic that sizes _BUILTIN_HASH_MAX: each command of the
+    # benchmark's 10k-record chain hashes at most that many bytes (eval's
+    # log and applied log are the most), so none of its children loads
+    # OpenSSL. A log format that grows fails here, not in a benchmark.
+    config = _benchmark_config(monkeypatch, seed)
+    chain = importlib.import_module("cli_pipeline")
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps(config), encoding="utf-8")
+    totals = {}
+
+    def hashed(total):
+        totals[command] = total
+        return _sha256(total)
+
+    monkeypatch.setattr(cli, "_sha256", hashed)
+    log = ["--log", "synth/log.jsonl", "--model", "m"]
+    for command, args in (
+        ("synth", ["--config", "config.json"]),
+        ("learn-detection", [*log, "--class", "a", "--epsilon", chain.EPSILON,
+                             *[a for c in chain.CANDIDATES for a in ("--condition", c)]]),
+        ("learn-correction", [*log, "--target-class", "b", "--condition", "c1", "--trigger-class", "a"]),
+        ("apply", ["--log", "synth/log.jsonl", "--rules", "rules.json"]),
+        ("eval", ["--before", "synth/log.jsonl", "--after", "apply/applied.jsonl"]),
+        ("verify", [*log, "--class", "a", "--target-class", "b"]),
+    ):
+        if command == "apply":
+            chain._merge_rules(Path("learn-detection/rules.json"), Path("learn-correction/rules.json"),
+                               Path("rules.json"))
+        if command == "verify":
+            args += chain._body_args(Path("learn-detection/rules.json"))
+        assert main([command, *args, "--out", command]) == 0, command
+    sizes = {name: Path(name).stat().st_size for name in ("synth/log.jsonl", "apply/applied.jsonl")}
+    assert totals["eval"] == sum(sizes.values())
+    assert max(totals.values()) == totals["eval"] <= _BUILTIN_HASH_MAX
+    assert list(totals) == [command for command, _ in _CHAIN]
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
@@ -754,7 +777,8 @@ def test_inputs_must_be_regular_files(tmp_path, log_file):
     # A pipe (as "--log <(cat log.jsonl)" passes) would be drained by the
     # load and then hash as empty, and /dev/null reads as an empty file:
     # each is rejected before anything is read, so a FIFO with no writer
-    # cannot block the run. Run in a child, with a timeout, in case it does.
+    # cannot block the run. Each runs in a child, with a timeout, in case
+    # it does.
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
     commands = {
@@ -767,20 +791,8 @@ def test_inputs_must_be_regular_files(tmp_path, log_file):
     cases = [(flag, path, [a.replace("{}", path) for a in argv] + ["--out", f"out-{i}"])
              for flag, argv in commands.items()
              for i, path in enumerate([str(fifo), os.devnull, str(tmp_path), str(tmp_path / "missing")])]
-    code = """
-import contextlib, io, json, sys
-from errata.cli import main
-results = []
-for argv in json.loads(sys.argv[1]):
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        results.append([main(argv), err.getvalue()])
-print(json.dumps(results))
-"""
-    result = subprocess.run([sys.executable, "-c", code, json.dumps([argv for *_, argv in cases])],
-                            capture_output=True, text=True, env=_src_env(), cwd=tmp_path,
-                            timeout=60, check=True)
-    for (flag, path, argv), (exit_code, err) in zip(cases, json.loads(result.stdout.splitlines()[-1])):
+    for flag, path, argv in cases:
+        exit_code, _, err = _fresh_run(argv, cwd=tmp_path)
         reason = "[Errno 2] No such file or directory" if path.endswith("missing") else "not a regular file"
         assert exit_code == 2, (argv, err)
         assert err.startswith(f"errata {argv[0]}: {flag}: {reason}"), (argv, err)

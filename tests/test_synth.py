@@ -1,5 +1,6 @@
 import importlib
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 
 import synth_oracle
 from errata.logs import _strict_json
+from errata import synth
 from errata.draws import _JUMPS, _LANES, _Stream, _fuzz_draws, _pool, _seeded, _uniforms
 from errata.synth import (
     _INT_DRAWS,
@@ -518,6 +520,25 @@ def test_draw_paths_give_the_same_benchmark_logs(monkeypatch, workload, uniforms
     plan, shapes = _assert_draw_paths_equal(module.synth_config(seed, n_records))
     assert plan.count == uniforms and (plan.count <= _INT_DRAWS) is (workload == "cli_pipeline")
     assert (len(shapes) > 256) is many_shapes
+
+
+@pytest.mark.parametrize("seed", [1, 977])
+def test_a_process_with_numpy_draws_small_logs_on_arrays(monkeypatch, seed):
+    # This process has numpy (the module imports it), so generate draws even
+    # a log under _INT_DRAWS uniforms on arrays, about ten times faster than
+    # on ints; a fresh process keeps the int path (test_cli.py's
+    # test_numpy_is_imported_only_to_draw).
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    cfg = SynthConfig.from_dict(importlib.import_module("cli_pipeline").synth_config(seed, 10_000))
+    drawn = []
+    monkeypatch.setattr(synth, "_draw_arrays", lambda plan: drawn.append(plan.count) or _draw_arrays(plan))
+    monkeypatch.setattr(synth, "_draw_ints", None)
+    log, book = generate(cfg)
+    assert "numpy" in sys.modules and drawn == [50_000] and 50_000 <= _INT_DRAWS
+    monkeypatch.setattr(synth, "_draw_arrays", _draw_ints)
+    int_log, int_book = generate(cfg)
+    assert serialize_log(log) == serialize_log(int_log)
+    assert book.to_dict() == int_book.to_dict()
 
 
 def test_bookkeeping_has_per_distribution_rows():
