@@ -6,8 +6,8 @@ itself from numpy's algorithms: the SeedSequence hash (``_pool`` for one
 seed of any size, ``_seed_pools`` for a uint64 array of them), PCG64's
 seeding, steps and XSL-RR output, Lemire's bounded integers on buffered
 32-bit halves or 64-bit words (``_Stream.integers``) and 53-bit uniforms,
-one at a time on Python ints (``_Stream.random``) or in lanes on uint64
-arrays (``_uniforms``). ``synth.generate`` draws a small log's uniforms
+in lanes packed into one Python int (``_Stream.random``) or in lanes on
+uint64 arrays (``_uniforms``). ``synth.generate`` draws a small log's uniforms
 with ``_Stream.random`` and a large one's with one ``_uniforms`` call;
 ``synth.random_log`` draws its sizes from a ``_Stream`` and then its
 uniforms with ``_uniforms``. For the theorem sweep, ``_state_words``
@@ -18,6 +18,7 @@ and a stream of Python ints imports no numpy at all: only the functions
 that build arrays import it.
 """
 
+import sys
 from functools import cache
 
 # numpy's SeedSequence hashes its entropy words into a pool of four uint32
@@ -36,6 +37,14 @@ _HASH_A = [_INIT_A * pow(_MULT_A, j, 1 << 32) & _MASK32 for j in range(17)]
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _JUMPS = 4096
 _LANES = 1 << 14
+# On Python ints a stream steps _INT_LANES lanes at once, each lane's state
+# in _LANE_BITS bits of one packed int: a state times a 128-bit multiplier,
+# plus a 128-bit increment, stays below 2**256, so no lane carries into the
+# next. memoryview.cast reads native words, and to_bytes in the native order
+# puts a big-endian host's words last first.
+_INT_LANES = 1 << 10
+_LANE_BITS = 256
+_WORD_ORDER = 1 if sys.byteorder == "little" else -1
 
 
 def _hashmix(x, xor, mult):
@@ -144,9 +153,39 @@ class _Stream:
 
     def random(self, count: int) -> list[float]:
         """``Generator.random(count)``: each uniform takes the top 53 bits
-        of a 64-bit output. A buffered half stays buffered, as in numpy."""
-        next64 = self._next64
-        return [(next64() >> 11) * 2.0 ** -53 for _ in range(count)]
+        of a 64-bit output. A buffered half stays buffered, as in numpy.
+        Lane r of at most _INT_LANES lanes starts at the state of output r,
+        the lanes filled by doubling as in ``_uniforms``; then every lane
+        steps _INT_LANES states at once. The last output's state is kept."""
+        out = []
+        if not count:
+            return out
+        lanes = min(count, _INT_LANES)
+        ones = int.from_bytes(b"\1".ljust(_LANE_BITS // 8, b"\0") * lanes, "little")  # 1 in each lane
+        a, c, width = _PCG_MULT, self.inc, 1  # s → a·s + c steps width states on
+        packed = (self.state * a + c) & _MASK128
+        while width < lanes:
+            more = min(width, lanes - width)
+            some = ones >> _LANE_BITS * (lanes - more)  # 1 in each of the first `more` lanes
+            head = packed & (1 << _LANE_BITS * more) - 1
+            packed |= (head * a + c * some & _MASK128 * some) << _LANE_BITS * width
+            a, c, width = a * a & _MASK128, c * (a + 1) & _MASK128, 2 * width
+        step, mask = c * ones, _MASK128 * ones
+        # XSL-RR of every lane: word 0 its x = high ^ low, word 1 its
+        # rotation (high >> 58) plus the 11 bits a uniform drops.
+        low, rotation, dropped = _MASK64 * ones, (63 << 64) * ones, (11 << 64) * ones
+        for first in range(0, count, lanes):
+            if first:  # only when lanes == _INT_LANES, a power of two: a and c step that many states
+                packed = packed * a + step & mask
+            block = ((packed >> 64 ^ packed) & low | packed >> 58 & rotation) + dropped
+            words = memoryview(block.to_bytes(lanes * _LANE_BITS // 8, sys.byteorder)).cast("Q")[::_WORD_ORDER]
+            # A lane is four words. x · (2**64 + 1) holds x twice, so shifting
+            # it right by the rotation rotates x, and by 11 more leaves its
+            # top 53 bits.
+            out += [(x * ((1 << 64) + 1) >> s & (1 << 53) - 1) * 2.0 ** -53
+                    for x, s in zip(words[:4 * (count - first):4], words[1::4])]
+        self.state = packed >> _LANE_BITS * ((count - 1) % lanes) & _MASK128
+        return out
 
     def _next32(self) -> int:
         if self.half is None:

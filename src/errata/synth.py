@@ -32,6 +32,9 @@ import sys
 from bisect import bisect
 from collections import Counter, defaultdict
 from fractions import Fraction
+from functools import partial
+from math import inf
+from operator import add
 from typing import Mapping, Sequence
 
 from .estimators import JointCounts, _base, _probability
@@ -412,14 +415,16 @@ def _cumulative(weights: Sequence[Fraction]) -> list[float]:
 
 def _names(names: tuple[str, ...], key: Sequence[int]) -> frozenset[str]:
     """The ``names`` whose columns a row of 0s and 1s (a bytes view of a
-    boolean row, a list of bits or a tuple of bools) marks."""
+    boolean row or a list of bits) marks."""
     return frozenset(name for name, hit in zip(names, key) if hit)
 
 
 # While numpy is unloaded, a log of at most this many uniforms is drawn on
 # Python ints: a fresh process draws and classifies it faster than it imports
-# numpy (they break even at about 80k uniforms) and peaks about 10 MB lower.
-# Otherwise it is drawn on numpy arrays.
+# numpy and peaks about 10 MB lower. A fresh synth child took 139 ms on ints
+# against 173 ms on arrays at 80k uniforms, 165 against 180 at 120k and 178
+# against 175 at 160k, so they break even at about 120–160k; 2**17 would sit
+# too close to that. Otherwise it is drawn on numpy arrays.
 _INT_DRAWS = 1 << 16
 
 
@@ -430,7 +435,7 @@ def generate(cfg: SynthConfig) -> tuple[PredictionLog, SynthBookkeeping]:
     (n_records × (planted conditions + 2, + 1 with distributions)) is drawn
     and classified on Python ints, so drawing it imports no numpy; otherwise
     on numpy arrays. Both give the same log and bookkeeping, bit for bit.
-    Cost: at 10k records (50,000 uniforms) ints take about 43 ms, arrays
+    Cost: at 10k records (50,000 uniforms) ints take about 24–27 ms, arrays
     4 ms (CPython 3.11, a 2-vCPU VM), so a caller with numpy gets arrays."""
     plan = _Plan(cfg, _mark_probabilities(cfg))
     ints = plan.count <= _INT_DRAWS and "numpy" not in sys.modules
@@ -491,39 +496,48 @@ class _Plan:
         return self.tags, codes, shapes, counts
 
 
+def _clamped(cum: list[float]) -> list[float]:
+    """``cum`` with its last bound raised to infinity: ``bisect`` on it is
+    ``min(bisect(cum, x), len(cum) - 1)``, the array path's clamped search."""
+    return cum[:-1] + [inf]
+
+
 def _draw_ints(plan: _Plan) -> tuple[list[str], Sequence[int], list[tuple], list[int]]:
-    """``_Plan.result`` of the log, drawn record by record on Python ints."""
+    """``_Plan.result`` of the log, drawn on Python ints and classified a
+    column of uniforms at a time."""
     from .draws import _Stream
 
-    n, width, planted = plan.n, len(plan.outcomes), len(plan.names)
+    n, planted = plan.n, len(plan.names)
     # One stream, drawn at once and read in draw order.
     u = _Stream(plan.cfg.seed).random(plan.count)
     if plan.tag_cum:
-        last = len(plan.tag_cum) - 1
-        cells = [min(bisect(plan.tag_cum, x), last) * width for x in u[:n]]
+        tags = list(map(partial(bisect, _clamped(plan.tag_cum)), u[:n]))
         del u[:n]
-    else:
-        cells = [0] * n
-    rows, last = [(start, cum, len(cum) - 1) for start, cum in plan.rows], len(plan.rows) - 1
-    for i, x, y in zip(range(n), u[:n], u[n:2 * n]):
-        start, cum, top = rows[min(bisect(plan.prior_cum, x), last)]
-        cells[i] += start + min(bisect(cum, y), top)
-    # A record's marks, condition 0 first: its row of uniforms below its
-    # cell's thresholds. Tuples of bools sort as the array path numbers
-    # its mark patterns, so the (cell, marks) pairs sort as its shapes.
-    if planted:
-        by_cell = list(zip(*plan.thresholds))
-        marked = zip(*[iter(u[2 * n:])] * planted)
-        patterns = [tuple(map(float.__lt__, row, by_cell[c])) for row, c in zip(marked, cells)]
-    else:
-        patterns = [()] * n
+    truths = list(map(partial(bisect, _clamped(plan.prior_cum)), u[:n]))
+    # A record's cell: its truth's first outcome, plus its outcome in that
+    # truth's confusion row, in its tag's block of outcomes.
+    starts, rows = zip(*[(start, _clamped(cum)) for start, cum in plan.rows])
+    outcomes = map(bisect, map(rows.__getitem__, truths), u[n:2 * n])
+    cells = list(map(add, map(starts.__getitem__, truths), outcomes))
+    if plan.tag_cum:
+        width = len(plan.outcomes)
+        cells = [tag * width + cell for tag, cell in zip(tags, cells)]
+    # A record's key is its cell followed by a bit per condition, condition
+    # 0 highest (each condition's column doubles the keys and adds its
+    # marks): a bit is set when the record's uniform for that condition
+    # falls below its cell's threshold. So the int keys sort as the array
+    # path numbers its (cell, mark pattern) pairs.
+    keys = cells
+    for j, thresholds in enumerate(plan.thresholds):
+        marks = map(float.__lt__, u[2 * n + j::planted], map(thresholds.__getitem__, cells))
+        keys = list(map(add, map(add, keys, keys), marks))
     del u
-    keyed = list(zip(cells, patterns))
-    counted = Counter(keyed)
+    counted = Counter(keys)
     order = sorted(counted)
     code = {key: i for i, key in enumerate(order)}
-    return plan.result([(cell, _names(plan.names, marks)) for cell, marks in order],
-                       [code[key] for key in keyed], [counted[key] for key in order])
+    shifts = range(planted - 1, -1, -1)  # condition 0's bit first
+    return plan.result([(key >> planted, _names(plan.names, [key >> s & 1 for s in shifts])) for key in order],
+                       list(map(code.__getitem__, keys)), [counted[key] for key in order])
 
 
 def _draw_arrays(plan: _Plan) -> tuple[list[str], Sequence[int], list[tuple], list[int]]:

@@ -1,6 +1,7 @@
 import importlib
 import json
 import sys
+from bisect import bisect
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,11 +13,13 @@ from hypothesis import example, given, settings
 import synth_oracle
 from errata.logs import _strict_json
 from errata import synth
-from errata.draws import _JUMPS, _LANES, _Stream, _fuzz_draws, _pool, _seeded, _uniforms
+from errata.draws import _INT_LANES, _JUMPS, _LANES, _Stream, _fuzz_draws, _pool, _seeded, _uniforms
 from errata.synth import (
     _INT_DRAWS,
     MAX_RECORDS,
+    _clamped,
     _class_precision,
+    _cumulative,
     _draw_arrays,
     _draw_ints,
     _mark_probabilities,
@@ -476,6 +479,18 @@ def _draws_config(n_records, planted, distributions):
     )
 
 
+# Ten priors of 1/10 sum to 0.9999999999999999 in floats, so the prior
+# table ends below 1.0; every truth but a has a confusion row that never
+# predicts the planted class a.
+_TEN_LABELS = list("abcdefghij")
+_TEN_PRIORS = base_config(
+    n_records=3000, labels=_TEN_LABELS, class_priors={label: "1/10" for label in _TEN_LABELS},
+    confusion={"a": [{"predicted": ["a"], "weight": 1}],
+               **{label: [{"predicted": ["a"], "weight": "1/3"}, {"predicted": [label], "weight": "2/3"}]
+                  for label in _TEN_LABELS[1:]}},
+)
+
+
 def _assert_draw_paths_equal(obj):
     cfg = SynthConfig.from_dict(obj)
     plan = _Plan(cfg, _mark_probabilities(cfg))
@@ -501,11 +516,30 @@ def _assert_draw_paths_equal(obj):
 @example(obj=_draws_config(300, 0, True))
 @example(obj=_draws_config(300, 66, False))  # two mark words
 @example(obj=_draws_config(2000, 10, True))  # 391 shapes, past uint8 codes
+@example(obj=_TEN_PRIORS)
+@example(obj=base_config(labels=["a", "b", "c"], class_priors={"a": "1/3", "b": "1/3", "c": "1/3"},
+                         confusion={**base_config()["confusion"],
+                                    "c": [{"predicted": ["c"], "weight": 1}]}))  # c never predicts a
+@example(obj=_draws_config(205, 3, False))  # 1,025 uniforms: _INT_LANES + 1
+@example(obj=_draws_config(819, 3, False))  # 4,095: 4 × _INT_LANES - 1
+@example(obj=_draws_config(683, 1, False))  # 2,049: 2 × _INT_LANES + 1
 @settings(max_examples=60, deadline=None)
 def test_draw_paths_give_the_same_log(obj):
     # generate takes _draw_ints up to _INT_DRAWS uniforms and _draw_arrays
     # above: each path is called here directly, whatever the size.
     _assert_draw_paths_equal(obj)
+
+
+@given(weights=st.lists(st.integers(0, 5), min_size=1, max_size=12).filter(any), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_clamped_search_equals_the_array_paths(weights, data):
+    # A uniform at or past a table's float total, which can end below 1.0,
+    # lands in the last bin on both paths.
+    cum = _cumulative([Fraction(w, sum(weights)) for w in weights])
+    x = data.draw(st.one_of(st.sampled_from(cum), st.floats(0, 1, exclude_max=True),
+                            st.just(np.nextafter(cum[-1], 2.0))))
+    want = np.minimum(np.searchsorted(cum, [x], side="right"), len(cum) - 1)[0]
+    assert bisect(_clamped(cum), x) == want
 
 
 @pytest.mark.parametrize("seed", [1, 977])
@@ -762,6 +796,8 @@ def test_stream_uniforms_equal_numpy_bit_for_bit(seed, count):
 @pytest.mark.parametrize("counts, seeds", [
     ((0, 1, 2), EDGE_SEEDS + [2**64, 2**100] + list(range(2, 300))),
     ((_LANES + 1,), EDGE_SEEDS + [2**64, 2**100]),  # past the array path's lanes
+    # Around the int path's blocks of lanes, and the 10k chain's 50,000.
+    ((_INT_LANES - 1, _INT_LANES, _INT_LANES + 1, 2 * _INT_LANES + 1, 50_000), EDGE_SEEDS + [2**64, 2**100]),
 ])
 def test_stream_random_equals_numpy_bit_for_bit(counts, seeds):
     for seed, count in ((seed, count) for seed in seeds for count in counts):
@@ -778,9 +814,10 @@ def test_stream_random_keeps_a_buffered_half_as_numpy_does():
         # step past it, and the next 32-bit draw takes it.
         assert stream.integers(0, 5) == int(rng.integers(0, 5))
         assert stream.half is not None
-        got = np.array(stream.random(3), np.float64)
-        assert np.array_equal(got.view(np.uint64), rng.random(3).view(np.uint64))
-        assert (stream.state, stream.inc, stream.half) == _numpy_stream(rng.bit_generator.state)
+        for count in (3, _INT_LANES + 5):  # within a block, then across two
+            got = np.array(stream.random(count), np.float64)
+            assert np.array_equal(got.view(np.uint64), rng.random(count).view(np.uint64))
+            assert (stream.state, stream.inc, stream.half) == _numpy_stream(rng.bit_generator.state)
         assert stream.integers(0, 2**31 + 1) == int(rng.integers(0, 2**31 + 1))
 
 
