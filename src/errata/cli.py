@@ -516,6 +516,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # A flag holds a string, or a list of them if repeatable; CPython
+        # 3.10-3.12's argparse reads --flag=-- as [], or as [[]] repeated.
+        (commands,) = [action.choices for action in parser._actions if action.dest == "command"]
+        for action in commands[args.command]._actions:
+            value = getattr(args, action.dest, None)
+            if value == [] or isinstance(value, list) and [] in value:
+                raise InputError(f"{action.option_strings[0]}: expected a value, got '--'")
         for flag, dest, what in _NONEMPTY_VALUES:
             value = getattr(args, dest, None)
             if "" in (value if isinstance(value, list) else [value]):

@@ -7,8 +7,10 @@ seed of any size, ``_seed_pools`` for a uint64 array of them), PCG64's
 seeding, steps and XSL-RR output, Lemire's bounded integers on buffered
 32-bit halves or 64-bit words (``_Stream.integers``) and 53-bit uniforms,
 in lanes packed into one Python int (``_Stream.random``) or in lanes on
-uint64 arrays (``_uniforms``). ``synth.generate`` draws a small log's uniforms
-with ``_Stream.random`` and a large one's with one ``_uniforms`` call;
+uint64 arrays (``_uniforms``). ``synth.generate`` draws with
+``_Stream.random`` while numpy is unloaded and the log needs at most
+``synth._INT_DRAWS`` uniforms, and otherwise with one ``_uniforms`` call,
+so a process that has numpy loaded draws on arrays at any size;
 ``synth.random_log`` draws its sizes from a ``_Stream`` and then its
 uniforms with ``_uniforms``. For the theorem sweep, ``_state_words``
 computes a chunk of trial seeds from the master seed's pool, and

@@ -18,12 +18,14 @@ block for the P planted conditions, a row per record and a column per
 condition in config order. While numpy is unloaded, a log of at most
 ``_INT_DRAWS`` uniforms is drawn and classified on Python ints
 (``_draw_ints``), so drawing it imports no numpy; otherwise on numpy
-arrays (``_draw_arrays``). Both give the same log, and a config
-reproduces its log bit for bit across runs and platforms. ``random_log``
-draws an unstructured fuzz log from its own stream (its sizes as numpy's
-bounded integers, then its uniforms); the sweep computes many such draws
-at once with ``errata.draws`` and marks its cells by the same
-``_MARK_BELOW`` bounds.
+arrays (``_draw_arrays``). Both search the same clamped tables and fold
+each record's cell and marks into the same int key, and one decoder
+turns the sorted distinct keys into shapes: so both give the same log,
+and a config reproduces its log bit for bit across runs and platforms.
+``random_log`` draws an unstructured fuzz log from its own stream (its
+sizes as numpy's bounded integers, then its uniforms); the sweep computes
+many such draws at once with ``errata.draws`` and marks its cells by the
+same ``_MARK_BELOW`` bounds.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import sys
 from bisect import bisect
 from collections import Counter, defaultdict
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import inf
 from operator import add
 from typing import Mapping, Sequence
@@ -413,6 +415,14 @@ def _cumulative(weights: Sequence[Fraction]) -> list[float]:
     return out
 
 
+def _clamped(weights: Sequence[Fraction]) -> list[float]:
+    """The cumulative table of ``weights`` with its last bound raised to
+    infinity: ``bisect`` and ``np.searchsorted(side="right")`` on it give
+    ``min(bisect(_cumulative(weights), x), len(weights) - 1)``, so a uniform
+    at or past a float total below 1.0 lands in the last bin."""
+    return _cumulative(weights)[:-1] + [inf]
+
+
 def _names(names: tuple[str, ...], key: Sequence[int]) -> frozenset[str]:
     """The ``names`` whose columns a row of 0s and 1s (a bytes view of a
     boolean row or a list of bits) marks."""
@@ -446,8 +456,10 @@ def generate(cfg: SynthConfig) -> tuple[PredictionLog, SynthBookkeeping]:
 
 
 class _Plan:
-    """What both draw paths read: the uniform count, the cumulative tables
-    they search and the mark thresholds; ``result`` builds their shapes."""
+    """What both draw paths read: the uniform count, the clamped tables
+    they search (each cumulative table with its last bound raised to
+    infinity, ``tag_cum`` None without distributions) and the mark
+    thresholds; ``result`` decodes their shape keys into shapes."""
 
     def __init__(self, cfg: SynthConfig,
                  marks: Mapping[tuple[str, str], tuple[Fraction, Fraction]]):
@@ -455,19 +467,20 @@ class _Plan:
         self.names = tuple(pc.condition_id for pc in planted)
         self.count = self.n * (bool(cfg.distributions) + 2 + len(planted))
         self.tags = [d.tag for d in cfg.distributions] or [DEFAULT_DISTRIBUTION]
-        self.tag_cum = _cumulative([d.record_fraction for d in cfg.distributions])
+        self.tag_cum = (_clamped([d.record_fraction for d in cfg.distributions])
+                        if cfg.distributions else None)
         self.prior_labels = [label for label, w in cfg.class_priors.items() if w > 0]
-        self.prior_cum = _cumulative([cfg.class_priors[label] for label in self.prior_labels])
+        self.prior_cum = _clamped([cfg.class_priors[label] for label in self.prior_labels])
         # Number the (truth, confusion row) outcomes, one block per truth
-        # class in prior order (``rows``: each block's start and cumulative
-        # weights); a record's cell is its outcome in its tag's block of
+        # class in prior order (``rows``: each block's start and clamped
+        # table); a record's cell is its outcome in its tag's block of
         # outcomes. A config built in code may hold plain sets, so each
         # predicted set is frozen here.
         self.outcomes = [(truth, frozenset(predicted))
                          for truth in self.prior_labels for predicted, _ in cfg.confusion[truth]]
         self.rows, start = [], 0
         for truth in self.prior_labels:
-            self.rows.append((start, _cumulative([w for _, w in cfg.confusion[truth]])))
+            self.rows.append((start, _clamped([w for _, w in cfg.confusion[truth]])))
             start += len(cfg.confusion[truth])
         # Record i carries condition j when its uniform for j falls below
         # thresholds[j][its cell]: the condition's mark probability there,
@@ -481,25 +494,25 @@ class _Plan:
             for pc in planted
         ]
 
-    def result(self, keys: Sequence[tuple[int, frozenset[str]]], codes: Sequence[int],
+    def result(self, keys: list[int], codes: Sequence[int],
                counts: list[int]) -> tuple[list[str], Sequence[int], list[tuple], list[int]]:
         """The tags of ``generate``, then its log as a shape code per row,
-        the shapes and the number of rows of each shape; ``keys`` holds
-        each shape's cell and condition set, in code order."""
+        the shapes and the number of rows of each shape. ``keys`` holds the
+        distinct shape keys in sorted order, a code numbering each: a key
+        is its records' cell followed by a bit per condition they carry,
+        condition 0 highest."""
         truth_sets = {label: frozenset((label,)) for label in self.prior_labels}
         cells = [(predicted, truth_sets[truth], tag)
                  for tag in self.tags for truth, predicted in self.outcomes]
+        planted, mask = len(self.names), ~(-1 << len(self.names))
+        shifts = range(planted - 1, -1, -1)  # condition 0's bit first
+        # Each mark pattern's condition set is built once, for all its cells.
+        conditions = cache(lambda bits: _names(self.names, [bits >> s & 1 for s in shifts]))
         shapes = []
-        for cell, conditions in keys:
-            predicted, truth, tag = cells[cell]
-            shapes.append((self.cfg.model_id, predicted, truth, conditions, tag))
+        for key in keys:
+            predicted, truth, tag = cells[key >> planted]
+            shapes.append((self.cfg.model_id, predicted, truth, conditions(key & mask), tag))
         return self.tags, codes, shapes, counts
-
-
-def _clamped(cum: list[float]) -> list[float]:
-    """``cum`` with its last bound raised to infinity: ``bisect`` on it is
-    ``min(bisect(cum, x), len(cum) - 1)``, the array path's clamped search."""
-    return cum[:-1] + [inf]
 
 
 def _draw_ints(plan: _Plan) -> tuple[list[str], Sequence[int], list[tuple], list[int]]:
@@ -511,22 +524,19 @@ def _draw_ints(plan: _Plan) -> tuple[list[str], Sequence[int], list[tuple], list
     # One stream, drawn at once and read in draw order.
     u = _Stream(plan.cfg.seed).random(plan.count)
     if plan.tag_cum:
-        tags = list(map(partial(bisect, _clamped(plan.tag_cum)), u[:n]))
+        tags = list(map(partial(bisect, plan.tag_cum), u[:n]))
         del u[:n]
-    truths = list(map(partial(bisect, _clamped(plan.prior_cum)), u[:n]))
+    truths = list(map(partial(bisect, plan.prior_cum), u[:n]))
     # A record's cell: its truth's first outcome, plus its outcome in that
     # truth's confusion row, in its tag's block of outcomes.
-    starts, rows = zip(*[(start, _clamped(cum)) for start, cum in plan.rows])
+    starts, rows = zip(*plan.rows)
     outcomes = map(bisect, map(rows.__getitem__, truths), u[n:2 * n])
     cells = list(map(add, map(starts.__getitem__, truths), outcomes))
     if plan.tag_cum:
         width = len(plan.outcomes)
         cells = [tag * width + cell for tag, cell in zip(tags, cells)]
-    # A record's key is its cell followed by a bit per condition, condition
-    # 0 highest (each condition's column doubles the keys and adds its
-    # marks): a bit is set when the record's uniform for that condition
-    # falls below its cell's threshold. So the int keys sort as the array
-    # path numbers its (cell, mark pattern) pairs.
+    # Each condition's column doubles the keys and adds its marks: a mark
+    # is a uniform below its cell's threshold.
     keys = cells
     for j, thresholds in enumerate(plan.thresholds):
         marks = map(float.__lt__, u[2 * n + j::planted], map(thresholds.__getitem__, cells))
@@ -535,9 +545,7 @@ def _draw_ints(plan: _Plan) -> tuple[list[str], Sequence[int], list[tuple], list
     counted = Counter(keys)
     order = sorted(counted)
     code = {key: i for i, key in enumerate(order)}
-    shifts = range(planted - 1, -1, -1)  # condition 0's bit first
-    return plan.result([(key >> planted, _names(plan.names, [key >> s & 1 for s in shifts])) for key in order],
-                       list(map(code.__getitem__, keys)), [counted[key] for key in order])
+    return plan.result(order, list(map(code.__getitem__, keys)), [counted[key] for key in order])
 
 
 def _draw_arrays(plan: _Plan) -> tuple[list[str], Sequence[int], list[tuple], list[int]]:
@@ -546,64 +554,36 @@ def _draw_arrays(plan: _Plan) -> tuple[list[str], Sequence[int], list[tuple], li
 
     from .draws import _seeded, _uniforms
 
-    n, names = plan.n, plan.names
+    n, planted = plan.n, len(plan.names)
     # One stream, drawn at once and split in draw order.
     u = _uniforms(*_seeded(plan.cfg.seed), plan.count)
     if plan.tag_cum:
-        cell_idx = np.minimum(np.searchsorted(plan.tag_cum, u[:n], side="right"), len(plan.tags) - 1)
+        cells = np.searchsorted(plan.tag_cum, u[:n], side="right") * len(plan.outcomes)
         u = u[n:]
     else:
-        cell_idx = np.zeros(n, dtype=np.intp)
-    truth_idx = np.minimum(np.searchsorted(plan.prior_cum, u[:n], side="right"), len(plan.rows) - 1)
+        cells = np.zeros(n, dtype=np.intp)
+    truths = np.searchsorted(plan.prior_cum, u[:n], side="right")
     u_pred = u[n:2 * n]
-    cond_u = u[2 * n:].reshape(n, len(names))
-
     # Add each record's outcome to its tag's block of cells with one search
     # per truth class.
-    cell_idx *= len(plan.outcomes)
     for r, (start, cum) in enumerate(plan.rows):
-        in_class = truth_idx == r
-        found = np.searchsorted(cum, u_pred[in_class], side="right")
-        np.minimum(found, len(cum) - 1, out=found)
-        cell_idx[in_class] += start + found
-    del truth_idx, in_class, found
+        in_class = truths == r
+        cells[in_class] += start + np.searchsorted(cum, u_pred[in_class], side="right")
+    del truths, u_pred, in_class
 
-    # A record's marks are bits, condition j at bit 63 - j % 64 of its word
-    # j // 64: so its words, compared in turn, order the records as their
-    # rows of marks read first column first would.
-    words = np.zeros((-(-len(names) // 64), n), np.uint64)
-    hit = np.empty(n, bool)
+    # _draw_ints' keys, folded a column at a time: int64 while the largest
+    # fits, else exact Python ints.
+    wide = len(plan.tags) * len(plan.outcomes) << planted > 1 << 63
+    keys = cells.astype(object) if wide else cells.copy()
+    cond_u = u[2 * n:].reshape(n, planted)
     for j, thresholds in enumerate(plan.thresholds):
-        np.less(cond_u[:, j], np.take(thresholds, cell_idx), out=hit)
-        words[j // 64] |= hit.astype(np.uint64) << np.uint64(63 - j % 64)
-    del u, u_pred, cond_u, hit
-
-    # A row's shape is fixed by its cell and its row of marks: number the
-    # (cell, mark pattern) pairs that occur.
-    if names:
-        # Number the patterns in that order: one lexsort (first word
-        # first), then each run of equal words a number.
-        order = np.lexsort(words[::-1])
-        ranked = words[:, order]
-        starts = np.ones(n, bool)
-        np.any(ranked[:, 1:] != ranked[:, :-1], axis=0, out=starts[1:])
-        pattern_idx = np.empty(n, np.intp)
-        pattern_idx[order] = np.cumsum(starts) - 1
-        # Each pattern's bits, most significant first, are its row of marks.
-        patterns = ranked[:, starts].T.astype(">u8", order="C").view(np.uint8)
-        condition_sets = [_names(names, row)
-                          for row in np.unpackbits(patterns, axis=1, count=len(names)).tolist()]
-        del order, ranked, starts
-    else:
-        pattern_idx, condition_sets = 0, [frozenset()]
-    del words
-    pairs, codes, counts = np.unique(
-        cell_idx * len(condition_sets) + pattern_idx, return_inverse=True, return_counts=True
-    )
-    del cell_idx, pattern_idx
-    keys = [divmod(pair, len(condition_sets)) for pair in pairs.tolist()]
-    return plan.result([(cell, condition_sets[p]) for cell, p in keys],
-                       codes.astype(np.uint8) if len(keys) <= 256 else codes.tolist(),
+        keys <<= 1
+        keys += cond_u[:, j] < np.take(thresholds, cells)
+    del u, cond_u, cells
+    distinct, codes, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    del keys
+    return plan.result(distinct.tolist(),
+                       codes.astype(np.uint8) if len(distinct) <= 256 else codes.tolist(),
                        counts.tolist())
 
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib
 import json
@@ -816,6 +817,44 @@ def test_empty_flag_value_is_named(tmp_path, log_file, capsys, case, flag):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"errata {argv[0]}: {flag}: expected a nonempty ")
     assert not (tmp_path / "out").exists()
+
+
+def _valued_flags():
+    """(command, flag) for each flag of each command that takes a value."""
+    (commands,) = [action.choices for action in cli.build_parser()._actions if action.dest == "command"]
+    return [(command, action.option_strings[0]) for command, parser in commands.items()
+            for action in parser._actions if action.option_strings and action.nargs != 0]
+
+
+@pytest.mark.parametrize("command, flag", _valued_flags())
+def test_a_flag_given_double_dash_is_named(tmp_path, log_file, capsys, monkeypatch, command, flag):
+    # CPython 3.10-3.12's argparse reads --flag=-- as [] (and a repeatable
+    # flag's as [[]]), which ended every command in a TypeError or an
+    # AttributeError; 3.13 keeps "--" as the value.
+    monkeypatch.chdir(tmp_path)  # where 3.13 writes --out=--
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps(SYNTH_CONFIG), encoding="utf-8")
+    log = str(log_file)
+    values = {
+        "synth": {"--config": str(config)},
+        "learn-detection": {"--log": log, "--model": "m", "--class": "a", "--condition": "c1"},
+        "learn-correction": {"--log": log, "--model": "m", "--target-class": "b",
+                             "--condition": "c1", "--trigger-class": "a"},
+        "apply": {"--log": log, "--rules": str(_rules_file(tmp_path))},
+        "eval": {"--before": log, "--after": log},
+        "verify": {"--log": log, "--model": "m", "--class": "a", "--condition": "c1"},
+        "sweep": {"--seed": "1", "--trials": "2"},
+    }[command]
+    values = {**values, "--out": str(tmp_path / "out"), flag: None}
+    argv = [command] + [a for name, value in values.items()
+                        for a in ([f"{name}=--"] if name == flag else [name, value])]
+    code = main(argv)
+    assert code in (0, 2, 3), argv
+    probe = argparse.ArgumentParser()
+    probe.add_argument("--flag")
+    if probe.parse_args(["--flag=--"]).flag == []:
+        assert code == 2
+        assert capsys.readouterr().err == f"errata {command}: {flag}: expected a value, got '--'\n"
 
 
 def _without(path):

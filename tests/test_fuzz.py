@@ -315,6 +315,9 @@ def _flag_value(argv: list[str], flag: str) -> str:
 @example(("--seed", ["sweep", "--seed", " 1", "--trials", "2"]))
 @example(("--trials", ["sweep", "--seed", "1", "--trials", "٣"]))
 @example(("--trials", ["sweep", "--seed", "1", "--trials=+2"]))
+# CPython 3.10-3.12's argparse reads --flag=-- as [], which raised TypeError.
+@example(("--class", ["learn-detection", "--model", "m", "--class=--", "--condition", "c1",
+                      "--epsilon", "1/20"]))
 def test_mutated_flag_values_exit_0_2_or_3_and_name_the_flag(case):
     flag, argv = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -514,7 +514,9 @@ def _assert_draw_paths_equal(obj):
 @example(obj=_draws_config(32768, 0, False))  # _INT_DRAWS
 @example(obj=_draws_config(21846, 0, True))  # _INT_DRAWS + 2
 @example(obj=_draws_config(300, 0, True))
-@example(obj=_draws_config(300, 66, False))  # two mark words
+@example(obj=_draws_config(300, 61, False))  # 3 cells << 61: the last keys in int64
+@example(obj=_draws_config(300, 62, False))  # 3 cells << 62: the first past int64
+@example(obj=_draws_config(300, 66, False))  # keys past int64
 @example(obj=_draws_config(2000, 10, True))  # 391 shapes, past uint8 codes
 @example(obj=_TEN_PRIORS)
 @example(obj=base_config(labels=["a", "b", "c"], class_priors={"a": "1/3", "b": "1/3", "c": "1/3"},
@@ -533,13 +535,17 @@ def test_draw_paths_give_the_same_log(obj):
 @given(weights=st.lists(st.integers(0, 5), min_size=1, max_size=12).filter(any), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_clamped_search_equals_the_array_paths(weights, data):
-    # A uniform at or past a table's float total, which can end below 1.0,
-    # lands in the last bin on both paths.
-    cum = _cumulative([Fraction(w, sum(weights)) for w in weights])
+    # Both paths search the clamped table as it is, bisect on ints and
+    # searchsorted on arrays: each equals the clamped search of the plain
+    # table, so a uniform at or past its float total, which can end below
+    # 1.0, lands in the last bin.
+    fractions = [Fraction(w, sum(weights)) for w in weights]
+    cum = _cumulative(fractions)
     x = data.draw(st.one_of(st.sampled_from(cum), st.floats(0, 1, exclude_max=True),
                             st.just(np.nextafter(cum[-1], 2.0))))
     want = np.minimum(np.searchsorted(cum, [x], side="right"), len(cum) - 1)[0]
-    assert bisect(_clamped(cum), x) == want
+    table = _clamped(fractions)
+    assert bisect(table, x) == np.searchsorted(table, [x], side="right")[0] == want
 
 
 @pytest.mark.parametrize("seed", [1, 977])
