@@ -6,19 +6,23 @@ output list) into ``--out``, and is byte-deterministic: rerunning with an
 identical manifest reproduces identical outputs. Exit codes: 0 success,
 1 violated check or failed assertion (replay data written), 2 bad input
 (an ``InputError``, or a file that is missing, not a regular file, or
-cannot be read or decoded), 3 every requested check was SKIPPED.
+cannot be read or decoded), 3 every requested check was SKIPPED, 120
+standard output closed (a write or the final flush of stdout or stderr
+failed). The ``errata`` command (``run``) ends without interpreter
+finalization, after its exit handlers and a flush of stdout and stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
 import os
 import sys
 from itertools import chain
 from pathlib import Path
 from stat import S_ISREG
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 # learning, rules, synth and theorems are imported by the commands that run
 # them, so that each command loads only the modules it uses.
@@ -36,6 +40,7 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_INPUT = 2
 EXIT_ALL_SKIPPED = 3
+EXIT_CLOSED_OUTPUT = 120  # CPython's own status when the final flush fails
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +543,10 @@ def main(argv=None) -> int:
             if not S_ISREG(mode):
                 raise InputError(f"{flag}: not a regular file: {path!r}")
         return args.func(args)
+    except BrokenPipeError:
+        # The reader of stdout or stderr went away: not bad input, and no
+        # message would reach it.
+        return EXIT_CLOSED_OUTPUT
     except (InputError, OSError, UnicodeDecodeError) as exc:
         # Bad input only (an undecodable file is bad input too): any other
         # exception, a bare ValueError included, is a bug and propagates.
@@ -545,5 +554,26 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
 
+# run skips interpreter finalization, which frees every module and object
+# one at a time just before the OS reclaims the whole process. That is
+# safe because every file errata opens is closed by a ``with`` block before
+# main returns, and errata starts no Python thread, so nothing is left for
+# finalization to close or join.
+def run() -> NoReturn:
+    """The ``errata`` command: ``main()`` on ``sys.argv``, then the exit
+    handlers (registered with ``atexit``), a flush of stdout and stderr, and
+    ``os._exit`` with main's code, or ``EXIT_CLOSED_OUTPUT`` if a flush
+    fails. An exception from main propagates as from any script."""
+    code = main()
+    atexit._run_exitfuncs()  # private, in CPython 3.10-3.13
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:  # None when started with fd 1 or 2 closed
+                stream.flush()
+        except OSError:
+            code = EXIT_CLOSED_OUTPUT
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

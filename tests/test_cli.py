@@ -458,17 +458,75 @@ def _fresh_run(args, watched=(), cwd=None):
     return code, loaded, result.stderr
 
 
-def test_module_entrypoint_smoke(tmp_path, log_file):
-    result = subprocess.run(
-        [sys.executable, "-m", "errata", "verify", "--log", str(log_file),
-         "--model", "m", "--class", "a", "--condition", "c1",
-         "--out", str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-        env=_src_env(),
-    )
-    assert result.returncode == 0
-    assert "T1_PRECISION_CHANGE" in result.stdout
+def _buffered_env(unbuffered=False):
+    """``_src_env`` with stdout block-buffered, as on a terminal-less run,
+    or unbuffered (``PYTHONUNBUFFERED=1``)."""
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _files(root):
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+# Starts errata as a tool that saves data at exit (coverage, for one) does.
+_RUNPY_WITH_ATEXIT = """
+import atexit, runpy, sys
+atexit.register(print, "atexit marker")
+sys.argv = ["errata", *sys.argv[1:]]
+runpy.run_module("errata", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("case, code, via_runpy", [
+    pytest.param("ok", 0, False, id="ok"),
+    pytest.param("missing-log", 2, False, id="missing-log"),
+    pytest.param("all-skipped", 3, False, id="all-skipped"),
+    pytest.param("ok", 0, True, id="runpy-atexit"),
+])
+def test_module_entrypoint_smoke(tmp_path, log_file, capsys, case, code, via_runpy):
+    # `python -m errata` ends with os._exit, after the exit handlers and a
+    # flush: its stdout (block-buffered here, so a missing flush would
+    # show), stderr, exit code and files equal an in-process main's, and
+    # an exit handler's output still comes last.
+    def argv(out):
+        log = tmp_path / "missing.jsonl" if case == "missing-log" else log_file
+        label = "zz" if case == "all-skipped" else "a"
+        return ["verify", "--log", str(log), "--model", "m", "--class", label,
+                "--condition", "c1", "--out", str(out)]
+
+    assert main(argv(tmp_path / "main")) == code
+    expected = capsys.readouterr()
+    launch = ["-c", _RUNPY_WITH_ATEXIT] if via_runpy else ["-m", "errata"]
+    child = subprocess.run([sys.executable, *launch, *argv(tmp_path / "child")],
+                           capture_output=True, text=True, env=_buffered_env(), timeout=60)
+    marker = "atexit marker\n" if via_runpy else ""
+    assert (child.returncode, child.stdout, child.stderr) == (code, expected.out + marker, expected.err)
+    assert _files(tmp_path / "child") == _files(tmp_path / "main")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["verify", "learn-detection"])
+def test_closed_stdout_exits_120(tmp_path, log_file, command, unbuffered):
+    # A reader that went away is not bad input (exit 2), and a lost output
+    # is not success: unbuffered, the print in main fails; buffered, the
+    # final flush does. Both exit 120, CPython's status for a failed flush.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "errata", command, "--log", str(log_file), "--model", "m",
+             "--class", "a", "--condition", "c1", "--out", str(tmp_path / "out")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=_buffered_env(unbuffered), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert child.returncode == 120, child.stderr
 
 
 def test_numpy_is_imported_only_to_draw():
