@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _SUBMODULE_NAMES = {
     "bundles": "MetricBundle",
     "estimators": "ConditionBody InvarianceProfile InvarianceRow Probability"
-    " Verdict f1_value invariance_profile joint_counts metric_bundle",
+    " Verdict invariance_profile metric_bundle",
     "learning": "GuardCheck LearnConfig LearnReport LearnStep Objective PairGuard"
     " exhaustive_oracle learn_correction learn_detection",
     "logs": "DEFAULT_DISTRIBUTION InputError LogFormatError PredictionLog PredictionRecord"

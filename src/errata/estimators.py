@@ -122,7 +122,7 @@ class ConditionBody(_Frozen):
     __slots__ = ("condition_ids",)
 
     def __init__(self, condition_ids: Iterable[str]):
-        condition_ids = frozenset(condition_ids)
+        condition_ids = _condition_ids(condition_ids)
         if not condition_ids:
             raise ValueError("a condition body must name at least one condition")
         if not all(isinstance(c, str) and c for c in condition_ids):
@@ -135,6 +135,16 @@ class ConditionBody(_Frozen):
 
     def sorted_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.condition_ids))
+
+
+def _condition_ids(body: ConditionBody | Iterable[str]) -> frozenset[str]:
+    """The ids of a body given as a ``ConditionBody`` or as condition ids.
+    A string is refused, not split into its characters."""
+    if isinstance(body, ConditionBody):
+        return body.condition_ids
+    if isinstance(body, str):
+        raise TypeError(f"expected condition ids, not the string {body!r}: write ({body!r},)")
+    return frozenset(body)
 
 
 class JointCounts(NamedTuple):
@@ -178,7 +188,7 @@ def joint_counts(
     body never holds. The β fields stay 0 unless ``beta`` is given: then
     every count is read from the view of the whole scope.
     """
-    ids = body.condition_ids if isinstance(body, ConditionBody) else body or ()
+    ids = () if body is None else _condition_ids(body)
     if beta is None:  # without β, α's view holds every count
         view = log.index.view(model_id, alpha)
         pred_body = body_mask(view.conditions, ids)

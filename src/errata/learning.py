@@ -35,6 +35,7 @@ from .estimators import (
     JointCounts,
     Probability,
     Ratio,
+    _condition_ids,
     _eq,
     _fraction,
     _le,
@@ -243,7 +244,7 @@ def learn_detection(
     vacuously satisfied.
     """
     cfg = cfg or LearnConfig()
-    candidate_ids = sorted(set(candidates))
+    candidate_ids = sorted(_condition_ids(candidates))
     view = log.index.view(model_id, alpha)
     _, n_gt, n_pred, n_pred_gt = base = view.counts[None]
     if n_pred == 0:
@@ -417,7 +418,7 @@ def exhaustive_oracle(
     later id.
     """
     cfg = cfg or LearnConfig()
-    ids = sorted(set(candidates))
+    ids = sorted(_condition_ids(candidates))
     if len(ids) > 20:
         raise ValueError(f"candidate set too large for enumeration ({len(ids)} > 20)")
 

@@ -32,14 +32,13 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect
-from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cache, partial
 from math import inf
 from operator import add
 from typing import Mapping, Sequence
 
-from .estimators import JointCounts, _base, _probability
+from .estimators import _base, _probability, joint_counts
 from .logs import (
     DEFAULT_DISTRIBUTION,
     InputError,
@@ -444,15 +443,16 @@ def generate(cfg: SynthConfig) -> tuple[PredictionLog, SynthBookkeeping]:
     While numpy is unloaded, a log of at most ``_INT_DRAWS`` uniforms
     (n_records × (planted conditions + 2, + 1 with distributions)) is drawn
     and classified on Python ints, so drawing it imports no numpy; otherwise
-    on numpy arrays. Both give the same log and bookkeeping, bit for bit.
+    on numpy arrays. Both give the same log, bit for bit. The bookkeeping
+    is counted on the log's index, as ``verify`` counts it.
     Cost: at 10k records (50,000 uniforms) ints take about 24–27 ms, arrays
     4 ms (CPython 3.11, a 2-vCPU VM), so a caller with numpy gets arrays."""
     plan = _Plan(cfg, _mark_probabilities(cfg))
     ints = plan.count <= _INT_DRAWS and "numpy" not in sys.modules
-    tags, codes, shapes, counts = (_draw_ints if ints else _draw_arrays)(plan)
+    codes, shapes = (_draw_ints if ints else _draw_arrays)(plan)
     # Sample ids s1..sn are distinct, and every shape is some row's.
     log = PredictionLog._columns([f"s{i}" for i in range(1, cfg.n_records + 1)], codes, shapes)
-    return log, _bookkeeping(cfg, shapes, counts, tags)
+    return log, _bookkeeping(cfg, log)
 
 
 class _Plan:
@@ -494,13 +494,11 @@ class _Plan:
             for pc in planted
         ]
 
-    def result(self, keys: list[int], codes: Sequence[int],
-               counts: list[int]) -> tuple[list[str], Sequence[int], list[tuple], list[int]]:
-        """The tags of ``generate``, then its log as a shape code per row,
-        the shapes and the number of rows of each shape. ``keys`` holds the
-        distinct shape keys in sorted order, a code numbering each: a key
-        is its records' cell followed by a bit per condition they carry,
-        condition 0 highest."""
+    def result(self, keys: list[int], codes: Sequence[int]) -> tuple[Sequence[int], list[tuple]]:
+        """The log of ``generate`` as a shape code per row and the shapes.
+        ``keys`` holds the distinct shape keys in sorted order, a code
+        numbering each: a key is its records' cell followed by a bit per
+        condition they carry, condition 0 highest."""
         truth_sets = {label: frozenset((label,)) for label in self.prior_labels}
         cells = [(predicted, truth_sets[truth], tag)
                  for tag in self.tags for truth, predicted in self.outcomes]
@@ -512,10 +510,10 @@ class _Plan:
         for key in keys:
             predicted, truth, tag = cells[key >> planted]
             shapes.append((self.cfg.model_id, predicted, truth, conditions(key & mask), tag))
-        return self.tags, codes, shapes, counts
+        return codes, shapes
 
 
-def _draw_ints(plan: _Plan) -> tuple[list[str], Sequence[int], list[tuple], list[int]]:
+def _draw_ints(plan: _Plan) -> tuple[Sequence[int], list[tuple]]:
     """``_Plan.result`` of the log, drawn on Python ints and classified a
     column of uniforms at a time."""
     from .draws import _Stream
@@ -542,13 +540,12 @@ def _draw_ints(plan: _Plan) -> tuple[list[str], Sequence[int], list[tuple], list
         marks = map(float.__lt__, u[2 * n + j::planted], map(thresholds.__getitem__, cells))
         keys = list(map(add, map(add, keys, keys), marks))
     del u
-    counted = Counter(keys)
-    order = sorted(counted)
+    order = sorted(set(keys))
     code = {key: i for i, key in enumerate(order)}
-    return plan.result(order, list(map(code.__getitem__, keys)), [counted[key] for key in order])
+    return plan.result(order, list(map(code.__getitem__, keys)))
 
 
-def _draw_arrays(plan: _Plan) -> tuple[list[str], Sequence[int], list[tuple], list[int]]:
+def _draw_arrays(plan: _Plan) -> tuple[Sequence[int], list[tuple]]:
     """``_Plan.result`` of the log, drawn column-wise on numpy arrays."""
     import numpy as np  # deferred: importing errata must not load numpy
 
@@ -580,38 +577,22 @@ def _draw_arrays(plan: _Plan) -> tuple[list[str], Sequence[int], list[tuple], li
         keys <<= 1
         keys += cond_u[:, j] < np.take(thresholds, cells)
     del u, cond_u, cells
-    distinct, codes, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    distinct, codes = np.unique(keys, return_inverse=True)
     del keys
     return plan.result(distinct.tolist(),
-                       codes.astype(np.uint8) if len(distinct) <= 256 else codes.tolist(),
-                       counts.tolist())
+                       codes.astype(np.uint8) if len(distinct) <= 256 else codes.tolist())
 
 
-def _bookkeeping(cfg: SynthConfig, shapes: Sequence[tuple], counts: Sequence[int],
-                 tags: Sequence[str]) -> SynthBookkeeping:
-    """Realized support and confidence of each planted condition, pooled
-    and per tag, summed from the number of rows of each shape."""
-    cells: dict[tuple, int] = defaultdict(int)  # (tag, predicted, truth) → rows
-    marked: dict[tuple, int] = defaultdict(int)  # ... and a condition id they hold → rows
-    for (_, predicted, truth, conditions, tag), k in zip(shapes, counts):
-        cells[tag, predicted, truth] += k
-        for cid in conditions:
-            marked[tag, predicted, truth, cid] += k
+def _bookkeeping(cfg: SynthConfig, log: PredictionLog) -> SynthBookkeeping:
+    """Realized support and confidence of each planted condition on the
+    emitted log, pooled and then per tag in config order."""
     rows = []
     for pc in cfg.planted_conditions:
-        alpha = pc.target_class
-        by_tag: dict[str, list[int]] = defaultdict(lambda: [0] * 6)  # tag → JointCounts fields
-        for (tag, predicted, truth), k in cells.items():
-            pred, gt = alpha in predicted, alpha in truth
-            body = pred * marked.get((tag, predicted, truth, pc.condition_id), 0)
-            fields = by_tag[tag]
-            for i, n in enumerate((k, k * gt, k * pred, k * pred * gt, body, body * gt)):
-                fields[i] += n
-        for scope in [None, *tags] if cfg.distributions else [None]:
-            c = map(sum, zip(*by_tag.values())) if scope is None else by_tag[scope]
-            q = _base(JointCounts(*c))
-            rows.append(BookkeepingRow(pc.condition_id, alpha, scope, _probability(q.support),
-                                       _probability(q.confidence)))
+        for scope in [None, *(d.tag for d in cfg.distributions)]:
+            q = _base(joint_counts(log, pc.target_class, (pc.condition_id,),
+                                   model_id=cfg.model_id, distribution=scope))
+            rows.append(BookkeepingRow(pc.condition_id, pc.target_class, scope,
+                                       _probability(q.support), _probability(q.confidence)))
     return SynthBookkeeping(tuple(rows))
 
 

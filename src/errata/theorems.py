@@ -37,11 +37,11 @@ from typing import Callable
 from .estimators import (
     _ONE,
     _ZERO,
-    ConditionBody,
     JointCounts,
     Ratio,
     _Base,
     _base_ratios,
+    _condition_ids,
     _div,
     _eq,
     _le,
@@ -115,12 +115,6 @@ class TheoremReport(_Frozen):
             skip_reason=obj.get("skip_reason"),
             note=obj.get("note"),
         )
-
-
-def _body_ids(body) -> frozenset[str]:
-    if isinstance(body, ConditionBody):
-        return body.condition_ids
-    return frozenset(body)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +382,7 @@ def check(theorem_id, log, model_id, alpha, body, beta=None) -> TheoremReport:
     theorem_id = TheoremId(theorem_id)
     if theorem_id is _T4 and beta is None:
         raise ValueError(f"{theorem_id.value} needs a correction class (beta)")
-    ids = _body_ids(body)
+    ids = _condition_ids(body)
     c = joint_counts(log, alpha, ids, beta, model_id=model_id)
     return _report(theorem_id, c, model_id, alpha, ids, beta)
 
@@ -412,7 +406,7 @@ def check_support_bound(log, model_id, alpha, body) -> TheoremReport:
 def check_all(log, model_id, alpha, body, beta=None) -> list[TheoremReport]:
     """One report per registry entry, in registry order, from one count of
     the log; the reclassification check runs only when ``beta`` is given."""
-    ids = _body_ids(body)
+    ids = _condition_ids(body)
     c = joint_counts(log, alpha, ids, beta, model_id=model_id)
     return [_report(tid, c, model_id, alpha, ids, beta)
             for tid in STATEMENTS if beta is not None or tid is not _T4]

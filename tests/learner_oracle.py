@@ -22,9 +22,9 @@ from errata import (
     Objective,
     PairGuard,
     Probability,
-    joint_counts,
     metric_bundle,
 )
+from errata.estimators import joint_counts
 from errata.learning import INFEASIBLE, NO_ADMISSIBLE_PAIR, NO_IMPROVEMENT, UNDEFINED_BASE
 
 

@@ -3,16 +3,15 @@
 order, as the library. Each record's outcome is found by ``bisect`` on the
 cumulative confusion weights and each planted condition is tested one
 record at a time, so the library's array work can be checked against
-them byte for byte. The bookkeeping is counted on the emitted log's
-index, not from per-shape counts as the library counts it.
+them byte for byte. The bookkeeping walks the log's records through
+``event_oracle``, not the log's index, which the library counts on.
 """
 
 from bisect import bisect_right
 
 import numpy as np
 
-from errata import DEFAULT_DISTRIBUTION, PredictionLog, PredictionRecord, joint_counts
-from errata.estimators import bundle_from_counts
+from errata import DEFAULT_DISTRIBUTION, PredictionLog, PredictionRecord
 from errata.synth import (
     BookkeepingRow,
     SynthBookkeeping,
@@ -21,6 +20,7 @@ from errata.synth import (
     condition_alphabet,
     label_alphabet,
 )
+from event_oracle import EventQuery, cond_prob, condition_holds, predicted_has, slice_log, truth_lacks
 
 
 def generate(cfg):
@@ -70,18 +70,24 @@ def generate(cfg):
             )
         )
     log = PredictionLog(tuple(records))
-    return log, _bookkeeping(cfg, log, tags)
+    return log, bookkeeping(cfg, log)
 
 
-def _bookkeeping(cfg, log, tags):
+def bookkeeping(cfg, log):
+    """Each planted condition's realized support P(body | α predicted) and
+    confidence P(α ∉ gt | α predicted, body) on ``log``, pooled and then
+    per tag in config order, each counted by walking the scope's records."""
+    tags = [d.tag for d in cfg.distributions]
+    scopes = {tag: slice_log(log, cfg.model_id, tag) for tag in [None, *tags]}
     rows = []
     for pc in cfg.planted_conditions:
-        for tag in [None, *tags] if cfg.distributions else [None]:
-            bundle = bundle_from_counts(joint_counts(
-                log, pc.target_class, (pc.condition_id,), model_id=cfg.model_id, distribution=tag
-            ))
-            rows.append(BookkeepingRow(pc.condition_id, pc.target_class, tag,
-                                       bundle.support, bundle.confidence))
+        alpha, body = pc.target_class, EventQuery.conjunction(condition_holds(pc.condition_id))
+        predicted = EventQuery.conjunction(predicted_has(alpha))
+        for tag, scope in scopes.items():
+            support = cond_prob(scope, body, predicted)
+            confidence = cond_prob(scope, EventQuery.conjunction(truth_lacks(alpha)),
+                                   predicted.and_(body))
+            rows.append(BookkeepingRow(pc.condition_id, alpha, tag, support, confidence))
     return SynthBookkeeping(tuple(rows))
 
 

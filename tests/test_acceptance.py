@@ -26,7 +26,6 @@ from errata import (
     exhaustive_oracle,
     generate,
     invariance_profile,
-    joint_counts,
     learn_correction,
     learn_detection,
     load_log,
@@ -37,6 +36,7 @@ from errata import (
     sweep,
 )
 from errata.cli import main
+from errata.estimators import joint_counts
 from errata.synth import condition_alphabet
 from event_oracle import slice_log
 from learner_oracle import objective_value

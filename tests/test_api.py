@@ -13,8 +13,7 @@ PUBLIC_BY_MODULE = {
     "bundles": {"MetricBundle"},
     "estimators": {
         "ConditionBody", "InvarianceProfile", "InvarianceRow",
-        "Probability", "Verdict", "f1_value", "invariance_profile",
-        "joint_counts", "metric_bundle",
+        "Probability", "Verdict", "invariance_profile", "metric_bundle",
     },
     "learning": {
         "GuardCheck", "LearnConfig", "LearnReport", "LearnStep", "Objective",

@@ -9,17 +9,18 @@ from errata import (
     ConditionBody,
     PredictionLog,
     Probability,
+    TheoremId,
     Verdict,
+    check,
     check_precision_change,
     exhaustive_oracle,
-    f1_value,
     invariance_profile,
-    joint_counts,
     learn_correction,
     learn_detection,
     metric_bundle,
 )
-from errata.estimators import _error_detecting
+from errata.estimators import _error_detecting, f1_value, joint_counts
+from errata.theorems import check_all
 from event_oracle import (
     EventQuery,
     body_query,
@@ -311,6 +312,21 @@ def test_duplication_scale_invariance(log, alpha):
 def test_condition_body_requires_ids():
     with pytest.raises(ValueError):
         ConditionBody(frozenset())
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda log: ConditionBody("c1"), id="ConditionBody"),
+    pytest.param(lambda log: joint_counts(log, "a", "c1"), id="joint_counts"),
+    pytest.param(lambda log: check(TheoremId.T1_PRECISION_CHANGE, log, "m", "a", "c1"), id="check"),
+    pytest.param(lambda log: check_all(log, "m", "a", "c1"), id="check_all"),
+    pytest.param(lambda log: learn_detection(log, "m", "a", "c1"), id="learn_detection"),
+    pytest.param(lambda log: exhaustive_oracle(log, "m", "a", "c1"), id="exhaustive_oracle"),
+])
+def test_a_string_of_ids_is_refused_not_split_into_characters(log_a, call):
+    # "c1" as a set is {"c", "1"}: two conditions the log never holds, and
+    # a silent zero support.
+    with pytest.raises(TypeError, match="not the string 'c1'"):
+        call(log_a)
 
 
 # ---------------------------------------------------------------------------

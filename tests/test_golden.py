@@ -27,7 +27,6 @@ from errata import (
     exhaustive_oracle,
     generate,
     invariance_profile,
-    joint_counts,
     learn_correction,
     learn_detection,
     loads_rules,
@@ -37,7 +36,7 @@ from errata import (
     sweep,
 )
 from errata.cli import main
-from errata.estimators import _error_detecting
+from errata.estimators import _error_detecting, joint_counts
 from errata.rational import format_rational
 
 

@@ -11,11 +11,11 @@ from errata import (
     PredictionLog,
     PredictionRecord,
     exhaustive_oracle,
-    joint_counts,
     learn_correction,
     learn_detection,
     metric_bundle,
 )
+from errata.estimators import joint_counts
 from errata.learning import (
     INFEASIBLE,
     NO_ADMISSIBLE_PAIR,

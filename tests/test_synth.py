@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import synth_oracle
+from errata.cli import EXIT_ALL_SKIPPED, EXIT_OK, main
 from errata.logs import _strict_json
 from errata import synth
 from errata.draws import _INT_LANES, _JUMPS, _LANES, _Stream, _fuzz_draws, _pool, _seeded, _uniforms
@@ -30,10 +31,12 @@ from errata import (
     InputError,
     SynthConfig,
     SynthConfigError,
+    TheoremId,
     Verdict,
     generate,
     invariance_profile,
     load_log,
+    load_log_file,
     random_log,
     serialize_log,
 )
@@ -494,9 +497,9 @@ _TEN_PRIORS = base_config(
 def _assert_draw_paths_equal(obj):
     cfg = SynthConfig.from_dict(obj)
     plan = _Plan(cfg, _mark_probabilities(cfg))
-    tags, codes, shapes, counts = _draw_ints(plan)
-    want_tags, want_codes, want_shapes, want_counts = _draw_arrays(plan)
-    assert (tags, shapes, counts) == (want_tags, want_shapes, want_counts)
+    codes, shapes = _draw_ints(plan)
+    want_codes, want_shapes = _draw_arrays(plan)
+    assert shapes == want_shapes
     assert list(codes) == list(want_codes)  # uint8 codes, or a list past 256 shapes
     return plan, shapes
 
@@ -616,6 +619,53 @@ def test_invariance_witness_via_override():
     assert profile.invariant is False
     assert book.for_condition("c1", "d2").confidence.value == 0
     assert abs(book.for_condition("c1", "d1").confidence.value - Fraction(9, 10)) < Fraction(5, 100)
+
+
+# ---------------------------------------------------------------------------
+# bookkeeping.json against verify and the written log
+# ---------------------------------------------------------------------------
+
+def _assert_bookkeeping_agrees(out, obj):
+    """Run ``synth`` on ``obj``, then ``verify`` on each planted condition
+    alone. Each pooled row of ``bookkeeping.json`` carries the support and
+    confidence text of T1's report, and every row equals a count that walks
+    the records of the written ``log.jsonl``."""
+    config = out / "config.json"
+    config.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["synth", "--config", str(config), "--out", str(out / "synth")]) == 0
+    log_path = str(out / "synth" / "log.jsonl")
+    rows = json.loads((out / "synth" / "bookkeeping.json").read_text(encoding="utf-8"))["rows"]
+    walked = synth_oracle.bookkeeping(SynthConfig.from_dict(obj), load_log_file(log_path))
+    assert rows == walked.to_dict()["rows"]
+    for pc in obj["planted_conditions"]:
+        cid, verify_out = pc["condition_id"], out / f"verify-{pc['condition_id']}"
+        code = main(["verify", "--log", log_path, "--model", obj["model_id"],
+                     "--class", pc["target_class"], "--condition", cid, "--out", str(verify_out)])
+        assert code in (EXIT_OK, EXIT_ALL_SKIPPED)
+        reports = json.loads((verify_out / "reports.json").read_text(encoding="utf-8"))
+        t1 = next(r for r in reports if r["theorem_id"] == TheoremId.T1_PRECISION_CHANGE.value)
+        (pooled,) = (row for row in rows if row["condition_id"] == cid and row["distribution"] is None)
+        assert (pooled["support"]["value"], pooled["confidence"]["value"]) == (
+            t1["intermediates"]["support"], t1["intermediates"]["confidence"])
+
+
+@given(obj=synth_configs_st(max_planted=3).filter(lambda obj: obj.get("distributions")))
+@settings(max_examples=15, deadline=None)
+def test_bookkeeping_agrees_with_verify_and_the_written_log(tmp_path_factory, obj):
+    _assert_bookkeeping_agrees(tmp_path_factory.mktemp("agree"), obj)
+
+
+@pytest.mark.parametrize("distributions", [
+    [],
+    [{"tag": "d1", "record_fraction": "1/3"},
+     {"tag": "d2", "record_fraction": "2/3", "confidence_override": {"c1": "0"}}],
+], ids=["pooled", "tagged"])
+def test_planted_bookkeeping_agrees_with_verify_and_the_written_log(
+        monkeypatch, tmp_path, distributions):
+    # The acceptance suite's three planted conditions on class a, at 2,000 records.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    obj = importlib.import_module("cli_pipeline").synth_config(2718, 2000)
+    _assert_bookkeeping_agrees(tmp_path, {**obj, "distributions": distributions})
 
 
 # ---------------------------------------------------------------------------

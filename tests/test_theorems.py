@@ -21,7 +21,6 @@ from errata import (
     check_precision_change,
     check_recall_reduction,
     check_support_bound,
-    joint_counts,
     load_log,
     random_log,
     serialize_log,
@@ -29,7 +28,7 @@ from errata import (
 )
 from errata import draws, theorems
 from errata.cli import main
-from errata.estimators import JointCounts
+from errata.estimators import JointCounts, joint_counts
 from errata.synth import condition_alphabet, label_alphabet
 from errata.theorems import _VERDICTS, STATEMENTS
 from theorem_oracle import oracle, reference_pairs, reference_sweep

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from errata import TheoremId, TheoremVerdict, joint_counts, serialize_log, theorems
+from errata import TheoremId, TheoremVerdict, serialize_log, theorems
+from errata.estimators import joint_counts
 from errata.synth import condition_alphabet, label_alphabet, random_log
 
 HOLDS, VIOLATED, SKIPPED = TheoremVerdict.HOLDS, TheoremVerdict.VIOLATED, TheoremVerdict.SKIPPED
