@@ -19,6 +19,7 @@ import atexit
 import json
 import os
 import sys
+from collections import Counter
 from itertools import chain
 from pathlib import Path
 from stat import S_ISREG
@@ -312,7 +313,7 @@ def _cmd_learn_correction(args) -> int:
 
 
 def _cmd_apply(args) -> int:
-    from .rules import apply_rules, loads_rules
+    from .rules import RecordTrace, apply_rules, loads_rules
     log = load_log_file(args.log)
     rules = loads_rules(_read_text(args.rules, "rule file", InputError))
     applied, trace = apply_rules(log, rules)
@@ -320,13 +321,13 @@ def _cmd_apply(args) -> int:
     run.write("applied.jsonl", _log_chunks(applied))
     run.write("trace.json", chain(trace._json_chunks(), ("\n",)))
     run.finish()
-    touched = trace.nonempty()
-    reinstated = sum(len(e.reinstated) for e in touched)
-    conflicts = sum(1 for e in touched if e.conflict)
+    rows = Counter(log.codes)  # each touched shape's outcome counts once per row
+    touched = [(rows[code], RecordTrace("", *outcome)) for code, outcome in enumerate(trace.outcomes) if outcome]
     print(
-        f"apply: {sum(len(e.erased) for e in touched)} erasures, "
-        f"{sum(len(e.added) for e in touched)} additions, "
-        f"{conflicts} conflicts, {reinstated} mutually-canceling relabel(s)"
+        f"apply: {sum(n * len(e.erased) for n, e in touched)} erasures, "
+        f"{sum(n * len(e.added) for n, e in touched)} additions, "
+        f"{sum(n for n, e in touched if e.conflict)} conflicts, "
+        f"{sum(n * len(e.reinstated) for n, e in touched)} mutually-canceling relabel(s)"
     )
     return EXIT_OK
 

@@ -185,30 +185,28 @@ def joint_counts(
     narrowed to one distribution tag when one is given.
 
     The body holds where any of its condition ids does; an empty or None
-    body never holds. The β fields stay 0 unless ``beta`` is given: then
-    every count is read from the view of the whole scope.
+    body never holds. The six α counts are read from α's view; the β
+    fields stay 0 unless ``beta`` is given, and are then read from the
+    view of the whole scope.
     """
     ids = () if body is None else _condition_ids(body)
-    if beta is None:  # without β, α's view holds every count
-        view = log.index.view(model_id, alpha)
-        pred_body = body_mask(view.conditions, ids)
-        if distribution is not None:
-            pred_body &= view.distributions.get(distribution, 0)
-        return JointCounts(*view.counts.get(distribution, _NO_COUNTS),
-                           pred_body.bit_count(), (pred_body & view.correct).bit_count())
+    view = log.index.view(model_id, alpha)
+    pred_body = body_mask(view.conditions, ids)
+    if distribution is not None:
+        pred_body &= view.distributions.get(distribution, 0)
+    counts = JointCounts(*view.counts.get(distribution, _NO_COUNTS),
+                         pred_body.bit_count(), (pred_body & view.correct).bit_count())
+    if beta is None:
+        return counts
     view = log.index.view(model_id, None)
-    pred, gt = view.predicted.get(alpha, 0), view.ground_truth.get(alpha, 0)
-    beta_pred, beta_gt = view.predicted.get(beta, 0), view.ground_truth.get(beta, 0)
-    if distribution is not None:  # every count below ands one of these three
-        rows = view.distributions.get(distribution, 0)
-        pred, gt, beta_pred = pred & rows, gt & rows, beta_pred & rows
+    rows = -1 if distribution is None else view.distributions.get(distribution, 0)  # -1: every row
+    pred, beta_pred = view.predicted.get(alpha, 0) & rows, view.predicted.get(beta, 0) & rows
+    beta_gt = view.ground_truth.get(beta, 0)
     pred_body = pred & body_mask(view.conditions, ids)
     union = beta_pred | pred_body
     return JointCounts(
-        view.counts.get(distribution, _NO_COUNTS)[0], gt.bit_count(), pred.bit_count(),
-        (pred & gt).bit_count(), pred_body.bit_count(), (pred_body & gt).bit_count(),
-        beta_pred.bit_count(), (beta_pred & beta_gt).bit_count(), (pred_body & beta_gt).bit_count(),
-        union.bit_count(), (union & beta_gt).bit_count(),
+        *counts[:6], beta_pred.bit_count(), (beta_pred & beta_gt).bit_count(),
+        (pred_body & beta_gt).bit_count(), union.bit_count(), (union & beta_gt).bit_count(),
     )
 
 

@@ -1,4 +1,4 @@
-"""Executable detection and correction rules with per-record traces.
+"""Executable detection and correction rules with per-shape traces.
 
 Detection rules erase a predicted label when any of their body conditions
 holds; correction rules then relabel records that lost a label.
@@ -7,13 +7,14 @@ record, so results do not depend on rule order, and rule indices in
 traces refer to positions in the RuleSet. What a record's model,
 predicted set and conditions are fixes what every rule does to it, so
 ``apply_rules`` decides it once per shape of the log (see
-``errata.logs``), detection first, and writes a trace entry per record
-of a shape a detection rule touches.
+``errata.logs``), detection first, and keeps those per-shape outcomes as
+its trace; a record's trace entry is built from its shape's on demand.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import islice
 from typing import Iterator
 
 from .estimators import (
@@ -175,25 +176,30 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 
 class ApplicationTrace(_Frozen):
-    """What ``apply_rules`` did to a log: a RecordTrace for each record a
-    detection rule touched, in log order, plus the input log."""
+    """What ``apply_rules`` did to a log: the input log and, per shape code,
+    the (model_id, erased, added, conflict) of its records, or None where no
+    detection rule touched. Traces with equal logs and tables are equal, so
+    a table follows its log's shape codes. Record traces are built on demand."""
 
-    __slots__ = ("log", "touched")
+    __slots__ = ("log", "outcomes")
     _hidden = ("log",)
 
     @property
-    def entries(self) -> tuple[RecordTrace, ...]:
-        """One entry per record of the log, in log order; built on demand."""
-        by_key = {(e.sample_id, e.model_id): e for e in self.touched}
-        shapes = self.log.shapes
-        keys = zip(self.log.sample_ids, (shapes[code][0] for code in self.log.codes))
-        return tuple(by_key.get(key) or RecordTrace(*key) for key in keys)
+    def touched(self) -> tuple[RecordTrace, ...]:
+        """A RecordTrace for each record a detection rule touched, in log order."""
+        outcomes = self.outcomes
+        return tuple(RecordTrace(sample_id, *outcomes[code])
+                     for sample_id, code in zip(self.log.sample_ids, self.log.codes) if outcomes[code])
 
-    def nonempty(self) -> tuple[RecordTrace, ...]:
-        return tuple(e for e in self.touched if e.erased or e.added or e.conflict)
+    @property
+    def entries(self) -> tuple[RecordTrace, ...]:
+        """One entry per record of the log, in log order."""
+        shapes = self.log.shapes
+        return tuple(RecordTrace(sample_id, *(self.outcomes[code] or (shapes[code][0],)))
+                     for sample_id, code in zip(self.log.sample_ids, self.log.codes))
 
     def to_dict(self) -> dict:
-        return {"entries": _json(self.nonempty())}
+        return {"entries": _json(self.touched)}
 
     def to_json(self) -> str:
         """The text ``json.dumps(self.to_dict(), indent=2)`` gives: the join
@@ -204,31 +210,26 @@ class ApplicationTrace(_Frozen):
         """``to_json``'s text, ``_CHUNK_ROWS`` entries per chunk after the
         first chunk's head; the last chunk closes the document.
 
-        The indenting ``json`` encoder is pure Python. Entries that differ
-        only in ``sample_id`` share one encoding of the rest, into which
-        each entry's id is spliced by the C string encoder the indenting
+        The indenting ``json`` encoder is pure Python. Each distinct outcome
+        is encoded once, with an empty id, and each entry's id is spliced
+        into its outcome's text by the C string encoder the indenting
         encoder itself uses for strings.
         """
-        shapes: dict[tuple, str] = {}
-        entries = self.nonempty()
-        if not entries:
-            yield '{\n  "entries": []\n}'
-            return
+        texts = {}
+        for outcome in set(self.outcomes) - {None}:
+            # The entry with an empty id, indented two levels deep (a raw
+            # newline in the encoding is always an indent).
+            text = json.dumps(RecordTrace("", *outcome).to_dict(), indent=2)
+            texts[outcome] = text.replace("\n", "\n    ")[len(_ENTRY_HEAD) + 2:]
+        rests = [texts.get(outcome) for outcome in self.outcomes]
+        entries = (_ENTRY_HEAD + _encode_str(sample_id) + rests[code]
+                   for sample_id, code in zip(self.log.sample_ids, self.log.codes) if rests[code])
         separator = '{\n  "entries": [\n    '  # what comes before a chunk's first entry
-        for start in range(0, len(entries), _CHUNK_ROWS):
-            parts = []
-            for e in entries[start:start + _CHUNK_ROWS]:
-                shape = (e.model_id, e.erased, e.added, e.conflict)
-                rest = shapes.get(shape)
-                if rest is None:
-                    # The entry with an empty id, indented two levels deep (a
-                    # raw newline in the encoding is always an indent).
-                    text = json.dumps(RecordTrace("", *shape).to_dict(), indent=2)
-                    rest = shapes[shape] = text.replace("\n", "\n    ")[len(_ENTRY_HEAD) + 2:]
-                parts.append(_ENTRY_HEAD + _encode_str(e.sample_id) + rest)
-            yield separator + ",\n    ".join(parts)
+        while chunk := list(islice(entries, _CHUNK_ROWS)):
+            yield separator + ",\n    ".join(chunk)
             separator = ",\n    "
-        yield "\n  ]\n}"
+        # The close, or with no entry the whole empty document.
+        yield "\n  ]\n}" if separator == ",\n    " else '{\n  "entries": []\n}'
 
 
 def _require_known_conditions(rules: RuleSet, log: PredictionLog) -> None:
@@ -262,7 +263,7 @@ def apply_rules(log: PredictionLog, rules: RuleSet) -> tuple[PredictionLog, Appl
     """
     _require_known_conditions(rules, log)
     shapes = list(log.shapes)
-    outcomes: dict[int, tuple] = {}  # code of a touched shape → its trace fields
+    outcomes: list[tuple | None] = [None] * len(shapes)  # per shape code, its trace fields
     for code, (model_id, predicted, ground_truth, conditions, distribution) in enumerate(log.shapes):
         erased = tuple(sorted(
             (rule.target_class, idx) for idx, rule in enumerate(rules.detections)
@@ -287,13 +288,10 @@ def apply_rules(log: PredictionLog, rules: RuleSet) -> tuple[PredictionLog, Appl
             kept |= targets
         shapes[code] = (model_id, kept, ground_truth, conditions, distribution)
         outcomes[code] = (model_id, erased, added, conflict)
-    touched = tuple(
-        RecordTrace(sample_id, *outcomes[code])
-        for sample_id, code in zip(log.sample_ids, log.codes) if code in outcomes
-    )
-    if not outcomes:
-        return log, ApplicationTrace(log, touched)
-    return PredictionLog._columns(log.sample_ids, log.codes, shapes), ApplicationTrace(log, touched)
+    trace = ApplicationTrace(log, tuple(outcomes))
+    if not any(outcomes):
+        return log, trace
+    return PredictionLog._columns(log.sample_ids, log.codes, shapes), trace
 
 
 # ---------------------------------------------------------------------------

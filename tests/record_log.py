@@ -5,7 +5,7 @@ a table of shapes. This module holds a log the plain way, as a tuple of
 ``PredictionRecord``s compared and hashed as a tuple, and answers each
 question about it by walking the records: what a JSONL text parses to,
 what it serializes to, how many rows carry each key, and what rules do
-to it. The tests hold the column log equal to it.
+to it and what its trace says. The tests hold the column log equal to it.
 """
 
 from __future__ import annotations
@@ -124,3 +124,23 @@ def apply(log: RecordLog, rules) -> tuple[RecordLog, list[tuple]]:
         if erased:
             touched.append((r.sample_id, r.model_id, erased, added, conflict))
     return RecordLog(tuple(records)), touched
+
+
+def trace_data(touched: list[tuple]) -> dict:
+    """``trace.json``'s data for ``apply``'s touched records: per record
+    its ids, each nonempty event list and the labels both erased and added
+    (mutually canceling)."""
+    entries = []
+    for sample_id, model_id, erased, added, conflict in touched:
+        entry = {"sample_id": sample_id, "model_id": model_id}
+        if erased:
+            entry["erased"] = [list(event) for event in erased]
+        if added:
+            entry["added"] = [list(event) for event in added]
+        if conflict:
+            entry["conflict"] = sorted(conflict)
+        canceling = {label for label, _ in erased} & {label for label, _ in added}
+        if canceling:
+            entry["mutually_canceling"] = sorted(canceling)
+        entries.append(entry)
+    return {"entries": entries}

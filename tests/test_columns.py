@@ -26,6 +26,7 @@ from errata import (
     DetectionRule,
     PredictionLog,
     PredictionRecord,
+    RecordTrace,
     RuleSet,
     SynthConfig,
     UnknownConditionError,
@@ -222,6 +223,9 @@ def test_apply_rules_matches_the_record_reference(records, rules):
     ref_after, ref_touched = record_log.apply(RecordLog(tuple(records)), rules)
     assert_matches(after, ref_after)
     assert [(e.sample_id, e.model_id, e.erased, e.added, e.conflict) for e in trace.touched] == ref_touched
+    assert trace.entries == tuple(RecordTrace(r.sample_id, r.model_id, *fields[1:])
+                                  for r, fields in zip(records, record_log.two_stage(records, rules)))
+    assert trace.to_json() == json.dumps(record_log.trace_data(ref_touched), indent=2)
     assert log.records == tuple(records)  # the input is unchanged
 
 

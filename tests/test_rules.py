@@ -579,7 +579,7 @@ def test_apply_rules_touching_no_record():
     )
     after, trace = apply_rules(log, rules)
     assert all(got is before for got, before in zip(after, log))
-    assert trace.touched == () and trace.nonempty() == ()
+    assert trace.touched == ()
     assert trace.to_dict() == {"entries": []}
     assert trace_entries(trace) == tuple(RecordTrace(*r.key) for r in log)
     _assert_matches_reference(log, rules, after, trace)
@@ -592,7 +592,7 @@ def test_apply_rules_touching_every_record():
         (CorrectionRule("m", "b", {("c2", "a")}), CorrectionRule("m", "d", {("c3", "c")})),
     )
     after, trace = apply_rules(log, rules)
-    assert trace.touched == trace.nonempty() == trace_entries(trace)
+    assert trace.touched == trace_entries(trace)
     assert [e.sample_id for e in trace.touched] == [r.sample_id for r in log]
     assert [r.predicted for r in after] == [frozenset(), {"b"}, {"c", "d"}]
     _assert_matches_reference(log, rules, after, trace)
@@ -603,21 +603,31 @@ def test_apply_rules_touching_every_record():
 # one (mutually canceling).
 id_st = st.text(st.sampled_from('a"\\\x00\x1f\né \U0001f600') | st.characters(), max_size=6)
 events_st = st.lists(st.tuples(st.sampled_from("ab"), st.integers(0, 2)), max_size=2).map(tuple)
-record_trace_st = st.builds(
-    RecordTrace,
-    sample_id=id_st,
-    model_id=st.sampled_from(("m", 'n"é')),
-    erased=events_st,
-    added=events_st,
-    conflict=st.frozensets(st.sampled_from("abc"), max_size=2),
-)
+outcome_st = st.none() | st.tuples(
+    st.sampled_from(("m", 'n"é')), events_st, events_st, st.frozensets(st.sampled_from("abc"), max_size=2))
 
 
-@given(st.lists(record_trace_st, max_size=8))
-@example([RecordTrace('q"\\\x01é', "m", (("a", 0),), (("a", 1),), frozenset({"b", "c"}))])
-@example([])
-def test_trace_json_is_the_indented_dump(entries):
-    trace = ApplicationTrace(PredictionLog(), tuple(entries))
+def _trace_of(outcomes, rows) -> ApplicationTrace:
+    """The trace with the table ``outcomes`` over a log of ``rows``, each a
+    (sample_id, shape code); a shape's model is its outcome's."""
+    empty = frozenset()
+    shapes = [(outcome[0] if outcome else "m", empty, empty, empty, "d") for outcome in outcomes]
+    log = PredictionLog._columns([sample_id for sample_id, _ in rows], [code for _, code in rows], shapes)
+    return ApplicationTrace(log, tuple(outcomes))
+
+
+# Up to three shapes, each with a drawn outcome (None: untouched), under
+# rows with distinct ids.
+traces_st = st.lists(outcome_st, min_size=1, max_size=3).flatmap(lambda outcomes: st.lists(
+    st.tuples(id_st, st.integers(0, len(outcomes) - 1)), max_size=8, unique_by=lambda row: row[0],
+).map(lambda rows: _trace_of(outcomes, rows)))
+
+
+@given(traces_st)
+@example(_trace_of([('m', (("a", 0),), (("a", 1),), frozenset({"b", "c"})), None],
+                   [('q"\\\x01é', 0), ("s", 1), ("\U0001f600", 0)]))
+@example(_trace_of([], []))
+def test_trace_json_is_the_indented_dump(trace):
     assert trace.to_json() == json.dumps(trace.to_dict(), indent=2)
 
 
@@ -626,7 +636,7 @@ def test_trace_chunks_join_to_the_trace_text(n, n_shapes):
     log = rows_log(n, n_shapes)
     # An empty log observes no c1, which a rule may not name.
     after, trace = apply_rules(log, RuleSet((RULE_A_C1,) if n else ()))
-    assert len(trace.nonempty()) == n
+    assert len(trace.touched) == n
     chunks = list(trace._json_chunks())
     # K entries per chunk after the head, the last chunk closing the document.
     assert [chunk.count('"sample_id"') for chunk in chunks] == (

@@ -51,7 +51,7 @@ RECORD = PredictionRecord("s1", "m", frozenset({"a"}), frozenset({"b"}), frozens
 ROW = InvarianceRow("d1", Verdict.YES, P, F(1, 4))
 DETECTION = DetectionRule("m", "a", ConditionBody.of("c1"))
 CORRECTION = CorrectionRule("m", "b", frozenset({("c1", "a")}))
-TRACE = RecordTrace("s1", "m", (("a", 0),), (("b", 0),))
+OUTCOME = ("m", (("a", 0),), (("b", 0),), frozenset())
 STEP = LearnStep("c1", F(1, 2), F(2, 3), F(1, 20))
 GUARD = GuardCheck("c1", P, F(1, 2), True)
 REPORT = TheoremReport(TheoremId.T1_PRECISION_CHANGE, TheoremVerdict.HOLDS, "m", "a", ("c1",), {"lhs": F(0)})
@@ -120,10 +120,9 @@ CASES = {
         "conflict=frozenset())",
     ),
     "ApplicationTrace": (
-        lambda: ApplicationTrace(PredictionLog([RECORD]), (TRACE,)),
-        lambda: ApplicationTrace(PredictionLog([RECORD]), ()),
-        "ApplicationTrace(touched=(RecordTrace(sample_id='s1', model_id='m', erased=(('a', 0),), "
-        "added=(('b', 0),), conflict=frozenset()),))",
+        lambda: ApplicationTrace(PredictionLog([RECORD]), (OUTCOME,)),
+        lambda: ApplicationTrace(PredictionLog([RECORD]), (None,)),
+        "ApplicationTrace(outcomes=(('m', (('a', 0),), (('b', 0),), frozenset()),))",
     ),
     "DeltaRow": (
         lambda: DeltaRow("m", "a", P, P, P, P, F(1, 2), F(1, 2), F(0), F(0), F(0)),
@@ -242,7 +241,7 @@ PLAIN_SIGNATURES = {
     "DetectionRule": ["model_id", "target_class", "body"],
     "RecordTrace": ["sample_id", "model_id", ("erased", ()), ("added", ()),
                     ("conflict", frozenset())],
-    "ApplicationTrace": ["log", "touched"],
+    "ApplicationTrace": ["log", "outcomes"],
     "DeltaRow": ["model_id", "label", "precision_before", "precision_after", "recall_before",
                  "recall_after", "f1_before", "f1_after", "precision_delta", "recall_delta",
                  "f1_delta"],
@@ -438,7 +437,7 @@ TO_DICT = {
     ],
     "RecordTrace": [(TRACE2, TRACE2_JSON), (RecordTrace("s2", "m"), {"sample_id": "s2", "model_id": "m"})],
     "ApplicationTrace": [
-        (ApplicationTrace(PredictionLog([RECORD]), (RecordTrace("s2", "m"), TRACE2)),
+        (ApplicationTrace(PredictionLog([RECORD]), (("m", TRACE2.erased, TRACE2.added, TRACE2.conflict),)),
          {"entries": [TRACE2_JSON]}),
         (ApplicationTrace(PredictionLog(()), ()), {"entries": []}),
     ],
